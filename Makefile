@@ -13,9 +13,13 @@ build:
 	$(GO) build ./...
 	cd lint && $(GO) build ./...
 
+# cmd/surf-perf is a module of its own, so the root ./... skips it;
+# its smoke test proves the benchmark still builds against the
+# internals and that its replica answers as Engine.FindContext does.
 test:
 	$(GO) test ./...
 	cd lint && $(GO) test ./...
+	cd cmd/surf-perf && $(GO) test ./...
 
 # lint is the local entrypoint CI mirrors: gofmt, go vet, then the
 # surf-lint analyzer suite over both modules. Requires only the go

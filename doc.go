@@ -137,6 +137,19 @@
 // training behaves the same way, committing its extra trees
 // all-or-nothing.
 //
+// # Query parallelism
+//
+// Query.Workers and TopKQuery.Workers spread each swarm iteration's
+// fitness evaluations and, for UseKDE queries, its Eq. 8 selection
+// weights across goroutines: 0 = one per CPU (as in TrainOptions), 1
+// = sequential, answers identical for any value. Every particle's
+// fitness and weight depend only on its own position, so the sharded
+// run is the sequential one; the optimizer caps the worker count at
+// GOMAXPROCS and at one worker per two glowworms. A UseKDE query fits
+// its prior over a KDESample-point uniform sample read straight from
+// the data's columns: an O(N) shuffle of 4-byte row indices plus a
+// copy of the sampled rows, never a per-row copy of the dataset.
+//
 // # Inference backends
 //
 // Every surrogate prediction — the swarm's batch objective,

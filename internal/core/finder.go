@@ -194,10 +194,32 @@ func NewSurrogateFinder(s *Surrogate, domain geom.Rect) (*Finder, error) {
 func (f *Finder) AttachBatch(p BatchPredictor) { f.batch = p }
 
 // AttachDensity fits the Eq. 8 KDE prior over a sample of data points
-// (rows in domain space). maxSample caps the KDE's retained points.
+// (rows in domain space). maxSample caps the KDE's retained points;
+// the sample is drawn by kde's one index sampler, seeded from seed, so
+// it is the sample AttachDensityColumns draws from the same data laid
+// out by column.
 func (f *Finder) AttachDensity(points [][]float64, maxSample int, seed uint64) error {
-	rng := rand.New(rand.NewPCG(seed, 0xaef17502108ef2d9))
-	k, err := kde.Fit(points, kde.Options{MaxSample: maxSample, Rng: rng})
+	return f.attachDensity(kde.Fit(points, densityOptions(maxSample, seed)))
+}
+
+// AttachDensityColumns is AttachDensity over column-major data
+// (cols[j][i] is coordinate j of row i, e.g. a dataset's filter
+// columns as stored). It copies only the sampled rows, so fitting
+// costs O(N) 4-byte index shuffling rather than a row copy per data
+// point.
+func (f *Finder) AttachDensityColumns(cols [][]float64, maxSample int, seed uint64) error {
+	return f.attachDensity(kde.FitColumns(cols, densityOptions(maxSample, seed)))
+}
+
+// densityOptions is the fit configuration both AttachDensity forms
+// share: the sample cap and a sampling stream derived from seed.
+func densityOptions(maxSample int, seed uint64) kde.Options {
+	return kde.Options{MaxSample: maxSample, Rng: rand.New(rand.NewPCG(seed, 0xaef17502108ef2d9))}
+}
+
+// attachDensity installs a fitted prior after checking it matches the
+// finder's domain.
+func (f *Finder) attachDensity(k *kde.KDE, err error) error {
 	if err != nil {
 		return err
 	}

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 
 	"surf/internal/geom"
@@ -117,14 +118,16 @@ type Params struct {
 	ConvergeWindow int
 	// ConvergeEps is the plateau threshold for early stopping.
 	ConvergeEps float64
-	// Workers evaluates the objective for the swarm with this many
-	// goroutines per iteration (0 or 1 = sequential). Results are
-	// identical to the sequential run — only the fitness evaluations
-	// parallelize; the movement phase keeps its deterministic RNG
-	// stream. The objective must be safe for concurrent calls (the
-	// boosted-tree surrogate is). Objectives implementing
-	// BatchObjective are evaluated shard-at-a-time with one
-	// preallocated evaluator per worker.
+	// Workers evaluates the objective and the selection weights for
+	// the swarm with this many goroutines per iteration (0 or 1 =
+	// sequential), capped at GOMAXPROCS and at one worker per two
+	// glowworms. Results are identical to the sequential run — only
+	// the per-particle evaluations parallelize; the movement phase
+	// keeps its deterministic RNG stream. The objective and
+	// Options.Weight must be safe for concurrent calls (the
+	// boosted-tree surrogate and the KDE box mass are). Objectives
+	// implementing BatchObjective are evaluated shard-at-a-time with
+	// one preallocated evaluator per worker.
 	Workers int
 	// Seed drives initialization and neighbour selection.
 	Seed uint64
@@ -229,7 +232,8 @@ type SwarmView struct {
 // Options tune run behaviour beyond the core parameters.
 type Options struct {
 	// Weight re-weights neighbour selection (paper Eq. 8); nil
-	// disables.
+	// disables. With Params.Workers > 1 it is called concurrently,
+	// over the same shards as the fitness evaluations.
 	Weight SelectionWeight
 	// Observer, when non-nil, is invoked synchronously at the end of
 	// every iteration with that iteration's telemetry (the same entry
@@ -370,9 +374,7 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 		// start-of-phase positions — the synchronous-update reading
 		// of Eq. 8 — rather than per candidate pair.
 		if opts.Weight != nil {
-			for i := 0; i < L; i++ {
-				wcache[i] = math.Max(0, opts.Weight(pos[i]))
-			}
+			eval.weigh(opts.Weight, pos, wcache)
 		}
 		moved := 0
 		for i := 0; i < L; i++ {
@@ -494,10 +496,10 @@ func InitialRadius(glowworms, dims int, meanExtent float64) float64 {
 	return math.Pow(frac, 1/float64(dims)) * meanExtent
 }
 
-// swarmEvaluator owns the per-run fitness-evaluation machinery: the
-// worker count and, for batch-capable objectives, one BatchEvaluator
-// per worker created once and reused every iteration so the steady
-// state performs no allocation.
+// swarmEvaluator owns the per-run per-particle evaluation machinery:
+// the worker count and, for batch-capable objectives, one
+// BatchEvaluator per worker created once and reused every iteration so
+// the steady state performs no allocation.
 type swarmEvaluator struct {
 	obj     Objective
 	workers int
@@ -505,12 +507,10 @@ type swarmEvaluator struct {
 }
 
 // newSwarmEvaluator sizes the worker pool for a swarm of the given
-// size, keeping the historical rule that shards smaller than two
-// positions per worker run sequentially.
+// size: at most the requested workers, GOMAXPROCS, and one worker per
+// two positions, and at least one.
 func newSwarmEvaluator(obj Objective, workers, swarm int) *swarmEvaluator {
-	if workers < 1 || swarm < 2*workers {
-		workers = 1
-	}
+	workers = max(1, min(workers, runtime.GOMAXPROCS(0), swarm/2))
 	e := &swarmEvaluator{obj: obj, workers: workers}
 	if bo, ok := obj.(BatchObjective); ok {
 		e.batch = make([]BatchEvaluator, workers)
@@ -521,40 +521,54 @@ func newSwarmEvaluator(obj Objective, workers, swarm int) *swarmEvaluator {
 	return e
 }
 
-// run fills fitness and valid for every position, sharding the swarm
-// across the worker goroutines. Shards are contiguous and written
-// disjointly, so results match the sequential evaluation exactly.
+// run fills fitness and valid for every position.
 func (e *swarmEvaluator) run(pos [][]float64, fitness []float64, valid []bool) {
+	e.sharded(len(pos), func(w, lo, hi int) {
+		if e.batch != nil {
+			e.batch[w].EvaluateBatch(pos[lo:hi], fitness[lo:hi], valid[lo:hi])
+			return
+		}
+		for i := lo; i < hi; i++ {
+			fitness[i], valid[i] = e.obj.Fitness(pos[i])
+		}
+	})
+}
+
+// weigh fills out[i] with the clamped selection weight of pos[i]. Each
+// weight depends only on its own position, so the sharded result is
+// the sequential one.
+func (e *swarmEvaluator) weigh(weight SelectionWeight, pos [][]float64, out []float64) {
+	e.sharded(len(pos), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = math.Max(0, weight(pos[i]))
+		}
+	})
+}
+
+// sharded splits [0, n) into one contiguous shard per worker and runs
+// fn(w, lo, hi) for each, concurrently when there is more than one
+// worker. Shards are disjoint, so writes indexed by position never
+// race and results match the sequential pass exactly.
+func (e *swarmEvaluator) sharded(n int, fn func(w, lo, hi int)) {
 	if e.workers == 1 {
-		e.shard(0, pos, fitness, valid)
+		fn(0, 0, n)
 		return
 	}
 	var wg sync.WaitGroup
-	chunk := (len(pos) + e.workers - 1) / e.workers
+	chunk := (n + e.workers - 1) / e.workers
 	for w := 0; w < e.workers; w++ {
 		lo := w * chunk
-		hi := min(lo+chunk, len(pos))
+		hi := min(lo+chunk, n)
 		if lo >= hi {
 			break
 		}
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			e.shard(w, pos[lo:hi], fitness[lo:hi], valid[lo:hi])
+			fn(w, lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
-}
-
-// shard evaluates one contiguous slice of the swarm on worker w.
-func (e *swarmEvaluator) shard(w int, pos [][]float64, fitness []float64, valid []bool) {
-	if e.batch != nil {
-		e.batch[w].EvaluateBatch(pos, fitness, valid)
-		return
-	}
-	for i := range pos {
-		fitness[i], valid[i] = e.obj.Fitness(pos[i])
-	}
 }
 
 func randomPoint(rng *rand.Rand, bounds geom.Rect) []float64 {

@@ -13,6 +13,13 @@
 //
 // where Φ is the standard normal CDF, so no numeric quadrature is
 // needed.
+//
+// Fitting N observations down to a k-point sample costs an O(N)
+// shuffle of 4-byte row indices — the draw sequence of rand.Perm, so
+// the sample is the same whichever way the data is laid out — plus an
+// O(k·d) copy of the sampled rows into one flat array. FitColumns
+// reads the rows straight out of column-major data, so no per-row
+// copy of the full dataset is ever made.
 package kde
 
 import (
@@ -26,8 +33,8 @@ import (
 
 // KDE is a fitted kernel density estimate.
 type KDE struct {
-	points    [][]float64 // sample points (row major)
-	bandwidth []float64   // per-dimension kernel bandwidth h_j > 0
+	points    []float64 // sample points, row major: point s is points[s*dims : (s+1)*dims]
+	bandwidth []float64 // per-dimension kernel bandwidth h_j > 0
 	dims      int
 }
 
@@ -63,18 +70,36 @@ func Fit(points [][]float64, opts Options) (*KDE, error) {
 			return nil, fmt.Errorf("kde: point %d has dimension %d, want %d", i, len(p), dims)
 		}
 	}
-	sample := points
-	if opts.MaxSample > 0 && len(points) > opts.MaxSample {
-		if opts.Rng == nil {
-			return nil, errors.New("kde: MaxSample truncation requires Options.Rng")
-		}
-		idx := opts.Rng.Perm(len(points))[:opts.MaxSample]
-		sample = make([][]float64, opts.MaxSample)
-		for i, j := range idx {
-			sample[i] = points[j]
+	return fit(len(points), dims, opts, func(dst []float64, i int) { copy(dst, points[i]) })
+}
+
+// FitColumns is Fit over column-major data: cols[j][i] is coordinate j
+// of observation i. It retains the same sample and bandwidths as Fit
+// over the equivalent rows, but copies only the sampled rows.
+func FitColumns(cols [][]float64, opts Options) (*KDE, error) {
+	if len(cols) == 0 {
+		return nil, errors.New("kde: zero-dimensional points")
+	}
+	n := len(cols[0])
+	if n == 0 {
+		return nil, ErrEmptySample
+	}
+	for j, c := range cols {
+		if len(c) != n {
+			return nil, fmt.Errorf("kde: column %d has %d rows, want %d", j, len(c), n)
 		}
 	}
-	k := &KDE{points: sample, dims: dims}
+	return fit(n, len(cols), opts, func(dst []float64, i int) {
+		for j, c := range cols {
+			dst[j] = c[i]
+		}
+	})
+}
+
+// fit is the fitting path behind Fit and FitColumns: it draws the
+// retained row indices, has row copy each retained row into one flat
+// backing array, and derives the bandwidths from that sample.
+func fit(n, dims int, opts Options, row func(dst []float64, i int)) (*KDE, error) {
 	if len(opts.Bandwidth) > 0 {
 		if len(opts.Bandwidth) != dims {
 			return nil, fmt.Errorf("kde: %d bandwidths for %d dimensions", len(opts.Bandwidth), dims)
@@ -84,28 +109,74 @@ func Fit(points [][]float64, opts Options) (*KDE, error) {
 				return nil, fmt.Errorf("kde: bandwidth %d is %g, want > 0", j, h)
 			}
 		}
-		k.bandwidth = append([]float64(nil), opts.Bandwidth...)
-		return k, nil
 	}
-	k.bandwidth = scottBandwidth(sample, dims)
+	size, idx := n, []int(nil) // idx nil: keep every row, in order
+	if opts.MaxSample > 0 && n > opts.MaxSample {
+		if opts.Rng == nil {
+			return nil, errors.New("kde: MaxSample truncation requires Options.Rng")
+		}
+		size, idx = opts.MaxSample, sampleIndices(n, opts.MaxSample, opts.Rng)
+	}
+	k := &KDE{points: make([]float64, size*dims), dims: dims}
+	for s := 0; s < size; s++ {
+		i := s
+		if idx != nil {
+			i = idx[s]
+		}
+		row(k.points[s*dims:(s+1)*dims], i)
+	}
+	if len(opts.Bandwidth) > 0 {
+		k.bandwidth = append([]float64(nil), opts.Bandwidth...)
+	} else {
+		k.bandwidth = scottBandwidth(k.points, dims)
+	}
 	return k, nil
 }
 
+// sampleIndices is the KDE's one sampler: it returns rng.Perm(n)[:k],
+// consuming exactly the draws rng.Perm(n) would. The shuffle runs over
+// 4-byte indices, half the memory of Perm's []int, unless n exceeds
+// their range.
+func sampleIndices(n, k int, rng *rand.Rand) []int {
+	if n > math.MaxInt32 {
+		return shuffledPrefix[int](n, k, rng)
+	}
+	return shuffledPrefix[int32](n, k, rng)
+}
+
+// shuffledPrefix shuffles the identity permutation of n indices of
+// type T with rng.Shuffle — the algorithm behind rng.Perm — and returns
+// its first k entries.
+func shuffledPrefix[T int32 | int](n, k int, rng *rand.Rand) []int {
+	perm := make([]T, n)
+	for i := range perm {
+		perm[i] = T(i)
+	}
+	rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	out := make([]int, k)
+	for s, i := range perm[:k] {
+		out[s] = int(i)
+	}
+	return out
+}
+
 // scottBandwidth computes h_j = σ_j n^(−1/(d+4)) (Scott's rule for a
-// diagonal-bandwidth Gaussian KDE).
-func scottBandwidth(points [][]float64, dims int) []float64 {
-	n := float64(len(points))
+// diagonal-bandwidth Gaussian KDE) over row-major points.
+func scottBandwidth(points []float64, dims int) []float64 {
+	rows := len(points) / dims
+	n := float64(rows)
 	factor := math.Pow(n, -1/(float64(dims)+4))
 	h := make([]float64, dims)
 	for j := 0; j < dims; j++ {
 		var mean, m2 float64
-		for i, p := range points {
-			delta := p[j] - mean
+		for i := 0; i < rows; i++ {
+			v := points[i*dims+j]
+			delta := v - mean
 			mean += delta / float64(i+1)
-			m2 += delta * (p[j] - mean)
+			m2 += delta * (v - mean)
 		}
 		sigma := 0.0
-		if len(points) > 1 {
+		if rows > 1 {
 			sigma = math.Sqrt(m2 / (n - 1))
 		}
 		h[j] = sigma * factor
@@ -120,7 +191,7 @@ func scottBandwidth(points [][]float64, dims int) []float64 {
 func (k *KDE) Dims() int { return k.dims }
 
 // SampleSize returns the number of retained sample points.
-func (k *KDE) SampleSize() int { return len(k.points) }
+func (k *KDE) SampleSize() int { return len(k.points) / k.dims }
 
 // Bandwidth returns the per-dimension bandwidths (a copy).
 func (k *KDE) Bandwidth() []float64 { return append([]float64(nil), k.bandwidth...) }
@@ -135,7 +206,8 @@ func (k *KDE) Density(p []float64) float64 {
 		norm *= h * math.Sqrt(2*math.Pi)
 	}
 	var sum float64
-	for _, s := range k.points {
+	for at := 0; at < len(k.points); at += k.dims {
+		s := k.points[at : at+k.dims]
 		prod := 1.0
 		for j := 0; j < k.dims; j++ {
 			z := (p[j] - s[j]) / k.bandwidth[j]
@@ -143,7 +215,7 @@ func (k *KDE) Density(p []float64) float64 {
 		}
 		sum += prod
 	}
-	return sum / (float64(len(k.points)) * norm)
+	return sum / (float64(k.SampleSize()) * norm)
 }
 
 // BoxMass returns ∫_box pA(a) da, the probability a draw from the
@@ -154,7 +226,8 @@ func (k *KDE) BoxMass(box geom.Rect) float64 {
 		panic(fmt.Sprintf("kde: BoxMass box of dimension %d, want %d", box.Dims(), k.dims))
 	}
 	var sum float64
-	for _, s := range k.points {
+	for at := 0; at < len(k.points); at += k.dims {
+		s := k.points[at : at+k.dims]
 		prod := 1.0
 		for j := 0; j < k.dims; j++ {
 			h := k.bandwidth[j]
@@ -165,13 +238,14 @@ func (k *KDE) BoxMass(box geom.Rect) float64 {
 		}
 		sum += prod
 	}
-	return sum / float64(len(k.points))
+	return sum / float64(k.SampleSize())
 }
 
 // Sample draws one point from the estimate: a uniformly chosen sample
 // point plus per-dimension Gaussian noise at the bandwidth scale.
 func (k *KDE) Sample(rng *rand.Rand) []float64 {
-	s := k.points[rng.IntN(len(k.points))]
+	at := rng.IntN(k.SampleSize()) * k.dims
+	s := k.points[at : at+k.dims]
 	out := make([]float64, k.dims)
 	for j := 0; j < k.dims; j++ {
 		out[j] = s[j] + rng.NormFloat64()*k.bandwidth[j]

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 
 	"surf/internal/core"
 	"surf/internal/dataset"
@@ -106,9 +107,10 @@ type Query struct {
 	// scale the surrogate was trained on.
 	MinSideFrac float64 `json:"min_side_frac,omitempty"`
 	MaxSideFrac float64 `json:"max_side_frac,omitempty"`
-	// Workers parallelizes the swarm's fitness evaluations across
-	// this many goroutines (0 or 1 = sequential). Results are
-	// bit-identical to the sequential run.
+	// Workers parallelizes the swarm's fitness evaluations and KDE
+	// selection weights across this many goroutines: 0 = one per CPU
+	// (as in TrainOptions), 1 = sequential. Answers are identical for
+	// any value.
 	Workers int `json:"workers,omitempty"`
 	// SkipVerify leaves regions unverified against the true f
 	// (verification costs one data scan per region).
@@ -139,7 +141,8 @@ type TopKQuery struct {
 	// UseTrueFunction bypasses the surrogate (O(N) per evaluation).
 	UseTrueFunction bool `json:"use_true_function,omitempty"`
 	// Glowworms, Iterations, MinSideFrac, MaxSideFrac, Workers and
-	// Seed behave as in Query.
+	// Seed behave as in Query: Workers 0 = one per CPU (as in
+	// TrainOptions), 1 = sequential, answers identical for any value.
 	Glowworms   int     `json:"glowworms,omitempty"`
 	Iterations  int     `json:"iterations,omitempty"`
 	MinSideFrac float64 `json:"min_side_frac,omitempty"`
@@ -206,7 +209,9 @@ const defaultKDESample = 1000
 // FindTopK. The effective parameters are identical whether or not any
 // override is set: the swarm size is always the paper's L = 50·2d
 // (over the 2d-dimensional [x, l] solution space) unless explicitly
-// overridden. Historically Find and FindTopK built these parameters
+// overridden, and Workers 0 means one per CPU (GOMAXPROCS), as
+// TrainOptions.Workers does; the optimizer caps the count at what the
+// swarm can use. Historically Find and FindTopK built these parameters
 // separately and setting only Seed or Workers could change unrelated
 // defaults.
 func gsoParams(dims, glowworms, iterations, workers int, seed uint64) gso.Params {
@@ -221,8 +226,9 @@ func gsoParams(dims, glowworms, iterations, workers int, seed uint64) gso.Params
 	if seed > 0 {
 		g.Seed = seed
 	}
-	if workers > 1 {
-		g.Workers = workers
+	g.Workers = workers
+	if workers == 0 {
+		g.Workers = runtime.GOMAXPROCS(0)
 	}
 	return g
 }
@@ -366,16 +372,11 @@ func startStream(ctx context.Context, e *Engine, snap *snapshot, q Query, events
 		if sample == 0 {
 			sample = defaultKDESample
 		}
-		data := view.data
-		points := make([][]float64, data.Len())
-		for i := range points {
-			row := make([]float64, e.Dims())
-			for j, c := range e.spec.FilterCols {
-				row[j] = data.Col(c)[i]
-			}
-			points[i] = row
+		cols := make([][]float64, len(e.spec.FilterCols))
+		for j, c := range e.spec.FilterCols {
+			cols[j] = view.data.Col(c)
 		}
-		if err := finder.AttachDensity(points, sample, q.Seed+17); err != nil {
+		if err := finder.AttachDensityColumns(cols, sample, q.Seed+17); err != nil {
 			return nil, err
 		}
 	}
