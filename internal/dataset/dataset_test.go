@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"surf/internal/geom"
@@ -209,29 +210,38 @@ func randomRegion(rng *rand.Rand, dims int) geom.Rect {
 }
 
 // TestGridMatchesLinearScan is the core correctness property: the grid
-// index must agree exactly with a full scan for every statistic kind,
-// dimensionality and region.
+// index must agree with a full scan for every statistic kind,
+// dimensionality and region — exactly for Count and Ratio, whose
+// interior blocks come from the integer prefix tables, and up to
+// summation order for the float statistics. Forced resolutions keep
+// most regions several cells wide, so interior blocks are non-empty.
 func TestGridMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	kinds := []stats.Kind{stats.Count, stats.Sum, stats.Mean, stats.Min, stats.Max, stats.Median, stats.Variance, stats.StdDev, stats.Ratio}
-	for dims := 1; dims <= 3; dims++ {
-		d := randomDataset(rng, 400, dims)
+	resolution := map[int]int{1: 64, 2: 32, 3: 12, 4: 8}
+	for dims := 1; dims <= 4; dims++ {
+		d := randomDataset(rng, 5000, dims)
 		filter := make([]int, dims)
 		for j := range filter {
 			filter[j] = j
 		}
+		interiors := 0
 		for _, kind := range kinds {
 			spec := Spec{FilterCols: filter, Stat: kind, TargetCol: dims}
 			scan, err := NewLinearScan(d, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			grid, err := NewGridIndex(d, spec, 0)
+			grid, err := NewGridIndex(d, spec, resolution[dims])
 			if err != nil {
 				t.Fatal(err)
 			}
+			exact := kind == stats.Count || kind == stats.Ratio
 			for trial := 0; trial < 60; trial++ {
 				r := randomRegion(rng, dims)
+				if w, ok := grid.window(r); ok && w.interior {
+					interiors++
+				}
 				ys, ns := scan.Evaluate(r)
 				yg, ng := grid.Evaluate(r)
 				if ns != ng {
@@ -240,11 +250,57 @@ func TestGridMatchesLinearScan(t *testing.T) {
 				if math.IsNaN(ys) != math.IsNaN(yg) {
 					t.Fatalf("dims=%d stat=%v region=%v: scan y=%g grid y=%g", dims, kind, r, ys, yg)
 				}
+				if exact && !math.IsNaN(ys) && ys != yg {
+					t.Fatalf("dims=%d stat=%v region=%v: scan y=%g grid y=%g, want exact", dims, kind, r, ys, yg)
+				}
 				if !math.IsNaN(ys) && math.Abs(ys-yg) > 1e-9*math.Max(1, math.Abs(ys)) {
 					t.Fatalf("dims=%d stat=%v region=%v: scan y=%g grid y=%g", dims, kind, r, ys, yg)
 				}
 			}
 		}
+		if interiors < len(kinds)*60/10 {
+			t.Errorf("dims=%d: only %d of %d regions had a non-empty interior block", dims, interiors, len(kinds)*60)
+		}
+	}
+}
+
+// TestGridEvaluateAllocsFlat pins the allocation-free interior test:
+// the decomposable statistics allocate the same per call whether the
+// region covers one cell or the whole domain.
+func TestGridEvaluateAllocsFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	d := randomDataset(rng, 20000, 2)
+	oneCell := geom.NewRect([]float64{0.51, 0.51}, []float64{0.52, 0.52})
+	domain := geom.NewRect([]float64{-1, -1}, []float64{2, 2})
+	for _, kind := range []stats.Kind{stats.Count, stats.Sum, stats.Mean, stats.Min, stats.Max, stats.Ratio} {
+		g, err := NewGridIndex(d, Spec{FilterCols: []int{0, 1}, Stat: kind, TargetCol: 2}, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, n := g.Evaluate(oneCell); n == 0 {
+			t.Fatalf("%v: one-cell region matched no rows", kind)
+		}
+		small := testing.AllocsPerRun(50, func() { g.Evaluate(oneCell) })
+		large := testing.AllocsPerRun(50, func() { g.Evaluate(domain) })
+		if small != large {
+			t.Errorf("%v: %v allocs for a one-cell region, %v for the whole domain", kind, small, large)
+		}
+	}
+}
+
+// TestGridRowLimit checks the guard that keeps row indices, CSR offsets
+// and prefix-table entries inside int32.
+func TestGridRowLimit(t *testing.T) {
+	if err := checkGridRows(maxGridRows); err != nil {
+		t.Errorf("%d rows: %v", maxGridRows, err)
+	}
+	if strconv.IntSize == 32 {
+		t.Skip("int cannot exceed MaxInt32 rows")
+	}
+	n := maxGridRows
+	n++
+	if err := checkGridRows(n); err == nil {
+		t.Errorf("%d rows accepted", n)
 	}
 }
 

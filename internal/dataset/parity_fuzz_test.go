@@ -20,7 +20,7 @@ import (
 // Run as a smoke step in CI (-fuzztime=10s) and as a plain seed
 // regression test otherwise.
 func FuzzEvaluatorParity(f *testing.F) {
-	// The res argument maps to a grid resolution of 2 + res%62.
+	// The res argument maps to a grid resolution (fuzzResolution).
 	//
 	// Known-bad pre-fix seed: resolution 13 (res=11) over x ∈
 	// [0.1, 0.7] leaves the last cell's accumulated rect short of 0.7,
@@ -40,6 +40,18 @@ func FuzzEvaluatorParity(f *testing.F) {
 	// Domain-edge bounds on both dimensions.
 	f.Add(uint64(7), uint16(120), uint8(15), uint8(7), 0.1, 0.7, -1.3, 2.9)
 	f.Add(uint64(11), uint16(200), uint8(3), uint8(8), 0.7, 0.7, -1.3, 2.9)
+	// Interior-range edge cases, with bounds read from the grid the
+	// fuzz body builds (resolution 6 over seed 2's dataset). Region
+	// bounds exactly on cell boundaries: the cells between them are
+	// interior, and the boundary rows sit on the region's edges.
+	b := fuzzGridBounds(2, 200, 4)
+	f.Add(uint64(2), uint16(200), uint8(4), uint8(0), b[0][1], b[0][4], b[1][2], b[1][5])
+	f.Add(uint64(2), uint16(200), uint8(4), uint8(8), b[0][1], b[0][4], b[1][2], b[1][5])
+	// An interior block empty in y only: x spans whole cells while y
+	// stays strictly inside cell 2.
+	yIn, yOut := b[1][2]+0.25*(b[1][3]-b[1][2]), b[1][2]+0.75*(b[1][3]-b[1][2])
+	f.Add(uint64(2), uint16(200), uint8(4), uint8(0), 0.05, b[0][5], yIn, yOut)
+	f.Add(uint64(2), uint16(200), uint8(4), uint8(8), 0.05, b[0][5], yIn, yOut)
 
 	kinds := []stats.Kind{
 		stats.Count, stats.Sum, stats.Mean, stats.Min, stats.Max,
@@ -52,7 +64,7 @@ func FuzzEvaluatorParity(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := NewGridIndex(d, spec, 2+int(res%62))
+		g, err := NewGridIndex(d, spec, fuzzResolution(res))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,6 +76,21 @@ func FuzzEvaluatorParity(f *testing.F) {
 		assertSameEval(t, ls, g, region)
 		assertSameEval(t, ls, dsc, region)
 	})
+}
+
+// fuzzResolution maps the fuzz res argument to a grid resolution.
+func fuzzResolution(res uint8) int { return 2 + int(res%62) }
+
+// fuzzGridBounds returns the cell boundaries of the grid the fuzz body
+// builds for (seed, n, res), for seeds whose regions must hit them
+// exactly.
+func fuzzGridBounds(seed uint64, n uint16, res uint8) [][]float64 {
+	d := fuzzParityDataset(seed, 1+int(n%300))
+	g, err := NewGridIndex(d, Spec{FilterCols: []int{0, 1}, Stat: stats.Count}, fuzzResolution(res))
+	if err != nil {
+		panic(err)
+	}
+	return g.bounds
 }
 
 // fuzzBound sanitizes a fuzz-chosen region bound: non-finite values

@@ -221,21 +221,10 @@ func randomParityRegion(rng *rand.Rand, g *GridIndex) geom.Rect {
 }
 
 // cellBoundaries reports the grid's cell boundary positions along one
-// dimension, read through cellRect so the probe works on any index
-// implementation (it deliberately avoids the internal boundary array,
-// which older GridIndex versions did not have).
+// dimension: the array rows are assigned with and interior ranges are
+// read from.
 func cellBoundaries(g *GridIndex, dim int) []float64 {
-	coord := make([]int, g.Dims())
-	out := make([]float64, 0, g.Resolution()+1)
-	for c := 0; c < g.Resolution(); c++ {
-		coord[dim] = c
-		r := g.cellRect(coord)
-		out = append(out, r.Min[dim])
-		if c == g.Resolution()-1 {
-			out = append(out, r.Max[dim])
-		}
-	}
-	return out
+	return append([]float64(nil), g.bounds[dim]...)
 }
 
 // parityBound picks one region bound: a cell boundary, a boundary
@@ -271,4 +260,117 @@ func diskScanFor(t *testing.T, d *Dataset, spec Spec) *DiskScan {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestGridSumFoldOrder pins the float statistics to their summation
+// order, bit for bit: overlapped cells in mixed-radix order, a cell the
+// region contains entirely adding its rows' pre-summed partial, any
+// other cell adding its in-region rows one by one in row order. Parity
+// tests compare with a tolerance, so only this test notices a cell
+// misclassified as boundary or interior.
+func TestGridSumFoldOrder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 17))
+	for dims := 1; dims <= 3; dims++ {
+		cols := make([][]float64, dims+1)
+		names := make([]string, dims+1)
+		for j := range cols {
+			names[j] = string(rune('a' + j))
+			cols[j] = make([]float64, 3000)
+			for i := range cols[j] {
+				cols[j][i] = latticeCoord(rng, -1, 2)
+			}
+		}
+		for i := range cols[dims] {
+			cols[dims][i] = rng.NormFloat64() * 1e3 // sums that round
+		}
+		d := MustNew(names, cols)
+		filter := make([]int, dims)
+		for j := range filter {
+			filter[j] = j
+		}
+		g, err := NewGridIndex(d, Spec{FilterCols: filter, Stat: stats.Sum, TargetCol: dims}, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := cellBuckets(g)
+		for q := 0; q < 300; q++ {
+			region := randomParityRegion(rng, g)
+			want, wantN := cellWalkSum(g, cells, region)
+			got, gotN := g.Evaluate(region)
+			if math.Float64bits(got) != math.Float64bits(want) || gotN != wantN {
+				t.Fatalf("dims=%d region %v: grid %v (n=%d), cell walk %v (n=%d)", dims, region, got, gotN, want, wantN)
+			}
+		}
+	}
+}
+
+// cellBuckets lists each cell's rows in row order, built apart from the
+// grid's CSR layout.
+func cellBuckets(g *GridIndex) map[int][]int {
+	cells := make(map[int][]int)
+	for i := 0; i < g.d.Len(); i++ {
+		id := 0
+		for j, col := range g.filters {
+			id = id*g.res + g.cellOf(col[i], j)
+		}
+		cells[id] = append(cells[id], i)
+	}
+	return cells
+}
+
+// cellWalkSum is the grid's Sum written out cell by cell, with a
+// rect-containment test per cell.
+func cellWalkSum(g *GridIndex, cells map[int][]int, region geom.Rect) (float64, int) {
+	dims := g.Dims()
+	lo := make([]int, dims)
+	hi := make([]int, dims)
+	for j := 0; j < dims; j++ {
+		if region.Max[j] < g.domain.Min[j] || region.Min[j] > g.domain.Max[j] {
+			return 0, 0
+		}
+		lo[j] = g.cellOf(region.Min[j], j)
+		hi[j] = max(g.cellOf(region.Max[j], j), lo[j])
+	}
+	sum, n := 0.0, 0
+	coord := append([]int(nil), lo...)
+	for {
+		id := 0
+		rect := geom.Rect{Min: make([]float64, dims), Max: make([]float64, dims)}
+		for j, c := range coord {
+			id = id*g.res + c
+			rect.Min[j], rect.Max[j] = g.bounds[j][c], g.bounds[j][c+1]
+		}
+		if rows := cells[id]; len(rows) > 0 {
+			if region.ContainsRect(rect) {
+				partial := 0.0
+				for _, i := range rows {
+					partial += g.target[i]
+				}
+				sum += partial
+				n += len(rows)
+			} else {
+			rows:
+				for _, i := range rows {
+					for j, col := range g.filters {
+						if col[i] < region.Min[j] || col[i] > region.Max[j] {
+							continue rows
+						}
+					}
+					sum += g.target[i]
+					n++
+				}
+			}
+		}
+		j := dims - 1
+		for ; j >= 0; j-- {
+			coord[j]++
+			if coord[j] <= hi[j] {
+				break
+			}
+			coord[j] = lo[j]
+		}
+		if j < 0 {
+			return sum, n
+		}
+	}
 }
