@@ -53,15 +53,16 @@ vulncheck:
 
 # fuzz-smoke mirrors the CI randomized pass over the CSV readers, the
 # evaluator parity differential, the inference-kernel parity
-# differential and the living-store append parity differential;
-# crashers minimize into testdata/fuzz corpus files, which are
-# checked in.
+# differential, the living-store append parity differential and the
+# swarm's neighbour-scan differential; crashers minimize into
+# testdata/fuzz corpus files, which are checked in.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadCSVDataset' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz 'FuzzReadWorkloadCSV' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz 'FuzzEvaluatorParity' -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelParity' -fuzztime 10s ./internal/gbt/kernel
 	$(GO) test -run '^$$' -fuzz 'FuzzAppendParity' -fuzztime 10s ./internal/dataset
+	$(GO) test -run '^$$' -fuzz 'FuzzNeighborScan' -fuzztime 10s ./internal/gso
 
 clean:
 	rm -rf bin

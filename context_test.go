@@ -28,13 +28,13 @@ func TestFindContextPreCancelled(t *testing.T) {
 }
 
 // TestFindContextCancelMidRun cancels a deliberately expensive query
-// (true-function mode, huge iteration budget) shortly after it starts
-// and asserts it returns ctx.Err() promptly — within one swarm
-// iteration, not after the full budget.
+// (true-function mode, the largest allowed iteration budget) shortly
+// after it starts and asserts it returns ctx.Err() promptly — within
+// one swarm iteration, not after the full budget.
 func TestFindContextCancelMidRun(t *testing.T) {
 	d := crimeGrid(20000, 32)
 	// No grid index: every objective evaluation is an O(N) scan, so a
-	// full 100k-iteration run would take minutes.
+	// full 10k-iteration run would take tens of seconds.
 	eng, err := Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestFindContextCancelMidRun(t *testing.T) {
 	start := time.Now()
 	_, err = eng.FindContext(ctx, Query{
 		Threshold: 100, Above: true, UseTrueFunction: true,
-		Iterations: 100000, Seed: 3,
+		Iterations: maxSwarm, Seed: 3,
 	})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {

@@ -155,8 +155,9 @@
 // Every surrogate prediction — the swarm's batch objective,
 // PredictStatistic(Batch), FindMany — is served by a pluggable
 // inference kernel chosen at Open time. WithInferenceKernel selects
-// one of InferenceKernels(): "scalar", the portable flat-node float64
-// traversal, or "binned" (the default), which quantizes split
+// one of InferenceKernels(): "scalar" (the default), the flat-node
+// float64 traversal and the faster backend on surrogate-shaped
+// ensembles, or "binned", which quantizes split
 // thresholds into per-feature cut ranks at compile time, pre-bins each
 // row's values into uint16 bin indices with one branchless binary
 // search per feature, and walks 8-byte integer-comparison nodes in

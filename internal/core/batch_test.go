@@ -91,6 +91,30 @@ func TestFindBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestFindRescoresInOneBatch: with a batch predictor attached, the
+// final swarm is re-scored in one batch, so the only scalar statistic
+// calls left are the returned regions' estimates.
+func TestFindRescoresInOneBatch(t *testing.T) {
+	s, ds := batchTestSurrogate(t, 6000, 800)
+	stat := s.StatFn()
+	scalarCalls := 0
+	f, err := NewFinder(func(x, l []float64) float64 {
+		scalarCalls++
+		return stat(x, l)
+	}, ds.Domain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.AttachBatch(s.Kernel())
+	res, err := f.Find(FinderConfig{Threshold: ds.SuggestedYR, Dir: Above, C: 4, GSO: gso.Params{MaxIters: 40, Seed: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Regions) == 0 || scalarCalls != len(res.Regions) {
+		t.Fatalf("%d scalar statistic calls for %d regions", scalarCalls, len(res.Regions))
+	}
+}
+
 // TestTopKBatchMatchesScalar is the FindTopK counterpart.
 func TestTopKBatchMatchesScalar(t *testing.T) {
 	s, ds := batchTestSurrogate(t, 4000, 600)

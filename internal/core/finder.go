@@ -295,7 +295,7 @@ func (f *Finder) FindContext(ctx context.Context, cfg FinderConfig) (*FindResult
 	if err != nil {
 		return nil, err
 	}
-	regions := f.extractRegions(res, obj, cfg)
+	regions := f.extractRegions(res, runObj, cfg)
 	valid := 0
 	for _, ok := range res.Valid {
 		if ok {
@@ -357,19 +357,30 @@ func greedyCluster(cands []swarmCand, domain geom.Rect, dedupeIoU float64, maxRe
 // extractRegions converts converged valid particles into deduplicated
 // regions: particles are sorted by fitness and greedily clustered by
 // box overlap; each cluster's best particle becomes the
-// representative.
+// representative. Particles moved after their last evaluation, so
+// they are re-scored: in one batch when obj is a gso.BatchObjective,
+// which scores bit-identically to its Fitness.
 func (f *Finder) extractRegions(res *gso.Result, obj gso.Objective, cfg FinderConfig) []Region {
-	var cands []swarmCand
+	var live [][]float64
 	for i, pos := range res.Positions {
-		if !res.Valid[i] {
-			continue
+		if res.Valid[i] {
+			live = append(live, pos)
 		}
-		// Re-evaluate: positions moved after their last evaluation.
-		fit, ok := obj.Fitness(pos)
-		if !ok || math.IsNaN(fit) {
-			continue
+	}
+	fit := make([]float64, len(live))
+	ok := make([]bool, len(live))
+	if bo, isBatch := obj.(gso.BatchObjective); isBatch {
+		bo.NewBatchEvaluator().EvaluateBatch(live, fit, ok)
+	} else {
+		for i, pos := range live {
+			fit[i], ok[i] = obj.Fitness(pos)
 		}
-		cands = append(cands, swarmCand{vec: pos, fit: fit})
+	}
+	var cands []swarmCand
+	for i, pos := range live {
+		if ok[i] && !math.IsNaN(fit[i]) {
+			cands = append(cands, swarmCand{vec: pos, fit: fit[i]})
+		}
 	}
 	var regions []Region
 	for _, c := range greedyCluster(cands, f.domain, cfg.DedupeIoU, cfg.MaxRegions) {

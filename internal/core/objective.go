@@ -153,8 +153,8 @@ type regionScore func(l []float64, y float64) (float64, bool)
 
 // batchObjective pairs a scalar objective with a batch predictor so
 // the optimizer evaluates a whole particle shard with one model pass.
-// One-off Fitness calls (e.g. the finder's post-run re-evaluation)
-// fall back to the scalar path, which evaluates identically.
+// One-off Fitness calls fall back to the scalar path, which evaluates
+// identically.
 type batchObjective struct {
 	single gso.Objective
 	pred   BatchPredictor

@@ -5,8 +5,8 @@ package gbt
 import "surf/internal/gbt/kernel"
 
 // The compiled inference form lives in the kernel subpackage, behind
-// the pluggable Backend interface: "scalar" is the portable flat-node
-// float64 traversal, "binned" the pre-binned uint16 fast path. Both
+// the pluggable Backend interface: "scalar", the default, is the
+// flat-node float64 traversal, "binned" the pre-binned uint16 path. Both
 // produce bit-for-bit the predictions of Model.Predict1; this file is
 // only the bridge from the trained ensemble to that seam.
 
@@ -40,7 +40,7 @@ func (m *Model) Ensemble() kernel.Ensemble {
 }
 
 // Compile builds an inference snapshot with the process-default
-// backend (SURF_KERNEL, or the binned fast path). The result is
+// backend (SURF_KERNEL, or scalar). The result is
 // immutable, safe for concurrent use, and predicts bit-for-bit what
 // Model.Predict1 returns.
 func (m *Model) Compile() kernel.Model {

@@ -10,8 +10,9 @@
 // pipeline.
 //
 // Two backends register at init: "scalar", the portable flat-node
-// float64 traversal, and "binned", which quantizes thresholds into
-// per-feature cut ranks at compile time and walks uint16 bin indices.
+// float64 traversal and the default, and "binned", which quantizes
+// thresholds into per-feature cut ranks at compile time and walks
+// uint16 bin indices.
 // The contract is strict bit-identity: for any ensemble and any row —
 // including NaN and ±Inf values — every backend's Predict1 and
 // PredictBatch return exactly the float64 the trained model's own
@@ -70,8 +71,12 @@ type Backend interface {
 }
 
 // DefaultName is the backend used when neither WithInferenceKernel
-// nor the SURF_KERNEL environment variable selects one.
-const DefaultName = "binned"
+// nor the SURF_KERNEL environment variable selects one. It is scalar
+// because scalar is the faster backend on surrogate-shaped ensembles
+// (about 100 trees of depth 6 over 4 features, at swarm-shard batches
+// of about 100 rows) and on surf-bench's larger 300-tree ensemble at
+// batch 64; binned stays registered and selectable.
+const DefaultName = "scalar"
 
 // EnvVar is the environment variable naming the process-default
 // backend.

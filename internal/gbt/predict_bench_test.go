@@ -82,3 +82,28 @@ func BenchmarkPredictBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPredictBatchSurrogate runs each registered backend on an
+// ensemble shaped like a default surrogate over a 2-D filter — 100
+// trees of depth 6 over the 4 [x, l] features — at a 100-row batch,
+// one swarm worker's shard of a 200-worm swarm. This is the traffic
+// the process-default backend is chosen for.
+func BenchmarkPredictBatchSurrogate(b *testing.B) {
+	m, probes, err := BenchEnsemble(100, 6, 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make([]float64, len(probes))
+	for _, name := range kernel.Names() {
+		backend, _ := kernel.Lookup(name)
+		c := m.CompileWith(backend)
+		b.Run("kernel="+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				c.PredictBatch(probes, out)
+			}
+			benchSink = out[0]
+			b.ReportMetric(float64(len(probes))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
+}

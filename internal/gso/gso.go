@@ -18,6 +18,15 @@
 // behaviour needed when several regions satisfy the analyst's
 // threshold.
 //
+// Each iteration has two phases. Evaluation scores every worm and can
+// run on several workers. Movement is sequential, since each worm
+// moves in place and later worms see the moves, and its neighbour
+// search is quadratic in L: with luciferin ranked once per iteration,
+// each worm tests only the strictly brighter worms, about half the
+// L(L−1) ordered pairs, and compares squared distances without a
+// square root (see rankedScan). At the surrogate's default L = 200
+// this search is most of the movement phase's cost.
+//
 // Two SuRF-specific extensions are supported:
 //
 //  1. The objective may be *undefined* at a position (the log-form
@@ -340,12 +349,14 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 
 	var neighbors []int
 	var weights []float64
+	var totalW float64
 	var plateau []float64
 	var wcache []float64
 	if opts.Weight != nil {
 		wcache = make([]float64, L)
 	}
 	eval := newSwarmEvaluator(obj, p.Workers, L)
+	scan := newRankedScan(L, n)
 
 	for t := 0; t < p.MaxIters; t++ {
 		if err := ctx.Err(); err != nil {
@@ -376,29 +387,10 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 		if opts.Weight != nil {
 			eval.weigh(opts.Weight, pos, wcache)
 		}
+		scan.prepare(luc, pos)
 		moved := 0
 		for i := 0; i < L; i++ {
-			neighbors = neighbors[:0]
-			weights = weights[:0]
-			var totalW float64
-			for j := 0; j < L; j++ {
-				if j == i || luc[j] <= luc[i] {
-					continue
-				}
-				if dist(pos[i], pos[j]) > radius[i] {
-					continue
-				}
-				w := luc[j] - luc[i]
-				if opts.Weight != nil {
-					w *= wcache[j]
-				}
-				if w <= 0 {
-					continue
-				}
-				neighbors = append(neighbors, j)
-				weights = append(weights, w)
-				totalW += w
-			}
+			neighbors, weights, totalW = scan.neighbors(i, radius[i], luc, wcache, neighbors[:0], weights[:0])
 			// Adaptive radius uses the pre-move neighbourhood size.
 			radius[i] = math.Min(sensor, math.Max(0, radius[i]+p.Beta*(float64(p.DesiredNeighbors)-float64(len(neighbors)))))
 			if len(neighbors) == 0 || totalW <= 0 {
@@ -408,6 +400,7 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 						delta := (rng.Float64()*2 - 1) * step * opts.InvalidWalk
 						pos[i][j] = clamp(pos[i][j]+delta, bounds.Min[j], bounds.Max[j])
 					}
+					scan.moved(i, pos[i])
 					moved++
 				}
 				continue
@@ -431,6 +424,7 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 				pos[i][j] += step * (pos[sel][j] - pos[i][j]) / d
 				pos[i][j] = clamp(pos[i][j], bounds.Min[j], bounds.Max[j])
 			}
+			scan.moved(i, pos[i])
 			moved++
 		}
 

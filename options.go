@@ -118,12 +118,12 @@ func WithBackend(b Backend) Option {
 
 // WithInferenceKernel selects the inference backend compiling and
 // serving the engine's surrogate predictions — one of
-// InferenceKernels(): "scalar" (the portable float64 traversal) or
-// "binned" (the pre-binned uint16 fast path). Every backend predicts
+// InferenceKernels(): "scalar" (the flat-node float64 traversal) or
+// "binned" (the pre-binned uint16 path). Every backend predicts
 // bit-for-bit identically; only the cost per row changes, so the
 // choice never affects mined regions. Without this option the
 // SURF_KERNEL environment variable decides, then the built-in default
-// (binned). Open fails with ErrBadConfig for an unknown name. The
+// (scalar, the faster backend on surrogate-shaped ensembles). Open fails with ErrBadConfig for an unknown name. The
 // backend serving each surrogate snapshot is reported in
 // SurrogateInfo.Kernel; a backend that cannot represent a particular
 // ensemble falls back to scalar, and the snapshot reports that.

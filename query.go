@@ -97,7 +97,7 @@ type Query struct {
 	// KDESample caps the KDE sample size (default 1000).
 	KDESample int `json:"kde_sample,omitempty"`
 	// Glowworms and Iterations override the swarm size and budget
-	// (defaults: L = 50·2d worms, T = 100).
+	// (defaults: L = 50·2d worms, T = 100). Each is at most 10,000.
 	Glowworms  int `json:"glowworms,omitempty"`
 	Iterations int `json:"iterations,omitempty"`
 	// MinSideFrac and MaxSideFrac bound region half-sides as
@@ -179,18 +179,25 @@ func (q TopKQuery) validate() error {
 	return validateTuning(q.C, q.Glowworms, q.Iterations, q.Workers, q.MinSideFrac, q.MaxSideFrac)
 }
 
+// maxSwarm caps Glowworms and Iterations at 20× the paper's largest
+// swarm (L = 500, T = 400 in Fig. 10). A swarm's memory grows with L
+// and its trace with T, so without a cap one request could allocate
+// until the process dies.
+const maxSwarm = 10000
+
 // validateTuning checks the optimizer knobs Query and TopKQuery
-// share. Zero means "default"; negative and non-finite values can
-// never be executed and are rejected up front with ErrBadQuery.
+// share. Zero means "default"; negative, non-finite and oversized
+// values can never be executed and are rejected up front with
+// ErrBadQuery.
 func validateTuning(c float64, glowworms, iterations, workers int, minSide, maxSide float64) error {
 	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	switch {
 	case !finite(c) || c < 0:
 		return fmt.Errorf("%w: region-size regularizer C %g", ErrBadQuery, c)
-	case glowworms < 0:
-		return fmt.Errorf("%w: Glowworms %d", ErrBadQuery, glowworms)
-	case iterations < 0:
-		return fmt.Errorf("%w: Iterations %d", ErrBadQuery, iterations)
+	case glowworms < 0 || glowworms > maxSwarm:
+		return fmt.Errorf("%w: Glowworms %d out of [0, %d]", ErrBadQuery, glowworms, maxSwarm)
+	case iterations < 0 || iterations > maxSwarm:
+		return fmt.Errorf("%w: Iterations %d out of [0, %d]", ErrBadQuery, iterations, maxSwarm)
 	case workers < 0:
 		return fmt.Errorf("%w: Workers %d", ErrBadQuery, workers)
 	case !finite(minSide) || minSide < 0 || !finite(maxSide) || maxSide < 0:

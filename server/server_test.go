@@ -165,6 +165,14 @@ func TestErrorMapping(t *testing.T) {
 			t.Fatalf("status %d code %q", resp.StatusCode, e.Error.Code)
 		}
 	})
+	t.Run("oversized swarm → 400", func(t *testing.T) {
+		resp, err := http.Post(ts.URL+"/v1/find", "application/json",
+			strings.NewReader(`{"threshold": 30, "above": true, "glowworms": 1099511627776}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantStatus(t, resp, http.StatusBadRequest, "bad_query")
+	})
 	t.Run("malformed body → 400", func(t *testing.T) {
 		resp, err := http.Post(ts.URL+"/v1/find", "application/json", strings.NewReader("{not json"))
 		if err != nil {
