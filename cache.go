@@ -164,32 +164,14 @@ func copyResult(r *Result) *Result {
 // is resolved to its effective value, via the same constants and
 // helpers the execution path defaults with (core.DefaultC and kin,
 // gsoParams), so a default change can never alias two queries to one
-// entry — and knobs that cannot change the result (Workers: batch
-// shards are bit-identical to sequential evaluation) are dropped.
+// entry — and knobs that cannot change the result (Workers: parallel
+// evaluation is bit-identical to sequential evaluation) are dropped.
 // The key binds to the snapshot's generation number; two queries get
 // the same key exactly when they are guaranteed to produce the same
 // Result against the same snapshot. Floats render with %g shortest
 // form, which round-trips float64 uniquely, so distinct values never
 // collide.
 func (q Query) cacheKey(dims int, snap *snapshot) string {
-	return fmt.Sprintf("%d|%s", snap.generation(), q.CacheKey(dims))
-}
-
-// cacheKey is Query.cacheKey for top-k queries.
-func (q TopKQuery) cacheKey(dims int, snap *snapshot) string {
-	return fmt.Sprintf("%d|%s", snap.generation(), q.CacheKey(dims))
-}
-
-// CacheKey returns a canonical fingerprint of the query's effective
-// execution parameters for an engine of the given dimensionality: two
-// queries get the same key exactly when they are guaranteed to produce
-// the same Result against the same model and data. It is the
-// scope-free form of the engine's internal result-cache key — external
-// caches (a multi-dataset registry caching sharded merged results, a
-// fronting proxy) combine it with their own scope, typically the
-// dataset name and artifact version, and must invalidate that scope
-// whenever the underlying model or data changes.
-func (q Query) CacheKey(dims int) string {
 	kde := 0
 	if q.UseKDE {
 		kde = q.KDESample
@@ -197,8 +179,8 @@ func (q Query) CacheKey(dims int) string {
 			kde = defaultKDESample
 		}
 	}
-	return fmt.Sprintf("find|%g|%t|%g|%d|%t|%t|%d|%s|%g|%g|%t|%t",
-		q.Threshold, q.Above, withDefault(q.C, core.DefaultC),
+	return fmt.Sprintf("%d|find|%g|%t|%g|%d|%t|%t|%d|%s|%g|%g|%t|%t",
+		snap.generation(), q.Threshold, q.Above, withDefault(q.C, core.DefaultC),
 		withIntDefault(q.MaxRegions, core.DefaultMaxRegions), q.UseTrueFunction,
 		q.UseKDE, kde, canonicalGSO(dims, q.Glowworms, q.Iterations, q.Seed),
 		withDefault(q.MinSideFrac, core.DefaultMinSideFrac),
@@ -206,10 +188,10 @@ func (q Query) CacheKey(dims int) string {
 		q.SkipVerify, q.ClusterExtents)
 }
 
-// CacheKey is Query.CacheKey for top-k queries.
-func (q TopKQuery) CacheKey(dims int) string {
-	return fmt.Sprintf("topk|%d|%t|%g|%t|%s|%g|%g|%t",
-		q.K, q.Largest, withDefault(q.C, core.DefaultC), q.UseTrueFunction,
+// cacheKey is Query.cacheKey for top-k queries.
+func (q TopKQuery) cacheKey(dims int, snap *snapshot) string {
+	return fmt.Sprintf("%d|topk|%d|%t|%g|%t|%s|%g|%g|%t",
+		snap.generation(), q.K, q.Largest, withDefault(q.C, core.DefaultC), q.UseTrueFunction,
 		canonicalGSO(dims, q.Glowworms, q.Iterations, q.Seed),
 		withDefault(q.MinSideFrac, core.DefaultMinSideFrac),
 		withDefault(q.MaxSideFrac, core.DefaultMaxSideFrac),

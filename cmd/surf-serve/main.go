@@ -26,16 +26,16 @@
 // With -registry config.json the process serves a whole catalog of
 // datasets instead of one: the config lists named model specs
 // (dataset CSV, filter columns, statistic, artifact or startup
-// training budget, optional shard count), queries route by their
-// "dataset" field, and the /v1/models admin API registers, hot-swaps
-// and removes entries at runtime. The config's JSON form is
+// training budget), queries route by their "dataset" field, and the
+// /v1/models admin API registers, hot-swaps and removes entries at
+// runtime. The config's JSON form is
 //
 //	{
 //	  "capacity": 4,                // loaded-entry LRU bound, 0 = unbounded
 //	  "default": "taxi",            // dataset for requests naming none
 //	  "models": [
 //	    {"name": "taxi", "data": "taxi.csv", "filter_columns": ["lon", "lat"],
-//	     "statistic": "count", "artifact": "taxi.surf", "shards": 4},
+//	     "statistic": "count", "artifact": "taxi.surf"},
 //	    {"name": "air", "data": "air.csv", "filter_columns": ["t", "h"],
 //	     "statistic": "mean", "target_column": "pm25", "train": 2000}
 //	  ]
@@ -46,7 +46,7 @@
 //
 // Registry entries are living datasets: POST /v1/datasets/{name}/append
 // commits new rows and hot-swaps the grown data version into the
-// serving engines without dropping in-flight queries. A spec with
+// entry's engine without dropping in-flight queries. A spec with
 // "drift_threshold" (plus optional "drift_reservoir",
 // "retrain_queries" and "retrain_trees") monitors surrogate drift
 // after every append — the score is exposed via /v1/models and

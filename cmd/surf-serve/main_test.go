@@ -267,7 +267,7 @@ func trainTestArtifact(t *testing.T, data, out string) {
 }
 
 // TestServeRegistryEndToEnd boots surf-serve -registry over a
-// two-model catalog (one sharded), drives cross-dataset routing, the
+// two-model catalog, drives cross-dataset routing, the
 // admin API and a live hot-swap, then shuts down via cancellation.
 func TestServeRegistryEndToEnd(t *testing.T) {
 	dir := t.TempDir()
@@ -286,7 +286,7 @@ func TestServeRegistryEndToEnd(t *testing.T) {
 		Models: []modelConfig{
 			{Name: "one", Spec: registry.Spec{
 				Data: dataOne, FilterColumns: []string{"x", "y"},
-				Statistic: "count", Artifact: model, Shards: 2,
+				Statistic: "count", Artifact: model,
 			}},
 			{Name: "two", Spec: registry.Spec{
 				Data: dataTwo, FilterColumns: []string{"x", "y"},
@@ -359,7 +359,7 @@ func TestServeRegistryEndToEnd(t *testing.T) {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return resp.StatusCode
 	}
-	if got := find(""); got != http.StatusOK { // default → "one", the sharded entry
+	if got := find(""); got != http.StatusOK { // default → "one"
 		t.Fatalf("default-dataset find: status %d", got)
 	}
 	if got := find("two"); got != http.StatusOK {

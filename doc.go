@@ -143,7 +143,7 @@
 // fitness evaluations and, for UseKDE queries, its Eq. 8 selection
 // weights across goroutines: 0 = one per CPU (as in TrainOptions), 1
 // = sequential, answers identical for any value. Every particle's
-// fitness and weight depend only on its own position, so the sharded
+// fitness and weight depend only on its own position, so the parallel
 // run is the sequential one; the optimizer caps the worker count at
 // GOMAXPROCS and at one worker per two glowworms. A UseKDE query fits
 // its prior over a KDESample-point uniform sample read straight from
@@ -197,11 +197,11 @@
 // concurrency-safe catalog of named, versioned engine entries that
 // load lazily, evict least-recently-used under a capacity bound
 // (never while serving a query) and hot-swap atomically — in-flight
-// queries finish against the engine set they pinned. Entries may
-// shard execution across contiguous row ranges, with per-shard Find
-// results merged through the same IoU clustering that dedupes a
-// single swarm. The server routes queries by a "dataset" field and
-// manages entries through the PUT/DELETE /v1/models admin API.
+// queries finish against the engine they pinned. Each entry is one
+// engine over the whole dataset, so a registry query runs exactly as
+// a direct engine call and returns the same result. The server routes
+// queries by a "dataset" field and manages entries through the
+// PUT/DELETE /v1/models admin API.
 //
 // Engines also keep a small LRU result cache over canonicalized
 // queries (WithResultCache to resize or disable): a repeated
@@ -232,8 +232,8 @@
 // The registry automates the loop: entries created from a Spec with
 // DriftThreshold carry a reservoir of sampled training queries, and
 // Registry.Append (exposed as POST /v1/datasets/{name}/append)
-// commits rows, re-points every shard at the new version, replays
-// the reservoir against the true evaluator to score drift, and —
+// commits rows, swaps the new version into the entry's engine,
+// replays the reservoir against the true evaluator to score drift, and —
 // past the threshold — kicks a cancellable background retrain that
 // republishes through the same atomic hot swap, never dropping an
 // in-flight query. ModelStatus, /v1/models and the

@@ -58,19 +58,6 @@ func (d *Dataset) Column(name string) []float64 {
 // WriteCSV writes the dataset as CSV with a header row.
 func (d *Dataset) WriteCSV(w io.Writer) error { return d.inner.WriteCSV(w) }
 
-// Slice returns a view of rows [lo, hi) sharing the receiver's column
-// storage — datasets are immutable, so no rows are copied. This is the
-// substrate of sharded execution: a registry entry splits one dataset
-// into row-range shards, opens an engine per shard, and merges the
-// per-shard results, at no extra memory cost for the row data.
-func (d *Dataset) Slice(lo, hi int) (*Dataset, error) {
-	inner, err := d.inner.Slice(lo, hi)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	return &Dataset{inner: inner}, nil
-}
-
 // Config describes what a region query computes over a dataset.
 type Config struct {
 	// FilterColumns are the columns the hyper-rectangles constrain,

@@ -394,40 +394,6 @@ func (f *Finder) extractRegions(res *gso.Result, obj gso.Objective, cfg FinderCo
 	return regions
 }
 
-// MergeRankedRegions reduces regions mined by several independent runs
-// (e.g. one per data shard) to one deduplicated, capped list with the
-// same greedy IoU discipline as extractRegions: regions are taken in
-// the given order — callers rank them first, best first — and a region
-// whose box overlaps an already-accepted region with IoU >= dedupeIoU
-// merges into it, adding its Worms count; the accepted list caps at
-// maxRegions. Zero dedupeIoU and maxRegions apply the finder defaults.
-// Accepted regions are returned as given (no re-evaluation), so two
-// identical ranked inputs merge to the identical output.
-func MergeRankedRegions(regions []Region, dedupeIoU float64, maxRegions int) []Region {
-	if dedupeIoU == 0 {
-		dedupeIoU = 0.3
-	}
-	if maxRegions == 0 {
-		maxRegions = DefaultMaxRegions
-	}
-	var out []Region
-	for _, c := range regions {
-		merged := false
-		for i := range out {
-			if out[i].Rect.IoU(c.Rect) >= dedupeIoU {
-				out[i].Worms += c.Worms
-				merged = true
-				break
-			}
-		}
-		if merged || len(out) >= maxRegions {
-			continue
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
 // ClusterRegions summarizes a converged swarm by grouping the valid
 // particles with single-linkage clustering on their region centers
 // (linkage threshold eps, in fractions of the domain extent) and

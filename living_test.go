@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -236,8 +237,8 @@ func TestSetDatasetCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestSetDatasetValidation: schema mismatches, bad options and bad
-// domains are rejected before anything swaps.
+// TestSetDatasetValidation: nil datasets and schema mismatches are
+// rejected before anything swaps.
 func TestSetDatasetValidation(t *testing.T) {
 	eng, err := Open(crimeGrid(100, 4), Config{FilterColumns: []string{"x", "y"}, Statistic: Count})
 	if err != nil {
@@ -253,24 +254,58 @@ func TestSetDatasetValidation(t *testing.T) {
 	if err := eng.SetDataset(other, 2); err == nil {
 		t.Fatal("mismatched schema accepted")
 	}
-	ds := crimeGrid(100, 4)
-	if err := eng.SetDataset(ds, 2, WithResultCache(5)); err == nil {
-		t.Fatal("non-domain option accepted")
-	}
-	if err := eng.SetDataset(ds, 2, WithDomain([]float64{0}, []float64{1})); err == nil {
-		t.Fatal("short domain accepted")
-	}
-	if err := eng.SetDataset(ds, 2, WithDomain([]float64{0, 1}, []float64{1, 0})); err == nil {
-		t.Fatal("inverted domain accepted")
-	}
 	if v := eng.DataVersion(); v != 1 {
 		t.Fatalf("failed swaps moved the data version to %d", v)
 	}
-	if err := eng.SetDataset(ds, 2, WithDomain([]float64{0, 0}, []float64{1, 1})); err != nil {
+	if err := eng.SetDataset(crimeGrid(100, 4), 2); err != nil {
 		t.Fatal(err)
 	}
 	if v := eng.DataVersion(); v != 2 {
 		t.Fatalf("data version %d after swap, want 2", v)
+	}
+}
+
+// TestSetDatasetDomain: a swap onto grown rows keeps a domain fixed by
+// WithDomain at Open and otherwise re-derives it from the new rows —
+// the path every registry append takes.
+func TestSetDatasetDomain(t *testing.T) {
+	cases := []struct {
+		name             string
+		opts             []Option
+		wantMin, wantMax []float64
+	}{
+		{"fixed", []Option{WithDomain([]float64{-1, -1}, []float64{2, 2})}, []float64{-1, -1}, []float64{2, 2}},
+		{"derived", nil, []float64{0, -2}, []float64{4, 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			seed, err := NewDataset([]string{"x", "y"}, [][]float64{{0, 1, 0.5}, {0, 1, 0.5}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, err := NewStore(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds, _ := store.View()
+			eng, err := Open(ds, Config{FilterColumns: []string{"x", "y"}, Statistic: Count}, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := store.Append([][]float64{{3, -2}, {4, 0.5}}); err != nil {
+				t.Fatal(err)
+			}
+			grown, version := store.View()
+			if err := eng.SetDataset(grown, version); err != nil {
+				t.Fatal(err)
+			}
+			if eng.Rows() != 5 || eng.DataVersion() != version {
+				t.Fatalf("engine serves %d rows at version %d, want 5 at %d", eng.Rows(), eng.DataVersion(), version)
+			}
+			if min, max := eng.Domain(); !slices.Equal(min, tc.wantMin) || !slices.Equal(max, tc.wantMax) {
+				t.Fatalf("domain [%v, %v] after swap, want [%v, %v]", min, max, tc.wantMin, tc.wantMax)
+			}
+		})
 	}
 }
 

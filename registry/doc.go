@@ -1,20 +1,20 @@
 // Package registry is the multi-dataset catalog behind a surf serving
 // process: a concurrency-safe mapping from dataset names to versioned
 // engine entries, each described by a Spec (dataset CSV, region spec,
-// surrogate artifact or startup-training budget, shard count) and
-// materialized lazily on first request.
+// surrogate artifact or startup-training budget) and materialized
+// lazily on first request.
 //
 // # Lifecycle
 //
 // Register records or replaces a spec and bumps the entry's version;
 // nothing is loaded until the first Acquire. Acquire resolves a name
-// to a *Handle pinning the entry's current engine set, loading it
-// first if necessary (concurrent acquirers of a cold entry share one
-// load). Loaded entries live in an LRU; when more than Capacity
-// entries are loaded, the least recently used idle entry is evicted
-// back to the unloaded state — an entry with in-flight queries is
-// never evicted, so the loaded count can temporarily exceed the
-// capacity rather than break a running query. Remove deletes an entry.
+// to a *Handle pinning the entry's current engine, loading it first if
+// necessary (concurrent acquirers of a cold entry share one load).
+// Loaded entries live in an LRU; when more than Capacity entries are
+// loaded, the least recently used idle entry is evicted back to the
+// unloaded state — an entry with in-flight queries is never evicted,
+// so the loaded count can temporarily exceed the capacity rather than
+// break a running query. Remove deletes an entry.
 //
 // # Hot swap
 //
@@ -29,24 +29,13 @@
 // from the replaced spec, so a PUT carrying only a new artifact path
 // swaps the model of an existing dataset.
 //
-// # Sharded execution
+// # Handles
 //
-// A spec with Shards = N > 1 splits the dataset into N contiguous
-// row-range shards (views sharing the parent's column storage) and
-// opens one engine per shard, every shard carrying the same surrogate
-// and the full dataset's domain. Handle.Find then fans the query out:
-// each shard mines with the identical query (same seed, verification
-// deferred), the per-shard region lists are concatenated, ranked by
-// score and merged through the engine's greedy IoU clustering
-// (surf.MergeRegions), and the merged regions are verified against the
-// full dataset — so TrueValue, Satisfies and ComplianceRate mean
-// exactly what they mean for an unsharded engine. For surrogate-backed
-// queries every shard optimizes the same model over the same domain,
-// making the merged result differentially identical to the unsharded
-// engine's; for use_true_function queries each shard optimizes its own
-// rows at 1/N the per-evaluation cost and the merge reconciles the
-// shard-local optima. Top-k fans out the same way with the merged
-// candidates ranked by estimate. Merged results are cached per entry
-// version (keyed by surf's canonical query fingerprint) and the cache
-// dies with the engine set on every swap.
+// An entry is one engine over its whole dataset. A Handle is a pin on
+// that engine: callers query Handle.Engine directly — FindContext,
+// FindTopKContext, FindMany, Stream, StreamTopK — so a registry query
+// runs exactly as a direct engine call, with the engine's own result
+// cache, and answers the same in every deployment mode. The pin only
+// decides lifetime: the entry is never evicted while a handle is
+// unreleased, and a hot swap leaves the pinned engine untouched.
 package registry

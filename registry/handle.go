@@ -1,25 +1,16 @@
 package registry
 
 import (
-	"context"
-	"errors"
-	"iter"
-	"math"
-	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	surf "surf"
 )
 
-// Handle is a pinned view of one entry's engine set, returned by
-// Acquire. It exposes the engine's query surface — Find, FindTopK,
-// FindMany, Stream, StreamTopK — executing unsharded entries directly
-// and sharded entries through the fan-out/merge/verify path. The
-// pinned set is immutable: a hot swap or eviction concurrent with the
-// handle's queries installs a new set without touching this one, so
-// every query through one handle sees one consistent model and data.
+// Handle is a pin on one entry's engine, returned by Acquire. Queries
+// run on Engine directly. The pinned engine set is immutable: a hot
+// swap or eviction concurrent with the handle's queries installs a new
+// set without touching this one, so every query through one handle
+// sees one model and one dataset lineage.
 //
 // Callers must Release the handle when the request completes (after a
 // returned Stream is drained or closed); until then the entry counts
@@ -42,374 +33,5 @@ func (h *Handle) Release() {
 // Version reports the entry version the handle pinned.
 func (h *Handle) Version() int { return h.set.version }
 
-// Engine returns the full-dataset engine (the verification engine of a
-// sharded entry).
+// Engine returns the entry's engine.
 func (h *Handle) Engine() *surf.Engine { return h.set.engine }
-
-// Sharded reports whether queries fan out across row-range shards.
-func (h *Handle) Sharded() bool { return len(h.set.shards) > 0 }
-
-// Find executes a threshold query. Sharded entries run the query on
-// every shard in parallel (verification deferred), rank the pooled
-// regions by score, merge them through the engine's greedy IoU
-// clustering and verify the merged regions against the full dataset,
-// so the result's TrueValue, Satisfies and ComplianceRate carry
-// exactly their unsharded meaning. Merged results are cached per
-// engine set under surf's canonical query fingerprint.
-func (h *Handle) Find(ctx context.Context, q surf.Query) (*surf.Result, error) {
-	if !h.Sharded() {
-		return h.set.engine.FindContext(ctx, q)
-	}
-	key := q.CacheKey(h.set.engine.Dims())
-	if res, ok := h.set.merged.get(key); ok {
-		return res, nil
-	}
-	start := time.Now()
-	sq := q
-	sq.SkipVerify = true
-	results, err := h.fanOut(ctx, func(ctx context.Context, eng *surf.Engine) (*surf.Result, error) {
-		return eng.FindContext(ctx, sq)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out, err := h.mergeFind(ctx, q, results)
-	if err != nil {
-		return nil, err
-	}
-	out.ElapsedSeconds = time.Since(start).Seconds()
-	h.set.merged.put(key, out)
-	return out, nil
-}
-
-// FindTopK executes a top-k query, fanning out over shards like Find
-// with the pooled candidates ranked by estimate and the merged list
-// capped at K. Merged regions are verified (TrueValue) against the
-// full dataset; as with the engine, Satisfies stays false for top-k.
-func (h *Handle) FindTopK(ctx context.Context, q surf.TopKQuery) (*surf.Result, error) {
-	if !h.Sharded() {
-		return h.set.engine.FindTopKContext(ctx, q)
-	}
-	key := q.CacheKey(h.set.engine.Dims())
-	if res, ok := h.set.merged.get(key); ok {
-		return res, nil
-	}
-	start := time.Now()
-	sq := q
-	sq.SkipVerify = true
-	results, err := h.fanOut(ctx, func(ctx context.Context, eng *surf.Engine) (*surf.Result, error) {
-		return eng.FindTopKContext(ctx, sq)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out, err := h.mergeTopK(ctx, q, results)
-	if err != nil {
-		return nil, err
-	}
-	out.ElapsedSeconds = time.Since(start).Seconds()
-	h.set.merged.put(key, out)
-	return out, nil
-}
-
-// FindMany executes several queries. Unsharded entries delegate to the
-// engine's pooled implementation (completion order); sharded entries
-// run the queries sequentially — each query already saturates the
-// shards — and yield results in input order. A failed query yields a
-// nil Result with the error, like the engine's validation failures.
-func (h *Handle) FindMany(ctx context.Context, queries []surf.Query) iter.Seq[surf.MultiResult] {
-	if !h.Sharded() {
-		return h.set.engine.FindMany(ctx, queries)
-	}
-	return func(yield func(surf.MultiResult) bool) {
-		for i, q := range queries {
-			var res *surf.Result
-			err := ctx.Err()
-			if err == nil {
-				res, err = h.Find(ctx, q)
-			}
-			if !yield(surf.MultiResult{Index: i, Result: res, Err: err}) {
-				return
-			}
-		}
-	}
-}
-
-// Stream starts a threshold query and returns its progressive stream.
-// A sharded stream is the union of the shard feeds: every shard's
-// EventIteration telemetry and EventRegion incumbents are forwarded as
-// they happen (interleaved across shards), and the terminal EventDone
-// carries the merged, full-dataset-verified result — identical to what
-// Find returns. Validation errors surface synchronously, as with
-// Engine.Stream.
-func (h *Handle) Stream(ctx context.Context, q surf.Query) (*surf.Stream, error) {
-	if !h.Sharded() {
-		return h.set.engine.Stream(ctx, q)
-	}
-	sq := q
-	sq.SkipVerify = true
-	streams, err := h.startShardStreams(ctx, func(eng *surf.Engine) (*surf.Stream, error) {
-		return eng.Stream(ctx, sq)
-	})
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	return surf.NewStream(ctx, func(ctx context.Context, emit func(surf.Event) bool) (*surf.Result, error) {
-		results, err := forwardShardStreams(ctx, streams, emit)
-		if err != nil {
-			return nil, err
-		}
-		out, err := h.mergeFind(ctx, q, results)
-		if err != nil {
-			return nil, err
-		}
-		out.ElapsedSeconds = time.Since(start).Seconds()
-		return out, nil
-	}), nil
-}
-
-// StreamTopK is Stream for top-k queries. Shard top-k streams carry
-// iteration telemetry only (regions materialize in the end-of-run
-// clustering), so the merged stream does too.
-func (h *Handle) StreamTopK(ctx context.Context, q surf.TopKQuery) (*surf.Stream, error) {
-	if !h.Sharded() {
-		return h.set.engine.StreamTopK(ctx, q)
-	}
-	sq := q
-	sq.SkipVerify = true
-	streams, err := h.startShardStreams(ctx, func(eng *surf.Engine) (*surf.Stream, error) {
-		return eng.StreamTopK(ctx, sq)
-	})
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	return surf.NewStream(ctx, func(ctx context.Context, emit func(surf.Event) bool) (*surf.Result, error) {
-		results, err := forwardShardStreams(ctx, streams, emit)
-		if err != nil {
-			return nil, err
-		}
-		out, err := h.mergeTopK(ctx, q, results)
-		if err != nil {
-			return nil, err
-		}
-		out.ElapsedSeconds = time.Since(start).Seconds()
-		return out, nil
-	}), nil
-}
-
-// fanOut runs one query per shard engine in parallel and collects the
-// per-shard results in shard order. The first real failure cancels the
-// remaining shards; context errors induced by that cancellation are
-// not allowed to mask it.
-func (h *Handle) fanOut(ctx context.Context, run func(context.Context, *surf.Engine) (*surf.Result, error)) ([]*surf.Result, error) {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make([]*surf.Result, len(h.set.shards))
-	errs := make([]error, len(h.set.shards))
-	var wg sync.WaitGroup
-	for i, eng := range h.set.shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = run(sctx, eng)
-			if errs[i] != nil {
-				cancel()
-			}
-		}()
-	}
-	wg.Wait()
-	if err := pickShardError(errs); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// pickShardError selects the error to report from a fan-out: the first
-// non-cancellation failure if any shard had one (cancellations are
-// usually just the fan-out tearing the other shards down), else the
-// first error.
-func pickShardError(errs []error) error {
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if first == nil || (errors.Is(first, context.Canceled) && !errors.Is(err, context.Canceled)) {
-			first = err
-		}
-	}
-	return first
-}
-
-// mergeFind pools per-shard threshold results: concatenate, rank by
-// score, greedy-IoU merge capped at the query's MaxRegions, then
-// verify the merged regions against the full dataset (unless the
-// query skipped verification). ValidParticleFraction averages over
-// shards — each shard ran a full swarm.
-func (h *Handle) mergeFind(ctx context.Context, q surf.Query, results []*surf.Result) (*surf.Result, error) {
-	var all []surf.Region
-	vpf := 0.0
-	for _, r := range results {
-		all = append(all, r.Regions...)
-		vpf += r.ValidParticleFraction
-	}
-	if len(results) > 0 {
-		vpf /= float64(len(results))
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Score > all[j].Score })
-	out := &surf.Result{
-		Regions:               surf.MergeRegions(all, 0, q.MaxRegions),
-		ValidParticleFraction: vpf,
-		ComplianceRate:        math.NaN(),
-	}
-	if !q.SkipVerify {
-		rate, err := verifyThreshold(ctx, h.set.engine, out.Regions, q.Threshold, q.Above)
-		if err != nil {
-			return nil, err
-		}
-		out.ComplianceRate = rate
-	}
-	return out, nil
-}
-
-// mergeTopK pools per-shard top-k results: concatenate, rank by
-// estimate in the query's direction, greedy-IoU merge capped at K,
-// then fill TrueValue from the full dataset (Satisfies stays false for
-// top-k, as with the engine).
-func (h *Handle) mergeTopK(ctx context.Context, q surf.TopKQuery, results []*surf.Result) (*surf.Result, error) {
-	var all []surf.Region
-	for _, r := range results {
-		all = append(all, r.Regions...)
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if q.Largest {
-			return all[i].Estimate > all[j].Estimate
-		}
-		return all[i].Estimate < all[j].Estimate
-	})
-	out := &surf.Result{
-		Regions:        surf.MergeRegions(all, 0, q.K),
-		ComplianceRate: math.NaN(),
-	}
-	if !q.SkipVerify {
-		for i := range out.Regions {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			r := &out.Regions[i]
-			r.TrueValue, _ = h.set.engine.Evaluate(regionCenter(r), regionHalfSides(r))
-			r.Verified = true
-		}
-	}
-	return out, nil
-}
-
-// verifyThreshold fills TrueValue/Verified/Satisfies on each region
-// from the full-dataset engine and returns the satisfied fraction —
-// the same semantics the engine's own verification stage applies
-// (strict inequality in the query's direction, NaN never satisfies).
-func verifyThreshold(ctx context.Context, eng *surf.Engine, regions []surf.Region, threshold float64, above bool) (float64, error) {
-	if len(regions) == 0 {
-		return 0, nil
-	}
-	ok := 0
-	for i := range regions {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		r := &regions[i]
-		y, _ := eng.Evaluate(regionCenter(r), regionHalfSides(r))
-		r.TrueValue = y
-		r.Verified = true
-		r.Satisfies = !math.IsNaN(y) && ((above && y > threshold) || (!above && y < threshold))
-		if r.Satisfies {
-			ok++
-		}
-	}
-	return float64(ok) / float64(len(regions)), nil
-}
-
-func regionCenter(r *surf.Region) []float64 {
-	c := make([]float64, len(r.Min))
-	for i := range c {
-		c[i] = (r.Min[i] + r.Max[i]) / 2
-	}
-	return c
-}
-
-func regionHalfSides(r *surf.Region) []float64 {
-	l := make([]float64, len(r.Min))
-	for i := range l {
-		l[i] = (r.Max[i] - r.Min[i]) / 2
-	}
-	return l
-}
-
-// startShardStreams opens one stream per shard, synchronously, so
-// validation errors return like Engine.Stream's instead of surfacing
-// mid-stream. On failure the already-started streams are closed.
-func (h *Handle) startShardStreams(ctx context.Context, open func(*surf.Engine) (*surf.Stream, error)) ([]*surf.Stream, error) {
-	streams := make([]*surf.Stream, len(h.set.shards))
-	for i, eng := range h.set.shards {
-		st, err := open(eng)
-		if err != nil {
-			for _, prev := range streams[:i] {
-				prev.Close()
-			}
-			return nil, err
-		}
-		streams[i] = st
-	}
-	return streams, nil
-}
-
-// forwardShardStreams drains every shard stream concurrently, fanning
-// their events into emit (the merged stream's concurrency-safe emit),
-// and returns the per-shard results in shard order. Shard EventDone
-// events are swallowed — the merged stream emits its own, carrying the
-// merged result.
-func forwardShardStreams(ctx context.Context, streams []*surf.Stream, emit func(surf.Event) bool) ([]*surf.Result, error) {
-	results := make([]*surf.Result, len(streams))
-	errs := make([]error, len(streams))
-	var wg sync.WaitGroup
-	for i, st := range streams {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = forwardShardStream(ctx, st, emit)
-		}()
-	}
-	wg.Wait()
-	if err := pickShardError(errs); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// forwardShardStream relays one shard's events until the shard
-// finishes (returning its result) or the merged stream's consumer goes
-// away (closing the shard stream and returning the cancellation).
-func forwardShardStream(ctx context.Context, st *surf.Stream, emit func(surf.Event) bool) (*surf.Result, error) {
-	defer st.Close()
-	for {
-		ev, err := st.Next()
-		if err != nil {
-			if errors.Is(err, surf.ErrStreamDone) {
-				return st.Result()
-			}
-			return nil, err
-		}
-		if _, done := ev.(surf.EventDone); done {
-			continue // captured via Result at exhaustion
-		}
-		if !emit(ev) {
-			err := ctx.Err()
-			if err == nil {
-				err = context.Canceled
-			}
-			return nil, err
-		}
-	}
-}

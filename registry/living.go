@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -71,12 +70,11 @@ type AppendResult struct {
 
 // Append commits a batch of rows — each a full-width row in the
 // dataset's column order — to the named entry's living store and swaps
-// the new data version into its serving engines. The swap is the
-// engine's own snapshot swap: queries in flight finish against the
-// version they pinned, new queries see the appended rows, and the
-// per-entry merged-result cache is cleared (its hit/miss counters
-// survive, as with a model swap). Sharded entries re-slice every shard
-// over the grown row set, all on the full engine's refreshed domain.
+// the new data version into its engine. The swap is the engine's own
+// snapshot swap: queries in flight finish against the version they
+// pinned, new queries see the appended rows, and the engine's result
+// cache is invalidated (its hit/miss counters survive, as with a model
+// swap).
 //
 // When the spec enables drift monitoring, the reservoir of training
 // queries is then replayed against the new data version: the resulting
@@ -105,15 +103,11 @@ func (r *Registry) Append(ctx context.Context, name string, rows [][]float64) (A
 	}
 	// Re-read the view rather than trusting the append's version: if a
 	// concurrent append through a different (older, pinned) engine set
-	// landed first, the engines swap straight to the merged latest.
+	// landed first, the engine swaps straight to the merged latest.
 	ds, version := set.store.View()
 	if err := set.engine.SetDataset(ds, version); err != nil {
 		return AppendResult{}, err
 	}
-	if err := set.resliceShards(ds, version); err != nil {
-		return AppendResult{}, err
-	}
-	set.merged.clear()
 	out := AppendResult{Version: version, Rows: ds.Len(), Appended: len(rows)}
 	if set.drift == nil {
 		return out, nil
@@ -153,9 +147,8 @@ func (r *Registry) startRetrain(e *entry, set *engineSet) {
 
 // retrain is the drift-triggered incremental retrain: generate a fresh
 // workload against the latest data version, fold the spec's extra
-// boosting rounds into the serving surrogate (all-or-nothing), fan the
-// extended model out to the shards, clear the merged cache and
-// re-score. Every model install is the engine's atomic snapshot swap,
+// boosting rounds into the serving surrogate (all-or-nothing) and
+// re-score. The model install is the engine's atomic snapshot swap,
 // so queries keep serving — on the old model, then the new — with
 // nothing dropped in between.
 func (s *engineSet) retrain(ctx context.Context) {
@@ -184,20 +177,6 @@ func (s *engineSet) retrain(ctx context.Context) {
 		fail(err)
 		return
 	}
-	if len(s.shards) > 0 {
-		var buf bytes.Buffer
-		if err := s.engine.SaveSurrogateContext(ctx, &buf); err != nil {
-			fail(err)
-			return
-		}
-		for _, se := range s.shards {
-			if err := se.LoadSurrogateContext(ctx, bytes.NewReader(buf.Bytes())); err != nil {
-				fail(err)
-				return
-			}
-		}
-	}
-	s.merged.clear()
 	d.retrainErr.Store(nil)
 	d.retrains.Add(1)
 	if rep, err := drift.Evaluate(ctx, s.engine, d.samples); err == nil {

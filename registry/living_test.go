@@ -60,10 +60,10 @@ func TestAppendSwapsDataVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Release()
-	if _, err := h.Find(ctx, fastQuery); err != nil {
+	if _, err := h.Engine().FindContext(ctx, fastQuery); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Find(ctx, fastQuery); err != nil {
+	if _, err := h.Engine().FindContext(ctx, fastQuery); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := r.Status("d")
@@ -110,53 +110,11 @@ func TestAppendSwapsDataVersion(t *testing.T) {
 	}
 }
 
-// TestAppendKeepsMergedCacheCounters is the sharded half of the
-// sticky-counter regression: the per-entry merged-result cache is
-// cleared by an append but its hit/miss counters accumulate across the
-// data swap.
-func TestAppendKeepsMergedCacheCounters(t *testing.T) {
-	fx := newFixture(t, 300)
-	spec := fx.spec(fx.artifactA)
-	spec.Shards = 2
-	r := New(0)
-	if _, err := r.Register("d", spec); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	h, err := r.Acquire(ctx, "d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Release()
-	if _, err := h.Find(ctx, fastQuery); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Find(ctx, fastQuery); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Append(ctx, "d", appendRows(40, 2)); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := r.Status("d")
-	if st.Cache.Hits != 1 || st.Cache.Misses != 1 || st.Cache.Entries != 0 {
-		t.Fatalf("merged cache after append = %+v, want sticky 1 hit / 1 miss, 0 entries", st.Cache)
-	}
-	// The same handle re-queries: a miss against the cleared cache, and
-	// the counters keep accumulating.
-	if _, err := h.Find(ctx, fastQuery); err != nil {
-		t.Fatal(err)
-	}
-	st, _ = r.Status("d")
-	if st.Cache.Hits != 1 || st.Cache.Misses != 2 || st.Cache.Entries != 1 {
-		t.Fatalf("merged cache after re-query = %+v, want 1 hit / 2 misses / 1 entry", st.Cache)
-	}
-}
-
-// TestShardedAppendParity is the differential acceptance check at the
+// TestAppendParity is the differential acceptance check at the
 // registry layer: an entry grown by appends answers Find and FindTopK
 // bit-identically to an entry loaded flat from a CSV holding the same
-// rows, sharded execution included.
-func TestShardedAppendParity(t *testing.T) {
+// rows.
+func TestAppendParity(t *testing.T) {
 	fx := newFixture(t, 300)
 	r := New(0)
 	extra := appendRows(60, 2)
@@ -173,62 +131,53 @@ func TestShardedAppendParity(t *testing.T) {
 	flatCSV := fx.csv + ".flat.csv"
 	writeCSV(t, flatCSV, names, flat)
 
-	for _, shards := range []int{0, 3} {
-		flatSpec := Spec{Data: flatCSV, FilterColumns: []string{"x", "y"}, Statistic: "count",
-			Artifact: fx.artifactA, Shards: shards}
-		grownSpec := fx.spec(fx.artifactA)
-		grownSpec.Shards = shards
-		flatName := "flat"
-		grownName := "grown"
-		if shards > 0 {
-			flatName, grownName = "flat-sharded", "grown-sharded"
-		}
-		if _, err := r.Register(flatName, flatSpec); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Register(grownName, grownSpec); err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		if res, err := r.Append(ctx, grownName, extra); err != nil {
-			t.Fatal(err)
-		} else if res.Version != 2 || res.Rows != 360 {
-			t.Fatalf("append result = %+v", res)
-		}
+	flatSpec := Spec{Data: flatCSV, FilterColumns: []string{"x", "y"}, Statistic: "count",
+		Artifact: fx.artifactA}
+	if _, err := r.Register("flat", flatSpec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Register("grown", fx.spec(fx.artifactA)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if res, err := r.Append(ctx, "grown", extra); err != nil {
+		t.Fatal(err)
+	} else if res.Version != 2 || res.Rows != 360 {
+		t.Fatalf("append result = %+v", res)
+	}
 
-		hf, err := r.Acquire(ctx, flatName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hg, err := r.Acquire(ctx, grownName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fres, err := hf.Find(ctx, fastQuery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gres, err := hg.Find(ctx, fastQuery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !regionsEqual(fres, gres) {
-			t.Fatalf("shards=%d: Find over flat CSV and grown store differ", shards)
-		}
-		topk := surf.TopKQuery{K: 3, Largest: true, Seed: 5, Glowworms: 16, Iterations: 10}
-		ftop, err := hf.FindTopK(ctx, topk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gtop, err := hg.FindTopK(ctx, topk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !regionsEqual(ftop, gtop) {
-			t.Fatalf("shards=%d: FindTopK over flat CSV and grown store differ", shards)
-		}
-		hf.Release()
-		hg.Release()
+	hf, err := r.Acquire(ctx, "flat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hf.Release()
+	hg, err := r.Acquire(ctx, "grown")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hg.Release()
+	fres, err := hf.Engine().FindContext(ctx, fastQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gres, err := hg.Engine().FindContext(ctx, fastQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regionsEqual(fres, gres) {
+		t.Fatal("Find over flat CSV and grown store differ")
+	}
+	topk := surf.TopKQuery{K: 3, Largest: true, Seed: 5, Glowworms: 16, Iterations: 10}
+	ftop, err := hf.Engine().FindTopKContext(ctx, topk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gtop, err := hg.Engine().FindTopKContext(ctx, topk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regionsEqual(ftop, gtop) {
+		t.Fatal("FindTopK over flat CSV and grown store differ")
 	}
 }
 
@@ -342,7 +291,7 @@ func TestAppendDriftTriggersRetrain(t *testing.T) {
 	// the whole time.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if _, err := h.Find(ctx, fastQuery); err != nil {
+		if _, err := h.Engine().FindContext(ctx, fastQuery); err != nil {
 			t.Fatalf("query during retrain: %v", err)
 		}
 		st, _ = r.Status("d")

@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -18,31 +17,19 @@ const (
 	defaultRetrainTrees   = 25
 )
 
-// engineSet is one loaded materialization of a spec: the full-dataset
-// engine plus, for sharded entries, one engine per row-range shard.
-// The set's structure is immutable after buildEngineSet returns — hot
-// swaps replace whole sets, never re-point one — so handles read it
-// without locks. The engines inside are themselves living: an append
-// swaps new data snapshots into them (and a drift-triggered retrain a
-// new model) through the engine's own atomic snapshot discipline, so
-// queries in flight never see a torn set.
+// engineSet is one loaded materialization of a spec: one engine over
+// the entry's whole dataset. The set's structure is immutable after
+// buildEngineSet returns — hot swaps replace whole sets, never re-point
+// one — so handles read it without locks. The engine inside is itself
+// living: an append swaps a new data snapshot into it (and a
+// drift-triggered retrain a new model) through the engine's own atomic
+// snapshot discipline, so queries in flight never see a torn set.
 type engineSet struct {
 	version int
 	spec    Spec
-	// engine serves unsharded execution and, for sharded entries,
-	// full-dataset verification of merged regions.
-	engine *surf.Engine
-	// shards are the per-row-range engines (nil when unsharded). Each
-	// carries the same surrogate as engine and the full dataset's
-	// domain, so every shard optimizes over the same region space.
-	shards []*surf.Engine
-	// merged caches sharded merged results. It lives and dies with the
-	// set: a hot swap installs a fresh set with a fresh cache, and an
-	// append or retrain clears it (keeping its counters), so stale
-	// merged results can never be served.
-	merged *mergedCache
-	// store is the living dataset backing the set's engines; shared
-	// with the entry so appended rows survive set swaps.
+	engine  *surf.Engine
+	// store is the living dataset backing the engine; shared with the
+	// entry so appended rows survive set swaps.
 	store *surf.Store
 	// drift is the entry's drift monitor (nil when the spec does not
 	// enable monitoring).
@@ -50,13 +37,11 @@ type engineSet struct {
 }
 
 // buildEngineSet materializes spec: read the CSV (or adopt the entry's
-// existing living store, appended rows included), open the full engine
-// (and shard engines over row-range views sharing its columns), then
-// install the surrogate — loaded from the artifact or trained from a
-// generated workload — into every engine, all from one model so the
-// shards and the full engine agree bit-for-bit. When the spec enables
-// drift monitoring, a reservoir of the training queries (or generated
-// probes, on the artifact path) is kept for replay after appends.
+// existing living store, appended rows included), open the engine,
+// then install the surrogate — loaded from the artifact or trained
+// from a generated workload. When the spec enables drift monitoring, a
+// reservoir of the training queries (or generated probes, on the
+// artifact path) is kept for replay after appends.
 func buildEngineSet(ctx context.Context, spec Spec, version int, store *surf.Store) (*engineSet, error) {
 	stat, err := surf.ParseStatistic(spec.Statistic)
 	if err != nil {
@@ -84,53 +69,27 @@ func buildEngineSet(ctx context.Context, spec Spec, version int, store *surf.Sto
 		TargetColumn:  spec.TargetColumn,
 		UseGridIndex:  spec.UseGridIndex,
 	}
-	// The spec's inference backend applies to the full engine and every
-	// shard alike; an empty name lets the engine resolve the process
-	// default (SURF_KERNEL, then the built-in default).
+	// An empty kernel name lets the engine resolve the process default
+	// (SURF_KERNEL, then the built-in default).
 	var opts []surf.Option
 	if spec.Kernel != "" {
 		opts = append(opts, surf.WithInferenceKernel(spec.Kernel))
 	}
-	full, err := surf.Open(ds, cfg, opts...)
+	eng, err := surf.Open(ds, cfg, opts...)
 	if err != nil {
 		return nil, err
 	}
 	set := &engineSet{
 		version: version,
 		spec:    spec,
-		engine:  full,
-		merged:  newMergedCache(mergedCacheSize),
+		engine:  eng,
 		store:   store,
-	}
-
-	if spec.Shards > 1 {
-		// Every shard gets the full dataset's domain: shards must
-		// optimize over one shared region space or their results could
-		// not be merged (and a shard's own row range would otherwise
-		// shrink its domain).
-		min, max := full.Domain()
-		n := ds.Len()
-		for i := 0; i < spec.Shards; i++ {
-			lo, hi := i*n/spec.Shards, (i+1)*n/spec.Shards
-			sub, err := ds.Slice(lo, hi)
-			if err != nil {
-				return nil, err
-			}
-			se, err := surf.Open(sub, cfg, append(opts, surf.WithDomain(min, max))...)
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", i, err)
-			}
-			set.shards = append(set.shards, se)
-		}
 	}
 	if dataVersion != 1 {
 		// A reloaded store past its seed version: Open stamped the
-		// engines as version 1, so restamp them with the store's real
+		// engine as version 1, so restamp it with the store's real
 		// version (same rows, same domain — only the label moves).
-		if err := full.SetDataset(ds, dataVersion); err != nil {
-			return nil, err
-		}
-		if err := set.resliceShards(ds, dataVersion); err != nil {
+		if err := eng.SetDataset(ds, dataVersion); err != nil {
 			return nil, err
 		}
 	}
@@ -139,38 +98,24 @@ func buildEngineSet(ctx context.Context, spec Spec, version int, store *surf.Sto
 	trained := false
 	switch {
 	case spec.Artifact != "":
-		// Read the artifact once and load it into every engine from
-		// memory, so all engines restore the identical model even if
-		// the file changes under us mid-load.
-		raw, err := os.ReadFile(spec.Artifact)
+		f, err := os.Open(spec.Artifact)
 		if err != nil {
 			return nil, err
 		}
-		if err := set.loadModel(ctx, raw); err != nil {
+		err = eng.LoadSurrogateContext(ctx, f)
+		f.Close()
+		if err != nil {
 			return nil, err
 		}
 	case spec.Train > 0:
-		wl, err = full.GenerateWorkloadContext(ctx, spec.Train, spec.TrainSeed)
+		wl, err = eng.GenerateWorkloadContext(ctx, spec.Train, spec.TrainSeed)
 		if err != nil {
 			return nil, err
 		}
-		if err := full.TrainSurrogateContext(ctx, wl, surf.TrainOptions{Seed: spec.TrainSeed}); err != nil {
+		if err := eng.TrainSurrogateContext(ctx, wl, surf.TrainOptions{Seed: spec.TrainSeed}); err != nil {
 			return nil, err
 		}
 		trained = true
-		if len(set.shards) > 0 {
-			// Propagate the one trained model to the shards through the
-			// artifact round trip (bit-identical by the artifact tests).
-			var buf bytes.Buffer
-			if err := full.SaveSurrogateContext(ctx, &buf); err != nil {
-				return nil, err
-			}
-			for i, se := range set.shards {
-				if err := se.LoadSurrogateContext(ctx, bytes.NewReader(buf.Bytes())); err != nil {
-					return nil, fmt.Errorf("shard %d: %w", i, err)
-				}
-			}
-		}
 	}
 
 	if spec.driftEnabled() {
@@ -191,7 +136,7 @@ func buildEngineSet(ctx context.Context, spec Spec, version int, store *surf.Sto
 			// Artifact path: the training workload is gone, so probe
 			// with generated regions over the serving domain. Costs one
 			// data scan per probe, once, at load time.
-			probe, err := full.GenerateWorkloadContext(ctx, capacity, spec.TrainSeed+1)
+			probe, err := eng.GenerateWorkloadContext(ctx, capacity, spec.TrainSeed+1)
 			if err != nil {
 				return nil, err
 			}
@@ -203,42 +148,4 @@ func buildEngineSet(ctx context.Context, spec Spec, version int, store *surf.Sto
 		set.drift = &driftState{threshold: spec.DriftThreshold, samples: rsv.Samples()}
 	}
 	return set, nil
-}
-
-// resliceShards re-points every shard engine at its row range of a new
-// data version, keeping all shards on the full engine's domain so
-// merged results stay meaningful. Shard boundaries move as the row
-// count grows — the contiguous-range invariant (shard i owns rows
-// [i*n/k, (i+1)*n/k)) holds at every version.
-func (s *engineSet) resliceShards(ds *surf.Dataset, version uint64) error {
-	if len(s.shards) == 0 {
-		return nil
-	}
-	min, max := s.engine.Domain()
-	n := ds.Len()
-	k := len(s.shards)
-	for i, se := range s.shards {
-		sub, err := ds.Slice(i*n/k, (i+1)*n/k)
-		if err != nil {
-			return err
-		}
-		if err := se.SetDataset(sub, version, surf.WithDomain(min, max)); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// loadModel installs one artifact into the full engine and every
-// shard engine.
-func (s *engineSet) loadModel(ctx context.Context, raw []byte) error {
-	if err := s.engine.LoadSurrogateContext(ctx, bytes.NewReader(raw)); err != nil {
-		return err
-	}
-	for i, se := range s.shards {
-		if err := se.LoadSurrogateContext(ctx, bytes.NewReader(raw)); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
 }

@@ -27,9 +27,9 @@ var (
 )
 
 // Spec describes one registry entry: where the data lives, what the
-// engine computes over it, where its surrogate comes from, and how
-// execution is sharded. Its JSON form is the PUT /v1/models/{name}
-// request body and the surf-serve config-file entry.
+// engine computes over it, and where its surrogate comes from. Its
+// JSON form is the PUT /v1/models/{name} request body and the
+// surf-serve config-file entry.
 type Spec struct {
 	// Data is the dataset CSV path.
 	Data string `json:"data"`
@@ -39,7 +39,7 @@ type Spec struct {
 	Statistic     string   `json:"statistic"`
 	TargetColumn  string   `json:"target_column,omitempty"`
 	// Artifact is a surrogate artifact path (surf-train / SaveSurrogate
-	// output) loaded into the engines at entry load time. Mutually
+	// output) loaded into the engine at entry load time. Mutually
 	// exclusive with Train.
 	Artifact string `json:"artifact,omitempty"`
 	// Train, when positive, trains a surrogate at entry load time from
@@ -47,9 +47,6 @@ type Spec struct {
 	// entry reports the "training" state while it runs.
 	Train     int    `json:"train,omitempty"`
 	TrainSeed uint64 `json:"train_seed,omitempty"`
-	// Shards splits execution across this many contiguous row-range
-	// shards (0 or 1 = unsharded).
-	Shards int `json:"shards,omitempty"`
 	// Kernel names the inference backend serving the entry's surrogate
 	// predictions — one of surf.InferenceKernels(); empty defers to the
 	// SURF_KERNEL environment variable, then the built-in default.
@@ -102,9 +99,6 @@ func (s Spec) merge(prev Spec) Spec {
 	if s.TargetColumn == "" {
 		s.TargetColumn = prev.TargetColumn
 	}
-	if s.Shards == 0 {
-		s.Shards = prev.Shards
-	}
 	if s.Kernel == "" {
 		s.Kernel = prev.Kernel
 	}
@@ -139,8 +133,6 @@ func (s Spec) validate() error {
 		return fmt.Errorf("%w: no dataset path", ErrBadSpec)
 	case len(s.FilterColumns) == 0:
 		return fmt.Errorf("%w: no filter columns", ErrBadSpec)
-	case s.Shards < 0:
-		return fmt.Errorf("%w: %d shards", ErrBadSpec, s.Shards)
 	case s.Train < 0:
 		return fmt.Errorf("%w: train %d queries", ErrBadSpec, s.Train)
 	case s.Artifact != "" && s.Train > 0:
@@ -551,9 +543,8 @@ type ModelStatus struct {
 	// LoadSeconds is the wall time of the last completed load,
 	// including any startup training (0 if never loaded).
 	LoadSeconds float64
-	// Cache reports the entry's result cache: the merged-result cache
-	// for sharded entries, the engine's own cache otherwise. Zero
-	// unless ready.
+	// Cache reports the entry's engine result cache. Zero unless
+	// ready.
 	Cache surf.CacheStats
 	// DataVersion is the dataset version the entry serves: 1 for the
 	// CSV as loaded, incremented by every append (0 unless ready).
@@ -607,11 +598,7 @@ func (r *Registry) List() []ModelStatus {
 			if info, ok := e.set.engine.SurrogateInfo(); ok {
 				st.Info = &info
 			}
-			if len(e.set.shards) > 0 {
-				st.Cache = e.set.merged.stats()
-			} else {
-				st.Cache = e.set.engine.CacheStats()
-			}
+			st.Cache = e.set.engine.CacheStats()
 			st.DataVersion = e.set.engine.DataVersion()
 			if e.set.drift != nil {
 				st.Drift = e.set.drift.status()

@@ -130,7 +130,6 @@ func TestRegisterValidation(t *testing.T) {
 		{"bad statistic", "d", Spec{Data: fx.csv, FilterColumns: []string{"x"}, Statistic: "nope"}},
 		{"missing data file", "d", Spec{Data: fx.csv + ".gone", FilterColumns: []string{"x"}, Statistic: "count"}},
 		{"artifact and train", "d", Spec{Data: fx.csv, FilterColumns: []string{"x"}, Statistic: "count", Artifact: fx.artifactA, Train: 10}},
-		{"negative shards", "d", Spec{Data: fx.csv, FilterColumns: []string{"x"}, Statistic: "count", Shards: -1}},
 	}
 	for _, c := range cases {
 		if _, err := r.Register(c.key, c.spec); !errors.Is(err, ErrBadSpec) {
@@ -171,7 +170,7 @@ func TestAcquireUnknownAndRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The in-flight handle keeps serving the set it pinned.
-	if _, err := h.Find(ctx, fastQuery); err != nil {
+	if _, err := h.Engine().FindContext(ctx, fastQuery); err != nil {
 		t.Errorf("find on removed dataset's pinned handle: %v", err)
 	}
 	h.Release()
@@ -208,8 +207,8 @@ func TestLazyLoadAndStates(t *testing.T) {
 	if st.Info == nil || st.Info.Trees != 5 {
 		t.Fatalf("surrogate info = %+v", st.Info)
 	}
-	if h.Version() != 1 || h.Sharded() {
-		t.Fatalf("handle version %d sharded %v", h.Version(), h.Sharded())
+	if h.Version() != 1 {
+		t.Fatalf("handle version %d", h.Version())
 	}
 }
 
@@ -316,7 +315,7 @@ func expectedResult(t *testing.T, spec Spec, q surf.Query) *surf.Result {
 		t.Fatal(err)
 	}
 	defer h.Release()
-	res, err := h.Find(context.Background(), q)
+	res, err := h.Engine().FindContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +356,7 @@ func TestHotSwapConsistency(t *testing.T) {
 				h, err := r.Acquire(ctx, "d")
 				if err == nil {
 					var res *surf.Result
-					res, err = h.Find(ctx, fastQuery)
+					res, err = h.Engine().FindContext(ctx, fastQuery)
 					version := h.Version()
 					h.Release()
 					if err == nil {
@@ -403,7 +402,7 @@ func TestHotSwapConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Release()
-	res, err := h.Find(ctx, fastQuery)
+	res, err := h.Engine().FindContext(ctx, fastQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +439,7 @@ func TestEvictionRespectsInflight(t *testing.T) {
 		t.Fatalf("states with both in flight: one=%s two=%s", st1.State, st2.State)
 	}
 	// The busy entry still serves.
-	if _, err := h1.Find(ctx, fastQuery); err != nil {
+	if _, err := h1.Engine().FindContext(ctx, fastQuery); err != nil {
 		t.Fatal(err)
 	}
 	h2.Release()
@@ -545,14 +544,12 @@ func TestWarmTriggersLoad(t *testing.T) {
 	}
 }
 
-// TestStatusCacheStats: a ready entry's status reports its result
-// cache; sharded entries report the merged-result cache.
+// TestStatusCacheStats: a ready entry's status reports its engine's
+// result cache.
 func TestStatusCacheStats(t *testing.T) {
 	fx := newFixture(t, 300)
 	r := New(0)
-	spec := fx.spec(fx.artifactA)
-	spec.Shards = 2
-	if _, err := r.Register("d", spec); err != nil {
+	if _, err := r.Register("d", fx.spec(fx.artifactA)); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -561,17 +558,17 @@ func TestStatusCacheStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Release()
-	if _, err := h.Find(ctx, fastQuery); err != nil {
+	if _, err := h.Engine().FindContext(ctx, fastQuery); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Find(ctx, fastQuery); err != nil {
+	if _, err := h.Engine().FindContext(ctx, fastQuery); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := r.Status("d")
 	if st.Cache.Hits != 1 || st.Cache.Misses != 1 || st.Cache.Entries != 1 {
-		t.Fatalf("sharded cache stats = %+v, want 1 hit / 1 miss / 1 entry", st.Cache)
+		t.Fatalf("cache stats = %+v, want 1 hit / 1 miss / 1 entry", st.Cache)
 	}
-	if st.Cache.Capacity != mergedCacheSize {
-		t.Fatalf("sharded cache capacity = %d, want %d", st.Cache.Capacity, mergedCacheSize)
+	if want := h.Engine().CacheStats(); st.Cache != want {
+		t.Fatalf("status cache = %+v, engine cache = %+v", st.Cache, want)
 	}
 }

@@ -55,8 +55,8 @@ type serverMetrics struct {
 	fallback  *routeMetrics
 }
 
-// newServerMetrics builds the instrument set. eng and registry are the
-// server's backing executor — exactly one is non-nil — and feed the
+// newServerMetrics builds the instrument set. eng and registry are
+// what the server serves — exactly one is non-nil — and feed the
 // scrape-time collectors.
 func newServerMetrics(eng *surf.Engine, reg *registry.Registry) *serverMetrics {
 	r := obs.NewRegistry()
@@ -135,10 +135,9 @@ func (m *serverMetrics) newRoute(pattern string) *routeMetrics {
 
 // collectRegistry registers the scrape-time collectors over a model
 // registry: per-dataset lifecycle state, version, rows, in-flight
-// handles, last load duration, and result-cache counters (the merged
-// cache for sharded entries, the engine cache otherwise). Label sets
-// only exist at scrape time — datasets register and vanish at runtime
-// — so these are collectors, not static series.
+// handles, last load duration, and the engine result-cache counters.
+// Label sets only exist at scrape time — datasets register and vanish
+// at runtime — so these are collectors, not static series.
 func (m *serverMetrics) collectRegistry(reg *registry.Registry) {
 	m.reg.Collect("surf_dataset_state", "Dataset lifecycle state (1 = current state).", obs.TypeGauge,
 		func(emit func(v float64, labels ...string)) {

@@ -313,21 +313,41 @@ func TestModelsCRUD(t *testing.T) {
 		t.Fatalf("beta after swap: version %d info %+v", m.Version, m.SurrogateInfo)
 	}
 
-	// Validation failures: an incoherent spec is a 400, an artifact
-	// contradicting the spec's statistic a 422, and neither touches the
-	// entry.
-	resp = putJSON(t, ts.URL+"/v1/models/delta", map[string]any{"statistic": "count"})
-	wantStatus(t, resp, http.StatusBadRequest, "bad_spec")
-	resp = putJSON(t, ts.URL+"/v1/models/delta", map[string]any{
-		"data": fx.csv, "filter_columns": []string{"x", "y"},
-		"statistic": "sum", "target_column": "x", "artifact": fx.artifactA,
-	})
-	wantStatus(t, resp, http.StatusUnprocessableEntity, "bad_artifact")
+	// Validation failures: an incoherent spec or a field Spec does not
+	// have is a 400, an artifact contradicting the spec's statistic a
+	// 422, an oversized body a 413, and none touches the entry.
+	for _, tc := range []struct {
+		name, model string
+		body        any
+		status      int
+		code        string
+	}{
+		{"incoherent spec", "delta", map[string]any{"statistic": "count"}, http.StatusBadRequest, "bad_spec"},
+		{"artifact mismatch", "delta", map[string]any{
+			"data": fx.csv, "filter_columns": []string{"x", "y"},
+			"statistic": "sum", "target_column": "x", "artifact": fx.artifactA,
+		}, http.StatusUnprocessableEntity, "bad_artifact"},
+		{"unknown field", "beta", map[string]any{"shards": 2}, http.StatusBadRequest, "bad_spec"},
+		{"oversized body", "beta", map[string]any{"data": strings.Repeat("x", maxBodyBytes)},
+			http.StatusRequestEntityTooLarge, "body_too_large"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wantStatus(t, putJSON(t, ts.URL+"/v1/models/"+tc.model, tc.body), tc.status, tc.code)
+		})
+	}
 	resp, err = http.Get(ts.URL + "/v1/models/delta")
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantStatus(t, resp, http.StatusNotFound, "unknown_dataset")
+	resp, err = http.Get(ts.URL + "/v1/models/beta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeResponse(t, resp, &m)
+	if m.Version != 2 {
+		t.Fatalf("beta version %d after rejected PUTs, want 2", m.Version)
+	}
 
 	// Removal: the name stops routing.
 	resp = doDelete(t, ts.URL+"/v1/models/gamma")

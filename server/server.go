@@ -29,9 +29,9 @@
 //
 // POST /v1/datasets/{name}/append commits a batch of full-width rows
 // (the dataset's column order) to the entry's living store and swaps
-// the new data version into its serving engines — queries in flight
-// finish on the version they pinned, new queries see the appended
-// rows, and the result caches invalidate exactly as on a model swap.
+// the new data version into its engine — queries in flight finish on
+// the version they pinned, new queries see the appended rows, and the
+// result cache invalidates exactly as on a model swap.
 // When the entry's spec enables drift monitoring, the response (and
 // the /v1/models "drift" field) carries the post-append drift score
 // and whether it crossed the spec's threshold and started a
@@ -52,7 +52,7 @@
 //	code             status  meaning
 //	bad_query        400     malformed body/parameters, or invalid query (surf.ErrBadQuery)
 //	dim_mismatch     400     query geometry disagrees with the engine dims (surf.ErrDimMismatch)
-//	bad_spec         400     model spec that can never load (registry.ErrBadSpec)
+//	bad_spec         400     malformed model spec or one that can never load (registry.ErrBadSpec)
 //	bad_append       400     append batch the store rejects (registry.ErrBadAppend)
 //	unknown_dataset  404     dataset name with no registry entry (registry.ErrUnknownDataset)
 //	no_registry      404     admin/routing request on a single-engine server
@@ -98,7 +98,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"iter"
 	"log/slog"
 	"net"
 	"net/http"
@@ -238,36 +237,6 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	return s.Serve(ctx, l)
 }
 
-// executor is the query surface shared by a bare engine and a
-// registry handle, so every handler runs one code path for both
-// server modes.
-type executor interface {
-	Find(ctx context.Context, q surf.Query) (*surf.Result, error)
-	FindTopK(ctx context.Context, q surf.TopKQuery) (*surf.Result, error)
-	FindMany(ctx context.Context, queries []surf.Query) iter.Seq[surf.MultiResult]
-	Stream(ctx context.Context, q surf.Query) (*surf.Stream, error)
-	StreamTopK(ctx context.Context, q surf.TopKQuery) (*surf.Stream, error)
-}
-
-// engineExecutor adapts a bare engine to the executor surface.
-type engineExecutor struct{ eng *surf.Engine }
-
-func (e engineExecutor) Find(ctx context.Context, q surf.Query) (*surf.Result, error) {
-	return e.eng.FindContext(ctx, q)
-}
-func (e engineExecutor) FindTopK(ctx context.Context, q surf.TopKQuery) (*surf.Result, error) {
-	return e.eng.FindTopKContext(ctx, q)
-}
-func (e engineExecutor) FindMany(ctx context.Context, queries []surf.Query) iter.Seq[surf.MultiResult] {
-	return e.eng.FindMany(ctx, queries)
-}
-func (e engineExecutor) Stream(ctx context.Context, q surf.Query) (*surf.Stream, error) {
-	return e.eng.Stream(ctx, q)
-}
-func (e engineExecutor) StreamTopK(ctx context.Context, q surf.TopKQuery) (*surf.Stream, error) {
-	return e.eng.StreamTopK(ctx, q)
-}
-
 // errNoRegistry answers registry-only requests on a single-engine
 // server.
 var errNoRegistry = errors.New("server: not serving a model registry")
@@ -284,17 +253,17 @@ var errUnready = errors.New("server: not ready")
 // clients get a mapped envelope instead of a silent buffer.
 var errCannotStream = errors.New("server: response writer cannot stream")
 
-// acquire resolves the request's dataset to an executor plus the
+// acquire resolves the request's dataset to an engine plus the
 // release to defer, noting the resolved name on w for the access log.
 // Single-engine servers reject any explicit dataset (there is no
 // registry to route by); registry servers fall back to the default
 // dataset, if any, and otherwise require one.
-func (s *Server) acquire(ctx context.Context, w http.ResponseWriter, dataset string) (executor, func(), error) {
+func (s *Server) acquire(ctx context.Context, w http.ResponseWriter, dataset string) (*surf.Engine, func(), error) {
 	if s.reg == nil {
 		if dataset != "" {
 			return nil, nil, fmt.Errorf("%w: %q (single-dataset server)", registry.ErrUnknownDataset, dataset)
 		}
-		return engineExecutor{s.eng}, func() {}, nil
+		return s.eng, func() {}, nil
 	}
 	if dataset == "" {
 		dataset = s.defaultDataset
@@ -311,7 +280,7 @@ func (s *Server) acquire(ctx context.Context, w http.ResponseWriter, dataset str
 	if score, ok := h.DriftScore(); ok {
 		noteDriftScore(w, score)
 	}
-	return h, h.Release, nil
+	return h.Engine(), h.Release, nil
 }
 
 // errorBody is the unified JSON error envelope: every error response,
@@ -408,8 +377,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // decodeBody strictly decodes a JSON request body into v, bounding it
 // at maxBodyBytes; an over-limit body maps to 413 rather than a
-// generic parse failure.
+// generic parse failure, and any other decode failure is a bad query.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return decodeBodyAs(w, r, v, surf.ErrBadQuery)
+}
+
+// decodeBodyAs is decodeBody reporting decode failures as kind, for
+// bodies that are not queries (a model spec is registry.ErrBadSpec).
+func decodeBodyAs(w http.ResponseWriter, r *http.Request, v any, kind error) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -417,7 +392,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 		if errors.As(err, &mbe) {
 			return fmt.Errorf("%w: limit %d bytes", errBodyTooLarge, mbe.Limit)
 		}
-		return fmt.Errorf("%w: body: %v", surf.ErrBadQuery, err)
+		return fmt.Errorf("%w: body: %v", kind, err)
 	}
 	return nil
 }
@@ -451,13 +426,13 @@ func (s *Server) handleFind(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	ex, release, err := s.acquire(r.Context(), w, req.Dataset)
+	eng, release, err := s.acquire(r.Context(), w, req.Dataset)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	defer release()
-	res, err := ex.Find(r.Context(), req.Query)
+	res, err := eng.FindContext(r.Context(), req.Query)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -472,13 +447,13 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	ex, release, err := s.acquire(r.Context(), w, req.Dataset)
+	eng, release, err := s.acquire(r.Context(), w, req.Dataset)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	defer release()
-	res, err := ex.FindTopK(r.Context(), req.TopKQuery)
+	res, err := eng.FindTopKContext(r.Context(), req.TopKQuery)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -487,8 +462,8 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 }
 
 // findManyRequest and findManyResponse are the /v1/findmany wire
-// forms. Results arrive in completion order (input order for sharded
-// datasets); Index recovers each query's position in the request.
+// forms. Results arrive in completion order; Index recovers each
+// query's position in the request.
 type findManyRequest struct {
 	Dataset string       `json:"dataset,omitempty"`
 	Queries []surf.Query `json:"queries"`
@@ -506,7 +481,7 @@ type findManyResponse struct {
 }
 
 // handleFindMany executes a batch of threshold queries against one
-// surrogate snapshot (one pinned engine set for registry datasets).
+// surrogate snapshot (one pinned engine for registry datasets).
 func (s *Server) handleFindMany(w http.ResponseWriter, r *http.Request) {
 	var req findManyRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -522,14 +497,14 @@ func (s *Server) handleFindMany(w http.ResponseWriter, r *http.Request) {
 			surf.ErrBadQuery, len(req.Queries), maxFindManyQueries))
 		return
 	}
-	ex, release, err := s.acquire(r.Context(), w, req.Dataset)
+	eng, release, err := s.acquire(r.Context(), w, req.Dataset)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	defer release()
 	out := findManyResponse{Results: make([]findManyResult, 0, len(req.Queries))}
-	for mr := range ex.FindMany(r.Context(), req.Queries) {
+	for mr := range eng.FindMany(r.Context(), req.Queries) {
 		fr := findManyResult{Index: mr.Index, Result: mr.Result}
 		if mr.Err != nil {
 			_, code := statusFor(mr.Err)
@@ -604,7 +579,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, req streamR
 		return
 	}
 	rc := http.NewResponseController(w)
-	ex, release, err := s.acquire(r.Context(), w, req.Dataset)
+	eng, release, err := s.acquire(r.Context(), w, req.Dataset)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -618,14 +593,14 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, req streamR
 			writeError(w, fmt.Errorf("%w: q: %v", surf.ErrBadQuery, jerr))
 			return
 		}
-		st, err = ex.Stream(r.Context(), q)
+		st, err = eng.Stream(r.Context(), q)
 	} else {
 		var q surf.TopKQuery
 		if jerr := decodeStrict(string(req.TopK), &q); jerr != nil {
 			writeError(w, fmt.Errorf("%w: topk: %v", surf.ErrBadQuery, jerr))
 			return
 		}
-		st, err = ex.StreamTopK(r.Context(), q)
+		st, err = eng.StreamTopK(r.Context(), q)
 	}
 	if err != nil {
 		writeError(w, err)
@@ -705,9 +680,8 @@ type modelBody struct {
 	// LoadSeconds is the last completed load's wall time, including
 	// startup training (omitted if never loaded).
 	LoadSeconds float64 `json:"load_seconds,omitempty"`
-	// Cache is the entry's result-cache counters (omitted unless
-	// ready): the merged-result cache for sharded entries, the
-	// engine's own cache otherwise.
+	// Cache is the entry's engine result-cache counters (omitted
+	// unless ready).
 	Cache *surf.CacheStats `json:"cache,omitempty"`
 	// DataVersion is the living store's served data version — 1 as
 	// loaded, incremented by every append (omitted unless ready).
@@ -833,7 +807,7 @@ func (s *Server) handleModelPut(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("name")
 	var spec registry.Spec
-	if err := decodeBody(w, r, &spec); err != nil {
+	if err := decodeBodyAs(w, r, &spec, registry.ErrBadSpec); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -886,7 +860,7 @@ type appendResponse struct {
 }
 
 // handleDatasetAppend commits rows to a registry entry's living store
-// and swaps the new data version into its serving engines. The body
+// and swaps the new data version into its engine. The body
 // rides under the same 1 MiB bound as every other route; batches the
 // store rejects (wrong width, empty, non-finite values) answer 400
 // "bad_append" with nothing changed.

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"surf/internal/dataset"
-	"surf/internal/geom"
 )
 
 // Living data. The paper's pipeline assumes a frozen dataset; a
@@ -53,8 +52,8 @@ func (s *Store) Append(rows [][]float64) (uint64, error) {
 // View returns the current data version as an immutable Dataset
 // together with its version number — one atomic read, so the pair can
 // never be torn by a concurrent append. The returned dataset is a
-// plain Dataset: it can be sliced into shards, opened in an engine,
-// or handed to SetDataset.
+// plain Dataset: it can be opened in an engine or handed to
+// SetDataset.
 func (s *Store) View() (*Dataset, uint64) {
 	snap := s.inner.Snapshot()
 	return &Dataset{inner: snap.Data()}, snap.Version()
@@ -82,14 +81,11 @@ func (s *Store) Names() []string { return s.inner.Snapshot().Data().Names() }
 // The new dataset must have exactly the engine's column schema; the
 // evaluator is rebuilt the way Open built it (grid or linear scan).
 // The domain is re-derived from the new rows unless the engine was
-// opened with WithDomain — then the fixed domain is kept — or a
-// WithDomain option is passed here, which overrides it for this swap
-// (sharded layers use this to keep every shard on the global domain).
-// Only WithDomain is meaningful among the options; engines opened
-// with WithBackend have no dataset-reading evaluator to rebuild and
-// reject the call. Errors are reported with ErrBadConfig (or
-// ErrDimMismatch for bad domain bounds) before anything swaps.
-func (e *Engine) SetDataset(ds *Dataset, version uint64, opts ...Option) error {
+// opened with WithDomain, in which case the fixed domain is kept.
+// Engines opened with WithBackend have no dataset-reading evaluator to
+// rebuild and reject the call. Errors are reported with ErrBadConfig
+// before anything swaps.
+func (e *Engine) SetDataset(ds *Dataset, version uint64) error {
 	if ds == nil {
 		return fmt.Errorf("%w: SetDataset with nil dataset", ErrBadConfig)
 	}
@@ -98,13 +94,6 @@ func (e *Engine) SetDataset(ds *Dataset, version uint64, opts ...Option) error {
 	}
 	if got := ds.inner.Names(); !slices.Equal(got, e.names) {
 		return fmt.Errorf("%w: dataset columns %v do not match engine schema %v", ErrBadConfig, got, e.names)
-	}
-	var eo engineOptions
-	for _, opt := range opts {
-		opt(&eo)
-	}
-	if eo.backend != nil || eo.observer != nil || eo.cacheSet || eo.kernelName != "" {
-		return fmt.Errorf("%w: SetDataset accepts only WithDomain", ErrBadConfig)
 	}
 	var ev dataset.Evaluator
 	var err error
@@ -116,30 +105,10 @@ func (e *Engine) SetDataset(ds *Dataset, version uint64, opts ...Option) error {
 	if err != nil {
 		return err
 	}
-	var override *geom.Rect
-	if eo.domainSet {
-		dims := e.Dims()
-		if len(eo.domainMin) != dims || len(eo.domainMax) != dims {
-			return fmt.Errorf("%w: WithDomain bounds of length %d/%d for %d filter columns",
-				ErrDimMismatch, len(eo.domainMin), len(eo.domainMax), dims)
-		}
-		for j := 0; j < dims; j++ {
-			// Written to also reject NaN bounds, which compare false
-			// under any ordering.
-			if !(eo.domainMin[j] <= eo.domainMax[j]) {
-				return fmt.Errorf("%w: WithDomain bounds [%g, %g] invalid in dimension %d",
-					ErrBadConfig, eo.domainMin[j], eo.domainMax[j], j)
-			}
-		}
-		override = &geom.Rect{Min: eo.domainMin, Max: eo.domainMax}
-	}
 	derived := ds.inner.Domain(e.spec.FilterCols)
 	e.swapSnapshot(func(cur *snapshot) *snapshot {
 		domain := derived
-		switch {
-		case override != nil:
-			domain = *override
-		case e.domainFixed:
+		if e.domainFixed {
 			domain = cur.view.domain
 		}
 		return &snapshot{

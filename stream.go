@@ -95,25 +95,6 @@ func (s *Stream) emit(ctx context.Context, ev Event) bool {
 	}
 }
 
-// NewStream runs a caller-supplied execution function on its own
-// goroutine and returns the Stream it feeds — the extension point for
-// composite execution layers (e.g. a multi-dataset registry fanning
-// one query out across row-range shards) to expose their runs through
-// the same progressive-stream contract as Engine.Stream.
-//
-// run receives a context derived from ctx (cancelled when the stream
-// is closed) and an emit callback; emit delivers an event to the
-// consumer, returns false once the consumer is gone, and is safe for
-// concurrent use, so run may fan events in from several goroutines.
-// run's returned Result is delivered as the terminal EventDone; its
-// error surfaces from Next/Events/Result exactly as an engine run's
-// would, alongside a partial Result built from the EventRegion events
-// emitted so far. run must honor its context: a Close or cancellation
-// only returns once run does.
-func NewStream(ctx context.Context, run func(ctx context.Context, emit func(Event) bool) (*Result, error)) *Stream {
-	return newStream(ctx, nil, run)
-}
-
 // ErrStreamDone is returned by Stream.Next once the stream completed
 // successfully and its terminal EventDone has been delivered: the
 // stream is exhausted, not broken. A stream stopped early — by Close
