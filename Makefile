@@ -53,8 +53,9 @@ vulncheck:
 
 # fuzz-smoke mirrors the CI randomized pass over the CSV readers, the
 # evaluator parity differential, the inference-kernel parity
-# differential, the living-store append parity differential and the
-# swarm's neighbour-scan differential; crashers minimize into
+# differential, the living-store append parity differential, the
+# swarm's neighbour-scan differential and the KDE sampler's shuffle
+# against rand.Perm; crashers minimize into
 # testdata/fuzz corpus files, which are checked in.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadCSVDataset' -fuzztime 10s .
@@ -63,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelParity' -fuzztime 10s ./internal/gbt/kernel
 	$(GO) test -run '^$$' -fuzz 'FuzzAppendParity' -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz 'FuzzNeighborScan' -fuzztime 10s ./internal/gso
+	$(GO) test -run '^$$' -fuzz 'FuzzShuffledPrefix' -fuzztime 10s ./internal/kde
 
 clean:
 	rm -rf bin

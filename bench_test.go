@@ -9,8 +9,8 @@ package surf
 //	go test -bench=. -benchmem
 //	go run ./cmd/surf-bench -exp all -scale full   # paper-sized runs
 //
-// Shapes to expect are documented per experiment in DESIGN.md §3 and
-// recorded in EXPERIMENTS.md.
+// The shape to expect is documented on each experiment's function in
+// internal/experiments.
 
 import (
 	"math/rand/v2"

@@ -1,7 +1,9 @@
 // Command surf-bench regenerates the paper's tables and figures
 // (Section V) and writes them as aligned text to stdout and CSV files
-// to a results directory. See DESIGN.md for the experiment index and
-// EXPERIMENTS.md for recorded paper-vs-measured outcomes.
+// to a results directory. `surf-bench -list` prints the experiment
+// index; each experiment is a function in internal/experiments whose
+// doc comment names the paper figure or table it reproduces and the
+// shape the paper reports. README "Development" shows how to run them.
 //
 // Usage:
 //

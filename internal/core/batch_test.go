@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -168,17 +169,24 @@ func sameFloat(a, b float64) bool {
 // the scalar per-particle objective — the pre-batching hot path.
 func BenchmarkSwarmStepScalar(b *testing.B) {
 	s, ds := batchTestSurrogate(b, 6000, 800)
-	benchSwarmStep(b, s, ds, false)
+	benchSwarmStep(b, s, ds, false, 25)
 }
 
 // BenchmarkSwarmStepBatch measures the same mining run through the
 // compiled batch predictor: one model pass per swarm iteration shard.
+// It reports the rows the swarm evaluated per run (rows/op), which the
+// worms that stay put keep below L·T; T = 100 is the engine's default
+// budget, where most of that saving falls.
 func BenchmarkSwarmStepBatch(b *testing.B) {
 	s, ds := batchTestSurrogate(b, 6000, 800)
-	benchSwarmStep(b, s, ds, true)
+	for _, iters := range []int{25, 100} {
+		b.Run(fmt.Sprintf("T=%d", iters), func(b *testing.B) {
+			benchSwarmStep(b, s, ds, true, iters)
+		})
+	}
 }
 
-func benchSwarmStep(b *testing.B, s *Surrogate, ds *synth.Dataset, batch bool) {
+func benchSwarmStep(b *testing.B, s *Surrogate, ds *synth.Dataset, batch bool, iters int) {
 	b.Helper()
 	finder, err := NewFinder(s.StatFn(), ds.Domain())
 	if err != nil {
@@ -189,15 +197,19 @@ func benchSwarmStep(b *testing.B, s *Surrogate, ds *synth.Dataset, batch bool) {
 	}
 	g := gso.DefaultParams()
 	g.Glowworms = 200
-	g.MaxIters = 25
+	g.MaxIters = iters
 	g.Seed = 3
 	cfg := FinderConfig{Threshold: ds.SuggestedYR, Dir: Above, C: 4, GSO: g}
+	rows := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := finder.Find(cfg); err != nil {
+		res, err := finder.Find(cfg)
+		if err != nil {
 			b.Fatal(err)
 		}
+		rows += res.Swarm.Evaluations
 	}
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
 }
 
 // TestSurrogateContinueTrainingRecompiles: incremental training must

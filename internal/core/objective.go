@@ -142,7 +142,9 @@ func NewObjective(f StatFn, cfg ObjectiveConfig) (gso.Objective, error) {
 // optimizer's particle positions feed the predictor with zero copying;
 // out receives one estimate per row. Surrogate implements it via its
 // compiled ensemble. Implementations must be safe for concurrent calls
-// and must match the scalar statistic function bit-for-bit.
+// and must match the scalar statistic function bit-for-bit, so each
+// estimate is a pure function of its row: the swarm keeps the fitness
+// of a worm that did not move (see gso.Objective).
 type BatchPredictor interface {
 	PredictBatch(rows [][]float64, out []float64)
 }

@@ -15,7 +15,7 @@ import (
 	"surf/internal/synth"
 )
 
-// Ablations quantifies the design choices DESIGN.md calls out:
+// Ablations quantifies four of SuRF's design choices:
 //
 //  1. KDE selection prior (Eq. 8) on/off — does steering particles
 //     toward populated space raise the true-compliance rate?

@@ -81,7 +81,10 @@ func TestBatchObjectiveMatchesScalar(t *testing.T) {
 
 // TestBatchEvaluatorPerWorker: the run must create one evaluator per
 // worker up front and reuse it every iteration (no per-iteration
-// evaluator churn). The worker count is capped at GOMAXPROCS.
+// evaluator churn). The worker count is capped at GOMAXPROCS. Each
+// evaluator runs at most once per iteration: the first iteration
+// scores all 64 worms, so every shard is used, and later ones score
+// only the worms that moved, which may leave a shard empty.
 func TestBatchEvaluatorPerWorker(t *testing.T) {
 	var evals []*batchSphereEval
 	rec := &recordingBatchObj{newEval: func() *batchSphereEval {
@@ -100,8 +103,8 @@ func TestBatchEvaluatorPerWorker(t *testing.T) {
 		t.Fatalf("created %d evaluators, want one per worker (%d)", len(evals), want)
 	}
 	for i, e := range evals {
-		if e.calls != p.MaxIters {
-			t.Errorf("evaluator %d ran %d times, want once per iteration (%d)", i, e.calls, p.MaxIters)
+		if e.calls < 1 || e.calls > p.MaxIters {
+			t.Errorf("evaluator %d ran %d times, want between 1 and once per iteration (%d)", i, e.calls, p.MaxIters)
 		}
 	}
 }

@@ -310,8 +310,13 @@ func TestTraceShape(t *testing.T) {
 	if len(res.Trace) != 25 || res.Iterations != 25 {
 		t.Fatalf("trace %d entries, iterations %d", len(res.Trace), res.Iterations)
 	}
-	if res.Evaluations != 25*p.Glowworms {
-		t.Errorf("evaluations = %d, want %d", res.Evaluations, 25*p.Glowworms)
+	// Only the first iteration scores every worm; later ones score the
+	// worms that moved in the iteration before.
+	if want := evaluationsMade(res); res.Evaluations != want {
+		t.Errorf("evaluations = %d, want L + moved = %d", res.Evaluations, want)
+	}
+	if res.Evaluations >= 25*p.Glowworms {
+		t.Errorf("evaluations = %d, want fewer than L·T = %d: no worm ever stayed put", res.Evaluations, 25*p.Glowworms)
 	}
 	// Mean fitness should improve from start to finish on a unimodal
 	// landscape.

@@ -10,10 +10,14 @@ import (
 	"surf/internal/geom"
 )
 
-// runReference is RunContext with the movement phase's original
-// all-pairs neighbour loop: every worm tests every other worm, in
-// index order, with dist. It is the reference the ranked scan is held
-// to bit for bit; keep it in step with RunContext everywhere else.
+// runReference is RunContext as it was before the swarm kept the
+// evaluations of worms that stayed put: every iteration it scores and
+// weighs every worm, one Fitness and one Weight call at a time, and
+// its movement phase runs the original all-pairs neighbour loop, where
+// every worm tests every other worm, in index order, with dist. It is
+// the reference RunContext is held to bit for bit in everything but
+// Evaluations, which here is always L per iteration; keep it in step
+// with RunContext everywhere else.
 func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective, opts Options) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -93,16 +97,17 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 	if opts.Weight != nil {
 		wcache = make([]float64, L)
 	}
-	eval := newSwarmEvaluator(obj, p.Workers, L)
 
 	for t := 0; t < p.MaxIters; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Phase 1: fitness evaluation (optionally parallel) followed
-		// by the luciferin update. Invalid positions decay only,
-		// emulating the undefined log objective (paper Section V-F).
-		eval.run(pos, fitness, valid)
+		// Phase 1: fitness evaluation followed by the luciferin
+		// update. Invalid positions decay only, emulating the
+		// undefined log objective (paper Section V-F).
+		for i := range pos {
+			fitness[i], valid[i] = obj.Fitness(pos[i])
+		}
 		res.Evaluations += L
 		var sumFit float64
 		var nValid int
@@ -122,7 +127,9 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 		// start-of-phase positions — the synchronous-update reading
 		// of Eq. 8 — rather than per candidate pair.
 		if opts.Weight != nil {
-			eval.weigh(opts.Weight, pos, wcache)
+			for i := range pos {
+				wcache[i] = math.Max(0, opts.Weight(pos[i]))
+			}
 		}
 		moved := 0
 		for i := 0; i < L; i++ {

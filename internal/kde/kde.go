@@ -17,9 +17,11 @@
 // Fitting N observations down to a k-point sample costs an O(N)
 // shuffle of 4-byte row indices — the draw sequence of rand.Perm, so
 // the sample is the same whichever way the data is laid out — plus an
-// O(k·d) copy of the sampled rows into one flat array. FitColumns
-// reads the rows straight out of column-major data, so no per-row
-// copy of the full dataset is ever made.
+// O(k·d) copy of the sampled rows into one flat array. Only the first
+// k entries of the shuffle are kept, so its N−k steps past them store
+// one index each instead of swapping two. FitColumns reads the rows
+// straight out of column-major data, so no per-row copy of the full
+// dataset is ever made.
 package kde
 
 import (
@@ -144,15 +146,24 @@ func sampleIndices(n, k int, rng *rand.Rand) []int {
 	return shuffledPrefix[int32](n, k, rng)
 }
 
-// shuffledPrefix shuffles the identity permutation of n indices of
-// type T with rng.Shuffle — the algorithm behind rng.Perm — and returns
-// its first k entries.
+// shuffledPrefix runs the Fisher–Yates shuffle of rng.Perm over the
+// identity permutation of n indices of type T, with rng.Shuffle's own
+// draw for each step, and returns its first k entries. Step i settles
+// position i, which no later step touches, so from i ≥ k on the step
+// only stores the value it moves down; below k it swaps.
 func shuffledPrefix[T int32 | int](n, k int, rng *rand.Rand) []int {
 	perm := make([]T, n)
 	for i := range perm {
 		perm[i] = T(i)
 	}
-	rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	i := n - 1
+	for ; i >= k && i > 0; i-- {
+		perm[rng.Uint64N(uint64(i+1))] = perm[i]
+	}
+	for ; i > 0; i-- {
+		j := rng.Uint64N(uint64(i + 1))
+		perm[i], perm[j] = perm[j], perm[i]
+	}
 	out := make([]int, k)
 	for s, i := range perm[:k] {
 		out[s] = int(i)

@@ -172,3 +172,34 @@ func TestFitColumnsValidation(t *testing.T) {
 		t.Error("expected error for MaxSample without Rng")
 	}
 }
+
+// FuzzShuffledPrefix: for any n ≤ 5,000, k ≤ n and seed, both index
+// widths of the sampler return rng.Perm(n)[:k] and leave the generator
+// where rng.Perm(n) leaves it.
+func FuzzShuffledPrefix(f *testing.F) {
+	f.Fuzz(func(t *testing.T, n, k uint16, seed uint64) {
+		size := int(n) % 5001
+		keep := int(k) % (size + 1)
+		ref := rand.New(rand.NewPCG(seed, 1))
+		want := ref.Perm(size)[:keep]
+		next := ref.Uint64()
+		for name, sample := range map[string]func(int, int, *rand.Rand) []int{
+			"int32": shuffledPrefix[int32],
+			"int":   shuffledPrefix[int],
+		} {
+			rng := rand.New(rand.NewPCG(seed, 1))
+			got := sample(size, keep, rng)
+			if len(got) != keep {
+				t.Fatalf("%s: n=%d k=%d: %d indices", name, size, keep, len(got))
+			}
+			for s := range want {
+				if got[s] != want[s] {
+					t.Fatalf("%s: n=%d k=%d: index %d = %d, want %d", name, size, keep, s, got[s], want[s])
+				}
+			}
+			if after := rng.Uint64(); after != next {
+				t.Fatalf("%s: n=%d k=%d: generator left at %d, want %d", name, size, keep, after, next)
+			}
+		}
+	})
+}

@@ -15,8 +15,7 @@ import (
 // redistributable here; these generators produce data with the same
 // structure SuRF consumes — a multimodal spatial point process for
 // Crimes and class-conditional accelerometer readings for HAR — so the
-// qualitative experiments exercise the identical code paths. See
-// DESIGN.md §1 for the substitution rationale.
+// qualitative experiments exercise the identical code paths.
 
 // CrimesConfig configures the spatial crime-incident simulator.
 type CrimesConfig struct {
