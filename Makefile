@@ -53,10 +53,10 @@ vulncheck:
 
 # fuzz-smoke mirrors the CI randomized pass over the CSV readers, the
 # evaluator parity differential, the inference-kernel parity
-# differential, the living-store append parity differential, the
-# swarm's neighbour-scan differential and the KDE sampler's shuffle
-# against rand.Perm; crashers minimize into
-# testdata/fuzz corpus files, which are checked in.
+# differential (scalar vs a reference tree walk), the living-store
+# append parity differential, the swarm's neighbour-scan differential
+# and the KDE sampler's shuffle against rand.Perm; crashers minimize
+# into testdata/fuzz corpus files, which are checked in.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadCSVDataset' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz 'FuzzReadWorkloadCSV' -fuzztime 10s .

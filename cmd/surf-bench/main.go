@@ -10,21 +10,9 @@
 //	surf-bench -exp all -scale small -out results
 //	surf-bench -exp tab1 -scale full
 //	surf-bench -list
-//	surf-bench -json -out results -min-speedup 1.5
-//	surf-bench -train-json -out results -min-speedup 1.3
 //
-// The -json mode skips the paper experiments and instead benchmarks
-// the surrogate inference hot path: row-at-a-time walking versus each
-// registered inference backend's compiled batch prediction (-kernel
-// narrows the backend list), asserting every backend bit-identical to
-// the walk and writing the per-backend trajectories to
-// <out>/BENCH_inference.json.
-// The -train-json mode benchmarks the training hot path (the parallel
-// gbt pipeline at Workers=1 vs Workers=NumCPU), writing
-// <out>/BENCH_training.json and asserting the two models are
-// byte-identical. In either mode -min-speedup turns the measured
-// speedup (batch-64 for inference, parallel-over-serial for training)
-// into a hard gate for CI; both modes may be combined in one run.
+// Inference and training speed are measured by cmd/surf-perf, the
+// repository's benchmark, and by the Go benchmarks in internal/gbt.
 package main
 
 import (
@@ -41,32 +29,15 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment id (fig1..fig12, tab1, ablation) or 'all'")
-		scale      = flag.String("scale", "small", "experiment scale: small (seconds) or full (minutes+)")
-		out        = flag.String("out", "results", "directory for CSV outputs ('' disables)")
-		list       = flag.Bool("list", false, "list experiments and exit")
-		jsonBench  = flag.Bool("json", false, "run the inference benchmark and write BENCH_inference.json instead of experiments")
-		trainBench = flag.Bool("train-json", false, "run the training benchmark and write BENCH_training.json instead of experiments")
-		minSpeedup = flag.Float64("min-speedup", 0, "with -json/-train-json: fail unless the measured speedup reaches this factor (0 disables)")
-		kernels    = flag.String("kernel", "", "with -json: comma-separated inference backends to measure (default: all registered)")
+		exp   = flag.String("exp", "all", "experiment id (fig1..fig12, tab1, ablation) or 'all'")
+		scale = flag.String("scale", "small", "experiment scale: small (seconds) or full (minutes+)")
+		out   = flag.String("out", "results", "directory for CSV outputs ('' disables)")
+		list  = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
 	if *list {
 		for _, r := range experiments.All() {
 			fmt.Printf("%-9s %s\n", r.ID, r.Description)
-		}
-		return
-	}
-	if *jsonBench || *trainBench {
-		if *jsonBench {
-			if err := runInferenceBench(*out, *minSpeedup, *kernels); err != nil {
-				cli.Exit("surf-bench", err)
-			}
-		}
-		if *trainBench {
-			if err := runTrainingBench(*out, *minSpeedup); err != nil {
-				cli.Exit("surf-bench", err)
-			}
 		}
 		return
 	}

@@ -2,13 +2,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
-
-	"surf/internal/gbt/kernel"
 )
 
 func TestRunValidation(t *testing.T) {
@@ -39,138 +35,5 @@ func TestRunSingleExperiment(t *testing.T) {
 func TestRunCommaSeparatedList(t *testing.T) {
 	if err := runContext(context.Background(), "fig2,fig7", "small", ""); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// shrinkBench makes the inference benchmark cheap for tests.
-func shrinkBench(t *testing.T) {
-	t.Helper()
-	trees, depth, window := benchTrees, benchDepth, benchWindow
-	sizes := inferenceBatchSizes
-	benchTrees, benchDepth, benchWindow = 20, 4, time.Millisecond
-	inferenceBatchSizes = []int{1, 64}
-	t.Cleanup(func() {
-		benchTrees, benchDepth, benchWindow = trees, depth, window
-		inferenceBatchSizes = sizes
-	})
-}
-
-func TestInferenceBenchWritesJSON(t *testing.T) {
-	shrinkBench(t)
-	dir := t.TempDir()
-	if err := runInferenceBench(dir, 0, ""); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_inference.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep inferenceReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Name != "inference" || rep.Trees != 20 || len(rep.Trajectory) != 2 {
-		t.Fatalf("unexpected report: %+v", rep)
-	}
-	// Default run measures every registered backend and names the one
-	// the gate applies to.
-	if len(rep.Kernels) != len(kernel.Names()) || rep.GateKernel == "" {
-		t.Fatalf("kernels %d (want %d), gate %q", len(rep.Kernels), len(kernel.Names()), rep.GateKernel)
-	}
-	for _, kt := range rep.Kernels {
-		if kt.Kernel == "" || len(kt.Trajectory) != 2 {
-			t.Fatalf("incomplete kernel series: %+v", kt)
-		}
-		for _, p := range kt.Trajectory {
-			if p.NsPerRowWalk <= 0 || p.NsPerRowBatch <= 0 || p.Speedup <= 0 || p.RowsPerSecBatch <= 0 {
-				t.Fatalf("non-positive measurement for %s: %+v", kt.Kernel, p)
-			}
-		}
-		if kt.SpeedupAt64 != kt.Trajectory[1].Speedup {
-			t.Errorf("%s: speedup_at_64 %v != trajectory batch-64 %v", kt.Kernel, kt.SpeedupAt64, kt.Trajectory[1].Speedup)
-		}
-	}
-	if rep.SpeedupAt64 != rep.Trajectory[1].Speedup {
-		t.Errorf("speedup_at_64 %v != trajectory batch-64 %v", rep.SpeedupAt64, rep.Trajectory[1].Speedup)
-	}
-}
-
-func TestInferenceBenchKernelFlag(t *testing.T) {
-	shrinkBench(t)
-	dir := t.TempDir()
-	if err := runInferenceBench(dir, 0, kernel.ScalarName); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_inference.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep inferenceReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Kernels) != 1 || rep.Kernels[0].Kernel != kernel.ScalarName || rep.GateKernel != kernel.ScalarName {
-		t.Fatalf("unexpected kernel selection: %+v", rep.Kernels)
-	}
-	if err := runInferenceBench("", 0, "simd9000"); err == nil {
-		t.Error("expected error for unknown -kernel")
-	}
-}
-
-func TestInferenceBenchSpeedupGate(t *testing.T) {
-	shrinkBench(t)
-	// An impossible bar must fail, and must do so via error (not exit).
-	if err := runInferenceBench("", 1e9, ""); err == nil {
-		t.Error("expected gate failure for absurd -min-speedup")
-	}
-}
-
-// shrinkTrainBench makes the training benchmark cheap for tests.
-func shrinkTrainBench(t *testing.T) {
-	t.Helper()
-	rows, feats, trees, depth := trainBenchRows, trainBenchFeats, trainBenchTrees, trainBenchDepth
-	trainBenchRows, trainBenchFeats, trainBenchTrees, trainBenchDepth = 2000, 4, 5, 4
-	t.Cleanup(func() {
-		trainBenchRows, trainBenchFeats, trainBenchTrees, trainBenchDepth = rows, feats, trees, depth
-	})
-}
-
-func TestTrainingBenchWritesJSON(t *testing.T) {
-	shrinkTrainBench(t)
-	dir := t.TempDir()
-	if err := runTrainingBench(dir, 0); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_training.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep trainingReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Name != "training" || rep.Rows != 2000 || rep.Trees != 5 {
-		t.Fatalf("unexpected report: %+v", rep)
-	}
-	if !rep.Identical {
-		t.Fatal("serial and parallel models must be byte-identical")
-	}
-	for _, p := range []trainingPoint{rep.Serial, rep.Parallel} {
-		if p.WallSeconds <= 0 || p.RowsPerSec <= 0 || p.Workers < 1 {
-			t.Fatalf("non-positive measurement: %+v", p)
-		}
-	}
-	if rep.Serial.Workers != 1 {
-		t.Errorf("serial point ran with %d workers, want 1", rep.Serial.Workers)
-	}
-	if rep.Speedup <= 0 {
-		t.Errorf("speedup = %g, want > 0", rep.Speedup)
-	}
-}
-
-func TestTrainingBenchSpeedupGate(t *testing.T) {
-	shrinkTrainBench(t)
-	if err := runTrainingBench("", 1e9); err == nil {
-		t.Error("expected gate failure for absurd -min-speedup")
 	}
 }

@@ -155,28 +155,18 @@
 // row indices plus a copy of the sampled rows, never a per-row copy of
 // the dataset.
 //
-// # Inference backends
+// # Inference kernel
 //
 // Every surrogate prediction — the swarm's batch objective,
-// PredictStatistic(Batch), FindMany — is served by a pluggable
-// inference kernel chosen at Open time. WithInferenceKernel selects
-// one of InferenceKernels(): "scalar" (the default), the flat-node
-// float64 traversal and the faster backend on surrogate-shaped
-// ensembles, or "binned", which quantizes split
-// thresholds into per-feature cut ranks at compile time, pre-bins each
-// row's values into uint16 bin indices with one branchless binary
-// search per feature, and walks 8-byte integer-comparison nodes in
-// L1-sized row tiles. Binning is by rank, not by rounded value, so
-// every backend predicts bit-for-bit identically — the choice is
-// purely an execution knob and never changes mined regions (a
-// differential fuzz target holds backends to that contract). Without
-// the option, the SURF_KERNEL environment variable decides, then the
-// built-in default. SurrogateInfo.Kernel reports the backend actually
-// serving the current snapshot: an ensemble a backend cannot represent
-// (the binned encoding bounds features and distinct cuts per feature
-// at 65535) falls back to scalar and reports that. Artifacts carry
-// weights, not a backend — a loaded artifact is recompiled for the
-// loading engine's kernel.
+// PredictStatistic(Batch), FindMany — is served by one compiled
+// inference kernel, built when a surrogate is trained or loaded: the
+// ensemble flattened into one contiguous array of 16-byte nodes, with
+// children laid out breadth-first so a split's right child sits next
+// to its left, walked with a branch-free child select and, in
+// batches, trees in the outer loop and four rows in lockstep in the
+// inner loop. It predicts bit-for-bit what the trained ensemble's own
+// tree walk returns, including on NaN and ±Inf values, and a
+// differential fuzz target holds it to that contract.
 //
 // # Serving and caching
 //
@@ -194,9 +184,7 @@
 // Query, TopKQuery, Result, Region and the events all have stable
 // snake_case JSON forms; non-finite floats encode as the strings
 // "NaN", "+Inf" and "-Inf". The surf-serve command is its CLI
-// front-end, and surf-loadtest drives a running server with a
-// closed-loop mixed workload, gating CI on throughput and tail
-// latency.
+// front-end.
 //
 // Package surf/registry scales that server to many datasets: a
 // concurrency-safe catalog of named, versioned engine entries that

@@ -4,14 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"surf/internal/core"
 	"surf/internal/dataset"
-	"surf/internal/gbt/kernel"
 	"surf/internal/geom"
 	"surf/internal/ml"
 )
@@ -119,7 +116,6 @@ type Engine struct {
 	spec     dataset.Spec
 	names    []string // column names, the fixed schema across data versions
 	observer func(Event)
-	kernel   kernel.Backend
 	// useGrid and backend remember how Open built the evaluator so
 	// SetDataset can rebuild it the same way for a new data version;
 	// domainFixed records a WithDomain override, which data swaps
@@ -191,17 +187,13 @@ func (sn *snapshot) generation() uint64 {
 // mutex it reads the current snapshot, lets mut derive the next one
 // from it, inherits the current data view when mut supplies none (a
 // model swap keeps serving the data it trained against until the next
-// data swap), recompiles the surrogate for the engine's inference
-// backend (a no-op when it already serves through it), stamps the
-// provenance with the backend actually serving — the scalar fallback
-// when the configured backend cannot represent the ensemble — and the
-// view's data version, assigns a fresh generation, and atomically
-// swaps the snapshot in. The cache is cleared first — entries under
-// older generations could never be served anyway (keys embed the
-// generation), clearing just stops them crowding out live entries —
-// so no moment exists where the new snapshot is visible alongside
-// results that predate it, whether the swap changed the model, the
-// data, or both.
+// data swap), stamps the provenance with the view's data version,
+// assigns a fresh generation, and atomically swaps the snapshot in.
+// The cache is cleared first — entries under older generations could
+// never be served anyway (keys embed the generation), clearing just
+// stops them crowding out live entries — so no moment exists where
+// the new snapshot is visible alongside results that predate it,
+// whether the swap changed the model, the data, or both.
 func (e *Engine) swapSnapshot(mut func(cur *snapshot) *snapshot) {
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
@@ -211,8 +203,6 @@ func (e *Engine) swapSnapshot(mut func(cur *snapshot) *snapshot) {
 		sn.view = cur.view
 	}
 	if sn.surr != nil {
-		sn.surr = sn.surr.Recompiled(e.kernel)
-		sn.info.Kernel = sn.surr.Kernel().Name()
 		sn.info.DataVersion = sn.view.version
 	}
 	sn.gen = e.snapGen.Add(1)
@@ -239,10 +229,6 @@ func Open(ds *Dataset, cfg Config, opts ...Option) (*Engine, error) {
 	for _, opt := range opts {
 		opt(&eo)
 	}
-	kb, err := resolveKernel(eo.kernelName)
-	if err != nil {
-		return nil, err
-	}
 	spec := dataset.Spec{Stat: kind}
 	for _, name := range cfg.FilterColumns {
 		i := ds.inner.ColByName(name)
@@ -264,6 +250,7 @@ func Open(ds *Dataset, cfg Config, opts ...Option) (*Engine, error) {
 	dims := len(spec.FilterCols)
 
 	var ev dataset.Evaluator
+	var err error
 	switch {
 	case eo.backend != nil:
 		ev = backendEvaluator{b: eo.backend, spec: spec, dims: dims}
@@ -310,7 +297,6 @@ func Open(ds *Dataset, cfg Config, opts ...Option) (*Engine, error) {
 		spec:        spec,
 		names:       ds.inner.Names(),
 		observer:    eo.observer,
-		kernel:      kb,
 		useGrid:     cfg.UseGridIndex,
 		backend:     eo.backend,
 		domainFixed: eo.domainSet,
@@ -324,26 +310,6 @@ func Open(ds *Dataset, cfg Config, opts ...Option) (*Engine, error) {
 		view: &dataView{data: ds.inner, evaluator: ev, domain: domain, version: 1},
 	})
 	return e, nil
-}
-
-// resolveKernel maps the WithInferenceKernel option to an inference
-// backend: an explicit name must be registered (unknown names are a
-// config error, caught at Open rather than at the first prediction);
-// with no option the SURF_KERNEL environment variable, then the
-// built-in default, decide.
-func resolveKernel(name string) (kernel.Backend, error) {
-	if name == "" {
-		name = os.Getenv(kernel.EnvVar)
-	}
-	if name == "" {
-		return kernel.Default(), nil
-	}
-	b, ok := kernel.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: unknown inference kernel %q (have %s)",
-			ErrBadConfig, name, strings.Join(kernel.Names(), ", "))
-	}
-	return b, nil
 }
 
 // Dims returns the region dimensionality d.
@@ -487,17 +453,11 @@ type SurrogateInfo struct {
 	LearningRate float64
 	Lambda       float64
 	HyperTuned   bool
-	// Kernel names the inference backend serving this snapshot
-	// ("scalar", "binned"). It is a property of the serving engine,
-	// not of the trained weights: artifacts restore with the loading
-	// engine's backend, and a backend that cannot represent the
-	// ensemble reports the scalar fallback actually serving it.
-	Kernel string
 	// DataVersion is the version of the dataset this snapshot serves
 	// over (1 = the dataset the engine opened with; each SetDataset
-	// swap increments it). Like Kernel it is a serving-side property,
-	// not part of the trained weights: artifacts restore with the
-	// loading engine's current data version.
+	// swap increments it). It is a serving-side property, not part of
+	// the trained weights: artifacts restore with the loading engine's
+	// current data version.
 	DataVersion uint64
 }
 
@@ -521,11 +481,22 @@ func (e *Engine) SurrogateInfo() (info SurrogateInfo, ok bool) {
 }
 
 // PredictStatistic returns the surrogate's estimate for a region
-// without touching the data.
+// without touching the data. center and halfSides must each have Dims
+// entries; other lengths return a wrapped ErrDimMismatch.
 func (e *Engine) PredictStatistic(center, halfSides []float64) (float64, error) {
-	s := e.surrogate.Load().surrogate()
+	return predict1(e.surrogate.Load().surrogate(), e.Dims(), center, halfSides)
+}
+
+// predict1 validates a single-region prediction request against one
+// surrogate snapshot and runs it, so no request shape can reach the
+// surrogate's panicking Predict.
+func predict1(s *core.Surrogate, dims int, center, halfSides []float64) (float64, error) {
 	if s == nil {
 		return 0, ErrNoSurrogate
+	}
+	if len(center) != dims || len(halfSides) != dims {
+		return 0, fmt.Errorf("%w: region of %d center and %d half-side coordinates for engine of dimension %d",
+			ErrDimMismatch, len(center), len(halfSides), dims)
 	}
 	return s.Predict(center, halfSides), nil
 }
@@ -601,12 +572,9 @@ func (s *Session) SurrogateInfo() (info SurrogateInfo, ok bool) {
 }
 
 // PredictStatistic returns the snapshot surrogate's estimate for a
-// region.
+// region (see Engine.PredictStatistic).
 func (s *Session) PredictStatistic(center, halfSides []float64) (float64, error) {
-	if s.snap.surr == nil {
-		return 0, ErrNoSurrogate
-	}
-	return s.snap.surr.Predict(center, halfSides), nil
+	return predict1(s.snap.surr, s.eng.Dims(), center, halfSides)
 }
 
 // PredictStatisticBatch is Engine.PredictStatisticBatch against the

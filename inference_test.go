@@ -1,7 +1,6 @@
 package surf
 
 import (
-	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -77,55 +76,42 @@ func TestPredictStatisticBatch(t *testing.T) {
 	}
 }
 
-// TestInferenceKernelSelection: WithInferenceKernel picks the backend
-// serving the surrogate, SurrogateInfo reports it, an unknown name is
-// a config error at Open, and every backend predicts bit-identically —
-// the whole point of the kernel seam.
-func TestInferenceKernelSelection(t *testing.T) {
-	if _, err := Open(crimeGrid(500, 39), Config{FilterColumns: []string{"x", "y"}, Statistic: Count},
-		WithInferenceKernel("simd9000")); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("unknown kernel: got %v, want ErrBadConfig", err)
+// TestPredictStatisticShape: a region whose center or halfSides
+// length differs from the engine's dimension is an ErrDimMismatch from
+// both Engine and Session, never a panic.
+func TestPredictStatisticShape(t *testing.T) {
+	eng := inferenceEngine(t)
+	predictors := []struct {
+		name    string
+		predict func(center, halfSides []float64) (float64, error)
+	}{
+		{"engine", eng.PredictStatistic},
+		{"session", eng.Session().PredictStatistic},
 	}
-
-	names := InferenceKernels()
-	if len(names) < 2 {
-		t.Fatalf("InferenceKernels() = %v, want scalar and binned at least", names)
+	tests := []struct {
+		name              string
+		center, halfSides []float64
+	}{
+		{"short center", []float64{0.5}, []float64{0.1, 0.1}},
+		{"long center", []float64{0.5, 0.5, 0.5}, []float64{0.1, 0.1}},
+		{"short halfSides", []float64{0.5, 0.5}, []float64{0.1}},
+		{"long halfSides", []float64{0.5, 0.5}, []float64{0.1, 0.1, 0.1}},
 	}
-
-	// Train once, then restore the identical artifact into one engine
-	// per backend: artifacts carry weights, not a backend, so each
-	// engine recompiles for its own kernel.
-	ref := inferenceEngine(t)
-	var art bytes.Buffer
-	if err := ref.SaveSurrogate(&art); err != nil {
-		t.Fatal(err)
-	}
-	rows := probeRows(300)
-	outs := make([][]float64, len(names))
-	for i, name := range names {
-		eng, err := Open(crimeGrid(5000, 31), Config{FilterColumns: []string{"x", "y"}, Statistic: Count},
-			WithInferenceKernel(name))
-		if err != nil {
-			t.Fatal(err)
+	for _, p := range predictors {
+		for _, tt := range tests {
+			t.Run(p.name+"/"+tt.name, func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				if _, err := p.predict(tt.center, tt.halfSides); !errors.Is(err, ErrDimMismatch) {
+					t.Fatalf("got %v, want ErrDimMismatch", err)
+				}
+			})
 		}
-		if err := eng.LoadSurrogate(bytes.NewReader(art.Bytes())); err != nil {
-			t.Fatal(err)
-		}
-		info, ok := eng.SurrogateInfo()
-		if !ok || info.Kernel != name {
-			t.Fatalf("SurrogateInfo.Kernel = %q (ok=%v), want %q", info.Kernel, ok, name)
-		}
-		outs[i] = make([]float64, len(rows))
-		if err := eng.PredictStatisticBatch(rows, outs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 1; i < len(outs); i++ {
-		for j := range rows {
-			if outs[i][j] != outs[0][j] {
-				t.Fatalf("kernels %s and %s diverge at row %d: %v != %v",
-					names[i], names[0], j, outs[i][j], outs[0][j])
-			}
+		if _, err := p.predict([]float64{0.5, 0.5}, []float64{0.1, 0.1}); err != nil {
+			t.Fatalf("%s: well-shaped region: %v", p.name, err)
 		}
 	}
 }

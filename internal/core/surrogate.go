@@ -18,10 +18,9 @@ import (
 // IV). It consumes the (2d)-dimensional [x, l] encoding.
 //
 // Every surrogate carries a kernel-compiled snapshot of its ensemble
-// (built once at train/load time with the process-default inference
-// backend; see Recompiled to choose another) that serves all
-// predictions; PredictBatch evaluates whole probe batches against it
-// without per-probe allocation. A Surrogate is immutable and safe for
+// (built once at train/load time) that serves all predictions;
+// PredictBatch evaluates whole probe batches against it without
+// per-probe allocation. A Surrogate is immutable and safe for
 // concurrent use.
 type Surrogate struct {
 	model *gbt.Model
@@ -30,9 +29,8 @@ type Surrogate struct {
 }
 
 // newSurrogate wraps a trained ensemble, compiling the inference
-// snapshot with the process-default backend. All construction paths
-// (train, CV train, load) go through here so the compiled form can
-// never be stale.
+// snapshot. All construction paths (train, CV train, load) go through
+// here so the compiled form can never be stale.
 func newSurrogate(model *gbt.Model, dims int) *Surrogate {
 	return &Surrogate{model: model, kern: model.Compile(), dims: dims}
 }
@@ -163,22 +161,8 @@ func (s *Surrogate) ContinueTrainingContext(ctx context.Context, extra int, log 
 }
 
 // Kernel exposes the compiled inference snapshot built at
-// construction. Its Name reports the backend actually serving
-// predictions (which may be the scalar fallback when the requested
-// backend could not represent the ensemble).
+// construction.
 func (s *Surrogate) Kernel() kernel.Model { return s.kern }
-
-// Recompiled returns a surrogate serving the same ensemble through
-// backend b, falling back to the scalar backend when b cannot
-// represent it. When the receiver already serves through b it is
-// returned unchanged — the engine calls this on every snapshot swap,
-// and the common case (backend unchanged) must not recompile.
-func (s *Surrogate) Recompiled(b kernel.Backend) *Surrogate {
-	if s.kern.Name() == b.Name() {
-		return s
-	}
-	return &Surrogate{model: s.model, kern: s.model.CompileWith(b), dims: s.dims}
-}
 
 // ErrDimMismatch reports a prediction request whose shape does not
 // match the surrogate's [x, l] encoding.

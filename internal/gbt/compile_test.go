@@ -5,29 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
-
-	"surf/internal/gbt/kernel"
 )
-
-// allBackends resolves every registered inference backend; the
-// differential tests below must hold for each of them, not just the
-// default.
-func allBackends(t *testing.T) []kernel.Backend {
-	t.Helper()
-	names := kernel.Names()
-	if len(names) < 2 {
-		t.Fatalf("expected at least scalar+binned backends, have %v", names)
-	}
-	bs := make([]kernel.Backend, len(names))
-	for i, n := range names {
-		b, ok := kernel.Lookup(n)
-		if !ok {
-			t.Fatalf("Names lists %q but Lookup misses it", n)
-		}
-		bs[i] = b
-	}
-	return bs
-}
 
 // compileVariants covers the ensemble shapes the compiler must
 // preserve: single-leaf trees (depth 0 and constant labels), deep
@@ -52,12 +30,11 @@ func compileVariants() []Params {
 }
 
 // TestCompiledMatchesModelQuick is the differential property test:
-// for random ensembles, every registered inference backend must match
-// the node-walking model bit-for-bit, row by row and in batch, on
-// probes inside and far outside the training domain.
+// for random ensembles, the compiled inference model must match the
+// node-walking model bit-for-bit, row by row and in batch, on probes
+// inside and far outside the training domain.
 func TestCompiledMatchesModelQuick(t *testing.T) {
 	rng := rand.New(rand.NewPCG(71, 1))
-	backends := allBackends(t)
 	for vi, p := range compileVariants() {
 		X, y := synthRegression(rng, 900)
 		if p.MaxDepth == 0 {
@@ -84,29 +61,21 @@ func TestCompiledMatchesModelQuick(t *testing.T) {
 			[]float64{math.Inf(-1), math.Inf(1)},
 		)
 		want := m.Predict(probes)
-		for _, b := range backends {
-			c := m.CompileWith(b)
-			if c.Name() != b.Name() {
-				t.Fatalf("variant %d: backend %s compiled to %s (unexpected fallback)",
-					vi, b.Name(), c.Name())
+		c := m.Compile()
+		if c.NumTrees() != m.NumTrees() || c.NumFeatures() != m.NumFeatures() {
+			t.Fatalf("variant %d: compiled shape %d trees/%d feats, model %d/%d",
+				vi, c.NumTrees(), c.NumFeatures(), m.NumTrees(), m.NumFeatures())
+		}
+		for _, row := range probes {
+			if got, w := c.Predict1(row), m.Predict1(row); got != w {
+				t.Fatalf("variant %d: compiled Predict1 %v != model %v on %v", vi, got, w, row)
 			}
-			if c.NumTrees() != m.NumTrees() || c.NumFeatures() != m.NumFeatures() {
-				t.Fatalf("variant %d/%s: compiled shape %d trees/%d feats, model %d/%d",
-					vi, b.Name(), c.NumTrees(), c.NumFeatures(), m.NumTrees(), m.NumFeatures())
-			}
-			for _, row := range probes {
-				if got, w := c.Predict1(row), m.Predict1(row); got != w {
-					t.Fatalf("variant %d/%s: compiled Predict1 %v != model %v on %v",
-						vi, b.Name(), got, w, row)
-				}
-			}
-			out := make([]float64, len(probes))
-			c.PredictBatch(probes, out)
-			for i := range out {
-				if out[i] != want[i] {
-					t.Fatalf("variant %d/%s: PredictBatch[%d] = %v, model %v",
-						vi, b.Name(), i, out[i], want[i])
-				}
+		}
+		out := make([]float64, len(probes))
+		c.PredictBatch(probes, out)
+		for i := range out {
+			if out[i] != want[i] {
+				t.Fatalf("variant %d: PredictBatch[%d] = %v, model %v", vi, i, out[i], want[i])
 			}
 		}
 	}
@@ -187,21 +156,19 @@ func TestBatchValidation(t *testing.T) {
 	m.PredictInto(nil, nil)
 
 	want := m.Predict(good)
-	for _, b := range allBackends(t) {
-		c := m.CompileWith(b)
-		mustPanic(t, b.Name()+" PredictBatch short out", func() { c.PredictBatch(good, out[:2]) })
-		mustPanic(t, b.Name()+" PredictBatch bad row 2", func() { c.PredictBatch(badRow2, out) })
-		mustPanic(t, b.Name()+" Predict1 bad row", func() { c.Predict1([]float64{1}) })
+	c := m.Compile()
+	mustPanic(t, "PredictBatch short out", func() { c.PredictBatch(good, out[:2]) })
+	mustPanic(t, "PredictBatch bad row 2", func() { c.PredictBatch(badRow2, out) })
+	mustPanic(t, "Predict1 bad row", func() { c.Predict1([]float64{1}) })
 
-		// Empty batches are no-ops.
-		c.PredictBatch(nil, nil)
+	// Empty batches are no-ops.
+	c.PredictBatch(nil, nil)
 
-		// Valid batches still work after the panics above.
-		c.PredictBatch(good, out)
-		for i := range out {
-			if out[i] != want[i] {
-				t.Fatalf("%s: PredictBatch[%d] = %v, want %v", b.Name(), i, out[i], want[i])
-			}
+	// Valid batches still work after the panics above.
+	c.PredictBatch(good, out)
+	for i := range out {
+		if out[i] != want[i] {
+			t.Fatalf("PredictBatch[%d] = %v, want %v", i, out[i], want[i])
 		}
 	}
 }

@@ -1,14 +1,14 @@
-//surf:deterministic (every backend must predict bit-identically to the trained ensemble)
+//surf:deterministic (compiled predictions must equal the trained ensemble's tree walk bit for bit)
 
 package kernel
 
 // LeafFeature marks a leaf in Node.Feature.
 const LeafFeature = int32(-1)
 
-// Node is one tree node in the backend-neutral ensemble form. The
-// split semantics are the trainer's: rows with value ≤ Threshold go
-// Left, rows with value > Threshold (and NaN rows, which fail the ≤
-// test) go Right.
+// Node is one tree node in the neutral ensemble form. The split
+// semantics are the trainer's: rows with value ≤ Threshold go Left,
+// rows with value > Threshold (and NaN rows, which fail the ≤ test)
+// go Right.
 type Node struct {
 	// Feature is the split feature index, or LeafFeature for a leaf.
 	Feature int32
@@ -21,10 +21,10 @@ type Node struct {
 }
 
 // Ensemble is a trained gradient-boosted ensemble in the neutral form
-// backends compile. The prediction it defines — BaseScore plus each
+// Compile reads. The prediction it defines — BaseScore plus each
 // tree's reached leaf weight, summed in tree order — is the value
-// every backend must reproduce bit-for-bit. Node 0 of every tree is
-// its root.
+// the compiled model must reproduce bit-for-bit. Node 0 of every tree
+// is its root.
 type Ensemble struct {
 	BaseScore   float64
 	NumFeatures int

@@ -86,12 +86,12 @@ func decodeParityCase(data []byte) (Ensemble, [][]float64) {
 	return e, rows
 }
 
-// FuzzKernelParity is the differential fuzz target holding the binned
-// backend (and any future backend) to the bit-identity contract: for
-// every decoded ensemble and probe batch, all registered backends must
-// return exactly the scalar reference's float64s, row-at-a-time and in
-// batch. Seeds live in testdata/fuzz/FuzzKernelParity and CI runs the
-// target in the fuzz smoke alongside the serialization targets.
+// FuzzKernelParity is the differential fuzz target holding the
+// compiled model to the bit-identity contract: for every decoded
+// ensemble and probe batch, Predict1 and PredictBatch must return
+// exactly referencePredict's float64s, a plain tree walk of the
+// Ensemble. Seeds live in testdata/fuzz/FuzzKernelParity and CI runs
+// the target in the fuzz smoke alongside the serialization targets.
 func FuzzKernelParity(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("0"))

@@ -8,80 +8,6 @@ import (
 	"surf/internal/obs"
 )
 
-// TestRegistry: both built-in backends register, Names is sorted, and
-// Default honours SURF_KERNEL only when it names a real backend.
-func TestRegistry(t *testing.T) {
-	names := Names()
-	if len(names) != 2 || names[0] != BinnedName || names[1] != ScalarName {
-		t.Fatalf("Names() = %v, want [%s %s]", names, BinnedName, ScalarName)
-	}
-	for _, n := range names {
-		b, ok := Lookup(n)
-		if !ok || b.Name() != n {
-			t.Fatalf("Lookup(%q) = %v, %v", n, b, ok)
-		}
-	}
-	if _, ok := Lookup("simd9000"); ok {
-		t.Fatal("Lookup accepted an unregistered backend")
-	}
-
-	t.Setenv(EnvVar, "")
-	if got := Default().Name(); got != DefaultName {
-		t.Fatalf("Default() with empty env = %s, want %s", got, DefaultName)
-	}
-	t.Setenv(EnvVar, ScalarName)
-	if got := Default().Name(); got != ScalarName {
-		t.Fatalf("Default() with %s=%s resolved %s", EnvVar, ScalarName, got)
-	}
-	// An unknown env value must not break startup — fall back silently.
-	t.Setenv(EnvVar, "simd9000")
-	if got := Default().Name(); got != DefaultName {
-		t.Fatalf("Default() with bogus env = %s, want %s", got, DefaultName)
-	}
-}
-
-// TestBinOf: binOf(cuts, v) counts the cuts strictly below v, which is
-// exactly the rank equivalence the binned walk relies on:
-// v ≤ cuts[k] ⟺ binOf(v) ≤ k for every v including ±Inf.
-func TestBinOf(t *testing.T) {
-	cutSets := [][]float64{
-		{},
-		{0.5},
-		{math.Inf(-1), -2, math.Copysign(0, -1), 1e-308, 0.5, 3, math.Inf(1)},
-		{-1, 0, 1},
-	}
-	probes := []float64{
-		math.NaN(), math.Inf(-1), math.Inf(1), -1e300, -2, -1,
-		math.Copysign(0, -1), 0, 1e-308, math.Nextafter(0.5, 0), 0.5,
-		math.Nextafter(0.5, 1), 1, 3, 1e300,
-	}
-	for _, cuts := range cutSets {
-		for _, v := range probes {
-			got := int(binOf(cuts, v))
-			if math.IsNaN(v) {
-				if got != len(cuts) {
-					t.Fatalf("binOf(%v, NaN) = %d, want past-the-end %d", cuts, got, len(cuts))
-				}
-				continue
-			}
-			below := 0
-			for _, c := range cuts {
-				if c < v {
-					below++
-				}
-			}
-			if got != below {
-				t.Fatalf("binOf(%v, %v) = %d, want %d", cuts, v, got, below)
-			}
-			for k := range cuts {
-				if (v <= cuts[k]) != (got <= k) {
-					t.Fatalf("rank equivalence broken: v=%v cuts=%v k=%d bin=%d", v, cuts, k, got)
-				}
-			}
-		}
-	}
-}
-
 // leafOf builds a leaf node carrying weight w.
 func leafOf(w float64) Node { return Node{Feature: LeafFeature, Threshold: w} }
 
@@ -91,39 +17,46 @@ func stump(f int32, thr, lw, rw float64) []Node {
 	return []Node{{Feature: f, Threshold: thr, Left: 1, Right: 2}, leafOf(lw), leafOf(rw)}
 }
 
-// assertParity compiles e with every registered backend and checks all
-// of them agree bit-for-bit with the scalar reference on every row,
-// one at a time and in batch.
+// referencePredict is the definition Compile must reproduce, written
+// as plainly as possible against the neutral form: walk each tree from
+// node 0, going Left when v <= Threshold and Right otherwise (so a NaN
+// row value goes Right), and add the reached leaf weights in tree
+// order on top of BaseScore.
+func referencePredict(e Ensemble, row []float64) float64 {
+	sum := e.BaseScore
+	for _, tree := range e.Trees {
+		n := tree[0]
+		for n.Feature != LeafFeature {
+			if row[n.Feature] <= n.Threshold {
+				n = tree[n.Left]
+			} else {
+				n = tree[n.Right]
+			}
+		}
+		sum += n.Threshold
+	}
+	return sum
+}
+
+// assertParity compiles e and checks Predict1 and PredictBatch agree
+// bit-for-bit with referencePredict on every row.
 func assertParity(t *testing.T, e Ensemble, rows [][]float64) {
 	t.Helper()
-	ref := compileScalar(e)
-	want := make([]float64, len(rows))
-	ref.PredictBatch(rows, want)
-	for i, row := range rows {
-		if p := ref.Predict1(row); math.Float64bits(p) != math.Float64bits(want[i]) {
-			t.Fatalf("scalar Predict1 %v != its own PredictBatch %v on row %d", p, want[i], i)
-		}
+	m := Compile(e)
+	if m.NumTrees() != len(e.Trees) || m.NumFeatures() != e.NumFeatures || m.NumNodes() != e.NumNodes() {
+		t.Fatalf("shape %d/%d/%d, ensemble %d/%d/%d",
+			m.NumTrees(), m.NumFeatures(), m.NumNodes(),
+			len(e.Trees), e.NumFeatures, e.NumNodes())
 	}
-	for _, name := range Names() {
-		b, _ := Lookup(name)
-		m, err := b.Compile(e)
-		if err != nil {
-			t.Fatalf("%s: Compile: %v", name, err)
+	out := make([]float64, len(rows))
+	m.PredictBatch(rows, out)
+	for i, row := range rows {
+		want := referencePredict(e, row)
+		if math.Float64bits(out[i]) != math.Float64bits(want) {
+			t.Fatalf("PredictBatch[%d] = %v, reference %v (row %v)", i, out[i], want, row)
 		}
-		if m.NumTrees() != len(e.Trees) || m.NumFeatures() != e.NumFeatures || m.NumNodes() != e.NumNodes() {
-			t.Fatalf("%s: shape %d/%d/%d, ensemble %d/%d/%d", name,
-				m.NumTrees(), m.NumFeatures(), m.NumNodes(),
-				len(e.Trees), e.NumFeatures, e.NumNodes())
-		}
-		out := make([]float64, len(rows))
-		m.PredictBatch(rows, out)
-		for i, row := range rows {
-			if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: PredictBatch[%d] = %v, scalar %v (row %v)", name, i, out[i], want[i], row)
-			}
-			if p := m.Predict1(row); math.Float64bits(p) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: Predict1 %v, scalar %v (row %v)", name, p, want[i], row)
-			}
+		if p := m.Predict1(row); math.Float64bits(p) != math.Float64bits(want) {
+			t.Fatalf("Predict1 %v, reference %v (row %v)", p, want, row)
 		}
 	}
 }
@@ -170,60 +103,21 @@ func TestParityHandcrafted(t *testing.T) {
 	}
 }
 
-// TestCompileFallback: an ensemble past the binned encoding limits
-// must fail binnedBackend.Compile, and the Compile helper must then
-// serve it through the scalar backend — reported by Model.Name so the
-// engine's SurrogateInfo.Kernel can never lie about what is serving.
-func TestCompileFallback(t *testing.T) {
-	// 65536 distinct cuts on feature 0: one stump per cut.
-	e := Ensemble{NumFeatures: 1}
-	for i := 0; i <= binnedLimit; i++ {
-		e.Trees = append(e.Trees, stump(0, float64(i), 0, 1))
-	}
-	if _, err := (binnedBackend{}).Compile(e); err == nil {
-		t.Fatal("binned Compile accepted >65535 distinct cuts")
-	}
-	m := Compile(binnedBackend{}, e)
-	if m.Name() != ScalarName {
-		t.Fatalf("fallback model reports %s, want %s", m.Name(), ScalarName)
-	}
-	if got, want := m.Predict1([]float64{-1}), float64(0); got != want {
-		t.Fatalf("fallback Predict1 = %v, want %v", got, want)
-	}
-
-	// Too many features trips the other limit; a single leaf keeps the
-	// ensemble tiny.
-	wide := Ensemble{NumFeatures: binnedLimit + 1, Trees: [][]Node{{leafOf(2)}}}
-	if _, err := (binnedBackend{}).Compile(wide); err == nil {
-		t.Fatal("binned Compile accepted >65535 features")
-	}
-	if m := Compile(binnedBackend{}, wide); m.Name() != ScalarName {
-		t.Fatalf("wide fallback reports %s, want %s", m.Name(), ScalarName)
-	}
-
-	// In range, the helper serves the requested backend.
-	if m := Compile(binnedBackend{}, Ensemble{NumFeatures: 1, Trees: [][]Node{stump(0, 0.5, 1, 2)}}); m.Name() != BinnedName {
-		t.Fatalf("in-range Compile reports %s, want %s", m.Name(), BinnedName)
-	}
-}
-
-// TestConcurrentPredictBatch: the binned model's pooled bin scratch
-// must keep concurrent batch calls independent.
+// TestConcurrentPredictBatch: one compiled model serves concurrent
+// batch calls, each into its own output buffer, with the answers of a
+// serial call.
 func TestConcurrentPredictBatch(t *testing.T) {
 	e := Ensemble{NumFeatures: 2}
 	for i := 0; i < 50; i++ {
 		e.Trees = append(e.Trees, stump(int32(i%2), float64(i%7)*0.25, float64(i), -float64(i)))
 	}
-	m, err := (binnedBackend{}).Compile(e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := Compile(e)
 	rows := make([][]float64, 300)
 	for i := range rows {
 		rows[i] = []float64{float64(i%13) * 0.17, float64(i%11) * 0.21}
 	}
 	want := make([]float64, len(rows))
-	compileScalar(e).PredictBatch(rows, want)
+	m.PredictBatch(rows, want)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -245,13 +139,13 @@ func TestConcurrentPredictBatch(t *testing.T) {
 	wg.Wait()
 }
 
-// TestInstrumentCounters: models built through the Compile helper
-// account rows, batches and kernel time to the process-wide per-backend
-// counters that /metrics exports.
+// TestInstrumentCounters: models built through Compile account rows,
+// batches and kernel time to the process-wide counters that /metrics
+// exports under kernel="scalar".
 func TestInstrumentCounters(t *testing.T) {
 	e := Ensemble{NumFeatures: 1, Trees: [][]Node{stump(0, 0.5, 1, 2)}}
-	m := Compile(binnedBackend{}, e)
-	st := obs.Kernel(m.Name())
+	m := Compile(e)
+	st := obs.Kernel(metricsLabel)
 	rows0, batches0 := st.Rows.Value(), st.Batches.Value()
 
 	out := make([]float64, 3)
@@ -266,11 +160,11 @@ func TestInstrumentCounters(t *testing.T) {
 	}
 	found := false
 	for _, k := range obs.KernelSnapshot() {
-		if k.Name == m.Name() {
+		if k.Name == metricsLabel {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("KernelSnapshot missing backend %q", m.Name())
+		t.Fatalf("KernelSnapshot missing kernel %q", metricsLabel)
 	}
 }

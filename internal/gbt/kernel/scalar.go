@@ -1,29 +1,17 @@
-//surf:deterministic (every backend must predict bit-identically to the trained ensemble)
+//surf:deterministic (compiled predictions must equal the trained ensemble's tree walk bit for bit)
 
 package kernel
 
 import "fmt"
 
-// ScalarName is the portable fallback backend's registry key.
-const ScalarName = "scalar"
-
-func init() { Register(scalarBackend{}) }
-
-// scalarBackend compiles the flat-node float64 traversal: all trees
+// The scalar model is the flat-node float64 traversal: all trees
 // flattened into one contiguous node array with per-tree root offsets,
 // child pointers rebased to absolute indices and leaves encoded
 // inline. Compared to walking []*tree node structs it removes a
 // pointer indirection per tree, drops training-only fields from the
 // hot data and packs each node into a quarter cache line — so batched
 // prediction streams rows against cache-resident tree data instead of
-// dragging the whole ensemble through the cache once per row. It
-// represents every ensemble, which is what makes it the fallback for
-// backends with encoding limits.
-type scalarBackend struct{}
-
-func (scalarBackend) Name() string { return ScalarName }
-
-func (scalarBackend) Compile(e Ensemble) (Model, error) { return compileScalar(e), nil }
+// dragging the whole ensemble through the cache once per row.
 
 // cnode is one compiled tree node, packed into 16 bytes so a cache
 // line holds four nodes. Internal nodes carry the split threshold and
@@ -78,8 +66,6 @@ func compileScalar(e Ensemble) *scalarModel {
 	}
 	return c
 }
-
-func (c *scalarModel) Name() string { return ScalarName }
 
 // NumFeatures returns the feature dimensionality the model expects.
 func (c *scalarModel) NumFeatures() int { return c.nfeat }

@@ -12,8 +12,13 @@ import (
 	"surf/internal/obs"
 )
 
+// metricsLabel is the kernel label the activity counters are exported
+// under (surf_kernel_rows_predicted_total{kernel="scalar"} and
+// friends). There is one kernel, so the label is constant.
+const metricsLabel = "scalar"
+
 // instrumented decorates a compiled model with the process-wide
-// per-kernel activity counters (rows, batches, cumulative kernel
+// kernel activity counters (rows, batches, cumulative kernel
 // nanoseconds) exported through /metrics.
 type instrumented struct {
 	m  Model
@@ -21,13 +26,12 @@ type instrumented struct {
 }
 
 // instrument wraps m; the wrapper delegates everything and records
-// activity under m's backend name. The timing cost — two clock reads
+// activity under metricsLabel. The timing cost — two clock reads
 // per batch — is noise against even the smallest swarm shard.
 func instrument(m Model) Model {
-	return &instrumented{m: m, st: obs.Kernel(m.Name())}
+	return &instrumented{m: m, st: obs.Kernel(metricsLabel)}
 }
 
-func (w *instrumented) Name() string     { return w.m.Name() }
 func (w *instrumented) NumFeatures() int { return w.m.NumFeatures() }
 func (w *instrumented) NumTrees() int    { return w.m.NumTrees() }
 func (w *instrumented) NumNodes() int    { return w.m.NumNodes() }

@@ -2,6 +2,7 @@ package gbt
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 //
 //	go test -bench=Predict -benchtime=200ms -run='^$' ./internal/gbt/
 //
-// The shared BenchEnsemble sizes the ensemble so its node arrays
+// The shared benchEnsemble sizes the ensemble so its node arrays
 // exceed the L2 cache — per-row walks then drag the whole model
 // through the cache once per row, which is exactly the pattern the
 // trees-outer/rows-inner batch loop avoids.
@@ -29,9 +30,37 @@ var inferenceBench struct {
 
 const inferenceBenchRows = 1024
 
+// benchEnsemble trains the deterministic 4-feature ensemble the
+// inference benchmarks measure, plus probeRows random probe rows. The
+// default 300x8 configuration sizes the node arrays well past L2,
+// making the per-row walk pay the full cache cost it pays in
+// production swarms.
+func benchEnsemble(trees, depth, probeRows int) (*Model, [][]float64, error) {
+	rng := rand.New(rand.NewPCG(17, 1))
+	const n = 6000
+	X := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range X {
+		X[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
+		y[i] = 1000*X[i][0]*X[i][2] + 100*X[i][1] - 50*X[i][3]
+	}
+	p := DefaultParams()
+	p.NumTrees = trees
+	p.MaxDepth = depth
+	m, err := Train(p, X, y, nil, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	probes := make([][]float64, probeRows)
+	for i := range probes {
+		probes[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
+	}
+	return m, probes, nil
+}
+
 func inferenceBenchSetup(b *testing.B) {
 	inferenceBench.once.Do(func() {
-		m, probes, err := BenchEnsemble(300, 8, inferenceBenchRows)
+		m, probes, err := benchEnsemble(300, 8, inferenceBenchRows)
 		if err != nil {
 			panic(err)
 		}
@@ -83,27 +112,22 @@ func BenchmarkPredictBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictBatchSurrogate runs each registered backend on an
+// BenchmarkPredictBatchSurrogate runs the compiled model on an
 // ensemble shaped like a default surrogate over a 2-D filter — 100
 // trees of depth 6 over the 4 [x, l] features — at a 100-row batch,
-// one swarm worker's shard of a 200-worm swarm. This is the traffic
-// the process-default backend is chosen for.
+// one swarm worker's shard of a 200-worm swarm.
 func BenchmarkPredictBatchSurrogate(b *testing.B) {
-	m, probes, err := BenchEnsemble(100, 6, 100)
+	m, probes, err := benchEnsemble(100, 6, 100)
 	if err != nil {
 		b.Fatal(err)
 	}
+	c := m.Compile()
 	out := make([]float64, len(probes))
-	for _, name := range kernel.Names() {
-		backend, _ := kernel.Lookup(name)
-		c := m.CompileWith(backend)
-		b.Run("kernel="+name, func(b *testing.B) {
-			b.ReportAllocs()
-			for range b.N {
-				c.PredictBatch(probes, out)
-			}
-			benchSink = out[0]
-			b.ReportMetric(float64(len(probes))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		c.PredictBatch(probes, out)
 	}
+	benchSink = out[0]
+	b.ReportMetric(float64(len(probes))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }

@@ -73,13 +73,12 @@ type ObjectiveFunc func(pos []float64) (float64, bool)
 func (f ObjectiveFunc) Fitness(pos []float64) (float64, bool) { return f(pos) }
 
 // BatchObjective is an Objective that can evaluate many positions with
-// one model pass (e.g. a boosted-tree surrogate compiled through an
-// inference kernel backend — see internal/gbt/kernel). When the
-// objective passed to Run implements it, each swarm iteration is
-// evaluated as Workers contiguous shards, one BatchEvaluator per
-// worker, instead of position-by-position Fitness calls. Batch results
-// must be bit-for-bit equal to Fitness on each position, whichever
-// kernel backend serves the batch.
+// one model pass (e.g. a boosted-tree surrogate compiled by the
+// inference kernel — see internal/gbt/kernel). When the objective
+// passed to Run implements it, each swarm iteration is evaluated as
+// Workers contiguous shards, one BatchEvaluator per worker, instead of
+// position-by-position Fitness calls. Batch results must be
+// bit-for-bit equal to Fitness on each position.
 type BatchObjective interface {
 	Objective
 	// NewBatchEvaluator returns a fresh evaluator owning its own

@@ -7,11 +7,11 @@ import (
 
 // Per-kernel inference activity. The gbt kernel layer records every
 // prediction it serves into a process-wide set of counters keyed by
-// backend name ("scalar", "binned", …); the serving layer exports
-// them through /metrics with scrape-time collectors. The set is
+// kernel name (today only "scalar"); the serving layer exports them
+// through /metrics with scrape-time collectors. The set is
 // process-wide rather than per-registry because compiled models
 // outlive any one server instance (engines, benches and tests all
-// share the same backends).
+// share the same kernel).
 
 // KernelStats is one inference backend's activity counters.
 type KernelStats struct {

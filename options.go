@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"surf/internal/gbt"
-	"surf/internal/gbt/kernel"
 	"surf/internal/stats"
 )
 
@@ -103,7 +102,6 @@ type engineOptions struct {
 	domainMin, domainMax []float64
 	cacheSet             bool
 	cacheSize            int
-	kernelName           string
 }
 
 // WithBackend replaces the engine's true-function evaluator with a
@@ -115,25 +113,6 @@ type engineOptions struct {
 func WithBackend(b Backend) Option {
 	return func(o *engineOptions) { o.backend = b }
 }
-
-// WithInferenceKernel selects the inference backend compiling and
-// serving the engine's surrogate predictions — one of
-// InferenceKernels(): "scalar" (the flat-node float64 traversal) or
-// "binned" (the pre-binned uint16 path). Every backend predicts
-// bit-for-bit identically; only the cost per row changes, so the
-// choice never affects mined regions. Without this option the
-// SURF_KERNEL environment variable decides, then the built-in default
-// (scalar, the faster backend on surrogate-shaped ensembles). Open fails with ErrBadConfig for an unknown name. The
-// backend serving each surrogate snapshot is reported in
-// SurrogateInfo.Kernel; a backend that cannot represent a particular
-// ensemble falls back to scalar, and the snapshot reports that.
-func WithInferenceKernel(name string) Option {
-	return func(o *engineOptions) { o.kernelName = name }
-}
-
-// InferenceKernels lists the registered inference backends, sorted by
-// name — the values WithInferenceKernel accepts.
-func InferenceKernels() []string { return kernel.Names() }
 
 // WithDomain overrides the region-space bounding box derived from the
 // dataset. min and max must have one entry per filter column. Useful

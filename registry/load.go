@@ -69,13 +69,7 @@ func buildEngineSet(ctx context.Context, spec Spec, version int, store *surf.Sto
 		TargetColumn:  spec.TargetColumn,
 		UseGridIndex:  spec.UseGridIndex,
 	}
-	// An empty kernel name lets the engine resolve the process default
-	// (SURF_KERNEL, then the built-in default).
-	var opts []surf.Option
-	if spec.Kernel != "" {
-		opts = append(opts, surf.WithInferenceKernel(spec.Kernel))
-	}
-	eng, err := surf.Open(ds, cfg, opts...)
+	eng, err := surf.Open(ds, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -47,12 +47,6 @@ type Spec struct {
 	// entry reports the "training" state while it runs.
 	Train     int    `json:"train,omitempty"`
 	TrainSeed uint64 `json:"train_seed,omitempty"`
-	// Kernel names the inference backend serving the entry's surrogate
-	// predictions — one of surf.InferenceKernels(); empty defers to the
-	// SURF_KERNEL environment variable, then the built-in default.
-	// Every backend predicts bit-identically, so this is purely an
-	// execution knob and never changes query results.
-	Kernel string `json:"kernel,omitempty"`
 	// UseGridIndex builds grid indexes for true-function evaluation.
 	UseGridIndex bool `json:"use_grid_index,omitempty"`
 	// DriftThreshold enables drift-triggered background retraining:
@@ -98,9 +92,6 @@ func (s Spec) merge(prev Spec) Spec {
 	}
 	if s.TargetColumn == "" {
 		s.TargetColumn = prev.TargetColumn
-	}
-	if s.Kernel == "" {
-		s.Kernel = prev.Kernel
 	}
 	if s.DriftThreshold == 0 {
 		s.DriftThreshold = prev.DriftThreshold
@@ -152,19 +143,6 @@ func (s Spec) validate() error {
 	}
 	if _, err := surf.ParseStatistic(s.Statistic); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	if s.Kernel != "" {
-		known := false
-		for _, k := range surf.InferenceKernels() {
-			if k == s.Kernel {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Errorf("%w: unknown inference kernel %q (have %v)",
-				ErrBadSpec, s.Kernel, surf.InferenceKernels())
-		}
 	}
 	if _, err := os.Stat(s.Data); err != nil {
 		return fmt.Errorf("%w: dataset: %v", ErrBadSpec, err)

@@ -84,20 +84,15 @@ func newServerMetrics(eng *surf.Engine, reg *registry.Registry) *serverMetrics {
 			func(emit func(v float64, labels ...string)) {
 				emit(float64(eng.CacheStats().Misses))
 			})
-		r.Collect("surf_kernel_active", "Inference backend serving the engine's surrogate (1 = active).", obs.TypeGauge,
-			func(emit func(v float64, labels ...string)) {
-				if info, ok := eng.SurrogateInfo(); ok && info.Kernel != "" {
-					emit(1, "kernel", info.Kernel)
-				}
-			})
 	}
 	return m
 }
 
-// collectKernels registers the per-backend inference activity
-// collectors. The counters are process-wide (the gbt kernel layer
-// records every prediction, whichever engine served it), so both the
-// single-engine and registry servers export the same families.
+// collectKernels registers the inference activity collectors, one
+// series per family under kernel="scalar". The counters are
+// process-wide (the gbt kernel layer records every prediction,
+// whichever engine served it), so both the single-engine and registry
+// servers export the same families.
 func (m *serverMetrics) collectKernels() {
 	m.reg.Collect("surf_kernel_rows_predicted_total", "Rows predicted per inference backend.", obs.TypeCounter,
 		func(emit func(v float64, labels ...string)) {
@@ -179,14 +174,6 @@ func (m *serverMetrics) collectRegistry(reg *registry.Registry) {
 		func(emit func(v float64, labels ...string)) {
 			for _, st := range reg.List() {
 				emit(float64(st.Cache.Misses), "dataset", st.Name)
-			}
-		})
-	m.reg.Collect("surf_kernel_active", "Inference backend serving each dataset's surrogate (1 = active).", obs.TypeGauge,
-		func(emit func(v float64, labels ...string)) {
-			for _, st := range reg.List() {
-				if st.Info != nil && st.Info.Kernel != "" {
-					emit(1, "dataset", st.Name, "kernel", st.Info.Kernel)
-				}
 			}
 		})
 	m.reg.Collect("surf_dataset_data_version", "Served data version (1 as loaded; appends increment it).", obs.TypeGauge,

@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -276,9 +275,17 @@ func TestModelsCRUD(t *testing.T) {
 	if m.SurrogateInfo == nil || m.SurrogateInfo.Trees != 5 {
 		t.Fatalf("beta surrogate info: %+v", m.SurrogateInfo)
 	}
-	// The serving inference backend is part of the model's status.
-	if !slices.Contains(surf.InferenceKernels(), m.SurrogateInfo.Kernel) {
-		t.Fatalf("beta kernel %q not in %v", m.SurrogateInfo.Kernel, surf.InferenceKernels())
+	// The status names no inference kernel: there is only one.
+	resp, err = http.Get(ts.URL + "/v1/models/beta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw struct {
+		SurrogateInfo map[string]json.RawMessage `json:"surrogate_info"`
+	}
+	decodeResponse(t, resp, &raw)
+	if _, ok := raw.SurrogateInfo["kernel"]; ok || raw.SurrogateInfo["trees"] == nil {
+		t.Fatalf("beta surrogate_info fields: %v", raw.SurrogateInfo)
 	}
 
 	resp, err = http.Get(ts.URL + "/v1/models/gamma")
@@ -328,6 +335,7 @@ func TestModelsCRUD(t *testing.T) {
 			"statistic": "sum", "target_column": "x", "artifact": fx.artifactA,
 		}, http.StatusUnprocessableEntity, "bad_artifact"},
 		{"unknown field", "beta", map[string]any{"shards": 2}, http.StatusBadRequest, "bad_spec"},
+		{"removed kernel field", "beta", map[string]any{"kernel": "scalar"}, http.StatusBadRequest, "bad_spec"},
 		{"oversized body", "beta", map[string]any{"data": strings.Repeat("x", maxBodyBytes)},
 			http.StatusRequestEntityTooLarge, "body_too_large"},
 	} {

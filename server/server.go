@@ -70,17 +70,16 @@
 // GET /metrics exposes the internal/obs registry in Prometheus text
 // format: per-route request counts by status class, latency
 // histograms and response bytes, the in-flight request gauge, SSE
-// events emitted, result-cache hit/miss counters, per-kernel
-// inference totals (surf_kernel_rows_predicted_total and friends,
-// labeled by backend) with a surf_kernel_active gauge naming the
-// backend each served surrogate runs on, and per-dataset registry
-// state (lifecycle state, version, rows, in-flight handles, load
-// duration). Living-data entries add surf_dataset_data_version (the
-// served data version; appends increment it) and, when drift
-// monitoring is on, surf_dataset_drift_score, surf_dataset_retraining
-// and surf_dataset_retrains_total. The /v1/models listing reports the same backend as the
-// "kernel" field of each entry's surrogate_info — the kernel actually
-// compiled for that snapshot, including a scalar fallback.
+// events emitted, result-cache hit/miss counters, inference kernel
+// totals (surf_kernel_rows_predicted_total and friends, under the
+// constant label kernel="scalar"), and per-dataset registry state
+// (lifecycle state, version, rows, in-flight handles, load duration).
+// Living-data entries add surf_dataset_data_version (the served data
+// version; appends increment it) and, when drift monitoring is on,
+// surf_dataset_drift_score, surf_dataset_retraining and
+// surf_dataset_retrains_total. The /v1/models listing reports each
+// entry's surrogate provenance as surrogate_info: statistic, filter
+// and target columns, training workload size and tree count.
 // WithAccessLogger adds one structured slog line per
 // request. GET /healthz stays pure liveness — it answers 200 the
 // moment the process serves — while GET /readyz answers 503 until the
@@ -718,17 +717,15 @@ func driftBodyFor(d *registry.DriftStatus) *driftBody {
 	}
 }
 
+// surrogateInfoBody is the surrogate_info object of a /v1/models
+// entry: the provenance of the model the entry serves. It names no
+// inference kernel, since every surrogate runs on the same one.
 type surrogateInfoBody struct {
 	Statistic      string   `json:"statistic"`
 	FilterColumns  []string `json:"filter_columns"`
 	TargetColumn   string   `json:"target_column,omitempty"`
 	TrainedQueries int      `json:"trained_queries,omitempty"`
 	Trees          int      `json:"trees,omitempty"`
-	// Kernel names the inference backend serving this entry's surrogate
-	// predictions ("scalar" or "binned"). It reports the backend
-	// actually compiled in — a backend that could not represent the
-	// ensemble shows its scalar fallback here, not the requested name.
-	Kernel string `json:"kernel,omitempty"`
 }
 
 func modelBodyFor(st registry.ModelStatus) modelBody {
@@ -758,7 +755,6 @@ func modelBodyFor(st registry.ModelStatus) modelBody {
 			TargetColumn:   st.Info.TargetColumn,
 			TrainedQueries: st.Info.TrainedQueries,
 			Trees:          st.Info.Trees,
-			Kernel:         st.Info.Kernel,
 		}
 	}
 	return b
