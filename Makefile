@@ -32,9 +32,11 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# cmd/surf-perf is its own module, so the root ./... skips it.
 vet:
 	$(GO) vet ./...
 	cd lint && $(GO) vet ./...
+	cd cmd/surf-perf && $(GO) vet ./...
 
 surf-lint:
 	@mkdir -p bin

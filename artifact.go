@@ -35,13 +35,8 @@ import (
 // artifactVersion is the current engine-artifact format version.
 const artifactVersion = 1
 
-// artifactMagic starts the header line of every engine artifact;
-// legacyMagic identifies the pre-artifact format (bare dimensionality
-// header + model), which LoadSurrogate still accepts.
-const (
-	artifactMagic = "surfengine"
-	legacyMagic   = "surfmodel"
-)
+// artifactMagic starts the header line of every engine artifact.
+const artifactMagic = "surfengine"
 
 // artifactEnvelope is the gob wire form of an engine artifact.
 type artifactEnvelope struct {
@@ -105,8 +100,6 @@ func (e *Engine) SaveSurrogateContext(ctx context.Context, w io.Writer) error {
 // same statistic (a custom statistic must be registered in this
 // process first), same target column. Mismatches are reported with
 // ErrBadArtifact before the engine's current surrogate is touched.
-// Artifacts in the legacy dimensionality-header format load too,
-// with provenance limited to what the engine itself knows.
 func (e *Engine) LoadSurrogate(r io.Reader) error {
 	return e.LoadSurrogateContext(context.Background(), r)
 }
@@ -117,20 +110,7 @@ func (e *Engine) LoadSurrogateContext(ctx context.Context, r io.Reader) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(len(artifactMagic))
-	if err != nil && len(magic) < len(legacyMagic) {
-		return fmt.Errorf("%w: reading header: %v", ErrBadArtifact, err)
-	}
-	var sn *snapshot
-	switch {
-	case bytes.HasPrefix(magic, []byte(artifactMagic)):
-		sn, err = e.loadArtifact(br)
-	case bytes.HasPrefix(magic, []byte(legacyMagic)):
-		sn, err = e.loadLegacy(br)
-	default:
-		return fmt.Errorf("%w: unrecognized header %q", ErrBadArtifact, magic)
-	}
+	sn, err := e.loadArtifact(r)
 	if err != nil {
 		return err
 	}
@@ -142,8 +122,16 @@ func (e *Engine) LoadSurrogateContext(ctx context.Context, r io.Reader) error {
 }
 
 // decodeArtifactEnvelope reads the versioned-artifact header and gob
-// envelope off br, shared by LoadSurrogate and ReadSurrogateInfo.
-func decodeArtifactEnvelope(br *bufio.Reader) (artifactEnvelope, error) {
+// envelope off r, shared by LoadSurrogate and ReadSurrogateInfo.
+func decodeArtifactEnvelope(r io.Reader) (artifactEnvelope, error) {
+	br := bufio.NewReader(r)
+	magic, err := br.Peek(len(artifactMagic))
+	if err != nil {
+		return artifactEnvelope{}, fmt.Errorf("%w: reading header: %v", ErrBadArtifact, err)
+	}
+	if !bytes.Equal(magic, []byte(artifactMagic)) {
+		return artifactEnvelope{}, fmt.Errorf("%w: unrecognized header %q", ErrBadArtifact, magic)
+	}
 	var version int
 	if _, err := fmt.Fscanf(br, artifactMagic+" %d\n", &version); err != nil {
 		return artifactEnvelope{}, fmt.Errorf("%w: bad header: %v", ErrBadArtifact, err)
@@ -165,22 +153,9 @@ func decodeArtifactEnvelope(br *bufio.Reader) (artifactEnvelope, error) {
 // hyper-parameters the artifact declares. Deployment layers use it to
 // validate an artifact against a serving spec — and to report model
 // metadata — before paying for a full load; the ensemble bytes are not
-// validated here (LoadSurrogate re-validates them completely). Legacy
-// surfmodel artifacts carry no metadata and are rejected with
-// ErrBadArtifact.
+// validated here (LoadSurrogate re-validates them completely).
 func ReadSurrogateInfo(r io.Reader) (SurrogateInfo, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(len(artifactMagic))
-	if err != nil {
-		return SurrogateInfo{}, fmt.Errorf("%w: reading header: %v", ErrBadArtifact, err)
-	}
-	if !bytes.HasPrefix(magic, []byte(artifactMagic)) {
-		if bytes.HasPrefix(magic, []byte(legacyMagic)) {
-			return SurrogateInfo{}, fmt.Errorf("%w: legacy %s artifact carries no metadata", ErrBadArtifact, legacyMagic)
-		}
-		return SurrogateInfo{}, fmt.Errorf("%w: unrecognized header %q", ErrBadArtifact, magic)
-	}
-	env, err := decodeArtifactEnvelope(br)
+	env, err := decodeArtifactEnvelope(r)
 	if err != nil {
 		return SurrogateInfo{}, err
 	}
@@ -189,8 +164,8 @@ func ReadSurrogateInfo(r io.Reader) (SurrogateInfo, error) {
 
 // loadArtifact decodes a versioned engine artifact and validates it
 // against the engine's spec.
-func (e *Engine) loadArtifact(br *bufio.Reader) (*snapshot, error) {
-	env, err := decodeArtifactEnvelope(br)
+func (e *Engine) loadArtifact(r io.Reader) (*snapshot, error) {
+	env, err := decodeArtifactEnvelope(r)
 	if err != nil {
 		return nil, err
 	}
@@ -228,8 +203,7 @@ func (e *Engine) checkArtifactSpec(env artifactEnvelope) error {
 	if got, want := env.Info.FilterColumns, e.filterNames(); !slices.Equal(got, want) {
 		if len(got) != len(want) {
 			// Also a dimensionality mismatch; satisfy both sentinels so
-			// errors.Is(err, ErrDimMismatch) keeps working as it did for
-			// the legacy format.
+			// callers can errors.Is either.
 			return fmt.Errorf("%w: %w: artifact trained over filter columns %v, engine uses %v",
 				ErrBadArtifact, ErrDimMismatch, got, want)
 		}
@@ -248,24 +222,4 @@ func (e *Engine) checkArtifactSpec(env artifactEnvelope) error {
 			ErrBadArtifact, len(env.Info.DomainMin), len(env.Info.DomainMax), e.Dims())
 	}
 	return nil
-}
-
-// loadLegacy reads the pre-artifact format (dimensionality header +
-// bare model). It carries no spec, so only the dimensionality can be
-// verified; the provenance is reconstructed from the engine's own
-// configuration with the training fields left zero.
-func (e *Engine) loadLegacy(br *bufio.Reader) (*snapshot, error) {
-	surr, err := core.LoadSurrogate(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadArtifact, err)
-	}
-	if surr.Dims() != e.Dims() {
-		return nil, fmt.Errorf("%w: surrogate of dimension %d for engine of dimension %d",
-			ErrDimMismatch, surr.Dims(), e.Dims())
-	}
-	// The legacy format predates training metadata: TrainedQueries
-	// stays 0 (unknown) while the hyper-parameter fields describe the
-	// loaded model itself.
-	info := e.surrogateInfoFor(surr, 0, false)
-	return &snapshot{surr: surr, info: info}, nil
 }

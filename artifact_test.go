@@ -223,7 +223,9 @@ func TestArtifactCustomStatistic(t *testing.T) {
 }
 
 // TestArtifactCorruptAndVersion covers the byte-level rejections:
-// truncation, garbage, a flipped version.
+// truncation, garbage, a flipped version, the retired pre-artifact
+// "surfmodel" format. Every row but the model bit flip is malformed
+// before the ensemble bytes, so ReadSurrogateInfo must reject it too.
 func TestArtifactCorruptAndVersion(t *testing.T) {
 	d := crimeGrid(1000, 4)
 	cfg := Config{FilterColumns: []string{"x", "y"}, Statistic: Count}
@@ -238,21 +240,34 @@ func TestArtifactCorruptAndVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		data []byte
+		name      string
+		data      []byte
+		modelOnly bool // only the full load validates the ensemble bytes
 	}{
-		{"empty", nil},
-		{"garbage", []byte("definitely not an artifact")},
-		{"truncated header", art[:5]},
-		{"truncated envelope", art[:len(art)/2]},
-		{"future version", bytes.Replace(art, []byte("surfengine 1\n"), []byte("surfengine 9\n"), 1)},
-		{"bit flip in model", flipByte(art, len(art)-20)},
+		{"empty", nil, false},
+		{"garbage", []byte("definitely not an artifact"), false},
+		{"truncated header", art[:5], false},
+		{"truncated envelope", art[:len(art)/2], false},
+		{"future version", bytes.Replace(art, []byte("surfengine 1\n"), []byte("surfengine 9\n"), 1), false},
+		{"legacy header", append([]byte("surfmodel 2\n"), art[len("surfengine 1\n"):]...), false},
+		{"bit flip in model", flipByte(art, len(art)-20), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := dst.LoadSurrogate(bytes.NewReader(tc.data)); !errors.Is(err, ErrBadArtifact) {
-				t.Fatalf("got %v, want ErrBadArtifact", err)
+				t.Fatalf("LoadSurrogate: got %v, want ErrBadArtifact", err)
+			}
+			if tc.modelOnly {
+				return
+			}
+			if _, err := ReadSurrogateInfo(bytes.NewReader(tc.data)); !errors.Is(err, ErrBadArtifact) {
+				t.Fatalf("ReadSurrogateInfo: got %v, want ErrBadArtifact", err)
 			}
 		})
+	}
+	// The retired format is no special case: it is an unknown header.
+	legacy := []byte("surfmodel 2\n")
+	if err := dst.LoadSurrogate(bytes.NewReader(legacy)); err == nil || !strings.Contains(err.Error(), "unrecognized header") {
+		t.Errorf("legacy header: got %v, want an unrecognized-header error", err)
 	}
 }
 
@@ -260,52 +275,6 @@ func flipByte(b []byte, i int) []byte {
 	out := append([]byte(nil), b...)
 	out[i] ^= 0xff
 	return out
-}
-
-// TestArtifactLegacyFormat proves models saved in the pre-artifact
-// dimensionality-header format still load, with provenance limited to
-// the engine's own spec.
-func TestArtifactLegacyFormat(t *testing.T) {
-	d := crimeGrid(1500, 9)
-	cfg := Config{FilterColumns: []string{"x", "y"}, Statistic: Count}
-	eng := artifactEngine(t, d, cfg)
-
-	// Write the legacy form the way the old engine did: the core
-	// surrogate's own header + model bytes.
-	sn := eng.surrogate.Load()
-	var legacy bytes.Buffer
-	if err := sn.surr.Save(&legacy); err != nil {
-		t.Fatal(err)
-	}
-
-	dst, err := Open(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.LoadSurrogate(bytes.NewReader(legacy.Bytes())); err != nil {
-		t.Fatalf("legacy load: %v", err)
-	}
-	rows := artifactProbeRows(2, 64)
-	want := make([]float64, len(rows))
-	got := make([]float64, len(rows))
-	if err := eng.PredictStatisticBatch(rows, want); err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.PredictStatisticBatch(rows, got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-			t.Fatalf("probe %d: %v legacy-loaded vs %v", i, got[i], want[i])
-		}
-	}
-	info, ok := dst.SurrogateInfo()
-	if !ok || info.Statistic != "count" {
-		t.Errorf("legacy info = %+v (ok=%v)", info, ok)
-	}
-	if info.TrainedQueries != 0 {
-		t.Errorf("legacy info invented a training history: %+v", info)
-	}
 }
 
 // TestArtifactContextForms exercises SaveSurrogateContext /

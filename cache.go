@@ -180,7 +180,7 @@ func (q Query) cacheKey(dims int, snap *snapshot) string {
 		}
 	}
 	return fmt.Sprintf("%d|find|%g|%t|%g|%d|%t|%t|%d|%s|%g|%g|%t|%t",
-		snap.generation(), q.Threshold, q.Above, withDefault(q.C, core.DefaultC),
+		snap.gen, q.Threshold, q.Above, withDefault(q.C, core.DefaultC),
 		withIntDefault(q.MaxRegions, core.DefaultMaxRegions), q.UseTrueFunction,
 		q.UseKDE, kde, canonicalGSO(dims, q.Glowworms, q.Iterations, q.Seed),
 		withDefault(q.MinSideFrac, core.DefaultMinSideFrac),
@@ -191,7 +191,7 @@ func (q Query) cacheKey(dims int, snap *snapshot) string {
 // cacheKey is Query.cacheKey for top-k queries.
 func (q TopKQuery) cacheKey(dims int, snap *snapshot) string {
 	return fmt.Sprintf("%d|topk|%d|%t|%g|%t|%s|%g|%g|%t",
-		snap.generation(), q.K, q.Largest, withDefault(q.C, core.DefaultC), q.UseTrueFunction,
+		snap.gen, q.K, q.Largest, withDefault(q.C, core.DefaultC), q.UseTrueFunction,
 		canonicalGSO(dims, q.Glowworms, q.Iterations, q.Seed),
 		withDefault(q.MinSideFrac, core.DefaultMinSideFrac),
 		withDefault(q.MaxSideFrac, core.DefaultMaxSideFrac),

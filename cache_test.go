@@ -3,56 +3,51 @@ package surf
 import (
 	"sync/atomic"
 	"testing"
+
+	"surf/internal/dataset"
+	"surf/internal/geom"
 )
 
-// cachedEngine builds an engine whose true function counts its calls
-// (via the countingBackend from the WithBackend tests), so cache hits
-// are observable: a hit issues no evaluations at all. Backend engines
-// default to no cache, so caching is opted into explicitly; caller
-// options append afterwards and may override it.
-func cachedEngine(t *testing.T, opts ...Option) (*Engine, *countingBackend) {
+// countingEvaluator wraps an engine's true-function evaluator and
+// counts its calls. The counter is atomic because the swarm's workers
+// evaluate concurrently.
+type countingEvaluator struct {
+	dataset.Evaluator
+	calls atomic.Int64
+}
+
+func (c *countingEvaluator) Evaluate(r geom.Rect) (float64, int) {
+	c.calls.Add(1)
+	return c.Evaluator.Evaluate(r)
+}
+
+// cachedEngine builds an engine whose true function counts its calls,
+// so cache hits are observable: a hit issues no evaluations at all.
+// The counter is installed on the data view through swapSnapshot, the
+// path SetDataset takes, so every query pins it.
+func cachedEngine(t *testing.T, opts ...Option) (*Engine, *countingEvaluator) {
 	t.Helper()
-	d := crimeGrid(1500, 21)
-	plain, err := Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count})
+	eng, err := Open(crimeGrid(1500, 21), Config{FilterColumns: []string{"x", "y"}, Statistic: Count}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb := &countingBackend{inner: plain}
-	eng, err := Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count},
-		append([]Option{WithBackend(cb), WithResultCache(defaultCacheSize)}, opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cb := &countingEvaluator{Evaluator: eng.view().evaluator}
+	eng.swapSnapshot(func(cur *snapshot) *snapshot {
+		view := *cur.view
+		view.evaluator = cb
+		return &snapshot{surr: cur.surr, info: cur.info, view: &view}
+	})
 	return eng, cb
 }
 
-// TestResultCacheDefaults: plain engines cache by default; engines
-// with a custom Backend (possibly fronting live data) do not, unless
-// they opt in.
+// TestResultCacheDefaults: engines cache by default.
 func TestResultCacheDefaults(t *testing.T) {
-	d := crimeGrid(500, 22)
-	plain, err := Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count})
+	eng, err := Open(crimeGrid(500, 22), Config{FilterColumns: []string{"x", "y"}, Statistic: Count})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plain.cache.enabled() {
-		t.Error("plain engine's cache disabled by default")
-	}
-	backed, err := Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count},
-		WithBackend(&countingBackend{inner: plain}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if backed.cache.enabled() {
-		t.Error("backend engine's cache enabled by default (may front live data)")
-	}
-	optedIn, err := Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count},
-		WithBackend(&countingBackend{inner: plain}), WithResultCache(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !optedIn.cache.enabled() {
-		t.Error("explicit WithResultCache ignored on backend engine")
+	if !eng.cache.enabled() {
+		t.Error("engine's cache disabled by default")
 	}
 }
 
@@ -207,26 +202,6 @@ func TestResultCacheDisabled(t *testing.T) {
 	}
 	if cb.calls.Load() == ran {
 		t.Fatal("disabled cache still served a repeat query")
-	}
-}
-
-// TestResultCacheObserverBypass: an engine-wide observer expects the
-// event feed for every query, so caching is bypassed.
-func TestResultCacheObserverBypass(t *testing.T) {
-	var events atomic.Int64
-	eng, _ := cachedEngine(t, WithObserver(func(Event) { events.Add(1) }))
-	if _, err := eng.Find(cacheQuery); err != nil {
-		t.Fatal(err)
-	}
-	first := events.Load()
-	if first == 0 {
-		t.Fatal("observer saw no events")
-	}
-	if _, err := eng.Find(cacheQuery); err != nil {
-		t.Fatal(err)
-	}
-	if events.Load() == first {
-		t.Fatal("repeat query skipped the observer (served from cache)")
 	}
 }
 

@@ -39,9 +39,6 @@
 //     may swap the model while Find calls are in flight.
 //   - Session pins one surrogate snapshot for a sequence of calls
 //     that must see a consistent model.
-//   - The Backend interface plugs custom true-function evaluators
-//     (remote stores, approximate engines) into workload generation,
-//     verification and the f+GlowWorm baseline via WithBackend.
 //   - Failures are classified by exported sentinel errors
 //     (ErrNoSurrogate, ErrDimMismatch, ErrBadConfig, …) that work
 //     with errors.Is. Queries are validated up front, before any
@@ -73,10 +70,9 @@
 // Breaking out of the loop (or cancelling ctx) stops the mining
 // goroutine within one swarm iteration; Stream.Result then returns
 // the incumbents delivered so far together with the run's error.
-// WithObserver taps the same events engine-wide without consuming
-// any stream, and Engine.FindMany executes a batch of queries
-// against one pinned surrogate snapshot on a shared worker pool,
-// yielding each result as it finishes.
+// Engine.FindMany executes a batch of queries against one pinned
+// surrogate snapshot on a shared worker pool, yielding each result as
+// it finishes.
 //
 // # Custom statistics
 //
@@ -112,7 +108,6 @@
 // corrupt payload, or a format version from a newer build. Custom
 // statistics persist by registered name and must be registered (via
 // CustomStatistic) in the loading process before the artifact loads.
-// Artifacts in the legacy bare-model format are still accepted.
 //
 //	var buf bytes.Buffer
 //	_ = eng.SaveSurrogate(&buf)                 // versioned artifact

@@ -10,7 +10,6 @@ import (
 	"surf/internal/core"
 	"surf/internal/dataset"
 	"surf/internal/geom"
-	"surf/internal/ml"
 )
 
 // Dataset is an immutable, in-memory columnar dataset.
@@ -67,41 +66,12 @@ type Config struct {
 	TargetColumn string
 	// UseGridIndex builds a uniform grid index for true-function
 	// evaluations instead of linear scans. Recommended for repeated
-	// evaluation on low-dimensional data. Ignored when a Backend is
-	// plugged in via WithBackend.
+	// evaluation on low-dimensional data.
 	UseGridIndex bool
 }
 
-// Backend computes the true statistic function f over regions. The
-// built-in backends scan (or grid-index) the engine's in-memory
-// dataset; WithBackend plugs in alternatives — a remote column store,
-// an approximate engine, an instrumented wrapper — without changing
-// the rest of the pipeline. Implementations must be safe for
-// concurrent calls.
-type Backend interface {
-	// EvaluateRegion returns the statistic over the hyper-rectangle
-	// [center−halfSides, center+halfSides] and the number of data rows
-	// inside it. For statistics undefined on empty regions the value
-	// is NaN and the count 0.
-	EvaluateRegion(center, halfSides []float64) (value float64, count int)
-}
-
-// backendEvaluator adapts a caller-supplied Backend to the internal
-// evaluator interface used by workload generation and verification.
-type backendEvaluator struct {
-	b    Backend
-	spec dataset.Spec
-	dims int
-}
-
-func (e backendEvaluator) Evaluate(r geom.Rect) (float64, int) {
-	return e.b.EvaluateRegion(r.Center(), r.HalfSides())
-}
-func (e backendEvaluator) Spec() dataset.Spec { return e.spec }
-func (e backendEvaluator) Dims() int          { return e.dims }
-
 // Engine couples a dataset with a region-query spec, a true-function
-// backend, a (lazy) surrogate model, and the mining pipeline.
+// evaluator, a (lazy) surrogate model, and the mining pipeline.
 //
 // An Engine is safe for concurrent use: queries operate on an atomic
 // snapshot of the surrogate, so TrainSurrogate, TrainSurrogateContext
@@ -113,16 +83,11 @@ func (e backendEvaluator) Dims() int          { return e.dims }
 // with it, which Find, FindTopK and PredictStatisticBatch use to
 // evaluate whole probe batches per model pass.
 type Engine struct {
-	spec     dataset.Spec
-	names    []string // column names, the fixed schema across data versions
-	observer func(Event)
-	// useGrid and backend remember how Open built the evaluator so
-	// SetDataset can rebuild it the same way for a new data version;
-	// domainFixed records a WithDomain override, which data swaps
-	// preserve instead of re-deriving the domain from the rows.
-	useGrid     bool
-	backend     Backend
-	domainFixed bool
+	spec  dataset.Spec
+	names []string // column names, the fixed schema across data versions
+	// useGrid remembers how Open built the evaluator so SetDataset can
+	// rebuild it the same way for a new data version.
+	useGrid bool
 	// surrogate holds the engine's current snapshot — always non-nil:
 	// Open publishes a model-free snapshot carrying the v1 data view,
 	// and every later swap (train, load, SetDataset) replaces it whole.
@@ -164,31 +129,13 @@ type snapshot struct {
 	gen  uint64
 }
 
-// surrogate returns the snapshot's model, nil-safe so call sites can
-// use the engine's current snapshot without an existence check.
-func (sn *snapshot) surrogate() *core.Surrogate {
-	if sn == nil {
-		return nil
-	}
-	return sn.surr
-}
-
-// generation returns the snapshot's generation number; the
-// no-surrogate state is generation 0 (the counter starts at 1).
-func (sn *snapshot) generation() uint64 {
-	if sn == nil {
-		return 0
-	}
-	return sn.gen
-}
-
 // swapSnapshot is the single snapshot-replacement path (train, CV
-// train, artifact and legacy loads, SetDataset). Under the writer
-// mutex it reads the current snapshot, lets mut derive the next one
-// from it, inherits the current data view when mut supplies none (a
-// model swap keeps serving the data it trained against until the next
-// data swap), stamps the provenance with the view's data version,
-// assigns a fresh generation, and atomically swaps the snapshot in.
+// train, artifact loads, SetDataset). Under the writer mutex it reads
+// the current snapshot, lets mut derive the next one from it, inherits
+// the current data view when mut supplies none (a model swap keeps
+// serving the data it trained against until the next data swap),
+// stamps the provenance with the view's data version, assigns a fresh
+// generation, and atomically swaps the snapshot in.
 // The cache is cleared first — entries under older generations could
 // never be served anyway (keys embed the generation), clearing just
 // stops them crowding out live entries — so no moment exists where
@@ -211,9 +158,8 @@ func (e *Engine) swapSnapshot(mut func(cur *snapshot) *snapshot) {
 }
 
 // Open validates the config against the dataset and returns an engine.
-// Options customize the engine beyond the Config: WithBackend plugs in
-// a custom true-function evaluator, WithDomain overrides the region
-// domain.
+// Options customize the engine beyond the Config: WithResultCache
+// sizes the query-result cache.
 func Open(ds *Dataset, cfg Config, opts ...Option) (*Engine, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("%w: nil dataset", ErrBadConfig)
@@ -225,7 +171,7 @@ func Open(ds *Dataset, cfg Config, opts ...Option) (*Engine, error) {
 	if len(cfg.FilterColumns) == 0 {
 		return nil, fmt.Errorf("%w: no filter columns", ErrBadConfig)
 	}
-	var eo engineOptions
+	eo := engineOptions{cacheSize: defaultCacheSize}
 	for _, opt := range opts {
 		opt(&eo)
 	}
@@ -247,67 +193,28 @@ func Open(ds *Dataset, cfg Config, opts ...Option) (*Engine, error) {
 	if err := spec.Validate(ds.inner); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	dims := len(spec.FilterCols)
-
 	var ev dataset.Evaluator
 	var err error
-	switch {
-	case eo.backend != nil:
-		ev = backendEvaluator{b: eo.backend, spec: spec, dims: dims}
-	case cfg.UseGridIndex:
+	if cfg.UseGridIndex {
 		ev, err = dataset.NewGridIndex(ds.inner, spec, 0)
-	default:
+	} else {
 		ev, err = dataset.NewLinearScan(ds.inner, spec)
 	}
 	if err != nil {
 		return nil, err
 	}
-
-	domain := ds.inner.Domain(spec.FilterCols)
-	if eo.domainSet {
-		if len(eo.domainMin) != dims || len(eo.domainMax) != dims {
-			return nil, fmt.Errorf("%w: WithDomain bounds of length %d/%d for %d filter columns",
-				ErrDimMismatch, len(eo.domainMin), len(eo.domainMax), dims)
-		}
-		for j := 0; j < dims; j++ {
-			// Written to also reject NaN bounds, which compare false
-			// under any ordering.
-			if !(eo.domainMin[j] <= eo.domainMax[j]) {
-				return nil, fmt.Errorf("%w: WithDomain bounds [%g, %g] invalid in dimension %d",
-					ErrBadConfig, eo.domainMin[j], eo.domainMax[j], j)
-			}
-		}
-		domain = geom.Rect{Min: eo.domainMin, Max: eo.domainMax}
-	}
-
-	// The result cache replays evaluator-derived values (TrueValue,
-	// ComplianceRate, UseTrueFunction results), which is only sound
-	// when the evaluator reads immutable data. The built-in evaluators
-	// scan the engine's own immutable dataset; a WithBackend evaluator
-	// may front a live store, so caching there is strictly opt-in via
-	// WithResultCache.
-	cacheSize := defaultCacheSize
-	if eo.backend != nil {
-		cacheSize = 0
-	}
-	if eo.cacheSet {
-		cacheSize = eo.cacheSize
-	}
 	e := &Engine{
-		spec:        spec,
-		names:       ds.inner.Names(),
-		observer:    eo.observer,
-		useGrid:     cfg.UseGridIndex,
-		backend:     eo.backend,
-		domainFixed: eo.domainSet,
-		cache:       newResultCache(cacheSize),
+		spec:    spec,
+		names:   ds.inner.Names(),
+		useGrid: cfg.UseGridIndex,
+		cache:   newResultCache(eo.cacheSize),
 	}
 	// The initial snapshot carries the v1 data view and no surrogate;
 	// nobody can observe the engine before Open returns, so the plain
 	// Store (generation 0 = the pre-model state) needs no swap
 	// ceremony.
 	e.surrogate.Store(&snapshot{
-		view: &dataView{data: ds.inner, evaluator: ev, domain: domain, version: 1},
+		view: &dataView{data: ds.inner, evaluator: ev, domain: ds.inner.Domain(spec.FilterCols), version: 1},
 	})
 	return e, nil
 }
@@ -326,7 +233,7 @@ func (e *Engine) Domain() (min, max []float64) {
 }
 
 // Rows returns the number of data rows in the engine's current data
-// version (0 for WithBackend engines whose dataset is only a schema).
+// version.
 func (e *Engine) Rows() int { return e.view().data.Len() }
 
 // DataVersion returns the version of the dataset the engine currently
@@ -372,7 +279,7 @@ func (e *Engine) TrainSurrogateContext(ctx context.Context, w Workload, opts ...
 		if folds == 0 {
 			folds = 3
 		}
-		s, _, err = core.TrainSurrogateCVContext(ctx, w.log, o.params(), ml.GBTGrid(), folds, o.Seed+1)
+		s, _, err = core.TrainSurrogateCVContext(ctx, w.log, core.PaperGrid(o.params()), folds, o.Seed+1)
 	} else {
 		s, err = core.TrainSurrogateContext(ctx, w.log, o.params())
 	}
@@ -390,8 +297,8 @@ func (e *Engine) TrainSurrogateContext(ctx context.Context, w Workload, opts ...
 }
 
 // surrogateInfoFor assembles the provenance record for a freshly
-// trained (or legacy-loaded) surrogate from the engine's spec and the
-// model's effective hyper-parameters.
+// trained surrogate from the engine's spec and the model's effective
+// hyper-parameters.
 func (e *Engine) surrogateInfoFor(s *core.Surrogate, queries int, hyperTuned bool) SurrogateInfo {
 	p := s.Model().Params()
 	domain := e.view().domain
@@ -442,8 +349,8 @@ type SurrogateInfo struct {
 	// DomainMin and DomainMax bound the region domain the surrogate
 	// was trained over (the workload's sampling space).
 	DomainMin, DomainMax []float64
-	// TrainedQueries is the size of the training workload (0 when
-	// unknown, e.g. a legacy artifact).
+	// TrainedQueries is the size of the training workload, grown by
+	// every ContinueTraining batch.
 	TrainedQueries int
 	// Trees, MaxDepth, LearningRate and Lambda are the ensemble's
 	// effective hyper-parameters; HyperTuned reports whether they came
@@ -462,10 +369,9 @@ type SurrogateInfo struct {
 }
 
 // CacheStats reports the result cache's lifetime hit/miss counters
-// and current occupancy. A disabled cache (WithResultCache(0), or a
-// WithBackend engine that never opted in) reports zeros. Safe to call
-// concurrently with queries; the serving layer exports these through
-// GET /metrics.
+// and current occupancy. A disabled cache (WithResultCache(0))
+// reports zeros. Safe to call concurrently with queries; the serving
+// layer exports these through GET /metrics.
 func (e *Engine) CacheStats() CacheStats {
 	return e.cache.stats()
 }
@@ -484,7 +390,7 @@ func (e *Engine) SurrogateInfo() (info SurrogateInfo, ok bool) {
 // without touching the data. center and halfSides must each have Dims
 // entries; other lengths return a wrapped ErrDimMismatch.
 func (e *Engine) PredictStatistic(center, halfSides []float64) (float64, error) {
-	return predict1(e.surrogate.Load().surrogate(), e.Dims(), center, halfSides)
+	return predict1(e.surrogate.Load().surr, e.Dims(), center, halfSides)
 }
 
 // predict1 validates a single-region prediction request against one
@@ -510,7 +416,7 @@ func predict1(s *core.Surrogate, dims int, center, halfSides []float64) (float64
 // against one compiled-model snapshot even if a retrain swaps the
 // surrogate mid-call.
 func (e *Engine) PredictStatisticBatch(rows [][]float64, out []float64) error {
-	s := e.surrogate.Load().surrogate()
+	s := e.surrogate.Load().surr
 	if s == nil {
 		return ErrNoSurrogate
 	}

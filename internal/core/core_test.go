@@ -1,15 +1,14 @@
 package core
 
 import (
-	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"surf/internal/dataset"
 	"surf/internal/gbt"
 	"surf/internal/geom"
 	"surf/internal/gso"
-	"surf/internal/ml"
 	"surf/internal/synth"
 )
 
@@ -177,7 +176,7 @@ func TestTrainSurrogateEmptyLog(t *testing.T) {
 	if _, err := TrainSurrogate(nil, gbt.DefaultParams()); err != ErrEmptyLog {
 		t.Errorf("want ErrEmptyLog, got %v", err)
 	}
-	if _, _, err := TrainSurrogateCV(nil, gbt.DefaultParams(), nil, 3, 1); err != ErrEmptyLog {
+	if _, _, err := TrainSurrogateCV(nil, PaperGrid(gbt.DefaultParams()), 3, 1); err != ErrEmptyLog {
 		t.Errorf("want ErrEmptyLog, got %v", err)
 	}
 }
@@ -192,44 +191,28 @@ func TestTrainSurrogateCV(t *testing.T) {
 	base := gbt.DefaultParams()
 	base.NumTrees = 30
 	// A tiny grid keeps the test fast while exercising the search.
-	grid := ml.Grid{"max_depth": {2, 5}, "learning_rate": {0.1, 0.3}}
-	s, tune, err := TrainSurrogateCV(log, base, grid, 3, 1)
+	grid := ParamGrid(base, []float64{0.1, 0.3}, []int{2, 5}, []int{base.NumTrees}, []float64{base.Lambda})
+	s, tune, err := TrainSurrogateCV(log, grid, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s == nil || tune == nil {
 		t.Fatal("nil results")
 	}
-	if len(tune.All) != 4 {
-		t.Errorf("grid evaluated %d combos, want 4", len(tune.All))
+	if len(tune.RMSE) != 4 {
+		t.Fatalf("grid evaluated %d combos, want 4", len(tune.RMSE))
 	}
-	for _, r := range tune.All {
-		if tune.Best.MeanRMSE > r.MeanRMSE {
+	best := slices.Index(grid, tune.Best)
+	if best < 0 {
+		t.Fatalf("Best %+v is not a grid entry", tune.Best)
+	}
+	for _, r := range tune.RMSE {
+		if tune.RMSE[best] > r {
 			t.Error("Best is not minimal")
 		}
 	}
-}
-
-func TestSurrogateSaveLoad(t *testing.T) {
-	ds := synth.MustGenerate(synth.Config{Dims: 2, Regions: 1, Stat: synth.Density, N: 3000, Seed: 4})
-	s := trainTestSurrogate(t, ds, 500)
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadSurrogate(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Dims() != 2 {
-		t.Fatalf("Dims = %d", back.Dims())
-	}
-	x, l := []float64{0.4, 0.6}, []float64{0.1, 0.1}
-	if s.Predict(x, l) != back.Predict(x, l) {
-		t.Error("prediction changed after round trip")
-	}
-	if _, err := LoadSurrogate(bytes.NewBufferString("garbage")); err == nil {
-		t.Error("expected error for garbage input")
+	if p := s.Model().Params(); p != tune.Best {
+		t.Errorf("final fit used %+v, want the winner %+v", p, tune.Best)
 	}
 }
 

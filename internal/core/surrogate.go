@@ -4,13 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"math/rand/v2"
 
 	"surf/internal/dataset"
 	"surf/internal/gbt"
 	"surf/internal/gbt/kernel"
-	"surf/internal/ml"
 )
 
 // Surrogate is the trained model f̂ approximating the back-end
@@ -72,54 +69,6 @@ func TrainSurrogateContext(ctx context.Context, log dataset.QueryLog, params gbt
 		return nil, err
 	}
 	return newSurrogate(model, len(log[0].X)), nil
-}
-
-// TuneResult reports the hyper-parameter search outcome.
-type TuneResult struct {
-	// Best is the winning assignment and its CV score.
-	Best ml.SearchResult
-	// All holds every grid point's score.
-	All []ml.SearchResult
-}
-
-// TrainSurrogateCV grid-searches the hyper-parameters with k-fold
-// cross validation before fitting on the full log (the paper's
-// GridSearchCV mode, Section V-E). A nil grid uses the paper's
-// 144-combination grid.
-func TrainSurrogateCV(log dataset.QueryLog, base gbt.Params, grid ml.Grid, folds int, seed uint64) (*Surrogate, *TuneResult, error) {
-	return TrainSurrogateCVContext(context.Background(), log, base, grid, folds, seed)
-}
-
-// TrainSurrogateCVContext is TrainSurrogateCV with cancellation,
-// checked before each grid combination's cross-validation round.
-func TrainSurrogateCVContext(ctx context.Context, log dataset.QueryLog, base gbt.Params, grid ml.Grid, folds int, seed uint64) (*Surrogate, *TuneResult, error) {
-	if len(log) == 0 {
-		return nil, nil, ErrEmptyLog
-	}
-	if grid == nil {
-		grid = ml.GBTGrid()
-	}
-	if folds < 2 {
-		folds = 3
-	}
-	X, y := log.Features()
-	rng := rand.New(rand.NewPCG(seed, 0xd1342543de82ef95))
-	factory := ml.GBTFactory(base)
-	best, all, err := ml.GridSearchCVContext(ctx, factory, grid, X, y, folds, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	reg, err := factory(best.Params)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The final full-log fit observes ctx too, not just the grid loop.
-	if err := ml.FitRegressor(ctx, reg, X, y); err != nil {
-		return nil, nil, err
-	}
-	model := reg.(*ml.GBTRegressor).Model()
-	return newSurrogate(model, len(log[0].X)),
-		&TuneResult{Best: best, All: all}, nil
 }
 
 // Dims returns the data dimensionality d (the model consumes 2d
@@ -205,31 +154,4 @@ func (s *Surrogate) PredictBatch(rows [][]float64, out []float64) error {
 // StatFn adapts the surrogate to the objective's StatFn type.
 func (s *Surrogate) StatFn() StatFn {
 	return func(x, l []float64) float64 { return s.Predict(x, l) }
-}
-
-// Save writes the surrogate (dimensionality header + model).
-func (s *Surrogate) Save(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "surfmodel %d\n", s.dims); err != nil {
-		return err
-	}
-	return s.model.Save(w)
-}
-
-// LoadSurrogate reads a surrogate written by Save.
-func LoadSurrogate(r io.Reader) (*Surrogate, error) {
-	var dims int
-	if _, err := fmt.Fscanf(r, "surfmodel %d\n", &dims); err != nil {
-		return nil, fmt.Errorf("core: bad surrogate header: %w", err)
-	}
-	if dims < 1 {
-		return nil, fmt.Errorf("core: surrogate header dims %d", dims)
-	}
-	model, err := gbt.Load(r)
-	if err != nil {
-		return nil, err
-	}
-	if model.NumFeatures() != 2*dims {
-		return nil, fmt.Errorf("core: model has %d features, header says %d dims", model.NumFeatures(), dims)
-	}
-	return newSurrogate(model, dims), nil
 }

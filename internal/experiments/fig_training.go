@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"math/rand/v2"
 	"time"
 
 	"surf/internal/core"
 	"surf/internal/gbt"
-	"surf/internal/ml"
 	"surf/internal/synth"
 )
 
@@ -21,18 +19,14 @@ import (
 func Fig6Training(scale Scale) (*Report, error) {
 	rep := &Report{Name: "fig6"}
 
+	params := gbt.DefaultParams()
+	params.NumTrees = 60
 	sizesList := []int{1000, 2500, 5000, 10000}
-	grid := ml.Grid{"max_depth": {3, 6}, "learning_rate": {0.1, 0.01}}
-	trees := 60
+	grid := core.ParamGrid(params, []float64{0.1, 0.01}, []int{3, 6}, []int{params.NumTrees}, []float64{params.Lambda})
 	if scale == Full {
+		params.NumTrees = 100
 		sizesList = []int{10000, 52000, 94000, 136000}
-		grid = ml.Grid{
-			"max_depth":     {3, 5, 7},
-			"learning_rate": {0.1, 0.01},
-			"n_estimators":  {100, 200},
-			"reg_lambda":    {1, 0.01},
-		}
-		trees = 100
+		grid = core.ParamGrid(params, []float64{0.1, 0.01}, []int{3, 5, 7}, []int{100, 200}, []float64{1, 0.01})
 	}
 
 	// One large workload, sliced per size, so bigger runs strictly
@@ -55,8 +49,6 @@ func Fig6Training(scale Scale) (*Report, error) {
 		Title:  "Fig 6: surrogate training time vs number of queries",
 		Header: []string{"queries", "hypertuning", "seconds", "grid_combos"},
 	}
-	params := gbt.DefaultParams()
-	params.NumTrees = trees
 	for _, q := range sizesList {
 		slice := log[:q]
 
@@ -67,14 +59,12 @@ func Fig6Training(scale Scale) (*Report, error) {
 		t.AddRow(q, false, time.Since(start).Seconds(), 1)
 
 		start = time.Now()
-		X, y := slice.Features()
-		rng := rand.New(rand.NewPCG(68, 68))
-		if _, _, err := ml.GridSearchCV(ml.GBTFactory(params), grid, X, y, 3, rng); err != nil {
+		if _, _, err := core.TrainSurrogateCV(slice, grid, 3, 68); err != nil {
 			return nil, err
 		}
-		t.AddRow(q, true, time.Since(start).Seconds(), len(grid.Combinations()))
+		t.AddRow(q, true, time.Since(start).Seconds(), len(grid))
 	}
 	rep.Tables = append(rep.Tables, t)
-	rep.Notef("hypertuned runs cross-validate %d grid combinations (paper: 144); both curves grow near-linearly in the query count", len(grid.Combinations()))
+	rep.Notef("hypertuned runs cross-validate %d grid combinations (paper: 144) and refit the winner; both curves grow near-linearly in the query count", len(grid))
 	return rep, nil
 }

@@ -265,17 +265,14 @@ func TestSetDatasetValidation(t *testing.T) {
 	}
 }
 
-// TestSetDatasetDomain: a swap onto grown rows keeps a domain fixed by
-// WithDomain at Open and otherwise re-derives it from the new rows —
-// the path every registry append takes.
+// TestSetDatasetDomain: a swap onto grown rows re-derives the domain
+// from the new rows — the path every registry append takes.
 func TestSetDatasetDomain(t *testing.T) {
 	cases := []struct {
 		name             string
-		opts             []Option
 		wantMin, wantMax []float64
 	}{
-		{"fixed", []Option{WithDomain([]float64{-1, -1}, []float64{2, 2})}, []float64{-1, -1}, []float64{2, 2}},
-		{"derived", nil, []float64{0, -2}, []float64{4, 1}},
+		{"derived", []float64{0, -2}, []float64{4, 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -288,7 +285,7 @@ func TestSetDatasetDomain(t *testing.T) {
 				t.Fatal(err)
 			}
 			ds, _ := store.View()
-			eng, err := Open(ds, Config{FilterColumns: []string{"x", "y"}, Statistic: Count}, tc.opts...)
+			eng, err := Open(ds, Config{FilterColumns: []string{"x", "y"}, Statistic: Count})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -96,34 +96,7 @@ func CustomStatistic(name string, fn func(rows [][]float64) float64) (Statistic,
 type Option func(*engineOptions)
 
 type engineOptions struct {
-	backend              Backend
-	observer             func(Event)
-	domainSet            bool
-	domainMin, domainMax []float64
-	cacheSet             bool
-	cacheSize            int
-}
-
-// WithBackend replaces the engine's true-function evaluator with a
-// caller-supplied Backend. Workload generation, region verification
-// and UseTrueFunction queries then go through the backend instead of
-// scanning the engine's dataset; the dataset still provides the
-// column layout and (unless WithDomain is also given) the region
-// domain.
-func WithBackend(b Backend) Option {
-	return func(o *engineOptions) { o.backend = b }
-}
-
-// WithDomain overrides the region-space bounding box derived from the
-// dataset. min and max must have one entry per filter column. Useful
-// when a Backend covers a wider space than the sample loaded into the
-// dataset.
-func WithDomain(min, max []float64) Option {
-	return func(o *engineOptions) {
-		o.domainSet = true
-		o.domainMin = append([]float64(nil), min...)
-		o.domainMax = append([]float64(nil), max...)
-	}
+	cacheSize int
 }
 
 // WithResultCache sizes the engine's query-result cache (default 64
@@ -132,37 +105,17 @@ func WithDomain(min, max []float64) Option {
 // "zero means default" knobs — against the same surrogate snapshot
 // returns the cached Result (as a private copy) without re-running
 // the swarm. Entries are keyed by snapshot generation and the cache
-// is cleared whenever TrainSurrogate or LoadSurrogate swaps the
-// model, so a stale model's results are never served. Streams,
-// FindMany and engines with a WithObserver callback bypass the
-// cache, since their callers consume the per-query event feed.
+// is cleared whenever TrainSurrogate, LoadSurrogate or SetDataset
+// swaps the snapshot, so a stale model's or data version's results
+// are never served. Streams and FindMany bypass the cache, since
+// their callers consume the per-query event feed.
 //
 // Caching assumes repeated queries are deterministic, which holds
-// for every built-in code path over the engine's immutable dataset.
-// Engines opened with WithBackend therefore default to no cache —
-// the backend may front live data, and cached results replay
-// evaluator-derived values (TrueValue, ComplianceRate,
-// UseTrueFunction estimates) — and must opt in with an explicit
-// WithResultCache if their backend's data is immutable. Likewise
-// disable it if a custom statistic's function is not a pure function
-// of its rows.
+// for every built-in code path over the engine's immutable dataset
+// versions. Disable it if a custom statistic's function is not a pure
+// function of its rows.
 func WithResultCache(entries int) Option {
-	return func(o *engineOptions) {
-		o.cacheSet = true
-		o.cacheSize = entries
-	}
-}
-
-// WithObserver attaches a telemetry callback invoked with every
-// Event of every query the engine executes — Find, FindTopK, Stream,
-// StreamTopK and FindMany alike — without consuming the query's
-// stream. The callback runs synchronously on the mining goroutine
-// before the event is offered to the stream's consumer, so it must be
-// fast and must not call back into the engine; with concurrent
-// queries it is called concurrently and must be safe for concurrent
-// use.
-func WithObserver(fn func(Event)) Option {
-	return func(o *engineOptions) { o.observer = fn }
+	return func(o *engineOptions) { o.cacheSize = entries }
 }
 
 // TrainOptions tune surrogate training.

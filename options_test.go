@@ -1,9 +1,7 @@
 package surf
 
 import (
-	"errors"
 	"math"
-	"sync/atomic"
 	"testing"
 )
 
@@ -79,105 +77,6 @@ func TestGSODefaultingConsistency(t *testing.T) {
 	}
 	if !regionsEqual(tkRef.Regions, tkGot.Regions) {
 		t.Error("FindTopK: default-valued overrides changed the result")
-	}
-}
-
-// countingBackend delegates region evaluation to an engine opened over
-// the same dataset, counting calls — the shape of a custom Backend
-// wrapping a remote or instrumented evaluator.
-type countingBackend struct {
-	inner *Engine
-	calls atomic.Int64
-}
-
-func (b *countingBackend) EvaluateRegion(center, halfSides []float64) (float64, int) {
-	b.calls.Add(1)
-	return b.inner.Evaluate(center, halfSides)
-}
-
-func TestWithBackend(t *testing.T) {
-	d := crimeGrid(2000, 42)
-	plain, err := Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count})
-	if err != nil {
-		t.Fatal(err)
-	}
-	backend := &countingBackend{inner: plain}
-	eng, err := Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count}, WithBackend(backend))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Direct evaluation routes through the backend.
-	y1, n1 := plain.Evaluate([]float64{0.7, 0.3}, []float64{0.1, 0.1})
-	y2, n2 := eng.Evaluate([]float64{0.7, 0.3}, []float64{0.1, 0.1})
-	if y1 != y2 || n1 != n2 {
-		t.Errorf("backend evaluation (%g, %d) != direct (%g, %d)", y2, n2, y1, n1)
-	}
-	if backend.calls.Load() == 0 {
-		t.Fatal("backend not called by Evaluate")
-	}
-
-	// Workload generation routes through the backend.
-	before := backend.calls.Load()
-	wl, err := eng.GenerateWorkload(50, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wl.Len() != 50 {
-		t.Errorf("workload len = %d", wl.Len())
-	}
-	if backend.calls.Load()-before < 50 {
-		t.Errorf("backend saw %d calls for a 50-query workload", backend.calls.Load()-before)
-	}
-
-	// True-function mining and verification route through the backend.
-	before = backend.calls.Load()
-	res, err := eng.Find(Query{Threshold: 50, Above: true, UseTrueFunction: true, Iterations: 15, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Regions) == 0 {
-		t.Error("backend-backed Find found nothing")
-	}
-	if backend.calls.Load() == before {
-		t.Error("backend not called by UseTrueFunction Find")
-	}
-}
-
-func TestWithDomain(t *testing.T) {
-	d := crimeGrid(500, 43)
-	eng, err := Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count},
-		WithDomain([]float64{-1, -1}, []float64{2, 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	min, max := eng.Domain()
-	if min[0] != -1 || max[1] != 2 {
-		t.Errorf("domain override not applied: [%v, %v]", min, max)
-	}
-	// Wrong length → ErrDimMismatch.
-	_, err = Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count},
-		WithDomain([]float64{0}, []float64{1}))
-	if !errors.Is(err, ErrDimMismatch) {
-		t.Errorf("short domain returned %v, want ErrDimMismatch", err)
-	}
-	// Empty slices are still an override attempt, not a no-op.
-	_, err = Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count},
-		WithDomain([]float64{}, []float64{}))
-	if !errors.Is(err, ErrDimMismatch) {
-		t.Errorf("empty domain returned %v, want ErrDimMismatch", err)
-	}
-	// Inverted bounds → ErrBadConfig.
-	_, err = Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count},
-		WithDomain([]float64{0, 1}, []float64{1, 0}))
-	if !errors.Is(err, ErrBadConfig) {
-		t.Errorf("inverted domain returned %v, want ErrBadConfig", err)
-	}
-	// NaN bounds → ErrBadConfig, not a poisoned domain.
-	_, err = Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count},
-		WithDomain([]float64{0, math.NaN()}, []float64{1, 1}))
-	if !errors.Is(err, ErrBadConfig) {
-		t.Errorf("NaN domain returned %v, want ErrBadConfig", err)
 	}
 }
 

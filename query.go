@@ -248,7 +248,7 @@ func gsoParams(dims, glowworms, iterations, workers int, seed uint64) gso.Params
 // SetDataset swap runs — and verifies — entirely against the data
 // version it pinned.
 func finderFor(snap *snapshot, useTrue bool) (*core.Finder, core.StatFn, error) {
-	surr := snap.surrogate()
+	surr := snap.surr
 	v := snap.view
 	switch {
 	case useTrue:
@@ -295,15 +295,13 @@ func (e *Engine) FindTopKContext(ctx context.Context, q TopKQuery) (*Result, err
 // batch Find and Engine.Stream share this one execution path, so a
 // fully drained stream and a Find call produce identical Results.
 // Batch callers skip the per-iteration telemetry and incumbent
-// sweeps (nobody consumes them) unless the engine has an observer —
-// both are passive, so results are identical either way.
+// sweeps (nobody consumes them); both are passive, so results are
+// identical either way.
 //
 // Batch calls are also the result cache's insertion point: a repeat
 // of a recently answered query under the same surrogate snapshot is
 // served from cache without re-running the swarm. Streams are never
-// cached (their consumers want the live event feed), and an
-// engine-wide observer disables caching, which would silently skip
-// its telemetry.
+// cached (their consumers want the live event feed).
 func findContext(ctx context.Context, e *Engine, snap *snapshot, q Query) (*Result, error) {
 	// Validated here so the cache only ever keys executable queries;
 	// startStream validates again for its other callers (Stream,
@@ -312,13 +310,13 @@ func findContext(ctx context.Context, e *Engine, snap *snapshot, q Query) (*Resu
 		return nil, err
 	}
 	var key string
-	if e.cache.enabled() && e.observer == nil {
+	if e.cache.enabled() {
 		key = q.cacheKey(e.Dims(), snap)
 		if res, ok := e.cache.get(key); ok {
 			return res, nil
 		}
 	}
-	s, err := startStream(ctx, e, snap, q, e.observer != nil)
+	s, err := startStream(ctx, e, snap, q, false)
 	if err != nil {
 		return nil, err
 	}
@@ -339,13 +337,13 @@ func findTopKContext(ctx context.Context, e *Engine, snap *snapshot, q TopKQuery
 		return nil, err
 	}
 	var key string
-	if e.cache.enabled() && e.observer == nil {
+	if e.cache.enabled() {
 		key = q.cacheKey(e.Dims(), snap)
 		if res, ok := e.cache.get(key); ok {
 			return res, nil
 		}
 	}
-	s, err := startTopKStream(ctx, e, snap, q, e.observer != nil)
+	s, err := startTopKStream(ctx, e, snap, q, false)
 	if err != nil {
 		return nil, err
 	}
@@ -387,7 +385,7 @@ func startStream(ctx context.Context, e *Engine, snap *snapshot, q Query, events
 			return nil, err
 		}
 	}
-	return newStream(ctx, e.observer, func(ctx context.Context, emit func(Event) bool) (*Result, error) {
+	return newStream(ctx, func(ctx context.Context, emit func(Event) bool) (*Result, error) {
 		return runQuery(ctx, e, view, finder, statFn, q, emit, events)
 	}), nil
 }
@@ -402,7 +400,7 @@ func startTopKStream(ctx context.Context, e *Engine, snap *snapshot, q TopKQuery
 		return nil, err
 	}
 	view := snap.view
-	return newStream(ctx, e.observer, func(ctx context.Context, emit func(Event) bool) (*Result, error) {
+	return newStream(ctx, func(ctx context.Context, emit func(Event) bool) (*Result, error) {
 		return runTopK(ctx, e, view, finder, q, emit, events)
 	}), nil
 }

@@ -87,6 +87,13 @@ func TestDatasetAppendErrors(t *testing.T) {
 		map[string]any{"rows": [][]float64{{0.5}}}) // short row
 	wantStatus(t, resp, http.StatusBadRequest, "bad_append")
 
+	resp, err := http.Post(ts.URL+"/v1/datasets/alpha/append", "application/json",
+		strings.NewReader(`{"rows": [[0.5, 0.5]]}{"rows": [[0.6, 0.6]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStatus(t, resp, http.StatusBadRequest, "bad_query")
+
 	big := map[string]any{"rows": appendBatch(40000, 2)}
 	resp = postJSON(t, ts.URL+"/v1/datasets/alpha/append", big)
 	wantStatus(t, resp, http.StatusRequestEntityTooLarge, "body_too_large")

@@ -152,11 +152,16 @@ func wantStatus(t *testing.T, resp *http.Response, status int, code string) {
 	}
 }
 
+// putJSON PUTs v as JSON (a []byte goes out verbatim) and returns the
+// response.
 func putJSON(t *testing.T, url string, v any) *http.Response {
 	t.Helper()
-	body, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
+	body, raw := v.([]byte)
+	if !raw {
+		var err error
+		if body, err = json.Marshal(v); err != nil {
+			t.Fatal(err)
+		}
 	}
 	req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(body))
 	if err != nil {
@@ -336,6 +341,9 @@ func TestModelsCRUD(t *testing.T) {
 		}, http.StatusUnprocessableEntity, "bad_artifact"},
 		{"unknown field", "beta", map[string]any{"shards": 2}, http.StatusBadRequest, "bad_spec"},
 		{"removed kernel field", "beta", map[string]any{"kernel": "scalar"}, http.StatusBadRequest, "bad_spec"},
+		// Valid on its own, so only the trailing value can refuse it.
+		{"trailing JSON value", "beta", []byte(fmt.Sprintf(`{"artifact": %q}{"kernel": "scalar"}`, fx.artifactB)),
+			http.StatusBadRequest, "bad_spec"},
 		{"oversized body", "beta", map[string]any{"data": strings.Repeat("x", maxBodyBytes)},
 			http.StatusRequestEntityTooLarge, "body_too_large"},
 	} {

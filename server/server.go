@@ -97,6 +97,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -384,9 +385,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 // decodeBodyAs is decodeBody reporting decode failures as kind, for
 // bodies that are not queries (a model spec is registry.ErrBadSpec).
 func decodeBodyAs(w http.ResponseWriter, r *http.Request, v any, kind error) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeOne(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return fmt.Errorf("%w: limit %d bytes", errBodyTooLarge, mbe.Limit)
@@ -397,13 +396,29 @@ func decodeBodyAs(w http.ResponseWriter, r *http.Request, v any, kind error) err
 }
 
 // decodeStrict is decodeBody's policy for queries that arrive in URL
-// parameters or raw JSON fragments: unknown fields are rejected, so a
-// typoed knob fails loudly instead of silently running a
-// default-valued query.
+// parameters or raw JSON fragments.
 func decodeStrict(data string, v any) error {
-	dec := json.NewDecoder(strings.NewReader(data))
+	return decodeOne(strings.NewReader(data), v)
+}
+
+// decodeOne decodes exactly one JSON value from r into v. Unknown
+// fields are rejected, so a typoed knob fails loudly instead of
+// silently running a default-valued query, and so is anything but
+// whitespace after the value, so a second value cannot ride along
+// unread.
+func decodeOne(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			return errors.New("trailing data after the JSON value")
+		}
+		return err
+	}
+	return nil
 }
 
 // findRequest is a Query plus the registry routing field.

@@ -201,6 +201,34 @@ func TestErrorMapping(t *testing.T) {
 			t.Fatalf("status %d", resp.StatusCode)
 		}
 	})
+	// A body or ?q= must hold exactly one JSON value: trailing data is
+	// refused rather than silently ignored, trailing whitespace is not.
+	// The query runs the true function, so it needs no surrogate.
+	const trueQuery = `{"threshold": 30, "above": true, "use_true_function": true, "glowworms": 20, "iterations": 15, "seed": 1}`
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		code       string
+	}{
+		{"second JSON value → 400", trueQuery + `{"max_regions": -1}`, http.StatusBadRequest, "bad_query"},
+		{"trailing garbage → 400", trueQuery + ` garbage`, http.StatusBadRequest, "bad_query"},
+		{"trailing whitespace → 200", trueQuery + "\n\t ", http.StatusOK, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/v1/find", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantStatus(t, resp, tc.status, tc.code)
+		})
+	}
+	t.Run("stream q with trailing data → 400", func(t *testing.T) {
+		resp, err := http.Get(ts.URL + "/v1/stream?q=" + urlQueryEscape(trueQuery+"xyz"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantStatus(t, resp, http.StatusBadRequest, "bad_query")
+	})
 }
 
 func TestFindManyEndpoint(t *testing.T) {

@@ -79,18 +79,12 @@ func (s *Store) Names() []string { return s.inner.Snapshot().Data().Names() }
 // drift monitor).
 //
 // The new dataset must have exactly the engine's column schema; the
-// evaluator is rebuilt the way Open built it (grid or linear scan).
-// The domain is re-derived from the new rows unless the engine was
-// opened with WithDomain, in which case the fixed domain is kept.
-// Engines opened with WithBackend have no dataset-reading evaluator to
-// rebuild and reject the call. Errors are reported with ErrBadConfig
-// before anything swaps.
+// evaluator is rebuilt the way Open built it (grid or linear scan) and
+// the domain is re-derived from the new rows. Errors are reported with
+// ErrBadConfig before anything swaps.
 func (e *Engine) SetDataset(ds *Dataset, version uint64) error {
 	if ds == nil {
 		return fmt.Errorf("%w: SetDataset with nil dataset", ErrBadConfig)
-	}
-	if e.backend != nil {
-		return fmt.Errorf("%w: SetDataset on a WithBackend engine (the backend, not the dataset, evaluates f)", ErrBadConfig)
 	}
 	if got := ds.inner.Names(); !slices.Equal(got, e.names) {
 		return fmt.Errorf("%w: dataset columns %v do not match engine schema %v", ErrBadConfig, got, e.names)
@@ -105,12 +99,8 @@ func (e *Engine) SetDataset(ds *Dataset, version uint64) error {
 	if err != nil {
 		return err
 	}
-	derived := ds.inner.Domain(e.spec.FilterCols)
+	domain := ds.inner.Domain(e.spec.FilterCols)
 	e.swapSnapshot(func(cur *snapshot) *snapshot {
-		domain := derived
-		if e.domainFixed {
-			domain = cur.view.domain
-		}
 		return &snapshot{
 			surr: cur.surr,
 			info: cur.info,

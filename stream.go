@@ -28,7 +28,6 @@ import (
 type Stream struct {
 	cancel context.CancelFunc
 	events chan Event
-	obs    func(Event)
 
 	mu  sync.Mutex
 	res *Result
@@ -41,13 +40,13 @@ type Stream struct {
 const streamBuffer = 16
 
 // newStream launches run on its own goroutine and returns the stream
-// it feeds. run receives an emit callback that tees every event to
-// the engine observer and reports false once the consumer is gone;
-// the events it emits as EventRegion are collected so a cancelled run
-// can still surface the incumbents found so far.
-func newStream(ctx context.Context, obs func(Event), run func(ctx context.Context, emit func(Event) bool) (*Result, error)) *Stream {
+// it feeds. run receives an emit callback that offers every event to
+// the consumer and reports false once the consumer is gone; the
+// events it emits as EventRegion are collected so a cancelled run can
+// still surface the incumbents found so far.
+func newStream(ctx context.Context, run func(ctx context.Context, emit func(Event) bool) (*Result, error)) *Stream {
 	sctx, cancel := context.WithCancel(ctx)
-	s := &Stream{cancel: cancel, events: make(chan Event, streamBuffer), obs: obs}
+	s := &Stream{cancel: cancel, events: make(chan Event, streamBuffer)}
 	go func() {
 		// Release the derived context once the run is over, whether
 		// or not anyone calls Close — a drained stream must not stay
@@ -81,12 +80,9 @@ func newStream(ctx context.Context, obs func(Event), run func(ctx context.Contex
 	return s
 }
 
-// emit tees ev to the engine observer and offers it to the consumer,
-// giving up once the stream's context is cancelled.
+// emit offers ev to the consumer, giving up once the stream's context
+// is cancelled.
 func (s *Stream) emit(ctx context.Context, ev Event) bool {
-	if s.obs != nil {
-		s.obs(ev)
-	}
 	select {
 	case s.events <- ev:
 		return true
@@ -243,9 +239,9 @@ func findMany(ctx context.Context, e *Engine, snap *snapshot, queries []Query) i
 				for i := range idx {
 					// Drive the stream directly (not via findContext)
 					// so a cancelled query still surfaces its partial
-					// result alongside the error. Incumbent sweeps
-					// run only when the engine has an observer.
-					st, err := startStream(mctx, e, snap, queries[i], e.observer != nil)
+					// result alongside the error. Nobody consumes
+					// the events, so the run skips them.
+					st, err := startStream(mctx, e, snap, queries[i], false)
 					var res *Result
 					if err == nil {
 						res, err = st.Result()

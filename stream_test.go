@@ -245,31 +245,6 @@ func TestStreamEarlyBreak(t *testing.T) {
 	waitForGoroutines(t, baseline)
 }
 
-// TestWithObserver checks telemetry delivery without consuming any
-// stream: a batch Find must still feed the engine observer.
-func TestWithObserver(t *testing.T) {
-	var mu sync.Mutex
-	var iters, dones int
-	eng := trainedEngine(t, WithObserver(func(ev Event) {
-		mu.Lock()
-		defer mu.Unlock()
-		switch ev.(type) {
-		case EventIteration:
-			iters++
-		case EventDone:
-			dones++
-		}
-	}))
-	if _, err := eng.Find(hotspotQuery()); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if iters == 0 || dones != 1 {
-		t.Errorf("observer saw %d iterations, %d dones; want >0, 1", iters, dones)
-	}
-}
-
 // TestFindManyConcurrentTrain drives FindMany while the surrogate is
 // retrained concurrently: every query must complete against the
 // snapshot pinned at call time (run under -race in CI).

@@ -269,6 +269,35 @@ func TestSaveSurrogateWithoutTraining(t *testing.T) {
 	}
 }
 
+// TestTrainSurrogateHyperTune runs the paper's 144-combination
+// GridSearchCV end to end through the engine and pins its choice, so
+// a change to the grid order, the fold shuffles or the tie rule shows
+// up as a different winner.
+func TestTrainSurrogateHyperTune(t *testing.T) {
+	if raceEnabled {
+		t.Skip("144 cross-validated fits are too slow under -race")
+	}
+	eng, err := Open(crimeGrid(1500, 21), Config{FilterColumns: []string{"x", "y"}, Statistic: Count})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, err := eng.GenerateWorkload(60, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.TrainSurrogate(wl, TrainOptions{HyperTune: true, CVFolds: 2, Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	info, ok := eng.SurrogateInfo()
+	if !ok || !info.HyperTuned {
+		t.Fatalf("info = %+v (ok=%v), want a hyper-tuned surrogate", info, ok)
+	}
+	if info.Trees != 300 || info.MaxDepth != 9 || info.LearningRate != 0.01 || info.Lambda != 0.01 {
+		t.Errorf("tuned to trees=%d depth=%d rate=%g lambda=%g, want 300/9/0.01/0.01",
+			info.Trees, info.MaxDepth, info.LearningRate, info.Lambda)
+	}
+}
+
 func TestWorkloadCSVRoundTrip(t *testing.T) {
 	d := crimeGrid(1000, 11)
 	eng, _ := Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count})
