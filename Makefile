@@ -53,7 +53,7 @@ staticcheck:
 vulncheck:
 	govulncheck ./...
 
-# fuzz-smoke mirrors the CI randomized pass over the CSV readers, the
+# fuzz-smoke is the randomized pass CI runs over the CSV readers, the
 # evaluator parity differential, the inference-kernel parity
 # differential (scalar vs a reference tree walk), the living-store
 # append parity differential, the swarm's neighbour-scan differential

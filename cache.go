@@ -2,11 +2,8 @@ package surf
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"surf/internal/core"
 )
 
 // defaultCacheSize is the result cache capacity an engine gets when
@@ -16,12 +13,12 @@ import (
 // for memory pressure.
 const defaultCacheSize = 64
 
-// resultCache is a snapshot-keyed LRU over canonicalized queries.
-// Keys embed the identity of the surrogate snapshot the query ran
-// against, so a cached entry can never be served across a model swap;
-// the engine additionally clears the cache whenever the snapshot
-// pointer swaps, since entries under the old snapshot are dead weight
-// the moment it is replaced.
+// resultCache is a snapshot-keyed LRU over resolved queries. Keys
+// embed the generation of the snapshot the query ran against, so a
+// cached entry can never be served across a model or data swap; the
+// engine additionally clears the cache whenever the snapshot swaps,
+// since entries under the old snapshot are dead weight the moment it
+// is replaced.
 //
 // Entries store deep copies and lookups return deep copies: callers
 // are free to mutate the Result they get back (batch and cached calls
@@ -31,15 +28,27 @@ type resultCache struct {
 	mu    sync.Mutex
 	cap   int
 	order *list.List // front = most recently used; values are *cacheEntry
-	items map[string]*list.Element
+	items map[resultKey]*list.Element
 	// hits and misses are atomics, not mutex-guarded fields: a scrape
 	// of the counters must never contend with the query hot path.
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
+// resultKey identifies one cached answer: the snapshot generation and
+// the resolved Query or TopKQuery (see Query.resolved) with Workers
+// zeroed — parallel evaluation is bit-identical to sequential. Two
+// queries share a key exactly when they are guaranteed to produce the
+// same Result against the same snapshot, and a new query field joins
+// the key without anyone having to remember it. Struct equality also
+// merges -0 with 0, which compare equal everywhere a query uses them.
+type resultKey struct {
+	gen   uint64
+	query any
+}
+
 type cacheEntry struct {
-	key string
+	key resultKey
 	res *Result
 }
 
@@ -52,7 +61,7 @@ func newResultCache(capacity int) *resultCache {
 	return &resultCache{
 		cap:   capacity,
 		order: list.New(),
-		items: make(map[string]*list.Element, capacity),
+		items: make(map[resultKey]*list.Element, capacity),
 	}
 }
 
@@ -61,7 +70,7 @@ func (c *resultCache) enabled() bool { return c != nil && c.cap > 0 }
 
 // get returns a copy of the cached result for key and marks it most
 // recently used.
-func (c *resultCache) get(key string) (*Result, bool) {
+func (c *resultCache) get(key resultKey) (*Result, bool) {
 	if !c.enabled() {
 		return nil, false
 	}
@@ -79,7 +88,7 @@ func (c *resultCache) get(key string) (*Result, bool) {
 
 // put stores a copy of res under key, evicting the least recently
 // used entry when full.
-func (c *resultCache) put(key string, res *Result) {
+func (c *resultCache) put(key resultKey, res *Result) {
 	if !c.enabled() || res == nil {
 		return
 	}
@@ -158,68 +167,4 @@ func copyResult(r *Result) *Result {
 		out.Regions[i] = reg
 	}
 	return &out
-}
-
-// cacheKey canonicalizes the query — every "zero means default" knob
-// is resolved to its effective value, via the same constants and
-// helpers the execution path defaults with (core.DefaultC and kin,
-// gsoParams), so a default change can never alias two queries to one
-// entry — and knobs that cannot change the result (Workers: parallel
-// evaluation is bit-identical to sequential evaluation) are dropped.
-// The key binds to the snapshot's generation number; two queries get
-// the same key exactly when they are guaranteed to produce the same
-// Result against the same snapshot. Floats render with %g shortest
-// form, which round-trips float64 uniquely, so distinct values never
-// collide.
-func (q Query) cacheKey(dims int, snap *snapshot) string {
-	kde := 0
-	if q.UseKDE {
-		kde = q.KDESample
-		if kde == 0 {
-			kde = defaultKDESample
-		}
-	}
-	return fmt.Sprintf("%d|find|%g|%t|%g|%d|%t|%t|%d|%s|%g|%g|%t|%t",
-		snap.gen, q.Threshold, q.Above, withDefault(q.C, core.DefaultC),
-		withIntDefault(q.MaxRegions, core.DefaultMaxRegions), q.UseTrueFunction,
-		q.UseKDE, kde, canonicalGSO(dims, q.Glowworms, q.Iterations, q.Seed),
-		withDefault(q.MinSideFrac, core.DefaultMinSideFrac),
-		withDefault(q.MaxSideFrac, core.DefaultMaxSideFrac),
-		q.SkipVerify, q.ClusterExtents)
-}
-
-// cacheKey is Query.cacheKey for top-k queries.
-func (q TopKQuery) cacheKey(dims int, snap *snapshot) string {
-	return fmt.Sprintf("%d|topk|%d|%t|%g|%t|%s|%g|%g|%t",
-		snap.gen, q.K, q.Largest, withDefault(q.C, core.DefaultC), q.UseTrueFunction,
-		canonicalGSO(dims, q.Glowworms, q.Iterations, q.Seed),
-		withDefault(q.MinSideFrac, core.DefaultMinSideFrac),
-		withDefault(q.MaxSideFrac, core.DefaultMaxSideFrac),
-		q.SkipVerify)
-}
-
-// canonicalGSO resolves the optimizer knobs through gsoParams itself
-// — the single defaulting source the execution path uses. The seed is
-// kept raw rather than resolved to the optimizer default:
-// KDE-weighted queries derive their sampling seed as Seed+17, so Seed
-// 0 and the optimizer-default seed are not interchangeable for every
-// query shape, and a missed cache hit is harmless where an aliased
-// one is not.
-func canonicalGSO(dims, glowworms, iterations int, seed uint64) string {
-	g := gsoParams(dims, glowworms, iterations, 0, 0)
-	return fmt.Sprintf("%d/%d/%d", g.Glowworms, g.MaxIters, seed)
-}
-
-func withDefault(v, def float64) float64 {
-	if v == 0 {
-		return def
-	}
-	return v
-}
-
-func withIntDefault(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
 }

@@ -1,11 +1,14 @@
 package surf
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 
+	"surf/internal/core"
 	"surf/internal/dataset"
 	"surf/internal/geom"
+	"surf/internal/gso"
 )
 
 // countingEvaluator wraps an engine's true-function evaluator and
@@ -103,38 +106,134 @@ func TestResultCacheHit(t *testing.T) {
 	}
 }
 
-// TestResultCacheCanonicalization: queries that differ only in
-// zero-vs-explicit default knobs, or in result-neutral knobs
-// (Workers), share one cache entry.
+// canonCase pairs two queries: shared when they resolve alike and must
+// hit one cache entry, otherwise b must re-run the swarm.
+type canonCase[Q any] struct {
+	name   string
+	a, b   Q
+	shared bool
+}
+
+// TestResultCacheCanonicalization: queries share one cache entry
+// exactly when they resolve alike — explicit defaults, any Workers,
+// KDESample without UseKDE and a -0 threshold or C share it — while
+// each other field of Query and TopKQuery set to a valid non-default
+// value re-runs the swarm. Every shared pair also gives the same
+// answer on an engine without a cache.
 func TestResultCacheCanonicalization(t *testing.T) {
-	eng, cb := cachedEngine(t)
+	negZero := math.Copysign(0, -1)
+	iters := gso.DefaultParams().MaxIters
+	worms := 50 * 2 * 2 // the L = 50·2d default for the 2-d grid
+
 	q := cacheQuery
-	if _, err := eng.Find(q); err != nil {
-		t.Fatal(err)
+	with := func(edit func(*Query)) Query {
+		e := q
+		edit(&e)
+		return e
 	}
-	ran := cb.calls.Load()
+	kde := with(func(e *Query) { e.UseKDE = true })
+	runCanonCases(t, "Query", (*Engine).Find, []canonCase[Query]{
+		{"C default", q, with(func(e *Query) { e.C = core.DefaultC }), true},
+		{"C -0", q, with(func(e *Query) { e.C = negZero }), true},
+		{"MaxRegions default", with(func(e *Query) { e.MaxRegions = 0 }), with(func(e *Query) { e.MaxRegions = core.DefaultMaxRegions }), true},
+		{"KDESample default", kde, with(func(e *Query) { e.UseKDE, e.KDESample = true, defaultKDESample }), true},
+		{"KDESample without UseKDE", q, with(func(e *Query) { e.KDESample = 500 }), true},
+		{"Glowworms default", with(func(e *Query) { e.Glowworms = 0 }), with(func(e *Query) { e.Glowworms = worms }), true},
+		{"Iterations default", with(func(e *Query) { e.Iterations = 0 }), with(func(e *Query) { e.Iterations = iters }), true},
+		{"MinSideFrac default", q, with(func(e *Query) { e.MinSideFrac = core.DefaultMinSideFrac }), true},
+		{"MaxSideFrac default", q, with(func(e *Query) { e.MaxSideFrac = core.DefaultMaxSideFrac }), true},
+		{"Workers", q, with(func(e *Query) { e.Workers = 2 }), true},
+		{"Threshold -0", with(func(e *Query) { e.Threshold = 0 }), with(func(e *Query) { e.Threshold = negZero }), true},
 
-	explicit := q
-	explicit.C = 4           // the default
-	explicit.KDESample = 500 // ignored without UseKDE
-	explicit.Workers = 2     // results are bit-identical regardless
-	explicit.MinSideFrac = 0.01
-	explicit.MaxSideFrac = 0.15
-	if _, err := eng.Find(explicit); err != nil {
-		t.Fatal(err)
-	}
-	if got := cb.calls.Load(); got != ran {
-		t.Fatalf("canonically identical query re-ran the swarm (%d extra evaluations)", got-ran)
-	}
+		{"Threshold", q, with(func(e *Query) { e.Threshold = 31 }), false},
+		{"Above", q, with(func(e *Query) { e.Above = false }), false},
+		{"C", q, with(func(e *Query) { e.C = 2 }), false},
+		{"MaxRegions", q, with(func(e *Query) { e.MaxRegions = 3 }), false},
+		{"UseTrueFunction", with(func(e *Query) { e.UseTrueFunction = false }), q, false},
+		{"UseKDE", q, kde, false},
+		{"KDESample", kde, with(func(e *Query) { e.UseKDE, e.KDESample = true, 500 }), false},
+		{"Glowworms", q, with(func(e *Query) { e.Glowworms = 21 }), false},
+		{"Iterations", q, with(func(e *Query) { e.Iterations = 11 }), false},
+		{"MinSideFrac", q, with(func(e *Query) { e.MinSideFrac = 0.02 }), false},
+		{"MaxSideFrac", q, with(func(e *Query) { e.MaxSideFrac = 0.2 }), false},
+		{"SkipVerify", q, with(func(e *Query) { e.SkipVerify = true }), false},
+		{"ClusterExtents", q, with(func(e *Query) { e.ClusterExtents = true }), false},
+		{"Seed", q, with(func(e *Query) { e.Seed = 4 }), false},
+	})
 
-	different := q
-	different.Threshold = 31
-	if _, err := eng.Find(different); err != nil {
+	tq := TopKQuery{K: 3, Largest: true, Seed: 3, Iterations: 10, Glowworms: 20, UseTrueFunction: true}
+	withK := func(edit func(*TopKQuery)) TopKQuery {
+		e := tq
+		edit(&e)
+		return e
+	}
+	runCanonCases(t, "TopKQuery", (*Engine).FindTopK, []canonCase[TopKQuery]{
+		{"C default", tq, withK(func(e *TopKQuery) { e.C = core.DefaultC }), true},
+		{"C -0", tq, withK(func(e *TopKQuery) { e.C = negZero }), true},
+		{"Glowworms default", withK(func(e *TopKQuery) { e.Glowworms = 0 }), withK(func(e *TopKQuery) { e.Glowworms = worms }), true},
+		{"Iterations default", withK(func(e *TopKQuery) { e.Iterations = 0 }), withK(func(e *TopKQuery) { e.Iterations = iters }), true},
+		{"MinSideFrac default", tq, withK(func(e *TopKQuery) { e.MinSideFrac = core.DefaultMinSideFrac }), true},
+		{"MaxSideFrac default", tq, withK(func(e *TopKQuery) { e.MaxSideFrac = core.DefaultMaxSideFrac }), true},
+		{"Workers", tq, withK(func(e *TopKQuery) { e.Workers = 2 }), true},
+
+		{"K", tq, withK(func(e *TopKQuery) { e.K = 2 }), false},
+		{"Largest", tq, withK(func(e *TopKQuery) { e.Largest = false }), false},
+		{"C", tq, withK(func(e *TopKQuery) { e.C = 2 }), false},
+		{"UseTrueFunction", withK(func(e *TopKQuery) { e.UseTrueFunction = false }), tq, false},
+		{"Glowworms", tq, withK(func(e *TopKQuery) { e.Glowworms = 21 }), false},
+		{"Iterations", tq, withK(func(e *TopKQuery) { e.Iterations = 11 }), false},
+		{"MinSideFrac", tq, withK(func(e *TopKQuery) { e.MinSideFrac = 0.02 }), false},
+		{"MaxSideFrac", tq, withK(func(e *TopKQuery) { e.MaxSideFrac = 0.2 }), false},
+		{"SkipVerify", tq, withK(func(e *TopKQuery) { e.SkipVerify = true }), false},
+		{"Seed", tq, withK(func(e *TopKQuery) { e.Seed = 4 }), false},
+	})
+}
+
+// runCanonCases runs, as subtests of name, each case's a then b on a
+// cached engine with a surrogate (the UseTrueFunction cases run a on
+// it), counting b's true-function evaluations, and checks each shared
+// pair against an engine without a cache.
+func runCanonCases[Q any](t *testing.T, name string, find func(*Engine, Q) (*Result, error), cases []canonCase[Q]) {
+	t.Helper()
+	eng, cb := cachedEngine(t)
+	wl, err := eng.GenerateWorkload(200, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cb.calls.Load(); got == ran {
-		t.Fatal("materially different query was served from cache")
+	if err := eng.TrainSurrogate(wl, TrainOptions{Trees: 5}); err != nil {
+		t.Fatal(err)
 	}
+	uncached, _ := cachedEngine(t, WithResultCache(0))
+	t.Run(name, func(t *testing.T) {
+		for _, tt := range cases {
+			t.Run(tt.name, func(t *testing.T) {
+				eng.cache.clear()
+				ra, err := find(eng, tt.a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ran := cb.calls.Load()
+				if _, err := find(eng, tt.b); err != nil {
+					t.Fatal(err)
+				}
+				extra := cb.calls.Load() - ran
+				if !tt.shared {
+					if extra == 0 {
+						t.Fatal("materially different query was served from cache")
+					}
+					return
+				}
+				if extra != 0 {
+					t.Fatalf("canonically identical query re-ran the swarm (%d extra evaluations)", extra)
+				}
+				rb, err := find(uncached, tt.b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameRegions(t, ra, rb)
+			})
+		}
+	})
 }
 
 // TestResultCacheInvalidatedBySwap: training (or loading) a surrogate
@@ -260,23 +359,6 @@ func TestResultCacheTopK(t *testing.T) {
 		t.Fatal("repeat top-k query re-ran")
 	}
 	sameRegions(t, r1, r2)
-}
-
-// TestResultCacheSessionSharing: sessions pin the same snapshot, so
-// their queries hit the same cache entries as engine-level calls.
-func TestResultCacheSessionSharing(t *testing.T) {
-	eng, cb := cachedEngine(t)
-	if _, err := eng.Find(cacheQuery); err != nil {
-		t.Fatal(err)
-	}
-	ran := cb.calls.Load()
-	sess := eng.Session()
-	if _, err := sess.Find(cacheQuery); err != nil {
-		t.Fatal(err)
-	}
-	if cb.calls.Load() != ran {
-		t.Fatal("session repeat of an engine query re-ran the swarm")
-	}
 }
 
 // TestCacheStats: the engine reports lifetime hit/miss counters and

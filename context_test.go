@@ -187,52 +187,3 @@ func TestConcurrentFindAndTrain(t *testing.T) {
 		t.Errorf("concurrent find/train: %v", err)
 	}
 }
-
-// TestSessionPinsSurrogateSnapshot checks that a Session keeps serving
-// the model it was created with even after the engine retrains.
-func TestSessionPinsSurrogateSnapshot(t *testing.T) {
-	d := crimeGrid(3000, 35)
-	eng, _ := Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count})
-	wl, err := eng.GenerateWorkload(600, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.TrainSurrogate(wl, TrainOptions{Trees: 40}); err != nil {
-		t.Fatal(err)
-	}
-	sess := eng.Session()
-	center, half := []float64{0.7, 0.3}, []float64{0.1, 0.1}
-	before, err := sess.PredictStatistic(center, half)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Retrain with a very different model; the engine moves on, the
-	// session must not.
-	if err := eng.TrainSurrogate(wl, TrainOptions{Trees: 5, MaxDepth: 2, Seed: 9}); err != nil {
-		t.Fatal(err)
-	}
-	after, err := sess.PredictStatistic(center, half)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before != after {
-		t.Errorf("session prediction drifted after retrain: %g -> %g", before, after)
-	}
-	// A fresh session sees the new model.
-	fresh, err := eng.Session().PredictStatistic(center, half)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh == before {
-		t.Log("new model predicts identically at probe point (unusual but not an error)")
-	}
-	// Sessions created before any training report no surrogate.
-	eng2, _ := Open(d, Config{FilterColumns: []string{"x", "y"}, Statistic: Count})
-	s2 := eng2.Session()
-	if s2.HasSurrogate() {
-		t.Error("empty engine session claims a surrogate")
-	}
-	if _, err := s2.Find(Query{Threshold: 10, Above: true}); !errors.Is(err, ErrNoSurrogate) {
-		t.Errorf("session Find without surrogate returned %v, want ErrNoSurrogate", err)
-	}
-}

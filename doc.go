@@ -37,8 +37,6 @@
 //   - An Engine is safe for concurrent use. Queries read an atomic
 //     snapshot of the surrogate, so TrainSurrogate or LoadSurrogate
 //     may swap the model while Find calls are in flight.
-//   - Session pins one surrogate snapshot for a sequence of calls
-//     that must see a consistent model.
 //   - Failures are classified by exported sentinel errors
 //     (ErrNoSurrogate, ErrDimMismatch, ErrBadConfig, …) that work
 //     with errors.Is. Queries are validated up front, before any
@@ -191,8 +189,8 @@
 // queries by a "dataset" field and manages entries through the
 // PUT/DELETE /v1/models admin API.
 //
-// Engines also keep a small LRU result cache over canonicalized
-// queries (WithResultCache to resize or disable): a repeated
+// Engines also keep a small LRU result cache over resolved queries
+// (WithResultCache to resize or disable): a repeated
 // Find/FindTopK against the same surrogate snapshot is answered
 // without re-running the swarm, and the cache clears on every
 // train/load so no stale model's results are served.

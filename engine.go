@@ -77,11 +77,10 @@ type Config struct {
 // snapshot of the surrogate, so TrainSurrogate, TrainSurrogateContext
 // and LoadSurrogate may swap the model while Find calls are running.
 // A query that starts before a swap completes finishes against the
-// model it started with; use Session to pin one snapshot across
-// several calls. Each snapshot carries a compiled flat-array form of
-// its ensemble, rebuilt on every train/load and swapped atomically
-// with it, which Find, FindTopK and PredictStatisticBatch use to
-// evaluate whole probe batches per model pass.
+// model it started with. Each snapshot carries a compiled flat-array
+// form of its ensemble, rebuilt on every train/load and swapped
+// atomically with it, which Find, FindTopK and PredictStatisticBatch
+// use to evaluate whole probe batches per model pass.
 type Engine struct {
 	spec  dataset.Spec
 	names []string // column names, the fixed schema across data versions
@@ -116,9 +115,9 @@ type dataView struct {
 // snapshot pairs a surrogate (possibly nil before any training) with
 // the pinned data view it serves over, the metadata describing how
 // the model was produced, and a generation number unique within its
-// engine. The engine swaps whole snapshots atomically, so a query (or
-// Session) pinning one sees a model, a data version and provenance
-// that can never disagree; result-cache keys embed the generation,
+// engine. The engine swaps whole snapshots atomically, so a query
+// pinning one sees a model, a data version and provenance that can
+// never disagree; result-cache keys embed the generation,
 // which — unlike a pointer — can never be reused after the snapshot
 // is garbage collected, and which bumps on data swaps exactly as on
 // model swaps, invalidating cached results either way.
@@ -388,18 +387,14 @@ func (e *Engine) SurrogateInfo() (info SurrogateInfo, ok bool) {
 
 // PredictStatistic returns the surrogate's estimate for a region
 // without touching the data. center and halfSides must each have Dims
-// entries; other lengths return a wrapped ErrDimMismatch.
+// entries; other lengths return a wrapped ErrDimMismatch, so no
+// request shape can reach the surrogate's panicking Predict.
 func (e *Engine) PredictStatistic(center, halfSides []float64) (float64, error) {
-	return predict1(e.surrogate.Load().surr, e.Dims(), center, halfSides)
-}
-
-// predict1 validates a single-region prediction request against one
-// surrogate snapshot and runs it, so no request shape can reach the
-// surrogate's panicking Predict.
-func predict1(s *core.Surrogate, dims int, center, halfSides []float64) (float64, error) {
+	s := e.surrogate.Load().surr
 	if s == nil {
 		return 0, ErrNoSurrogate
 	}
+	dims := e.Dims()
 	if len(center) != dims || len(halfSides) != dims {
 		return 0, fmt.Errorf("%w: region of %d center and %d half-side coordinates for engine of dimension %d",
 			ErrDimMismatch, len(center), len(halfSides), dims)
@@ -415,24 +410,20 @@ func predict1(s *core.Surrogate, dims int, center, halfSides []float64) (float64
 // preferred form for high-throughput probing; every row is evaluated
 // against one compiled-model snapshot even if a retrain swaps the
 // surrogate mid-call.
+//
+// Shape errors map to the public sentinels (ErrBadQuery for the
+// output length, ErrDimMismatch for row widths); the surrogate's own
+// validating boundary backstops them, so no request shape can ever
+// reach the kernel's internal panics.
 func (e *Engine) PredictStatisticBatch(rows [][]float64, out []float64) error {
 	s := e.surrogate.Load().surr
 	if s == nil {
 		return ErrNoSurrogate
 	}
-	return predictBatch(s, e.Dims(), rows, out)
-}
-
-// predictBatch validates a batch-prediction request against one
-// surrogate snapshot and runs it. The engine-level checks map shape
-// errors to the public sentinels (ErrBadQuery for the output length,
-// ErrDimMismatch for row widths); the surrogate's own validating
-// boundary backstops them, so no request shape can ever reach the
-// kernel's internal panics.
-func predictBatch(s *core.Surrogate, dims int, rows [][]float64, out []float64) error {
 	if len(out) != len(rows) {
 		return fmt.Errorf("%w: output of length %d for %d rows", ErrBadQuery, len(out), len(rows))
 	}
+	dims := e.Dims()
 	for i, r := range rows {
 		if len(r) != 2*dims {
 			return fmt.Errorf("%w: row %d of length %d for engine of dimension %d (want 2·d)",
@@ -443,74 +434,4 @@ func predictBatch(s *core.Surrogate, dims int, rows [][]float64, out []float64) 
 		return fmt.Errorf("%w: %v", ErrDimMismatch, err)
 	}
 	return nil
-}
-
-// Session pins a consistent view of the engine's surrogate. All calls
-// through one session use the surrogate snapshot taken when the
-// session was created, even if TrainSurrogate or LoadSurrogate swap
-// the engine's model in the meantime — use it when a sequence of
-// queries (or a query plus PredictStatistic calls) must agree on one
-// model. Sessions are cheap and safe for concurrent use; create one
-// per request.
-type Session struct {
-	eng  *Engine
-	snap *snapshot
-}
-
-// Session snapshots the engine's current state: the surrogate (which
-// may be absent when none is trained yet) together with the data view
-// it serves over.
-func (e *Engine) Session() *Session {
-	return &Session{eng: e, snap: e.surrogate.Load()}
-}
-
-// HasSurrogate reports whether the session's snapshot holds a model.
-func (s *Session) HasSurrogate() bool { return s.snap.surr != nil }
-
-// SurrogateInfo returns the provenance of the session's pinned
-// snapshot; ok is false when the session was created with no
-// surrogate.
-func (s *Session) SurrogateInfo() (info SurrogateInfo, ok bool) {
-	if s.snap.surr == nil {
-		return SurrogateInfo{}, false
-	}
-	return s.snap.info, true
-}
-
-// PredictStatistic returns the snapshot surrogate's estimate for a
-// region (see Engine.PredictStatistic).
-func (s *Session) PredictStatistic(center, halfSides []float64) (float64, error) {
-	return predict1(s.snap.surr, s.eng.Dims(), center, halfSides)
-}
-
-// PredictStatisticBatch is Engine.PredictStatisticBatch against the
-// session's pinned surrogate snapshot.
-func (s *Session) PredictStatisticBatch(rows [][]float64, out []float64) error {
-	if s.snap.surr == nil {
-		return ErrNoSurrogate
-	}
-	return predictBatch(s.snap.surr, s.eng.Dims(), rows, out)
-}
-
-// Find mines interesting regions using the session's surrogate
-// snapshot.
-func (s *Session) Find(q Query) (*Result, error) {
-	return s.FindContext(context.Background(), q)
-}
-
-// FindContext is Find with cancellation (see Engine.FindContext).
-func (s *Session) FindContext(ctx context.Context, q Query) (*Result, error) {
-	return findContext(ctx, s.eng, s.snap, q)
-}
-
-// FindTopK mines the k most extreme regions using the session's
-// surrogate snapshot.
-func (s *Session) FindTopK(q TopKQuery) (*Result, error) {
-	return s.FindTopKContext(context.Background(), q)
-}
-
-// FindTopKContext is FindTopK with cancellation (see
-// Engine.FindTopKContext).
-func (s *Session) FindTopKContext(ctx context.Context, q TopKQuery) (*Result, error) {
-	return findTopKContext(ctx, s.eng, s.snap, q)
 }

@@ -76,10 +76,9 @@ func main() {
 	}
 
 	// --- Mine hotspot regions and verify them against the data. The
-	// session pins the just-trained surrogate snapshot, so the query
-	// is unaffected by any concurrent retraining on the engine.
-	sess := eng.Session()
-	res, err := sess.FindContext(ctx, surf.Query{
+	// query pins the just-trained surrogate snapshot, so it is
+	// unaffected by any concurrent retraining on the engine.
+	res, err := eng.FindContext(ctx, surf.Query{
 		Threshold:      yR,
 		Above:          true,
 		MinSideFrac:    0.03,

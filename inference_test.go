@@ -63,22 +63,11 @@ func TestPredictStatisticBatch(t *testing.T) {
 	if err := eng.PredictStatisticBatch(bad, make([]float64, 8)); !errors.Is(err, ErrDimMismatch) {
 		t.Errorf("bad row width: got %v, want ErrDimMismatch", err)
 	}
-
-	sess := eng.Session()
-	sessOut := make([]float64, len(rows))
-	if err := sess.PredictStatisticBatch(rows, sessOut); err != nil {
-		t.Fatal(err)
-	}
-	for i := range out {
-		if sessOut[i] != out[i] {
-			t.Fatalf("session batch diverged at row %d", i)
-		}
-	}
 }
 
 // TestPredictStatisticShape: a region whose center or halfSides
-// length differs from the engine's dimension is an ErrDimMismatch from
-// both Engine and Session, never a panic.
+// length differs from the engine's dimension is an ErrDimMismatch,
+// never a panic.
 func TestPredictStatisticShape(t *testing.T) {
 	eng := inferenceEngine(t)
 	predictors := []struct {
@@ -86,7 +75,6 @@ func TestPredictStatisticShape(t *testing.T) {
 		predict func(center, halfSides []float64) (float64, error)
 	}{
 		{"engine", eng.PredictStatistic},
-		{"session", eng.Session().PredictStatistic},
 	}
 	tests := []struct {
 		name              string
@@ -125,9 +113,6 @@ func TestPredictStatisticBatchRequiresSurrogate(t *testing.T) {
 	}
 	if err := eng.PredictStatisticBatch(probeRows(4), make([]float64, 4)); !errors.Is(err, ErrNoSurrogate) {
 		t.Errorf("got %v, want ErrNoSurrogate", err)
-	}
-	if err := eng.Session().PredictStatisticBatch(probeRows(4), make([]float64, 4)); !errors.Is(err, ErrNoSurrogate) {
-		t.Errorf("session: got %v, want ErrNoSurrogate", err)
 	}
 }
 

@@ -374,7 +374,7 @@ func TestFinderDedupe(t *testing.T) {
 		return 1000 * math.Exp(-d/0.01)
 	}
 	finder, _ := NewFinder(stat, geom.Unit(1))
-	cfg := FinderConfig{Threshold: 500, Dir: Above, DedupeIoU: 0.2}
+	cfg := FinderConfig{Threshold: 500, Dir: Above}
 	cfg.GSO.MaxIters = 150
 	res, err := finder.Find(cfg)
 	if err != nil {
@@ -419,8 +419,8 @@ func TestFinderConfigDefaults(t *testing.T) {
 	if cfg.MinSideFrac != 0.01 || cfg.MaxSideFrac != 0.15 {
 		t.Errorf("side fracs = [%g, %g]", cfg.MinSideFrac, cfg.MaxSideFrac)
 	}
-	if cfg.DedupeIoU != 0.3 || cfg.MaxRegions != 16 {
-		t.Errorf("dedupe=%g max=%d", cfg.DedupeIoU, cfg.MaxRegions)
+	if cfg.MaxRegions != 16 {
+		t.Errorf("max=%d", cfg.MaxRegions)
 	}
 	// Explicit GSO params survive.
 	explicit := FinderConfig{GSO: gso.Params{Glowworms: 42, MaxIters: 7, Rho: 0.4, Gamma: 0.6, Beta: 0.08, InitLuciferin: 5, DesiredNeighbors: 5, StepSize: 0.03, Seed: 3}}.withDefaults(3)

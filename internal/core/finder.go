@@ -67,9 +67,6 @@ type FinderConfig struct {
 	// workload's range).
 	MinSideFrac float64
 	MaxSideFrac float64
-	// DedupeIoU merges converged particles whose boxes overlap at
-	// least this much (default 0.3).
-	DedupeIoU float64
 	// MaxRegions caps the number of returned regions (default 16).
 	MaxRegions int
 	// OnIteration, when non-nil, receives every swarm iteration's
@@ -78,26 +75,30 @@ type FinderConfig struct {
 	// goroutine; it must not block.
 	OnIteration func(gso.IterStats)
 	// OnRegion, when non-nil, receives incumbent regions as their
-	// swarm clusters stabilize: every EmitEvery iterations the live
+	// swarm clusters stabilize: every emitEvery iterations the live
 	// swarm is reduced to candidate regions (the same greedy IoU
 	// clustering as the final extraction) and a candidate persisting
-	// for StableChecks consecutive sweeps is delivered once. The
+	// for stableChecks consecutive sweeps is delivered once. The
 	// final FindResult re-extracts from the converged swarm and
 	// remains authoritative. Called synchronously on the mining
 	// goroutine.
 	OnRegion func(Region)
-	// EmitEvery is the sweep period, in iterations, for OnRegion
-	// (default 10).
-	EmitEvery int
-	// StableChecks is how many consecutive sweeps a candidate region
-	// must survive before OnRegion delivers it (default 2).
-	StableChecks int
 }
 
-// Default query-knob values, exported so the public layer's query
-// canonicalization (result-cache keys) is defined by the same
-// constants as the defaulting applied here — a default change cannot
-// silently alias two queries to one cache entry.
+const (
+	// dedupeIoU merges converged particles whose boxes overlap at
+	// least this much.
+	dedupeIoU = 0.3
+	// emitEvery is the sweep period, in iterations, for OnRegion.
+	emitEvery = 10
+	// stableChecks is how many consecutive sweeps a candidate region
+	// must survive before OnRegion delivers it.
+	stableChecks = 2
+)
+
+// Default query-knob values, exported so the public layer resolves
+// each query's zero knobs to the same values withDefaults applies for
+// the callers that pass zero knobs to core directly.
 const (
 	// DefaultC is the region-size regularizer default.
 	DefaultC = 4
@@ -132,17 +133,8 @@ func (c FinderConfig) withDefaults(dims int) FinderConfig {
 	if c.MaxSideFrac == 0 {
 		c.MaxSideFrac = DefaultMaxSideFrac
 	}
-	if c.DedupeIoU == 0 {
-		c.DedupeIoU = 0.3
-	}
 	if c.MaxRegions == 0 {
 		c.MaxRegions = DefaultMaxRegions
-	}
-	if c.EmitEvery == 0 {
-		c.EmitEvery = 10
-	}
-	if c.StableChecks == 0 {
-		c.StableChecks = 2
 	}
 	return c
 }
@@ -269,7 +261,6 @@ func (f *Finder) FindContext(ctx context.Context, cfg FinderConfig) (*FindResult
 			tracker = newIncumbentTracker(f, cfg, cfg.OnRegion)
 		}
 		onIter := cfg.OnIteration
-		emitEvery := cfg.EmitEvery
 		opts.Observer = func(it gso.IterStats, view gso.SwarmView) {
 			if onIter != nil {
 				onIter(it)
@@ -332,7 +323,7 @@ type clusteredCand struct {
 // maxRegions. Shared by the final extraction and the incumbent
 // sweeps of the streaming path so the two can never diverge. The
 // cands slice is reordered in place.
-func greedyCluster(cands []swarmCand, domain geom.Rect, dedupeIoU float64, maxRegions int) []clusteredCand {
+func greedyCluster(cands []swarmCand, domain geom.Rect, maxRegions int) []clusteredCand {
 	sort.Slice(cands, func(i, j int) bool { return cands[i].fit > cands[j].fit })
 	var out []clusteredCand
 	for _, c := range cands {
@@ -383,7 +374,7 @@ func (f *Finder) extractRegions(res *gso.Result, obj gso.Objective, cfg FinderCo
 		}
 	}
 	var regions []Region
-	for _, c := range greedyCluster(cands, f.domain, cfg.DedupeIoU, cfg.MaxRegions) {
+	for _, c := range greedyCluster(cands, f.domain, cfg.MaxRegions) {
 		regions = append(regions, Region{
 			Rect:     c.rect,
 			Score:    c.score,

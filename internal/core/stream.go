@@ -10,11 +10,11 @@ import (
 // Progressive region delivery. The final extraction (extractRegions)
 // only runs once the swarm has converged; interactive callers want
 // incumbent regions the moment a cluster of worms settles on one.
-// incumbentTracker implements that: every EmitEvery iterations it
+// incumbentTracker implements that: every emitEvery iterations it
 // reduces the live swarm to candidate regions with the same greedy
 // best-first IoU clustering the final extraction uses (greedyCluster,
 // shared so the two cannot diverge), and a candidate that survives
-// StableChecks consecutive sweeps — its cluster has stopped drifting
+// stableChecks consecutive sweeps — its cluster has stopped drifting
 // — is delivered through OnRegion. Deliveries are incumbents, not
 // final answers: the converged-swarm extraction at the end of the run
 // remains authoritative, and a cluster that later dissolves is simply
@@ -51,7 +51,7 @@ func (tr *incumbentTracker) sweep(view gso.SwarmView) {
 		}
 		cands = append(cands, swarmCand{vec: view.Positions[i], fit: fit})
 	}
-	clustered := greedyCluster(cands, tr.finder.domain, tr.cfg.DedupeIoU, tr.cfg.MaxRegions)
+	clustered := greedyCluster(cands, tr.finder.domain, tr.cfg.MaxRegions)
 
 	// Advance streaks against the previous sweep and drop candidates
 	// overlapping an already-delivered region.
@@ -62,12 +62,12 @@ func (tr *incumbentTracker) sweep(view gso.SwarmView) {
 		}
 		streak := 1
 		for _, prev := range tr.pending {
-			if prev.rect.IoU(c.rect) >= tr.cfg.DedupeIoU {
+			if prev.rect.IoU(c.rect) >= dedupeIoU {
 				streak = prev.streak + 1
 				break
 			}
 		}
-		if streak >= tr.cfg.StableChecks {
+		if streak >= stableChecks {
 			tr.emitted = append(tr.emitted, c.rect)
 			tr.emit(Region{
 				Rect:     c.rect,
@@ -89,7 +89,7 @@ func (tr *incumbentTracker) sweep(view gso.SwarmView) {
 
 func (tr *incumbentTracker) overlapsEmitted(rect geom.Rect) bool {
 	for _, e := range tr.emitted {
-		if e.IoU(rect) >= tr.cfg.DedupeIoU {
+		if e.IoU(rect) >= dedupeIoU {
 			return true
 		}
 	}

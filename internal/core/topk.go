@@ -37,15 +37,16 @@ type TopKConfig struct {
 	// and 0.15).
 	MinSideFrac float64
 	MaxSideFrac float64
-	// ClusterEps is the swarm-cluster linkage threshold (default
-	// 0.05 of the domain extent).
-	ClusterEps float64
 	// OnIteration, when non-nil, receives every swarm iteration's
 	// telemetry as it completes. Top-k regions are only materialized
 	// by the end-of-run clustering, so there is no per-region
 	// streaming counterpart here.
 	OnIteration func(gso.IterStats)
 }
+
+// topKClusterEps is the swarm-cluster linkage threshold of top-k
+// extraction, as a fraction of the domain extent.
+const topKClusterEps = 0.05
 
 // TopKResult is the outcome of FindTopK.
 type TopKResult struct {
@@ -79,9 +80,6 @@ func (f *Finder) FindTopKContext(ctx context.Context, cfg TopKConfig) (*TopKResu
 	dims := f.domain.Dims()
 	fc := FinderConfig{C: cfg.C, GSO: cfg.GSO, MinSideFrac: cfg.MinSideFrac, MaxSideFrac: cfg.MaxSideFrac}
 	fc = fc.withDefaults(dims)
-	if cfg.ClusterEps == 0 {
-		cfg.ClusterEps = 0.05
-	}
 
 	sign := 1.0
 	if !cfg.Largest {
@@ -124,7 +122,7 @@ func (f *Finder) FindTopKContext(ctx context.Context, cfg TopKConfig) (*TopKResu
 		return nil, err
 	}
 
-	clusters := ClusterRegions(res, f.domain, cfg.ClusterEps)
+	clusters := ClusterRegions(res, f.domain, topKClusterEps)
 	regions := make([]Region, 0, len(clusters))
 	for _, rect := range clusters {
 		y := stat(rect.Center(), rect.HalfSides())

@@ -129,25 +129,6 @@ func (d *Dataset) Domain(colIdx []int) geom.Rect {
 	return geom.Rect{Min: min, Max: max}
 }
 
-// Sample returns a dataset holding every k-th row starting at offset,
-// sharing no storage with d. It supports PRIM-style sampling remedies
-// for large datasets (Section V-D).
-func (d *Dataset) Sample(stride, offset int) *Dataset {
-	if stride < 1 {
-		stride = 1
-	}
-	cols := make([][]float64, len(d.cols))
-	for c := range cols {
-		var col []float64
-		for i := offset; i < d.n; i += stride {
-			col = append(col, d.cols[c][i])
-		}
-		cols[c] = col
-	}
-	out, _ := New(append([]string(nil), d.names...), cols)
-	return out
-}
-
 // Slice returns a dataset view of rows [lo, hi). The view shares the
 // receiver's column storage — no rows are copied — so a large dataset
 // can be split into row-range shards at negligible memory cost. Both
@@ -161,21 +142,6 @@ func (d *Dataset) Slice(lo, hi int) (*Dataset, error) {
 		cols[c] = d.cols[c][lo:hi:hi]
 	}
 	return New(append([]string(nil), d.names...), cols)
-}
-
-// Select returns a new dataset holding only the rows whose index is in
-// keep (order preserved, duplicates allowed).
-func (d *Dataset) Select(keep []int) *Dataset {
-	cols := make([][]float64, len(d.cols))
-	for c := range cols {
-		col := make([]float64, len(keep))
-		for j, i := range keep {
-			col[j] = d.cols[c][i]
-		}
-		cols[c] = col
-	}
-	out, _ := New(append([]string(nil), d.names...), cols)
-	return out
 }
 
 // Spec identifies what a region query computes: which columns the
@@ -327,23 +293,3 @@ func (d *Dataset) materializeRows(idx []int) [][]float64 {
 	}
 	return rows
 }
-
-// CountingEvaluator wraps an Evaluator and counts calls; the experiment
-// harness uses it to report how many region evaluations each method
-// issued (the paper's baseline-complexity argument).
-type CountingEvaluator struct {
-	Inner Evaluator
-	Calls int
-}
-
-// Evaluate delegates and increments the call counter.
-func (c *CountingEvaluator) Evaluate(region geom.Rect) (float64, int) {
-	c.Calls++
-	return c.Inner.Evaluate(region)
-}
-
-// Spec delegates to the wrapped evaluator.
-func (c *CountingEvaluator) Spec() Spec { return c.Inner.Spec() }
-
-// Dims delegates to the wrapped evaluator.
-func (c *CountingEvaluator) Dims() int { return c.Inner.Dims() }

@@ -68,25 +68,6 @@ func TestDomain(t *testing.T) {
 	}
 }
 
-func TestSampleAndSelect(t *testing.T) {
-	d := toyDataset()
-	s := d.Sample(2, 0)
-	if s.Len() != 3 {
-		t.Fatalf("Sample len = %d, want 3", s.Len())
-	}
-	if s.Col(2)[1] != 3 {
-		t.Errorf("sampled val[1] = %g, want 3", s.Col(2)[1])
-	}
-	sel := d.Select([]int{5, 0})
-	if sel.Len() != 2 || sel.Col(2)[0] != 6 || sel.Col(2)[1] != 1 {
-		t.Errorf("Select wrong: %v", sel.Col(2))
-	}
-	// Stride below 1 is clamped.
-	if d.Sample(0, 0).Len() != d.Len() {
-		t.Error("stride 0 should behave as 1")
-	}
-}
-
 func TestSpecValidate(t *testing.T) {
 	d := toyDataset()
 	good := Spec{FilterCols: []int{0, 1}, Stat: stats.Mean, TargetCol: 2}
@@ -165,21 +146,6 @@ func TestLinearScanPanicsOnWrongDims(t *testing.T) {
 		}
 	}()
 	ev.Evaluate(geom.Unit(1))
-}
-
-func TestCountingEvaluator(t *testing.T) {
-	d := toyDataset()
-	inner, _ := NewLinearScan(d, Spec{FilterCols: []int{0, 1}, Stat: stats.Count})
-	c := &CountingEvaluator{Inner: inner}
-	for i := 0; i < 3; i++ {
-		c.Evaluate(geom.Unit(2))
-	}
-	if c.Calls != 3 {
-		t.Errorf("Calls = %d, want 3", c.Calls)
-	}
-	if c.Dims() != 2 {
-		t.Errorf("Dims = %d, want 2", c.Dims())
-	}
 }
 
 func randomDataset(rng *rand.Rand, n, dims int) *Dataset {
@@ -372,24 +338,6 @@ func TestDatasetCSVRoundTrip(t *testing.T) {
 				t.Fatalf("col %d row %d: %g != %g", c, i, back.Col(c)[i], d.Col(c)[i])
 			}
 		}
-	}
-}
-
-func TestDatasetGobRoundTrip(t *testing.T) {
-	d := toyDataset()
-	var buf bytes.Buffer
-	if err := d.WriteGob(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadGob(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != d.Len() {
-		t.Fatalf("len mismatch after gob round trip")
-	}
-	if back.Col(2)[5] != 6 {
-		t.Errorf("value mismatch after gob round trip")
 	}
 }
 

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"encoding/csv"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"strconv"
@@ -70,27 +69,6 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		row++
 	}
 	return New(names, cols)
-}
-
-// gobDataset is the wire form for gob round trips.
-type gobDataset struct {
-	Names []string
-	Cols  [][]float64
-}
-
-// WriteGob serializes the dataset in Go's binary gob encoding, which is
-// both smaller and much faster than CSV for large N.
-func (d *Dataset) WriteGob(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(gobDataset{Names: d.names, Cols: d.cols})
-}
-
-// ReadGob reads a dataset written by WriteGob.
-func ReadGob(r io.Reader) (*Dataset, error) {
-	var g gobDataset
-	if err := gob.NewDecoder(r).Decode(&g); err != nil {
-		return nil, fmt.Errorf("dataset: decode gob: %w", err)
-	}
-	return New(g.Names, g.Cols)
 }
 
 // Query is one past function evaluation q = [x, l, y] (paper

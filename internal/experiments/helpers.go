@@ -161,16 +161,6 @@ func runFGlowWorm(ds *synth.Dataset, scale Scale, seed uint64) ([]geom.Rect, tim
 	return mineWith(core.StatFnFromEvaluator(ev), ds, scale, seed)
 }
 
-// runFGlowWormScan is runFGlowWorm forced onto linear scans, matching
-// the paper's Table I cost model where every f evaluation is O(N).
-func runFGlowWormScan(ds *synth.Dataset, scale Scale, seed uint64) ([]geom.Rect, time.Duration, error) {
-	ev, err := dataset.NewLinearScan(ds.Data, ds.Spec)
-	if err != nil {
-		return nil, 0, err
-	}
-	return mineWith(core.StatFnFromEvaluator(ev), ds, scale, seed)
-}
-
 func mineWith(stat core.StatFn, ds *synth.Dataset, scale Scale, seed uint64) ([]geom.Rect, time.Duration, error) {
 	return mineWithBatch(stat, nil, ds, scale, seed)
 }

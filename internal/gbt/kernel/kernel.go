@@ -4,7 +4,7 @@
 // path. Compile turns a trained ensemble (in the neutral Ensemble
 // form) into an immutable Model serving Predict1 and PredictBatch;
 // every layer above — the core batch objective, the GSO batch
-// evaluators, Engine/Session prediction — talks only to the Model
+// evaluators, Engine prediction — talks only to the Model
 // interface, so the traversal strategy can change without touching
 // the pipeline.
 //

@@ -265,20 +265,6 @@ func (r Rect) Expand(delta float64) Rect {
 	return out
 }
 
-// CenterDistance returns the Euclidean distance between the centers of
-// r and s.
-func (r Rect) CenterDistance(s Rect) float64 {
-	if r.Dims() != s.Dims() {
-		panic(ErrDimensionMismatch)
-	}
-	var sum float64
-	for i := range r.Min {
-		d := (r.Min[i]+r.Max[i])/2 - (s.Min[i]+s.Max[i])/2
-		sum += d * d
-	}
-	return math.Sqrt(sum)
-}
-
 // String renders r as [min,max]×[min,max]…, e.g. "[0.1,0.4]×[0.2,0.9]".
 func (r Rect) String() string {
 	var b strings.Builder

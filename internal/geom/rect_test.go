@@ -196,14 +196,6 @@ func TestCanonical(t *testing.T) {
 	}
 }
 
-func TestCenterDistance(t *testing.T) {
-	a := NewRect([]float64{0, 0}, []float64{2, 2})
-	b := NewRect([]float64{3, 4}, []float64{5, 6}) // centers (1,1) and (4,5)
-	if got := a.CenterDistance(b); !almostEqual(got, 5, 1e-12) {
-		t.Errorf("CenterDistance = %g, want 5", got)
-	}
-}
-
 func TestStringFormat(t *testing.T) {
 	r := NewRect([]float64{0, 1}, []float64{1, 2})
 	if got := r.String(); got != "[0,1]x[1,2]" {

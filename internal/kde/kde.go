@@ -252,42 +252,6 @@ func (k *KDE) BoxMass(box geom.Rect) float64 {
 	return sum / float64(k.SampleSize())
 }
 
-// Sample draws one point from the estimate: a uniformly chosen sample
-// point plus per-dimension Gaussian noise at the bandwidth scale.
-func (k *KDE) Sample(rng *rand.Rand) []float64 {
-	at := rng.IntN(k.SampleSize()) * k.dims
-	s := k.points[at : at+k.dims]
-	out := make([]float64, k.dims)
-	for j := 0; j < k.dims; j++ {
-		out[j] = s[j] + rng.NormFloat64()*k.bandwidth[j]
-	}
-	return out
-}
-
-// GridDensity evaluates the density on a regular res×res grid over the
-// first two dimensions of the domain (other dimensions, if any, are
-// fixed at the domain center). It backs the Fig. 5 heatmaps.
-func (k *KDE) GridDensity(domain geom.Rect, res int) [][]float64 {
-	if domain.Dims() != k.dims {
-		panic(fmt.Sprintf("kde: GridDensity domain of dimension %d, want %d", domain.Dims(), k.dims))
-	}
-	if k.dims < 2 {
-		panic("kde: GridDensity requires at least 2 dimensions")
-	}
-	out := make([][]float64, res)
-	center := domain.Center()
-	p := append([]float64(nil), center...)
-	for i := 0; i < res; i++ {
-		out[i] = make([]float64, res)
-		p[0] = domain.Min[0] + (float64(i)+0.5)*(domain.Max[0]-domain.Min[0])/float64(res)
-		for j := 0; j < res; j++ {
-			p[1] = domain.Min[1] + (float64(j)+0.5)*(domain.Max[1]-domain.Min[1])/float64(res)
-			out[i][j] = k.Density(p)
-		}
-	}
-	return out
-}
-
 // normCDF is the standard normal cumulative distribution function.
 func normCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)

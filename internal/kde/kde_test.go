@@ -175,38 +175,6 @@ func TestDensityHigherNearData(t *testing.T) {
 	}
 }
 
-func TestSampleFollowsData(t *testing.T) {
-	rng := rand.New(rand.NewPCG(15, 16))
-	pts := gaussianCloud(rng, 500, 2, 3, 0.5)
-	k, _ := Fit(pts, Options{})
-	var mean0, mean1 float64
-	const n = 2000
-	for i := 0; i < n; i++ {
-		s := k.Sample(rng)
-		mean0 += s[0]
-		mean1 += s[1]
-	}
-	mean0 /= n
-	mean1 /= n
-	if math.Abs(mean0-3) > 0.15 || math.Abs(mean1-3) > 0.15 {
-		t.Errorf("sample mean = (%g, %g), want ~(3, 3)", mean0, mean1)
-	}
-}
-
-func TestGridDensity(t *testing.T) {
-	rng := rand.New(rand.NewPCG(17, 18))
-	pts := gaussianCloud(rng, 300, 2, 0.5, 0.15)
-	k, _ := Fit(pts, Options{})
-	grid := k.GridDensity(geom.Unit(2), 10)
-	if len(grid) != 10 || len(grid[0]) != 10 {
-		t.Fatalf("grid shape %dx%d, want 10x10", len(grid), len(grid[0]))
-	}
-	// Center cell should out-weigh a corner cell.
-	if grid[5][5] <= grid[0][0] {
-		t.Errorf("center density %g should exceed corner %g", grid[5][5], grid[0][0])
-	}
-}
-
 func TestDensityPanicsOnWrongDims(t *testing.T) {
 	k, _ := Fit([][]float64{{1, 2}}, Options{})
 	defer func() {

@@ -34,49 +34,6 @@ func RMSE(pred, truth []float64) (float64, error) {
 	return math.Sqrt(sum / float64(len(pred))), nil
 }
 
-// MAE returns the mean absolute error between predictions and truth.
-func MAE(pred, truth []float64) (float64, error) {
-	if len(pred) != len(truth) {
-		return 0, ErrLengthMismatch
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmptyInput
-	}
-	var sum float64
-	for i := range pred {
-		sum += math.Abs(pred[i] - truth[i])
-	}
-	return sum / float64(len(pred)), nil
-}
-
-// R2 returns the coefficient of determination 1 − SS_res/SS_tot. When
-// the truth is constant R2 is NaN unless predictions are exact.
-func R2(pred, truth []float64) (float64, error) {
-	if len(pred) != len(truth) {
-		return 0, ErrLengthMismatch
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmptyInput
-	}
-	var mean float64
-	for _, v := range truth {
-		mean += v
-	}
-	mean /= float64(len(truth))
-	var ssRes, ssTot float64
-	for i := range truth {
-		ssRes += (truth[i] - pred[i]) * (truth[i] - pred[i])
-		ssTot += (truth[i] - mean) * (truth[i] - mean)
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1, nil
-		}
-		return math.NaN(), nil
-	}
-	return 1 - ssRes/ssTot, nil
-}
-
 // Pearson returns the Pearson correlation coefficient of two paired
 // samples. It is NaN when either sample has zero variance.
 func Pearson(x, y []float64) (float64, error) {

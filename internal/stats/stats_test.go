@@ -275,35 +275,6 @@ func TestRMSE(t *testing.T) {
 	}
 }
 
-func TestMAE(t *testing.T) {
-	got, err := MAE([]float64{1, -1}, []float64{0, 0})
-	if err != nil || got != 1 {
-		t.Errorf("MAE = %g, want 1", got)
-	}
-}
-
-func TestR2(t *testing.T) {
-	truth := []float64{1, 2, 3, 4}
-	got, err := R2(truth, truth)
-	if err != nil || got != 1 {
-		t.Errorf("perfect R2 = %g, %v", got, err)
-	}
-	// Predicting the mean gives R2 = 0.
-	got, _ = R2([]float64{2.5, 2.5, 2.5, 2.5}, truth)
-	if math.Abs(got) > 1e-12 {
-		t.Errorf("mean-prediction R2 = %g, want 0", got)
-	}
-	// Constant truth with exact predictions.
-	got, _ = R2([]float64{5, 5}, []float64{5, 5})
-	if got != 1 {
-		t.Errorf("constant-exact R2 = %g, want 1", got)
-	}
-	got, _ = R2([]float64{4, 5}, []float64{5, 5})
-	if !math.IsNaN(got) {
-		t.Errorf("constant-inexact R2 = %g, want NaN", got)
-	}
-}
-
 func TestPearson(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	y := []float64{2, 4, 6, 8, 10}

@@ -101,13 +101,15 @@ type engineOptions struct {
 
 // WithResultCache sizes the engine's query-result cache (default 64
 // entries; 0 or negative disables it). Find and FindTopK consult the
-// cache: a repeat of a recently answered query — after canonicalizing
-// "zero means default" knobs — against the same surrogate snapshot
-// returns the cached Result (as a private copy) without re-running
-// the swarm. Entries are keyed by snapshot generation and the cache
-// is cleared whenever TrainSurrogate, LoadSurrogate or SetDataset
-// swaps the snapshot, so a stale model's or data version's results
-// are never served. Streams and FindMany bypass the cache, since
+// cache: a repeat of a recently answered query against the same
+// surrogate snapshot returns the cached Result (as a private copy)
+// without re-running the swarm. The key is the resolved query — every
+// zero knob set to its default, Workers (which cannot change the
+// answer) dropped — so an explicit default and a zero share an entry.
+// Keys also carry the snapshot generation, and the cache is cleared
+// whenever TrainSurrogate, LoadSurrogate or SetDataset swaps the
+// snapshot, so a stale model's or data version's results are never
+// served. Streams and FindMany bypass the cache, since
 // their callers consume the per-query event feed.
 //
 // Caching assumes repeated queries are deterministic, which holds

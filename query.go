@@ -1,6 +1,7 @@
 package surf
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -94,7 +95,8 @@ type Query struct {
 	UseTrueFunction bool `json:"use_true_function,omitempty"`
 	// UseKDE enables the data-density selection prior (Eq. 8).
 	UseKDE bool `json:"use_kde,omitempty"`
-	// KDESample caps the KDE sample size (default 1000).
+	// KDESample caps the KDE sample size (default 1000, at most
+	// 10,000; ignored without UseKDE).
 	KDESample int `json:"kde_sample,omitempty"`
 	// Glowworms and Iterations override the swarm size and budget
 	// (defaults: L = 50·2d worms, T = 100). Each is at most 10,000.
@@ -165,8 +167,8 @@ func (q Query) validate() error {
 	if q.MaxRegions < 0 {
 		return fmt.Errorf("%w: MaxRegions %d", ErrBadQuery, q.MaxRegions)
 	}
-	if q.KDESample < 0 {
-		return fmt.Errorf("%w: KDESample %d", ErrBadQuery, q.KDESample)
+	if q.KDESample < 0 || q.KDESample > maxSwarm {
+		return fmt.Errorf("%w: KDESample %d out of [0, %d]", ErrBadQuery, q.KDESample, maxSwarm)
 	}
 	return validateTuning(q.C, q.Glowworms, q.Iterations, q.Workers, q.MinSideFrac, q.MaxSideFrac)
 }
@@ -182,7 +184,9 @@ func (q TopKQuery) validate() error {
 // maxSwarm caps Glowworms and Iterations at 20× the paper's largest
 // swarm (L = 500, T = 400 in Fig. 10). A swarm's memory grows with L
 // and its trace with T, so without a cap one request could allocate
-// until the process dies.
+// until the process dies. It caps KDESample too: every Eq. 8 weight
+// sums over the whole sample, so an uncapped sample of the full
+// dataset could make one request cost CPU-hours.
 const maxSwarm = 10000
 
 // validateTuning checks the optimizer knobs Query and TopKQuery
@@ -208,9 +212,49 @@ func validateTuning(c float64, glowworms, iterations, workers int, minSide, maxS
 	return nil
 }
 
-// defaultKDESample is the KDE sample-size default shared by query
-// execution (startStream) and cache-key canonicalization.
+// defaultKDESample is the KDE sample size a UseKDE query gets when
+// KDESample is zero.
 const defaultKDESample = 1000
+
+// resolved validates q and returns it with every zero-means-default
+// knob set to the value execution uses: C, MaxRegions, the side
+// fractions, Glowworms and Iterations (through gsoParams), and
+// KDESample under UseKDE — zeroed without it, since it then changes
+// nothing. Seed stays raw: UseKDE queries sample with Seed+17, so
+// Seed 0 and the optimizer's default seed are not interchangeable.
+// Every query runs the resolved form, and the result cache keys on
+// it, so two queries share a cache entry exactly when they resolve
+// alike. Workers stays too; the cache zeroes it in the key.
+func (q Query) resolved(dims int) (Query, error) {
+	if err := q.validate(); err != nil {
+		return Query{}, err
+	}
+	g := gsoParams(dims, q.Glowworms, q.Iterations, q.Workers, q.Seed)
+	q.Glowworms, q.Iterations = g.Glowworms, g.MaxIters
+	q.C = cmp.Or(q.C, core.DefaultC)
+	q.MaxRegions = cmp.Or(q.MaxRegions, core.DefaultMaxRegions)
+	q.MinSideFrac = cmp.Or(q.MinSideFrac, core.DefaultMinSideFrac)
+	q.MaxSideFrac = cmp.Or(q.MaxSideFrac, core.DefaultMaxSideFrac)
+	if q.UseKDE {
+		q.KDESample = cmp.Or(q.KDESample, defaultKDESample)
+	} else {
+		q.KDESample = 0
+	}
+	return q, nil
+}
+
+// resolved is Query.resolved for top-k queries.
+func (q TopKQuery) resolved(dims int) (TopKQuery, error) {
+	if err := q.validate(); err != nil {
+		return TopKQuery{}, err
+	}
+	g := gsoParams(dims, q.Glowworms, q.Iterations, q.Workers, q.Seed)
+	q.Glowworms, q.Iterations = g.Glowworms, g.MaxIters
+	q.C = cmp.Or(q.C, core.DefaultC)
+	q.MinSideFrac = cmp.Or(q.MinSideFrac, core.DefaultMinSideFrac)
+	q.MaxSideFrac = cmp.Or(q.MaxSideFrac, core.DefaultMaxSideFrac)
+	return q, nil
+}
 
 // gsoParams is the single source of optimizer defaulting for Find and
 // FindTopK. The effective parameters are identical whether or not any
@@ -218,9 +262,7 @@ const defaultKDESample = 1000
 // (over the 2d-dimensional [x, l] solution space) unless explicitly
 // overridden, and Workers 0 means one per CPU (GOMAXPROCS), as
 // TrainOptions.Workers does; the optimizer caps the count at what the
-// swarm can use. Historically Find and FindTopK built these parameters
-// separately and setting only Seed or Workers could change unrelated
-// defaults.
+// swarm can use.
 func gsoParams(dims, glowworms, iterations, workers int, seed uint64) gso.Params {
 	g := gso.DefaultParams()
 	g.Glowworms = 50 * 2 * dims
@@ -273,8 +315,21 @@ func (e *Engine) Find(q Query) (*Result, error) {
 // per swarm iteration (and between the mining and verification
 // stages), so a cancelled query returns ctx.Err() within one
 // iteration's worth of objective evaluations.
+//
+// A repeat of a recently answered query under the same surrogate
+// snapshot is served from the result cache without re-running the
+// swarm (see WithResultCache).
 func (e *Engine) FindContext(ctx context.Context, q Query) (*Result, error) {
-	return findContext(ctx, e, e.surrogate.Load(), q)
+	q, err := q.resolved(e.Dims())
+	if err != nil {
+		return nil, err
+	}
+	snap := e.surrogate.Load()
+	key := q
+	key.Workers = 0
+	return e.cachedRun(resultKey{gen: snap.gen, query: key}, func() (*Stream, error) {
+		return startStream(ctx, e, snap, q, false)
+	})
 }
 
 // FindTopK mines the k most extreme regions by statistic value.
@@ -286,37 +341,34 @@ func (e *Engine) FindTopK(q TopKQuery) (*Result, error) {
 }
 
 // FindTopKContext is FindTopK with cancellation, checked once per
-// swarm iteration and between mining and verification.
+// swarm iteration and between mining and verification, and with the
+// same result cache as FindContext.
 func (e *Engine) FindTopKContext(ctx context.Context, q TopKQuery) (*Result, error) {
-	return findTopKContext(ctx, e, e.surrogate.Load(), q)
-}
-
-// findContext executes a threshold query by draining its stream:
-// batch Find and Engine.Stream share this one execution path, so a
-// fully drained stream and a Find call produce identical Results.
-// Batch callers skip the per-iteration telemetry and incumbent
-// sweeps (nobody consumes them); both are passive, so results are
-// identical either way.
-//
-// Batch calls are also the result cache's insertion point: a repeat
-// of a recently answered query under the same surrogate snapshot is
-// served from cache without re-running the swarm. Streams are never
-// cached (their consumers want the live event feed).
-func findContext(ctx context.Context, e *Engine, snap *snapshot, q Query) (*Result, error) {
-	// Validated here so the cache only ever keys executable queries;
-	// startStream validates again for its other callers (Stream,
-	// FindMany), which costs nanoseconds.
-	if err := q.validate(); err != nil {
+	q, err := q.resolved(e.Dims())
+	if err != nil {
 		return nil, err
 	}
-	var key string
-	if e.cache.enabled() {
-		key = q.cacheKey(e.Dims(), snap)
-		if res, ok := e.cache.get(key); ok {
-			return res, nil
-		}
+	snap := e.surrogate.Load()
+	key := q
+	key.Workers = 0
+	return e.cachedRun(resultKey{gen: snap.gen, query: key}, func() (*Stream, error) {
+		return startTopKStream(ctx, e, snap, q, false)
+	})
+}
+
+// cachedRun is the batch path of Find and FindTopK: it serves key
+// from the result cache or drains the stream start launches and
+// caches its Result. Batch calls and streams share one execution
+// path, so a fully drained stream and a batch call produce identical
+// Results; batch runs skip the per-iteration telemetry and incumbent
+// sweeps (nobody consumes them), which are passive either way.
+// Streams are never cached (their consumers want the live event
+// feed).
+func (e *Engine) cachedRun(key resultKey, start func() (*Stream, error)) (*Result, error) {
+	if res, ok := e.cache.get(key); ok {
+		return res, nil
 	}
-	s, err := startStream(ctx, e, snap, q, false)
+	s, err := start()
 	if err != nil {
 		return nil, err
 	}
@@ -324,64 +376,28 @@ func findContext(ctx context.Context, e *Engine, snap *snapshot, q Query) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	if key != "" {
-		e.cache.put(key, res)
-	}
+	e.cache.put(key, res)
 	return res, nil
 }
 
-// findTopKContext executes a top-k query by draining its stream, with
-// the same cache policy as findContext.
-func findTopKContext(ctx context.Context, e *Engine, snap *snapshot, q TopKQuery) (*Result, error) {
-	if err := q.validate(); err != nil {
-		return nil, err
-	}
-	var key string
-	if e.cache.enabled() {
-		key = q.cacheKey(e.Dims(), snap)
-		if res, ok := e.cache.get(key); ok {
-			return res, nil
-		}
-	}
-	s, err := startTopKStream(ctx, e, snap, q, false)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.Result()
-	if err != nil {
-		return nil, err
-	}
-	if key != "" {
-		e.cache.put(key, res)
-	}
-	return res, nil
-}
-
-// startStream validates the query and resolves everything that can
-// fail synchronously — finder construction, KDE fitting — before
-// spawning the mining goroutine, so Stream reports ErrBadQuery,
-// ErrNoSurrogate and kin as plain return values rather than burying
-// them in the event stream. With events false the run emits only the
-// terminal EventDone — the batch fast path.
+// startStream does everything that can fail synchronously for a
+// resolved query — finder construction, KDE fitting — before spawning
+// the mining goroutine, so Stream reports ErrNoSurrogate and kin as
+// plain return values rather than burying them in the event stream.
+// With events false the run emits only the terminal EventDone — the
+// batch fast path.
 func startStream(ctx context.Context, e *Engine, snap *snapshot, q Query, events bool) (*Stream, error) {
-	if err := q.validate(); err != nil {
-		return nil, err
-	}
 	finder, statFn, err := finderFor(snap, q.UseTrueFunction)
 	if err != nil {
 		return nil, err
 	}
 	view := snap.view
 	if q.UseKDE {
-		sample := q.KDESample
-		if sample == 0 {
-			sample = defaultKDESample
-		}
 		cols := make([][]float64, len(e.spec.FilterCols))
 		for j, c := range e.spec.FilterCols {
 			cols[j] = view.data.Col(c)
 		}
-		if err := finder.AttachDensityColumns(cols, sample, q.Seed+17); err != nil {
+		if err := finder.AttachDensityColumns(cols, q.KDESample, q.Seed+17); err != nil {
 			return nil, err
 		}
 	}
@@ -390,11 +406,8 @@ func startStream(ctx context.Context, e *Engine, snap *snapshot, q Query, events
 	}), nil
 }
 
-// startTopKStream is startStream for top-k queries.
+// startTopKStream is startStream for resolved top-k queries.
 func startTopKStream(ctx context.Context, e *Engine, snap *snapshot, q TopKQuery, events bool) (*Stream, error) {
-	if err := q.validate(); err != nil {
-		return nil, err
-	}
 	finder, _, err := finderFor(snap, q.UseTrueFunction)
 	if err != nil {
 		return nil, err
@@ -463,13 +476,9 @@ func runQuery(ctx context.Context, e *Engine, view *dataView, finder *core.Finde
 		return nil, err
 	}
 	if q.ClusterExtents {
-		maxRegions := cfg.MaxRegions
-		if maxRegions == 0 {
-			maxRegions = core.DefaultMaxRegions
-		}
 		clusters := core.ClusterRegions(res.Swarm, view.domain, 0.08)
-		if len(clusters) > maxRegions {
-			clusters = clusters[:maxRegions]
+		if len(clusters) > q.MaxRegions {
+			clusters = clusters[:q.MaxRegions]
 		}
 		regions := make([]core.Region, 0, len(clusters))
 		for _, rect := range clusters {
@@ -483,10 +492,7 @@ func runQuery(ctx context.Context, e *Engine, view *dataView, finder *core.Finde
 	}
 	compliance := math.NaN()
 	if !q.SkipVerify {
-		objCfg := core.ObjectiveConfig{YR: cfg.Threshold, Dir: dir, C: cfg.C}
-		if objCfg.C == 0 {
-			objCfg.C = core.DefaultC
-		}
+		objCfg := core.ObjectiveConfig{YR: q.Threshold, Dir: dir, C: q.C}
 		compliance, err = core.VerifyContext(ctx, res.Regions, core.StatFnFromEvaluator(view.evaluator), objCfg)
 		if err != nil {
 			return nil, err

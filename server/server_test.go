@@ -173,6 +173,14 @@ func TestErrorMapping(t *testing.T) {
 		}
 		wantStatus(t, resp, http.StatusBadRequest, "bad_query")
 	})
+	t.Run("oversized kde_sample → 400", func(t *testing.T) {
+		resp, err := http.Post(ts.URL+"/v1/find", "application/json",
+			strings.NewReader(`{"threshold": 30, "above": true, "use_kde": true, "kde_sample": 2000000}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantStatus(t, resp, http.StatusBadRequest, "bad_query")
+	})
 	t.Run("malformed body → 400", func(t *testing.T) {
 		resp, err := http.Post(ts.URL+"/v1/find", "application/json", strings.NewReader("{not json"))
 		if err != nil {

@@ -166,13 +166,11 @@ func (s *Stream) Result() (*Result, error) {
 // a dedicated goroutine; cancel ctx (or Close the stream) to stop it
 // early.
 func (e *Engine) Stream(ctx context.Context, q Query) (*Stream, error) {
+	q, err := q.resolved(e.Dims())
+	if err != nil {
+		return nil, err
+	}
 	return startStream(ctx, e, e.surrogate.Load(), q, true)
-}
-
-// Stream is Engine.Stream against the session's pinned surrogate
-// snapshot.
-func (s *Session) Stream(ctx context.Context, q Query) (*Stream, error) {
-	return startStream(ctx, s.eng, s.snap, q, true)
 }
 
 // StreamTopK starts a top-k query and returns its progressive result
@@ -180,13 +178,11 @@ func (s *Session) Stream(ctx context.Context, q Query) (*Stream, error) {
 // clustering, so the stream carries EventIteration telemetry and the
 // terminal EventDone but no EventRegion incumbents.
 func (e *Engine) StreamTopK(ctx context.Context, q TopKQuery) (*Stream, error) {
+	q, err := q.resolved(e.Dims())
+	if err != nil {
+		return nil, err
+	}
 	return startTopKStream(ctx, e, e.surrogate.Load(), q, true)
-}
-
-// StreamTopK is Engine.StreamTopK against the session's pinned
-// surrogate snapshot.
-func (s *Session) StreamTopK(ctx context.Context, q TopKQuery) (*Stream, error) {
-	return startTopKStream(ctx, s.eng, s.snap, q, true)
 }
 
 // MultiResult is one query's outcome in a FindMany run.
@@ -212,16 +208,7 @@ type MultiResult struct {
 // the pool to drain; cancelling ctx does the same, with the
 // already-started queries reporting the context error.
 func (e *Engine) FindMany(ctx context.Context, queries []Query) iter.Seq[MultiResult] {
-	return findMany(ctx, e, e.surrogate.Load(), queries)
-}
-
-// FindMany is Engine.FindMany against the session's pinned surrogate
-// snapshot.
-func (s *Session) FindMany(ctx context.Context, queries []Query) iter.Seq[MultiResult] {
-	return findMany(ctx, s.eng, s.snap, queries)
-}
-
-func findMany(ctx context.Context, e *Engine, snap *snapshot, queries []Query) iter.Seq[MultiResult] {
+	snap := e.surrogate.Load()
 	return func(yield func(MultiResult) bool) {
 		if len(queries) == 0 {
 			return
@@ -237,11 +224,15 @@ func findMany(ctx context.Context, e *Engine, snap *snapshot, queries []Query) i
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					// Drive the stream directly (not via findContext)
+					// Drive the stream directly (not via FindContext)
 					// so a cancelled query still surfaces its partial
 					// result alongside the error. Nobody consumes
 					// the events, so the run skips them.
-					st, err := startStream(mctx, e, snap, queries[i], false)
+					q, err := queries[i].resolved(e.Dims())
+					var st *Stream
+					if err == nil {
+						st, err = startStream(mctx, e, snap, q, false)
+					}
 					var res *Result
 					if err == nil {
 						res, err = st.Result()

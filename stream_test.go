@@ -382,6 +382,7 @@ func TestQueryValidation(t *testing.T) {
 		{Threshold: 1, Iterations: -1},
 		{Threshold: 1, Workers: -2},
 		{Threshold: 1, KDESample: -1},
+		{Threshold: 1, UseKDE: true, KDESample: maxSwarm + 1},
 		{Threshold: 1, MinSideFrac: -0.1},
 		{Threshold: 1, MinSideFrac: 0.2, MaxSideFrac: 0.1},
 	}
@@ -423,32 +424,4 @@ func TestQueryValidation(t *testing.T) {
 	if _, err := cold.Find(Query{Threshold: math.NaN()}); !errors.Is(err, ErrBadQuery) {
 		t.Errorf("cold engine err = %v, want ErrBadQuery", err)
 	}
-}
-
-// TestSessionStream pins Session.Stream to the snapshot taken at
-// session creation, not the engine's current surrogate.
-func TestSessionStream(t *testing.T) {
-	eng := trainedEngine(t)
-	sess := eng.Session()
-	before, err := sess.Find(hotspotQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Swap the engine's model; the session must not notice.
-	wl, err := eng.GenerateWorkload(200, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.TrainSurrogate(wl, TrainOptions{Trees: 10}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := sess.Stream(context.Background(), hotspotQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := st.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, before, after)
 }
