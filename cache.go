@@ -15,10 +15,11 @@ const defaultCacheSize = 64
 
 // resultCache is a snapshot-keyed LRU over resolved queries. Keys
 // embed the generation of the snapshot the query ran against, so a
-// cached entry can never be served across a model or data swap; the
-// engine additionally clears the cache whenever the snapshot swaps,
-// since entries under the old snapshot are dead weight the moment it
-// is replaced.
+// cached entry can never be served across a model or data swap. The
+// cache also remembers the live generation: a snapshot swap drops
+// every entry and advances it (see reset), and put refuses keys of any
+// other generation, so a run that finishes on a snapshot swapped out
+// mid-run cannot leave behind an entry nobody will ever be served.
 //
 // Entries store deep copies and lookups return deep copies: callers
 // are free to mutate the Result they get back (batch and cached calls
@@ -27,6 +28,7 @@ const defaultCacheSize = 64
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
+	gen   uint64     // the live snapshot generation; put accepts only its keys
 	order *list.List // front = most recently used; values are *cacheEntry
 	items map[resultKey]*list.Element
 	// hits and misses are atomics, not mutex-guarded fields: a scrape
@@ -45,6 +47,18 @@ type resultCache struct {
 type resultKey struct {
 	gen   uint64
 	query any
+}
+
+// cacheKey is the one place a result-cache key is built: q is a
+// resolved query run against the snapshot of generation gen.
+func cacheKey[Q Query | TopKQuery](gen uint64, q Q) resultKey {
+	switch k := any(&q).(type) {
+	case *Query:
+		k.Workers = 0
+	case *TopKQuery:
+		k.Workers = 0
+	}
+	return resultKey{gen: gen, query: q}
 }
 
 type cacheEntry struct {
@@ -87,13 +101,17 @@ func (c *resultCache) get(key resultKey) (*Result, bool) {
 }
 
 // put stores a copy of res under key, evicting the least recently
-// used entry when full.
+// used entry when full. A key of any generation but the live one is
+// dropped: its snapshot is gone, so the entry could never be served.
 func (c *resultCache) put(key resultKey, res *Result) {
 	if !c.enabled() || res == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if key.gen != c.gen {
+		return
+	}
 	if el, ok := c.items[key]; ok {
 		el.Value.(*cacheEntry).res = copyResult(res)
 		c.order.MoveToFront(el)
@@ -107,13 +125,15 @@ func (c *resultCache) put(key resultKey, res *Result) {
 	}
 }
 
-// clear drops every entry (the engine calls it on snapshot swaps).
-func (c *resultCache) clear() {
+// reset drops every entry and makes gen the live generation (the
+// engine calls it on snapshot swaps).
+func (c *resultCache) reset(gen uint64) {
 	if !c.enabled() {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.gen = gen
 	c.order.Init()
 	clear(c.items)
 }

@@ -1,7 +1,10 @@
 package surf
 
 import (
+	"context"
+	"errors"
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -26,8 +29,6 @@ func (c *countingEvaluator) Evaluate(r geom.Rect) (float64, int) {
 
 // cachedEngine builds an engine whose true function counts its calls,
 // so cache hits are observable: a hit issues no evaluations at all.
-// The counter is installed on the data view through swapSnapshot, the
-// path SetDataset takes, so every query pins it.
 func cachedEngine(t *testing.T, opts ...Option) (*Engine, *countingEvaluator) {
 	t.Helper()
 	eng, err := Open(crimeGrid(1500, 21), Config{FilterColumns: []string{"x", "y"}, Statistic: Count}, opts...)
@@ -35,12 +36,27 @@ func cachedEngine(t *testing.T, opts ...Option) (*Engine, *countingEvaluator) {
 		t.Fatal(err)
 	}
 	cb := &countingEvaluator{Evaluator: eng.view().evaluator}
+	installEvaluator(eng, cb)
+	return eng, cb
+}
+
+// installEvaluator puts ev on the engine's data view through
+// swapSnapshot, the path SetDataset takes, so every later query pins
+// it.
+func installEvaluator(eng *Engine, ev dataset.Evaluator) {
 	eng.swapSnapshot(func(cur *snapshot) *snapshot {
 		view := *cur.view
-		view.evaluator = cb
+		view.evaluator = ev
 		return &snapshot{surr: cur.surr, info: cur.info, view: &view}
 	})
-	return eng, cb
+}
+
+// clear drops every entry, keeping the live generation.
+func (c *resultCache) clear() {
+	c.mu.Lock()
+	gen := c.gen
+	c.mu.Unlock()
+	c.reset(gen)
 }
 
 // TestResultCacheDefaults: engines cache by default.
@@ -398,5 +414,187 @@ func TestCacheStatsDisabled(t *testing.T) {
 	}
 	if st := eng.CacheStats(); st != (CacheStats{}) {
 		t.Fatalf("disabled cache stats = %+v, want zeros", st)
+	}
+}
+
+// entryQuery is cacheQuery run for more iterations than a stream
+// buffers events, so a stream closed after its first event is always
+// stopped before its run completes.
+var entryQuery = func() Query {
+	q := cacheQuery
+	q.Iterations = 2 * streamBuffer
+	return q
+}()
+
+// entryTopK is the top-k counterpart of cacheQuery.
+var entryTopK = TopKQuery{K: 3, Largest: true, Seed: 3, Iterations: 10, Glowworms: 20, UseTrueFunction: true}
+
+// findOne runs q alone through FindMany.
+func findOne(ctx context.Context, eng *Engine, q Query) (*Result, error) {
+	var res *Result
+	var err error
+	for r := range eng.FindMany(ctx, []Query{q}) {
+		res, err = r.Result, r.Err
+	}
+	return res, err
+}
+
+// drain returns a started stream's final Result.
+func drain(st *Stream, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return st.Result()
+}
+
+// poison scribbles over a result a caller holds; the cache must not
+// see it.
+func poison(r *Result) {
+	if len(r.Regions) > 0 {
+		r.Regions[0].Min[0] = -999
+		r.Regions[0].Estimate = -999
+	}
+}
+
+// TestResultCacheEntryPoints: every run that completes fills the
+// cache, whichever entry point started it, and a run stopped early
+// fills nothing. Find, FindTopK and FindMany then serve a repeat from
+// the cache with zero evaluations, each as a private copy equal to a
+// mined answer, so mutating one — or the filling run's own Result —
+// cannot poison the entry.
+func TestResultCacheEntryPoints(t *testing.T) {
+	bg := context.Background()
+	cancelled, cancel := context.WithCancel(bg)
+	cancel()
+	type repeat struct {
+		name string
+		find func(*Engine) (*Result, error)
+	}
+	threshold := []repeat{
+		{"Find", func(e *Engine) (*Result, error) { return e.Find(entryQuery) }},
+		{"FindMany", func(e *Engine) (*Result, error) { return findOne(bg, e, entryQuery) }},
+	}
+	topK := []repeat{
+		{"FindTopK", func(e *Engine) (*Result, error) { return e.FindTopK(entryTopK) }},
+	}
+	cases := []struct {
+		name    string
+		run     func(*Engine) (*Result, error)
+		repeats []repeat
+		fills   bool
+	}{
+		{"Find", func(e *Engine) (*Result, error) { return e.Find(entryQuery) }, threshold, true},
+		{"FindTopK", func(e *Engine) (*Result, error) { return e.FindTopK(entryTopK) }, topK, true},
+		{"FindMany", func(e *Engine) (*Result, error) { return findOne(bg, e, entryQuery) }, threshold, true},
+		{"drained Stream", func(e *Engine) (*Result, error) { return drain(e.Stream(bg, entryQuery)) }, threshold, true},
+		{"drained StreamTopK", func(e *Engine) (*Result, error) { return drain(e.StreamTopK(bg, entryTopK)) }, topK, true},
+		{"Stream closed after its first event", func(e *Engine) (*Result, error) {
+			st, err := e.Stream(bg, entryQuery)
+			if err != nil {
+				return nil, err
+			}
+			defer st.Close()
+			_, err = st.Next()
+			return nil, err
+		}, threshold, false},
+		{"FindMany with a cancelled context", func(e *Engine) (*Result, error) {
+			// The pool may stop before dispatching the query at all;
+			// either way nothing completes.
+			if _, err := findOne(cancelled, e, entryQuery); err != nil && !errors.Is(err, context.Canceled) {
+				return nil, err
+			}
+			return nil, nil
+		}, threshold, false},
+	}
+	for _, tt := range cases {
+		t.Run(tt.name, func(t *testing.T) {
+			uncached, _ := cachedEngine(t, WithResultCache(0))
+			want, err := tt.repeats[0].find(uncached)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Regions) == 0 {
+				t.Fatal("query mined no regions; the copy check would be vacuous")
+			}
+
+			eng, cb := cachedEngine(t)
+			got, err := tt.run(eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != nil {
+				poison(got)
+			}
+			wantEntries := 0
+			if tt.fills {
+				wantEntries = 1
+			}
+			if n := eng.cache.len(); n != wantEntries {
+				t.Fatalf("cache holds %d entries after the run, want %d", n, wantEntries)
+			}
+			if !tt.fills {
+				ran := cb.calls.Load()
+				if _, err := tt.repeats[0].find(eng); err != nil {
+					t.Fatal(err)
+				}
+				if cb.calls.Load() == ran {
+					t.Fatal("repeat was served although the run filled nothing")
+				}
+			}
+			for _, rep := range tt.repeats {
+				ran := cb.calls.Load()
+				res, err := rep.find(eng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if extra := cb.calls.Load() - ran; extra != 0 {
+					t.Fatalf("%s repeat issued %d evaluations, want 0 (a cache hit)", rep.name, extra)
+				}
+				sameResult(t, want, res)
+				poison(res)
+			}
+		})
+	}
+}
+
+// blockingEvaluator holds every evaluation until release is closed,
+// closing started on the first.
+type blockingEvaluator struct {
+	dataset.Evaluator
+	once             sync.Once
+	started, release chan struct{}
+}
+
+func (b *blockingEvaluator) Evaluate(r geom.Rect) (float64, int) {
+	b.once.Do(func() { close(b.started) })
+	<-b.release
+	return b.Evaluator.Evaluate(r)
+}
+
+// TestResultCacheDropsDeadGeneration: a run that finishes after a
+// snapshot swap leaves no entry behind — its generation is dead, so
+// the entry could never be served and would only crowd out live ones.
+func TestResultCacheDropsDeadGeneration(t *testing.T) {
+	eng, err := Open(crimeGrid(1500, 21), Config{FilterColumns: []string{"x", "y"}, Statistic: Count})
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := &blockingEvaluator{Evaluator: eng.view().evaluator, started: make(chan struct{}), release: make(chan struct{})}
+	installEvaluator(eng, be)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := eng.Find(cacheQuery)
+		errc <- err
+	}()
+	<-be.started
+	if err := eng.SetDataset(crimeGrid(1500, 22), 2); err != nil {
+		t.Fatal(err)
+	}
+	close(be.release)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.CacheStats(); st.Entries != 0 {
+		t.Fatalf("cache holds %d entries after a run on a swapped-out snapshot, want 0", st.Entries)
 	}
 }

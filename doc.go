@@ -190,10 +190,12 @@
 // PUT/DELETE /v1/models admin API.
 //
 // Engines also keep a small LRU result cache over resolved queries
-// (WithResultCache to resize or disable): a repeated
-// Find/FindTopK against the same surrogate snapshot is answered
-// without re-running the swarm, and the cache clears on every
-// train/load so no stale model's results are served.
+// (WithResultCache to resize or disable): a repeated Find, FindTopK
+// or FindMany query against the same surrogate snapshot is answered
+// without re-running the swarm. Every run that completes fills the
+// cache, including a drained Stream or StreamTopK, but streams never
+// read it. The cache clears on every train/load so no stale model's
+// results are served.
 //
 // # Living data
 //

@@ -135,11 +135,13 @@ type snapshot struct {
 // serving the data it trained against until the next data swap),
 // stamps the provenance with the view's data version, assigns a fresh
 // generation, and atomically swaps the snapshot in.
-// The cache is cleared first — entries under older generations could
-// never be served anyway (keys embed the generation), clearing just
-// stops them crowding out live entries — so no moment exists where
-// the new snapshot is visible alongside results that predate it,
-// whether the swap changed the model, the data, or both.
+// The cache is reset to the new generation first — entries under
+// older generations could never be served anyway (keys embed the
+// generation), dropping them just stops them crowding out live
+// entries, and runs still finishing on an older snapshot can no
+// longer insert — so no moment exists where the new snapshot is
+// visible alongside results that predate it, whether the swap changed
+// the model, the data, or both.
 func (e *Engine) swapSnapshot(mut func(cur *snapshot) *snapshot) {
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
@@ -152,7 +154,7 @@ func (e *Engine) swapSnapshot(mut func(cur *snapshot) *snapshot) {
 		sn.info.DataVersion = sn.view.version
 	}
 	sn.gen = e.snapGen.Add(1)
-	e.cache.clear()
+	e.cache.reset(sn.gen)
 	e.surrogate.Store(sn)
 }
 

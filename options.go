@@ -100,8 +100,8 @@ type engineOptions struct {
 }
 
 // WithResultCache sizes the engine's query-result cache (default 64
-// entries; 0 or negative disables it). Find and FindTopK consult the
-// cache: a repeat of a recently answered query against the same
+// entries; 0 or negative disables it). Find, FindTopK and FindMany
+// consult the cache: a repeat of a recently answered query against the same
 // surrogate snapshot returns the cached Result (as a private copy)
 // without re-running the swarm. The key is the resolved query — every
 // zero knob set to its default, Workers (which cannot change the
@@ -109,8 +109,9 @@ type engineOptions struct {
 // Keys also carry the snapshot generation, and the cache is cleared
 // whenever TrainSurrogate, LoadSurrogate or SetDataset swaps the
 // snapshot, so a stale model's or data version's results are never
-// served. Streams and FindMany bypass the cache, since
-// their callers consume the per-query event feed.
+// served. Every run that completes fills the cache, whichever entry
+// point started it; Stream and StreamTopK fill it but never read it,
+// since their consumers expect the live event feed.
 //
 // Caching assumes repeated queries are deterministic, which holds
 // for every built-in code path over the engine's immutable dataset

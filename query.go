@@ -224,7 +224,7 @@ const defaultKDESample = 1000
 // Seed 0 and the optimizer's default seed are not interchangeable.
 // Every query runs the resolved form, and the result cache keys on
 // it, so two queries share a cache entry exactly when they resolve
-// alike. Workers stays too; the cache zeroes it in the key.
+// alike. Workers stays too; cacheKey zeroes it in the key.
 func (q Query) resolved(dims int) (Query, error) {
 	if err := q.validate(); err != nil {
 		return Query{}, err
@@ -325,11 +325,13 @@ func (e *Engine) FindContext(ctx context.Context, q Query) (*Result, error) {
 		return nil, err
 	}
 	snap := e.surrogate.Load()
-	key := q
-	key.Workers = 0
-	return e.cachedRun(resultKey{gen: snap.gen, query: key}, func() (*Stream, error) {
+	res, err := e.cachedRun(cacheKey(snap.gen, q), func() (*Stream, error) {
 		return startStream(ctx, e, snap, q, false)
 	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // FindTopK mines the k most extreme regions by statistic value.
@@ -349,21 +351,23 @@ func (e *Engine) FindTopKContext(ctx context.Context, q TopKQuery) (*Result, err
 		return nil, err
 	}
 	snap := e.surrogate.Load()
-	key := q
-	key.Workers = 0
-	return e.cachedRun(resultKey{gen: snap.gen, query: key}, func() (*Stream, error) {
+	res, err := e.cachedRun(cacheKey(snap.gen, q), func() (*Stream, error) {
 		return startTopKStream(ctx, e, snap, q, false)
 	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
-// cachedRun is the batch path of Find and FindTopK: it serves key
-// from the result cache or drains the stream start launches and
-// caches its Result. Batch calls and streams share one execution
-// path, so a fully drained stream and a batch call produce identical
+// cachedRun is the one cache lookup, shared by Find, FindTopK and
+// FindMany: it serves key from the result cache or drains the stream
+// start launches, whose run fills the cache when it succeeds (see
+// newStream). On a failed run it returns the stream's partial result
+// with the error. Batch calls and streams share one execution path,
+// so a fully drained stream and a batch call produce identical
 // Results; batch runs skip the per-iteration telemetry and incumbent
 // sweeps (nobody consumes them), which are passive either way.
-// Streams are never cached (their consumers want the live event
-// feed).
 func (e *Engine) cachedRun(key resultKey, start func() (*Stream, error)) (*Result, error) {
 	if res, ok := e.cache.get(key); ok {
 		return res, nil
@@ -372,12 +376,7 @@ func (e *Engine) cachedRun(key resultKey, start func() (*Stream, error)) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.Result()
-	if err != nil {
-		return nil, err
-	}
-	e.cache.put(key, res)
-	return res, nil
+	return s.Result()
 }
 
 // startStream does everything that can fail synchronously for a
@@ -385,7 +384,9 @@ func (e *Engine) cachedRun(key resultKey, start func() (*Stream, error)) (*Resul
 // the mining goroutine, so Stream reports ErrNoSurrogate and kin as
 // plain return values rather than burying them in the event stream.
 // With events false the run emits only the terminal EventDone — the
-// batch fast path.
+// batch fast path. Every run, streamed or batch, puts its Result in
+// the result cache when it succeeds; streams never read the cache,
+// since their consumers expect the live event feed.
 func startStream(ctx context.Context, e *Engine, snap *snapshot, q Query, events bool) (*Stream, error) {
 	finder, statFn, err := finderFor(snap, q.UseTrueFunction)
 	if err != nil {
@@ -401,7 +402,7 @@ func startStream(ctx context.Context, e *Engine, snap *snapshot, q Query, events
 			return nil, err
 		}
 	}
-	return newStream(ctx, func(ctx context.Context, emit func(Event) bool) (*Result, error) {
+	return newStream(ctx, e.cache, cacheKey(snap.gen, q), func(ctx context.Context, emit func(Event) bool) (*Result, error) {
 		return runQuery(ctx, e, view, finder, statFn, q, emit, events)
 	}), nil
 }
@@ -413,7 +414,7 @@ func startTopKStream(ctx context.Context, e *Engine, snap *snapshot, q TopKQuery
 		return nil, err
 	}
 	view := snap.view
-	return newStream(ctx, func(ctx context.Context, emit func(Event) bool) (*Result, error) {
+	return newStream(ctx, e.cache, cacheKey(snap.gen, q), func(ctx context.Context, emit func(Event) bool) (*Result, error) {
 		return runTopK(ctx, e, view, finder, q, emit, events)
 	}), nil
 }

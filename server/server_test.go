@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -273,6 +274,22 @@ func TestFindManyEndpoint(t *testing.T) {
 	if len(seen) != 3 {
 		t.Fatalf("indices not unique: %v", seen)
 	}
+
+	// A findmany repeating the query a find just answered is served
+	// from the result cache, as the scrape's hit counter shows.
+	t.Run("findmany hits the cache a find filled", func(t *testing.T) {
+		ts, _ := testServer(t, true)
+		wantStatus(t, postJSON(t, ts.URL+"/v1/find", smallQuery), http.StatusOK, "")
+		wantStatus(t, postJSON(t, ts.URL+"/v1/findmany", map[string]any{"queries": []surf.Query{smallQuery}}), http.StatusOK, "")
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		scrape := readBody(t, resp)
+		if !slices.Contains(strings.Split(scrape, "\n"), "surf_result_cache_hits_total 1") {
+			t.Fatalf("scrape lacks the line %q:\n%s", "surf_result_cache_hits_total 1", scrape)
+		}
+	})
 
 	t.Run("empty batch → 400", func(t *testing.T) {
 		resp := postJSON(t, ts.URL+"/v1/findmany", map[string]any{"queries": []surf.Query{}})

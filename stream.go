@@ -43,8 +43,12 @@ const streamBuffer = 16
 // it feeds. run receives an emit callback that offers every event to
 // the consumer and reports false once the consumer is gone; the
 // events it emits as EventRegion are collected so a cancelled run can
-// still surface the incumbents found so far.
-func newStream(ctx context.Context, run func(ctx context.Context, emit func(Event) bool) (*Result, error)) *Stream {
+// still surface the incumbents found so far. A run that succeeds puts
+// its Result in cache under key before the stream publishes it — the
+// one place the result cache is filled, whichever entry point started
+// the run — so whoever drains the stream and repeats the query is
+// served from the cache.
+func newStream(ctx context.Context, cache *resultCache, key resultKey, run func(ctx context.Context, emit func(Event) bool) (*Result, error)) *Stream {
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Stream{cancel: cancel, events: make(chan Event, streamBuffer)}
 	go func() {
@@ -68,6 +72,8 @@ func newStream(ctx context.Context, run func(ctx context.Context, emit func(Even
 				ValidParticleFraction: math.NaN(),
 				ComplianceRate:        math.NaN(),
 			}
+		} else {
+			cache.put(key, res)
 		}
 		s.mu.Lock()
 		s.res, s.err = res, err
@@ -164,7 +170,9 @@ func (s *Stream) Result() (*Result, error) {
 // Stream starts the query and returns its progressive result stream.
 // The query runs against the engine's current surrogate snapshot on
 // a dedicated goroutine; cancel ctx (or Close the stream) to stop it
-// early.
+// early. A stream always mines — it never reads the result cache —
+// but a run that completes fills it, so later finds of the same query
+// are served from it.
 func (e *Engine) Stream(ctx context.Context, q Query) (*Stream, error) {
 	q, err := q.resolved(e.Dims())
 	if err != nil {
@@ -206,7 +214,8 @@ type MultiResult struct {
 // even if a retrain swaps the engine's surrogate mid-run. Breaking
 // out of the iteration cancels the remaining queries and waits for
 // the pool to drain; cancelling ctx does the same, with the
-// already-started queries reporting the context error.
+// already-started queries reporting the context error. Each query is
+// served from the result cache when it can be, as Find would be.
 func (e *Engine) FindMany(ctx context.Context, queries []Query) iter.Seq[MultiResult] {
 	snap := e.surrogate.Load()
 	return func(yield func(MultiResult) bool) {
@@ -224,18 +233,17 @@ func (e *Engine) FindMany(ctx context.Context, queries []Query) iter.Seq[MultiRe
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					// Drive the stream directly (not via FindContext)
-					// so a cancelled query still surfaces its partial
-					// result alongside the error. Nobody consumes
-					// the events, so the run skips them.
+					// The same cache lookup as FindContext, but a
+					// miss keeps the stream's partial result, so a
+					// cancelled query still surfaces it alongside the
+					// error. Nobody consumes the events, so the run
+					// skips them.
 					q, err := queries[i].resolved(e.Dims())
-					var st *Stream
-					if err == nil {
-						st, err = startStream(mctx, e, snap, q, false)
-					}
 					var res *Result
 					if err == nil {
-						res, err = st.Result()
+						res, err = e.cachedRun(cacheKey(snap.gen, q), func() (*Stream, error) {
+							return startStream(mctx, e, snap, q, false)
+						})
 					}
 					// The send is unconditional: every started query
 					// reports in, even after cancellation (the

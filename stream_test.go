@@ -303,9 +303,10 @@ func TestFindManyConcurrentTrain(t *testing.T) {
 }
 
 // TestFindManyMatchesFind pins FindMany to Find on the snapshot
-// semantics: same query, same seed, same result.
+// semantics: same query, same seed, same result. The result cache is
+// off, so FindMany mines instead of copying Find's answer.
 func TestFindManyMatchesFind(t *testing.T) {
-	eng := trainedEngine(t)
+	eng := trainedEngine(t, WithResultCache(0))
 	q := hotspotQuery()
 	batch, err := eng.Find(q)
 	if err != nil {
