@@ -156,10 +156,12 @@
 // ensemble flattened into one contiguous array of 16-byte nodes, with
 // children laid out breadth-first so a split's right child sits next
 // to its left, walked with a branch-free child select and, in
-// batches, trees in the outer loop and four rows in lockstep in the
-// inner loop. It predicts bit-for-bit what the trained ensemble's own
-// tree walk returns, including on NaN and ±Inf values, and a
-// differential fuzz target holds it to that contract.
+// batches, trees in the outer loop and eight rows in lockstep in the
+// inner loop. Leaves loop onto themselves, so every row takes exactly
+// its tree's depth in steps, with no leaf test. It predicts
+// bit-for-bit what the trained ensemble's own tree walk returns,
+// including on NaN and ±Inf values, and a differential fuzz target
+// holds it to that contract.
 //
 // # Serving and caching
 //

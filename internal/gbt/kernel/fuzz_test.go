@@ -40,14 +40,18 @@ func (f *byteFeed) next() byte {
 	return b
 }
 
+// maxFuzzDepth caps decoded trees; deeper than the surrogate's depth 6,
+// so the fixed-depth walk sees trip counts well past production's.
+const maxFuzzDepth = 10
+
 // decodeTree appends one tree rooted at the returned index: a control
-// byte picks leaf vs split (always leaf at depth 6), then feature and
-// threshold bytes index the pools.
+// byte picks leaf vs split (always leaf at maxFuzzDepth), then feature
+// and threshold bytes index the pools.
 func decodeTree(f *byteFeed, nfeat, depth int, nodes *[]Node) int32 {
 	idx := int32(len(*nodes))
 	*nodes = append(*nodes, Node{})
 	b := f.next()
-	if depth >= 6 || b&3 == 0 {
+	if depth >= maxFuzzDepth || b&3 == 0 {
 		(*nodes)[idx] = Node{Feature: LeafFeature, Threshold: fuzzWeights[int(b)%len(fuzzWeights)]}
 		return idx
 	}

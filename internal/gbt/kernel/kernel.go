@@ -9,13 +9,15 @@
 // the pipeline.
 //
 // The one implementation is the flat-node float64 traversal in
-// scalar.go. The contract is strict bit-identity: for any ensemble
-// and any row — including NaN and ±Inf values — Predict1 and
-// PredictBatch return exactly the float64 the trained model's own
-// tree walk returns (same traversal decisions, same summation order).
-// FuzzKernelParity and TestParityHandcrafted hold the compiled model
-// to a reference walk of the Ensemble; a future implementation must
-// pass the same tests.
+// scalar.go: leaves loop onto themselves, so each tree is a fixed
+// number of steps, its depth, and batches walk eight rows in lockstep.
+// The contract is strict bit-identity: for any ensemble and any row —
+// including NaN and ±Inf values — Predict1 and PredictBatch return
+// exactly the float64 the trained model's own tree walk returns (same
+// traversal decisions, same summation order). FuzzKernelParity,
+// TestParityHandcrafted and TestParityMixedDepths hold the compiled
+// model to a reference walk of the Ensemble; a future implementation
+// must pass the same tests.
 package kernel
 
 // Model is a compiled, immutable inference snapshot of one ensemble.
@@ -48,20 +50,28 @@ func Compile(e Ensemble) Model {
 // bfsOrder lays one tree's nodes out breadth-first starting at node 0:
 // both children of a split are enqueued back-to-back, so siblings land
 // in adjacent slots and the right child index is always left+1. It
-// returns the visit order (old indices) and the old→new index map,
-// offset by off; the caller-supplied slices are reused across trees.
-func bfsOrder(nodes []Node, off int32, order, newIdx []int32) ([]int32, []int32) {
+// returns the visit order (old indices), the old→new index map, offset
+// by off, and the tree's depth: the level of the last node visited, a
+// single leaf being depth 0. The caller-supplied slices are reused
+// across trees.
+func bfsOrder(nodes []Node, off int32, order, newIdx []int32) ([]int32, []int32, int32) {
 	order = append(order[:0], 0)
 	if cap(newIdx) < len(nodes) {
 		newIdx = make([]int32, len(nodes))
 	}
 	newIdx = newIdx[:len(nodes)]
+	var depth int32
+	levelEnd := 1 // order[:levelEnd] holds the levels up to depth
 	for qi := 0; qi < len(order); qi++ {
+		if qi == levelEnd {
+			depth++
+			levelEnd = len(order)
+		}
 		old := order[qi]
 		newIdx[old] = off + int32(qi)
 		if n := &nodes[old]; n.Feature != LeafFeature {
 			order = append(order, n.Left, n.Right)
 		}
 	}
-	return order, newIdx
+	return order, newIdx, depth
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -62,9 +63,10 @@ func assertParity(t *testing.T, e Ensemble, rows [][]float64) {
 }
 
 // TestParityHandcrafted pins the adversarial shapes the fuzz target
-// explores: duplicate thresholds across trees, ±Inf cuts, rows landing
-// exactly on cuts and one ULP either side, NaN rows, single-leaf trees
-// and batches around the 4-row lockstep remainder.
+// explores: duplicate thresholds across trees, ±Inf and NaN cuts, rows
+// landing exactly on cuts and one ULP either side, NaN rows,
+// single-leaf trees and every batch size up to two eight-row groups
+// and a remainder.
 func TestParityHandcrafted(t *testing.T) {
 	e := Ensemble{
 		BaseScore:   0.25,
@@ -76,6 +78,7 @@ func TestParityHandcrafted(t *testing.T) {
 			stump(1, math.Inf(1), 0.5, -0.5),
 			stump(1, math.Inf(-1), -0.25, 0.125),
 			stump(2, math.Copysign(0, -1), 1, -1), // -0.0 cut: ties with +0.0 rows
+			stump(2, math.NaN(), 16, -16),         // NaN cut: no row is ≤ it, every row goes right
 			{ // depth-2 tree reusing feature 0 with a second distinct cut
 				{Feature: 0, Threshold: 1.5, Left: 1, Right: 2},
 				{Feature: 2, Threshold: 0.5, Left: 3, Right: 4},
@@ -95,12 +98,62 @@ func TestParityHandcrafted(t *testing.T) {
 	rows = append(rows,
 		[]float64{0.5, math.Inf(1), 0},
 		[]float64{math.NaN(), 0.5, math.NaN()},
+		[]float64{1.5, math.Inf(-1), math.Copysign(0, -1)},
+		[]float64{math.Nextafter(1.5, 2), 0, math.Nextafter(0.5, 0)},
+		[]float64{-1, math.NaN(), 1},
 	)
-	// Exercise every batch-size class: empty tail, 4-lockstep body,
-	// 1–3 row remainders.
-	for _, n := range []int{0, 1, 2, 3, 4, 5, len(rows)} {
+	// Every batch size from empty through two full eight-row groups
+	// and every remainder of the padded last group.
+	for n := 0; n <= 17; n++ {
 		assertParity(t, e, rows[:n])
 	}
+	assertParity(t, e, rows)
+}
+
+// chain builds a depth-d tree that peels one row band per level: the
+// split at level k sends rows ≤ k/d of feature k%2 to a leaf of
+// weight k and the rest on down, ending in a leaf of weight d.
+func chain(d int) []Node {
+	var nodes []Node
+	for k := 0; k < d; k++ {
+		self := int32(len(nodes))
+		nodes = append(nodes,
+			Node{Feature: int32(k % 2), Threshold: float64(k) / float64(d), Left: self + 1, Right: self + 2},
+			leafOf(float64(k)))
+	}
+	return append(nodes, leafOf(float64(d)))
+}
+
+// TestParityMixedDepths: trees of depth 0, 1 and 12 in one ensemble
+// take different trip counts, and rows leaving the chain at every
+// level must sit on their leaf for the chain's remaining steps.
+func TestParityMixedDepths(t *testing.T) {
+	e := Ensemble{
+		BaseScore:   -0.5,
+		NumFeatures: 2,
+		Trees: [][]Node{
+			{leafOf(0.75)},
+			stump(1, 0.5, -2, 2),
+			chain(12),
+		},
+	}
+	var depths []int32
+	for _, tr := range compileScalar(e).trees {
+		depths = append(depths, tr.depth)
+	}
+	if !slices.Equal(depths, []int32{0, 1, 12}) {
+		t.Fatalf("tree depths %v, want [0 1 12]", depths)
+	}
+	var rows [][]float64
+	for k := 0; k <= 13; k++ {
+		v := float64(k) / 12
+		rows = append(rows, []float64{v, v}, []float64{v, 1 - v}, []float64{1 - v, v})
+	}
+	rows = append(rows, []float64{math.NaN(), math.NaN()}, []float64{math.Inf(-1), math.Inf(1)})
+	for n := 0; n <= 17; n++ {
+		assertParity(t, e, rows[:n])
+	}
+	assertParity(t, e, rows)
 }
 
 // TestConcurrentPredictBatch: one compiled model serves concurrent

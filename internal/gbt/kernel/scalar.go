@@ -2,26 +2,43 @@
 
 package kernel
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // The scalar model is the flat-node float64 traversal: all trees
 // flattened into one contiguous node array with per-tree root offsets,
-// child pointers rebased to absolute indices and leaves encoded
-// inline. Compared to walking []*tree node structs it removes a
+// child pointers rebased to absolute indices and leaves looping onto
+// themselves. Compared to walking []*tree node structs it removes a
 // pointer indirection per tree, drops training-only fields from the
 // hot data and packs each node into a quarter cache line — so batched
 // prediction streams rows against cache-resident tree data instead of
 // dragging the whole ensemble through the cache once per row.
+//
+// Because a leaf is its own child, walking a tree is a fixed number of
+// steps — the tree's depth — with no leaf test: a row that reaches a
+// leaf early stays there for the remaining steps. Every row of a batch
+// takes the same trip count, so eight rows walk a tree in lockstep as
+// straight-line code.
 
 // cnode is one compiled tree node, packed into 16 bytes so a cache
-// line holds four nodes. Internal nodes carry the split threshold and
-// feature plus the index of their left child; the right child always
-// sits at kids+1 (bfsOrder guarantees it). Leaves are encoded inline:
-// feature is LeafFeature and threshold holds the shrunken leaf weight.
+// line holds four nodes. A split carries its threshold and feature
+// plus the index of its left child; the right child always sits at
+// kids+1 (bfsOrder guarantees it). A leaf loops onto itself: its
+// threshold is NaN, so gt picks kids+1, and kids is its own index − 1;
+// its feature is 0. Leaf weights live in scalarModel.leaf.
 type cnode struct {
 	threshold float64
 	feature   int32
 	kids      int32
+}
+
+// ctree is one compiled tree: the absolute index of its root and its
+// depth, the number of steps from the root to its deepest leaf.
+type ctree struct {
+	root  int32
+	depth int32
 }
 
 // scalarModel is the compiled flat-node form. It is safe for
@@ -31,9 +48,10 @@ type cnode struct {
 type scalarModel struct {
 	baseScore float64
 	nfeat     int
-	// roots[t] is the absolute index of tree t's root node.
-	roots []int32
-	nodes []cnode
+	trees     []ctree
+	nodes     []cnode
+	// leaf[k] is node k's shrunken leaf weight, 0 for a split.
+	leaf []float64
 }
 
 // compileScalar flattens the ensemble into a scalarModel snapshot,
@@ -42,25 +60,29 @@ func compileScalar(e Ensemble) *scalarModel {
 	c := &scalarModel{
 		baseScore: e.BaseScore,
 		nfeat:     e.NumFeatures,
-		roots:     make([]int32, 0, len(e.Trees)),
+		trees:     make([]ctree, 0, len(e.Trees)),
 		nodes:     make([]cnode, 0, e.NumNodes()),
+		leaf:      make([]float64, 0, e.NumNodes()),
 	}
-	var order []int32
-	var newIdx []int32
+	var order, newIdx []int32
+	var depth int32
 	for _, t := range e.Trees {
 		off := int32(len(c.nodes))
-		c.roots = append(c.roots, off)
-		order, newIdx = bfsOrder(t, off, order, newIdx)
+		order, newIdx, depth = bfsOrder(t, off, order, newIdx)
+		c.trees = append(c.trees, ctree{root: off, depth: depth})
 		for _, old := range order {
 			n := &t[old]
 			if n.Feature == LeafFeature {
-				c.nodes = append(c.nodes, cnode{threshold: n.Threshold, feature: LeafFeature})
+				self := int32(len(c.nodes))
+				c.nodes = append(c.nodes, cnode{threshold: math.NaN(), kids: self - 1})
+				c.leaf = append(c.leaf, n.Threshold)
 			} else {
 				c.nodes = append(c.nodes, cnode{
 					threshold: n.Threshold,
 					feature:   n.Feature,
 					kids:      newIdx[n.Left],
 				})
+				c.leaf = append(c.leaf, 0)
 			}
 		}
 	}
@@ -71,37 +93,23 @@ func compileScalar(e Ensemble) *scalarModel {
 func (c *scalarModel) NumFeatures() int { return c.nfeat }
 
 // NumTrees returns the number of trees in the compiled ensemble.
-func (c *scalarModel) NumTrees() int { return len(c.roots) }
+func (c *scalarModel) NumTrees() int { return len(c.trees) }
 
 // NumNodes returns the total node count across all trees.
 func (c *scalarModel) NumNodes() int { return len(c.nodes) }
 
 // gt is the branch-free child selector: 0 when the row value is ≤ the
 // split threshold (go left), else 1 — phrased as a negated ≤ rather
-// than > so a NaN row value selects the right child exactly like the
-// node-walking `row[f] <= threshold` test. Written so the compiler
-// lowers it to a flag-set instruction instead of a data-dependent
-// branch — tree splits are close to coin flips, and a mispredict per
-// node costs more than the whole comparison.
+// than > so a NaN row value or a NaN threshold selects the right child
+// exactly like the node-walking `row[f] <= threshold` test. Written so
+// the compiler lowers it to a flag-set instruction instead of a
+// data-dependent branch — tree splits are close to coin flips, and a
+// mispredict per node costs more than the whole comparison.
 func gt(a, b float64) int32 {
 	if a <= b {
 		return 0
 	}
 	return 1
-}
-
-// leaf walks one tree from root for one row and returns the leaf node
-// index.
-func (c *scalarModel) leaf(root int32, row []float64) int32 {
-	nodes := c.nodes
-	idx := root
-	for {
-		n := &nodes[idx]
-		if n.feature < 0 {
-			return idx
-		}
-		idx = n.kids + gt(row[n.feature], n.threshold)
-	}
 }
 
 // Predict1 returns the prediction for a single raw feature row,
@@ -110,9 +118,15 @@ func (c *scalarModel) Predict1(row []float64) float64 {
 	if len(row) != c.nfeat {
 		panic(fmt.Sprintf("kernel: Predict1 row of dimension %d, want %d", len(row), c.nfeat))
 	}
+	nodes := c.nodes
 	out := c.baseScore
-	for _, root := range c.roots {
-		out += c.nodes[c.leaf(root, row)].threshold
+	for _, t := range c.trees {
+		idx := t.root
+		for d := t.depth; d > 0; d-- {
+			n := &nodes[idx]
+			idx = n.kids + gt(row[n.feature], n.threshold)
+		}
+		out += c.leaf[idx]
 	}
 	return out
 }
@@ -123,9 +137,11 @@ func (c *scalarModel) Predict1(row []float64) float64 {
 //
 // Trees iterate in the outer loop and rows in the inner loop, so each
 // tree's nodes are loaded into cache once per batch rather than once
-// per row, and four rows walk the tree in lockstep to overlap their
-// dependent node loads. The per-row sums still accumulate in ensemble
-// order, keeping results bit-for-bit equal to Predict1.
+// per row, and eight rows take the tree's depth in steps in lockstep
+// to overlap their dependent node loads. A short last group repeats
+// its final row to fill the eight lanes and adds only its own rows'
+// leaves. The per-row sums still accumulate in ensemble order, keeping
+// results bit-for-bit equal to Predict1.
 func (c *scalarModel) PredictBatch(X [][]float64, out []float64) {
 	if len(out) != len(X) {
 		panic(fmt.Sprintf("kernel: PredictBatch output of length %d for %d rows", len(out), len(X)))
@@ -136,43 +152,42 @@ func (c *scalarModel) PredictBatch(X [][]float64, out []float64) {
 		}
 		out[i] = c.baseScore
 	}
-	nodes := c.nodes
-	for _, root := range c.roots {
-		i := 0
-		for ; i+4 <= len(X); i += 4 {
-			r0, r1, r2, r3 := X[i], X[i+1], X[i+2], X[i+3]
-			n0, n1, n2, n3 := root, root, root, root
-			f0 := nodes[n0].feature
-			f1, f2, f3 := f0, f0, f0
-			for f0 >= 0 || f1 >= 0 || f2 >= 0 || f3 >= 0 {
-				if f0 >= 0 {
-					n := &nodes[n0]
-					n0 = n.kids + gt(r0[f0], n.threshold)
-					f0 = nodes[n0].feature
-				}
-				if f1 >= 0 {
-					n := &nodes[n1]
-					n1 = n.kids + gt(r1[f1], n.threshold)
-					f1 = nodes[n1].feature
-				}
-				if f2 >= 0 {
-					n := &nodes[n2]
-					n2 = n.kids + gt(r2[f2], n.threshold)
-					f2 = nodes[n2].feature
-				}
-				if f3 >= 0 {
-					n := &nodes[n3]
-					n3 = n.kids + gt(r3[f3], n.threshold)
-					f3 = nodes[n3].feature
-				}
+	nodes, leaf := c.nodes, c.leaf
+	last := len(X) - 1
+	for _, t := range c.trees {
+		for i := 0; i <= last; i += 8 {
+			r0, r1, r2, r3 := X[i], X[min(i+1, last)], X[min(i+2, last)], X[min(i+3, last)]
+			r4, r5, r6, r7 := X[min(i+4, last)], X[min(i+5, last)], X[min(i+6, last)], X[min(i+7, last)]
+			n0, n1, n2, n3 := t.root, t.root, t.root, t.root
+			n4, n5, n6, n7 := n0, n0, n0, n0
+			for d := t.depth; d > 0; d-- {
+				a0, a1, a2, a3 := &nodes[n0], &nodes[n1], &nodes[n2], &nodes[n3]
+				n0 = a0.kids + gt(r0[a0.feature], a0.threshold)
+				n1 = a1.kids + gt(r1[a1.feature], a1.threshold)
+				n2 = a2.kids + gt(r2[a2.feature], a2.threshold)
+				n3 = a3.kids + gt(r3[a3.feature], a3.threshold)
+				a4, a5, a6, a7 := &nodes[n4], &nodes[n5], &nodes[n6], &nodes[n7]
+				n4 = a4.kids + gt(r4[a4.feature], a4.threshold)
+				n5 = a5.kids + gt(r5[a5.feature], a5.threshold)
+				n6 = a6.kids + gt(r6[a6.feature], a6.threshold)
+				n7 = a7.kids + gt(r7[a7.feature], a7.threshold)
 			}
-			out[i] += nodes[n0].threshold
-			out[i+1] += nodes[n1].threshold
-			out[i+2] += nodes[n2].threshold
-			out[i+3] += nodes[n3].threshold
-		}
-		for ; i < len(X); i++ {
-			out[i] += nodes[c.leaf(root, X[i])].threshold
+			if i+8 <= len(X) {
+				o := out[i : i+8 : i+8]
+				o[0] += leaf[n0]
+				o[1] += leaf[n1]
+				o[2] += leaf[n2]
+				o[3] += leaf[n3]
+				o[4] += leaf[n4]
+				o[5] += leaf[n5]
+				o[6] += leaf[n6]
+				o[7] += leaf[n7]
+				continue
+			}
+			w := [8]float64{leaf[n0], leaf[n1], leaf[n2], leaf[n3], leaf[n4], leaf[n5], leaf[n6], leaf[n7]}
+			for k, v := range w[:len(X)-i] {
+				out[i+k] += v
+			}
 		}
 	}
 }

@@ -29,8 +29,10 @@
 // search is quadratic in L: with luciferin ranked once per iteration,
 // each worm tests only the strictly brighter worms, about half the
 // L(L−1) ordered pairs, and compares squared distances without a
-// square root (see rankedScan). At the surrogate's default L = 200
-// this search is most of the movement phase's cost.
+// square root (see rankedScan). Each ranking repairs the previous
+// iteration's by insertion sort, as luciferin drifts little between
+// iterations. At the surrogate's default L = 200 this search is most
+// of the movement phase's cost.
 //
 // Two SuRF-specific extensions are supported:
 //

@@ -1,10 +1,8 @@
 package gso
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
-	"slices"
 )
 
 // rankedScan finds each worm's neighbour set for the movement phase:
@@ -20,12 +18,18 @@ import (
 // row is rewritten whenever it moves, so later worms see moved
 // positions exactly as an all-pairs scan over the live positions does.
 //
+// Luciferin drifts little from one iteration to the next, so each
+// ranking starts from the previous one and is repaired by an insertion
+// sort on one integer key per worm (see rankKey), which is close to
+// linear on a nearly sorted order.
+//
 // The scan marks neighbours in a bitset over worm indices and the
 // walk of that bitset emits them in ascending index, which is the
 // order the roulette selection and its weight sum depend on.
 type rankedScan struct {
 	n      int
 	order  []int32   // worm indices by rank: NaN first, then descending luciferin, ties by index
+	keys   []uint64  // keys[k] is rankKey of worm order[k]'s luciferin
 	rank   []int32   // rank[i] is worm i's index in order
 	prefix []int32   // ranks [0, prefix[k]) are the candidates of rank k
 	rows   []float64 // positions in rank order, n coordinates per row
@@ -33,50 +37,69 @@ type rankedScan struct {
 }
 
 func newRankedScan(worms, dims int) *rankedScan {
-	return &rankedScan{
+	s := &rankedScan{
 		n:      dims,
 		order:  make([]int32, worms),
+		keys:   make([]uint64, worms),
 		rank:   make([]int32, worms),
 		prefix: make([]int32, worms),
 		rows:   make([]float64, worms*dims),
 		words:  make([]uint64, (worms+63)/64),
 	}
+	for i := range s.order {
+		s.order[i] = int32(i)
+	}
+	return s
+}
+
+// rankKey maps luciferin to a key whose ascending order is the
+// ranking's: NaN first as 0, then the other values in descending
+// order, −0 and +0 tying as they compare equal. Flipping the sign bit
+// of a non-negative float and every bit of a negative one orders the
+// bits as the floats; the complement reverses that order and leaves
+// every non-NaN key above 0.
+func rankKey(v float64) uint64 {
+	if v != v {
+		return 0
+	}
+	if v == 0 {
+		v = 0 // −0 ties with +0
+	}
+	b := math.Float64bits(v)
+	if b>>63 == 0 {
+		return ^(b | 1<<63)
+	}
+	return b
 }
 
 // prepare ranks the swarm by luc and copies pos into rank order. It
 // must run after the luciferin update and before the first scan of a
-// movement phase.
+// movement phase. The ranking is (key, worm index) ascending — NaN
+// first, then descending luciferin, ties by index — reached by an
+// insertion sort of the previous ranking.
 func (s *rankedScan) prepare(luc []float64, pos [][]float64) {
-	for i := range s.order {
-		s.order[i] = int32(i)
+	order, keys := s.order, s.keys
+	for k, i := range order {
+		keys[k] = rankKey(luc[i])
 	}
-	slices.SortFunc(s.order, func(a, b int32) int {
-		la, lb := luc[a], luc[b]
-		if an, bn := la != la, lb != lb; an != bn {
-			if an {
-				return -1
-			}
-			return 1
+	for k := 1; k < len(order); k++ {
+		i, key := order[k], keys[k]
+		q := k
+		for ; q > 0 && (keys[q-1] > key || keys[q-1] == key && order[q-1] > i); q-- {
+			order[q], keys[q] = order[q-1], keys[q-1]
 		}
-		switch {
-		case la > lb:
-			return -1
-		case la < lb:
-			return 1
-		}
-		return cmp.Compare(a, b)
-	})
-	L := int32(len(s.order))
+		order[q], keys[q] = i, key
+	}
+	L := int32(len(order))
 	for k := int32(0); k < L; {
-		i := s.order[k]
-		if math.IsNaN(luc[i]) {
-			s.prefix[k] = L
+		if keys[k] == 0 {
+			s.prefix[k] = L // NaN
 			k++
 			continue
 		}
 		// Ranks [k, end) tie with rank k; ranks [0, k) are brighter.
 		end := k + 1
-		for end < L && luc[s.order[end]] == luc[i] {
+		for end < L && keys[end] == keys[k] {
 			end++
 		}
 		for q := k; q < end; q++ {
@@ -84,7 +107,7 @@ func (s *rankedScan) prepare(luc []float64, pos [][]float64) {
 		}
 		k = end
 	}
-	for k, i := range s.order {
+	for k, i := range order {
 		s.rank[i] = int32(k)
 		copy(s.rows[k*s.n:(k+1)*s.n], pos[i])
 	}

@@ -1,6 +1,7 @@
 package gso
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -309,7 +310,9 @@ var (
 // original all-pairs loop does — the same neighbours in the same
 // order, the same weights and the same sum — for every worm in index
 // order, with each worm moved after its scan as the movement phase
-// moves it.
+// moves it. A second phase perturbs the luciferin and prepares the
+// same scan again, so the ranking carried over from the first phase
+// is repaired rather than built from scratch.
 func FuzzNeighborScan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		feed := &scanFeed{data: data}
@@ -335,26 +338,127 @@ func FuzzNeighborScan(f *testing.F) {
 			}
 		}
 		scan := newRankedScan(L, n)
-		scan.prepare(luc, pos)
 		var gotNb, wantNb []int
 		var gotW, wantW []float64
-		for i := range pos {
-			var gotT, wantT float64
-			gotNb, gotW, gotT = scan.neighbors(i, radius[i], luc, weight, gotNb[:0], gotW[:0])
-			wantNb, wantW, wantT = referenceNeighbors(i, pos, luc, weight, radius[i], wantNb[:0], wantW[:0])
-			if !slices.Equal(gotNb, wantNb) || !sameBits(gotW, wantW) || !sameBits([]float64{gotT}, []float64{wantT}) {
-				t.Fatalf("worm %d: neighbours %v weights %v sum %v, want %v %v %v",
-					i, gotNb, gotW, gotT, wantNb, wantW, wantT)
+		for phase := 0; phase < 2; phase++ {
+			if phase == 1 {
+				for i := range luc {
+					switch feed.next() % 4 {
+					case 1:
+						luc[i] = feed.value(scanFuzzValues)
+					case 2:
+						luc[i] = luc[(i+1)%L] // a tie with the next worm
+					case 3:
+						luc[i] = -luc[i]
+					}
+				}
 			}
-			// Move the worm onto its last neighbour, or a pool value.
-			if len(wantNb) > 0 {
-				copy(pos[i], pos[wantNb[len(wantNb)-1]])
-			} else {
-				pos[i][0] = feed.value(scanFuzzValues)
+			scan.prepare(luc, pos)
+			for i := range pos {
+				var gotT, wantT float64
+				gotNb, gotW, gotT = scan.neighbors(i, radius[i], luc, weight, gotNb[:0], gotW[:0])
+				wantNb, wantW, wantT = referenceNeighbors(i, pos, luc, weight, radius[i], wantNb[:0], wantW[:0])
+				if !slices.Equal(gotNb, wantNb) || !sameBits(gotW, wantW) || !sameBits([]float64{gotT}, []float64{wantT}) {
+					t.Fatalf("phase %d, worm %d: neighbours %v weights %v sum %v, want %v %v %v",
+						phase, i, gotNb, gotW, gotT, wantNb, wantW, wantT)
+				}
+				// Move the worm onto its last neighbour, or a pool value.
+				if len(wantNb) > 0 {
+					copy(pos[i], pos[wantNb[len(wantNb)-1]])
+				} else {
+					pos[i][0] = feed.value(scanFuzzValues)
+				}
+				scan.moved(i, pos[i])
 			}
-			scan.moved(i, pos[i])
 		}
 	})
+}
+
+// freshRanking ranks luc from scratch with the comparator the ranking
+// is defined by — NaN first, then descending luciferin, ties by worm
+// index — and derives each rank's candidate prefix from luciferin
+// comparisons.
+func freshRanking(luc []float64) (order, prefix []int32) {
+	L := int32(len(luc))
+	order = make([]int32, L)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		la, lb := luc[a], luc[b]
+		if an, bn := la != la, lb != lb; an != bn {
+			if an {
+				return -1
+			}
+			return 1
+		}
+		switch {
+		case la > lb:
+			return -1
+		case la < lb:
+			return 1
+		}
+		return cmp.Compare(a, b)
+	})
+	prefix = make([]int32, L)
+	for k, i := range order {
+		switch {
+		case math.IsNaN(luc[i]):
+			prefix[k] = L
+		case k > 0 && luc[order[k-1]] == luc[i]:
+			prefix[k] = prefix[k-1]
+		default:
+			prefix[k] = int32(k)
+		}
+	}
+	return order, prefix
+}
+
+// TestCarriedRanking: preparing a scan ranked on prev with next gives
+// the ranking and candidate prefixes a fresh sort of next does.
+func TestCarriedRanking(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	tests := []struct {
+		name       string
+		prev, next []float64
+	}{
+		{"first ranking", nil, []float64{0.5, 2, 1, 2, 0}},
+		{"unchanged", []float64{3, 2, 1}, []float64{3, 2, 1}},
+		{"reversed", []float64{1, 2, 3, 4, 5, 6, 7, 8}, []float64{8, 7, 6, 5, 4, 3, 2, 1}},
+		{"small drift", []float64{1, 2, 3, 4, 5}, []float64{1.1, 1.9, 3.2, 3.1, 5}},
+		{"all equal", []float64{5, 4, 3, 2, 1}, []float64{1, 1, 1, 1, 1}},
+		{"equal to distinct", []float64{1, 1, 1, 1}, []float64{1, 4, 2, 3}},
+		{"nan mix", []float64{1, 2, 3, 4, 5}, []float64{2, nan, -1, nan, 7}},
+		{"nan leaves", []float64{nan, 1, nan, 2}, []float64{3, 1, 2, nan}},
+		{"all nan", []float64{1, 2, 3}, []float64{nan, nan, nan}},
+		{"signed zeros tie", []float64{1, 2, 3, 4}, []float64{0, negZero, 0, negZero}},
+		{"signed zeros among values", []float64{negZero, 0, 1, -1}, []float64{-1, 0, negZero, 1}},
+		{"infinities", []float64{1, 2, 3, 4, 5}, []float64{-inf, inf, 0, inf, -inf}},
+		{"everything", []float64{nan, inf, -inf, 0, negZero, 1}, []float64{negZero, -inf, nan, inf, 0, -inf}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			L := len(tt.next)
+			pos := make([][]float64, L)
+			for i := range pos {
+				pos[i] = []float64{float64(i)}
+			}
+			s := newRankedScan(L, 1)
+			if tt.prev != nil {
+				s.prepare(tt.prev, pos)
+			}
+			s.prepare(tt.next, pos)
+			order, prefix := freshRanking(tt.next)
+			if !slices.Equal(s.order, order) || !slices.Equal(s.prefix, prefix) {
+				t.Errorf("carried ranking %v prefixes %v, fresh %v %v", s.order, s.prefix, order, prefix)
+			}
+			for k, i := range order {
+				if s.rank[i] != int32(k) || s.rows[k] != pos[i][0] {
+					t.Errorf("worm %d: rank %d row %v, want %d %v", i, s.rank[i], s.rows[k], k, pos[i][0])
+				}
+			}
+		})
+	}
 }
 
 // scanFeed streams fuzz bytes, yielding 0 once exhausted.
