@@ -3,6 +3,7 @@ package surf
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -439,14 +440,6 @@ func findOne(ctx context.Context, eng *Engine, q Query) (*Result, error) {
 	return res, err
 }
 
-// drain returns a started stream's final Result.
-func drain(st *Stream, err error) (*Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	return st.Result()
-}
-
 // poison scribbles over a result a caller holds; the cache must not
 // see it.
 func poison(r *Result) {
@@ -456,12 +449,44 @@ func poison(r *Result) {
 	}
 }
 
+// finished drains a stream a cache hit returned. The stream must
+// already be finished: exactly one event, EventDone, carrying the
+// very Result that Result returns.
+func finished(st *Stream, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	var events []Event
+	for ev, err := range st.Events() {
+		if err != nil {
+			return nil, err
+		}
+		events = append(events, ev)
+	}
+	res, err := st.Result()
+	if err != nil {
+		return nil, err
+	}
+	if len(events) != 1 {
+		return nil, fmt.Errorf("cache hit streamed %d events, want only EventDone", len(events))
+	}
+	done, ok := events[0].(EventDone)
+	if !ok {
+		return nil, fmt.Errorf("cache hit streamed %T, want EventDone", events[0])
+	}
+	if done.Result != res {
+		return nil, errors.New("Result() is not the Result EventDone carried")
+	}
+	return res, nil
+}
+
 // TestResultCacheEntryPoints: every run that completes fills the
 // cache, whichever entry point started it, and a run stopped early
-// fills nothing. Find, FindTopK and FindMany then serve a repeat from
-// the cache with zero evaluations, each as a private copy equal to a
+// fills nothing. All five entry points then serve a repeat from the
+// cache with zero evaluations, each as a private copy equal to a
 // mined answer, so mutating one — or the filling run's own Result —
-// cannot poison the entry.
+// cannot poison the entry. A repeated stream comes back finished,
+// with EventDone as its only event.
 func TestResultCacheEntryPoints(t *testing.T) {
 	bg := context.Background()
 	cancelled, cancel := context.WithCancel(bg)
@@ -473,9 +498,11 @@ func TestResultCacheEntryPoints(t *testing.T) {
 	threshold := []repeat{
 		{"Find", func(e *Engine) (*Result, error) { return e.Find(entryQuery) }},
 		{"FindMany", func(e *Engine) (*Result, error) { return findOne(bg, e, entryQuery) }},
+		{"drained Stream", func(e *Engine) (*Result, error) { return finished(e.Stream(bg, entryQuery)) }},
 	}
 	topK := []repeat{
 		{"FindTopK", func(e *Engine) (*Result, error) { return e.FindTopK(entryTopK) }},
+		{"drained StreamTopK", func(e *Engine) (*Result, error) { return finished(e.StreamTopK(bg, entryTopK)) }},
 	}
 	cases := []struct {
 		name    string
@@ -553,8 +580,45 @@ func TestResultCacheEntryPoints(t *testing.T) {
 				sameResult(t, want, res)
 				poison(res)
 			}
+			// The last repeat's poison did not reach the entry either.
+			res, err := tt.repeats[0].find(eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, want, res)
 		})
 	}
+
+	// A snapshot swap empties the cache, so the stream a repeat just
+	// served from it mines again, with live telemetry.
+	t.Run("Stream after SetDataset", func(t *testing.T) {
+		eng, _ := cachedEngine(t)
+		if _, err := drain(eng.Stream(bg, entryQuery)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := finished(eng.Stream(bg, entryQuery)); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.SetDataset(crimeGrid(1500, 21), 2); err != nil {
+			t.Fatal(err)
+		}
+		st, err := eng.Stream(bg, entryQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iterations := 0
+		for ev, err := range st.Events() {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := ev.(EventIteration); ok {
+				iterations++
+			}
+		}
+		if iterations == 0 {
+			t.Fatal("stream after SetDataset emitted no EventIteration; it was served from the cache")
+		}
+	})
 }
 
 // blockingEvaluator holds every evaluation until release is closed,

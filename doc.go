@@ -50,7 +50,8 @@
 // every optimizer iteration, an EventRegion the moment an incumbent
 // region's swarm cluster stabilizes, and a terminal EventDone whose
 // Result is identical to the batch call's — Find is implemented as a
-// drained Stream, so there is exactly one execution path:
+// drained Stream, so there is exactly one execution path. A query the
+// result cache already answers (see below) streams only its EventDone:
 //
 //	st, _ := eng.Stream(ctx, surf.Query{Threshold: 1000, Above: true})
 //	for ev, err := range st.Events() {
@@ -192,12 +193,13 @@
 // PUT/DELETE /v1/models admin API.
 //
 // Engines also keep a small LRU result cache over resolved queries
-// (WithResultCache to resize or disable): a repeated Find, FindTopK
-// or FindMany query against the same surrogate snapshot is answered
-// without re-running the swarm. Every run that completes fills the
-// cache, including a drained Stream or StreamTopK, but streams never
-// read it. The cache clears on every train/load so no stale model's
-// results are served.
+// (WithResultCache to resize or disable): a repeated Find, FindTopK,
+// FindMany, Stream or StreamTopK query against the same surrogate
+// snapshot is answered without re-running the swarm. A stream served
+// from the cache comes back finished, with EventDone as its only
+// event. Every run that completes fills the cache, whichever entry
+// point started it. The cache clears on every train/load so no stale
+// model's results are served.
 //
 // # Living data
 //

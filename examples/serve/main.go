@@ -9,9 +9,10 @@
 //     computes.
 //  3. POST /v1/find — a threshold query as JSON, a ranked Result
 //     back.
-//  4. GET /v1/stream — the same query as Server-Sent Events: swarm
-//     telemetry while it runs, incumbent regions as they stabilize,
-//     and the final result, decoded with surf.UnmarshalEvent.
+//  4. GET /v1/stream — the query with another seed as Server-Sent
+//     Events: swarm telemetry while it runs, incumbent regions as
+//     they stabilize, and the final result, decoded with
+//     surf.UnmarshalEvent.
 //
 // Run with: go run ./examples/serve
 package main
@@ -121,7 +122,11 @@ func main() {
 			i, r.Min[0], r.Max[0], r.Min[1], r.Max[1], r.Estimate)
 	}
 
-	// 4. The same query as a progressive SSE stream.
+	// 4. The query with a new seed as a progressive SSE stream. Step
+	// 3's query is in the engine's result cache, so streaming it would
+	// send only the done event.
+	query.Seed = 8
+	body, _ = json.Marshal(query)
 	fmt.Println("\nGET /v1/stream:")
 	stream, err := http.Get(base + "/v1/stream?q=" + url.QueryEscape(string(body)))
 	if err != nil {

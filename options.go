@@ -100,18 +100,19 @@ type engineOptions struct {
 }
 
 // WithResultCache sizes the engine's query-result cache (default 64
-// entries; 0 or negative disables it). Find, FindTopK and FindMany
-// consult the cache: a repeat of a recently answered query against the same
-// surrogate snapshot returns the cached Result (as a private copy)
-// without re-running the swarm. The key is the resolved query — every
+// entries; 0 or negative disables it). Find, FindTopK, FindMany,
+// Stream and StreamTopK all consult the cache: a repeat of a recently
+// answered query against the same surrogate snapshot returns the
+// cached Result (as a private copy) without re-running the swarm — a
+// stream then comes back finished, its only event the EventDone
+// carrying that Result, with no telemetry or incumbents. The key is the resolved query — every
 // zero knob set to its default, Workers (which cannot change the
 // answer) dropped — so an explicit default and a zero share an entry.
 // Keys also carry the snapshot generation, and the cache is cleared
 // whenever TrainSurrogate, LoadSurrogate or SetDataset swaps the
 // snapshot, so a stale model's or data version's results are never
 // served. Every run that completes fills the cache, whichever entry
-// point started it; Stream and StreamTopK fill it but never read it,
-// since their consumers expect the live event feed.
+// point started it.
 //
 // Caching assumes repeated queries are deterministic, which holds
 // for every built-in code path over the engine's immutable dataset

@@ -325,9 +325,10 @@ func (e *Engine) FindContext(ctx context.Context, q Query) (*Result, error) {
 		return nil, err
 	}
 	snap := e.surrogate.Load()
-	res, err := e.cachedRun(cacheKey(snap.gen, q), func() (*Stream, error) {
-		return startStream(ctx, e, snap, q, false)
-	})
+	key := cacheKey(snap.gen, q)
+	res, err := drain(e.cachedRun(key, func() (*Stream, error) {
+		return startStream(ctx, e, snap, key, q, false)
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -351,28 +352,37 @@ func (e *Engine) FindTopKContext(ctx context.Context, q TopKQuery) (*Result, err
 		return nil, err
 	}
 	snap := e.surrogate.Load()
-	res, err := e.cachedRun(cacheKey(snap.gen, q), func() (*Stream, error) {
-		return startTopKStream(ctx, e, snap, q, false)
-	})
+	key := cacheKey(snap.gen, q)
+	res, err := drain(e.cachedRun(key, func() (*Stream, error) {
+		return startTopKStream(ctx, e, snap, key, q, false)
+	}))
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// cachedRun is the one cache lookup, shared by Find, FindTopK and
-// FindMany: it serves key from the result cache or drains the stream
-// start launches, whose run fills the cache when it succeeds (see
-// newStream). On a failed run it returns the stream's partial result
-// with the error. Batch calls and streams share one execution path,
-// so a fully drained stream and a batch call produce identical
-// Results; batch runs skip the per-iteration telemetry and incumbent
-// sweeps (nobody consumes them), which are passive either way.
-func (e *Engine) cachedRun(key resultKey, start func() (*Stream, error)) (*Result, error) {
+// cachedRun is the one result-cache lookup, shared by all five entry
+// points: Find, FindTopK, FindMany, Stream and StreamTopK. On a hit it
+// returns a finished stream whose only event is EventDone carrying a
+// private copy of the cached Result (see doneStream); on a miss it
+// returns the stream start launches, whose run fills the cache when it
+// succeeds (see newStream). The batch entry points drain what it
+// returns and the streaming ones hand it to their caller, so a fully
+// drained stream and a batch call produce identical Results; batch
+// runs skip the per-iteration telemetry and incumbent sweeps (nobody
+// consumes them), which are passive either way.
+func (e *Engine) cachedRun(key resultKey, start func() (*Stream, error)) (*Stream, error) {
 	if res, ok := e.cache.get(key); ok {
-		return res, nil
+		return doneStream(res), nil
 	}
-	s, err := start()
+	return start()
+}
+
+// drain returns a started stream's final Result, or the error that
+// kept it from starting. On a failed run it returns the stream's
+// partial result with the error.
+func drain(s *Stream, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -384,10 +394,10 @@ func (e *Engine) cachedRun(key resultKey, start func() (*Stream, error)) (*Resul
 // the mining goroutine, so Stream reports ErrNoSurrogate and kin as
 // plain return values rather than burying them in the event stream.
 // With events false the run emits only the terminal EventDone — the
-// batch fast path. Every run, streamed or batch, puts its Result in
-// the result cache when it succeeds; streams never read the cache,
-// since their consumers expect the live event feed.
-func startStream(ctx context.Context, e *Engine, snap *snapshot, q Query, events bool) (*Stream, error) {
+// batch fast path. key is the query's result-cache key; every run,
+// streamed or batch, puts its Result there when it succeeds. Callers
+// reach startStream only through cachedRun, after a cache miss.
+func startStream(ctx context.Context, e *Engine, snap *snapshot, key resultKey, q Query, events bool) (*Stream, error) {
 	finder, statFn, err := finderFor(snap, q.UseTrueFunction)
 	if err != nil {
 		return nil, err
@@ -402,19 +412,19 @@ func startStream(ctx context.Context, e *Engine, snap *snapshot, q Query, events
 			return nil, err
 		}
 	}
-	return newStream(ctx, e.cache, cacheKey(snap.gen, q), func(ctx context.Context, emit func(Event) bool) (*Result, error) {
+	return newStream(ctx, e.cache, key, func(ctx context.Context, emit func(Event) bool) (*Result, error) {
 		return runQuery(ctx, e, view, finder, statFn, q, emit, events)
 	}), nil
 }
 
 // startTopKStream is startStream for resolved top-k queries.
-func startTopKStream(ctx context.Context, e *Engine, snap *snapshot, q TopKQuery, events bool) (*Stream, error) {
+func startTopKStream(ctx context.Context, e *Engine, snap *snapshot, key resultKey, q TopKQuery, events bool) (*Stream, error) {
 	finder, _, err := finderFor(snap, q.UseTrueFunction)
 	if err != nil {
 		return nil, err
 	}
 	view := snap.view
-	return newStream(ctx, e.cache, cacheKey(snap.gen, q), func(ctx context.Context, emit func(Event) bool) (*Result, error) {
+	return newStream(ctx, e.cache, key, func(ctx context.Context, emit func(Event) bool) (*Result, error) {
 		return runTopK(ctx, e, view, finder, q, emit, events)
 	}), nil
 }

@@ -17,6 +17,11 @@
 //	DELETE /v1/models/{name}                → remove
 //	POST /v1/datasets/{name}/append  {rows:[…]} → append rows (living data)
 //
+// Both /v1/stream forms send "event: iteration" telemetry, "event:
+// region" incumbents and a terminal "event: done" — except for a query
+// the engine's result cache already answers, which streams only its
+// "event: done".
+//
 // A server built with New serves one engine; one built with
 // NewRegistry serves a multi-dataset registry.Registry, routing each
 // query by its "dataset" field (?dataset= for GET streams) with an
@@ -578,7 +583,7 @@ func (s *Server) handleStreamPost(w http.ResponseWriter, r *http.Request) {
 // field repeats the event name, so consumers without SSE event-name
 // support can dispatch on the payload alone). The stream ends after
 // "done"; a client that disconnects earlier cancels the swarm within
-// one iteration.
+// one iteration. A query the result cache answers sends "done" alone.
 func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, req streamRequest) {
 	if (len(req.Q) == 0) == (len(req.TopK) == 0) {
 		writeError(w, fmt.Errorf("%w: exactly one of q and topk is required", surf.ErrBadQuery))

@@ -22,8 +22,8 @@ import (
 
 // testEngine builds a small clustered dataset and trains a quick
 // surrogate; with train=false the engine can still serve
-// use_true_function queries.
-func testEngine(t *testing.T, train bool) *surf.Engine {
+// use_true_function queries. opts are the engine's options.
+func testEngine(t *testing.T, train bool, opts ...surf.Option) *surf.Engine {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(17, 3))
 	n := 1500
@@ -42,7 +42,7 @@ func testEngine(t *testing.T, train bool) *surf.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := surf.Open(d, surf.Config{FilterColumns: []string{"x", "y"}, Statistic: surf.Count})
+	eng, err := surf.Open(d, surf.Config{FilterColumns: []string{"x", "y"}, Statistic: surf.Count}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +59,9 @@ func testEngine(t *testing.T, train bool) *surf.Engine {
 }
 
 // testServer mounts a Server on an httptest listener.
-func testServer(t *testing.T, train bool) (*httptest.Server, *surf.Engine) {
+func testServer(t *testing.T, train bool, opts ...surf.Option) (*httptest.Server, *surf.Engine) {
 	t.Helper()
-	eng := testEngine(t, train)
+	eng := testEngine(t, train, opts...)
 	ts := httptest.NewServer(New(eng).Handler())
 	t.Cleanup(ts.Close)
 	return ts, eng
@@ -461,6 +461,111 @@ func TestStreamTopKEndpoint(t *testing.T) {
 	})
 	if done != 1 {
 		t.Fatalf("done events = %d", done)
+	}
+}
+
+// cacheHits reads surf_result_cache_hits_total off a /metrics scrape.
+func cacheHits(t *testing.T, base string) int {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape := readBody(t, resp)
+	for _, line := range strings.Split(scrape, "\n") {
+		if v, ok := strings.CutPrefix(line, "surf_result_cache_hits_total "); ok {
+			var n int
+			if _, err := fmt.Sscan(v, &n); err != nil {
+				t.Fatalf("hit counter %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("scrape lacks surf_result_cache_hits_total:\n%s", scrape)
+	return 0
+}
+
+// withoutElapsed re-encodes a Result JSON body with its wall time
+// zeroed, so two answers compare byte for byte on everything else.
+func withoutElapsed(t *testing.T, body []byte) string {
+	t.Helper()
+	var res surf.Result
+	if err := json.Unmarshal(body, &res); err != nil {
+		t.Fatalf("decode result %s: %v", body, err)
+	}
+	res.ElapsedSeconds = 0
+	out, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestStreamServesCachedAnswer: a stream of a query a find or topk
+// just answered is served from the result cache. It carries exactly
+// one event, done, whose result is the batch body's answer, and the
+// scrape counts one more cache hit.
+func TestStreamServesCachedAnswer(t *testing.T) {
+	tq := surf.TopKQuery{K: 2, Largest: true, Seed: 2, Glowworms: 20, Iterations: 10}
+	q, _ := json.Marshal(smallQuery)
+	topk, _ := json.Marshal(tq)
+	tests := []struct {
+		name   string
+		path   string // the batch route that fills the cache
+		query  any
+		stream func(base string) (*http.Response, error)
+	}{
+		{"POST /v1/stream after /v1/find", "/v1/find", smallQuery, func(base string) (*http.Response, error) {
+			return http.Post(base+"/v1/stream", "application/json", strings.NewReader(`{"q":`+string(q)+`}`))
+		}},
+		{"GET /v1/stream?topk= after /v1/topk", "/v1/topk", tq, func(base string) (*http.Response, error) {
+			return http.Get(base + "/v1/stream?topk=" + urlQueryEscape(string(topk)))
+		}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			ts, _ := testServer(t, true)
+			resp := postJSON(t, ts.URL+tt.path, tt.query)
+			body := readBody(t, resp)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", tt.path, resp.StatusCode, body)
+			}
+			hits := cacheHits(t, ts.URL)
+
+			resp, err := tt.stream(ts.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				b, _ := io.ReadAll(resp.Body)
+				t.Fatalf("stream: status %d: %s", resp.StatusCode, b)
+			}
+			var events []sseEvent
+			readSSE(t, resp.Body, func(ev sseEvent) bool {
+				events = append(events, ev)
+				return true
+			})
+			if len(events) != 1 || events[0].name != "done" {
+				names := make([]string, len(events))
+				for i, ev := range events {
+					names[i] = ev.name
+				}
+				t.Fatalf("cached stream sent events %v, want only done", names)
+			}
+			var done struct {
+				Result json.RawMessage `json:"result"`
+			}
+			if err := json.Unmarshal([]byte(events[0].data), &done); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := withoutElapsed(t, done.Result), withoutElapsed(t, []byte(body)); got != want {
+				t.Fatalf("done result differs from the %s body\nstream: %s\nbatch:  %s", tt.path, got, want)
+			}
+			if got := cacheHits(t, ts.URL); got != hits+1 {
+				t.Fatalf("surf_result_cache_hits_total went from %d to %d, want one more", hits, got)
+			}
+		})
 	}
 }
 

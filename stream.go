@@ -46,8 +46,8 @@ const streamBuffer = 16
 // still surface the incumbents found so far. A run that succeeds puts
 // its Result in cache under key before the stream publishes it — the
 // one place the result cache is filled, whichever entry point started
-// the run — so whoever drains the stream and repeats the query is
-// served from the cache.
+// the run — so a repeat of the query through any entry point is
+// served from the cache (see Engine.cachedRun).
 func newStream(ctx context.Context, cache *resultCache, key resultKey, run func(ctx context.Context, emit func(Event) bool) (*Result, error)) *Stream {
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Stream{cancel: cancel, events: make(chan Event, streamBuffer)}
@@ -83,6 +83,16 @@ func newStream(ctx context.Context, cache *resultCache, key resultKey, run func(
 		}
 		close(s.events)
 	}()
+	return s
+}
+
+// doneStream returns a stream that has already finished with res, the
+// form a result-cache hit takes: its only event is EventDone carrying
+// res, Result returns the same pointer, and there is no run to stop.
+func doneStream(res *Result) *Stream {
+	s := &Stream{cancel: func() {}, events: make(chan Event, 1), res: res}
+	s.events <- EventDone{Result: res}
+	close(s.events)
 	return s
 }
 
@@ -170,27 +180,39 @@ func (s *Stream) Result() (*Result, error) {
 // Stream starts the query and returns its progressive result stream.
 // The query runs against the engine's current surrogate snapshot on
 // a dedicated goroutine; cancel ctx (or Close the stream) to stop it
-// early. A stream always mines — it never reads the result cache —
-// but a run that completes fills it, so later finds of the same query
-// are served from it.
+// early. A query the result cache already answers under that snapshot
+// does not run at all: its stream comes back finished, with a private
+// copy of the cached Result as its only event (EventDone) — no
+// telemetry and no incumbents. A stream that mines and completes
+// fills the cache, so later finds and streams of the same query are
+// served from it.
 func (e *Engine) Stream(ctx context.Context, q Query) (*Stream, error) {
 	q, err := q.resolved(e.Dims())
 	if err != nil {
 		return nil, err
 	}
-	return startStream(ctx, e, e.surrogate.Load(), q, true)
+	snap := e.surrogate.Load()
+	key := cacheKey(snap.gen, q)
+	return e.cachedRun(key, func() (*Stream, error) {
+		return startStream(ctx, e, snap, key, q, true)
+	})
 }
 
 // StreamTopK starts a top-k query and returns its progressive result
 // stream. Top-k regions only materialize in the end-of-run swarm
 // clustering, so the stream carries EventIteration telemetry and the
-// terminal EventDone but no EventRegion incumbents.
+// terminal EventDone but no EventRegion incumbents. As with Stream, a
+// query the result cache answers streams only its EventDone.
 func (e *Engine) StreamTopK(ctx context.Context, q TopKQuery) (*Stream, error) {
 	q, err := q.resolved(e.Dims())
 	if err != nil {
 		return nil, err
 	}
-	return startTopKStream(ctx, e, e.surrogate.Load(), q, true)
+	snap := e.surrogate.Load()
+	key := cacheKey(snap.gen, q)
+	return e.cachedRun(key, func() (*Stream, error) {
+		return startTopKStream(ctx, e, snap, key, q, true)
+	})
 }
 
 // MultiResult is one query's outcome in a FindMany run.
@@ -241,9 +263,10 @@ func (e *Engine) FindMany(ctx context.Context, queries []Query) iter.Seq[MultiRe
 					q, err := queries[i].resolved(e.Dims())
 					var res *Result
 					if err == nil {
-						res, err = e.cachedRun(cacheKey(snap.gen, q), func() (*Stream, error) {
-							return startStream(mctx, e, snap, q, false)
-						})
+						key := cacheKey(snap.gen, q)
+						res, err = drain(e.cachedRun(key, func() (*Stream, error) {
+							return startStream(mctx, e, snap, key, q, false)
+						}))
 					}
 					// The send is unconditional: every started query
 					// reports in, even after cancellation (the

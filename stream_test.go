@@ -69,7 +69,9 @@ func sameResult(t *testing.T, a, b *Result) {
 // for every iteration, incumbents before the terminal EventDone that
 // carries the final result).
 func TestStreamMatchesFind(t *testing.T) {
-	eng := trainedEngine(t)
+	// Without a cache both sides mine: a cached engine would answer
+	// the stream from the entry Find just filled, with no telemetry.
+	eng := trainedEngine(t, WithResultCache(0))
 	q := hotspotQuery()
 
 	batch, err := eng.Find(q)
