@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -322,7 +324,9 @@ func TestResultCacheDisabled(t *testing.T) {
 }
 
 // TestResultCacheLRUEviction: the cache respects its capacity,
-// evicting the least recently used entry.
+// evicting the least recently used entry. Each query is looked up as
+// often as the entry it displaces, and a tie admits (see
+// TestResultCacheAdmission).
 func TestResultCacheLRUEviction(t *testing.T) {
 	eng, cb := cachedEngine(t, WithResultCache(2))
 	queries := []Query{cacheQuery, cacheQuery, cacheQuery}
@@ -661,4 +665,239 @@ func TestResultCacheDropsDeadGeneration(t *testing.T) {
 	if st := eng.CacheStats(); st.Entries != 0 {
 		t.Fatalf("cache holds %d entries after a run on a swapped-out snapshot, want 0", st.Entries)
 	}
+}
+
+// ask is the engine's path through the cache for key n of
+// generation 0: a lookup, and on a miss a put of a fresh answer.
+func ask(c *resultCache, n int) {
+	askKey(c, resultKey{query: n})
+}
+
+// askKey looks key up and on a miss puts a fresh answer under it.
+func askKey(c *resultCache, key resultKey) {
+	if _, ok := c.get(key); !ok {
+		c.put(key, &Result{Regions: []Region{{Min: []float64{0}, Max: []float64{1}}}})
+	}
+}
+
+// resident lists the cache's keys from most to least recently used.
+func (c *resultCache) resident() []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var keys []int
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		keys = append(keys, el.Value.(*cacheEntry).key.query.(int))
+	}
+	return keys
+}
+
+// freqBound is the most keys the count map can hold (see count).
+func (c *resultCache) freqBound() int { return 2 * c.window() }
+
+// counts returns the lookup counts by key.
+func (c *resultCache) counts() map[int]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[int]int, len(c.freq))
+	for k, n := range c.freq {
+		out[k.query.(int)] = n
+	}
+	return out
+}
+
+// TestResultCacheAdmission: a full cache admits a key looked up at
+// least as often as the least recently used entry, evicting that
+// entry, and turns away a key looked up less often; lookup counts
+// halve every window() lookups, so the count map stays bounded, and
+// reset clears them.
+func TestResultCacheAdmission(t *testing.T) {
+	const capacity = 3
+	window := admissionWindow * capacity
+	tests := []struct {
+		name     string
+		run      func(c *resultCache)
+		resident []int       // most recently used first
+		rejected uint64      // CacheStats.Rejected after run
+		counts   map[int]int // the exact lookup counts, when not nil
+	}{
+		{
+			name: "one-off keys keep the last cap keys in LRU order",
+			run: func(c *resultCache) {
+				for n := 1; n <= 5; n++ {
+					ask(c, n)
+				}
+			},
+			resident: []int{5, 4, 3},
+			counts:   map[int]int{1: 1, 2: 1, 3: 1, 4: 1, 5: 1},
+		},
+		{
+			name: "a key looked up more often than the victim displaces it",
+			run: func(c *resultCache) {
+				for range 2 {
+					c.get(resultKey{query: 4}) // misses whose runs never completed
+				}
+				for _, n := range []int{1, 1, 2, 3, 4} {
+					ask(c, n)
+				}
+			},
+			resident: []int{4, 3, 2},
+			counts:   map[int]int{1: 2, 2: 1, 3: 1, 4: 3},
+		},
+		{
+			name: "a one-off key does not displace a popular tail entry",
+			run: func(c *resultCache) {
+				for _, n := range []int{1, 1, 2, 3, 4} {
+					ask(c, n)
+				}
+			},
+			resident: []int{3, 2, 1},
+			rejected: 1,
+			counts:   map[int]int{1: 2, 2: 1, 3: 1, 4: 1},
+		},
+		{
+			name: "the count map stays bounded after 10 windows of distinct keys",
+			run: func(c *resultCache) {
+				for n := 1; n <= 10*window; n++ {
+					ask(c, n)
+				}
+			},
+			resident: []int{10 * window, 10*window - 1, 10*window - 2},
+		},
+		{
+			name: "reset clears the counts",
+			run: func(c *resultCache) {
+				for _, n := range []int{1, 1, 2} {
+					ask(c, n)
+				}
+				c.reset(1)
+			},
+			counts: map[int]int{},
+		},
+		{
+			name: "a dead-generation put is dropped, not rejected",
+			run: func(c *resultCache) {
+				c.reset(1)
+				for _, n := range []int{1, 1, 2, 3} {
+					askKey(c, resultKey{gen: 1, query: n})
+				}
+				c.put(resultKey{gen: 0, query: 4}, &Result{})
+			},
+			resident: []int{3, 2, 1},
+			counts:   map[int]int{1: 2, 2: 1, 3: 1},
+		},
+	}
+
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			c := newResultCache(capacity)
+			tt.run(c)
+			if got := c.resident(); !slices.Equal(got, tt.resident) {
+				t.Errorf("resident keys %v, want %v", got, tt.resident)
+			}
+			if got := c.stats().Rejected; got != tt.rejected {
+				t.Errorf("Rejected = %d, want %d", got, tt.rejected)
+			}
+			counts := c.counts()
+			if tt.counts != nil && !maps.Equal(counts, tt.counts) {
+				t.Errorf("lookup counts %v, want %v", counts, tt.counts)
+			}
+			if len(counts) > c.freqBound() {
+				t.Errorf("count map holds %d keys, bound %d", len(counts), c.freqBound())
+			}
+		})
+	}
+}
+
+// TestResultCacheConcurrent mixes lookups, puts and resets on a small
+// cache from several goroutines (run it with -race). Afterwards the
+// cache is within its capacity, the count map within its bound, and
+// every lookup was counted as exactly one hit or one miss.
+func TestResultCacheConcurrent(t *testing.T) {
+	const (
+		workers = 4
+		ops     = 2000
+	)
+	c := newResultCache(4)
+	var lookups atomic.Uint64
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range ops {
+				// Two generations take turns being live, so some puts
+				// carry a dead generation's key.
+				key := resultKey{gen: uint64(i % 2), query: (w*ops + i) % 7}
+				switch {
+				case i%97 == 0:
+					c.reset(uint64(i / 97 % 2))
+				case i%5 == 0:
+					c.put(key, &Result{})
+				default:
+					lookups.Add(1)
+					askKey(c, key)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := c.stats()
+	if st.Entries > st.Capacity {
+		t.Errorf("cache holds %d entries, capacity %d", st.Entries, st.Capacity)
+	}
+	if n := len(c.counts()); n > c.freqBound() {
+		t.Errorf("count map holds %d keys, bound %d", n, c.freqBound())
+	}
+	if got := st.Hits + st.Misses; got != lookups.Load() {
+		t.Errorf("hits + misses = %d, want the %d lookups made", got, lookups.Load())
+	}
+}
+
+// BenchmarkResultCache times the engine's two paths through a full
+// 64-entry cache: a hit, and a miss whose answer is then put, evicting
+// the least recently used entry.
+func BenchmarkResultCache(b *testing.B) {
+	res := &Result{Regions: make([]Region, 4)}
+	for i := range res.Regions {
+		res.Regions[i] = Region{Min: []float64{0, 0}, Max: []float64{1, 1}}
+	}
+	key := func(i int) resultKey {
+		q := cacheQuery
+		q.Seed = uint64(i)
+		return cacheKey(0, q)
+	}
+	full := func() *resultCache {
+		c := newResultCache(defaultCacheSize)
+		for i := range defaultCacheSize {
+			c.get(key(i))
+			c.put(key(i), res)
+		}
+		return c
+	}
+	b.Run("hit", func(b *testing.B) {
+		c := full()
+		keys := make([]resultKey, defaultCacheSize)
+		for i := range keys {
+			keys[i] = key(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok := c.get(keys[i%len(keys)]); !ok {
+				b.Fatal("resident key missed")
+			}
+		}
+	})
+	b.Run("miss+put", func(b *testing.B) {
+		c := full()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := key(defaultCacheSize + i)
+			if _, ok := c.get(k); ok {
+				b.Fatal("fresh key hit")
+			}
+			c.put(k, res)
+		}
+	})
 }

@@ -192,14 +192,18 @@
 // queries by a "dataset" field and manages entries through the
 // PUT/DELETE /v1/models admin API.
 //
-// Engines also keep a small LRU result cache over resolved queries
+// Engines also keep a small result cache over resolved queries
 // (WithResultCache to resize or disable): a repeated Find, FindTopK,
 // FindMany, Stream or StreamTopK query against the same surrogate
 // snapshot is answered without re-running the swarm. A stream served
 // from the cache comes back finished, with EventDone as its only
-// event. Every run that completes fills the cache, whichever entry
-// point started it. The cache clears on every train/load so no stale
-// model's results are served.
+// event. Every run that completes offers its Result to the cache,
+// whichever entry point started it. A full cache evicts its least
+// recently used entry, but only for an answer whose query has been
+// looked up at least as often as that entry's (a TinyLFU-style
+// admission test over decaying lookup counts), so one-off queries
+// cannot flush popular answers. The cache clears on every train/load
+// so no stale model's results are served.
 //
 // # Living data
 //

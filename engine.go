@@ -369,10 +369,10 @@ type SurrogateInfo struct {
 	DataVersion uint64
 }
 
-// CacheStats reports the result cache's lifetime hit/miss counters
-// and current occupancy. A disabled cache (WithResultCache(0))
-// reports zeros. Safe to call concurrently with queries; the serving
-// layer exports these through GET /metrics.
+// CacheStats reports the result cache's lifetime hit, miss and
+// rejection counters and current occupancy. A disabled cache
+// (WithResultCache(0)) reports zeros. Safe to call concurrently with
+// queries; the serving layer exports these through GET /metrics.
 func (e *Engine) CacheStats() CacheStats {
 	return e.cache.stats()
 }

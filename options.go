@@ -111,8 +111,15 @@ type engineOptions struct {
 // Keys also carry the snapshot generation, and the cache is cleared
 // whenever TrainSurrogate, LoadSurrogate or SetDataset swaps the
 // snapshot, so a stale model's or data version's results are never
-// served. Every run that completes fills the cache, whichever entry
-// point started it.
+// served. Every run that completes offers its Result to the cache,
+// whichever entry point started it. Recency decides which entry a full
+// cache evicts, and popularity whether it evicts one at all: the cache
+// counts every lookup of a query (the counts halve every 32 × entries
+// lookups), and a full cache admits a new answer only if its query was
+// looked up at least as often as the least recently used entry's.
+// Ties admit, so one-off queries behave as in a plain LRU cache, while
+// a one-off query cannot push out a popular answer; CacheStats.Rejected
+// counts the answers turned away.
 //
 // Caching assumes repeated queries are deterministic, which holds
 // for every built-in code path over the engine's immutable dataset

@@ -366,8 +366,8 @@ func (e *Engine) FindTopKContext(ctx context.Context, q TopKQuery) (*Result, err
 // points: Find, FindTopK, FindMany, Stream and StreamTopK. On a hit it
 // returns a finished stream whose only event is EventDone carrying a
 // private copy of the cached Result (see doneStream); on a miss it
-// returns the stream start launches, whose run fills the cache when it
-// succeeds (see newStream). The batch entry points drain what it
+// returns the stream start launches, whose run offers its Result to
+// the cache when it succeeds (see newStream and resultCache.put). The batch entry points drain what it
 // returns and the streaming ones hand it to their caller, so a fully
 // drained stream and a batch call produce identical Results; batch
 // runs skip the per-iteration telemetry and incumbent sweeps (nobody

@@ -84,6 +84,10 @@ func newServerMetrics(eng *surf.Engine, reg *registry.Registry) *serverMetrics {
 			func(emit func(v float64, labels ...string)) {
 				emit(float64(eng.CacheStats().Misses))
 			})
+		r.Collect("surf_result_cache_rejected_total", "Completed runs whose answer the full result cache turned away.", obs.TypeCounter,
+			func(emit func(v float64, labels ...string)) {
+				emit(float64(eng.CacheStats().Rejected))
+			})
 	}
 	return m
 }
@@ -174,6 +178,12 @@ func (m *serverMetrics) collectRegistry(reg *registry.Registry) {
 		func(emit func(v float64, labels ...string)) {
 			for _, st := range reg.List() {
 				emit(float64(st.Cache.Misses), "dataset", st.Name)
+			}
+		})
+	m.reg.Collect("surf_result_cache_rejected_total", "Completed runs whose answer the full result cache turned away.", obs.TypeCounter,
+		func(emit func(v float64, labels ...string)) {
+			for _, st := range reg.List() {
+				emit(float64(st.Cache.Rejected), "dataset", st.Name)
 			}
 		})
 	m.reg.Collect("surf_dataset_data_version", "Served data version (1 as loaded; appends increment it).", obs.TypeGauge,

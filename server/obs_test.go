@@ -148,12 +148,17 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 }
 
 // TestMetricsEndpoint drives traffic and asserts the scrape carries
-// per-route counters and histograms, the cache counters, and (through
-// a repeated query) a cache hit.
+// per-route counters and histograms, the cache counters, (through a
+// repeated query) a cache hit, and (through a one-off query on a full
+// one-entry cache) a rejection.
 func TestMetricsEndpoint(t *testing.T) {
-	ts, _ := testServer(t, true)
-	for i := 0; i < 2; i++ { // identical queries: second is a cache hit
-		resp := postJSON(t, ts.URL+"/v1/find", smallQuery)
+	ts, _ := testServer(t, true, surf.WithResultCache(1))
+	oneOff := smallQuery
+	oneOff.Seed++
+	// The second query is a cache hit; the third, looked up once, may
+	// not evict the first, looked up twice.
+	for _, q := range []surf.Query{smallQuery, smallQuery, oneOff} {
+		resp := postJSON(t, ts.URL+"/v1/find", q)
 		readBody(t, resp)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -165,13 +170,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	out := readBody(t, resp)
 	for _, want := range []string{
-		`surf_http_requests_total{route="POST /v1/find",code="2xx"} 2`,
-		`surf_http_request_duration_seconds_bucket{route="POST /v1/find",le="+Inf"} 2`,
-		`surf_http_request_duration_seconds_count{route="POST /v1/find"} 2`,
+		`surf_http_requests_total{route="POST /v1/find",code="2xx"} 3`,
+		`surf_http_request_duration_seconds_bucket{route="POST /v1/find",le="+Inf"} 3`,
+		`surf_http_request_duration_seconds_count{route="POST /v1/find"} 3`,
 		`surf_http_response_bytes_total{route="POST /v1/find"}`,
 		`surf_http_in_flight_requests`,
 		`surf_result_cache_hits_total 1`,
-		`surf_result_cache_misses_total 1`,
+		`surf_result_cache_misses_total 2`,
+		`surf_result_cache_rejected_total 1`,
+		"# TYPE surf_result_cache_rejected_total counter",
 		"# TYPE surf_http_request_duration_seconds histogram",
 	} {
 		if !strings.Contains(out, want) {
@@ -202,6 +209,7 @@ func TestMetricsRegistryMode(t *testing.T) {
 		`surf_dataset_rows{dataset="alpha"}`,
 		`surf_dataset_load_seconds{dataset="alpha"}`,
 		`surf_result_cache_misses_total{dataset="alpha"} 1`,
+		`surf_result_cache_rejected_total{dataset="alpha"} 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape missing %q", want)

@@ -184,8 +184,8 @@ func (s *Stream) Result() (*Result, error) {
 // does not run at all: its stream comes back finished, with a private
 // copy of the cached Result as its only event (EventDone) — no
 // telemetry and no incumbents. A stream that mines and completes
-// fills the cache, so later finds and streams of the same query are
-// served from it.
+// offers its Result to the cache, so later finds and streams of the
+// same query can be served from it.
 func (e *Engine) Stream(ctx context.Context, q Query) (*Stream, error) {
 	q, err := q.resolved(e.Dims())
 	if err != nil {
