@@ -30,7 +30,7 @@ const defaultCacheSize = 64
 // LRU would cache it, while a one-off key cannot push out a popular
 // answer that merely went unasked for a while. Every admissionWindow ×
 // cap lookups all counts halve (see count), so popularity follows the
-// recent past and the count map stays bounded.
+// recent past and the slot map stays bounded.
 //
 // Entries store deep copies and lookups return deep copies: callers
 // are free to mutate the Result they get back (batch and cached calls
@@ -40,11 +40,11 @@ type resultCache struct {
 	mu    sync.Mutex
 	cap   int
 	gen   uint64     // the live snapshot generation; put accepts only its keys
-	order *list.List // front = most recently used; values are *cacheEntry
-	items map[resultKey]*list.Element
-	// freq counts the lookups of each key since the counts last
-	// halved, resident or not; lookups counts every lookup since then.
-	freq    map[resultKey]int
+	order *list.List // front = most recently used; values are *slot
+	// slots holds every key that is resident or was looked up since
+	// the counts last halved, so a lookup hashes its key once;
+	// lookups counts every lookup since the last halving.
+	slots   map[resultKey]*slot
 	lookups int
 	// hits, misses and rejected are atomics, not mutex-guarded fields:
 	// a scrape of the counters must never contend with the query hot
@@ -86,9 +86,14 @@ func cacheKey[Q Query | TopKQuery](gen uint64, q Q) resultKey {
 	return resultKey{gen: gen, query: q}
 }
 
-type cacheEntry struct {
+// slot is one key's state: its lookup count since the counts last
+// halved and, while the key is resident, its answer and its element
+// in the LRU order.
+type slot struct {
 	key resultKey
+	n   int
 	res *Result
+	el  *list.Element // nil unless resident
 }
 
 // newResultCache returns a cache holding up to capacity results;
@@ -100,8 +105,7 @@ func newResultCache(capacity int) *resultCache {
 	return &resultCache{
 		cap:   capacity,
 		order: list.New(),
-		items: make(map[resultKey]*list.Element, capacity),
-		freq:  make(map[resultKey]int),
+		slots: make(map[resultKey]*slot, capacity),
 	}
 }
 
@@ -117,36 +121,41 @@ func (c *resultCache) get(key resultKey) (*Result, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.count(key)
-	el, ok := c.items[key]
-	if !ok {
+	s := c.count(key)
+	if s.el == nil {
 		c.misses.Add(1)
 		return nil, false
 	}
 	c.hits.Add(1)
-	c.order.MoveToFront(el)
-	return copyResult(el.Value.(*cacheEntry).res), true
+	c.order.MoveToFront(s.el)
+	return copyResult(s.res), true
 }
 
-// count records one lookup of key. Every window() lookups it first
-// halves every count and forgets the keys that reach 0, so the
-// halving costs amortized O(1) per lookup. It also bounds the map at
-// 2·window() keys: a halving leaves at most half the counted lookups
+// count records one lookup of key and returns its slot. Every
+// window() lookups it first halves every count and forgets the
+// non-resident keys that reach 0, so the halving costs amortized O(1)
+// per lookup. It also bounds the keys with a nonzero count at
+// 2·window(): a halving leaves at most half the counted lookups
 // behind, so the counts it keeps never sum to more than window(), each
 // key it keeps holds at least 1 of them, and at most window() more
-// keys are looked up before the next halving.
-func (c *resultCache) count(key resultKey) {
+// keys are looked up before the next halving. The map holds at most
+// cap resident keys besides.
+func (c *resultCache) count(key resultKey) *slot {
 	if c.lookups++; c.lookups > c.window() {
 		c.lookups = 1
-		for k, n := range c.freq {
-			if n /= 2; n == 0 {
-				delete(c.freq, k)
-			} else {
-				c.freq[k] = n
+		for k, s := range c.slots {
+			if s.n /= 2; s.n == 0 && s.el == nil {
+				delete(c.slots, k)
 			}
 		}
 	}
-	c.freq[key]++
+	s := c.slots[key]
+	if s == nil {
+		s = &slot{key: key}
+		c.slots[key] = s
+	}
+	s.n++
+	return s
 }
 
 // window is the number of lookups between two halvings of the counts.
@@ -166,22 +175,30 @@ func (c *resultCache) put(key resultKey, res *Result) {
 	if key.gen != c.gen {
 		return
 	}
-	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).res = copyResult(res)
-		c.order.MoveToFront(el)
+	s := c.slots[key]
+	if s == nil {
+		s = &slot{key: key} // never looked up: a count of 0
+	}
+	if s.el != nil {
+		s.res = copyResult(res)
+		c.order.MoveToFront(s.el)
 		return
 	}
 	if c.order.Len() == c.cap {
-		last := c.order.Back()
-		victim := last.Value.(*cacheEntry).key
-		if c.freq[key] < c.freq[victim] {
+		victim := c.order.Back().Value.(*slot)
+		if s.n < victim.n {
 			c.rejected.Add(1)
 			return
 		}
-		c.order.Remove(last)
-		delete(c.items, victim)
+		c.order.Remove(victim.el)
+		victim.el, victim.res = nil, nil
+		if victim.n == 0 {
+			delete(c.slots, victim.key)
+		}
 	}
-	c.items[key] = c.order.PushFront(&cacheEntry{key: key, res: copyResult(res)})
+	s.res = copyResult(res)
+	s.el = c.order.PushFront(s)
+	c.slots[key] = s
 }
 
 // reset drops every entry and every lookup count and makes gen the
@@ -194,8 +211,7 @@ func (c *resultCache) reset(gen uint64) {
 	defer c.mu.Unlock()
 	c.gen = gen
 	c.order.Init()
-	clear(c.items)
-	clear(c.freq)
+	clear(c.slots)
 	c.lookups = 0
 }
 

@@ -686,21 +686,24 @@ func (c *resultCache) resident() []int {
 	defer c.mu.Unlock()
 	var keys []int
 	for el := c.order.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*cacheEntry).key.query.(int))
+		keys = append(keys, el.Value.(*slot).key.query.(int))
 	}
 	return keys
 }
 
-// freqBound is the most keys the count map can hold (see count).
+// freqBound is the most keys with a nonzero lookup count the cache
+// can hold (see count); resident keys may add up to cap more.
 func (c *resultCache) freqBound() int { return 2 * c.window() }
 
-// counts returns the lookup counts by key.
+// counts returns the nonzero lookup counts by key.
 func (c *resultCache) counts() map[int]int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[int]int, len(c.freq))
-	for k, n := range c.freq {
-		out[k.query.(int)] = n
+	out := make(map[int]int, len(c.slots))
+	for k, s := range c.slots {
+		if s.n > 0 {
+			out[k.query.(int)] = s.n
+		}
 	}
 	return out
 }
@@ -803,6 +806,9 @@ func TestResultCacheAdmission(t *testing.T) {
 			}
 			if len(counts) > c.freqBound() {
 				t.Errorf("count map holds %d keys, bound %d", len(counts), c.freqBound())
+			}
+			if n := len(c.slots); n > c.freqBound()+capacity {
+				t.Errorf("slot map holds %d keys, bound %d", n, c.freqBound()+capacity)
 			}
 		})
 	}

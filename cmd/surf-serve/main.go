@@ -16,15 +16,25 @@
 //	surf-serve -data data.csv -filters x,y -stat count \
 //	           -model model.surf -addr :8080
 //	surf-serve -data data.csv -filters x,y -stat count -train 5000
+//	surf-serve -registry config.json -addr :8080
 //
-// With -model, the engine loads a surf-train artifact (the artifact's
-// statistic and filter columns must match the flags). With -train N,
-// it generates an N-query workload and trains a surrogate at startup.
-// With neither, only use_true_function queries can be served; the
-// rest answer 409 until a model arrives.
+// The single-dataset flags describe one registry entry, served exactly
+// as a one-model -registry file would serve it: -data, -filters,
+// -stat, -target, -model, -train and -seed map onto the Spec fields
+// data, filter_columns, statistic, target_column, artifact, train and
+// train_seed, with use_grid_index on. The entry is named after the
+// CSV's base name without its extension (data.csv serves "data") and
+// is the default dataset. With -model, the entry loads a surf-train
+// artifact (the artifact's statistic and filter columns must match the
+// flags, checked at startup). With -train N, it generates an N-query
+// workload and trains a surrogate. Either happens lazily, on the
+// first query or /readyz probe, so /readyz answers 503 until the
+// entry is ready. With neither, only use_true_function queries can be
+// served; the rest answer 409 until a model arrives. The engine's
+// result cache has its default 64 entries; there is no -cache flag.
 //
 // With -registry config.json the process serves a whole catalog of
-// datasets instead of one: the config lists named model specs
+// datasets: the config lists named model specs
 // (dataset CSV, filter columns, statistic, artifact or startup
 // training budget), queries route by their "dataset" field, and the
 // /v1/models admin API registers, hot-swaps and removes entries at
@@ -66,10 +76,9 @@ import (
 	"log/slog"
 	"net"
 	"os"
+	"path/filepath"
 	"strings"
-	"time"
 
-	surf "surf"
 	"surf/internal/cli"
 	"surf/registry"
 	"surf/server"
@@ -82,10 +91,9 @@ func main() {
 	flag.StringVar(&o.stat, "stat", "count", "statistic: count, sum, mean, min, max, median, variance, stddev, ratio")
 	flag.StringVar(&o.target, "target", "", "target column (for statistics other than count)")
 	flag.StringVar(&o.modelPath, "model", "", "surrogate artifact from surf-train")
-	flag.IntVar(&o.train, "train", 0, "train a surrogate at startup from this many generated queries (0 = don't)")
+	flag.IntVar(&o.train, "train", 0, "train a surrogate when the dataset loads, from this many generated queries (0 = don't)")
 	flag.Uint64Var(&o.seed, "seed", 1, "seed for -train workload generation")
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
-	flag.IntVar(&o.cache, "cache", -1, "result cache entries (-1 = engine default, 0 = disable)")
 	flag.StringVar(&o.registryPath, "registry", "", "multi-dataset registry config JSON (exclusive with -data)")
 	flag.IntVar(&o.capacity, "capacity", 0, "override the registry config's loaded-entry capacity")
 	flag.StringVar(&o.defaultDataset, "default", "", "override the registry config's default dataset")
@@ -104,7 +112,6 @@ type serveOpts struct {
 	train                                      int
 	seed                                       uint64
 	addr                                       string
-	cache                                      int
 	registryPath, defaultDataset               string
 	capacity                                   int
 	logFormat                                  string
@@ -145,128 +152,26 @@ type modelConfig struct {
 	registry.Spec
 }
 
-// run builds the engine (or registry) and serves until ctx is
-// cancelled. onReady, when non-nil, receives the bound address once
-// the listener is up (tests use it to learn the port behind ":0").
+// run builds the registry — from the -registry config, or as one
+// entry from the single-dataset flags — and serves it until ctx is
+// cancelled. Every spec is validated at startup (missing files, bad
+// statistics and artifact/spec mismatches fail fast); engines load
+// lazily on first request or readiness probe. onReady, when non-nil,
+// receives the bound address once the listener is up (tests use it to
+// learn the port behind ":0").
 func run(ctx context.Context, o serveOpts, onReady func(addr string)) error {
-	if o.registryPath != "" {
-		return runRegistry(ctx, o, onReady)
-	}
-	if o.dataPath == "" || o.filters == "" {
-		return fmt.Errorf("-data and -filters are required")
-	}
 	srvOpts, err := serverOptions(o)
-	if err != nil {
-		return err
-	}
-	if o.modelPath != "" && o.train > 0 {
-		return fmt.Errorf("-model and -train are mutually exclusive")
-	}
-	statistic, err := surf.ParseStatistic(o.stat)
-	if err != nil {
-		return err
-	}
-	f, err := os.Open(o.dataPath)
-	if err != nil {
-		return err
-	}
-	ds, err := surf.ReadCSVDataset(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	var opts []surf.Option
-	if o.cache >= 0 {
-		opts = append(opts, surf.WithResultCache(o.cache))
-	}
-	eng, err := surf.Open(ds, surf.Config{
-		FilterColumns: strings.Split(o.filters, ","),
-		Statistic:     statistic,
-		TargetColumn:  o.target,
-		UseGridIndex:  true,
-	}, opts...)
-	if err != nil {
-		return err
-	}
-
-	switch {
-	case o.modelPath != "":
-		mf, err := os.Open(o.modelPath)
-		if err != nil {
-			return err
-		}
-		err = eng.LoadSurrogateContext(ctx, mf)
-		mf.Close()
-		if err != nil {
-			return err
-		}
-		if info, ok := eng.SurrogateInfo(); ok {
-			fmt.Printf("loaded surrogate: %s over %v (%d trees)\n",
-				info.Statistic, info.FilterColumns, info.Trees)
-		}
-	case o.train > 0:
-		start := time.Now()
-		wl, err := eng.GenerateWorkloadContext(ctx, o.train, o.seed)
-		if err != nil {
-			return err
-		}
-		if err := eng.TrainSurrogateContext(ctx, wl, surf.TrainOptions{Seed: o.seed}); err != nil {
-			return err
-		}
-		fmt.Printf("trained surrogate on %d generated queries in %s\n",
-			wl.Len(), time.Since(start).Round(time.Millisecond))
-	default:
-		fmt.Println("serving without a surrogate: only use_true_function queries will succeed")
-	}
-
-	l, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("listening on %s (%d rows, %d dims)\n", l.Addr(), ds.Len(), eng.Dims())
-	if onReady != nil {
-		onReady(l.Addr().String())
-	}
-	err = server.New(eng, srvOpts...).Serve(ctx, l)
-	if err == nil {
-		fmt.Println("shut down cleanly")
-	}
-	return err
-}
-
-// runRegistry serves a multi-dataset registry from the -registry
-// config. Every spec is validated at startup (missing files and
-// artifact/spec mismatches fail fast); engines load lazily on first
-// request.
-func runRegistry(ctx context.Context, o serveOpts, onReady func(addr string)) error {
-	if o.dataPath != "" || o.filters != "" || o.modelPath != "" || o.train > 0 {
-		return fmt.Errorf("-registry is exclusive with -data/-filters/-model/-train")
-	}
-	srvOpts, err := serverOptions(o)
-	if err != nil {
-		return err
-	}
-	raw, err := os.ReadFile(o.registryPath)
 	if err != nil {
 		return err
 	}
 	var cfg registryConfig
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		return fmt.Errorf("registry config %s: %v", o.registryPath, err)
+	if o.registryPath != "" {
+		cfg, err = readRegistryConfig(o)
+	} else {
+		cfg, err = flagsConfig(o)
 	}
-	if len(cfg.Models) == 0 {
-		return fmt.Errorf("registry config %s: no models", o.registryPath)
-	}
-	if o.capacity > 0 {
-		cfg.Capacity = o.capacity
-	}
-	if o.defaultDataset != "" {
-		cfg.Default = o.defaultDataset
-	}
-	if cfg.Default == "" && len(cfg.Models) == 1 {
-		cfg.Default = cfg.Models[0].Name
+	if err != nil {
+		return err
 	}
 	reg := registry.New(cfg.Capacity)
 	for _, m := range cfg.Models {
@@ -287,4 +192,58 @@ func runRegistry(ctx context.Context, o serveOpts, onReady func(addr string)) er
 		fmt.Println("shut down cleanly")
 	}
 	return err
+}
+
+// flagsConfig maps the single-dataset flags onto a one-entry config:
+// the entry is named after the CSV's base name without its extension
+// and is the default dataset.
+func flagsConfig(o serveOpts) (registryConfig, error) {
+	if o.dataPath == "" || o.filters == "" {
+		return registryConfig{}, fmt.Errorf("-data and -filters are required")
+	}
+	name := strings.TrimSuffix(filepath.Base(o.dataPath), filepath.Ext(o.dataPath))
+	return registryConfig{
+		Default: name,
+		Models: []modelConfig{{Name: name, Spec: registry.Spec{
+			Data:          o.dataPath,
+			FilterColumns: strings.Split(o.filters, ","),
+			Statistic:     o.stat,
+			TargetColumn:  o.target,
+			Artifact:      o.modelPath,
+			Train:         o.train,
+			TrainSeed:     o.seed,
+			UseGridIndex:  true,
+		}}},
+	}, nil
+}
+
+// readRegistryConfig reads the -registry config and applies the
+// -capacity and -default overrides.
+func readRegistryConfig(o serveOpts) (registryConfig, error) {
+	if o.dataPath != "" || o.filters != "" || o.modelPath != "" || o.train > 0 {
+		return registryConfig{}, fmt.Errorf("-registry is exclusive with -data/-filters/-model/-train")
+	}
+	raw, err := os.ReadFile(o.registryPath)
+	if err != nil {
+		return registryConfig{}, err
+	}
+	var cfg registryConfig
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return registryConfig{}, fmt.Errorf("registry config %s: %v", o.registryPath, err)
+	}
+	if len(cfg.Models) == 0 {
+		return registryConfig{}, fmt.Errorf("registry config %s: no models", o.registryPath)
+	}
+	if o.capacity > 0 {
+		cfg.Capacity = o.capacity
+	}
+	if o.defaultDataset != "" {
+		cfg.Default = o.defaultDataset
+	}
+	if cfg.Default == "" && len(cfg.Models) == 1 {
+		cfg.Default = cfg.Models[0].Name
+	}
+	return cfg, nil
 }

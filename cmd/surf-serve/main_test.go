@@ -42,6 +42,56 @@ func writeDataset(t *testing.T, dir string) string {
 	return path
 }
 
+// waitReady polls /readyz until it answers 200: entries load lazily,
+// so the listener is up before the model is trained or loaded.
+func waitReady(t *testing.T, base string) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		resp, err := http.Get(base + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/readyz still answers %d after 60s", resp.StatusCode)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// healthBody is the registry-form /healthz response.
+type healthBody struct {
+	Status   string `json:"status"`
+	Default  string `json:"default_dataset"`
+	Datasets []struct {
+		Name          string `json:"name"`
+		State         string `json:"state"`
+		Surrogate     bool   `json:"surrogate"`
+		SurrogateInfo *struct {
+			Statistic string `json:"statistic"`
+		} `json:"surrogate_info"`
+	} `json:"datasets"`
+}
+
+// healthz fetches and decodes /healthz.
+func healthz(t *testing.T, base string) healthBody {
+	t.Helper()
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h healthBody
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func TestRunValidation(t *testing.T) {
 	ctx := context.Background()
 	if err := run(ctx, serveOpts{}, nil); err == nil {
@@ -79,8 +129,10 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestServeEndToEnd boots the command against a real dataset with a
-// startup-trained surrogate, exercises the HTTP surface, then shuts
-// it down via context cancellation.
+// surrogate trained at load time, waits for /readyz, exercises the
+// HTTP surface of the one-entry registry the flags build — named
+// after the CSV and the default dataset — then shuts it down via
+// context cancellation.
 func TestServeEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	data := writeDataset(t, dir)
@@ -92,7 +144,7 @@ func TestServeEndToEnd(t *testing.T) {
 	go func() {
 		done <- run(ctx, serveOpts{
 			dataPath: data, filters: "x,y", stat: "count",
-			train: 200, seed: 1, addr: "127.0.0.1:0", cache: -1,
+			train: 200, seed: 1, addr: "127.0.0.1:0",
 		}, func(addr string) { ready <- addr })
 	}()
 
@@ -105,25 +157,17 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatal("server never became ready")
 	}
 	base := "http://" + addr
+	waitReady(t, base)
 
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var health struct {
-		Status    string `json:"status"`
-		Surrogate bool   `json:"surrogate"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if health.Status != "ok" || !health.Surrogate {
+	health := healthz(t, base)
+	if health.Status != "ok" || health.Default != "data" || len(health.Datasets) != 1 ||
+		health.Datasets[0].Name != "data" || health.Datasets[0].State != "ready" ||
+		!health.Datasets[0].Surrogate {
 		t.Fatalf("healthz = %+v", health)
 	}
 
 	q, _ := json.Marshal(surf.Query{Threshold: 10, Above: true, Seed: 2, Glowworms: 20, Iterations: 10})
-	resp, err = http.Post(base+"/v1/find", "application/json", bytes.NewReader(q))
+	resp, err := http.Post(base+"/v1/find", "application/json", bytes.NewReader(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +178,23 @@ func TestServeEndToEnd(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("find status %d", resp.StatusCode)
+	}
+
+	// The entry is a living dataset like any registry entry.
+	resp, err = http.Post(base+"/v1/datasets/data/append", "application/json",
+		bytes.NewReader([]byte(`{"rows": [[0.5, 0.5], [0.25, 0.75]]}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var appended struct {
+		DataVersion uint64 `json:"data_version"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&appended); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || appended.DataVersion != 2 {
+		t.Fatalf("append: status %d data_version %d", resp.StatusCode, appended.DataVersion)
 	}
 
 	cancel()
@@ -191,7 +252,7 @@ func TestServeWithArtifact(t *testing.T) {
 	go func() {
 		done <- run(ctx, serveOpts{
 			dataPath: data, filters: "x,y", stat: "count",
-			modelPath: model, addr: "127.0.0.1:0", cache: -1,
+			modelPath: model, addr: "127.0.0.1:0",
 		}, func(addr string) { ready <- addr })
 	}()
 	var addr string
@@ -202,19 +263,11 @@ func TestServeWithArtifact(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("server never became ready")
 	}
-	resp, err := http.Get("http://" + addr + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var health struct {
-		Surrogate bool   `json:"surrogate"`
-		Statistic string `json:"statistic"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if !health.Surrogate || health.Statistic != "count" {
+	base := "http://" + addr
+	waitReady(t, base)
+	health := healthz(t, base)
+	if len(health.Datasets) != 1 || !health.Datasets[0].Surrogate ||
+		health.Datasets[0].SurrogateInfo == nil || health.Datasets[0].SurrogateInfo.Statistic != "count" {
 		t.Fatalf("healthz = %+v", health)
 	}
 	cancel()
@@ -320,6 +373,10 @@ func TestServeRegistryEndToEnd(t *testing.T) {
 		t.Fatal("server never became ready")
 	}
 	base := "http://" + addr
+	waitReady(t, base)
+	if h := healthz(t, base); h.Default != "one" || len(h.Datasets) != 2 || h.Datasets[0].State != "ready" {
+		t.Fatalf("healthz = %+v", h)
+	}
 
 	resp, err := http.Get(base + "/v1/models")
 	if err != nil {

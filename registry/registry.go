@@ -558,31 +558,7 @@ func (r *Registry) List() []ModelStatus {
 	defer r.mu.Unlock()
 	out := make([]ModelStatus, 0, len(r.entries))
 	for _, e := range r.entries {
-		st := ModelStatus{
-			Name:        e.name,
-			Version:     e.version,
-			State:       e.state(),
-			Spec:        e.spec,
-			InFlight:    e.inflight,
-			LoadSeconds: e.loadDur.Seconds(),
-		}
-		if e.loadErr != nil {
-			st.Err = e.loadErr.Error()
-		}
-		if e.set != nil {
-			// Live row count: appends grow the entry between loads.
-			st.Rows = e.set.engine.Rows()
-			st.Surrogate = e.set.engine.HasSurrogate()
-			if info, ok := e.set.engine.SurrogateInfo(); ok {
-				st.Info = &info
-			}
-			st.Cache = e.set.engine.CacheStats()
-			st.DataVersion = e.set.engine.DataVersion()
-			if e.set.drift != nil {
-				st.Drift = e.set.drift.status()
-			}
-		}
-		out = append(out, st)
+		out = append(out, e.statusLocked())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -590,10 +566,41 @@ func (r *Registry) List() []ModelStatus {
 
 // Status reports one entry's status.
 func (r *Registry) Status(name string) (ModelStatus, error) {
-	for _, st := range r.List() {
-		if st.Name == name {
-			return st, nil
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, ok := r.entries[name]
+	if !ok {
+		return ModelStatus{}, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
+	}
+	return e.statusLocked(), nil
+}
+
+// statusLocked builds the entry's status; the registry mutex must be
+// held.
+func (e *entry) statusLocked() ModelStatus {
+	st := ModelStatus{
+		Name:        e.name,
+		Version:     e.version,
+		State:       e.state(),
+		Spec:        e.spec,
+		InFlight:    e.inflight,
+		LoadSeconds: e.loadDur.Seconds(),
+	}
+	if e.loadErr != nil {
+		st.Err = e.loadErr.Error()
+	}
+	if e.set != nil {
+		// Live row count: appends grow the entry between loads.
+		st.Rows = e.set.engine.Rows()
+		st.Surrogate = e.set.engine.HasSurrogate()
+		if info, ok := e.set.engine.SurrogateInfo(); ok {
+			st.Info = &info
+		}
+		st.Cache = e.set.engine.CacheStats()
+		st.DataVersion = e.set.engine.DataVersion()
+		if e.set.drift != nil {
+			st.Drift = e.set.drift.status()
 		}
 	}
-	return ModelStatus{}, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
+	return st
 }

@@ -98,19 +98,19 @@ func newServerMetrics(eng *surf.Engine, reg *registry.Registry) *serverMetrics {
 // whichever engine served it), so both the single-engine and registry
 // servers export the same families.
 func (m *serverMetrics) collectKernels() {
-	m.reg.Collect("surf_kernel_rows_predicted_total", "Rows predicted per inference backend.", obs.TypeCounter,
+	m.reg.Collect("surf_kernel_rows_predicted_total", "Rows predicted by the inference kernel.", obs.TypeCounter,
 		func(emit func(v float64, labels ...string)) {
 			for _, k := range obs.KernelSnapshot() {
 				emit(float64(k.Rows), "kernel", k.Name)
 			}
 		})
-	m.reg.Collect("surf_kernel_batches_total", "Prediction calls (batch or single-row) per inference backend.", obs.TypeCounter,
+	m.reg.Collect("surf_kernel_batches_total", "Prediction calls (batch or single-row) into the inference kernel.", obs.TypeCounter,
 		func(emit func(v float64, labels ...string)) {
 			for _, k := range obs.KernelSnapshot() {
 				emit(float64(k.Batches), "kernel", k.Name)
 			}
 		})
-	m.reg.Collect("surf_kernel_nanoseconds_total", "Wall nanoseconds spent inside inference kernels, per backend.", obs.TypeCounter,
+	m.reg.Collect("surf_kernel_nanoseconds_total", "Wall nanoseconds spent inside the inference kernel.", obs.TypeCounter,
 		func(emit func(v float64, labels ...string)) {
 			for _, k := range obs.KernelSnapshot() {
 				emit(float64(k.Nanos), "kernel", k.Name)
