@@ -25,12 +25,14 @@
 // train_seed, with use_grid_index on. The entry is named after the
 // CSV's base name without its extension (data.csv serves "data") and
 // is the default dataset. With -model, the entry loads a surf-train
-// artifact (the artifact's statistic and filter columns must match the
-// flags, checked at startup). With -train N, it generates an N-query
-// workload and trains a surrogate. Either happens lazily, on the
-// first query or /readyz probe, so /readyz answers 503 until the
-// entry is ready. With neither, only use_true_function queries can be
-// served; the rest answer 409 until a model arrives. The engine's
+// artifact; with -train N, it generates an N-query workload and trains
+// a surrogate. Either happens lazily, on the first query or /readyz
+// probe, so /readyz answers 503 until the entry is ready. With
+// neither, only use_true_function queries can be served; the rest
+// answer 409 until a model arrives. Startup itself checks the columns
+// against the CSV's header line and, with -model, the artifact's
+// statistic, filter and target columns against the flags; a mismatch
+// exits non-zero. The engine's
 // result cache has its default 64 entries; there is no -cache flag.
 //
 // With -registry config.json the process serves a whole catalog of

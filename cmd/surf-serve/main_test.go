@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -105,6 +106,15 @@ func TestRunValidation(t *testing.T) {
 	}
 	if err := run(ctx, serveOpts{dataPath: filepath.Join(t.TempDir(), "missing.csv"), filters: "x", stat: "count"}, nil); err == nil {
 		t.Error("expected error for missing dataset")
+	}
+	// An unknown column fails at startup rather than serving an entry
+	// that can only fail to load; the deadline stops a server that
+	// started anyway.
+	short, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	err := run(short, serveOpts{dataPath: writeDataset(t, t.TempDir()), filters: "x,zz", stat: "count", addr: "127.0.0.1:0"}, nil)
+	if err == nil || !strings.Contains(err.Error(), "unknown column") {
+		t.Errorf("-filters x,zz: got %v, want an unknown column error", err)
 	}
 	if err := run(ctx, serveOpts{registryPath: "cfg.json", dataPath: "x.csv"}, nil); err == nil {
 		t.Error("expected error for -registry with -data")

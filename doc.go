@@ -162,7 +162,10 @@
 // its tree's depth in steps, with no leaf test. It predicts
 // bit-for-bit what the trained ensemble's own tree walk returns,
 // including on NaN and ±Inf values, and a differential fuzz target
-// holds it to that contract.
+// holds it to that contract. The compiled model is one concrete type;
+// each of its calls adds its rows, itself and its wall time to three
+// process-wide counters, which /metrics exports as the surf_kernel_*
+// families under the constant label kernel="scalar".
 //
 // # Serving and caching
 //

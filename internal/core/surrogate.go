@@ -21,7 +21,7 @@ import (
 // concurrent use.
 type Surrogate struct {
 	model *gbt.Model
-	kern  kernel.Model
+	kern  *kernel.Model
 	dims  int
 }
 
@@ -111,7 +111,7 @@ func (s *Surrogate) ContinueTrainingContext(ctx context.Context, extra int, log 
 
 // Kernel exposes the compiled inference snapshot built at
 // construction.
-func (s *Surrogate) Kernel() kernel.Model { return s.kern }
+func (s *Surrogate) Kernel() *kernel.Model { return s.kern }
 
 // ErrDimMismatch reports a prediction request whose shape does not
 // match the surrogate's [x, l] encoding.

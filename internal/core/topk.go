@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"time"
 
 	"surf/internal/geom"
 	"surf/internal/gso"
@@ -56,6 +57,8 @@ type TopKResult struct {
 	Regions []Region
 	// Swarm is the raw optimizer outcome.
 	Swarm *gso.Result
+	// Elapsed is the wall-clock mining time.
+	Elapsed time.Duration
 }
 
 // FindTopK mines the k regions with the highest (or lowest) statistic.
@@ -117,6 +120,7 @@ func (f *Finder) FindTopKContext(ctx context.Context, cfg TopKConfig) (*TopKResu
 		onIter := cfg.OnIteration
 		opts.Observer = func(it gso.IterStats, _ gso.SwarmView) { onIter(it) }
 	}
+	start := time.Now()
 	res, err := gso.RunContext(ctx, fc.GSO, space, obj, opts)
 	if err != nil {
 		return nil, err
@@ -140,5 +144,5 @@ func (f *Finder) FindTopKContext(ctx context.Context, cfg TopKConfig) (*TopKResu
 	if len(regions) > cfg.K {
 		regions = regions[:cfg.K]
 	}
-	return &TopKResult{Regions: regions, Swarm: res}, nil
+	return &TopKResult{Regions: regions, Swarm: res, Elapsed: time.Since(start)}, nil
 }

@@ -34,17 +34,9 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 func ReadCSV(r io.Reader) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
-	header, err := cr.Read()
+	names, err := readHeader(cr)
 	if err != nil {
-		return nil, fmt.Errorf("dataset: read header: %w", err)
-	}
-	names := append([]string(nil), header...)
-	// Reject malformed headers before parsing any rows; New repeats
-	// the name checks for programmatically built datasets.
-	for i, name := range names {
-		if name == "" {
-			return nil, fmt.Errorf("dataset: empty name for column %d", i)
-		}
+		return nil, err
 	}
 	cols := make([][]float64, len(names))
 	row := 0
@@ -69,6 +61,29 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		row++
 	}
 	return New(names, cols)
+}
+
+// ReadCSVHeader reads only the header line of a CSV dataset, in
+// ReadCSV's dialect and with its header checks; no row is parsed.
+func ReadCSVHeader(r io.Reader) ([]string, error) {
+	return readHeader(csv.NewReader(r))
+}
+
+// readHeader reads the column names and rejects malformed headers
+// before any row is parsed; New repeats the name checks for
+// programmatically built datasets.
+func readHeader(cr *csv.Reader) ([]string, error) {
+	header, err := cr.Read()
+	if err != nil {
+		return nil, fmt.Errorf("dataset: read header: %w", err)
+	}
+	names := append([]string(nil), header...)
+	for i, name := range names {
+		if name == "" {
+			return nil, fmt.Errorf("dataset: empty name for column %d", i)
+		}
+	}
+	return names, nil
 }
 
 // Query is one past function evaluation q = [x, l, y] (paper

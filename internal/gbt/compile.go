@@ -7,7 +7,7 @@ import "surf/internal/gbt/kernel"
 // The compiled inference form lives in the kernel subpackage: a
 // flat-node float64 traversal that produces bit-for-bit the
 // predictions of Model.Predict1. This file is only the bridge from the
-// trained ensemble to that seam.
+// trained ensemble to it.
 
 // Ensemble snapshots the trained ensemble into the kernel's neutral
 // form. The snapshot is independent of the Model: later training
@@ -41,6 +41,6 @@ func (m *Model) Ensemble() kernel.Ensemble {
 // Compile builds the kernel's inference snapshot of the ensemble. The
 // result is immutable, safe for concurrent use, and predicts
 // bit-for-bit what Model.Predict1 returns.
-func (m *Model) Compile() kernel.Model {
+func (m *Model) Compile() *kernel.Model {
 	return kernel.Compile(m.Ensemble())
 }

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-
-	"surf/internal/obs"
 )
 
 // leafOf builds a leaf node carrying weight w.
@@ -44,9 +42,9 @@ func referencePredict(e Ensemble, row []float64) float64 {
 func assertParity(t *testing.T, e Ensemble, rows [][]float64) {
 	t.Helper()
 	m := Compile(e)
-	if m.NumTrees() != len(e.Trees) || m.NumFeatures() != e.NumFeatures || m.NumNodes() != e.NumNodes() {
+	if len(m.trees) != len(e.Trees) || m.nfeat != e.NumFeatures || len(m.nodes) != e.NumNodes() {
 		t.Fatalf("shape %d/%d/%d, ensemble %d/%d/%d",
-			m.NumTrees(), m.NumFeatures(), m.NumNodes(),
+			len(m.trees), m.nfeat, len(m.nodes),
 			len(e.Trees), e.NumFeatures, e.NumNodes())
 	}
 	out := make([]float64, len(rows))
@@ -138,7 +136,7 @@ func TestParityMixedDepths(t *testing.T) {
 		},
 	}
 	var depths []int32
-	for _, tr := range compileScalar(e).trees {
+	for _, tr := range Compile(e).trees {
 		depths = append(depths, tr.depth)
 	}
 	if !slices.Equal(depths, []int32{0, 1, 12}) {
@@ -192,32 +190,22 @@ func TestConcurrentPredictBatch(t *testing.T) {
 	wg.Wait()
 }
 
-// TestInstrumentCounters: models built through Compile account rows,
-// batches and kernel time to the process-wide counters that /metrics
-// exports under kernel="scalar".
+// TestInstrumentCounters: compiled models account rows, calls and
+// kernel time to the process-wide counters that /metrics exports
+// under kernel="scalar".
 func TestInstrumentCounters(t *testing.T) {
 	e := Ensemble{NumFeatures: 1, Trees: [][]Node{stump(0, 0.5, 1, 2)}}
 	m := Compile(e)
-	st := obs.Kernel(metricsLabel)
-	rows0, batches0 := st.Rows.Value(), st.Batches.Value()
+	rows0, calls0 := Rows.Value(), Calls.Value()
 
 	out := make([]float64, 3)
 	m.PredictBatch([][]float64{{0}, {1}, {2}}, out)
 	m.Predict1([]float64{0})
 
-	if got := st.Rows.Value() - rows0; got != 4 {
+	if got := Rows.Value() - rows0; got != 4 {
 		t.Fatalf("rows counter advanced by %d, want 4", got)
 	}
-	if got := st.Batches.Value() - batches0; got != 2 {
-		t.Fatalf("batches counter advanced by %d, want 2", got)
-	}
-	found := false
-	for _, k := range obs.KernelSnapshot() {
-		if k.Name == metricsLabel {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("KernelSnapshot missing kernel %q", metricsLabel)
+	if got := Calls.Value() - calls0; got != 2 {
+		t.Fatalf("calls counter advanced by %d, want 2", got)
 	}
 }

@@ -27,7 +27,7 @@ import (
 // plus the index of its left child; the right child always sits at
 // kids+1 (bfsOrder guarantees it). A leaf loops onto itself: its
 // threshold is NaN, so gt picks kids+1, and kids is its own index − 1;
-// its feature is 0. Leaf weights live in scalarModel.leaf.
+// its feature is 0. Leaf weights live in Model.leaf.
 type cnode struct {
 	threshold float64
 	feature   int32
@@ -41,11 +41,14 @@ type ctree struct {
 	depth int32
 }
 
-// scalarModel is the compiled flat-node form. It is safe for
-// concurrent use and produces bit-for-bit the same predictions as the
-// ensemble it was compiled from (same traversal decisions, same
-// summation order).
-type scalarModel struct {
+// Model is a compiled, immutable inference snapshot of one ensemble in
+// the flat-node form. It is safe for concurrent use and produces
+// bit-for-bit the same predictions as the ensemble it was compiled
+// from (same traversal decisions, same summation order). Predict1 and
+// PredictBatch panic on dimension mismatches — callers validate at the
+// public boundary (core.Surrogate and Engine.PredictStatisticBatch
+// return wrapped sentinel errors there).
+type Model struct {
 	baseScore float64
 	nfeat     int
 	trees     []ctree
@@ -54,10 +57,11 @@ type scalarModel struct {
 	leaf []float64
 }
 
-// compileScalar flattens the ensemble into a scalarModel snapshot,
-// independent of the ensemble it came from.
-func compileScalar(e Ensemble) *scalarModel {
-	c := &scalarModel{
+// Compile flattens e into a Model snapshot, independent of the
+// ensemble it came from. All production compilation paths go through
+// here.
+func Compile(e Ensemble) *Model {
+	c := &Model{
 		baseScore: e.BaseScore,
 		nfeat:     e.NumFeatures,
 		trees:     make([]ctree, 0, len(e.Trees)),
@@ -89,15 +93,6 @@ func compileScalar(e Ensemble) *scalarModel {
 	return c
 }
 
-// NumFeatures returns the feature dimensionality the model expects.
-func (c *scalarModel) NumFeatures() int { return c.nfeat }
-
-// NumTrees returns the number of trees in the compiled ensemble.
-func (c *scalarModel) NumTrees() int { return len(c.trees) }
-
-// NumNodes returns the total node count across all trees.
-func (c *scalarModel) NumNodes() int { return len(c.nodes) }
-
 // gt is the branch-free child selector: 0 when the row value is ≤ the
 // split threshold (go left), else 1 — phrased as a negated ≤ rather
 // than > so a NaN row value or a NaN threshold selects the right child
@@ -112,9 +107,9 @@ func gt(a, b float64) int32 {
 	return 1
 }
 
-// Predict1 returns the prediction for a single raw feature row,
+// predict1 returns the prediction for a single raw feature row,
 // bit-for-bit equal to the trained model's tree walk.
-func (c *scalarModel) Predict1(row []float64) float64 {
+func (c *Model) predict1(row []float64) float64 {
 	if len(row) != c.nfeat {
 		panic(fmt.Sprintf("kernel: Predict1 row of dimension %d, want %d", len(row), c.nfeat))
 	}
@@ -131,9 +126,9 @@ func (c *scalarModel) Predict1(row []float64) float64 {
 	return out
 }
 
-// PredictBatch writes predictions for every row of X into out without
+// predictBatch writes predictions for every row of X into out without
 // allocating: out must have exactly len(X) entries and every row must
-// have NumFeatures columns (all rows are validated up front).
+// have the compiled feature count (all rows are validated up front).
 //
 // Trees iterate in the outer loop and rows in the inner loop, so each
 // tree's nodes are loaded into cache once per batch rather than once
@@ -141,8 +136,8 @@ func (c *scalarModel) Predict1(row []float64) float64 {
 // to overlap their dependent node loads. A short last group repeats
 // its final row to fill the eight lanes and adds only its own rows'
 // leaves. The per-row sums still accumulate in ensemble order, keeping
-// results bit-for-bit equal to Predict1.
-func (c *scalarModel) PredictBatch(X [][]float64, out []float64) {
+// results bit-for-bit equal to predict1.
+func (c *Model) predictBatch(X [][]float64, out []float64) {
 	if len(out) != len(X) {
 		panic(fmt.Sprintf("kernel: PredictBatch output of length %d for %d rows", len(out), len(X)))
 	}

@@ -1,8 +1,9 @@
 // This file deliberately carries no //surf:deterministic marker: the
-// instrumentation wrapper reads the wall clock, which the detrain
-// analyzer (rightly) bans from result-producing deterministic scopes.
-// The wrapped predictions themselves pass through untouched, so the
-// bit-identity contract is unaffected.
+// exported entry points read the wall clock to account kernel time,
+// which the detrain analyzer (rightly) bans from result-producing
+// deterministic scopes. The walks they call live in scalar.go and
+// return their predictions untouched, so the bit-identity contract is
+// unaffected.
 
 package kernel
 
@@ -12,43 +13,38 @@ import (
 	"surf/internal/obs"
 )
 
-// metricsLabel is the kernel label the activity counters are exported
-// under (surf_kernel_rows_predicted_total{kernel="scalar"} and
-// friends). There is one kernel, so the label is constant.
-const metricsLabel = "scalar"
+// Process-wide inference activity, exported through /metrics as the
+// surf_kernel_* families under kernel="scalar". Every compiled model
+// adds to the same three counters, whichever engine serves it. The
+// timing cost — two clock reads per call — is noise against even the
+// smallest swarm shard.
+var (
+	// Rows counts predicted rows (a Predict1 call counts one row).
+	Rows obs.Counter
+	// Calls counts PredictBatch and Predict1 calls.
+	Calls obs.Counter
+	// Nanos accumulates wall nanoseconds spent inside the kernel.
+	Nanos obs.Counter
+)
 
-// instrumented decorates a compiled model with the process-wide
-// kernel activity counters (rows, batches, cumulative kernel
-// nanoseconds) exported through /metrics.
-type instrumented struct {
-	m  Model
-	st *obs.KernelStats
-}
-
-// instrument wraps m; the wrapper delegates everything and records
-// activity under metricsLabel. The timing cost — two clock reads
-// per batch — is noise against even the smallest swarm shard.
-func instrument(m Model) Model {
-	return &instrumented{m: m, st: obs.Kernel(metricsLabel)}
-}
-
-func (w *instrumented) NumFeatures() int { return w.m.NumFeatures() }
-func (w *instrumented) NumTrees() int    { return w.m.NumTrees() }
-func (w *instrumented) NumNodes() int    { return w.m.NumNodes() }
-
-func (w *instrumented) Predict1(row []float64) float64 {
+// Predict1 returns the prediction for a single raw feature row,
+// bit-for-bit equal to the trained model's tree walk.
+func (c *Model) Predict1(row []float64) float64 {
 	start := time.Now()
-	v := w.m.Predict1(row)
-	w.st.Nanos.Add(uint64(time.Since(start)))
-	w.st.Rows.Inc()
-	w.st.Batches.Inc()
+	v := c.predict1(row)
+	Nanos.Add(uint64(time.Since(start)))
+	Rows.Inc()
+	Calls.Inc()
 	return v
 }
 
-func (w *instrumented) PredictBatch(X [][]float64, out []float64) {
+// PredictBatch writes predictions for every row of X into out without
+// allocating: out must have exactly len(X) entries and every row the
+// compiled feature count.
+func (c *Model) PredictBatch(X [][]float64, out []float64) {
 	start := time.Now()
-	w.m.PredictBatch(X, out)
-	w.st.Nanos.Add(uint64(time.Since(start)))
-	w.st.Rows.Add(uint64(len(X)))
-	w.st.Batches.Inc()
+	c.predictBatch(X, out)
+	Nanos.Add(uint64(time.Since(start)))
+	Rows.Add(uint64(len(X)))
+	Calls.Inc()
 }

@@ -23,7 +23,7 @@ import (
 var inferenceBench struct {
 	once sync.Once
 	m    *Model
-	c    kernel.Model
+	c    *kernel.Model
 	X    [][]float64
 	out  []float64
 }

@@ -545,7 +545,7 @@ func runTopK(ctx context.Context, e *Engine, view *dataView, finder *core.Finder
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{ComplianceRate: math.NaN()}
+	out := &Result{ComplianceRate: math.NaN(), ElapsedSeconds: res.Elapsed.Seconds()}
 	trueFn := core.StatFnFromEvaluator(view.evaluator)
 	for _, r := range res.Regions {
 		region := Region{

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	surf "surf"
+	"surf/internal/dataset"
 )
 
 // Sentinel errors. ErrUnknownDataset reports a name with no registered
@@ -93,6 +95,9 @@ func (s Spec) merge(prev Spec) Spec {
 	if s.TargetColumn == "" {
 		s.TargetColumn = prev.TargetColumn
 	}
+	if !s.UseGridIndex {
+		s.UseGridIndex = prev.UseGridIndex
+	}
 	if s.DriftThreshold == 0 {
 		s.DriftThreshold = prev.DriftThreshold
 	}
@@ -115,9 +120,11 @@ func (s Spec) merge(prev Spec) Spec {
 }
 
 // validate rejects specs that can never load, checking the cheap
-// invariants plus the artifact's declared metadata (statistic and
-// filter columns must match the spec) so a bad PUT fails at
-// registration time, not at the first query.
+// invariants, the columns against the CSV's header line (by
+// surf.Open's own rules, over a zero-row dataset of that header; the
+// rows are left for the load) and the artifact's declared metadata
+// (statistic, filter and target columns must match the spec) so a bad
+// PUT fails at registration time, not at the first query.
 func (s Spec) validate() error {
 	switch {
 	case s.Data == "":
@@ -141,10 +148,17 @@ func (s Spec) validate() error {
 	case s.driftEnabled() && s.Artifact == "" && s.Train == 0:
 		return fmt.Errorf("%w: drift monitoring needs a surrogate (artifact or train)", ErrBadSpec)
 	}
-	if _, err := surf.ParseStatistic(s.Statistic); err != nil {
+	stat, err := surf.ParseStatistic(s.Statistic)
+	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	if _, err := os.Stat(s.Data); err != nil {
+	f, err := os.Open(s.Data)
+	if err != nil {
+		return fmt.Errorf("%w: dataset: %v", ErrBadSpec, err)
+	}
+	names, err := dataset.ReadCSVHeader(f)
+	f.Close()
+	if err != nil {
 		return fmt.Errorf("%w: dataset: %v", ErrBadSpec, err)
 	}
 	if s.Artifact != "" {
@@ -161,16 +175,23 @@ func (s Spec) validate() error {
 			return fmt.Errorf("%w: artifact trained for statistic %q, spec computes %q",
 				surf.ErrBadArtifact, info.Statistic, s.Statistic)
 		}
-		if len(info.FilterColumns) != len(s.FilterColumns) {
-			return fmt.Errorf("%w: artifact trained over %d filter columns, spec uses %d",
-				surf.ErrBadArtifact, len(info.FilterColumns), len(s.FilterColumns))
+		if !slices.Equal(info.FilterColumns, s.FilterColumns) {
+			return fmt.Errorf("%w: artifact trained over filter columns %v, spec uses %v",
+				surf.ErrBadArtifact, info.FilterColumns, s.FilterColumns)
 		}
-		for i, c := range s.FilterColumns {
-			if info.FilterColumns[i] != c {
-				return fmt.Errorf("%w: artifact trained over filter columns %v, spec uses %v",
-					surf.ErrBadArtifact, info.FilterColumns, s.FilterColumns)
-			}
+		// The artifact names a target exactly when its statistic (equal
+		// to the spec's, checked above) aggregates one.
+		if info.TargetColumn != "" && info.TargetColumn != s.TargetColumn {
+			return fmt.Errorf("%w: artifact aggregates target column %q, spec aggregates %q",
+				surf.ErrBadArtifact, info.TargetColumn, s.TargetColumn)
 		}
+	}
+	header, err := surf.NewDataset(names, make([][]float64, len(names)))
+	if err == nil {
+		_, err = surf.Open(header, surf.Config{FilterColumns: s.FilterColumns, Statistic: stat, TargetColumn: s.TargetColumn})
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	return nil
 }

@@ -52,9 +52,12 @@ func writeCSV(t *testing.T, path string, names []string, cols [][]float64) {
 	}
 }
 
-// trainArtifact trains a Count surrogate over x,y on the CSV and saves
-// it; trees distinguishes artifacts in hot-swap tests.
-func trainArtifact(t *testing.T, csvPath, outPath string, trees int) {
+// countXY is the engine config of the fixture's artifacts.
+var countXY = surf.Config{FilterColumns: []string{"x", "y"}, Statistic: surf.Count}
+
+// trainArtifact trains a surrogate for cfg on the CSV and saves it;
+// trees distinguishes artifacts in hot-swap tests.
+func trainArtifact(t *testing.T, csvPath, outPath string, cfg surf.Config, trees int) {
 	t.Helper()
 	f, err := os.Open(csvPath)
 	if err != nil {
@@ -65,7 +68,7 @@ func trainArtifact(t *testing.T, csvPath, outPath string, trees int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := surf.Open(ds, surf.Config{FilterColumns: []string{"x", "y"}, Statistic: surf.Count})
+	eng, err := surf.Open(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +104,8 @@ func newFixture(t *testing.T, rows int) testFixture {
 	}
 	names, cols := testCols(rows)
 	writeCSV(t, fx.csv, names, cols)
-	trainArtifact(t, fx.csv, fx.artifactA, 5)
-	trainArtifact(t, fx.csv, fx.artifactB, 12)
+	trainArtifact(t, fx.csv, fx.artifactA, countXY, 5)
+	trainArtifact(t, fx.csv, fx.artifactB, countXY, 12)
 	return fx
 }
 
@@ -130,6 +133,8 @@ func TestRegisterValidation(t *testing.T) {
 		{"bad statistic", "d", Spec{Data: fx.csv, FilterColumns: []string{"x"}, Statistic: "nope"}},
 		{"missing data file", "d", Spec{Data: fx.csv + ".gone", FilterColumns: []string{"x"}, Statistic: "count"}},
 		{"artifact and train", "d", Spec{Data: fx.csv, FilterColumns: []string{"x"}, Statistic: "count", Artifact: fx.artifactA, Train: 10}},
+		{"unknown filter column", "d", Spec{Data: fx.csv, FilterColumns: []string{"x", "zz"}, Statistic: "count"}},
+		{"unknown target column", "d", Spec{Data: fx.csv, FilterColumns: []string{"x", "y"}, Statistic: "mean", TargetColumn: "q"}},
 	}
 	for _, c := range cases {
 		if _, err := r.Register(c.key, c.spec); !errors.Is(err, ErrBadSpec) {
@@ -149,6 +154,21 @@ func TestRegisterValidation(t *testing.T) {
 	bad.FilterColumns = []string{"y", "x"}
 	if _, err := r.Register("d", bad); !errors.Is(err, surf.ErrBadArtifact) {
 		t.Errorf("filter order mismatch: got %v, want ErrBadArtifact", err)
+	}
+	// A mean-over-v artifact registered for a spec aggregating w.
+	dir := t.TempDir()
+	wide := filepath.Join(dir, "wide.csv")
+	names, cols := testCols(300)
+	writeCSV(t, wide, append(names, "w"), append(cols, cols[2]))
+	meanV := filepath.Join(dir, "mean-v.surf")
+	trainArtifact(t, wide, meanV, surf.Config{FilterColumns: []string{"x", "y"}, Statistic: surf.Mean, TargetColumn: "v"}, 5)
+	bad = Spec{Data: wide, FilterColumns: []string{"x", "y"}, Statistic: "mean", TargetColumn: "w", Artifact: meanV}
+	if _, err := r.Register("d", bad); !errors.Is(err, surf.ErrBadArtifact) {
+		t.Errorf("target mismatch: got %v, want ErrBadArtifact", err)
+	}
+	bad.TargetColumn = "v"
+	if _, err := r.Register("d", bad); err != nil {
+		t.Errorf("matching target: %v", err)
 	}
 }
 
@@ -215,7 +235,9 @@ func TestLazyLoadAndStates(t *testing.T) {
 func TestSpecInheritanceOnSwap(t *testing.T) {
 	fx := newFixture(t, 300)
 	r := New(0)
-	if _, err := r.Register("d", fx.spec(fx.artifactA)); err != nil {
+	spec := fx.spec(fx.artifactA)
+	spec.UseGridIndex = true
+	if _, err := r.Register("d", spec); err != nil {
 		t.Fatal(err)
 	}
 	// A PUT carrying only the new artifact inherits everything else.
@@ -227,7 +249,7 @@ func TestSpecInheritanceOnSwap(t *testing.T) {
 		t.Fatalf("version %d after swap, want 2", v)
 	}
 	st, _ := r.Status("d")
-	if st.Spec.Data != fx.csv || st.Spec.Statistic != "count" || st.Spec.Artifact != fx.artifactB {
+	if st.Spec.Data != fx.csv || st.Spec.Statistic != "count" || st.Spec.Artifact != fx.artifactB || !st.Spec.UseGridIndex {
 		t.Fatalf("merged spec = %+v", st.Spec)
 	}
 	// Switching to startup training drops the inherited artifact.

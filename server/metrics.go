@@ -4,6 +4,7 @@ import (
 	"net/http"
 
 	surf "surf"
+	"surf/internal/gbt/kernel"
 	"surf/internal/obs"
 	"surf/registry"
 )
@@ -94,28 +95,16 @@ func newServerMetrics(eng *surf.Engine, reg *registry.Registry) *serverMetrics {
 
 // collectKernels registers the inference activity collectors, one
 // series per family under kernel="scalar". The counters are
-// process-wide (the gbt kernel layer records every prediction,
-// whichever engine served it), so both the single-engine and registry
-// servers export the same families.
+// process-wide (the compiled kernel counts every prediction, whichever
+// engine served it), so both the single-engine and registry servers
+// export the same families.
 func (m *serverMetrics) collectKernels() {
 	m.reg.Collect("surf_kernel_rows_predicted_total", "Rows predicted by the inference kernel.", obs.TypeCounter,
-		func(emit func(v float64, labels ...string)) {
-			for _, k := range obs.KernelSnapshot() {
-				emit(float64(k.Rows), "kernel", k.Name)
-			}
-		})
+		func(emit func(v float64, labels ...string)) { emit(float64(kernel.Rows.Value()), "kernel", "scalar") })
 	m.reg.Collect("surf_kernel_batches_total", "Prediction calls (batch or single-row) into the inference kernel.", obs.TypeCounter,
-		func(emit func(v float64, labels ...string)) {
-			for _, k := range obs.KernelSnapshot() {
-				emit(float64(k.Batches), "kernel", k.Name)
-			}
-		})
+		func(emit func(v float64, labels ...string)) { emit(float64(kernel.Calls.Value()), "kernel", "scalar") })
 	m.reg.Collect("surf_kernel_nanoseconds_total", "Wall nanoseconds spent inside the inference kernel.", obs.TypeCounter,
-		func(emit func(v float64, labels ...string)) {
-			for _, k := range obs.KernelSnapshot() {
-				emit(float64(k.Nanos), "kernel", k.Name)
-			}
-		})
+		func(emit func(v float64, labels ...string)) { emit(float64(kernel.Nanos.Value()), "kernel", "scalar") })
 }
 
 func (m *serverMetrics) newRoute(pattern string) *routeMetrics {

@@ -149,8 +149,8 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 
 // TestMetricsEndpoint drives traffic and asserts the scrape carries
 // per-route counters and histograms, the cache counters, (through a
-// repeated query) a cache hit, and (through a one-off query on a full
-// one-entry cache) a rejection.
+// repeated query) a cache hit, (through a one-off query on a full
+// one-entry cache) a rejection, and the inference kernel's families.
 func TestMetricsEndpoint(t *testing.T) {
 	ts, _ := testServer(t, true, surf.WithResultCache(1))
 	oneOff := smallQuery
@@ -169,7 +169,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("content type %q", ct)
 	}
 	out := readBody(t, resp)
-	for _, want := range []string{
+	for _, want := range append([]string{
 		`surf_http_requests_total{route="POST /v1/find",code="2xx"} 3`,
 		`surf_http_request_duration_seconds_bucket{route="POST /v1/find",le="+Inf"} 3`,
 		`surf_http_request_duration_seconds_count{route="POST /v1/find"} 3`,
@@ -180,7 +180,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`surf_result_cache_rejected_total 1`,
 		"# TYPE surf_result_cache_rejected_total counter",
 		"# TYPE surf_http_request_duration_seconds histogram",
-	} {
+	}, kernelExposition...) {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape missing %q", want)
 		}
@@ -188,6 +188,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	if t.Failed() {
 		t.Logf("scrape:\n%s", out)
 	}
+}
+
+// kernelExposition is what every server's scrape must carry for the
+// inference kernel's process-wide counters: each family's help and
+// type lines and its one kernel="scalar" series.
+var kernelExposition = []string{
+	"# HELP surf_kernel_rows_predicted_total Rows predicted by the inference kernel.\n",
+	"# TYPE surf_kernel_rows_predicted_total counter\n",
+	`surf_kernel_rows_predicted_total{kernel="scalar"} `,
+	"# HELP surf_kernel_batches_total Prediction calls (batch or single-row) into the inference kernel.\n",
+	"# TYPE surf_kernel_batches_total counter\n",
+	`surf_kernel_batches_total{kernel="scalar"} `,
+	"# HELP surf_kernel_nanoseconds_total Wall nanoseconds spent inside the inference kernel.\n",
+	"# TYPE surf_kernel_nanoseconds_total counter\n",
+	`surf_kernel_nanoseconds_total{kernel="scalar"} `,
 }
 
 // TestMetricsRegistryMode asserts per-dataset state and cache series
@@ -202,7 +217,7 @@ func TestMetricsRegistryMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := readBody(t, mresp)
-	for _, want := range []string{
+	for _, want := range append([]string{
 		`surf_dataset_state{dataset="alpha",state="ready"} 1`,
 		`surf_dataset_state{dataset="beta",state="unloaded"} 1`,
 		`surf_dataset_version{dataset="alpha"} 1`,
@@ -210,7 +225,7 @@ func TestMetricsRegistryMode(t *testing.T) {
 		`surf_dataset_load_seconds{dataset="alpha"}`,
 		`surf_result_cache_misses_total{dataset="alpha"} 1`,
 		`surf_result_cache_rejected_total{dataset="alpha"} 0`,
-	} {
+	}, kernelExposition...) {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape missing %q", want)
 		}

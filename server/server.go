@@ -75,9 +75,11 @@
 // GET /metrics exposes the internal/obs registry in Prometheus text
 // format: per-route request counts by status class, latency
 // histograms and response bytes, the in-flight request gauge, SSE
-// events emitted, result-cache hit/miss counters, inference kernel
-// totals (surf_kernel_rows_predicted_total and friends, under the
-// constant label kernel="scalar"), and per-dataset registry state
+// events emitted, result-cache hit/miss counters, the inference
+// kernel's three process-wide counters (surf_kernel_rows_predicted_total,
+// surf_kernel_batches_total and surf_kernel_nanoseconds_total, read
+// straight from the kernel under the constant label kernel="scalar"),
+// and per-dataset registry state
 // (lifecycle state, version, rows, in-flight handles, load duration).
 // Living-data entries add surf_dataset_data_version (the served data
 // version; appends increment it) and, when drift monitoring is on,

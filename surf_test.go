@@ -211,6 +211,13 @@ func TestEndToEndCountQuery(t *testing.T) {
 	if res.ElapsedSeconds <= 0 {
 		t.Error("elapsed not recorded")
 	}
+	top, err := eng.FindTopK(TopKQuery{K: 2, Largest: true, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if top.ElapsedSeconds <= 0 {
+		t.Error("top-k elapsed not recorded")
+	}
 }
 
 func TestFindRequiresSurrogateOrTrueFn(t *testing.T) {
