@@ -5,7 +5,7 @@ GO ?= go
 STATICCHECK_VERSION = $(shell awk '$$1 == "honnef.co/go/tools" {print $$2}' tools/go.mod)
 GOVULNCHECK_VERSION = $(shell awk '$$1 == "golang.org/x/vuln" {print $$2}' tools/go.mod)
 
-.PHONY: all build test lint fmt vet surf-lint tools staticcheck vulncheck fuzz-smoke clean
+.PHONY: all build test lint fmt vet surf-lint tools staticcheck vulncheck fuzz-smoke golden clean
 
 all: build test lint
 
@@ -67,6 +67,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzAppendParity' -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz 'FuzzNeighborScan' -fuzztime 10s ./internal/gso
 	$(GO) test -run '^$$' -fuzz 'FuzzShuffledPrefix' -fuzztime 10s ./internal/kde
+
+# golden rewrites testdata/golden_answers.json from the current
+# answers. The hashes are taken at GOAMD64=v1, the only level the
+# golden test builds at; regenerate only when a change is meant to
+# move answers, and say so in CHANGES.md.
+golden:
+	GOAMD64=v1 $(GO) test -run 'TestGoldenAnswers' -update .
 
 clean:
 	rm -rf bin
