@@ -52,12 +52,8 @@ func TestCustomStatisticOffDomainAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, err := NewDiskScan(writeBinaryFile(t, d), spec, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
 	far := geom.Rect{Min: []float64{50, 50}, Max: []float64{60, 60}}
-	for name, ev := range map[string]Evaluator{"linear": linear, "grid": grid, "disk": disk} {
+	for name, ev := range map[string]Evaluator{"linear": linear, "grid": grid} {
 		y, n := ev.Evaluate(far)
 		if y != 0 || n != 0 {
 			t.Errorf("%s: off-domain custom statistic = (%g, %d), want (0, 0)", name, y, n)
@@ -65,9 +61,9 @@ func TestCustomStatisticOffDomainAgreement(t *testing.T) {
 	}
 }
 
-// TestCustomStatisticEvaluators checks that all three evaluators —
-// linear scan, grid index and disk scan — agree on a custom
-// statistic, including the empty-region NaN convention.
+// TestCustomStatisticEvaluators checks that both evaluators — linear
+// scan and grid index — agree on a custom statistic, including the
+// empty-region NaN convention.
 func TestCustomStatisticEvaluators(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	d := randomDataset(rng, 2500, 2)
@@ -83,21 +79,16 @@ func TestCustomStatisticEvaluators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, err := NewDiskScan(writeBinaryFile(t, d), spec, 311)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for trial := 0; trial < 40; trial++ {
 		r := randomRegion(rng, 2)
 		yl, nl := linear.Evaluate(r)
 		yg, ng := grid.Evaluate(r)
-		yd, nd := disk.Evaluate(r)
-		if nl != ng || nl != nd {
-			t.Fatalf("trial %d: counts differ: linear %d grid %d disk %d", trial, nl, ng, nd)
+		if nl != ng {
+			t.Fatalf("trial %d: counts differ: linear %d grid %d", trial, nl, ng)
 		}
 		same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
-		if !same(yl, yg) || !same(yl, yd) {
-			t.Fatalf("trial %d: values differ: linear %g grid %g disk %g", trial, yl, yg, yd)
+		if !same(yl, yg) {
+			t.Fatalf("trial %d: values differ: linear %g grid %g", trial, yl, yg)
 		}
 		if nl == 0 && !math.IsNaN(yl) {
 			t.Fatalf("trial %d: empty region gave %g, want NaN", trial, yl)

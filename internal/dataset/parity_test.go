@@ -10,8 +10,8 @@ import (
 )
 
 // The tests in this file pin the evaluator-parity contract: LinearScan
-// is the reference semantics, and GridIndex / DiskScan must report the
-// same (value, count) for any region. The deterministic cases below
+// is the reference semantics, and GridIndex must report the same
+// (value, count) for any region. The deterministic cases below
 // are regressions for the grid's boundary-cell bug, where the last
 // cell's float-accumulated rect fell short of the true domain maximum:
 // a region containing that rect took the pre-merged interior fast path
@@ -130,11 +130,9 @@ func TestRandomizedEvaluatorParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dsc := diskScanFor(t, d, spec)
 		for q := 0; q < 20; q++ {
 			region := randomParityRegion(rng, g)
 			assertSameEval(t, ls, g, region)
-			assertSameEval(t, ls, dsc, region)
 		}
 	}
 }
@@ -142,7 +140,7 @@ func TestRandomizedEvaluatorParity(t *testing.T) {
 // assertSameEval compares an evaluator against the linear-scan
 // reference on one region. Counts must match exactly; values must
 // match up to accumulation-order rounding (the grid merges pre-merged
-// partials in cell order, the scans add in row order).
+// partials in cell order, the scan adds in row order).
 func assertSameEval(t *testing.T, ref, got Evaluator, region geom.Rect) {
 	t.Helper()
 	rv, rc := ref.Evaluate(region)
@@ -248,18 +246,6 @@ func parityBound(rng *rand.Rand, g *GridIndex, dim int) float64 {
 		span := hi - lo
 		return lo - 0.1*span + 1.2*span*rng.Float64()
 	}
-}
-
-// diskScanFor round-trips the dataset through the binary format and
-// opens a DiskScan over it.
-func diskScanFor(t *testing.T, d *Dataset, spec Spec) *DiskScan {
-	t.Helper()
-	path := writeBinaryFile(t, d)
-	s, err := NewDiskScan(path, spec, 37) // odd chunk size exercises chunk boundaries
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
 }
 
 // TestGridSumFoldOrder pins the float statistics to their summation

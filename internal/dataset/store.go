@@ -21,7 +21,7 @@ var ErrEmptyAppend = errors.New("dataset: empty append batch")
 //
 //   - The read path is lock-free. Snapshot is a single atomic pointer
 //     load; the Dataset inside a snapshot never changes after publish,
-//     so LinearScan/GridIndex/DiskScan, training and verification all
+//     so LinearScan/GridIndex, training and verification all
 //     work on a pinned snapshot exactly as they do on a plain Dataset.
 //   - Appends are serialized by an internal mutex that readers never
 //     touch. Each batch extends the store's chunked backing columns —

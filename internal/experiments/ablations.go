@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"surf/internal/core"
@@ -214,10 +211,9 @@ func gtRecall(proposals, gt []geom.Rect) int {
 }
 
 // ablationIndex measures region-evaluation throughput of the grid
-// index vs an in-memory linear scan vs a disk-streamed scan across
-// dataset sizes — the paper's Section V-D point that out-of-memory
-// data makes every f-backed method drastically slower while SuRF is
-// indifferent to where (or whether) the data lives.
+// index vs an in-memory linear scan across dataset sizes — the paper's
+// Section V-D point that every f-backed method pays per data row while
+// SuRF's surrogate does not.
 func ablationIndex(rep *Report, scale Scale) error {
 	sizes := []int{10000, 100000}
 	if scale == Full {
@@ -225,14 +221,9 @@ func ablationIndex(rep *Report, scale Scale) error {
 	}
 	t := &Table{
 		Name:   "index",
-		Title:  "Ablation: true-f evaluation cost — grid index vs memory scan vs disk scan",
+		Title:  "Ablation: true-f evaluation cost — grid index vs memory scan",
 		Header: []string{"N", "evaluator", "seconds", "evals_per_sec"},
 	}
-	tmpDir, err := os.MkdirTemp("", "surf-ablation-disk")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmpDir)
 	for _, n := range sizes {
 		ds := synth.MustGenerate(synth.Config{Dims: 2, Regions: 1, Stat: synth.Density, N: n, Seed: 161})
 		scan, err := dataset.NewLinearScan(ds.Data, ds.Spec)
@@ -243,28 +234,12 @@ func ablationIndex(rep *Report, scale Scale) error {
 		if err != nil {
 			return err
 		}
-		binPath := filepath.Join(tmpDir, fmt.Sprintf("data-%d.bin", n))
-		bf, err := os.Create(binPath)
-		if err != nil {
-			return err
-		}
-		if err := ds.Data.WriteBinary(bf); err != nil {
-			bf.Close()
-			return err
-		}
-		if err := bf.Close(); err != nil {
-			return err
-		}
-		disk, err := dataset.NewDiskScan(binPath, ds.Spec, 0)
-		if err != nil {
-			return err
-		}
 		regions := randomRegions(200, 162)
 		for _, evc := range []struct {
 			name   string
 			ev     dataset.Evaluator
 			rounds int
-		}{{"grid", grid, 5}, {"scan", scan, 5}, {"disk", disk, 1}} {
+		}{{"grid", grid, 5}, {"scan", scan, 5}} {
 			start := time.Now()
 			for r := 0; r < evc.rounds; r++ {
 				for _, reg := range regions {
@@ -277,7 +252,7 @@ func ablationIndex(rep *Report, scale Scale) error {
 		}
 	}
 	rep.Tables = append(rep.Tables, t)
-	rep.Notef("the grid index accelerates the f-backed baselines and disk residency slows them further — only the surrogate is independent of data size and location")
+	rep.Notef("the grid index accelerates the f-backed baselines — only the surrogate is independent of data size")
 	return nil
 }
 

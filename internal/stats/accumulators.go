@@ -202,41 +202,3 @@ func (a *RatioAcc) Value() float64 {
 }
 func (a *RatioAcc) Count() int { return a.n }
 func (a *RatioAcc) Reset()     { *a = RatioAcc{} }
-
-// MomentAcc computes the k-th central moment E[(X−µ)^k] exactly in two
-// notional passes folded into one buffer. The paper mentions variance
-// and high-order moments as further statistic types (Section V-A).
-type MomentAcc struct {
-	order int
-	vals  []float64
-}
-
-// NewMomentAcc returns an accumulator for the central moment of the
-// given order (order ≥ 1).
-func NewMomentAcc(order int) *MomentAcc {
-	if order < 1 {
-		panic("stats: moment order must be >= 1")
-	}
-	return &MomentAcc{order: order}
-}
-
-func (a *MomentAcc) Add(v float64) { a.vals = append(a.vals, v) }
-
-func (a *MomentAcc) Value() float64 {
-	n := len(a.vals)
-	if n == 0 {
-		return math.NaN()
-	}
-	var mean float64
-	for _, v := range a.vals {
-		mean += v
-	}
-	mean /= float64(n)
-	var m float64
-	for _, v := range a.vals {
-		m += math.Pow(v-mean, float64(a.order))
-	}
-	return m / float64(n)
-}
-func (a *MomentAcc) Count() int { return len(a.vals) }
-func (a *MomentAcc) Reset()     { a.vals = a.vals[:0] }

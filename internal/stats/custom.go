@@ -33,7 +33,7 @@ var customReg = struct {
 // Register adds a named custom statistic to the process-wide registry
 // and returns its Kind, which participates everywhere a built-in Kind
 // does: String, ParseKind, dataset evaluation (linear scan, grid
-// index, disk scan), workload generation and surrogate training. The
+// index), workload generation and surrogate training. The
 // name must be non-empty and not collide with a built-in or
 // previously registered statistic. Custom statistics are
 // non-decomposable (the grid index falls back to per-row collection)

@@ -164,34 +164,6 @@ func TestRatioAcc(t *testing.T) {
 	}
 }
 
-func TestMomentAcc(t *testing.T) {
-	// Second central moment (population) of {1,2,3} is 2/3.
-	a := NewMomentAcc(2)
-	for _, v := range []float64{1, 2, 3} {
-		a.Add(v)
-	}
-	if math.Abs(a.Value()-2.0/3.0) > 1e-12 {
-		t.Errorf("moment2 = %g, want %g", a.Value(), 2.0/3.0)
-	}
-	// Third central moment of a symmetric sample is 0.
-	b := NewMomentAcc(3)
-	for _, v := range []float64{-2, 0, 2} {
-		b.Add(v)
-	}
-	if math.Abs(b.Value()) > 1e-12 {
-		t.Errorf("moment3 = %g, want 0", b.Value())
-	}
-}
-
-func TestNewMomentAccPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for order 0")
-		}
-	}()
-	NewMomentAcc(0)
-}
-
 func TestKindString(t *testing.T) {
 	tests := map[Kind]string{
 		Count: "count", Sum: "sum", Mean: "mean", Min: "min", Max: "max",
