@@ -250,7 +250,11 @@ func TestArtifactCorruptAndVersion(t *testing.T) {
 		{"truncated envelope", art[:len(art)/2], false},
 		{"future version", bytes.Replace(art, []byte("surfengine 1\n"), []byte("surfengine 9\n"), 1), false},
 		{"legacy header", append([]byte("surfmodel 2\n"), art[len("surfengine 1\n"):]...), false},
-		{"bit flip in model", flipByte(art, len(art)-20), true},
+		// The ensemble bytes end the envelope, and NumFeat ends the
+		// ensemble: the artifact closes with NumFeat's value byte, the
+		// ensemble's end marker and the envelope's. Flipping that value
+		// byte leaves the envelope intact but the ensemble undecodable.
+		{"bit flip in model", flipByte(art, len(art)-3), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := dst.LoadSurrogate(bytes.NewReader(tc.data)); !errors.Is(err, ErrBadArtifact) {

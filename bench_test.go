@@ -136,7 +136,7 @@ func BenchmarkGBTTrain(b *testing.B) {
 	p := gbt.DefaultParams()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := gbt.Train(p, X, y, nil, nil); err != nil {
+		if _, err := gbt.Train(p, X, y); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -423,7 +423,7 @@ func TestFinderConfigDefaults(t *testing.T) {
 		t.Errorf("max=%d", cfg.MaxRegions)
 	}
 	// Explicit GSO params survive.
-	explicit := FinderConfig{GSO: gso.Params{Glowworms: 42, MaxIters: 7, Rho: 0.4, Gamma: 0.6, Beta: 0.08, InitLuciferin: 5, DesiredNeighbors: 5, StepSize: 0.03, Seed: 3}}.withDefaults(3)
+	explicit := FinderConfig{GSO: gso.Params{Glowworms: 42, MaxIters: 7, Seed: 3}}.withDefaults(3)
 	if explicit.GSO.Glowworms != 42 || explicit.GSO.MaxIters != 7 {
 		t.Error("explicit GSO params overridden")
 	}

@@ -53,8 +53,6 @@ type FinderConfig struct {
 	Dir Direction
 	// C is the size regularizer (paper default 4).
 	C float64
-	// UseRatio switches to the Eq. 2 objective (default: Eq. 4 log).
-	UseRatio bool
 	// GSO overrides the optimizer parameters. Zero-value fields of
 	// interest: Glowworms=0 applies the paper's L = 50·d rule;
 	// InitRadius=0 applies the r0 heuristic of Section V-G.
@@ -237,7 +235,7 @@ func (f *Finder) Find(cfg FinderConfig) (*FindResult, error) {
 func (f *Finder) FindContext(ctx context.Context, cfg FinderConfig) (*FindResult, error) {
 	dims := f.domain.Dims()
 	cfg = cfg.withDefaults(dims)
-	ocfg := ObjectiveConfig{YR: cfg.Threshold, Dir: cfg.Dir, C: cfg.C, UseRatio: cfg.UseRatio}
+	ocfg := ObjectiveConfig{YR: cfg.Threshold, Dir: cfg.Dir, C: cfg.C}
 	obj, err := NewObjective(f.stat, ocfg)
 	if err != nil {
 		return nil, err

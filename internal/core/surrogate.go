@@ -64,7 +64,7 @@ func TrainSurrogateContext(ctx context.Context, log dataset.QueryLog, params gbt
 		return nil, ErrEmptyLog
 	}
 	X, y := log.Features()
-	model, err := gbt.TrainContext(ctx, params, X, y, nil, nil)
+	model, err := gbt.TrainContext(ctx, params, X, y)
 	if err != nil {
 		return nil, err
 	}

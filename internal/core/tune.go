@@ -79,7 +79,7 @@ func TrainSurrogateCVContext(ctx context.Context, log dataset.QueryLog, grid []g
 	if err != nil {
 		return nil, nil, err
 	}
-	model, err := gbt.TrainContext(ctx, grid[best], X, y, nil, nil)
+	model, err := gbt.TrainContext(ctx, grid[best], X, y)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -121,7 +121,7 @@ func crossValRMSE(ctx context.Context, p gbt.Params, X [][]float64, y []float64,
 	scores := make([]float64, 0, k)
 	for _, fold := range folds {
 		train, test := fold[0], fold[1]
-		model, err := gbt.TrainContext(ctx, p, gatherRows(X, train), gatherValues(y, train), nil, nil)
+		model, err := gbt.TrainContext(ctx, p, gatherRows(X, train), gatherValues(y, train))
 		if err != nil {
 			return 0, err
 		}

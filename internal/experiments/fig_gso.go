@@ -15,7 +15,8 @@ import (
 // value E[J] of the swarm over iterations, for region-space
 // dimensionality 2d ∈ {2, 4, 6, 8, 10} and k ∈ {1, 3} GT regions,
 // using L = 50·(2d) glowworms and the Section V-G initial-radius
-// rule. The paper finds convergence after ~63 iterations on average.
+// rule. The paper finds convergence after ~63 iterations on average;
+// each curve ends where convergedAt finds the plateau.
 func Fig9Convergence(scale Scale) (*Report, error) {
 	rep := &Report{Name: "fig9"}
 	maxD := 5
@@ -54,25 +55,54 @@ func Fig9Convergence(scale Scale) (*Report, error) {
 			}
 			p := gsoParamsFor(d, scale, uint64(92+d))
 			p.MaxIters = iters
-			p.ConvergeWindow = 15
-			p.ConvergeEps = 1e-4
 			space := geom.SolutionSpace(ds.Domain(), 0.01, 0.15)
 			res, err := gso.Run(p, space, obj, gso.Options{})
 			if err != nil {
 				return nil, err
 			}
-			step := 1 + len(res.Trace)/25 // downsample the curve
-			for i := 0; i < len(res.Trace); i += step {
-				tr := res.Trace[i]
+			n := convergedAt(res.Trace, convergeWindow, convergeEps)
+			trace := res.Trace[:n]
+			step := 1 + len(trace)/25 // downsample the curve
+			for i := 0; i < len(trace); i += step {
+				tr := trace[i]
 				curves.AddRow(k, 2*d, tr.Iteration, tr.MeanFitness)
 			}
-			conv.AddRow(k, 2*d, res.Iterations)
-			convIters = append(convIters, float64(res.Iterations))
+			conv.AddRow(k, 2*d, n)
+			convIters = append(convIters, float64(n))
 		}
 	}
 	rep.Tables = append(rep.Tables, curves, conv)
 	rep.Notef("average iterations to convergence: %.0f (paper: 63)", stats.MeanOf(convIters))
 	return rep, nil
+}
+
+// The plateau rule Fig. 9 reads convergence by: the mean luciferin
+// spans less than convergeEps over convergeWindow iterations.
+const (
+	convergeWindow = 15
+	convergeEps    = 1e-4
+)
+
+// convergedAt returns the number of iterations a swarm took to
+// converge: t+1 for the first iteration t ≥ window at which the mean
+// luciferin of iterations t−window+1 … t spans less than eps, or
+// len(trace) when no window does. A NaN in the window never converges.
+func convergedAt(trace []gso.IterStats, window int, eps float64) int {
+	if window < 1 {
+		return len(trace)
+	}
+	for t := window; t < len(trace); t++ {
+		win := trace[t-window+1 : t+1]
+		lo, hi := win[0].MeanLuciferin, win[0].MeanLuciferin
+		for _, it := range win {
+			lo = math.Min(lo, it.MeanLuciferin)
+			hi = math.Max(hi, it.MeanLuciferin)
+		}
+		if hi-lo < eps {
+			return t + 1
+		}
+	}
+	return len(trace)
 }
 
 // Fig10GSOScaling reproduces paper Fig. 10: GSO wall time as region

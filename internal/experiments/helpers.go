@@ -57,8 +57,8 @@ func gbtParamsFor(scale Scale) gbt.Params {
 	return p
 }
 
-// gsoParamsFor applies the paper's L = 50·(2d) and convergence-window
-// rules with scale-dependent budgets.
+// gsoParamsFor applies the paper's L = 50·(2d) rule with
+// scale-dependent budgets; every run uses its whole budget.
 func gsoParamsFor(dims int, scale Scale, seed uint64) gso.Params {
 	p := gso.DefaultParams()
 	p.Glowworms = 50 * 2 * dims
@@ -69,8 +69,6 @@ func gsoParamsFor(dims int, scale Scale, seed uint64) gso.Params {
 	if scale == Full {
 		p.MaxIters = 250
 	}
-	p.ConvergeWindow = 15
-	p.ConvergeEps = 1e-4
 	p.Seed = seed
 	return p
 }

@@ -6,8 +6,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"math/rand/v2"
 )
 
 // Model is a trained gradient-boosted tree ensemble approximating
@@ -17,21 +15,16 @@ type Model struct {
 	baseScore float64
 	trees     []*tree
 	nfeat     int
-	// evalHistory records validation RMSE per round when a validation
-	// set is supplied; used by the Fig. 12 complexity study.
-	evalHistory []float64
-	bestRound   int
 }
 
 // ErrNotTrained reports prediction on an unfit model.
 var ErrNotTrained = errors.New("gbt: model not trained")
 
-// Train fits an ensemble to X (rows × features) and y. valX/valY are
-// an optional validation split for early stopping and eval history;
-// pass nil to disable. It is exactly
-// TrainContext(context.Background(), ...).
-func Train(p Params, X [][]float64, y []float64, valX [][]float64, valY []float64) (*Model, error) {
-	return TrainContext(context.Background(), p, X, y, valX, valY)
+// Train fits an ensemble of Params.NumTrees trees to X (rows ×
+// features) and y. It is exactly TrainContext(context.Background(),
+// ...).
+func Train(p Params, X [][]float64, y []float64) (*Model, error) {
+	return TrainContext(context.Background(), p, X, y)
 }
 
 // TrainContext is Train with cancellation and parallelism. The context
@@ -41,7 +34,7 @@ func Train(p Params, X [][]float64, y []float64, valX [][]float64, valY []float6
 // bounds the goroutines used for histogram construction, split search
 // and prediction updates — the trained model is bit-identical for
 // every Workers value (work decomposition never depends on it).
-func TrainContext(ctx context.Context, p Params, X [][]float64, y []float64, valX [][]float64, valY []float64) (*Model, error) {
+func TrainContext(ctx context.Context, p Params, X [][]float64, y []float64) (*Model, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -63,17 +56,6 @@ func TrainContext(ctx context.Context, p Params, X [][]float64, y []float64, val
 			return nil, fmt.Errorf("gbt: row %d has %d features, want %d", i, len(row), nfeat)
 		}
 	}
-	if (valX == nil) != (valY == nil) || len(valX) != len(valY) {
-		return nil, errors.New("gbt: validation features and labels must match")
-	}
-	for i, row := range valX {
-		if len(row) != nfeat {
-			return nil, fmt.Errorf("gbt: validation row %d has %d features, want %d", i, len(row), nfeat)
-		}
-	}
-	if p.EarlyStopping > 0 && len(valX) == 0 {
-		return nil, errors.New("gbt: early stopping requires a validation set")
-	}
 
 	m := &Model{params: p, nfeat: nfeat}
 	m.baseScore = mean(y)
@@ -82,39 +64,11 @@ func TrainContext(ctx context.Context, p Params, X [][]float64, y []float64, val
 	for i := range tr.pred {
 		tr.pred[i] = m.baseScore
 	}
-	tr.rng = rand.New(rand.NewPCG(p.Seed, 0x9e3779b97f4a7c15))
-
-	var vs *valState
-	if len(valX) > 0 {
-		vs = newValState(tr, valX, valY, m.baseScore)
-	}
-
-	bestRMSE := math.Inf(1)
-	sinceBest := 0
-	m.bestRound = -1
-
 	for round := 0; round < p.NumTrees; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		t := tr.round()
-		m.trees = append(m.trees, t)
-		if vs != nil {
-			rmse := vs.update(tr, t)
-			m.evalHistory = append(m.evalHistory, rmse)
-			if rmse < bestRMSE-1e-12 {
-				bestRMSE = rmse
-				m.bestRound = round
-				sinceBest = 0
-			} else {
-				sinceBest++
-				if p.EarlyStopping > 0 && sinceBest >= p.EarlyStopping {
-					m.trees = m.trees[:m.bestRound+1]
-					m.evalHistory = m.evalHistory[:m.bestRound+1]
-					break
-				}
-			}
-		}
+		m.trees = append(m.trees, tr.round())
 	}
 	return m, nil
 }
@@ -122,22 +76,12 @@ func TrainContext(ctx context.Context, p Params, X [][]float64, y []float64, val
 // NumFeatures returns the feature dimensionality the model expects.
 func (m *Model) NumFeatures() int { return m.nfeat }
 
-// NumTrees returns the number of trees in the trained ensemble (may be
-// fewer than Params.NumTrees under early stopping).
+// NumTrees returns the number of trees in the trained ensemble:
+// Params.NumTrees plus any continued rounds.
 func (m *Model) NumTrees() int { return len(m.trees) }
 
 // Params returns the training parameters.
 func (m *Model) Params() Params { return m.params }
-
-// EvalHistory returns the validation RMSE per round (nil without a
-// validation set).
-func (m *Model) EvalHistory() []float64 {
-	return append([]float64(nil), m.evalHistory...)
-}
-
-// BestRound returns the round with the lowest validation RMSE, or −1
-// without a validation set.
-func (m *Model) BestRound() int { return m.bestRound }
 
 // Predict1 returns the prediction for a single raw feature row.
 func (m *Model) Predict1(row []float64) float64 {
@@ -180,46 +124,10 @@ func (m *Model) PredictInto(X [][]float64, out []float64) {
 	}
 }
 
-// FeatureImportance returns per-feature total split gain, normalized
-// to sum to 1 (all zeros when the ensemble made no splits).
-func (m *Model) FeatureImportance() []float64 {
-	imp := make([]float64, m.nfeat)
-	var total float64
-	for _, t := range m.trees {
-		for i := range t.Nodes {
-			nd := &t.Nodes[i]
-			if nd.Feature != leafMarker {
-				imp[nd.Feature] += nd.Gain
-				total += nd.Gain
-			}
-		}
-	}
-	if total > 0 {
-		for j := range imp {
-			imp[j] /= total
-		}
-	}
-	return imp
-}
-
 func mean(xs []float64) float64 {
 	var s float64
 	for _, v := range xs {
 		s += v
 	}
 	return s / float64(len(xs))
-}
-
-// sampleInt32 draws k distinct values from [0, n) via partial
-// Fisher-Yates.
-func sampleInt32(rng *rand.Rand, n, k int) []int32 {
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	for i := 0; i < k; i++ {
-		j := i + rng.IntN(n-i)
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-	return idx[:k]
 }

@@ -9,7 +9,7 @@ import (
 
 // compileVariants covers the ensemble shapes the compiler must
 // preserve: single-leaf trees (depth 0 and constant labels), deep
-// trees, and row/column-subsampled ensembles.
+// trees, and ensembles over coarse 8-bin features.
 func compileVariants() []Params {
 	singleLeaf := DefaultParams()
 	singleLeaf.MaxDepth = 0
@@ -20,13 +20,11 @@ func compileVariants() []Params {
 	deep.NumTrees = 60
 	deep.MaxBins = 64
 
-	subsampled := DefaultParams()
-	subsampled.NumTrees = 40
-	subsampled.Subsample = 0.7
-	subsampled.ColSample = 0.6
-	subsampled.Seed = 9
+	coarse := DefaultParams()
+	coarse.NumTrees = 40
+	coarse.MaxBins = 8
 
-	return []Params{singleLeaf, deep, subsampled, DefaultParams()}
+	return []Params{singleLeaf, deep, coarse, DefaultParams()}
 }
 
 // TestCompiledMatchesModelQuick is the differential property test:
@@ -43,7 +41,7 @@ func TestCompiledMatchesModelQuick(t *testing.T) {
 				y[i] = 42
 			}
 		}
-		m, err := Train(p, X, y, nil, nil)
+		m, err := Train(p, X, y)
 		if err != nil {
 			t.Fatalf("variant %d: %v", vi, err)
 		}
@@ -84,7 +82,7 @@ func TestCompiledPredictQuick(t *testing.T) {
 	X, y := synthRegression(rng, 700)
 	p := DefaultParams()
 	p.NumTrees = 50
-	m, err := Train(p, X, y, nil, nil)
+	m, err := Train(p, X, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +103,7 @@ func TestCompileSnapshotIndependence(t *testing.T) {
 	X, y := synthRegression(rng, 500)
 	p := DefaultParams()
 	p.NumTrees = 10
-	m, err := Train(p, X, y, nil, nil)
+	m, err := Train(p, X, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +137,7 @@ func mustPanic(t *testing.T, name string, fn func()) {
 func TestBatchValidation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(74, 1))
 	X, y := synthRegression(rng, 300)
-	m, err := Train(DefaultParams(), X, y, nil, nil)
+	m, err := Train(DefaultParams(), X, y)
 	if err != nil {
 		t.Fatal(err)
 	}

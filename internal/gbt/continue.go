@@ -6,7 +6,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 )
 
 // Clone returns an independent copy of the model: continued training
@@ -14,12 +13,10 @@ import (
 // are immutable and shared).
 func (m *Model) Clone() *Model {
 	return &Model{
-		params:      m.params,
-		baseScore:   m.baseScore,
-		trees:       append([]*tree(nil), m.trees...),
-		nfeat:       m.nfeat,
-		evalHistory: append([]float64(nil), m.evalHistory...),
-		bestRound:   m.bestRound,
+		params:    m.params,
+		baseScore: m.baseScore,
+		trees:     append([]*tree(nil), m.trees...),
+		nfeat:     m.nfeat,
 	}
 }
 
@@ -61,7 +58,6 @@ func (m *Model) ContinueTrainingContext(ctx context.Context, extra int, X [][]fl
 	p := m.params
 	tr := newTrainer(p, p.effectiveWorkers(), X, y, m.nfeat)
 	m.PredictInto(X, tr.pred)
-	tr.rng = rand.New(rand.NewPCG(p.Seed^0x5851f42d4c957f2d, uint64(len(m.trees))))
 
 	newTrees := make([]*tree, 0, extra)
 	for round := 0; round < extra; round++ {

@@ -13,7 +13,7 @@ func TestContinueTrainingImprovesFit(t *testing.T) {
 	X, y := synthRegression(rng, 1500)
 	p := DefaultParams()
 	p.NumTrees = 20 // deliberately underfit
-	m, err := Train(p, X, y, nil, nil)
+	m, err := Train(p, X, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestContinueTrainingImprovesFit(t *testing.T) {
 func TestContinueTrainingOnNewData(t *testing.T) {
 	rng := rand.New(rand.NewPCG(22, 1))
 	X1, y1 := synthRegression(rng, 800)
-	m, err := Train(DefaultParams(), X1, y1, nil, nil)
+	m, err := Train(DefaultParams(), X1, y1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestContinueTrainingOnNewData(t *testing.T) {
 func TestContinueTrainingValidation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 1))
 	X, y := synthRegression(rng, 200)
-	m, _ := Train(DefaultParams(), X, y, nil, nil)
+	m, _ := Train(DefaultParams(), X, y)
 	if err := m.ContinueTraining(0, X, y); err == nil {
 		t.Error("expected error for zero extra rounds")
 	}
@@ -83,7 +83,7 @@ func TestContinueTrainingSurvivesSaveLoad(t *testing.T) {
 	X, y := synthRegression(rng, 500)
 	p := DefaultParams()
 	p.NumTrees = 30
-	m, _ := Train(p, X, y, nil, nil)
+	m, _ := Train(p, X, y)
 	if err := m.ContinueTraining(30, X, y); err != nil {
 		t.Fatal(err)
 	}

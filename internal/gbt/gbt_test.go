@@ -32,10 +32,6 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.LearningRate = 1.5 },
 		func(p *Params) { p.MaxDepth = -1 },
 		func(p *Params) { p.Lambda = -1 },
-		func(p *Params) { p.Gamma = -0.5 },
-		func(p *Params) { p.MinChildWeight = -1 },
-		func(p *Params) { p.Subsample = 0 },
-		func(p *Params) { p.ColSample = 1.2 },
 		func(p *Params) { p.MaxBins = 1 },
 		func(p *Params) { p.MaxBins = 300 },
 	}
@@ -50,21 +46,14 @@ func TestParamsValidate(t *testing.T) {
 
 func TestTrainInputValidation(t *testing.T) {
 	p := DefaultParams()
-	if _, err := Train(p, nil, nil, nil, nil); err == nil {
+	if _, err := Train(p, nil, nil); err == nil {
 		t.Error("expected error for empty training set")
 	}
-	if _, err := Train(p, [][]float64{{1}}, []float64{1, 2}, nil, nil); err == nil {
+	if _, err := Train(p, [][]float64{{1}}, []float64{1, 2}); err == nil {
 		t.Error("expected error for row/label mismatch")
 	}
-	if _, err := Train(p, [][]float64{{}}, []float64{1}, nil, nil); err == nil {
+	if _, err := Train(p, [][]float64{{}}, []float64{1}); err == nil {
 		t.Error("expected error for zero features")
-	}
-	if _, err := Train(p, [][]float64{{1}}, []float64{1}, [][]float64{{1}}, nil); err == nil {
-		t.Error("expected error for val mismatch")
-	}
-	p.EarlyStopping = 5
-	if _, err := Train(p, [][]float64{{1}}, []float64{1}, nil, nil); err == nil {
-		t.Error("expected error for early stopping without validation")
 	}
 }
 
@@ -75,7 +64,7 @@ func TestSingleLeafPredictsMean(t *testing.T) {
 	p.LearningRate = 1
 	X := [][]float64{{1}, {2}, {3}, {4}}
 	y := []float64{10, 20, 30, 40}
-	m, err := Train(p, X, y, nil, nil)
+	m, err := Train(p, X, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +82,7 @@ func TestFitsLinearFunction(t *testing.T) {
 	X, y := synthRegression(rng, 2000)
 	p := DefaultParams()
 	p.NumTrees = 150
-	m, err := Train(p, X, y, nil, nil)
+	m, err := Train(p, X, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +106,7 @@ func TestMoreTreesReduceTrainingError(t *testing.T) {
 	for _, trees := range []int{5, 25, 100} {
 		p := DefaultParams()
 		p.NumTrees = trees
-		m, err := Train(p, X, y, nil, nil)
+		m, err := Train(p, X, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +137,7 @@ func TestDeeperTreesFitBetter(t *testing.T) {
 		p := DefaultParams()
 		p.MaxDepth = depth
 		p.NumTrees = 50
-		m, err := Train(p, X, y, nil, nil)
+		m, err := Train(p, X, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,74 +151,33 @@ func TestDeeperTreesFitBetter(t *testing.T) {
 	}
 }
 
-func TestEarlyStopping(t *testing.T) {
-	rng := rand.New(rand.NewPCG(4, 1))
-	X, y := synthRegression(rng, 600)
-	valX, valY := synthRegression(rng, 300)
-	p := DefaultParams()
-	p.NumTrees = 400
-	p.EarlyStopping = 10
-	m, err := Train(p, X, y, valX, valY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumTrees() >= 400 {
-		t.Errorf("early stopping kept all %d trees", m.NumTrees())
-	}
-	if m.BestRound() != m.NumTrees()-1 {
-		t.Errorf("BestRound %d should equal last kept round %d", m.BestRound(), m.NumTrees()-1)
-	}
-	hist := m.EvalHistory()
-	if len(hist) != m.NumTrees() {
-		t.Errorf("eval history %d entries for %d trees", len(hist), m.NumTrees())
-	}
-	// The last kept round is the validation minimum.
-	for _, v := range hist {
-		if v < hist[len(hist)-1]-1e-12 {
-			t.Errorf("kept round RMSE %g is not the minimum (saw %g)", hist[len(hist)-1], v)
-		}
-	}
-}
-
-func TestSubsamplingStillLearns(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 1))
-	X, y := synthRegression(rng, 1500)
-	p := DefaultParams()
-	p.Subsample = 0.5
-	p.ColSample = 0.5
-	m, err := Train(p, X, y, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rmse, _ := stats.RMSE(m.Predict(X), y)
-	if rmse > 0.4 {
-		t.Errorf("subsampled RMSE = %g, want < 0.4", rmse)
-	}
-}
-
+// TestDeterminismWithSeed: training draws nothing at random, so two
+// runs give identical models and Params.Seed changes nothing.
 func TestDeterminismWithSeed(t *testing.T) {
 	rng := rand.New(rand.NewPCG(6, 1))
 	X, y := synthRegression(rng, 400)
 	p := DefaultParams()
-	p.Subsample = 0.7
 	p.Seed = 99
-	m1, _ := Train(p, X, y, nil, nil)
-	m2, _ := Train(p, X, y, nil, nil)
-	probe := []float64{0.3, 0.7}
-	if m1.Predict1(probe) != m2.Predict1(probe) {
-		t.Error("same seed should give identical models")
-	}
+	m1, _ := Train(p, X, y)
+	m2, _ := Train(p, X, y)
 	p.Seed = 100
-	m3, _ := Train(p, X, y, nil, nil)
-	if m1.Predict1(probe) == m3.Predict1(probe) {
-		t.Error("different seeds should (almost surely) differ")
+	m3, _ := Train(p, X, y)
+	ref := serializeModel(t, m1)
+	if !bytes.Equal(serializeModel(t, m2), ref) {
+		t.Error("two runs with the same params should give identical models")
+	}
+	// Save writes Params, so compare the trees through predictions.
+	for _, probe := range [][]float64{{0.3, 0.7}, {0.9, 0.1}, {0.5, 0.5}} {
+		if m1.Predict1(probe) != m3.Predict1(probe) {
+			t.Errorf("Seed changed the prediction at %v", probe)
+		}
 	}
 }
 
 func TestConstantTarget(t *testing.T) {
 	X := [][]float64{{1}, {2}, {3}, {4}, {5}}
 	y := []float64{7, 7, 7, 7, 7}
-	m, err := Train(DefaultParams(), X, y, nil, nil)
+	m, err := Train(DefaultParams(), X, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,31 +188,8 @@ func TestConstantTarget(t *testing.T) {
 	}
 }
 
-func TestFeatureImportance(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 1))
-	// y depends only on feature 0; feature 1 is noise.
-	n := 1000
-	X := make([][]float64, n)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		X[i] = []float64{rng.Float64(), rng.Float64()}
-		y[i] = 5 * X[i][0]
-	}
-	m, err := Train(DefaultParams(), X, y, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	imp := m.FeatureImportance()
-	if imp[0] < 0.9 {
-		t.Errorf("importance of informative feature = %g, want > 0.9", imp[0])
-	}
-	if math.Abs(imp[0]+imp[1]-1) > 1e-9 {
-		t.Errorf("importances sum to %g, want 1", imp[0]+imp[1])
-	}
-}
-
 func TestPredictPanicsOnWrongWidth(t *testing.T) {
-	m, _ := Train(DefaultParams(), [][]float64{{1, 2}, {3, 4}, {5, 6}}, []float64{1, 2, 3}, nil, nil)
+	m, _ := Train(DefaultParams(), [][]float64{{1, 2}, {3, 4}, {5, 6}}, []float64{1, 2, 3})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -276,7 +201,7 @@ func TestPredictPanicsOnWrongWidth(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 1))
 	X, y := synthRegression(rng, 500)
-	m, err := Train(DefaultParams(), X, y, nil, nil)
+	m, err := Train(DefaultParams(), X, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +286,7 @@ func TestTreePredictConsistentWithBins(t *testing.T) {
 	p.MaxDepth = 1
 	p.LearningRate = 1
 	p.Lambda = 0
-	m, err := Train(p, X, y, nil, nil)
+	m, err := Train(p, X, y)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,11 +8,11 @@
 //
 //	Gain = ½ [ G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ) ] − γ
 //
-// and the leaf weight is w = −G/(H+λ). Learning-rate shrinkage, row
-// subsampling, column subsampling, minimum child weight and early
-// stopping on a validation split are supported — the knobs the paper's
-// GridSearchCV tunes (learning_rate, max_depth, n_estimators,
-// reg_lambda).
+// and the leaf weight is w = −G/(H+λ). The settable knobs are the ones
+// the paper's GridSearchCV tunes (learning_rate, max_depth,
+// n_estimators, reg_lambda); the rest keep XGBoost's defaults as
+// constants: γ = 0 (any positive gain splits), a minimum child
+// hessian of 1, and every row and feature in every tree.
 package gbt
 
 import (
@@ -34,24 +34,11 @@ type Params struct {
 	// Lambda is the L2 regularization on leaf weights (paper:
 	// reg_lambda).
 	Lambda float64
-	// Gamma is the minimum gain required to make a split.
-	Gamma float64
-	// MinChildWeight is the minimum hessian sum per child; for squared
-	// loss this equals a minimum sample count per leaf.
-	MinChildWeight float64
-	// Subsample is the fraction of rows drawn (without replacement)
-	// per boosting round; 1 disables subsampling.
-	Subsample float64
-	// ColSample is the fraction of features considered per tree; 1
-	// disables column subsampling.
-	ColSample float64
 	// MaxBins is the number of histogram bins per feature (≤ 256).
 	MaxBins int
-	// EarlyStopping stops training when the validation RMSE has not
-	// improved for this many rounds (0 disables; requires a validation
-	// set on Fit).
-	EarlyStopping int
-	// Seed drives row/column subsampling.
+	// Seed no longer affects training, which draws nothing at random.
+	// It is kept so that callers which set it still compile, and it
+	// travels in saved artifacts.
 	Seed uint64
 	// Workers is the number of goroutines training may use for
 	// histogram construction, split search and prediction updates
@@ -66,16 +53,12 @@ type Params struct {
 // for the paper's Fig. 6 "Hypertuning=False" line.
 func DefaultParams() Params {
 	return Params{
-		NumTrees:       100,
-		LearningRate:   0.1,
-		MaxDepth:       6,
-		Lambda:         1,
-		Gamma:          0,
-		MinChildWeight: 1,
-		Subsample:      1,
-		ColSample:      1,
-		MaxBins:        256,
-		Seed:           1,
+		NumTrees:     100,
+		LearningRate: 0.1,
+		MaxDepth:     6,
+		Lambda:       1,
+		MaxBins:      256,
+		Seed:         1,
 	}
 }
 
@@ -90,14 +73,6 @@ func (p Params) Validate() error {
 		return errors.New("gbt: MaxDepth must be >= 0")
 	case p.Lambda < 0:
 		return errors.New("gbt: Lambda must be >= 0")
-	case p.Gamma < 0:
-		return errors.New("gbt: Gamma must be >= 0")
-	case p.MinChildWeight < 0:
-		return errors.New("gbt: MinChildWeight must be >= 0")
-	case p.Subsample <= 0 || p.Subsample > 1:
-		return fmt.Errorf("gbt: Subsample %g out of (0,1]", p.Subsample)
-	case p.ColSample <= 0 || p.ColSample > 1:
-		return fmt.Errorf("gbt: ColSample %g out of (0,1]", p.ColSample)
 	case p.MaxBins < 2 || p.MaxBins > 256:
 		return fmt.Errorf("gbt: MaxBins %d out of [2,256]", p.MaxBins)
 	case p.Workers < 0:

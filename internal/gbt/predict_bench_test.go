@@ -47,7 +47,7 @@ func benchEnsemble(trees, depth, probeRows int) (*Model, [][]float64, error) {
 	p := DefaultParams()
 	p.NumTrees = trees
 	p.MaxDepth = depth
-	m, err := Train(p, X, y, nil, nil)
+	m, err := Train(p, X, y)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -14,7 +14,7 @@ func TestPredictionsFiniteQuick(t *testing.T) {
 	X, y := synthRegression(rng, 600)
 	p := DefaultParams()
 	p.NumTrees = 40
-	m, err := Train(p, X, y, nil, nil)
+	m, err := Train(p, X, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,37 +56,5 @@ func TestBinMonotoneQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: feature importances are a probability vector (or all
-// zero for a constant target).
-func TestImportanceSimplexQuick(t *testing.T) {
-	rng := rand.New(rand.NewPCG(43, 1))
-	for trial := 0; trial < 10; trial++ {
-		n := 100 + rng.IntN(400)
-		X := make([][]float64, n)
-		y := make([]float64, n)
-		for i := 0; i < n; i++ {
-			X[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-			y[i] = X[i][rng.IntN(3)] * 10
-		}
-		p := DefaultParams()
-		p.NumTrees = 20
-		m, err := Train(p, X, y, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		imp := m.FeatureImportance()
-		var sum float64
-		for _, v := range imp {
-			if v < 0 {
-				t.Fatalf("negative importance %g", v)
-			}
-			sum += v
-		}
-		if math.Abs(sum-1) > 1e-9 && sum != 0 {
-			t.Fatalf("importances sum to %g", sum)
-		}
 	}
 }

@@ -18,7 +18,6 @@ type gobModel struct {
 	BaseScore float64
 	Trees     []gobTree
 	NumFeat   int
-	BestRound int
 }
 
 type gobTree struct {
@@ -35,7 +34,6 @@ func (m *Model) Save(w io.Writer) error {
 		Params:    m.params,
 		BaseScore: m.baseScore,
 		NumFeat:   m.nfeat,
-		BestRound: m.bestRound,
 	}
 	g.Params.Workers = 0
 	for _, t := range m.trees {
@@ -69,7 +67,6 @@ func Load(r io.Reader) (*Model, error) {
 		params:    g.Params,
 		baseScore: g.BaseScore,
 		nfeat:     g.NumFeat,
-		bestRound: g.BestRound,
 	}
 	for _, t := range g.Trees {
 		m.trees = append(m.trees, &tree{Nodes: t.Nodes})
@@ -82,10 +79,6 @@ func Load(r io.Reader) (*Model, error) {
 func validateDecoded(g *gobModel) error {
 	if g.NumFeat <= 0 || g.NumFeat > maxLoadFeatures {
 		return fmt.Errorf("feature count %d out of range [1,%d]", g.NumFeat, maxLoadFeatures)
-	}
-	// BestRound is −1 (no validation set) or a round index.
-	if g.BestRound != -1 && (g.BestRound < 0 || g.BestRound >= len(g.Trees)) {
-		return fmt.Errorf("best round %d for %d trees", g.BestRound, len(g.Trees))
 	}
 	total := 0
 	for ti, t := range g.Trees {

@@ -32,7 +32,6 @@ func validWire() gobModel {
 		Params:    DefaultParams(),
 		BaseScore: 1.5,
 		NumFeat:   2,
-		BestRound: -1,
 		Trees: []gobTree{
 			{Nodes: []node{split(0, 1, 2), leaf(0.1), leaf(-0.2)}},
 			{Nodes: []node{leaf(0.05)}},
@@ -75,8 +74,6 @@ func TestLoadRejectsCorruptArtifacts(t *testing.T) {
 		{"zero features", func(g *gobModel) { g.NumFeat = 0 }, "feature count"},
 		{"negative features", func(g *gobModel) { g.NumFeat = -3 }, "feature count"},
 		{"absurd features", func(g *gobModel) { g.NumFeat = 1 << 30 }, "feature count"},
-		{"best round past trees", func(g *gobModel) { g.BestRound = 2 }, "best round"},
-		{"best round negative", func(g *gobModel) { g.BestRound = -7 }, "best round"},
 		{"empty tree", func(g *gobModel) { g.Trees[1].Nodes = nil }, "empty"},
 		{"child index past nodes", func(g *gobModel) { g.Trees[0].Nodes[0].Right = 9 }, "out of range"},
 		{"child index zero (root)", func(g *gobModel) { g.Trees[0].Nodes[0].Left = 0 }, "out of range"},
@@ -119,12 +116,66 @@ func TestLoadRejectsCorruptArtifacts(t *testing.T) {
 	}
 }
 
-// TestLoadAcceptsTrainedBestRound covers the legitimate early-stopped
-// shape: BestRound set to the last kept round.
+// legacyParams and legacyWire are the wire form older writers used:
+// Params still carried Gamma, MinChildWeight, Subsample, ColSample and
+// EarlyStopping, and the model carried BestRound. Gob matches fields
+// by name, so Load skips the ones this version dropped.
+type legacyParams struct {
+	NumTrees       int
+	LearningRate   float64
+	MaxDepth       int
+	Lambda         float64
+	Gamma          float64
+	MinChildWeight float64
+	Subsample      float64
+	ColSample      float64
+	MaxBins        int
+	EarlyStopping  int
+	Seed           uint64
+	Workers        int
+}
+
+type legacyWire struct {
+	Params    legacyParams
+	BaseScore float64
+	Trees     []gobTree
+	NumFeat   int
+	BestRound int
+}
+
+// TestLoadAcceptsTrainedBestRound: an artifact in the older wire form,
+// with a BestRound and the dropped Params fields set, loads and
+// predicts as the same ensemble in the current form does.
 func TestLoadAcceptsTrainedBestRound(t *testing.T) {
 	g := validWire()
-	g.BestRound = 1
-	if _, err := Load(encodeWire(t, g)); err != nil {
-		t.Fatalf("Load rejected valid best round: %v", err)
+	old := legacyWire{
+		Params: legacyParams{
+			NumTrees: 100, LearningRate: 0.1, MaxDepth: 6, Lambda: 1,
+			MinChildWeight: 1, Subsample: 1, ColSample: 1, MaxBins: 256,
+			EarlyStopping: 5, Seed: 1,
+		},
+		BaseScore: g.BaseScore,
+		Trees:     g.Trees,
+		NumFeat:   g.NumFeat,
+		BestRound: 1,
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("Load rejected the older wire form: %v", err)
+	}
+	want, err := Load(encodeWire(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := []float64{0.2, 0.9}
+	if got, w := m.Predict1(row), want.Predict1(row); got != w {
+		t.Fatalf("older wire form predicts %g, current form %g", got, w)
+	}
+	if p := m.Params(); p.NumTrees != 100 || p.MaxBins != 256 || p.Seed != 1 {
+		t.Fatalf("shared Params fields not decoded: %+v", p)
 	}
 }

@@ -2,31 +2,20 @@
 
 package gbt
 
-import (
-	"math"
-	"math/rand/v2"
-	"sort"
-)
-
 // trainer holds the per-run state shared by TrainContext and
 // ContinueTrainingContext: the binned matrix, gradient buffers, the
 // running ensemble prediction per row, and the reusable tree builder.
 // One boosting round is round(); everything inside is parallel across
 // the configured workers and bit-identical for every worker count.
 type trainer struct {
-	p       Params
 	workers int
-	nfeat   int
 	n       int
-	bins    []uint8
 	y       []float64
 	pred    []float64
 	grad    []float64
 	hess    []float64
 	leafOf  []int32
-	rng     *rand.Rand
 	allRows []int32
-	allCols []int
 	tb      *treeBuilder
 }
 
@@ -35,26 +24,19 @@ func newTrainer(p Params, workers int, X [][]float64, y []float64, nfeat int) *t
 	n := len(y)
 	bnr := newBinnerPar(X, p.MaxBins, workers)
 	tr := &trainer{
-		p:       p,
 		workers: workers,
-		nfeat:   nfeat,
 		n:       n,
-		bins:    bnr.binMatrixPar(X, workers),
 		y:       y,
 		pred:    make([]float64, n),
 		grad:    make([]float64, n),
 		hess:    make([]float64, n),
 		leafOf:  make([]int32, n),
 		allRows: make([]int32, n),
-		allCols: make([]int, nfeat),
 	}
 	for i := range tr.allRows {
 		tr.allRows[i] = int32(i)
 	}
-	for j := range tr.allCols {
-		tr.allCols[j] = j
-	}
-	tr.tb = newTreeBuilder(p, bnr, tr.bins, nfeat, tr.grad, tr.hess, tr.leafOf, workers)
+	tr.tb = newTreeBuilder(p, bnr, bnr.binMatrixPar(X, workers), nfeat, tr.grad, tr.hess, tr.leafOf, workers)
 	return tr
 }
 
@@ -69,12 +51,11 @@ func (tr *trainer) forRows(fn func(lo, hi int)) {
 	})
 }
 
-// round executes one boosting round: refresh gradients, draw the
-// row/column subsamples, grow the tree, and fold the new tree's
-// contribution into every row's running prediction. Rows the tree was
-// built on get their leaf weight straight from the leaf assignment
-// captured during partitioning — no tree traversal at all; rows
-// outside the subsample take the cheap binned walk.
+// round executes one boosting round: refresh gradients, grow the tree
+// over every row, and fold the new tree's contribution into every
+// row's running prediction. Each row gets its leaf weight straight
+// from the leaf assignment captured during partitioning, with no tree
+// traversal at all.
 func (tr *trainer) round() *tree {
 	tr.forRows(func(lo, hi int) {
 		// Squared loss: g = ŷ − y, h = 1.
@@ -83,93 +64,11 @@ func (tr *trainer) round() *tree {
 			tr.hess[i] = 1
 		}
 	})
-	rows := tr.allRows
-	if tr.p.Subsample < 1 {
-		k := int(math.Ceil(tr.p.Subsample * float64(tr.n)))
-		if k < 1 {
-			k = 1
-		}
-		rows = sampleInt32(tr.rng, tr.n, k)
-	}
-	cols := tr.allCols
-	if tr.p.ColSample < 1 {
-		k := int(math.Ceil(tr.p.ColSample * float64(tr.nfeat)))
-		if k < 1 {
-			k = 1
-		}
-		cols = tr.rng.Perm(tr.nfeat)[:k]
-		// The RNG draw order is fixed; sorting afterwards gives the
-		// split search its canonical ascending feature order.
-		sort.Ints(cols)
-	}
-	subsampled := len(rows) < tr.n
-	if subsampled {
-		for i := range tr.leafOf {
-			tr.leafOf[i] = noLeaf
-		}
-	}
-	tr.tb.cols = cols
-	t := tr.tb.build(rows)
-	nodeBins := tr.tb.nodeBins
+	t := tr.tb.build(tr.allRows)
 	tr.forRows(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if leaf := tr.leafOf[i]; leaf != noLeaf {
-				tr.pred[i] += t.Nodes[leaf].Weight
-			} else {
-				tr.pred[i] += predictBinned(t, nodeBins, tr.bins[i*tr.nfeat:(i+1)*tr.nfeat])
-			}
+			tr.pred[i] += t.Nodes[tr.leafOf[i]].Weight
 		}
 	})
 	return t
-}
-
-// valState tracks the validation split across rounds: the binned
-// validation matrix and each validation row's running prediction.
-type valState struct {
-	bins    []uint8
-	pred    []float64
-	y       []float64
-	nfeat   int
-	partial []float64
-}
-
-// newValState bins the validation matrix against the training binner.
-func newValState(tr *trainer, valX [][]float64, valY []float64, baseScore float64) *valState {
-	vs := &valState{
-		bins:    tr.tb.binner.binMatrixPar(valX, tr.workers),
-		pred:    make([]float64, len(valX)),
-		y:       valY,
-		nfeat:   tr.nfeat,
-		partial: make([]float64, maxRowChunks),
-	}
-	for i := range vs.pred {
-		vs.pred[i] = baseScore
-	}
-	return vs
-}
-
-// update folds the new tree into the validation predictions and
-// returns the round's validation RMSE, parallel over fixed row chunks
-// whose partial sums reduce in chunk order (bit-identical for every
-// worker count).
-func (vs *valState) update(tr *trainer, t *tree) float64 {
-	n := len(vs.pred)
-	nodeBins := tr.tb.nodeBins
-	R := rowChunks(n)
-	partial := vs.partial[:R]
-	parallelFor(tr.workers, R, func(r int) {
-		lo, hi := chunkRange(n, R, r)
-		var sum float64
-		for i := lo; i < hi; i++ {
-			vs.pred[i] += predictBinned(t, nodeBins, vs.bins[i*vs.nfeat:(i+1)*vs.nfeat])
-			d := vs.pred[i] - vs.y[i]
-			sum += d * d
-		}
-		partial[r] = sum
-	})
-	var total float64
-	for _, s := range partial {
-		total += s
-	}
-	return math.Sqrt(total / float64(n))
 }

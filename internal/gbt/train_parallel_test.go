@@ -22,36 +22,23 @@ func serializeModel(t *testing.T, m *Model) []byte {
 }
 
 // TestTrainContextWorkersBitIdentical is the differential proof behind
-// the parallel trainer: for every Workers value — including under row
-// and column subsampling and early stopping — the serialized model is
-// byte-identical to the Workers=1 reference.
+// the parallel trainer: for every Workers value the serialized model
+// is byte-identical to the Workers=1 reference.
 func TestTrainContextWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(71, 1))
 	X, y := synthRegression(rng, 3000)
-	valX, valY := synthRegression(rng, 400)
 
 	cases := []struct {
 		name string
 		tune func(*Params)
-		val  bool
 	}{
-		{"default", func(p *Params) { p.NumTrees = 30 }, false},
-		{"subsampled", func(p *Params) {
-			p.NumTrees = 30
-			p.Subsample = 0.7
-			p.ColSample = 0.5
-			p.Seed = 42
-		}, false},
-		{"early-stopping", func(p *Params) {
-			p.NumTrees = 60
-			p.EarlyStopping = 5
-		}, true},
+		{"default", func(p *Params) { p.NumTrees = 30 }},
+		// Depth 10 on 3000 rows grows leaves down to the child-weight
+		// floor of one row.
 		{"deep-min-child", func(p *Params) {
 			p.NumTrees = 15
-			p.MaxDepth = 8
-			p.MinChildWeight = 5
-			p.Gamma = 0.001
-		}, false},
+			p.MaxDepth = 10
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -60,12 +47,7 @@ func TestTrainContextWorkersBitIdentical(t *testing.T) {
 				p := DefaultParams()
 				tc.tune(&p)
 				p.Workers = workers
-				var vX [][]float64
-				var vY []float64
-				if tc.val {
-					vX, vY = valX, valY
-				}
-				m, err := TrainContext(context.Background(), p, X, y, vX, vY)
+				m, err := TrainContext(context.Background(), p, X, y)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -99,7 +81,7 @@ func TestTrainContextWorkersBitIdenticalLargeRows(t *testing.T) {
 		p := DefaultParams()
 		p.NumTrees = 12
 		p.Workers = workers
-		m, err := TrainContext(context.Background(), p, X, y, nil, nil)
+		m, err := TrainContext(context.Background(), p, X, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,12 +103,11 @@ func TestTrainIsTrainContextAlias(t *testing.T) {
 	X, y := synthRegression(rng, 500)
 	p := DefaultParams()
 	p.NumTrees = 20
-	p.Subsample = 0.8
-	m1, err := Train(p, X, y, nil, nil)
+	m1, err := Train(p, X, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := TrainContext(context.Background(), p, X, y, nil, nil)
+	m2, err := TrainContext(context.Background(), p, X, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +121,7 @@ func TestTrainContextPreCancelled(t *testing.T) {
 	X, y := synthRegression(rng, 100)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m, err := TrainContext(ctx, DefaultParams(), X, y, nil, nil)
+	m, err := TrainContext(ctx, DefaultParams(), X, y)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled TrainContext returned %v, want context.Canceled", err)
 	}
@@ -163,7 +144,7 @@ func TestTrainContextCancelMidTrain(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	m, err := TrainContext(ctx, p, X, y, nil, nil)
+	m, err := TrainContext(ctx, p, X, y)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled TrainContext returned %v, want context.Canceled", err)
@@ -185,9 +166,8 @@ func TestContinueTrainingContextWorkersBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		p := DefaultParams()
 		p.NumTrees = 10
-		p.Subsample = 0.8
 		p.Workers = workers
-		m, err := Train(p, X, y, nil, nil)
+		m, err := Train(p, X, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +193,7 @@ func TestContinueTrainingContextCancelLeavesModelUnchanged(t *testing.T) {
 	X, y := synthRegression(rng, 800)
 	p := DefaultParams()
 	p.NumTrees = 10
-	m, err := Train(p, X, y, nil, nil)
+	m, err := Train(p, X, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +225,7 @@ func TestSaveNormalizesWorkers(t *testing.T) {
 	p := DefaultParams()
 	p.NumTrees = 8
 	p.Workers = 3
-	m, err := Train(p, X, y, nil, nil)
+	m, err := Train(p, X, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,16 +257,6 @@ func TestWorkersValidation(t *testing.T) {
 	}
 }
 
-// TestValidationRowWidthRejected pins the new up-front validation-set
-// width check (the old code would panic deep inside a tree walk).
-func TestValidationRowWidthRejected(t *testing.T) {
-	rng := rand.New(rand.NewPCG(78, 1))
-	X, y := synthRegression(rng, 50)
-	if _, err := Train(DefaultParams(), X, y, [][]float64{{1}}, []float64{1}); err == nil {
-		t.Error("expected error for validation row width mismatch")
-	}
-}
-
 // TestRaggedTrainingRowRejected pins the up-front training-matrix
 // width check: with Workers > 1 a ragged row would otherwise panic on
 // a spawned goroutine, unrecoverable by any caller.
@@ -294,7 +264,7 @@ func TestRaggedTrainingRowRejected(t *testing.T) {
 	rng := rand.New(rand.NewPCG(80, 1))
 	X, y := synthRegression(rng, 50)
 	X[20] = []float64{1} // too narrow
-	if _, err := Train(DefaultParams(), X, y, nil, nil); err == nil {
+	if _, err := Train(DefaultParams(), X, y); err == nil {
 		t.Error("expected error for ragged training row")
 	}
 }

@@ -17,14 +17,19 @@ type node struct {
 	Left      int32
 	Right     int32
 	Weight    float64 // leaf value (already shrunken); 0 for splits
-	Gain      float64 // split gain, for feature importance
+	Gain      float64 // split gain; kept in the artifact wire form
 }
 
 const leafMarker = int32(-1)
 
-// noLeaf marks a training row not covered by the current round's tree
-// (row subsampling left it out of the build).
-const noLeaf = int32(-1)
+// minSplitGain is XGBoost's γ and minChildWeight its min_child_weight,
+// both at their defaults: a split must gain strictly more than 0, and
+// each child must hold a hessian sum of at least 1 (for squared loss,
+// at least one row).
+const (
+	minSplitGain   = 0
+	minChildWeight = 1
+)
 
 // predict walks the tree for one raw feature row.
 func (t *tree) predict(row []float64) float64 {
@@ -42,29 +47,9 @@ func (t *tree) predict(row []float64) float64 {
 	}
 }
 
-// predictBinned walks the tree for one binned feature row. Split
-// thresholds are always bin upper boundaries, so comparing the row's
-// bin against the split's bin (recorded in nodeBins during the build)
-// is exactly equivalent to the raw-value walk — and much cheaper,
-// which is what lets training update predictions without re-binning.
-func predictBinned(t *tree, nodeBins []uint8, rowBins []uint8) float64 {
-	idx := int32(0)
-	for {
-		n := &t.Nodes[idx]
-		if n.Feature == leafMarker {
-			return n.Weight
-		}
-		if rowBins[n.Feature] <= nodeBins[idx] {
-			idx = n.Left
-		} else {
-			idx = n.Right
-		}
-	}
-}
-
 // splitCand is one node's best split over one (or all) features.
 type splitCand struct {
-	feat   int // -1 when no split beats Gamma and the child-weight floor
+	feat   int // -1 when no split beats minSplitGain and the child-weight floor
 	bin    int
 	gain   float64
 	gL, hL float64 // gradient sums of the left child
@@ -89,36 +74,27 @@ type buildNode struct {
 // its histogram buffer pools amortize.
 //
 // Histogram layout: one flat []float64 per node of length
-// 2·len(cols)·stride, feature ci's gradient sums at
-// [ci·2·stride, +stride) and hessian sums at [ci·2·stride+stride,
-// +stride). Histograms are built for the smaller child of each split
+// 2·nfeat·stride, feature j's gradient sums at [j·2·stride, +stride)
+// and hessian sums at [j·2·stride+stride, +stride). Histograms are built for the smaller child of each split
 // and derived for the sibling by subtraction from the parent
 // (hist_sibling = hist_parent − hist_child), halving histogram work —
 // the classic trick from LightGBM/XGBoost hist mode.
 type treeBuilder struct {
-	p      Params
-	binner *binner
-	bins   []uint8 // row-major binned matrix
-	nfeat  int
-	grad   []float64
-	hess   []float64
-	// cols are the features eligible this tree (column subsampling),
-	// in ascending order so the deterministic split reduction's
-	// "lowest feature index wins ties" rule is meaningful.
-	cols    []int
+	p       Params
+	binner  *binner
+	bins    []uint8 // row-major binned matrix
+	nfeat   int
+	grad    []float64
+	hess    []float64
 	workers int
 	stride  int // histogram slots per feature (Params.MaxBins)
 	// leafOf records, per training row, the leaf the current tree
-	// routes it to (noLeaf for rows outside the round's subsample).
-	// The trainer turns it into O(1) prediction updates.
-	leafOf []int32
-	// nodeBins holds each split node's bin boundary, aligned with the
-	// tree's node slice; predictBinned uses it to walk binned rows.
-	nodeBins []uint8
+	// routes it to. The trainer turns it into O(1) prediction updates.
+	leafOf   []int32
 	candBuf  []splitCand
 	partials []float64
-	// freeHist pools node-histogram buffers (2·nfeat·stride each, the
-	// worst-case cols width); freeCol pools single-feature chunk
+	// freeHist pools node-histogram buffers (2·nfeat·stride each);
+	// freeCol pools single-feature chunk
 	// buffers (2·stride each) for row-chunked accumulation. Pools are
 	// touched only from the sequential orchestration path, never
 	// inside parallelFor.
@@ -181,10 +157,8 @@ func (b *treeBuilder) putColBufs(bufs [][]float64) {
 // in leafOf.
 func (b *treeBuilder) build(rows []int32) *tree {
 	t := &tree{}
-	b.nodeBins = b.nodeBins[:0]
 	sumG, sumH := b.rootSums(rows)
 	t.Nodes = append(t.Nodes, node{Feature: leafMarker})
-	b.nodeBins = append(b.nodeBins, 0)
 	root := buildNode{nodeIdx: 0, rows: rows, depth: 0, sumG: sumG, sumH: sumH}
 	if b.canSplit(root.depth, root.rows, root.sumH) {
 		b.prepare(&root)
@@ -210,10 +184,8 @@ func (b *treeBuilder) build(rows []int32) *tree {
 		}
 		leftIdx := int32(len(t.Nodes))
 		t.Nodes = append(t.Nodes, node{Feature: leafMarker})
-		b.nodeBins = append(b.nodeBins, 0)
 		rightIdx := int32(len(t.Nodes))
 		t.Nodes = append(t.Nodes, node{Feature: leafMarker})
-		b.nodeBins = append(b.nodeBins, 0)
 		t.Nodes[nb.nodeIdx] = node{
 			Feature:   int32(cand.feat),
 			Threshold: b.binner.upperValue(cand.feat, cand.bin),
@@ -221,7 +193,6 @@ func (b *treeBuilder) build(rows []int32) *tree {
 			Right:     rightIdx,
 			Gain:      cand.gain,
 		}
-		b.nodeBins[nb.nodeIdx] = uint8(cand.bin)
 		ln := buildNode{nodeIdx: leftIdx, rows: left, depth: nb.depth + 1, sumG: cand.gL, sumH: cand.hL}
 		rn := buildNode{nodeIdx: rightIdx, rows: right, depth: nb.depth + 1, sumG: nb.sumG - cand.gL, sumH: nb.sumH - cand.hL}
 		b.prepareChildren(&ln, &rn, nb.hist)
@@ -235,13 +206,7 @@ func (b *treeBuilder) build(rows []int32) *tree {
 // hessian mass for two children. Nodes failing it become leaves
 // without paying for a histogram.
 func (b *treeBuilder) canSplit(depth int, rows []int32, sumH float64) bool {
-	if depth >= b.p.MaxDepth || len(rows) < 2 {
-		return false
-	}
-	if b.p.MinChildWeight > 0 && sumH < 2*b.p.MinChildWeight {
-		return false
-	}
-	return true
+	return depth < b.p.MaxDepth && len(rows) >= 2 && sumH >= 2*minChildWeight
 }
 
 // makeLeaf finalizes a frontier node as a leaf with the XGBoost weight
@@ -348,51 +313,50 @@ func (b *treeBuilder) accumCol(g, h []float64, j int, rows []int32) {
 	}
 }
 
-// buildHistInto accumulates the node histogram for every eligible
-// feature, parallel across features and — for large nodes — across
+// buildHistInto accumulates the node histogram for every feature, parallel across features and — for large nodes — across
 // fixed row chunks whose partial histograms merge in chunk order.
 // The chunked/unchunked choice depends only on the row count, never
 // on the worker count: the same association of floating-point sums
 // must be used for every Workers value (Workers=1 executes the
 // chunked merge inline in identical order).
 func (b *treeBuilder) buildHistInto(hist []float64, rows []int32) {
-	nc := len(b.cols)
+	nc := b.nfeat
 	w := b.workers
 	if len(rows)*nc < 4096 {
 		w = 1 // tiny node: goroutine overhead would dominate
 	}
 	R := rowChunks(len(rows))
 	if R == 1 {
-		parallelFor(w, nc, func(ci int) {
-			base := ci * 2 * b.stride
+		parallelFor(w, nc, func(j int) {
+			base := j * 2 * b.stride
 			g := hist[base : base+b.stride]
 			h := hist[base+b.stride : base+2*b.stride]
 			for k := range g {
 				g[k], h[k] = 0, 0
 			}
-			b.accumCol(g, h, b.cols[ci], rows)
+			b.accumCol(g, h, j, rows)
 		})
 		return
 	}
 	scratch := b.getColBufs(nc * R)
 	parallelFor(w, nc*R, func(task int) {
-		ci, r := task/R, task%R
+		j, r := task/R, task%R
 		buf := scratch[task]
 		for k := range buf {
 			buf[k] = 0
 		}
 		lo, hi := chunkRange(len(rows), R, r)
-		b.accumCol(buf[:b.stride], buf[b.stride:], b.cols[ci], rows[lo:hi])
+		b.accumCol(buf[:b.stride], buf[b.stride:], j, rows[lo:hi])
 	})
-	parallelFor(w, nc, func(ci int) {
-		base := ci * 2 * b.stride
+	parallelFor(w, nc, func(j int) {
+		base := j * 2 * b.stride
 		g := hist[base : base+b.stride]
 		h := hist[base+b.stride : base+2*b.stride]
 		for k := range g {
 			g[k], h[k] = 0, 0
 		}
 		for r := 0; r < R; r++ {
-			buf := scratch[ci*R+r]
+			buf := scratch[j*R+r]
 			for k := 0; k < b.stride; k++ {
 				g[k] += buf[k]
 				h[k] += buf[b.stride+k]
@@ -402,7 +366,7 @@ func (b *treeBuilder) buildHistInto(hist []float64, rows []int32) {
 	b.putColBufs(scratch)
 }
 
-// histScanWorkers bounds the workers used for the cheap O(cols·bins)
+// histScanWorkers bounds the workers used for the cheap O(features·bins)
 // histogram passes (subtraction, split scan): inline below ~16k
 // touched floats, where goroutine setup would cost more than the
 // scan. Execution-only — the per-feature decomposition is unchanged.
@@ -415,10 +379,10 @@ func (b *treeBuilder) histScanWorkers(nc int) int {
 
 // subtractHist derives a sibling histogram in place: parent −= child.
 func (b *treeBuilder) subtractHist(parent, child []float64) {
-	nc := len(b.cols)
-	parallelFor(b.histScanWorkers(nc), nc, func(ci int) {
-		nbins := b.binner.numBins(b.cols[ci])
-		base := ci * 2 * b.stride
+	nc := b.nfeat
+	parallelFor(b.histScanWorkers(nc), nc, func(j int) {
+		nbins := b.binner.numBins(j)
+		base := j * 2 * b.stride
 		for k := 0; k < nbins; k++ {
 			parent[base+k] -= child[base+k]
 			parent[base+b.stride+k] -= child[base+b.stride+k]
@@ -426,20 +390,20 @@ func (b *treeBuilder) subtractHist(parent, child []float64) {
 	})
 }
 
-// findBest scans every eligible feature's histogram for the node's
+// findBest scans every feature's histogram for the node's
 // best split, in parallel, then reduces the per-feature candidates in
 // ascending feature order. Ties break to the lowest feature index and,
 // within a feature, the lowest bin (the ascending scan with a strict
 // improvement test keeps the first), so the choice is identical for
 // every worker count.
 func (b *treeBuilder) findBest(nb *buildNode) splitCand {
-	nc := len(b.cols)
+	nc := b.nfeat
 	parentScore := nb.sumG * nb.sumG / (nb.sumH + b.p.Lambda)
-	parallelFor(b.histScanWorkers(nc), nc, func(ci int) {
-		b.candBuf[ci] = b.scanCol(ci, nb.hist, nb.sumG, nb.sumH, parentScore)
+	parallelFor(b.histScanWorkers(nc), nc, func(j int) {
+		b.candBuf[j] = b.scanCol(j, nb.hist, nb.sumG, nb.sumH, parentScore)
 	})
-	best := splitCand{feat: -1, gain: b.p.Gamma}
-	for _, c := range b.candBuf[:nc] {
+	best := splitCand{feat: -1, gain: minSplitGain}
+	for _, c := range b.candBuf {
 		if c.feat >= 0 && c.gain > best.gain {
 			best = c
 		}
@@ -448,23 +412,22 @@ func (b *treeBuilder) findBest(nb *buildNode) splitCand {
 }
 
 // scanCol finds the best split of one feature: the lowest bin
-// achieving the maximal gain strictly above Gamma, subject to the
-// child-weight floor.
-func (b *treeBuilder) scanCol(ci int, hist []float64, sumG, sumH, parentScore float64) splitCand {
-	j := b.cols[ci]
-	cand := splitCand{feat: -1, gain: b.p.Gamma}
+// achieving the maximal gain strictly above minSplitGain, subject to
+// the child-weight floor.
+func (b *treeBuilder) scanCol(j int, hist []float64, sumG, sumH, parentScore float64) splitCand {
+	cand := splitCand{feat: -1, gain: minSplitGain}
 	nbins := b.binner.numBins(j)
 	if nbins < 2 {
 		return cand
 	}
-	base := ci * 2 * b.stride
+	base := j * 2 * b.stride
 	g := hist[base : base+b.stride]
 	h := hist[base+b.stride : base+2*b.stride]
 	var cg, ch float64
 	for k := 0; k < nbins-1; k++ {
 		cg += g[k]
 		ch += h[k]
-		if ch < b.p.MinChildWeight || sumH-ch < b.p.MinChildWeight {
+		if ch < minChildWeight || sumH-ch < minChildWeight {
 			continue
 		}
 		left := cg * cg / (ch + b.p.Lambda)

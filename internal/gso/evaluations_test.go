@@ -93,11 +93,12 @@ func TestEvaluationsCountMovedWorms(t *testing.T) {
 			if tt.walk {
 				opts.InvalidWalk = 1
 			}
+			var start [][]float64
 			if tt.init {
-				opts.InitPositions = clumpedStarts(p.Glowworms)
+				start = clumpedStarts(p.Glowworms)
 			}
 
-			got, err := Run(p, bounds, obj, opts)
+			got, err := run(context.Background(), p, bounds, obj, opts, start)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +116,7 @@ func TestEvaluationsCountMovedWorms(t *testing.T) {
 				t.Errorf("%d evaluations over %d iterations: no worm ever stayed put", got.Evaluations, got.Iterations)
 			}
 
-			want, err := runReference(context.Background(), p, bounds, obj, opts)
+			want, err := runReference(context.Background(), p, bounds, obj, opts, start)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,6 +13,10 @@
 //	P{j} = (ℓ_j−ℓ_i) / Σ_k (ℓ_k−ℓ_i)                 (paper Eq. 7)
 //	r_i(t+1) = min{r_s, max{0, r_i(t) + β(n_t − |N_i(t)|)}}
 //
+// ρ, γ, β, ℓ_0, n_t and the step s are the constants of Krishnanand &
+// Ghose that SuRF uses throughout; the sensor range r_s is the domain
+// diagonal, so it caps nothing a worm could reach.
+//
 // Because interactions are local, the swarm splits into disjoint
 // groups that converge to distinct local optima — exactly the
 // behaviour needed when several regions satisfy the analyst's
@@ -50,7 +54,6 @@ package gso
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"runtime"
@@ -107,38 +110,33 @@ type BatchEvaluator interface {
 // that did not move keeps its last weight. nil disables re-weighting.
 type SelectionWeight func(pos []float64) float64
 
+// The constants of the GSO paper used throughout SuRF's experiments.
+const (
+	// rho is the luciferin decay ρ.
+	rho float64 = 0.4
+	// gamma is the luciferin enhancement γ.
+	gamma float64 = 0.6
+	// beta is the neighbourhood radius adaptation rate β.
+	beta float64 = 0.08
+	// initLuciferin is ℓ_0, every worm's starting luciferin.
+	initLuciferin float64 = 5
+	// desiredNeighbors is n_t, the target neighbourhood size.
+	desiredNeighbors = 5
+	// stepSize is the movement step s, as a fraction of the average
+	// domain extent (the canonical s=0.03 assumes a unit-ish domain).
+	stepSize float64 = 0.03
+)
+
 // Params configure a GSO run. Zero value is invalid; start from
 // DefaultParams.
 type Params struct {
 	// Glowworms is the swarm size L.
 	Glowworms int
-	// MaxIters is the iteration budget T.
+	// MaxIters is the iteration budget T; every run executes all of it.
 	MaxIters int
-	// Rho is the luciferin decay ρ.
-	Rho float64
-	// Gamma is the luciferin enhancement γ.
-	Gamma float64
-	// Beta is the neighbourhood radius adaptation rate β.
-	Beta float64
-	// InitLuciferin is ℓ_0, every worm's starting luciferin.
-	InitLuciferin float64
-	// DesiredNeighbors is n_t, the target neighbourhood size.
-	DesiredNeighbors int
-	// StepSize is the movement step s, as a fraction of the average
-	// domain extent (the canonical s=0.03 assumes a unit-ish domain).
-	StepSize float64
 	// InitRadius is r_0. When 0, the rule of paper Section V-G is
 	// used: r_0 = (1 − (1/2)^(1/L))^(1/n) scaled by the domain extent.
 	InitRadius float64
-	// SensorRange is r_s, the hard cap on the decision radius. When 0
-	// it defaults to the domain diagonal (no effective cap).
-	SensorRange float64
-	// ConvergeWindow enables early stopping: the run halts when the
-	// mean luciferin changes by less than ConvergeEps over this many
-	// iterations. 0 disables.
-	ConvergeWindow int
-	// ConvergeEps is the plateau threshold for early stopping.
-	ConvergeEps float64
 	// Workers evaluates the objective and the selection weights for
 	// the worms being scored with this many goroutines per iteration
 	// (0 or 1 = sequential), capped at GOMAXPROCS and at one worker per
@@ -154,20 +152,13 @@ type Params struct {
 	Seed uint64
 }
 
-// DefaultParams returns the constants of the GSO paper used throughout
-// SuRF's experiments: ρ=0.4, γ=0.6, β=0.08, n_t=5, ℓ0=5, s=0.03,
-// L=100, T=100.
+// DefaultParams returns L=100 worms and T=100 iterations, with the
+// Section V-G initial radius.
 func DefaultParams() Params {
 	return Params{
-		Glowworms:        100,
-		MaxIters:         100,
-		Rho:              0.4,
-		Gamma:            0.6,
-		Beta:             0.08,
-		InitLuciferin:    5,
-		DesiredNeighbors: 5,
-		StepSize:         0.03,
-		Seed:             1,
+		Glowworms: 100,
+		MaxIters:  100,
+		Seed:      1,
 	}
 }
 
@@ -178,18 +169,8 @@ func (p Params) Validate() error {
 		return errors.New("gso: need at least 2 glowworms")
 	case p.MaxIters < 1:
 		return errors.New("gso: MaxIters must be >= 1")
-	case p.Rho <= 0 || p.Rho >= 1:
-		return fmt.Errorf("gso: Rho %g out of (0,1)", p.Rho)
-	case p.Gamma <= 0:
-		return errors.New("gso: Gamma must be > 0")
-	case p.Beta <= 0:
-		return errors.New("gso: Beta must be > 0")
-	case p.DesiredNeighbors < 1:
-		return errors.New("gso: DesiredNeighbors must be >= 1")
-	case p.StepSize <= 0:
-		return errors.New("gso: StepSize must be > 0")
-	case p.InitRadius < 0 || p.SensorRange < 0:
-		return errors.New("gso: radii must be >= 0")
+	case p.InitRadius < 0:
+		return errors.New("gso: InitRadius must be >= 0")
 	case p.Workers < 0:
 		return errors.New("gso: Workers must be >= 0")
 	}
@@ -224,7 +205,7 @@ type Result struct {
 	Valid []bool
 	// Luciferin holds final luciferin levels.
 	Luciferin []float64
-	// Iterations actually executed (≤ MaxIters with early stopping).
+	// Iterations executed: always Params.MaxIters.
 	Iterations int
 	// Evaluations counts the positions scored: every worm in the
 	// first iteration, then only the worms that moved in the iteration
@@ -268,12 +249,9 @@ type Options struct {
 	Observer func(IterStats, SwarmView)
 	// RecordHistory keeps every particle position per iteration.
 	RecordHistory bool
-	// InitPositions seeds the swarm at the given positions instead of
-	// uniformly at random; len must equal Glowworms when non-nil.
-	InitPositions [][]float64
 	// InvalidWalk makes worms sitting on *invalid* positions with no
 	// brighter neighbour take a uniform random step of
-	// InvalidWalk × StepSize instead of staying stationary. Canonical
+	// InvalidWalk × s instead of staying stationary. Canonical
 	// GSO keeps such worms put (the paper's Fig. 1 shows them frozen
 	// in the undefined area); a small walk lets a swarm that
 	// initialized entirely outside a narrow valid basin still
@@ -291,6 +269,14 @@ func Run(p Params, bounds geom.Rect, obj Objective, opts Options) (*Result, erro
 // swarm iteration, so a cancelled run returns ctx.Err() within one
 // iteration's worth of objective evaluations.
 func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, opts Options) (*Result, error) {
+	return run(ctx, p, bounds, obj, opts, nil)
+}
+
+// run is RunContext with the swarm's starting positions: uniform over
+// bounds when start is nil, else a copy of start, which must hold
+// Glowworms positions inside bounds. Only tests pass a start, to place
+// worms exactly where an edge case needs them.
+func run(ctx context.Context, p Params, bounds geom.Rect, obj Objective, opts Options, start [][]float64) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -310,18 +296,14 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 	if meanExtent <= 0 {
 		meanExtent = 1
 	}
-	step := p.StepSize * meanExtent
+	step := stepSize * meanExtent
 
-	// Domain diagonal bounds the sensor range by default.
-	var diag float64
+	// The sensor range r_s is the domain diagonal.
+	var sensor float64
 	for j := 0; j < n; j++ {
-		diag += extent[j] * extent[j]
+		sensor += extent[j] * extent[j]
 	}
-	diag = math.Sqrt(diag)
-	sensor := p.SensorRange
-	if sensor == 0 {
-		sensor = diag
-	}
+	sensor = math.Sqrt(sensor)
 	r0 := p.InitRadius
 	if r0 == 0 {
 		r0 = InitialRadius(p.Glowworms, n, meanExtent)
@@ -332,18 +314,10 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 
 	L := p.Glowworms
 	pos := make([][]float64, L)
-	if opts.InitPositions != nil {
-		if len(opts.InitPositions) != L {
-			return nil, fmt.Errorf("gso: %d initial positions for %d glowworms", len(opts.InitPositions), L)
-		}
-		for i, ip := range opts.InitPositions {
-			if len(ip) != n {
-				return nil, fmt.Errorf("gso: initial position %d has dimension %d, want %d", i, len(ip), n)
-			}
-			pos[i] = append([]float64(nil), ip...)
-		}
-	} else {
-		for i := range pos {
+	for i := range pos {
+		if start != nil {
+			pos[i] = append([]float64(nil), start[i]...)
+		} else {
 			pos[i] = randomPoint(rng, bounds)
 		}
 	}
@@ -353,7 +327,7 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 	fitness := make([]float64, L)
 	valid := make([]bool, L)
 	for i := range luc {
-		luc[i] = p.InitLuciferin
+		luc[i] = initLuciferin
 		radius[i] = r0
 	}
 
@@ -365,7 +339,6 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 	var neighbors []int
 	var weights []float64
 	var totalW float64
-	var plateau []float64
 	var wcache []float64
 	if opts.Weight != nil {
 		wcache = make([]float64, L)
@@ -394,12 +367,12 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 		var nValid int
 		for i := 0; i < L; i++ {
 			if valid[i] {
-				luc[i] = (1-p.Rho)*luc[i] + p.Gamma*fitness[i]
+				luc[i] = (1-rho)*luc[i] + gamma*fitness[i]
 				sumFit += fitness[i]
 				nValid++
 			} else {
 				fitness[i] = math.NaN()
-				luc[i] = (1 - p.Rho) * luc[i]
+				luc[i] = (1 - rho) * luc[i]
 			}
 		}
 
@@ -415,7 +388,7 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 		for i := 0; i < L; i++ {
 			neighbors, weights, totalW = scan.neighbors(i, radius[i], luc, wcache, neighbors[:0], weights[:0])
 			// Adaptive radius uses the pre-move neighbourhood size.
-			radius[i] = math.Min(sensor, math.Max(0, radius[i]+p.Beta*(float64(p.DesiredNeighbors)-float64(len(neighbors)))))
+			radius[i] = math.Min(sensor, math.Max(0, radius[i]+beta*(desiredNeighbors-float64(len(neighbors)))))
 			if len(neighbors) == 0 || totalW <= 0 {
 				if opts.InvalidWalk > 0 && !valid[i] {
 					// Diffuse constraint-violating stragglers.
@@ -477,21 +450,6 @@ func RunContext(ctx context.Context, p Params, bounds geom.Rect, obj Objective, 
 			}
 		}
 		res.Iterations = t + 1
-
-		if p.ConvergeWindow > 0 {
-			plateau = append(plateau, meanLuc)
-			if len(plateau) > p.ConvergeWindow {
-				plateau = plateau[1:]
-				lo, hi := plateau[0], plateau[0]
-				for _, v := range plateau {
-					lo = math.Min(lo, v)
-					hi = math.Max(hi, v)
-				}
-				if hi-lo < p.ConvergeEps {
-					break
-				}
-			}
-		}
 	}
 
 	res.Positions = pos

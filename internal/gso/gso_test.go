@@ -1,6 +1,7 @@
 package gso
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -38,12 +39,6 @@ func TestParamsValidate(t *testing.T) {
 	bad := []func(*Params){
 		func(p *Params) { p.Glowworms = 1 },
 		func(p *Params) { p.MaxIters = 0 },
-		func(p *Params) { p.Rho = 0 },
-		func(p *Params) { p.Rho = 1 },
-		func(p *Params) { p.Gamma = 0 },
-		func(p *Params) { p.Beta = 0 },
-		func(p *Params) { p.DesiredNeighbors = 0 },
-		func(p *Params) { p.StepSize = 0 },
 		func(p *Params) { p.InitRadius = -1 },
 	}
 	for i, mutate := range bad {
@@ -61,20 +56,10 @@ func TestRunInputValidation(t *testing.T) {
 		t.Error("expected error for zero-dimensional bounds")
 	}
 	p := DefaultParams()
-	if _, err := Run(p, geom.Unit(2), obj, Options{InitPositions: [][]float64{{0, 0}}}); err == nil {
-		t.Error("expected error for init position count mismatch")
+	p.Glowworms = 1
+	if _, err := Run(p, geom.Unit(2), obj, Options{}); err == nil {
+		t.Error("expected error for a one-worm swarm")
 	}
-	if _, err := Run(p, geom.Unit(2), obj, Options{InitPositions: make2d(p.Glowworms, 1)}); err == nil {
-		t.Error("expected error for init position dimension mismatch")
-	}
-}
-
-func make2d(n, d int) [][]float64 {
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = make([]float64, d)
-	}
-	return out
 }
 
 func TestConvergesToSinglePeak(t *testing.T) {
@@ -161,7 +146,7 @@ func TestLuciferinDecayWithoutSignal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, l := range res.Luciferin {
-		want := p.InitLuciferin * math.Pow(1-p.Rho, float64(p.MaxIters))
+		want := initLuciferin * math.Pow(1-rho, float64(p.MaxIters))
 		if math.Abs(l-want) > 1e-9 {
 			t.Fatalf("worm %d luciferin = %g, want exact decay %g", i, l, want)
 		}
@@ -215,20 +200,18 @@ func TestPositionsStayInBounds(t *testing.T) {
 	}
 }
 
-func TestEarlyStopping(t *testing.T) {
-	// Constant objective: luciferin converges to γ·J/ρ quickly, so a
-	// plateau window should stop the run well before MaxIters.
+func TestLuciferinFixedPoint(t *testing.T) {
+	// Constant objective: luciferin converges to γ·J/ρ, and every run
+	// executes its whole budget.
 	obj := ObjectiveFunc(func(pos []float64) (float64, bool) { return 1, true })
 	p := DefaultParams()
-	p.MaxIters = 500
-	p.ConvergeWindow = 10
-	p.ConvergeEps = 1e-9
+	p.MaxIters = 120
 	res, err := Run(p, geom.Unit(2), obj, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations >= 500 {
-		t.Errorf("early stopping did not trigger: %d iterations", res.Iterations)
+	if res.Iterations != p.MaxIters || len(res.Trace) != p.MaxIters {
+		t.Errorf("%d iterations and %d trace entries, want %d", res.Iterations, len(res.Trace), p.MaxIters)
 	}
 	// Luciferin fixed point is γ·J/ρ = 0.6/0.4 = 1.5.
 	for _, l := range res.Luciferin {
@@ -352,7 +335,7 @@ func TestInitPositionsHonored(t *testing.T) {
 	p.Glowworms = 4
 	p.MaxIters = 1
 	init := [][]float64{{0.1, 0.1}, {0.2, 0.2}, {0.3, 0.3}, {0.4, 0.4}}
-	res, err := Run(p, geom.Unit(2), obj, Options{InitPositions: init})
+	res, err := run(context.Background(), p, geom.Unit(2), obj, Options{}, init)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +407,7 @@ func TestInvalidWalkDiscoversNarrowBasin(t *testing.T) {
 	for i := range init {
 		init[i] = []float64{0.5 * float64(i) / float64(p.Glowworms)}
 	}
-	res, err := Run(p, geom.Unit(1), obj, Options{InvalidWalk: 2, InitPositions: init})
+	res, err := run(context.Background(), p, geom.Unit(1), obj, Options{InvalidWalk: 2}, init)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +421,7 @@ func TestInvalidWalkDiscoversNarrowBasin(t *testing.T) {
 		t.Error("random walk never discovered the valid slab")
 	}
 	// Canonical behaviour from the same all-invalid start: frozen.
-	frozen, err := Run(p, geom.Unit(1), obj, Options{InitPositions: init})
+	frozen, err := run(context.Background(), p, geom.Unit(1), obj, Options{}, init)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package gso
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand/v2"
 
@@ -17,8 +16,8 @@ import (
 // every worm tests every other worm, in index order, with dist. It is
 // the reference RunContext is held to bit for bit in everything but
 // Evaluations, which here is always L per iteration; keep it in step
-// with RunContext everywhere else.
-func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective, opts Options) (*Result, error) {
+// with RunContext everywhere else. start is run's start.
+func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective, opts Options, start [][]float64) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -38,18 +37,14 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 	if meanExtent <= 0 {
 		meanExtent = 1
 	}
-	step := p.StepSize * meanExtent
+	step := stepSize * meanExtent
 
-	// Domain diagonal bounds the sensor range by default.
-	var diag float64
+	// The sensor range is the domain diagonal.
+	var sensor float64
 	for j := 0; j < n; j++ {
-		diag += extent[j] * extent[j]
+		sensor += extent[j] * extent[j]
 	}
-	diag = math.Sqrt(diag)
-	sensor := p.SensorRange
-	if sensor == 0 {
-		sensor = diag
-	}
+	sensor = math.Sqrt(sensor)
 	r0 := p.InitRadius
 	if r0 == 0 {
 		r0 = InitialRadius(p.Glowworms, n, meanExtent)
@@ -60,18 +55,10 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 
 	L := p.Glowworms
 	pos := make([][]float64, L)
-	if opts.InitPositions != nil {
-		if len(opts.InitPositions) != L {
-			return nil, fmt.Errorf("gso: %d initial positions for %d glowworms", len(opts.InitPositions), L)
-		}
-		for i, ip := range opts.InitPositions {
-			if len(ip) != n {
-				return nil, fmt.Errorf("gso: initial position %d has dimension %d, want %d", i, len(ip), n)
-			}
-			pos[i] = append([]float64(nil), ip...)
-		}
-	} else {
-		for i := range pos {
+	for i := range pos {
+		if start != nil {
+			pos[i] = append([]float64(nil), start[i]...)
+		} else {
 			pos[i] = randomPoint(rng, bounds)
 		}
 	}
@@ -81,7 +68,7 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 	fitness := make([]float64, L)
 	valid := make([]bool, L)
 	for i := range luc {
-		luc[i] = p.InitLuciferin
+		luc[i] = initLuciferin
 		radius[i] = r0
 	}
 
@@ -92,7 +79,6 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 
 	var neighbors []int
 	var weights []float64
-	var plateau []float64
 	var wcache []float64
 	if opts.Weight != nil {
 		wcache = make([]float64, L)
@@ -113,12 +99,12 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 		var nValid int
 		for i := 0; i < L; i++ {
 			if valid[i] {
-				luc[i] = (1-p.Rho)*luc[i] + p.Gamma*fitness[i]
+				luc[i] = (1-rho)*luc[i] + gamma*fitness[i]
 				sumFit += fitness[i]
 				nValid++
 			} else {
 				fitness[i] = math.NaN()
-				luc[i] = (1 - p.Rho) * luc[i]
+				luc[i] = (1 - rho) * luc[i]
 			}
 		}
 
@@ -136,7 +122,7 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 			var totalW float64
 			neighbors, weights, totalW = referenceNeighbors(i, pos, luc, wcache, radius[i], neighbors[:0], weights[:0])
 			// Adaptive radius uses the pre-move neighbourhood size.
-			radius[i] = math.Min(sensor, math.Max(0, radius[i]+p.Beta*(float64(p.DesiredNeighbors)-float64(len(neighbors)))))
+			radius[i] = math.Min(sensor, math.Max(0, radius[i]+beta*(desiredNeighbors-float64(len(neighbors)))))
 			if len(neighbors) == 0 || totalW <= 0 {
 				if opts.InvalidWalk > 0 && !valid[i] {
 					// Diffuse constraint-violating stragglers.
@@ -196,21 +182,6 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 			}
 		}
 		res.Iterations = t + 1
-
-		if p.ConvergeWindow > 0 {
-			plateau = append(plateau, meanLuc)
-			if len(plateau) > p.ConvergeWindow {
-				plateau = plateau[1:]
-				lo, hi := plateau[0], plateau[0]
-				for _, v := range plateau {
-					lo = math.Min(lo, v)
-					hi = math.Max(hi, v)
-				}
-				if hi-lo < p.ConvergeEps {
-					break
-				}
-			}
-		}
 	}
 
 	res.Positions = pos

@@ -12,14 +12,15 @@ import (
 )
 
 // scanCase is one differential scenario: an objective, a parameter
-// and option set, and bounds, run at every swarm size and
-// dimensionality of TestRankedScanMatchesReference.
+// and option set, bounds and starting positions, run at every swarm
+// size and dimensionality of TestRankedScanMatchesReference.
 type scanCase struct {
 	name   string
 	obj    func(pos []float64) (float64, bool)
 	params func(p *Params)
 	opts   func(n, L int) Options
 	bounds func(n int) geom.Rect
+	start  func(n, L int) [][]float64
 }
 
 // tiedFn quantizes sphereFn so many worms share a luciferin level.
@@ -70,46 +71,56 @@ func exactRadiusStarts(n, L int, r float64) [][]float64 {
 
 func unitBounds(n int) geom.Rect { return geom.Unit(n) }
 
+// cubeBounds returns [lo, hi]^n.
+func cubeBounds(lo, hi float64) func(n int) geom.Rect {
+	return func(n int) geom.Rect {
+		b := geom.Rect{Min: make([]float64, n), Max: make([]float64, n)}
+		for j := range b.Min {
+			b.Min[j], b.Max[j] = lo, hi
+		}
+		return b
+	}
+}
+
 var scanCases = []scanCase{
 	{name: "smooth", obj: sphereFn},
 	{name: "ties", obj: tiedFn},
 	{name: "inf-nan", obj: infNaNFn},
 	{
-		// A radius that collapses to 0 after one crowded step.
+		// A radius wide enough to see the whole swarm collapses to 0
+		// after one crowded step: β(n_t − |N|) < −2 once a worm has
+		// more than 30 brighter neighbours.
 		name: "radius-zero", obj: sphereFn,
-		params: func(p *Params) { p.Beta, p.DesiredNeighbors = 50, 1 },
+		params: func(p *Params) { p.InitRadius = 2 },
 	},
 	{
-		// r² = 1e-320 is subnormal.
+		// The sensor range, the diagonal of a 1e-160 cube, keeps r
+		// near 1e-160, so r² is subnormal.
 		name: "radius-sq-subnormal", obj: sphereFn,
-		params: func(p *Params) { p.InitRadius, p.SensorRange = 1e-160, 1e-160 },
+		params: func(p *Params) { p.InitRadius = 1e-160 },
+		bounds: cubeBounds(0, 1e-160),
 	},
 	{
-		// r² underflows to 0 while r does not.
+		// In a 1e-170 cube r² underflows to 0 while r does not.
 		name: "radius-sq-underflow", obj: sphereFn,
-		params: func(p *Params) { p.InitRadius, p.SensorRange = 1e-170, 1e-170 },
+		params: func(p *Params) { p.InitRadius = 1e-170 },
+		bounds: cubeBounds(0, 1e-170),
 	},
 	{
 		// r² and most squared distances overflow to +Inf.
 		name: "radius-sq-overflow", obj: rampFn,
-		params: func(p *Params) { p.InitRadius, p.SensorRange = 1e200, 1e200 },
-		bounds: func(n int) geom.Rect {
-			b := geom.Rect{Min: make([]float64, n), Max: make([]float64, n)}
-			for j := range b.Min {
-				b.Min[j], b.Max[j] = -1e200, 1e200
-			}
-			return b
-		},
+		params: func(p *Params) { p.InitRadius = 1e200 },
+		bounds: cubeBounds(-1e200, 1e200),
 	},
 	{
 		name: "exact-radius-dyadic", obj: rampFn,
 		params: func(p *Params) { p.InitRadius = 0.25 },
-		opts:   func(n, L int) Options { return Options{InitPositions: exactRadiusStarts(n, L, 0.25)} },
+		start:  func(n, L int) [][]float64 { return exactRadiusStarts(n, L, 0.25) },
 	},
 	{
 		name: "exact-radius-decimal", obj: rampFn,
 		params: func(p *Params) { p.InitRadius = 0.1 },
-		opts:   func(n, L int) Options { return Options{InitPositions: exactRadiusStarts(n, L, 0.1)} },
+		start:  func(n, L int) [][]float64 { return exactRadiusStarts(n, L, 0.1) },
 	},
 	{
 		name: "invalid-walk", obj: sphereFn,
@@ -155,11 +166,15 @@ func TestRankedScanMatchesReference(t *testing.T) {
 						opts = c.opts(n, L)
 					}
 					opts.RecordHistory = true
-					got, err := Run(p, bounds, ObjectiveFunc(c.obj), opts)
+					var start [][]float64
+					if c.start != nil {
+						start = c.start(n, L)
+					}
+					got, err := run(context.Background(), p, bounds, ObjectiveFunc(c.obj), opts, start)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := runReference(context.Background(), p, bounds, ObjectiveFunc(c.obj), opts)
+					want, err := runReference(context.Background(), p, bounds, ObjectiveFunc(c.obj), opts, start)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -143,7 +143,8 @@ type TrainOptions struct {
 	HyperTune bool
 	// CVFolds is the fold count for HyperTune (default 3).
 	CVFolds int
-	// Seed drives subsampling and CV shuffling.
+	// Seed drives the CV fold shuffling under HyperTune. Training
+	// itself draws nothing at random.
 	Seed uint64
 	// Workers bounds the goroutines training may use (0 means one per
 	// available CPU). Purely an execution knob: the trained model is
