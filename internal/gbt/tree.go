@@ -75,10 +75,11 @@ type buildNode struct {
 //
 // Histogram layout: one flat []float64 per node of length
 // 2·nfeat·stride, feature j's gradient sums at [j·2·stride, +stride)
-// and hessian sums at [j·2·stride+stride, +stride). Histograms are built for the smaller child of each split
-// and derived for the sibling by subtraction from the parent
-// (hist_sibling = hist_parent − hist_child), halving histogram work —
-// the classic trick from LightGBM/XGBoost hist mode.
+// and hessian sums at [j·2·stride+stride, +stride). Histograms are
+// built for the smaller child of each split and derived for the
+// sibling by subtraction from the parent (hist_sibling = hist_parent −
+// hist_child), halving histogram work — the classic trick from
+// LightGBM/XGBoost hist mode.
 type treeBuilder struct {
 	p       Params
 	binner  *binner
@@ -94,10 +95,9 @@ type treeBuilder struct {
 	candBuf  []splitCand
 	partials []float64
 	// freeHist pools node-histogram buffers (2·nfeat·stride each);
-	// freeCol pools single-feature chunk
-	// buffers (2·stride each) for row-chunked accumulation. Pools are
-	// touched only from the sequential orchestration path, never
-	// inside parallelFor.
+	// freeCol pools single-feature chunk buffers (2·stride each) for
+	// row-chunked accumulation. Pools are touched only from the
+	// sequential orchestration path, never inside parallelFor.
 	freeHist [][]float64
 	freeCol  [][]float64
 	scratch  [][]float64
@@ -313,8 +313,9 @@ func (b *treeBuilder) accumCol(g, h []float64, j int, rows []int32) {
 	}
 }
 
-// buildHistInto accumulates the node histogram for every feature, parallel across features and — for large nodes — across
-// fixed row chunks whose partial histograms merge in chunk order.
+// buildHistInto accumulates the node histogram for every feature,
+// parallel across features and — for large nodes — across fixed row
+// chunks whose partial histograms merge in chunk order.
 // The chunked/unchunked choice depends only on the row count, never
 // on the worker count: the same association of floating-point sums
 // must be used for every Workers value (Workers=1 executes the
@@ -390,8 +391,8 @@ func (b *treeBuilder) subtractHist(parent, child []float64) {
 	})
 }
 
-// findBest scans every feature's histogram for the node's
-// best split, in parallel, then reduces the per-feature candidates in
+// findBest scans every feature's histogram for the node's best split,
+// in parallel, then reduces the per-feature candidates in
 // ascending feature order. Ties break to the lowest feature index and,
 // within a feature, the lowest bin (the ascending scan with a strict
 // improvement test keeps the first), so the choice is identical for

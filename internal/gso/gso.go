@@ -15,7 +15,7 @@
 //
 // ρ, γ, β, ℓ_0, n_t and the step s are the constants of Krishnanand &
 // Ghose that SuRF uses throughout; the sensor range r_s is the domain
-// diagonal, so it caps nothing a worm could reach.
+// diagonal, the longest distance between two worms.
 //
 // Because interactions are local, the swarm splits into disjoint
 // groups that converge to distinct local optima — exactly the
