@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"flag"
 	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -190,9 +189,6 @@ func TestGoldenAnswers(t *testing.T) {
 			t.Fatal(err)
 		}
 		b = append(b, '\n')
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(goldenPath, b, 0o644); err != nil {
 			t.Fatal(err)
 		}

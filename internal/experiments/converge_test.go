@@ -31,9 +31,6 @@ func ramp(start, step float64, n int) []float64 {
 // oldest once it holds more than window, and stops when the rest span
 // less than eps. It returns the iterations the run would have executed.
 func plateauStop(trace []gso.IterStats, window int, eps float64) int {
-	if window < 1 {
-		return len(trace)
-	}
 	var plateau []float64
 	for t, it := range trace {
 		plateau = append(plateau, it.MeanLuciferin)
@@ -70,7 +67,6 @@ func TestConvergedAt(t *testing.T) {
 		{"span equal to eps does not converge", []float64{0, 1e-4, 0, 1e-4, 0}, 2, 1e-4, 5},
 		{"NaN in window", nanAt3, 15, 1e-4, 19},
 		{"trace no longer than window", ramp(5, 0, 15), 15, 1e-4, 15},
-		{"window 0 disables", ramp(5, 0, 30), 0, 1e-4, 30},
 		{"window 1", []float64{1, 2, 2, 3}, 1, 1e-4, 2},
 		{"empty trace", nil, 15, 1e-4, 0},
 	}

@@ -87,10 +87,8 @@ const (
 // converge: t+1 for the first iteration t ≥ window at which the mean
 // luciferin of iterations t−window+1 … t spans less than eps, or
 // len(trace) when no window does. A NaN in the window never converges.
+// window must be at least 1.
 func convergedAt(trace []gso.IterStats, window int, eps float64) int {
-	if window < 1 {
-		return len(trace)
-	}
 	for t := window; t < len(trace); t++ {
 		win := trace[t-window+1 : t+1]
 		lo, hi := win[0].MeanLuciferin, win[0].MeanLuciferin
