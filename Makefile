@@ -54,7 +54,7 @@ vulncheck:
 	govulncheck ./...
 
 # fuzz-smoke is the randomized pass CI runs over the CSV readers, the
-# evaluator parity differential, the inference-kernel parity
+# surrogate-artifact readers, the evaluator parity differential, the inference-kernel parity
 # differential (scalar vs a reference tree walk), the living-store
 # append parity differential, the swarm's neighbour-scan differential
 # and the KDE sampler's shuffle against rand.Perm; crashers minimize
@@ -62,6 +62,7 @@ vulncheck:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadCSVDataset' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz 'FuzzReadWorkloadCSV' -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz 'FuzzLoadSurrogate' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz 'FuzzEvaluatorParity' -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelParity' -fuzztime 10s ./internal/gbt/kernel
 	$(GO) test -run '^$$' -fuzz 'FuzzAppendParity' -fuzztime 10s ./internal/dataset

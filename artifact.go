@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"slices"
 
@@ -25,15 +26,17 @@ import (
 // loaded into — a model is only meaningful next to the question it
 // answers.
 //
-// Wire format: an ASCII header line "surfengine <version>\n" followed
-// by one gob-encoded envelope. The header keeps the version readable
-// before any decoding; the envelope nests the ensemble as opaque
-// bytes in the internal/gbt wire form, which is fully re-validated on
-// load. Version 1 is the only version so far; readers reject higher
-// versions rather than guess.
+// Wire format: a header line "surfengine 2 <crc>\n" followed by one
+// gob-encoded envelope, which nests the ensemble as opaque bytes in
+// the internal/gbt wire form (fully re-validated on load). <crc> is
+// the CRC-32 (IEEE) of every byte after the header, in hex; both
+// readers check it before decoding, so a flipped byte is
+// ErrBadArtifact rather than a silently different model. Version 1
+// ("surfengine 1\n") has no checksum and still loads; readers reject
+// higher versions rather than guess.
 
 // artifactVersion is the current engine-artifact format version.
-const artifactVersion = 1
+const artifactVersion = 2
 
 // artifactMagic starts the header line of every engine artifact.
 const artifactMagic = "surfengine"
@@ -81,16 +84,15 @@ func (e *Engine) SaveSurrogateContext(ctx context.Context, w io.Writer) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%s %d\n", artifactMagic, artifactVersion); err != nil {
-		return err
-	}
-	if err := gob.NewEncoder(bw).Encode(env); err != nil {
-		// A write/encode failure is an I/O problem, not a bad
-		// artifact; ErrBadArtifact is a load-side classification.
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(env); err != nil {
+		// An encode failure is not a bad artifact; ErrBadArtifact is
+		// a load-side classification.
 		return fmt.Errorf("surf: encode artifact: %w", err)
 	}
-	return bw.Flush()
+	art := fmt.Appendf(nil, "%s %d %08x\n", artifactMagic, artifactVersion, crc32.ChecksumIEEE(body.Bytes()))
+	_, err := w.Write(append(art, body.Bytes()...))
+	return err
 }
 
 // LoadSurrogate restores a surrogate saved with SaveSurrogate and
@@ -122,7 +124,8 @@ func (e *Engine) LoadSurrogateContext(ctx context.Context, r io.Reader) error {
 }
 
 // decodeArtifactEnvelope reads the versioned-artifact header and gob
-// envelope off r, shared by LoadSurrogate and ReadSurrogateInfo.
+// envelope off r, checking a version-2 checksum before decoding;
+// shared by LoadSurrogate and ReadSurrogateInfo.
 func decodeArtifactEnvelope(r io.Reader) (artifactEnvelope, error) {
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(len(artifactMagic))
@@ -132,16 +135,33 @@ func decodeArtifactEnvelope(r io.Reader) (artifactEnvelope, error) {
 	if !bytes.Equal(magic, []byte(artifactMagic)) {
 		return artifactEnvelope{}, fmt.Errorf("%w: unrecognized header %q", ErrBadArtifact, magic)
 	}
+	line, err := br.ReadString('\n')
 	var version int
-	if _, err := fmt.Fscanf(br, artifactMagic+" %d\n", &version); err != nil {
-		return artifactEnvelope{}, fmt.Errorf("%w: bad header: %v", ErrBadArtifact, err)
+	var sum uint32
+	n, _ := fmt.Sscanf(line, artifactMagic+" %d %x", &version, &sum)
+	if err != nil || n == 0 {
+		return artifactEnvelope{}, fmt.Errorf("%w: bad header %q", ErrBadArtifact, line)
 	}
 	if version < 1 || version > artifactVersion {
 		return artifactEnvelope{}, fmt.Errorf("%w: format version %d (this build reads up to %d)",
 			ErrBadArtifact, version, artifactVersion)
 	}
+	if (n == 2) != (version > 1) { // a checksum exactly from version 2 on
+		return artifactEnvelope{}, fmt.Errorf("%w: bad header %q", ErrBadArtifact, line)
+	}
+	var body io.Reader = br
+	if version > 1 {
+		b, err := io.ReadAll(br)
+		if err != nil {
+			return artifactEnvelope{}, fmt.Errorf("%w: reading body: %v", ErrBadArtifact, err)
+		}
+		if got := crc32.ChecksumIEEE(b); got != sum {
+			return artifactEnvelope{}, fmt.Errorf("%w: checksum %08x, header says %08x", ErrBadArtifact, got, sum)
+		}
+		body = bytes.NewReader(b)
+	}
 	var env artifactEnvelope
-	if err := gob.NewDecoder(br).Decode(&env); err != nil {
+	if err := gob.NewDecoder(body).Decode(&env); err != nil {
 		return artifactEnvelope{}, fmt.Errorf("%w: decode: %v", ErrBadArtifact, err)
 	}
 	return env, nil
@@ -152,8 +172,10 @@ func decodeArtifactEnvelope(r io.Reader) (artifactEnvelope, error) {
 // into an engine: the statistic, filter columns, training domain and
 // hyper-parameters the artifact declares. Deployment layers use it to
 // validate an artifact against a serving spec — and to report model
-// metadata — before paying for a full load; the ensemble bytes are not
-// validated here (LoadSurrogate re-validates them completely).
+// metadata — before paying for a full load. A version-2 artifact's
+// checksum covers the ensemble bytes too, so a corrupted one is
+// rejected here; the ensemble itself is decoded and re-validated only
+// by LoadSurrogate.
 func ReadSurrogateInfo(r io.Reader) (SurrogateInfo, error) {
 	env, err := decodeArtifactEnvelope(r)
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand/v2"
 	"strings"
@@ -211,8 +213,8 @@ func TestArtifactCustomStatistic(t *testing.T) {
 	}
 
 	// Simulate loading in a process that never registered the name.
-	tampered := bytes.Replace(buf.Bytes(),
-		[]byte("artifact_test_spread"), []byte("artifact_test_sproad"), -1)
+	tampered := reseal(t, bytes.Replace(buf.Bytes(),
+		[]byte("artifact_test_spread"), []byte("artifact_test_sproad"), -1))
 	err = dst.LoadSurrogate(bytes.NewReader(tampered))
 	if !errors.Is(err, ErrBadArtifact) {
 		t.Fatalf("got %v, want ErrBadArtifact", err)
@@ -224,8 +226,9 @@ func TestArtifactCustomStatistic(t *testing.T) {
 
 // TestArtifactCorruptAndVersion covers the byte-level rejections:
 // truncation, garbage, a flipped version, the retired pre-artifact
-// "surfmodel" format. Every row but the model bit flip is malformed
-// before the ensemble bytes, so ReadSurrogateInfo must reject it too.
+// "surfmodel" format, and flipped bytes the version-2 checksum
+// catches. Every row but the version-1 model flip is malformed before
+// the ensemble is decoded, so ReadSurrogateInfo must reject it too.
 func TestArtifactCorruptAndVersion(t *testing.T) {
 	d := crimeGrid(1000, 4)
 	cfg := Config{FilterColumns: []string{"x", "y"}, Statistic: Count}
@@ -235,26 +238,50 @@ func TestArtifactCorruptAndVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	art := buf.Bytes()
+	header, body, ok := bytes.Cut(art, []byte("\n"))
+	if !ok || !bytes.HasPrefix(header, []byte("surfengine 2 ")) {
+		t.Fatalf("artifact header %q, want a version-2 header", header)
+	}
+	// The same envelope under a version-1 header: no checksum.
+	v1 := append([]byte("surfengine 1\n"), body...)
+	var model bytes.Buffer
+	if err := eng.surrogate.Load().surr.Model().Save(&model); err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(art, model.Bytes())
+	if at < 0 {
+		t.Fatal("ensemble bytes not found in the artifact")
+	}
+	mid := at + model.Len()/2
 	dst, err := Open(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := dst.LoadSurrogate(bytes.NewReader(v1)); err != nil {
+		t.Fatalf("version-1 artifact: %v", err)
+	}
 	for _, tc := range []struct {
 		name      string
 		data      []byte
-		modelOnly bool // only the full load validates the ensemble bytes
+		modelOnly bool // only the full load decodes the ensemble bytes
 	}{
 		{"empty", nil, false},
 		{"garbage", []byte("definitely not an artifact"), false},
 		{"truncated header", art[:5], false},
 		{"truncated envelope", art[:len(art)/2], false},
-		{"future version", bytes.Replace(art, []byte("surfengine 1\n"), []byte("surfengine 9\n"), 1), false},
-		{"legacy header", append([]byte("surfmodel 2\n"), art[len("surfengine 1\n"):]...), false},
+		{"future version", bytes.Replace(art, []byte("surfengine 2 "), []byte("surfengine 9 "), 1), false},
+		{"legacy header", append([]byte("surfmodel 2\n"), body...), false},
+		{"version 1 with checksum", append(append([]byte("surfengine 1 "), header[len("surfengine 2 "):]...), art[len(header):]...), false},
+		{"version 2 without checksum", append([]byte("surfengine 2\n"), body...), false},
+		{"bad checksum digits", append([]byte("surfengine 2 zzzzzzzz\n"), body...), false},
+		{"flip in mid ensemble", flipByte(art, mid), false},
 		// The ensemble bytes end the envelope, and NumFeat ends the
 		// ensemble: the artifact closes with NumFeat's value byte, the
-		// ensemble's end marker and the envelope's. Flipping that value
-		// byte leaves the envelope intact but the ensemble undecodable.
-		{"bit flip in model", flipByte(art, len(art)-3), true},
+		// ensemble's end marker and the envelope's.
+		{"bit flip in model", flipByte(art, len(art)-3), false},
+		// Without a checksum, flipping that value byte leaves the
+		// envelope intact but the ensemble undecodable.
+		{"version 1 bit flip in model", flipByte(v1, len(v1)-3), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := dst.LoadSurrogate(bytes.NewReader(tc.data)); !errors.Is(err, ErrBadArtifact) {
@@ -268,11 +295,31 @@ func TestArtifactCorruptAndVersion(t *testing.T) {
 			}
 		})
 	}
+	// One flipped bit anywhere after the header is caught before any
+	// decoding: a CRC-32 detects every single-bit error.
+	for i := len(header) + 1; i < len(art); i += 7 {
+		flipped := append([]byte(nil), art...)
+		flipped[i] ^= 1 << (i % 8)
+		if _, err := ReadSurrogateInfo(bytes.NewReader(flipped)); !errors.Is(err, ErrBadArtifact) {
+			t.Fatalf("bit %d of byte %d flipped: got %v, want ErrBadArtifact", i%8, i, err)
+		}
+	}
 	// The retired format is no special case: it is an unknown header.
 	legacy := []byte("surfmodel 2\n")
 	if err := dst.LoadSurrogate(bytes.NewReader(legacy)); err == nil || !strings.Contains(err.Error(), "unrecognized header") {
 		t.Errorf("legacy header: got %v, want an unrecognized-header error", err)
 	}
+}
+
+// reseal rewrites a version-2 artifact's header checksum to match its
+// (edited) body, so a test can reach the checks behind the checksum.
+func reseal(t *testing.T, art []byte) []byte {
+	t.Helper()
+	_, body, ok := bytes.Cut(art, []byte("\n"))
+	if !ok {
+		t.Fatal("artifact has no header line")
+	}
+	return append(fmt.Appendf(nil, "surfengine 2 %08x\n", crc32.ChecksumIEEE(body)), body...)
 }
 
 func flipByte(b []byte, i int) []byte {

@@ -104,7 +104,8 @@
 // compiled inference snapshot is rebuilt on load — and rejects, with
 // ErrBadArtifact, an artifact whose spec does not match the engine:
 // different statistic, different filter columns, different target, a
-// corrupt payload, or a format version from a newer build. Custom
+// corrupt payload (format-2 artifacts carry a CRC-32 of it), or a
+// format version from a newer build. Custom
 // statistics persist by registered name and must be registered (via
 // CustomStatistic) in the loading process before the artifact loads.
 //

@@ -2,6 +2,7 @@ package surf
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -87,6 +88,28 @@ func FuzzReadWorkloadCSV(f *testing.F) {
 		}
 		if back.Len() != wl.Len() {
 			t.Fatalf("round trip length %d, want %d", back.Len(), wl.Len())
+		}
+	})
+}
+
+// FuzzLoadSurrogate feeds arbitrary bytes to both artifact readers:
+// each must return either success or ErrBadArtifact, and never panic.
+// The checked-in corpus holds one small artifact of each format
+// version; mutations of the version-1 seed reach the gob and ensemble
+// decoders without a checksum in the way.
+func FuzzLoadSurrogate(f *testing.F) {
+	f.Add([]byte("surfengine 2 00000000\n"))
+	f.Add([]byte("surfengine 1\n"))
+	eng, err := Open(crimeGrid(200, 1), Config{FilterColumns: []string{"x", "y"}, Statistic: Count})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := ReadSurrogateInfo(bytes.NewReader(data)); err != nil && !errors.Is(err, ErrBadArtifact) {
+			t.Fatalf("ReadSurrogateInfo: %v is not ErrBadArtifact", err)
+		}
+		if err := eng.LoadSurrogate(bytes.NewReader(data)); err != nil && !errors.Is(err, ErrBadArtifact) {
+			t.Fatalf("LoadSurrogate: %v is not ErrBadArtifact", err)
 		}
 	})
 }

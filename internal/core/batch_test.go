@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -116,7 +117,7 @@ func TestFindRescoresInOneBatch(t *testing.T) {
 	}
 }
 
-// TestTopKBatchMatchesScalar is the FindTopK counterpart.
+// TestTopKBatchMatchesScalar is the FindTopKContext counterpart.
 func TestTopKBatchMatchesScalar(t *testing.T) {
 	s, ds := batchTestSurrogate(t, 4000, 600)
 	cfg := TopKConfig{K: 3, Largest: true, GSO: gso.Params{MaxIters: 30, Seed: 9}}
@@ -125,7 +126,7 @@ func TestTopKBatchMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := scalar.FindTopK(cfg)
+	base, err := scalar.FindTopKContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestTopKBatchMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := batched.FindTopK(cfg)
+	got, err := batched.FindTopKContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,8 @@ type Region struct {
 	// Worms is the number of converged particles merged into this
 	// region — a rough confidence signal.
 	Worms int
-	// TrueValue, Support and SatisfiesTrue are filled by Verify.
+	// TrueValue and Verified are filled by MeasureTrue, SatisfiesTrue
+	// by Verify. Nothing fills Support yet.
 	TrueValue     float64
 	Support       int
 	Verified      bool
@@ -84,6 +85,12 @@ type FinderConfig struct {
 }
 
 const (
+	// ExtentClusterEps is the swarm-cluster linkage threshold, as a
+	// fraction of the domain extent, of threshold queries that report
+	// cluster extents (see ClusterExtents).
+	ExtentClusterEps = 0.08
+	// topKClusterEps is the linkage threshold of top-k extraction.
+	topKClusterEps = 0.05
 	// dedupeIoU merges converged particles whose boxes overlap at
 	// least this much.
 	dedupeIoU = 0.3
@@ -233,16 +240,31 @@ func (f *Finder) Find(cfg FinderConfig) (*FindResult, error) {
 // FindContext is Find with cancellation: the context is propagated to
 // the optimizer, which checks it once per swarm iteration.
 func (f *Finder) FindContext(ctx context.Context, cfg FinderConfig) (*FindResult, error) {
-	dims := f.domain.Dims()
-	cfg = cfg.withDefaults(dims)
+	return f.mine(ctx, cfg, thresholdScore, f.extractRegions)
+}
+
+// thresholdScore is the threshold query's per-row score: the Eq. 4
+// objective (scoreRegion) over the defaulted configuration.
+func thresholdScore(cfg FinderConfig) (regionScore, error) {
 	ocfg := ObjectiveConfig{YR: cfg.Threshold, Dir: cfg.Dir, C: cfg.C}
-	obj, err := NewObjective(f.stat, ocfg)
+	return ocfg.scoreRegion, ocfg.Validate()
+}
+
+// mine is the one swarm runner of both query kinds: it defaults and
+// checks cfg, runs GSO over the [x, l] space on the objective of the
+// kind's per-row score (batched when a predictor is attached), with
+// cfg's observers and KDE prior, and lets the kind extract regions.
+func (f *Finder) mine(ctx context.Context, cfg FinderConfig,
+	scoreFor func(FinderConfig) (regionScore, error),
+	extract func(*gso.Result, gso.Objective, FinderConfig) []Region) (*FindResult, error) {
+	cfg = cfg.withDefaults(f.domain.Dims())
+	score, err := scoreFor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	runObj := obj
+	obj := regionObjective(f.stat, score)
 	if f.batch != nil {
-		runObj = newBatchObjective(obj, f.batch, ocfg.scoreRegion)
+		obj = newBatchObjective(obj, f.batch, score)
 	}
 	if cfg.MinSideFrac <= 0 || cfg.MaxSideFrac < cfg.MinSideFrac {
 		return nil, fmt.Errorf("core: side fractions [%g, %g] invalid", cfg.MinSideFrac, cfg.MaxSideFrac)
@@ -256,7 +278,7 @@ func (f *Finder) FindContext(ctx context.Context, cfg FinderConfig) (*FindResult
 	if cfg.OnIteration != nil || cfg.OnRegion != nil {
 		var tracker *incumbentTracker
 		if cfg.OnRegion != nil {
-			tracker = newIncumbentTracker(f, cfg, cfg.OnRegion)
+			tracker = &incumbentTracker{finder: f, cfg: cfg, emit: cfg.OnRegion}
 		}
 		onIter := cfg.OnIteration
 		opts.Observer = func(it gso.IterStats, view gso.SwarmView) {
@@ -280,11 +302,11 @@ func (f *Finder) FindContext(ctx context.Context, cfg FinderConfig) (*FindResult
 	}
 
 	start := time.Now()
-	res, err := gso.RunContext(ctx, cfg.GSO, space, runObj, opts)
+	res, err := gso.RunContext(ctx, cfg.GSO, space, obj, opts)
 	if err != nil {
 		return nil, err
 	}
-	regions := f.extractRegions(res, runObj, cfg)
+	regions := extract(res, obj, cfg)
 	valid := 0
 	for _, ok := range res.Valid {
 		if ok {
@@ -379,6 +401,23 @@ func (f *Finder) extractRegions(res *gso.Result, obj gso.Objective, cfg FinderCo
 			Estimate: f.stat(c.x, c.l),
 			Worms:    c.worms,
 		})
+	}
+	return regions
+}
+
+// ClusterExtents reports the swarm's cluster extents (ClusterRegions
+// with linkage threshold eps) as regions: the first limit clusters,
+// largest first (all of them when limit is 0), each carrying the
+// finder's statistic over its extent as Estimate and Worms 1. The
+// statistic is evaluated only on the clusters returned.
+func (f *Finder) ClusterExtents(swarm *gso.Result, eps float64, limit int) []Region {
+	clusters := ClusterRegions(swarm, f.domain, eps)
+	if limit > 0 && len(clusters) > limit {
+		clusters = clusters[:limit]
+	}
+	regions := make([]Region, 0, len(clusters))
+	for _, rect := range clusters {
+		regions = append(regions, Region{Rect: rect, Estimate: f.stat(rect.Center(), rect.HalfSides()), Worms: 1})
 	}
 	return regions
 }
@@ -485,25 +524,38 @@ func VerifyContext(ctx context.Context, regions []Region, trueFn StatFn, cfg Obj
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
-	if trueFn == nil {
-		return 0, errors.New("core: nil true statistic function")
+	if err := MeasureTrue(ctx, regions, trueFn); err != nil {
+		return 0, err
 	}
 	if len(regions) == 0 {
 		return 0, nil
 	}
 	ok := 0
 	for i := range regions {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
 		r := &regions[i]
-		y := trueFn(r.Rect.Center(), r.Rect.HalfSides())
-		r.TrueValue = y
-		r.Verified = true
-		r.SatisfiesTrue = cfg.Satisfies(y)
+		r.SatisfiesTrue = cfg.Satisfies(r.TrueValue)
 		if r.SatisfiesTrue {
 			ok++
 		}
 	}
 	return float64(ok) / float64(len(regions)), nil
+}
+
+// MeasureTrue is the verification step both query kinds share: it
+// evaluates the true statistic function on each region, filling
+// TrueValue and Verified, and checks ctx before each (potentially
+// O(N)) evaluation.
+func MeasureTrue(ctx context.Context, regions []Region, trueFn StatFn) error {
+	if trueFn == nil {
+		return errors.New("core: nil true statistic function")
+	}
+	for i := range regions {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		r := &regions[i]
+		r.TrueValue = trueFn(r.Rect.Center(), r.Rect.HalfSides())
+		r.Verified = true
+	}
+	return nil
 }

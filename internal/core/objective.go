@@ -131,10 +131,16 @@ func NewObjective(f StatFn, cfg ObjectiveConfig) (gso.Objective, error) {
 	if f == nil {
 		return nil, errors.New("core: nil statistic function")
 	}
+	return regionObjective(f, cfg.scoreRegion), nil
+}
+
+// regionObjective is the scalar objective of a per-row score: decode
+// the position, predict its statistic, score it.
+func regionObjective(f StatFn, score regionScore) gso.Objective {
 	return gso.ObjectiveFunc(func(vec []float64) (float64, bool) {
 		x, l := geom.DecodeRegion(vec)
-		return cfg.scoreRegion(l, f(x, l))
-	}), nil
+		return score(l, f(x, l))
+	})
 }
 
 // BatchPredictor predicts the statistic for many regions at once. Each

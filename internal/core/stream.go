@@ -34,10 +34,6 @@ type pendingCand struct {
 	streak int
 }
 
-func newIncumbentTracker(f *Finder, cfg FinderConfig, emit func(Region)) *incumbentTracker {
-	return &incumbentTracker{finder: f, cfg: cfg, emit: emit}
-}
-
 // sweep reduces the current swarm view to candidate regions and
 // advances the persistence streaks. Fitness values come from the
 // iteration's own evaluation (no re-evaluation cost); positions have

@@ -4,10 +4,9 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sort"
-	"time"
 
-	"surf/internal/geom"
 	"surf/internal/gso"
 )
 
@@ -17,10 +16,12 @@ import (
 // complementary: "each approach can be used in cases when one of the
 // values (k or threshold) is known". It also observes a failure mode
 // of top-k — if the statistic is slightly higher in one region, all k
-// results concentrate there. FindTopK implements the formulation on
-// the same surrogate + multimodal-optimizer machinery so both query
-// types share one trained model, and its swarm-cluster extraction
-// counters (but cannot fully eliminate) the concentration issue.
+// results concentrate there. FindTopKContext implements the
+// formulation on the same surrogate + multimodal-optimizer machinery:
+// both query types share one trained model and one swarm runner
+// (Finder.mine), differing only in the per-row score and the
+// extraction, and the top-k swarm-cluster extraction counters (but
+// cannot fully eliminate) the concentration issue.
 
 // TopKConfig configures a top-k run.
 type TopKConfig struct {
@@ -45,104 +46,54 @@ type TopKConfig struct {
 	OnIteration func(gso.IterStats)
 }
 
-// topKClusterEps is the swarm-cluster linkage threshold of top-k
-// extraction, as a fraction of the domain extent.
-const topKClusterEps = 0.05
-
-// TopKResult is the outcome of FindTopK.
-type TopKResult struct {
-	// Regions are the k best regions found, best first. Fewer than k
-	// are returned when the swarm discovered fewer distinct optima —
-	// the concentration behaviour Section VI warns about.
-	Regions []Region
-	// Swarm is the raw optimizer outcome.
-	Swarm *gso.Result
-	// Elapsed is the wall-clock mining time.
-	Elapsed time.Duration
-}
-
-// FindTopK mines the k regions with the highest (or lowest) statistic.
-// Without a threshold there is no constraint to reject regions, so the
-// objective is the size-regularized statistic itself:
+// FindTopKContext mines the k regions with the highest (or lowest)
+// statistic. Without a threshold there is no constraint to reject
+// regions, so GSO maximizes the size-regularized statistic itself:
 //
 //	J(x, l) = ±f̂(x, l) / (Π l_i)^(C/d)
 //
-// maximized by GSO; converged particles are grouped into clusters and
-// each cluster's extent is scored by the statistic function.
-func (f *Finder) FindTopK(cfg TopKConfig) (*TopKResult, error) {
-	return f.FindTopKContext(context.Background(), cfg)
-}
-
-// FindTopKContext is FindTopK with cancellation: the context is
-// propagated to the optimizer, which checks it once per swarm
-// iteration.
-func (f *Finder) FindTopKContext(ctx context.Context, cfg TopKConfig) (*TopKResult, error) {
+// The swarm's cluster extents with a defined Estimate are ranked and
+// cut to K (fewer when the swarm found fewer distinct optima — the
+// concentration Section VI warns about); their Score stays 0.
+func (f *Finder) FindTopKContext(ctx context.Context, cfg TopKConfig) (*FindResult, error) {
 	if cfg.K < 1 {
 		return nil, errors.New("core: TopK K must be >= 1")
 	}
-	dims := f.domain.Dims()
-	fc := FinderConfig{C: cfg.C, GSO: cfg.GSO, MinSideFrac: cfg.MinSideFrac, MaxSideFrac: cfg.MaxSideFrac}
-	fc = fc.withDefaults(dims)
-
 	sign := 1.0
 	if !cfg.Largest {
 		sign = -1
 	}
-	// Softer size pressure than the threshold objective: the raw
-	// statistic is not log-compressed here, so the exponent is spread
-	// over the dimensions to stay comparable.
-	sizeExp := fc.C / float64(dims)
-	stat := f.stat
-	score := func(l []float64, y float64) (float64, bool) {
-		if math.IsNaN(y) {
-			return 0, false
-		}
-		vol := 1.0
-		for _, li := range l {
-			if li <= 0 {
+	scoreFor := func(fc FinderConfig) (regionScore, error) {
+		// Softer size pressure than the threshold objective: the raw
+		// statistic is not log-compressed here, so the exponent is
+		// spread over the dimensions to stay comparable.
+		sizeExp := fc.C / float64(f.domain.Dims())
+		return func(l []float64, y float64) (float64, bool) {
+			if math.IsNaN(y) {
 				return 0, false
 			}
-			vol *= li
-		}
-		return sign * y / math.Pow(vol, sizeExp), true
+			vol := 1.0
+			for _, li := range l {
+				if li <= 0 {
+					return 0, false
+				}
+				vol *= li
+			}
+			return sign * y / math.Pow(vol, sizeExp), true
+		}, nil
 	}
-	var obj gso.Objective = gso.ObjectiveFunc(func(vec []float64) (float64, bool) {
-		x, l := geom.DecodeRegion(vec)
-		return score(l, stat(x, l))
-	})
-	if f.batch != nil {
-		obj = newBatchObjective(obj, f.batch, score)
+	extract := func(res *gso.Result, _ gso.Objective, _ FinderConfig) []Region {
+		regions := slices.DeleteFunc(f.ClusterExtents(res, topKClusterEps, 0), func(r Region) bool {
+			return math.IsNaN(r.Estimate)
+		})
+		sort.Slice(regions, func(i, j int) bool {
+			if cfg.Largest {
+				return regions[i].Estimate > regions[j].Estimate
+			}
+			return regions[i].Estimate < regions[j].Estimate
+		})
+		return regions[:min(len(regions), cfg.K)]
 	}
-
-	space := geom.SolutionSpace(f.domain, fc.MinSideFrac, fc.MaxSideFrac)
-	opts := gso.Options{InvalidWalk: 1}
-	if cfg.OnIteration != nil {
-		onIter := cfg.OnIteration
-		opts.Observer = func(it gso.IterStats, _ gso.SwarmView) { onIter(it) }
-	}
-	start := time.Now()
-	res, err := gso.RunContext(ctx, fc.GSO, space, obj, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	clusters := ClusterRegions(res, f.domain, topKClusterEps)
-	regions := make([]Region, 0, len(clusters))
-	for _, rect := range clusters {
-		y := stat(rect.Center(), rect.HalfSides())
-		if math.IsNaN(y) {
-			continue
-		}
-		regions = append(regions, Region{Rect: rect, Estimate: y, Worms: 1})
-	}
-	sort.Slice(regions, func(i, j int) bool {
-		if cfg.Largest {
-			return regions[i].Estimate > regions[j].Estimate
-		}
-		return regions[i].Estimate < regions[j].Estimate
-	})
-	if len(regions) > cfg.K {
-		regions = regions[:cfg.K]
-	}
-	return &TopKResult{Regions: regions, Swarm: res, Elapsed: time.Since(start)}, nil
+	fc := FinderConfig{C: cfg.C, GSO: cfg.GSO, MinSideFrac: cfg.MinSideFrac, MaxSideFrac: cfg.MaxSideFrac, OnIteration: cfg.OnIteration}
+	return f.mine(ctx, fc, scoreFor, extract)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,10 +10,31 @@ import (
 	"surf/internal/synth"
 )
 
+// TestFindTopKValidation: top-k rejects what the shared runner
+// rejects for threshold queries, with the same error.
 func TestFindTopKValidation(t *testing.T) {
 	finder, _ := NewFinder(constStat(1), geom.Unit(1))
-	if _, err := finder.FindTopK(TopKConfig{K: 0}); err == nil {
+	ctx := context.Background()
+	if _, err := finder.FindTopKContext(ctx, TopKConfig{K: 0}); err == nil {
 		t.Error("expected error for K=0")
+	}
+	for _, tc := range []struct {
+		name             string
+		minSide, maxSide float64
+	}{
+		{"inverted side fractions", 0.2, 0.1},
+		{"negative min side fraction", -0.1, 0.1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, want := finder.FindContext(ctx, FinderConfig{Threshold: 0, Dir: Above, MinSideFrac: tc.minSide, MaxSideFrac: tc.maxSide})
+			if want == nil {
+				t.Fatal("FindContext accepted the side fractions")
+			}
+			res, err := finder.FindTopKContext(ctx, TopKConfig{K: 2, MinSideFrac: tc.minSide, MaxSideFrac: tc.maxSide})
+			if err == nil || err.Error() != want.Error() {
+				t.Fatalf("FindTopKContext = (%v, %v), want error %q", res, err, want)
+			}
+		})
 	}
 }
 
@@ -24,7 +46,7 @@ func TestFindTopKLargest(t *testing.T) {
 		return 500*math.Exp(-d1/0.01) + 900*math.Exp(-d2/0.01)
 	}
 	finder, _ := NewFinder(stat, geom.Unit(1))
-	res, err := finder.FindTopK(TopKConfig{K: 1, Largest: true})
+	res, err := finder.FindTopKContext(context.Background(), TopKConfig{K: 1, Largest: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +68,7 @@ func TestFindTopKMultipleRegions(t *testing.T) {
 	finder, _ := NewFinder(StatFnFromEvaluator(ev), ds.Domain())
 	cfg := TopKConfig{K: 3, Largest: true}
 	cfg.GSO.MaxIters = 150
-	res, err := finder.FindTopK(cfg)
+	res, err := finder.FindTopKContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +100,7 @@ func TestFindTopKSmallest(t *testing.T) {
 	// Statistic grows with x; the smallest-statistic region sits left.
 	stat := func(x, l []float64) float64 { return 100 * x[0] }
 	finder, _ := NewFinder(stat, geom.Unit(1))
-	res, err := finder.FindTopK(TopKConfig{K: 1, Largest: false})
+	res, err := finder.FindTopKContext(context.Background(), TopKConfig{K: 1, Largest: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +122,7 @@ func TestFindTopKSkipsNaNClusters(t *testing.T) {
 		return x[0]
 	}
 	finder, _ := NewFinder(stat, geom.Unit(1))
-	res, err := finder.FindTopK(TopKConfig{K: 4, Largest: true})
+	res, err := finder.FindTopKContext(context.Background(), TopKConfig{K: 4, Largest: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func proposed(res *core.FindResult, domain geom.Rect) []geom.Rect {
 		}
 		out = append(out, geom.RectFromVector(pos).Clip(domain))
 	}
-	out = append(out, core.ClusterRegions(res.Swarm, domain, 0.08)...)
+	out = append(out, core.ClusterRegions(res.Swarm, domain, core.ExtentClusterEps)...)
 	if len(out) == 0 {
 		for _, r := range res.Regions {
 			out = append(out, r.Rect)

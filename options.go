@@ -11,7 +11,8 @@ import (
 type Statistic int
 
 // Supported statistics. Count is the paper's "density" statistic; Mean
-// over a target column is its "aggregate" statistic.
+// over a target column is its "aggregate" statistic. They run in
+// stats.Kind's order, so a Statistic converts to its Kind directly.
 const (
 	Count Statistic = iota
 	Sum
@@ -24,22 +25,12 @@ const (
 	Ratio
 )
 
-var statKinds = [...]stats.Kind{
-	Count: stats.Count, Sum: stats.Sum, Mean: stats.Mean, Min: stats.Min,
-	Max: stats.Max, Median: stats.Median, Variance: stats.Variance,
-	StdDev: stats.StdDev, Ratio: stats.Ratio,
-}
-
 // kind resolves a Statistic to its internal stats.Kind, accepting
-// both the built-in enum and values returned by CustomStatistic.
+// both the built-in enum and values returned by CustomStatistic. The
+// built-ins share stats.Kind's numbering, so both are conversions.
 func (s Statistic) kind() (stats.Kind, bool) {
-	if s >= 0 && int(s) < len(statKinds) {
-		return statKinds[s], true
-	}
-	if k := stats.Kind(s); k.IsCustom() {
-		return k, true
-	}
-	return 0, false
+	k := stats.Kind(s)
+	return k, (s >= Count && s <= Ratio) || k.IsCustom()
 }
 
 // String names the statistic (the registered name for custom
@@ -58,15 +49,7 @@ func ParseStatistic(name string) (Statistic, error) {
 	if err != nil {
 		return 0, err
 	}
-	for s, kk := range statKinds {
-		if kk == k {
-			return Statistic(s), nil
-		}
-	}
-	if k.IsCustom() {
-		return Statistic(k), nil
-	}
-	return 0, fmt.Errorf("surf: unmapped statistic %q", name)
+	return Statistic(k), nil
 }
 
 // CustomStatistic registers a named statistic computed by fn over the

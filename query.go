@@ -289,19 +289,14 @@ func gsoParams(dims, glowworms, iterations, workers int, seed uint64) gso.Params
 // read the snapshot's own data view, so a query started before a
 // SetDataset swap runs — and verifies — entirely against the data
 // version it pinned.
-func finderFor(snap *snapshot, useTrue bool) (*core.Finder, core.StatFn, error) {
-	surr := snap.surr
-	v := snap.view
+func finderFor(snap *snapshot, useTrue bool) (*core.Finder, error) {
 	switch {
 	case useTrue:
-		stat := core.StatFnFromEvaluator(v.evaluator)
-		f, err := core.NewFinder(stat, v.domain)
-		return f, stat, err
-	case surr != nil:
-		f, err := core.NewSurrogateFinder(surr, v.domain)
-		return f, surr.StatFn(), err
+		return core.NewFinder(core.StatFnFromEvaluator(snap.view.evaluator), snap.view.domain)
+	case snap.surr != nil:
+		return core.NewSurrogateFinder(snap.surr, snap.view.domain)
 	default:
-		return nil, nil, ErrNoSurrogate
+		return nil, ErrNoSurrogate
 	}
 }
 
@@ -398,7 +393,7 @@ func drain(s *Stream, err error) (*Result, error) {
 // streamed or batch, puts its Result there when it succeeds. Callers
 // reach startStream only through cachedRun, after a cache miss.
 func startStream(ctx context.Context, e *Engine, snap *snapshot, key resultKey, q Query, events bool) (*Stream, error) {
-	finder, statFn, err := finderFor(snap, q.UseTrueFunction)
+	finder, err := finderFor(snap, q.UseTrueFunction)
 	if err != nil {
 		return nil, err
 	}
@@ -413,13 +408,13 @@ func startStream(ctx context.Context, e *Engine, snap *snapshot, key resultKey, 
 		}
 	}
 	return newStream(ctx, e.cache, key, func(ctx context.Context, emit func(Event) bool) (*Result, error) {
-		return runQuery(ctx, e, view, finder, statFn, q, emit, events)
+		return runQuery(ctx, e, view, finder, q, emit, events)
 	}), nil
 }
 
 // startTopKStream is startStream for resolved top-k queries.
 func startTopKStream(ctx context.Context, e *Engine, snap *snapshot, key resultKey, q TopKQuery, events bool) (*Stream, error) {
-	finder, _, err := finderFor(snap, q.UseTrueFunction)
+	finder, err := finderFor(snap, q.UseTrueFunction)
 	if err != nil {
 		return nil, err
 	}
@@ -443,12 +438,40 @@ func regionFromCore(r core.Region) Region {
 	}
 }
 
+// resultFromCore converts a mining outcome to the public form. Top-k
+// answers pass validFrac 0 and compliance NaN.
+func resultFromCore(res *core.FindResult, validFrac, compliance float64) *Result {
+	out := &Result{
+		ValidParticleFraction: validFrac,
+		ComplianceRate:        compliance,
+		ElapsedSeconds:        res.Elapsed.Seconds(),
+	}
+	for _, r := range res.Regions {
+		out.Regions = append(out.Regions, regionFromCore(r))
+	}
+	return out
+}
+
+// iterationEvents adapts the swarm's per-iteration telemetry to
+// EventIteration deliveries through emit.
+func iterationEvents(emit func(Event) bool) func(gso.IterStats) {
+	return func(it gso.IterStats) {
+		emit(EventIteration{
+			Iteration:             it.Iteration,
+			MeanFitness:           it.MeanFitness,
+			MeanLuciferin:         it.MeanLuciferin,
+			ValidParticleFraction: it.ValidFrac,
+			Moved:                 it.Moved,
+		})
+	}
+}
+
 // runQuery is the single execution path of threshold queries: swarm
 // mining with progressive event delivery, optional cluster-extent
 // reporting, then verification. With events false the mining runs
 // callback-free (no telemetry, no incumbent sweeps) — the events are
 // passive, so the Result is bit-identical either way.
-func runQuery(ctx context.Context, e *Engine, view *dataView, finder *core.Finder, statFn core.StatFn, q Query, emit func(Event) bool, events bool) (*Result, error) {
+func runQuery(ctx context.Context, e *Engine, view *dataView, finder *core.Finder, q Query, emit func(Event) bool, events bool) (*Result, error) {
 	dir := core.Below
 	if q.Above {
 		dir = core.Above
@@ -468,15 +491,10 @@ func runQuery(ctx context.Context, e *Engine, view *dataView, finder *core.Finde
 		// curIter needs no synchronization: OnRegion always fires
 		// after the same iteration's OnIteration.
 		curIter := 0
+		onIter := iterationEvents(emit)
 		cfg.OnIteration = func(it gso.IterStats) {
 			curIter = it.Iteration
-			emit(EventIteration{
-				Iteration:             it.Iteration,
-				MeanFitness:           it.MeanFitness,
-				MeanLuciferin:         it.MeanLuciferin,
-				ValidParticleFraction: it.ValidFrac,
-				Moved:                 it.Moved,
-			})
+			onIter(it)
 		}
 		cfg.OnRegion = func(r core.Region) {
 			emit(EventRegion{Region: regionFromCore(r), Iteration: curIter})
@@ -487,19 +505,7 @@ func runQuery(ctx context.Context, e *Engine, view *dataView, finder *core.Finde
 		return nil, err
 	}
 	if q.ClusterExtents {
-		clusters := core.ClusterRegions(res.Swarm, view.domain, 0.08)
-		if len(clusters) > q.MaxRegions {
-			clusters = clusters[:q.MaxRegions]
-		}
-		regions := make([]core.Region, 0, len(clusters))
-		for _, rect := range clusters {
-			regions = append(regions, core.Region{
-				Rect:     rect,
-				Estimate: statFn(rect.Center(), rect.HalfSides()),
-				Worms:    1,
-			})
-		}
-		res.Regions = regions
+		res.Regions = finder.ClusterExtents(res.Swarm, core.ExtentClusterEps, q.MaxRegions)
 	}
 	compliance := math.NaN()
 	if !q.SkipVerify {
@@ -509,18 +515,13 @@ func runQuery(ctx context.Context, e *Engine, view *dataView, finder *core.Finde
 			return nil, err
 		}
 	}
-	out := &Result{
-		ValidParticleFraction: res.ValidFrac,
-		ComplianceRate:        compliance,
-		ElapsedSeconds:        res.Elapsed.Seconds(),
-	}
-	for _, r := range res.Regions {
-		out.Regions = append(out.Regions, regionFromCore(r))
-	}
-	return out, nil
+	return resultFromCore(res, res.ValidFrac, compliance), nil
 }
 
-// runTopK is the single execution path of top-k queries.
+// runTopK is the single execution path of top-k queries: swarm mining,
+// then, unless skipped, the true statistic of each region. Top-k has
+// no constraint to satisfy, so its answers carry Satisfies false and
+// a NaN compliance rate.
 func runTopK(ctx context.Context, e *Engine, view *dataView, finder *core.Finder, q TopKQuery, emit func(Event) bool, events bool) (*Result, error) {
 	cfg := core.TopKConfig{
 		K:           q.K,
@@ -531,37 +532,16 @@ func runTopK(ctx context.Context, e *Engine, view *dataView, finder *core.Finder
 		GSO:         gsoParams(e.Dims(), q.Glowworms, q.Iterations, q.Workers, q.Seed),
 	}
 	if events {
-		cfg.OnIteration = func(it gso.IterStats) {
-			emit(EventIteration{
-				Iteration:             it.Iteration,
-				MeanFitness:           it.MeanFitness,
-				MeanLuciferin:         it.MeanLuciferin,
-				ValidParticleFraction: it.ValidFrac,
-				Moved:                 it.Moved,
-			})
-		}
+		cfg.OnIteration = iterationEvents(emit)
 	}
 	res, err := finder.FindTopKContext(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{ComplianceRate: math.NaN(), ElapsedSeconds: res.Elapsed.Seconds()}
-	trueFn := core.StatFnFromEvaluator(view.evaluator)
-	for _, r := range res.Regions {
-		region := Region{
-			Min:      append([]float64(nil), r.Rect.Min...),
-			Max:      append([]float64(nil), r.Rect.Max...),
-			Estimate: r.Estimate,
-			Worms:    r.Worms,
+	if !q.SkipVerify {
+		if err := core.MeasureTrue(ctx, res.Regions, core.StatFnFromEvaluator(view.evaluator)); err != nil {
+			return nil, err
 		}
-		if !q.SkipVerify {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			region.TrueValue = trueFn(r.Rect.Center(), r.Rect.HalfSides())
-			region.Verified = true
-		}
-		out.Regions = append(out.Regions, region)
 	}
-	return out, nil
+	return resultFromCore(res, 0, math.NaN()), nil
 }

@@ -424,14 +424,20 @@ func (r *Registry) Acquire(ctx context.Context, name string) (*Handle, error) {
 			return nil, fmt.Errorf("registry: dataset %q failed to load: %w", name, err)
 		}
 		// Cold entry: start the load and loop back to wait on it.
-		ch := make(chan struct{})
-		e.loading = ch
-		e.training = e.spec.Train > 0
-		spec, version, store := e.spec, e.version, e.reusableStoreLocked()
-		r.mu.Unlock()
-		go r.load(name, spec, version, store, ch)
-		r.mu.Lock()
+		r.startLoadLocked(e)
 	}
+}
+
+// startLoadLocked launches the load of a cold or evicted entry, which
+// Acquire's waiters and Warm share: it marks the entry loading (and
+// training, when the spec trains at startup) and hands the load the
+// current spec, version and reusable store. The load goroutine takes
+// the registry mutex only when it completes.
+func (r *Registry) startLoadLocked(e *entry) {
+	ch := make(chan struct{})
+	e.loading = ch
+	e.training = e.spec.Train > 0
+	go r.load(e.name, e.spec, e.version, e.reusableStoreLocked(), ch)
 }
 
 // reusableStoreLocked returns the entry's living store when the
@@ -493,21 +499,14 @@ func (r *Registry) load(name string, spec Spec, version int, store *surf.Store, 
 // toward ready.
 func (r *Registry) Warm(name string) error {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	e, ok := r.entries[name]
 	if !ok {
-		r.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownDataset, name)
 	}
-	if e.set != nil || e.loading != nil || e.loadErr != nil {
-		r.mu.Unlock()
-		return nil
+	if e.set == nil && e.loading == nil && e.loadErr == nil {
+		r.startLoadLocked(e)
 	}
-	ch := make(chan struct{})
-	e.loading = ch
-	e.training = e.spec.Train > 0
-	spec, version, store := e.spec, e.version, e.reusableStoreLocked()
-	r.mu.Unlock()
-	go r.load(name, spec, version, store, ch)
 	return nil
 }
 

@@ -33,10 +33,13 @@ type Result struct {
 	// Regions are the mined regions, best objective first.
 	Regions []Region
 	// ValidParticleFraction is the share of swarm particles ending on
-	// constraint-satisfying positions.
+	// constraint-satisfying positions. Top-k answers have no
+	// constraint and report 0.
 	ValidParticleFraction float64
 	// ComplianceRate is the fraction of regions that verified against
-	// the true statistic (NaN when verification was skipped).
+	// the true statistic (NaN when verification was skipped). Top-k
+	// answers have no threshold to comply with and report NaN; their
+	// verified regions carry TrueValue only.
 	ComplianceRate float64
 	// ElapsedSeconds is the mining wall-clock time.
 	ElapsedSeconds float64

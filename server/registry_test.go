@@ -326,8 +326,18 @@ func TestModelsCRUD(t *testing.T) {
 	}
 
 	// Validation failures: an incoherent spec or a field Spec does not
-	// have is a 400, an artifact contradicting the spec's statistic a
-	// 422, an oversized body a 413, and none touches the entry.
+	// have is a 400, an artifact contradicting the spec's statistic or
+	// failing its checksum a 422, an oversized body a 413, and none
+	// touches the entry.
+	art, err := os.ReadFile(fx.artifactA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art[len(art)/2] ^= 0x10
+	corrupt := filepath.Join(t.TempDir(), "corrupt.surf")
+	if err := os.WriteFile(corrupt, art, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name, model string
 		body        any
@@ -339,6 +349,7 @@ func TestModelsCRUD(t *testing.T) {
 			"data": fx.csv, "filter_columns": []string{"x", "y"},
 			"statistic": "sum", "target_column": "x", "artifact": fx.artifactA,
 		}, http.StatusUnprocessableEntity, "bad_artifact"},
+		{"corrupted artifact", "delta", fx.spec(corrupt), http.StatusUnprocessableEntity, "bad_artifact"},
 		{"unknown field", "beta", map[string]any{"shards": 2}, http.StatusBadRequest, "bad_spec"},
 		{"removed kernel field", "beta", map[string]any{"kernel": "scalar"}, http.StatusBadRequest, "bad_spec"},
 		// Valid on its own, so only the trailing value can refuse it.

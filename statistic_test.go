@@ -3,6 +3,8 @@ package surf
 import (
 	"errors"
 	"testing"
+
+	"surf/internal/stats"
 )
 
 // TestStatisticStringTable pins the wire names of every statistic and
@@ -74,6 +76,40 @@ func TestParseStatisticTable(t *testing.T) {
 		back, err := ParseStatistic(s.String())
 		if err != nil || back != s {
 			t.Errorf("round trip %v -> %q -> (%v, %v)", s, s.String(), back, err)
+		}
+	}
+}
+
+// TestStatisticIsKindNumbering pins the built-ins to stats.Kind's
+// numbering, which kind and ParseStatistic convert through, and the
+// name round trip through both enums.
+func TestStatisticIsKindNumbering(t *testing.T) {
+	for _, c := range []struct {
+		kind stats.Kind
+		stat Statistic
+		name string
+	}{
+		{stats.Count, Count, "count"},
+		{stats.Sum, Sum, "sum"},
+		{stats.Mean, Mean, "mean"},
+		{stats.Min, Min, "min"},
+		{stats.Max, Max, "max"},
+		{stats.Median, Median, "median"},
+		{stats.Variance, Variance, "variance"},
+		{stats.StdDev, StdDev, "stddev"},
+		{stats.Ratio, Ratio, "ratio"},
+	} {
+		if Statistic(c.kind) != c.stat {
+			t.Errorf("Statistic(stats.%v) = %d, want %d", c.kind, int(Statistic(c.kind)), int(c.stat))
+		}
+		if k, ok := c.stat.kind(); !ok || k != c.kind {
+			t.Errorf("%v.kind() = (%v, %v), want (%v, true)", c.stat, k, ok, c.kind)
+		}
+		if c.stat.String() != c.name || c.kind.String() != c.name {
+			t.Errorf("names %q / %q, want %q", c.stat.String(), c.kind.String(), c.name)
+		}
+		if back, err := ParseStatistic(c.name); err != nil || back != c.stat {
+			t.Errorf("ParseStatistic(%q) = (%v, %v), want %v", c.name, back, err, c.stat)
 		}
 	}
 }
