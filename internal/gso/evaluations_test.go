@@ -2,38 +2,63 @@ package gso
 
 import (
 	"context"
+	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"surf/internal/geom"
 )
 
-// countingSphere scores sphereFn and counts the positions it scores:
+// countingObjective scores fn and counts the positions it scores:
 // one-off Fitness calls in scalar, rows of EvaluateBatch in batch.
-type countingSphere struct {
+type countingObjective struct {
+	fn            func(pos []float64) (float64, bool)
 	scalar, batch *atomic.Int64
 }
 
-func (o countingSphere) Fitness(pos []float64) (float64, bool) {
+func (o countingObjective) Fitness(pos []float64) (float64, bool) {
 	o.scalar.Add(1)
-	return sphereFn(pos)
+	return o.fn(pos)
 }
 
-// countingBatchSphere is countingSphere through the BatchObjective
-// interface.
-type countingBatchSphere struct{ countingSphere }
+// countingBatchObjective is countingObjective through the
+// BatchObjective interface.
+type countingBatchObjective struct{ countingObjective }
 
-func (o countingBatchSphere) NewBatchEvaluator() BatchEvaluator {
-	return countingSphereEval{o.countingSphere}
+func (o countingBatchObjective) NewBatchEvaluator() BatchEvaluator {
+	return countingEval{o.countingObjective}
 }
 
-type countingSphereEval struct{ countingSphere }
+type countingEval struct{ countingObjective }
 
-func (e countingSphereEval) EvaluateBatch(pos [][]float64, fitness []float64, valid []bool) {
+func (e countingEval) EvaluateBatch(pos [][]float64, fitness []float64, valid []bool) {
 	e.batch.Add(int64(len(pos)))
 	for i, p := range pos {
-		fitness[i], valid[i] = sphereFn(p)
+		fitness[i], valid[i] = e.fn(p)
 	}
+}
+
+// bumpFn thresholds a Gaussian bump at (0.7, 0.7, …): it is defined,
+// with the bump's height, only where that height exceeds 1/2, a disc
+// over about 4% of the unit square, so most worms start on invalid
+// positions.
+func bumpFn(pos []float64) (float64, bool) {
+	var d2 float64
+	for _, v := range pos {
+		d2 += (v - 0.7) * (v - 0.7)
+	}
+	h := math.Exp(-d2 / 0.02)
+	return h, h > 0.5
+}
+
+// nanFn is sphereFn with a slab where the fitness is a valid NaN, so
+// the worms that start there carry NaN luciferin for the whole run.
+func nanFn(pos []float64) (float64, bool) {
+	if pos[0] < 0.2 {
+		return math.NaN(), true
+	}
+	return sphereFn(pos)
 }
 
 // clumpedStarts puts the L worms on five points, so many start on top
@@ -48,18 +73,30 @@ func clumpedStarts(L int) [][]float64 {
 }
 
 // TestEvaluationsCountMovedWorms: after the first iteration the swarm
-// scores and weighs only the worms that moved. The rows the objective
-// saw, the Weight calls and Result.Evaluations all equal
-// L + Σ_{t<T−1} Moved_t, fewer than L·T, and the Result is the one of
-// the reference that re-evaluates every worm, bit for bit.
+// scores only the worms that moved. The rows the objective saw and
+// Result.Evaluations both equal L + Σ_{t<T−1} Moved_t, fewer than L·T.
+// The Weight calls are at most as many: a worm ranked in the dimmest
+// tie group is no worm's candidate, so it is weighed only once a phase
+// ranks it brighter. Where most of the space is invalid, fewer than
+// half the evaluated positions are weighed; once some luciferin is NaN
+// every worm is a candidate and every evaluated position is weighed.
+// Either way the Result is the one of the reference that re-evaluates
+// and re-weighs every worm, bit for bit.
 func TestEvaluationsCountMovedWorms(t *testing.T) {
+	const (
+		weighSome = iota // weight calls ≤ Evaluations
+		weighFew         // weight calls < Evaluations/2
+		weighAll         // weight calls = Evaluations
+	)
 	tests := []struct {
 		name    string
+		fn      func(pos []float64) (float64, bool)
 		workers int
 		batch   bool
 		weight  bool
 		walk    bool
 		init    bool
+		weighs  int
 	}{
 		{name: "scalar"},
 		{name: "scalar/workers=3", workers: 3},
@@ -72,6 +109,12 @@ func TestEvaluationsCountMovedWorms(t *testing.T) {
 		{name: "batch/weight/walk/workers=3", workers: 3, batch: true, weight: true, walk: true},
 		{name: "scalar/init", init: true},
 		{name: "batch/weight/walk/init/workers=3", workers: 3, batch: true, weight: true, walk: true, init: true},
+		{name: "bump/scalar/weight", fn: bumpFn, weight: true, weighs: weighFew},
+		{name: "bump/batch/weight/workers=3", fn: bumpFn, workers: 3, batch: true, weight: true, weighs: weighFew},
+		{name: "bump/scalar/weight/walk", fn: bumpFn, weight: true, walk: true, weighs: weighFew},
+		{name: "bump/batch/weight/walk/workers=3", fn: bumpFn, workers: 3, batch: true, weight: true, walk: true, weighs: weighFew},
+		{name: "nan/scalar/weight/walk", fn: nanFn, weight: true, walk: true, weighs: weighAll},
+		{name: "nan/batch/weight/walk/workers=3", fn: nanFn, workers: 3, batch: true, weight: true, walk: true, weighs: weighAll},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -79,9 +122,13 @@ func TestEvaluationsCountMovedWorms(t *testing.T) {
 			p.Glowworms, p.MaxIters, p.Workers, p.Seed = 50, 30, tt.workers, 5
 			bounds := geom.Unit(2)
 			var scalar, batch, weighed atomic.Int64
-			var obj Objective = countingSphere{&scalar, &batch}
+			fn := tt.fn
+			if fn == nil {
+				fn = sphereFn
+			}
+			var obj Objective = countingObjective{fn, &scalar, &batch}
 			if tt.batch {
-				obj = countingBatchSphere{countingSphere{&scalar, &batch}}
+				obj = countingBatchObjective{countingObjective{fn, &scalar, &batch}}
 			}
 			var opts Options
 			if tt.weight {
@@ -109,8 +156,16 @@ func TestEvaluationsCountMovedWorms(t *testing.T) {
 			if want := evaluationsMade(got); got.Evaluations != want || rows != int64(want) {
 				t.Errorf("%d evaluations and %d rows scored, want L + moved = %d", got.Evaluations, rows, want)
 			}
-			if tt.weight && weighed.Load() != int64(got.Evaluations) {
-				t.Errorf("%d weight calls, want one per evaluation (%d)", weighed.Load(), got.Evaluations)
+			if tt.weight {
+				w, e := weighed.Load(), int64(got.Evaluations)
+				switch {
+				case w > e:
+					t.Errorf("%d weight calls, more than the %d evaluations", w, e)
+				case tt.weighs == weighFew && 2*w >= e:
+					t.Errorf("%d weight calls, not below half the %d evaluations", w, e)
+				case tt.weighs == weighAll && w != e:
+					t.Errorf("%d weight calls, want one per evaluation (%d)", w, e)
+				}
 			}
 			if got.Evaluations >= p.Glowworms*got.Iterations {
 				t.Errorf("%d evaluations over %d iterations: no worm ever stayed put", got.Evaluations, got.Iterations)
@@ -127,5 +182,53 @@ func TestEvaluationsCountMovedWorms(t *testing.T) {
 				t.Fatal(diff)
 			}
 		})
+	}
+}
+
+// TestWeighsWormOnceItIsACandidate follows three worms on a line
+// through two phases. A starts invalid at 0.1, out of everyone's
+// reach, C at 0.51 and the brightest, D, at 0.65. Phase 0 ranks D, C,
+// A: A is nobody's candidate, so only C and D are weighed, and A stays
+// put. C steps toward D onto a fitness of −10 and turns dimmest, so
+// phase 1 ranks A before the cut: A is weighed then, at the position
+// it has kept since the start, and C's roulette between A and D reads
+// that weight. C, moved but now past the cut, is not weighed.
+func TestWeighsWormOnceItIsACandidate(t *testing.T) {
+	obj := ObjectiveFunc(func(pos []float64) (float64, bool) {
+		switch x := pos[0]; {
+		case x < 0.2:
+			return 0, false
+		case x >= 0.6:
+			return 5, true
+		case x >= 0.5 && x < 0.52:
+			return 1, true
+		}
+		return -10, true
+	})
+	var weighed []float64
+	opts := Options{Weight: func(pos []float64) float64 {
+		weighed = append(weighed, pos[0])
+		if pos[0] < 0.2 {
+			return 100
+		}
+		return 1
+	}}
+	p := DefaultParams()
+	p.Glowworms, p.MaxIters = 3, 2
+	start := [][]float64{{0.1}, {0.51}, {0.65}}
+	got, err := run(context.Background(), p, geom.Unit(1), obj, opts, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{0.51, 0.65, 0.1}; !slices.Equal(weighed, want) {
+		t.Errorf("weighed positions %v, want %v", weighed, want)
+	}
+	weighed = nil
+	want, err := runReference(context.Background(), p, geom.Unit(1), obj, opts, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := diffResults(got, want); diff != "" {
+		t.Fatal(diff)
 	}
 }

@@ -24,19 +24,28 @@
 //
 // Each iteration has two phases. Evaluation scores the worms and can
 // run on several workers. A worm with no brighter neighbour stays put,
-// and its fitness and Eq. 8 weight are functions of its position
-// alone, so the first iteration scores and weighs every worm and each
-// later one only the worms that moved in the iteration before; the
-// rest keep the values they have. On surrogate-shaped finds about 30%
-// of worm-iterations stay put. Movement is sequential, since each worm
-// moves in place and later worms see the moves, and its neighbour
-// search is quadratic in L: with luciferin ranked once per iteration,
-// each worm tests only the strictly brighter worms, about half the
-// L(L−1) ordered pairs, and compares squared distances without a
-// square root (see rankedScan). Each ranking repairs the previous
-// iteration's by insertion sort, as luciferin drifts little between
-// iterations. At the surrogate's default L = 200 this search is most
-// of the movement phase's cost.
+// and its fitness is a function of its position alone, so the first
+// iteration scores every worm and each later one only the worms that
+// moved in the iteration before; the rest keep the values they have.
+// On surrogate-shaped finds about 30% of worm-iterations stay put.
+//
+// An Eq. 8 weight is read only when its worm is a candidate in some
+// roulette, i.e. strictly brighter than another worm, so each movement
+// phase weighs only the moved worms ranked above the dimmest tie
+// group. A moved worm in that group is weighed in the first phase that
+// ranks it above the group, at the position it has kept since. Worms
+// that were never valid share one decaying luciferin and usually make
+// up the group, so on a mostly invalid space most moved worms are
+// never weighed.
+//
+// Movement is sequential, since each worm moves in place and later
+// worms see the moves, and its neighbour search is quadratic in L:
+// with luciferin ranked once per iteration, each worm tests only the
+// strictly brighter worms, about half the L(L−1) ordered pairs, and
+// compares squared distances without a square root (see rankedScan).
+// Each ranking repairs the previous iteration's by insertion sort, as
+// luciferin drifts little between iterations. At the surrogate's
+// default L = 200 this search is most of the movement phase's cost.
 //
 // Two SuRF-specific extensions are supported:
 //
@@ -137,10 +146,11 @@ type Params struct {
 	// InitRadius is r_0. When 0, the rule of paper Section V-G is
 	// used: r_0 = (1 − (1/2)^(1/L))^(1/n) scaled by the domain extent.
 	InitRadius float64
-	// Workers evaluates the objective and the selection weights for
-	// the worms being scored with this many goroutines per iteration
-	// (0 or 1 = sequential), capped at GOMAXPROCS and at one worker per
-	// two glowworms. Results are identical to the sequential run — only
+	// Workers evaluates the objective for the worms being scored, and
+	// the selection weights for the worms being weighed, with this
+	// many goroutines per iteration (0 or 1 = sequential), capped at
+	// GOMAXPROCS and at one worker per two glowworms. Results are
+	// identical to the sequential run — only
 	// the per-particle evaluations parallelize; the movement phase
 	// keeps its deterministic RNG stream. The objective and
 	// Options.Weight must be safe for concurrent calls (the
@@ -210,7 +220,8 @@ type Result struct {
 	// Evaluations counts the positions scored: every worm in the
 	// first iteration, then only the worms that moved in the iteration
 	// before, i.e. L + Σ_{t<T−1} Trace[t].Moved. The weights, when
-	// Options.Weight is set, are computed for the same positions.
+	// Options.Weight is set, are computed for at most these positions:
+	// only for those a roulette reads (see Options.Weight).
 	Evaluations int
 	// Trace is per-iteration telemetry.
 	Trace []IterStats
@@ -237,8 +248,13 @@ type SwarmView struct {
 // Options tune run behaviour beyond the core parameters.
 type Options struct {
 	// Weight re-weights neighbour selection (paper Eq. 8); nil
-	// disables. With Params.Workers > 1 it is called concurrently,
-	// over the same shards as the fitness evaluations.
+	// disables. It is called only for worms a roulette can read: a
+	// worm strictly brighter than some other worm (every worm, once
+	// some luciferin is NaN), at its start-of-phase position, and
+	// again only after it moves. A worm in the dimmest tie group,
+	// where every never-valid worm sits, is nobody's candidate and is
+	// not weighed. With Params.Workers > 1 it is called concurrently,
+	// over shards of the worms to weigh.
 	Weight SelectionWeight
 	// Observer, when non-nil, is invoked synchronously at the end of
 	// every iteration with that iteration's telemetry (the same entry
@@ -339,16 +355,23 @@ func run(ctx context.Context, p Params, bounds geom.Rect, obj Objective, opts Op
 	var neighbors []int
 	var weights []float64
 	var totalW float64
+	// wcache[i] is worm i's selection weight, valid at its current
+	// position unless unweighed[i]; toWeigh lists the worms weighed in
+	// one phase.
 	var wcache []float64
+	var unweighed []bool
+	var toWeigh []int
 	if opts.Weight != nil {
 		wcache = make([]float64, L)
+		unweighed = make([]bool, L)
+		toWeigh = make([]int, 0, L)
 	}
 	eval := newSwarmEvaluator(obj, p.Workers, L)
 	scan := newRankedScan(L, n)
 	// stale lists, in ascending order, the worms whose position changed
 	// since they were last scored: every worm at first, then the worms
 	// that moved in the previous movement phase. A worm that stayed put
-	// keeps its fitness, validity and weight.
+	// keeps its fitness and validity.
 	stale := make([]int, L)
 	for i := range stale {
 		stale[i] = i
@@ -377,13 +400,27 @@ func run(ctx context.Context, p Params, bounds geom.Rect, obj Objective, opts Op
 		}
 
 		// Phase 2: movement. Selection weights (e.g. KDE box masses)
-		// are evaluated once per particle per iteration against the
-		// start-of-phase positions — the synchronous-update reading
-		// of Eq. 8 — rather than per candidate pair.
-		if opts.Weight != nil {
-			eval.weigh(opts.Weight, stale, pos, wcache)
-		}
+		// are evaluated against the start-of-phase positions — the
+		// synchronous-update reading of Eq. 8 — rather than per
+		// candidate pair, and only for the worms ranked before the
+		// cut, the only ones a roulette can read this phase. A moved
+		// worm past the cut stays unweighed until a phase ranks it
+		// before the cut; it cannot move again without being marked
+		// anew, so its weight is then taken at the same position.
 		scan.prepare(luc, pos)
+		if opts.Weight != nil {
+			for _, i := range stale {
+				unweighed[i] = true
+			}
+			toWeigh = toWeigh[:0]
+			for i, u := range unweighed {
+				if u && scan.candidate(i) {
+					toWeigh = append(toWeigh, i)
+					unweighed[i] = false
+				}
+			}
+			eval.weigh(opts.Weight, toWeigh, pos, wcache)
+		}
 		stale = stale[:0]
 		for i := 0; i < L; i++ {
 			neighbors, weights, totalW = scan.neighbors(i, radius[i], luc, wcache, neighbors[:0], weights[:0])

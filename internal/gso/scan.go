@@ -26,12 +26,18 @@ import (
 // The scan marks neighbours in a bitset over worm indices and the
 // walk of that bitset emits them in ascending index, which is the
 // order the roulette selection and its weight sum depend on.
+//
+// The union of all candidate prefixes is the rank prefix [0, cut): a
+// worm ranked at or past the cut, in the dimmest tie group, is no
+// worm's candidate for the whole phase, so no roulette reads its
+// selection weight.
 type rankedScan struct {
 	n      int
 	order  []int32   // worm indices by rank: NaN first, then descending luciferin, ties by index
 	keys   []uint64  // keys[k] is rankKey of worm order[k]'s luciferin
 	rank   []int32   // rank[i] is worm i's index in order
 	prefix []int32   // ranks [0, prefix[k]) are the candidates of rank k
+	cut    int32     // the largest prefix: ranks [cut, L) are nobody's candidates
 	rows   []float64 // positions in rank order, n coordinates per row
 	words  []uint64  // neighbour bitset over worm indices
 }
@@ -72,11 +78,13 @@ func rankKey(v float64) uint64 {
 	return b
 }
 
-// prepare ranks the swarm by luc and copies pos into rank order. It
-// must run after the luciferin update and before the first scan of a
-// movement phase. The ranking is (key, worm index) ascending — NaN
-// first, then descending luciferin, ties by index — reached by an
-// insertion sort of the previous ranking.
+// prepare ranks the swarm by luc, sets the candidate prefixes and the
+// cut, and copies pos into rank order. It must run after the luciferin
+// update and before the first scan of a movement phase. The ranking is
+// (key, worm index) ascending — NaN first, then descending luciferin,
+// ties by index — reached by an insertion sort of the previous
+// ranking. The cut is the first rank of the dimmest tie group, or L
+// when any luciferin is NaN.
 func (s *rankedScan) prepare(luc []float64, pos [][]float64) {
 	order, keys := s.order, s.keys
 	for k, i := range order {
@@ -107,11 +115,21 @@ func (s *rankedScan) prepare(luc []float64, pos [][]float64) {
 		}
 		k = end
 	}
+	// No prefix passes the dimmest group's start, the last rank's
+	// prefix, except a NaN worm's, which is the whole swarm.
+	s.cut = s.prefix[L-1]
+	if keys[0] == 0 {
+		s.cut = L
+	}
 	for k, i := range order {
 		s.rank[i] = int32(k)
 		copy(s.rows[k*s.n:(k+1)*s.n], pos[i])
 	}
 }
+
+// candidate reports whether worm i is in some worm's candidate prefix
+// this phase, i.e. ranks before the cut.
+func (s *rankedScan) candidate(i int) bool { return s.rank[i] < s.cut }
 
 // moved records worm i's new position.
 func (s *rankedScan) moved(i int, p []float64) {

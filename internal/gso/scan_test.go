@@ -325,7 +325,8 @@ var (
 // original all-pairs loop does — the same neighbours in the same
 // order, the same weights and the same sum — for every worm in index
 // order, with each worm moved after its scan as the movement phase
-// moves it. A second phase perturbs the luciferin and prepares the
+// moves it, and every worm strictly brighter than another, or NaN,
+// ranks before the cut. A second phase perturbs the luciferin and prepares the
 // same scan again, so the ranking carried over from the first phase
 // is repaired rather than built from scratch.
 func FuzzNeighborScan(f *testing.F) {
@@ -369,6 +370,14 @@ func FuzzNeighborScan(f *testing.F) {
 				}
 			}
 			scan.prepare(luc, pos)
+			for i := range luc {
+				for j := range luc {
+					if j != i && !(luc[j] <= luc[i]) && !scan.candidate(j) {
+						t.Fatalf("phase %d: worm %d is a candidate of worm %d but ranks %d, at or past the cut %d",
+							phase, j, i, scan.rank[j], scan.cut)
+					}
+				}
+			}
 			for i := range pos {
 				var gotT, wantT float64
 				gotNb, gotW, gotT = scan.neighbors(i, radius[i], luc, weight, gotNb[:0], gotW[:0])
@@ -392,8 +401,8 @@ func FuzzNeighborScan(f *testing.F) {
 // freshRanking ranks luc from scratch with the comparator the ranking
 // is defined by — NaN first, then descending luciferin, ties by worm
 // index — and derives each rank's candidate prefix from luciferin
-// comparisons.
-func freshRanking(luc []float64) (order, prefix []int32) {
+// comparisons, and the cut as the longest prefix.
+func freshRanking(luc []float64) (order, prefix []int32, cut int32) {
 	L := int32(len(luc))
 	order = make([]int32, L)
 	for i := range order {
@@ -426,11 +435,11 @@ func freshRanking(luc []float64) (order, prefix []int32) {
 			prefix[k] = int32(k)
 		}
 	}
-	return order, prefix
+	return order, prefix, slices.Max(prefix)
 }
 
 // TestCarriedRanking: preparing a scan ranked on prev with next gives
-// the ranking and candidate prefixes a fresh sort of next does.
+// the ranking, candidate prefixes and cut a fresh sort of next does.
 func TestCarriedRanking(t *testing.T) {
 	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
 	tests := []struct {
@@ -463,9 +472,9 @@ func TestCarriedRanking(t *testing.T) {
 				s.prepare(tt.prev, pos)
 			}
 			s.prepare(tt.next, pos)
-			order, prefix := freshRanking(tt.next)
-			if !slices.Equal(s.order, order) || !slices.Equal(s.prefix, prefix) {
-				t.Errorf("carried ranking %v prefixes %v, fresh %v %v", s.order, s.prefix, order, prefix)
+			order, prefix, cut := freshRanking(tt.next)
+			if !slices.Equal(s.order, order) || !slices.Equal(s.prefix, prefix) || s.cut != cut {
+				t.Errorf("carried ranking %v prefixes %v cut %d, fresh %v %v %d", s.order, s.prefix, s.cut, order, prefix, cut)
 			}
 			for k, i := range order {
 				if s.rank[i] != int32(k) || s.rows[k] != pos[i][0] {
