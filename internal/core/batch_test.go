@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -114,6 +115,81 @@ func TestFindRescoresInOneBatch(t *testing.T) {
 	}
 	if len(res.Regions) == 0 || scalarCalls != len(res.Regions) {
 		t.Fatalf("%d scalar statistic calls for %d regions", scalarCalls, len(res.Regions))
+	}
+}
+
+// TestFindExtentsEstimatesOnlyExtents: after the swarm, a
+// cluster-extent find calls the statistic once per returned extent,
+// and returns the extents ClusterExtents reports over FindContext's
+// swarm.
+func TestFindExtentsEstimatesOnlyExtents(t *testing.T) {
+	s, ds := batchTestSurrogate(t, 6000, 800)
+	ev, err := dataset.NewLinearScan(ds.Data, ds.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := make([][]float64, ds.Data.Len())
+	for i := range points {
+		points[i] = ds.Data.Row(i)[:2]
+	}
+	tests := []struct {
+		name       string
+		stat       StatFn
+		batch      bool
+		kde        bool
+		maxRegions int
+	}{
+		{name: "true-function", stat: StatFnFromEvaluator(ev)},
+		{name: "surrogate/scalar", stat: s.StatFn()},
+		{name: "surrogate/batch", stat: s.StatFn(), batch: true},
+		{name: "surrogate/batch/kde", stat: s.StatFn(), batch: true, kde: true},
+		{name: "surrogate/batch/max-regions=1", stat: s.StatFn(), batch: true, maxRegions: 1},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			calls := 0
+			f, err := NewFinder(func(x, l []float64) float64 {
+				calls++
+				return tt.stat(x, l)
+			}, ds.Domain())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tt.batch {
+				f.AttachBatch(s.Kernel())
+			}
+			if tt.kde {
+				if err := f.AttachDensity(points, 300, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfg := FinderConfig{
+				Threshold: ds.SuggestedYR, Dir: Above, UseKDE: tt.kde, MaxRegions: tt.maxRegions,
+				GSO: gso.Params{MaxIters: 30, Seed: 5},
+			}
+			swarmCalls := -1
+			cfg.OnIteration = func(it gso.IterStats) {
+				if it.Iteration == cfg.GSO.MaxIters-1 {
+					swarmCalls = calls
+				}
+			}
+			got, err := f.FindExtentsContext(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Regions) == 0 {
+				t.Fatal("no extents found")
+			}
+			if after := calls - swarmCalls; swarmCalls < 0 || after != len(got.Regions) {
+				t.Errorf("%d statistic calls after the swarm for %d extents", after, len(got.Regions))
+			}
+			cfg.OnIteration = nil
+			res, err := f.FindContext(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameRegions(t, f.ClusterExtents(res.Swarm, ExtentClusterEps, cmp.Or(tt.maxRegions, DefaultMaxRegions)), got.Regions)
+		})
 	}
 }
 

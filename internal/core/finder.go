@@ -243,6 +243,16 @@ func (f *Finder) FindContext(ctx context.Context, cfg FinderConfig) (*FindResult
 	return f.mine(ctx, cfg, thresholdScore, f.extractRegions)
 }
 
+// FindExtentsContext is FindContext reporting the swarm's cluster
+// extents instead of its greedy regions: ClusterExtents with linkage
+// ExtentClusterEps, capped at cfg.MaxRegions. After the swarm the
+// statistic is evaluated once per returned extent.
+func (f *Finder) FindExtentsContext(ctx context.Context, cfg FinderConfig) (*FindResult, error) {
+	return f.mine(ctx, cfg, thresholdScore, func(res *gso.Result, _ gso.Objective, cfg FinderConfig) []Region {
+		return f.ClusterExtents(res, ExtentClusterEps, cfg.MaxRegions)
+	})
+}
+
 // thresholdScore is the threshold query's per-row score: the Eq. 4
 // objective (scoreRegion) over the defaulted configuration.
 func thresholdScore(cfg FinderConfig) (regionScore, error) {

@@ -500,12 +500,13 @@ func runQuery(ctx context.Context, e *Engine, view *dataView, finder *core.Finde
 			emit(EventRegion{Region: regionFromCore(r), Iteration: curIter})
 		}
 	}
-	res, err := finder.FindContext(ctx, cfg)
+	find := finder.FindContext
+	if q.ClusterExtents {
+		find = finder.FindExtentsContext
+	}
+	res, err := find(ctx, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if q.ClusterExtents {
-		res.Regions = finder.ClusterExtents(res.Swarm, core.ExtentClusterEps, q.MaxRegions)
 	}
 	compliance := math.NaN()
 	if !q.SkipVerify {
