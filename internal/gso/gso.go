@@ -252,8 +252,8 @@ type Options struct {
 	// worm strictly brighter than some other worm (every worm, once
 	// some luciferin is NaN), at its start-of-phase position, and
 	// again only after it moves. A worm in the dimmest tie group,
-	// where every never-valid worm sits, is nobody's candidate and is
-	// not weighed. With Params.Workers > 1 it is called concurrently,
+	// where never-valid worms usually sit, is nobody's candidate and
+	// is not weighed. With Params.Workers > 1 it is called concurrently,
 	// over shards of the worms to weigh.
 	Weight SelectionWeight
 	// Observer, when non-nil, is invoked synchronously at the end of
@@ -405,8 +405,8 @@ func run(ctx context.Context, p Params, bounds geom.Rect, obj Objective, opts Op
 		// candidate pair, and only for the worms ranked before the
 		// cut, the only ones a roulette can read this phase. A moved
 		// worm past the cut stays unweighed until a phase ranks it
-		// before the cut; it cannot move again without being marked
-		// anew, so its weight is then taken at the same position.
+		// before the cut; its position cannot change without it being
+		// marked anew, so its weight is then taken at the same position.
 		scan.prepare(luc, pos)
 		if opts.Weight != nil {
 			for _, i := range stale {

@@ -112,7 +112,8 @@ type Query struct {
 	// Workers parallelizes the swarm's fitness evaluations and KDE
 	// selection weights across this many goroutines: 0 = one per CPU
 	// (as in TrainOptions), 1 = sequential. Answers are identical for
-	// any value.
+	// any value. Weights are computed only for the particles some
+	// neighbour roulette can read, those brighter than the dimmest.
 	Workers int `json:"workers,omitempty"`
 	// SkipVerify leaves regions unverified against the true f
 	// (verification costs one data scan per region).
