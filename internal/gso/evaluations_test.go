@@ -126,9 +126,10 @@ func TestEvaluationsCountMovedWorms(t *testing.T) {
 			if fn == nil {
 				fn = sphereFn
 			}
-			var obj Objective = countingObjective{fn, &scalar, &batch}
+			counting := countingObjective{fn, &scalar, &batch}
+			var obj Objective = counting
 			if tt.batch {
-				obj = countingBatchObjective{countingObjective{fn, &scalar, &batch}}
+				obj = countingBatchObjective{counting}
 			}
 			var opts Options
 			if tt.weight {
