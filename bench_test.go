@@ -220,3 +220,55 @@ func BenchmarkEndToEndFind(b *testing.B) {
 		_ = res
 	}
 }
+
+// BenchmarkFindKDE measures one use_kde find (L = 50, T = 10, verified)
+// on the benchmark's 1.36M-row density dataset, with a surrogate
+// trained as cmd/surf-perf's find-kde workload trains it. "shared"
+// runs on a data version whose prior an earlier query fitted, as every
+// use_kde query after the first does; "fresh-version" swaps in a new
+// data version (untimed) before each find, so each find pays the fit.
+func BenchmarkFindKDE(b *testing.B) {
+	gen := synth.MustGenerate(synth.Config{
+		Dims: 2, Regions: 3, Stat: synth.Density, N: 1_000_000, BoostPerRegion: 120_000, Seed: 1,
+	})
+	ds, err := NewDataset([]string{"a1", "a2"}, [][]float64{gen.Data.Col(0), gen.Data.Col(1)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := Open(ds, Config{FilterColumns: []string{"a1", "a2"}, Statistic: Count, UseGridIndex: true}, WithResultCache(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	wl, err := eng.GenerateWorkload(2000, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := eng.TrainSurrogate(wl, TrainOptions{Seed: 7}); err != nil {
+		b.Fatal(err)
+	}
+	find := func(b *testing.B, seed uint64) {
+		q := Query{Threshold: 100_000, Above: true, UseKDE: true, Glowworms: 50, Iterations: 10, Seed: seed}
+		if _, err := eng.Find(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	version := uint64(1)
+	b.Run("shared", func(b *testing.B) {
+		find(b, 1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			find(b, uint64(i+2))
+		}
+	})
+	b.Run("fresh-version", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			version++
+			if err := eng.SetDataset(ds, version); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			find(b, uint64(i+2))
+		}
+	})
+}

@@ -134,8 +134,9 @@ type canonCase[Q any] struct {
 }
 
 // TestResultCacheCanonicalization: queries share one cache entry
-// exactly when they resolve alike — explicit defaults, any Workers,
-// KDESample without UseKDE and a -0 threshold or C share it — while
+// exactly when they resolve alike — explicit defaults (Seed 0 and the
+// swarm's default seed among them), any Workers, KDESample without
+// UseKDE and a -0 threshold or C share it — while
 // each other field of Query and TopKQuery set to a valid non-default
 // value re-runs the swarm. Every shared pair also gives the same
 // answer on an engine without a cache.
@@ -143,6 +144,7 @@ func TestResultCacheCanonicalization(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	iters := gso.DefaultParams().MaxIters
 	worms := 50 * 2 * 2 // the L = 50·2d default for the 2-d grid
+	seed := gso.DefaultParams().Seed
 
 	q := cacheQuery
 	with := func(edit func(*Query)) Query {
@@ -163,6 +165,8 @@ func TestResultCacheCanonicalization(t *testing.T) {
 		{"MaxSideFrac default", q, with(func(e *Query) { e.MaxSideFrac = core.DefaultMaxSideFrac }), true},
 		{"Workers", q, with(func(e *Query) { e.Workers = 2 }), true},
 		{"Threshold -0", with(func(e *Query) { e.Threshold = 0 }), with(func(e *Query) { e.Threshold = negZero }), true},
+		{"Seed default", with(func(e *Query) { e.Seed = 0 }), with(func(e *Query) { e.Seed = seed }), true},
+		{"Seed default UseKDE", with(func(e *Query) { e.UseKDE, e.Seed = true, 0 }), with(func(e *Query) { e.UseKDE, e.Seed = true, seed }), true},
 
 		{"Threshold", q, with(func(e *Query) { e.Threshold = 31 }), false},
 		{"Above", q, with(func(e *Query) { e.Above = false }), false},
@@ -194,6 +198,7 @@ func TestResultCacheCanonicalization(t *testing.T) {
 		{"MinSideFrac default", tq, withK(func(e *TopKQuery) { e.MinSideFrac = core.DefaultMinSideFrac }), true},
 		{"MaxSideFrac default", tq, withK(func(e *TopKQuery) { e.MaxSideFrac = core.DefaultMaxSideFrac }), true},
 		{"Workers", tq, withK(func(e *TopKQuery) { e.Workers = 2 }), true},
+		{"Seed default", withK(func(e *TopKQuery) { e.Seed = 0 }), withK(func(e *TopKQuery) { e.Seed = seed }), true},
 
 		{"K", tq, withK(func(e *TopKQuery) { e.K = 2 }), false},
 		{"Largest", tq, withK(func(e *TopKQuery) { e.Largest = false }), false},

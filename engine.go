@@ -10,6 +10,7 @@ import (
 	"surf/internal/core"
 	"surf/internal/dataset"
 	"surf/internal/geom"
+	"surf/internal/kde"
 )
 
 // Dataset is an immutable, in-memory columnar dataset.
@@ -110,6 +111,48 @@ type dataView struct {
 	evaluator dataset.Evaluator
 	domain    geom.Rect
 	version   uint64
+	// prior is the view's one Eq. 8 density prior slot, behind a
+	// pointer so the view stays safe to copy.
+	prior *priorSlot
+}
+
+// newDataView pins one data version with an empty prior slot.
+func newDataView(data *dataset.Dataset, ev dataset.Evaluator, domain geom.Rect, version uint64) *dataView {
+	return &dataView{data: data, evaluator: ev, domain: domain, version: version, prior: new(priorSlot)}
+}
+
+// priorSlot holds at most one fitted Eq. 8 prior for a data view: the
+// prior is the density of the data, so every UseKDE query on the view
+// with the same KDESample shares it. It is fitted on the first such
+// query, not when the view is made, and a query with another
+// KDESample refits it and replaces it, so a view never holds more
+// than one prior.
+type priorSlot struct {
+	mu     sync.Mutex
+	sample int      // the KDESample density was fitted with
+	kde    *kde.KDE // nil until the first UseKDE query
+}
+
+// density returns the view's prior over its filter columns cols with a
+// sample of up to sample rows, fitting it under the slot's mutex when
+// the slot is empty or holds another sample size, so concurrent first
+// queries fit it once.
+func (v *dataView) density(cols []int, sample int) (*kde.KDE, error) {
+	p := v.prior
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.kde == nil || p.sample != sample {
+		data := make([][]float64, len(cols))
+		for j, c := range cols {
+			data[j] = v.data.Col(c)
+		}
+		k, err := core.FitDensity(data, sample)
+		if err != nil {
+			return nil, err
+		}
+		p.kde, p.sample = k, sample
+	}
+	return p.kde, nil
 }
 
 // snapshot pairs a surrogate (possibly nil before any training) with
@@ -215,7 +258,7 @@ func Open(ds *Dataset, cfg Config, opts ...Option) (*Engine, error) {
 	// Store (generation 0 = the pre-model state) needs no swap
 	// ceremony.
 	e.surrogate.Store(&snapshot{
-		view: &dataView{data: ds.inner, evaluator: ev, domain: ds.inner.Domain(spec.FilterCols), version: 1},
+		view: newDataView(ds.inner, ev, ds.inner.Domain(spec.FilterCols), 1),
 	})
 	return e, nil
 }

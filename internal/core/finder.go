@@ -190,36 +190,46 @@ func NewSurrogateFinder(s *Surrogate, domain geom.Rect) (*Finder, error) {
 // evaluation cost changes). A nil predictor restores the scalar path.
 func (f *Finder) AttachBatch(p BatchPredictor) { f.batch = p }
 
-// AttachDensity fits the Eq. 8 KDE prior over a sample of data points
-// (rows in domain space). maxSample caps the KDE's retained points;
-// the sample is drawn by kde's one index sampler, seeded from seed, so
-// it is the sample AttachDensityColumns draws from the same data laid
-// out by column.
-func (f *Finder) AttachDensity(points [][]float64, maxSample int, seed uint64) error {
-	return f.attachDensity(kde.Fit(points, densityOptions(maxSample, seed)))
-}
-
-// AttachDensityColumns is AttachDensity over column-major data
+// FitDensity fits the Eq. 8 KDE prior over column-major data
 // (cols[j][i] is coordinate j of row i, e.g. a dataset's filter
-// columns as stored). It copies only the sampled rows, so fitting
-// costs O(N) 4-byte index shuffling rather than a row copy per data
-// point.
-func (f *Finder) AttachDensityColumns(cols [][]float64, maxSample int, seed uint64) error {
-	return f.attachDensity(kde.FitColumns(cols, densityOptions(maxSample, seed)))
+// columns as stored). maxSample caps the KDE's retained points. The
+// prior is the density of the data and nothing in it depends on a
+// query, so its sample is always drawn from one fixed stream (see
+// densityOptions): the same data and cap give the same prior, which
+// callers may fit once and share through AttachPrior. Only the
+// sampled rows are copied, so fitting costs an O(N) shuffle of 4-byte
+// row indices rather than a row copy per data point.
+func FitDensity(cols [][]float64, maxSample int) (*kde.KDE, error) {
+	return kde.FitColumns(cols, densityOptions(maxSample))
 }
 
-// densityOptions is the fit configuration both AttachDensity forms
-// share: the sample cap and a sampling stream derived from seed.
-func densityOptions(maxSample int, seed uint64) kde.Options {
-	return kde.Options{MaxSample: maxSample, Rng: rand.New(rand.NewPCG(seed, 0xaef17502108ef2d9))}
-}
-
-// attachDensity installs a fitted prior after checking it matches the
-// finder's domain.
-func (f *Finder) attachDensity(k *kde.KDE, err error) error {
+// AttachDensity fits the prior FitDensity fits over the same data laid
+// out by row (rows in domain space) and attaches it. seed is unused:
+// it is kept only for cmd/surf-perf's replica, which calls this with a
+// per-query seed, and goes with it.
+func (f *Finder) AttachDensity(points [][]float64, maxSample int, seed uint64) error {
+	k, err := kde.Fit(points, densityOptions(maxSample))
 	if err != nil {
 		return err
 	}
+	return f.AttachPrior(k)
+}
+
+// densityStream1 and densityStream2 seed the one PCG stream every
+// prior's sample is drawn from. They are fixed, not tuned: any pair
+// draws a uniform sample.
+const densityStream1, densityStream2 = 1, 0xaef17502108ef2d9
+
+// densityOptions is the fit configuration FitDensity and AttachDensity
+// share: the sample cap and a fresh copy of the fixed sampling stream.
+func densityOptions(maxSample int) kde.Options {
+	return kde.Options{MaxSample: maxSample, Rng: rand.New(rand.NewPCG(densityStream1, densityStream2))}
+}
+
+// AttachPrior installs an already fitted Eq. 8 prior (see FitDensity)
+// after checking it matches the finder's domain. The finder only reads
+// it, so one prior may serve any number of finders at once.
+func (f *Finder) AttachPrior(k *kde.KDE) error {
 	if k.Dims() != f.domain.Dims() {
 		return fmt.Errorf("core: density of dimension %d for domain of dimension %d", k.Dims(), f.domain.Dims())
 	}
@@ -302,7 +312,7 @@ func (f *Finder) mine(ctx context.Context, cfg FinderConfig,
 	}
 	if cfg.UseKDE {
 		if f.density == nil {
-			return nil, errors.New("core: UseKDE set but no density attached (call AttachDensity)")
+			return nil, errors.New("core: UseKDE set but no density attached (call AttachPrior)")
 		}
 		density := f.density
 		opts.Weight = func(vec []float64) float64 {

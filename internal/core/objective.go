@@ -3,7 +3,9 @@
 // objectives (Eq. 2 and Eq. 4), the surrogate-model wrapper, and the
 // SuRF finder pipeline that couples a surrogate with Glowworm Swarm
 // Optimization (plus the KDE selection prior of Eq. 8) to return the
-// set of interesting regions.
+// set of interesting regions. The prior depends on the data alone:
+// FitDensity fits it from one fixed sampling stream, and AttachPrior
+// lets any number of finders share one fitted prior.
 package core
 
 import (

@@ -119,11 +119,11 @@ func ablationKDE(rep *Report, scale Scale) error {
 			return err
 		}
 		if useKDE {
-			pts := make([][]float64, ds.Data.Len())
-			for i := range pts {
-				pts[i] = ds.Data.Row(i)[:2]
+			prior, err := core.FitDensity([][]float64{ds.Data.Col(0), ds.Data.Col(1)}, 500)
+			if err != nil {
+				return err
 			}
-			if err := finder.AttachDensity(pts, 500, 143); err != nil {
+			if err := finder.AttachPrior(prior); err != nil {
 				return err
 			}
 		}

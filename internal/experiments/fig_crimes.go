@@ -218,11 +218,11 @@ func RunHAR(scale Scale, seed uint64) (*HARResult, error) {
 	// The ratio surrogate extrapolates confidently into data-free
 	// accelerometer space; the Eq. 8 KDE prior keeps particles where
 	// samples actually exist.
-	points := make([][]float64, har.Data.Len())
-	for i := range points {
-		points[i] = har.Data.Row(i)[:3]
+	prior, err := core.FitDensity([][]float64{har.Data.Col(0), har.Data.Col(1), har.Data.Col(2)}, 800)
+	if err != nil {
+		return nil, err
 	}
-	if err := finder.AttachDensity(points, 800, seed+2); err != nil {
+	if err := finder.AttachPrior(prior); err != nil {
 		return nil, err
 	}
 	cfg := core.FinderConfig{

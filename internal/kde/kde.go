@@ -22,6 +22,10 @@
 // one index each instead of swapping two. FitColumns reads the rows
 // straight out of column-major data, so no per-row copy of the full
 // dataset is ever made.
+//
+// A fitted KDE is never modified, so any number of goroutines may
+// read one at once: a caller can fit the prior once per data version
+// and share it across queries, as the engine does.
 package kde
 
 import (

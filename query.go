@@ -96,7 +96,9 @@ type Query struct {
 	// UseKDE enables the data-density selection prior (Eq. 8).
 	UseKDE bool `json:"use_kde,omitempty"`
 	// KDESample caps the KDE sample size (default 1000, at most
-	// 10,000; ignored without UseKDE).
+	// 10,000; ignored without UseKDE). The prior is fitted once per
+	// data version and shared by every UseKDE query with the same
+	// KDESample; a query with another KDESample refits it.
 	KDESample int `json:"kde_sample,omitempty"`
 	// Glowworms and Iterations override the swarm size and budget
 	// (defaults: L = 50·2d worms, T = 100). Each is at most 10,000.
@@ -126,7 +128,9 @@ type Query struct {
 	// Recommended for statistics that do not shrink with region size
 	// (Mean, Ratio, Min, Max).
 	ClusterExtents bool `json:"cluster_extents,omitempty"`
-	// Seed makes the run deterministic.
+	// Seed makes the run deterministic. It seeds the swarm only (0
+	// means the swarm's default seed, 1); the Eq. 8 prior's sample
+	// does not depend on it.
 	Seed uint64 `json:"seed,omitempty"`
 }
 
@@ -219,19 +223,20 @@ const defaultKDESample = 1000
 
 // resolved validates q and returns it with every zero-means-default
 // knob set to the value execution uses: C, MaxRegions, the side
-// fractions, Glowworms and Iterations (through gsoParams), and
+// fractions, Glowworms, Iterations and Seed (through gsoParams), and
 // KDESample under UseKDE — zeroed without it, since it then changes
-// nothing. Seed stays raw: UseKDE queries sample with Seed+17, so
-// Seed 0 and the optimizer's default seed are not interchangeable.
-// Every query runs the resolved form, and the result cache keys on
-// it, so two queries share a cache entry exactly when they resolve
-// alike. Workers stays too; cacheKey zeroes it in the key.
+// nothing. Only the swarm reads Seed (the Eq. 8 prior is drawn from
+// one fixed stream, see core.FitDensity), so Seed 0 resolves to the
+// swarm's default seed and shares its answers. Every query runs the
+// resolved form, and the result cache keys on it, so two queries
+// share a cache entry exactly when they resolve alike. Workers stays
+// raw; cacheKey zeroes it in the key.
 func (q Query) resolved(dims int) (Query, error) {
 	if err := q.validate(); err != nil {
 		return Query{}, err
 	}
 	g := gsoParams(dims, q.Glowworms, q.Iterations, q.Workers, q.Seed)
-	q.Glowworms, q.Iterations = g.Glowworms, g.MaxIters
+	q.Glowworms, q.Iterations, q.Seed = g.Glowworms, g.MaxIters, g.Seed
 	q.C = cmp.Or(q.C, core.DefaultC)
 	q.MaxRegions = cmp.Or(q.MaxRegions, core.DefaultMaxRegions)
 	q.MinSideFrac = cmp.Or(q.MinSideFrac, core.DefaultMinSideFrac)
@@ -250,7 +255,7 @@ func (q TopKQuery) resolved(dims int) (TopKQuery, error) {
 		return TopKQuery{}, err
 	}
 	g := gsoParams(dims, q.Glowworms, q.Iterations, q.Workers, q.Seed)
-	q.Glowworms, q.Iterations = g.Glowworms, g.MaxIters
+	q.Glowworms, q.Iterations, q.Seed = g.Glowworms, g.MaxIters, g.Seed
 	q.C = cmp.Or(q.C, core.DefaultC)
 	q.MinSideFrac = cmp.Or(q.MinSideFrac, core.DefaultMinSideFrac)
 	q.MaxSideFrac = cmp.Or(q.MaxSideFrac, core.DefaultMaxSideFrac)
@@ -400,11 +405,11 @@ func startStream(ctx context.Context, e *Engine, snap *snapshot, key resultKey, 
 	}
 	view := snap.view
 	if q.UseKDE {
-		cols := make([][]float64, len(e.spec.FilterCols))
-		for j, c := range e.spec.FilterCols {
-			cols[j] = view.data.Col(c)
+		prior, err := view.density(e.spec.FilterCols, q.KDESample)
+		if err != nil {
+			return nil, err
 		}
-		if err := finder.AttachDensityColumns(cols, q.KDESample, q.Seed+17); err != nil {
+		if err := finder.AttachPrior(prior); err != nil {
 			return nil, err
 		}
 	}

@@ -104,7 +104,7 @@ func (e *Engine) SetDataset(ds *Dataset, version uint64) error {
 		return &snapshot{
 			surr: cur.surr,
 			info: cur.info,
-			view: &dataView{data: ds.inner, evaluator: ev, domain: domain, version: version},
+			view: newDataView(ds.inner, ev, domain, version),
 		}
 	})
 	return nil
