@@ -13,6 +13,7 @@ package surf
 // internal/experiments.
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -161,24 +162,36 @@ func BenchmarkGSORun(b *testing.B) {
 	}
 }
 
-// BenchmarkKDEBoxMass measures one Eq. 8 box-mass computation over a
-// 500-point KDE sample.
+// BenchmarkKDEBoxMass measures one Eq. 8 box-mass computation on a
+// 2-D KDE over uniform points: a 0.1 half-side box on a 500-point
+// sample, and the shape of a use_kde find, a box at the swarm's
+// minimum 0.01 half-side on the default 1,000-point sample.
 func BenchmarkKDEBoxMass(b *testing.B) {
-	rng := rand.New(rand.NewPCG(203, 203))
-	pts := make([][]float64, 500)
-	for i := range pts {
-		pts[i] = []float64{rng.Float64(), rng.Float64()}
-	}
-	k, err := kde.Fit(pts, kde.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	box := geom.FromCenter([]float64{0.5, 0.5}, []float64{0.1, 0.1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.BoxMass(box)
+	for _, c := range []struct {
+		points int
+		half   float64
+	}{{500, 0.1}, {1000, 0.01}} {
+		b.Run(fmt.Sprintf("n=%d/l=%g", c.points, c.half), func(b *testing.B) {
+			rng := rand.New(rand.NewPCG(203, 203))
+			pts := make([][]float64, c.points)
+			for i := range pts {
+				pts[i] = []float64{rng.Float64(), rng.Float64()}
+			}
+			k, err := kde.Fit(pts, kde.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			box := geom.FromCenter([]float64{0.5, 0.5}, []float64{c.half, c.half})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				boxMassSink = k.BoxMass(box)
+			}
+		})
 	}
 }
+
+// boxMassSink keeps BenchmarkKDEBoxMass's call from being optimised away.
+var boxMassSink float64
 
 // BenchmarkEndToEndFind measures a complete surrogate-backed Find on
 // the public API (excluding training).

@@ -161,6 +161,14 @@
 // from the data's columns: an O(N) shuffle of 4-byte row indices plus
 // a copy of the sampled rows, about 25 ms on the benchmark's 1.36M
 // rows, paid once per data version instead of once per query.
+// A box mass sums, over that sample, per-dimension differences of the
+// normal CDF Φ, read from one table built once per process: in steps
+// of 1/64 over z ∈ [−9, 9], the cubic matching Φ and its slope at both
+// ends of each step, and 0 or 1 outside. It is within 8.6e−11 of Φ,
+// and box masses stay within 4e−9 relative of the exact Erfc sum,
+// so answers did not change. The mass of a 0.01 half-side box on the
+// default sample costs about 21–26 µs instead of 184–225, and a UseKDE
+// find on the benchmark's density data about 2.4 ms instead of 6.2.
 //
 // # Inference kernel
 //

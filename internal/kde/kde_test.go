@@ -21,23 +21,31 @@ func gaussianCloud(rng *rand.Rand, n, dims int, mean, sigma float64) [][]float64
 }
 
 func TestFitValidation(t *testing.T) {
+	tests := []struct {
+		name   string
+		points [][]float64
+		opts   Options
+	}{
+		{"empty sample", nil, Options{}},
+		{"zero-dimensional points", [][]float64{{}}, Options{}},
+		{"ragged points", [][]float64{{1, 2}, {1}}, Options{}},
+		{"bandwidth dimension mismatch", [][]float64{{1}}, Options{Bandwidth: []float64{1, 2}}},
+		{"zero bandwidth", [][]float64{{1}}, Options{Bandwidth: []float64{0}}},
+		{"negative bandwidth", [][]float64{{1, 2}}, Options{Bandwidth: []float64{1, -1}}},
+		{"NaN bandwidth", [][]float64{{1}}, Options{Bandwidth: []float64{math.NaN()}}},
+		{"+Inf bandwidth", [][]float64{{1, 2}}, Options{Bandwidth: []float64{1, math.Inf(1)}}},
+		{"-Inf bandwidth", [][]float64{{1}}, Options{Bandwidth: []float64{math.Inf(-1)}}},
+		{"MaxSample without Rng", [][]float64{{1}, {2}, {3}}, Options{MaxSample: 2}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if k, err := Fit(tt.points, tt.opts); err == nil {
+				t.Fatalf("Fit succeeded with bandwidths %v, want an error", k.Bandwidth())
+			}
+		})
+	}
 	if _, err := Fit(nil, Options{}); err != ErrEmptySample {
 		t.Errorf("want ErrEmptySample, got %v", err)
-	}
-	if _, err := Fit([][]float64{{}}, Options{}); err == nil {
-		t.Error("expected error for zero-dimensional points")
-	}
-	if _, err := Fit([][]float64{{1, 2}, {1}}, Options{}); err == nil {
-		t.Error("expected error for ragged points")
-	}
-	if _, err := Fit([][]float64{{1}}, Options{Bandwidth: []float64{1, 2}}); err == nil {
-		t.Error("expected error for bandwidth dimension mismatch")
-	}
-	if _, err := Fit([][]float64{{1}}, Options{Bandwidth: []float64{0}}); err == nil {
-		t.Error("expected error for non-positive bandwidth")
-	}
-	if _, err := Fit([][]float64{{1}, {2}, {3}}, Options{MaxSample: 2}); err == nil {
-		t.Error("expected error for MaxSample without Rng")
 	}
 }
 
