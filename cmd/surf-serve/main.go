@@ -59,11 +59,11 @@
 // Registry entries are living datasets: POST /v1/datasets/{name}/append
 // commits new rows and hot-swaps the grown data version into the
 // entry's engine without dropping in-flight queries. A spec with
-// "drift_threshold" (plus optional "drift_reservoir",
-// "retrain_queries" and "retrain_trees") monitors surrogate drift
-// after every append — the score is exposed via /v1/models and
-// /metrics, and a threshold crossing retrains the model in the
-// background and republishes it through the registry's atomic swap.
+// "drift_threshold" (plus optional "drift_reservoir") monitors
+// surrogate drift after every append — the score is exposed via
+// /v1/models and /metrics, and a threshold crossing retrains the model
+// in the background (25 extra trees fitted to 256 fresh queries) and
+// republishes it through the registry's atomic swap.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM, draining
 // in-flight queries and streams.

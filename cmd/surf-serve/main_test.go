@@ -136,6 +136,20 @@ func TestRunValidation(t *testing.T) {
 	if err := run(ctx, serveOpts{registryPath: bad}, nil); err == nil {
 		t.Error("expected error for unknown registry config field")
 	}
+	// The retrain size is a constant, so a config that still sets it
+	// fails at startup; the deadline stops a server that started anyway.
+	retrain := filepath.Join(t.TempDir(), "retrain.json")
+	cfg := `{"models": [{"name": "a", "data": ` + strconv.Quote(writeDataset(t, t.TempDir())) + `, "filter_columns": ["x", "y"],
+		"statistic": "count", "train": 50, "drift_threshold": 0.5, "retrain_trees": 3}]}`
+	if err := os.WriteFile(retrain, []byte(cfg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	short, cancel = context.WithTimeout(ctx, 3*time.Second)
+	defer cancel()
+	err = run(short, serveOpts{registryPath: retrain, addr: "127.0.0.1:0"}, nil)
+	if err == nil || !strings.Contains(err.Error(), "retrain_trees") {
+		t.Errorf("config with retrain_trees: got %v, want an unknown field error", err)
+	}
 }
 
 // TestServeEndToEnd boots the command against a real dataset with a

@@ -120,23 +120,22 @@
 // Surrogate training is the dominant offline cost, so the boosted-tree
 // trainer runs as a parallel pipeline: histogram construction and
 // best-split search fan out across features (and large nodes across
-// row chunks) over TrainOptions.Workers goroutines (0 = one per CPU),
-// sibling histograms are derived by subtraction instead of a second
-// scan, and per-round prediction updates come from the leaf
-// assignments captured during tree growth rather than re-walking
-// every tree. Parallelism is an execution knob only — the trained
-// model is byte-identical for every Workers value, so retraining on a
-// different machine shape never changes results. A cancelled
-// TrainSurrogateContext returns within one boosting round and leaves
-// the engine's current surrogate snapshot untouched; incremental
-// training behaves the same way, committing its extra trees
-// all-or-nothing.
+// row chunks) over one goroutine per CPU, sibling histograms are
+// derived by subtraction instead of a second scan, and per-round
+// prediction updates come from the leaf assignments captured during
+// tree growth rather than re-walking every tree. Parallelism changes
+// no result — the trained model is byte-identical for every goroutine
+// count, so retraining on a different machine shape never changes
+// results. A cancelled TrainSurrogateContext returns within one
+// boosting round and leaves the engine's current surrogate snapshot
+// untouched; incremental training behaves the same way, committing its
+// extra trees all-or-nothing.
 //
 // # Query parallelism
 //
 // Query.Workers and TopKQuery.Workers spread each swarm iteration's
 // fitness evaluations and, for UseKDE queries, its Eq. 8 selection
-// weights across goroutines: 0 = one per CPU (as in TrainOptions), 1
+// weights across goroutines: 0 = one per CPU (as in training), 1
 // = sequential, answers identical for any value. Every particle's
 // fitness and weight depend only on its own position, so the parallel
 // run is the sequential one; the optimizer caps the worker count at
@@ -254,9 +253,9 @@
 // Registry.Append (exposed as POST /v1/datasets/{name}/append)
 // commits rows, swaps the new version into the entry's engine,
 // replays the reservoir against the true evaluator to score drift, and —
-// past the threshold — kicks a cancellable background retrain that
-// republishes through the same atomic hot swap, never dropping an
-// in-flight query. ModelStatus, /v1/models and the
+// past the threshold — kicks a cancellable background retrain (25
+// extra trees fitted to 256 fresh queries) that republishes through
+// the same atomic hot swap, never dropping an in-flight query. ModelStatus, /v1/models and the
 // surf_dataset_data_version / surf_dataset_drift_score /
 // surf_dataset_retraining / surf_dataset_retrains_total metric
 // families report the living state.

@@ -19,9 +19,10 @@ var densityScale = sync.OnceValue(func() *synth.Dataset {
 })
 
 // workloadRegions draws n regions the way synth.GenerateWorkload does:
-// uniform centres, half-sides between DefaultWorkloadConfig's side
-// fractions of each dimension's extent.
+// uniform centres, half-sides between the workload's 0.01 and
+// DefaultWorkloadConfig's MaxSideFrac of each dimension's extent.
 func workloadRegions(domain geom.Rect, n int) []geom.Rect {
+	const minSideFrac = 0.01
 	cfg := synth.DefaultWorkloadConfig(n)
 	rng := rand.New(rand.NewPCG(cfg.Seed, 1))
 	out := make([]geom.Rect, n)
@@ -31,7 +32,7 @@ func workloadRegions(domain geom.Rect, n int) []geom.Rect {
 		for j := range x {
 			extent := domain.Max[j] - domain.Min[j]
 			x[j] = domain.Min[j] + rng.Float64()*extent
-			l[j] = (cfg.MinSideFrac + rng.Float64()*(cfg.MaxSideFrac-cfg.MinSideFrac)) * extent
+			l[j] = (minSideFrac + rng.Float64()*(cfg.MaxSideFrac-minSideFrac)) * extent
 		}
 		out[q] = geom.FromCenter(x, l)
 	}

@@ -220,10 +220,8 @@ func runNaiveOn(ev dataset.Evaluator, ds *synth.Dataset, budget time.Duration) (
 	if err != nil {
 		return nil, nil, err
 	}
-	p := naive.DefaultParams()
-	p.TimeBudget = budget
 	space := geom.SolutionSpace(ds.Domain(), 0.01, 0.15)
-	res, err := naive.Run(p, space, obj)
+	res, err := naive.Run(budget, space, obj)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -88,14 +88,9 @@ func (b *binner) upperValue(j, k int) float64 {
 	return b.cuts[j][k]
 }
 
-// binMatrix quantizes the whole matrix row-major into bytes.
-func (b *binner) binMatrix(x [][]float64) []uint8 {
-	return b.binMatrixPar(x, 1)
-}
-
-// binMatrixPar is binMatrix parallel over row chunks; each row's bins
-// are computed independently, so the output is identical for every
-// worker count.
+// binMatrixPar quantizes the whole matrix row-major into bytes, in
+// parallel over row chunks. Each row's bins are computed
+// independently, so the output is identical for every worker count.
 func (b *binner) binMatrixPar(x [][]float64, workers int) []uint8 {
 	features := b.features()
 	out := make([]uint8, len(x)*features)

@@ -72,16 +72,14 @@ type Options struct {
 	// larger a uniform subsample is drawn (the paper fits the KDE
 	// "over a sample for large-scale datasets"). 0 means keep all.
 	MaxSample int
-	// Bandwidth overrides the per-dimension bandwidths. Empty means
-	// use Scott's rule.
-	Bandwidth []float64
 	// Rng drives subsampling. Required only when MaxSample truncates.
 	Rng *rand.Rand
 }
 
 // Fit estimates a KDE over the given points (rows are observations).
-// Bandwidths default to Scott's rule h_j = σ_j · n^(−1/(d+4)), with a
-// small floor for degenerate (constant) dimensions.
+// Bandwidths follow Scott's rule h_j = σ_j · n^(−1/(d+4)) over the
+// retained sample, with a small floor for degenerate (constant)
+// dimensions.
 func Fit(points [][]float64, opts Options) (*KDE, error) {
 	if len(points) == 0 {
 		return nil, ErrEmptySample
@@ -127,16 +125,6 @@ func FitColumns(cols [][]float64, opts Options) (*KDE, error) {
 // that sample. It builds every field, so two fits of the same data are
 // equal.
 func fit(n, dims int, opts Options, row func(dst []float64, i int)) (*KDE, error) {
-	if len(opts.Bandwidth) > 0 {
-		if len(opts.Bandwidth) != dims {
-			return nil, fmt.Errorf("kde: %d bandwidths for %d dimensions", len(opts.Bandwidth), dims)
-		}
-		for j, h := range opts.Bandwidth {
-			if !(h > 0) || math.IsInf(h, 1) {
-				return nil, fmt.Errorf("kde: bandwidth %d is %g, want finite and > 0", j, h)
-			}
-		}
-	}
 	size, idx := n, []int(nil) // idx nil: keep every row, in order
 	if opts.MaxSample > 0 && n > opts.MaxSample {
 		if opts.Rng == nil {
@@ -152,11 +140,7 @@ func fit(n, dims int, opts Options, row func(dst []float64, i int)) (*KDE, error
 		}
 		row(k.points[s*dims:(s+1)*dims], i)
 	}
-	if len(opts.Bandwidth) > 0 {
-		k.bandwidth = append([]float64(nil), opts.Bandwidth...)
-	} else {
-		k.bandwidth = scottBandwidth(k.points, dims)
-	}
+	k.bandwidth = scottBandwidth(k.points, dims)
 	k.inv = make([]float64, dims)
 	for j, h := range k.bandwidth {
 		k.inv[j] = 1 / h

@@ -29,12 +29,6 @@ func TestFitValidation(t *testing.T) {
 		{"empty sample", nil, Options{}},
 		{"zero-dimensional points", [][]float64{{}}, Options{}},
 		{"ragged points", [][]float64{{1, 2}, {1}}, Options{}},
-		{"bandwidth dimension mismatch", [][]float64{{1}}, Options{Bandwidth: []float64{1, 2}}},
-		{"zero bandwidth", [][]float64{{1}}, Options{Bandwidth: []float64{0}}},
-		{"negative bandwidth", [][]float64{{1, 2}}, Options{Bandwidth: []float64{1, -1}}},
-		{"NaN bandwidth", [][]float64{{1}}, Options{Bandwidth: []float64{math.NaN()}}},
-		{"+Inf bandwidth", [][]float64{{1, 2}}, Options{Bandwidth: []float64{1, math.Inf(1)}}},
-		{"-Inf bandwidth", [][]float64{{1}}, Options{Bandwidth: []float64{math.Inf(-1)}}},
 		{"MaxSample without Rng", [][]float64{{1}, {2}, {3}}, Options{MaxSample: 2}},
 	}
 	for _, tt := range tests {

@@ -104,43 +104,6 @@ func TestSamplerPinnedToPerm(t *testing.T) {
 	}
 }
 
-// TestSamplerBandwidthOverride: an explicit bandwidth replaces Scott's
-// rule on both layouts without changing which rows are sampled.
-func TestSamplerBandwidthOverride(t *testing.T) {
-	points := gaussianCloud(rand.New(rand.NewPCG(3, 3)), 500, 2, 0, 1)
-	h := []float64{0.25, 0.5}
-	byRows, err := Fit(points, Options{MaxSample: 20, Bandwidth: h, Rng: rand.New(rand.NewPCG(8, 1))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byCols, err := FitColumns(columnsOf(points), Options{MaxSample: 20, Bandwidth: h, Rng: rand.New(rand.NewPCG(8, 1))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scott, err := Fit(points, Options{MaxSample: 20, Rng: rand.New(rand.NewPCG(8, 1))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, got := range map[string]*KDE{"Fit": byRows, "FitColumns": byCols} {
-		if !sameBits(got.Bandwidth(), h) {
-			t.Errorf("%s: bandwidths %v, want the override %v", name, got.Bandwidth(), h)
-		}
-		if !sameBits(got.points, scott.points) {
-			t.Errorf("%s: the override changed the sample", name)
-		}
-	}
-	h[0] = 9 // the estimate keeps its own copy
-	if byRows.Bandwidth()[0] != 0.25 || byCols.Bandwidth()[0] != 0.25 {
-		t.Error("bandwidth override aliased the caller's slice")
-	}
-	if _, err := FitColumns(columnsOf(points), Options{Bandwidth: []float64{1}}); err == nil {
-		t.Error("expected error for bandwidth dimension mismatch")
-	}
-	if _, err := FitColumns(columnsOf(points), Options{Bandwidth: []float64{1, -1}}); err == nil {
-		t.Error("expected error for non-positive bandwidth")
-	}
-}
-
 // TestSamplerIndexWidths: past math.MaxInt32 rows the sampler shuffles
 // []int instead of []int32. Both widths must draw the sample of
 // rng.Perm — the wide one is exercised here at a testable n.

@@ -20,44 +20,14 @@ import (
 	"surf/internal/gso"
 )
 
-// Params configure the exhaustive search.
-type Params struct {
-	// CentersPerDim is n, the number of discretized center positions
-	// per data dimension (paper: n = 6).
-	CentersPerDim int
-	// LengthsPerDim is m, the number of discretized half-side lengths
-	// per data dimension (paper: m = 6).
-	LengthsPerDim int
-	// TimeBudget aborts the enumeration when exceeded (the paper used
-	// 3000 s). 0 means no budget.
-	TimeBudget time.Duration
-	// MaxKeep caps the number of best-scoring regions retained.
-	MaxKeep int
-}
-
-// DefaultParams return the paper's n = m = 6 configuration.
-func DefaultParams() Params {
-	return Params{
-		CentersPerDim: 6,
-		LengthsPerDim: 6,
-		MaxKeep:       1000,
-	}
-}
-
-// Validate reports the first invalid parameter.
-func (p Params) Validate() error {
-	switch {
-	case p.CentersPerDim < 1:
-		return errors.New("naive: CentersPerDim must be >= 1")
-	case p.LengthsPerDim < 1:
-		return errors.New("naive: LengthsPerDim must be >= 1")
-	case p.TimeBudget < 0:
-		return errors.New("naive: TimeBudget must be >= 0")
-	case p.MaxKeep < 1:
-		return errors.New("naive: MaxKeep must be >= 1")
-	}
-	return nil
-}
+// The discretization is the paper's n = m = 6: centersPerDim center
+// positions and lengthsPerDim half-side lengths per data dimension.
+// The best maxKeep valid regions are retained.
+const (
+	centersPerDim = 6
+	lengthsPerDim = 6
+	maxKeep       = 1000
+)
 
 // ScoredRegion is one valid candidate with its objective value.
 type ScoredRegion struct {
@@ -93,10 +63,11 @@ func (r *Result) ExaminedRatio() float64 {
 // Run enumerates the discretized region space defined by space (a
 // 2d-dimensional geom.SolutionSpace: centers in the first d dims,
 // half-sides in the last d) and scores each candidate with the
-// objective, keeping valid ones.
-func Run(p Params, space geom.Rect, obj gso.Objective) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
+// objective, keeping valid ones. The enumeration stops when budget
+// expires (the paper used 3000 s); 0 means no budget.
+func Run(budget time.Duration, space geom.Rect, obj gso.Objective) (*Result, error) {
+	if budget < 0 {
+		return nil, errors.New("naive: budget must be >= 0")
 	}
 	if space.Dims() == 0 || space.Dims()%2 != 0 {
 		return nil, fmt.Errorf("naive: solution space must have even dimension, got %d", space.Dims())
@@ -106,8 +77,8 @@ func Run(p Params, space geom.Rect, obj gso.Objective) (*Result, error) {
 	centers := make([][]float64, d)
 	lengths := make([][]float64, d)
 	for j := 0; j < d; j++ {
-		centers[j] = linspace(space.Min[j], space.Max[j], p.CentersPerDim)
-		lengths[j] = linspace(space.Min[d+j], space.Max[d+j], p.LengthsPerDim)
+		centers[j] = linspace(space.Min[j], space.Max[j], centersPerDim)
+		lengths[j] = linspace(space.Min[d+j], space.Max[d+j], lengthsPerDim)
 	}
 
 	total := 1
@@ -118,8 +89,8 @@ func Run(p Params, space geom.Rect, obj gso.Objective) (*Result, error) {
 	res := &Result{Total: total}
 	start := time.Now()
 	deadline := time.Time{}
-	if p.TimeBudget > 0 {
-		deadline = start.Add(p.TimeBudget)
+	if budget > 0 {
+		deadline = start.Add(budget)
 	}
 
 	// Mixed-radix enumeration over 2d digits: first d index centers,
@@ -150,8 +121,8 @@ func Run(p Params, space geom.Rect, obj gso.Objective) (*Result, error) {
 				Vector:  append([]float64(nil), vec...),
 				Fitness: v,
 			})
-			if len(res.Regions) > 2*p.MaxKeep {
-				trimToBest(res, p.MaxKeep)
+			if len(res.Regions) > 2*maxKeep {
+				trimToBest(res, maxKeep)
 			}
 		}
 		res.Examined++
@@ -169,7 +140,7 @@ func Run(p Params, space geom.Rect, obj gso.Objective) (*Result, error) {
 			break
 		}
 	}
-	trimToBest(res, p.MaxKeep)
+	trimToBest(res, maxKeep)
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

@@ -2,6 +2,7 @@ package naive
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -26,30 +27,18 @@ func bumpObjective(target []float64, wall float64) gso.ObjectiveFunc {
 	}
 }
 
-func TestParamsValidate(t *testing.T) {
-	if err := DefaultParams().Validate(); err != nil {
-		t.Fatalf("defaults invalid: %v", err)
-	}
-	bad := []func(*Params){
-		func(p *Params) { p.CentersPerDim = 0 },
-		func(p *Params) { p.LengthsPerDim = 0 },
-		func(p *Params) { p.TimeBudget = -1 },
-		func(p *Params) { p.MaxKeep = 0 },
-	}
-	for i, mutate := range bad {
-		p := DefaultParams()
-		mutate(&p)
-		if err := p.Validate(); err == nil {
-			t.Errorf("mutation %d should be invalid", i)
-		}
+func TestRunRejectsNegativeBudget(t *testing.T) {
+	space := geom.SolutionSpace(geom.Unit(1), 0.01, 0.15)
+	if _, err := Run(-1, space, bumpObjective([]float64{0.5}, -1)); err == nil {
+		t.Error("expected error for a negative budget")
 	}
 }
 
 func TestRunRejectsOddSpace(t *testing.T) {
-	if _, err := Run(DefaultParams(), geom.Unit(3), bumpObjective([]float64{0}, -1)); err == nil {
+	if _, err := Run(0, geom.Unit(3), bumpObjective([]float64{0}, -1)); err == nil {
 		t.Error("expected error for odd-dimensional space")
 	}
-	if _, err := Run(DefaultParams(), geom.Rect{}, bumpObjective([]float64{0}, -1)); err == nil {
+	if _, err := Run(0, geom.Rect{}, bumpObjective([]float64{0}, -1)); err == nil {
 		t.Error("expected error for empty space")
 	}
 }
@@ -57,7 +46,7 @@ func TestRunRejectsOddSpace(t *testing.T) {
 func TestTotalCount(t *testing.T) {
 	// d=2, n=6 centers, m=6 lengths -> (6*6)^2 = 1296.
 	space := geom.SolutionSpace(geom.Unit(2), 0.01, 0.15)
-	res, err := Run(DefaultParams(), space, bumpObjective([]float64{0.5, 0.5}, -1))
+	res, err := Run(0, space, bumpObjective([]float64{0.5, 0.5}, -1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +67,7 @@ func TestTotalCount(t *testing.T) {
 func TestFindsBestGridPoint(t *testing.T) {
 	space := geom.SolutionSpace(geom.Unit(1), 0.01, 0.15)
 	target := []float64{0.4}
-	res, err := Run(DefaultParams(), space, bumpObjective(target, -1))
+	res, err := Run(0, space, bumpObjective(target, -1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +90,7 @@ func TestFindsBestGridPoint(t *testing.T) {
 
 func TestInvalidRegionsExcluded(t *testing.T) {
 	space := geom.SolutionSpace(geom.Unit(1), 0.01, 0.15)
-	res, err := Run(DefaultParams(), space, bumpObjective([]float64{1}, 0.5))
+	res, err := Run(0, space, bumpObjective([]float64{1}, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,36 +106,48 @@ func TestInvalidRegionsExcluded(t *testing.T) {
 }
 
 func TestMaxKeepCaps(t *testing.T) {
-	p := DefaultParams()
-	p.MaxKeep = 10
-	p.CentersPerDim = 20
-	p.LengthsPerDim = 20
-	space := geom.SolutionSpace(geom.Unit(1), 0.01, 0.15)
-	res, err := Run(p, space, bumpObjective([]float64{0.5}, -1))
+	// d = 3 gives (6·6)^3 = 46,656 valid candidates, enough to trim
+	// both while enumerating and at the end.
+	target := []float64{0.4, 0.4, 0.4}
+	space := geom.SolutionSpace(geom.Unit(3), 0.01, 0.15)
+	res, err := Run(0, space, bumpObjective(target, -1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Regions) > 10 {
-		t.Errorf("retained %d regions, cap is 10", len(res.Regions))
+	if len(res.Regions) != maxKeep {
+		t.Fatalf("retained %d regions, want the cap %d", len(res.Regions), maxKeep)
 	}
-	// The kept regions must be the global best ones: the top center
-	// must be a nearest grid point to the target (grid step 1/19).
-	if math.Abs(res.Regions[0].Vector[0]-0.5) > 0.5/19+1e-12 {
-		t.Errorf("best center = %g, want within half a grid step of 0.5", res.Regions[0].Vector[0])
+	// The kept regions must be the global best ones. Fitness depends
+	// only on the center, so each center's fitness occurs once per
+	// combination of half-side lengths.
+	grid := linspace(0, 1, centersPerDim)
+	var all []float64
+	for _, a := range grid {
+		for _, b := range grid {
+			for _, c := range grid {
+				fit, _ := bumpObjective(target, -1)([]float64{a, b, c, 0, 0, 0})
+				for k := 0; k < lengthsPerDim*lengthsPerDim*lengthsPerDim; k++ {
+					all = append(all, fit)
+				}
+			}
+		}
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(all)))
+	if got, want := res.Regions[len(res.Regions)-1].Fitness, all[maxKeep-1]; got != want {
+		t.Errorf("worst kept fitness = %g, want the %dth best %g", got, maxKeep, want)
+	}
+	if res.Regions[0].Fitness != all[0] {
+		t.Errorf("best kept fitness = %g, want %g", res.Regions[0].Fitness, all[0])
 	}
 }
 
 func TestTimeBudget(t *testing.T) {
-	p := DefaultParams()
-	p.CentersPerDim = 40
-	p.LengthsPerDim = 40
-	p.TimeBudget = time.Microsecond
 	slow := gso.ObjectiveFunc(func(vec []float64) (float64, bool) {
 		time.Sleep(10 * time.Microsecond)
 		return 0, true
 	})
 	space := geom.SolutionSpace(geom.Unit(2), 0.01, 0.15)
-	res, err := Run(p, space, slow)
+	res, err := Run(time.Microsecond, space, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestNaNFitnessExcluded(t *testing.T) {
 		return math.NaN(), true
 	})
 	space := geom.SolutionSpace(geom.Unit(1), 0.01, 0.15)
-	res, err := Run(DefaultParams(), space, obj)
+	res, err := Run(0, space, obj)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,55 +26,47 @@ import (
 	"surf/internal/geom"
 )
 
+// PRIM's peeling and pasting constants, the paper's Section V-B
+// configuration. They are typed so that an expression over them alone,
+// such as 1 − peelAlpha, rounds as float64 arithmetic does.
+const (
+	// peelAlpha is the fraction of in-box points a single peel removes
+	// (canonical 0.05).
+	peelAlpha float64 = 0.05
+	// pasteAlpha is the expansion fraction per pasting step.
+	pasteAlpha float64 = 0.01
+	// minSupport is β₀: the minimum fraction of the original dataset a
+	// box must retain (the paper uses 0.01).
+	minSupport float64 = 0.01
+	// selectTolerance picks the final box from the peeling trajectory:
+	// the largest-support step whose mean is within this relative
+	// tolerance of the trajectory's best mean. This mirrors the
+	// trajectory-based box selection of the reference implementations.
+	selectTolerance float64 = 0.05
+)
+
 // Params configure a PRIM run.
 type Params struct {
-	// PeelAlpha is the fraction of in-box points a single peel
-	// removes (canonical 0.05).
-	PeelAlpha float64
-	// PasteAlpha is the expansion fraction per pasting step.
-	PasteAlpha float64
-	// MinSupport is β₀: the minimum fraction of the original dataset
-	// a box must retain (the paper uses 0.01).
-	MinSupport float64
 	// Threshold stops covering: boxes whose mean response falls below
 	// it are discarded and the search ends (the paper sets 2 for the
 	// aggregate statistic). Use math.Inf(-1) to disable.
 	Threshold float64
 	// MaxBoxes caps the number of boxes returned by covering.
 	MaxBoxes int
-	// SelectTolerance picks the final box from the peeling
-	// trajectory: the largest-support step whose mean is within this
-	// relative tolerance of the trajectory's best mean. This mirrors
-	// the trajectory-based box selection of the reference
-	// implementations; 0 selects the strict maximum-mean step.
-	SelectTolerance float64
 }
 
 // DefaultParams mirror the paper's Section V-B configuration.
 func DefaultParams() Params {
 	return Params{
-		PeelAlpha:       0.05,
-		PasteAlpha:      0.01,
-		MinSupport:      0.01,
-		Threshold:       math.Inf(-1),
-		MaxBoxes:        10,
-		SelectTolerance: 0.05,
+		Threshold: math.Inf(-1),
+		MaxBoxes:  10,
 	}
 }
 
 // Validate reports the first invalid parameter.
 func (p Params) Validate() error {
-	switch {
-	case p.PeelAlpha <= 0 || p.PeelAlpha >= 1:
-		return fmt.Errorf("prim: PeelAlpha %g out of (0,1)", p.PeelAlpha)
-	case p.PasteAlpha <= 0 || p.PasteAlpha >= 1:
-		return fmt.Errorf("prim: PasteAlpha %g out of (0,1)", p.PasteAlpha)
-	case p.MinSupport <= 0 || p.MinSupport >= 1:
-		return fmt.Errorf("prim: MinSupport %g out of (0,1)", p.MinSupport)
-	case p.MaxBoxes < 1:
+	if p.MaxBoxes < 1 {
 		return errors.New("prim: MaxBoxes must be >= 1")
-	case p.SelectTolerance < 0 || p.SelectTolerance >= 1:
-		return fmt.Errorf("prim: SelectTolerance %g out of [0,1)", p.SelectTolerance)
 	}
 	return nil
 }
@@ -112,7 +104,7 @@ func Fit(p Params, X [][]float64, y []float64) ([]Box, error) {
 	}
 
 	total := len(X)
-	minCount := int(math.Ceil(p.MinSupport * float64(total)))
+	minCount := int(math.Ceil(minSupport * float64(total)))
 	if minCount < 1 {
 		minCount = 1
 	}
@@ -124,7 +116,7 @@ func Fit(p Params, X [][]float64, y []float64) ([]Box, error) {
 
 	var boxes []Box
 	for len(boxes) < p.MaxBoxes && len(active) >= minCount {
-		box, captured := peelPaste(p, X, y, active, dims, minCount)
+		box, captured := peelPaste(X, y, active, dims, minCount)
 		if len(captured) == 0 {
 			break
 		}
@@ -158,7 +150,7 @@ type trajStep struct {
 // peelPaste runs one top-down peel followed by trajectory selection
 // and bottom-up pasting over the active points, returning the
 // resulting box plus the indices it captures.
-func peelPaste(p Params, X [][]float64, y []float64, active []int, dims, minCount int) (Box, []int) {
+func peelPaste(X [][]float64, y []float64, active []int, dims, minCount int) (Box, []int) {
 	// Start from the bounding box of the active points.
 	box := boundingBox(X, active, dims)
 	inBox := append([]int(nil), active...)
@@ -175,12 +167,12 @@ func peelPaste(p Params, X [][]float64, y []float64, active []int, dims, minCoun
 		for j := 0; j < dims; j++ {
 			vals := colVals(X, inBox, j)
 			// Lower-face peel: raise Min to the α quantile.
-			loCut := quantile(vals, p.PeelAlpha)
+			loCut := quantile(vals, peelAlpha)
 			if rem, m := trimmed(X, y, inBox, j, loCut, box.Max[j]); len(rem) >= minCount && len(rem) < len(inBox) && m > bestMean {
 				bestMean, bestDim, bestSide, bestBoundary, bestRemaining = m, j, 0, loCut, rem
 			}
 			// Upper-face peel: lower Max to the 1−α quantile.
-			hiCut := quantile(vals, 1-p.PeelAlpha)
+			hiCut := quantile(vals, 1-peelAlpha)
 			if rem, m := trimmed(X, y, inBox, j, box.Min[j], hiCut); len(rem) >= minCount && len(rem) < len(inBox) && m > bestMean {
 				bestMean, bestDim, bestSide, bestBoundary, bestRemaining = m, j, 1, hiCut, rem
 			}
@@ -199,14 +191,14 @@ func peelPaste(p Params, X [][]float64, y []float64, active []int, dims, minCoun
 
 	// --- Trajectory selection ---
 	// Choose the largest-support step whose mean is within
-	// SelectTolerance of the best mean seen along the trajectory.
+	// selectTolerance of the best mean seen along the trajectory.
 	bestMean := math.Inf(-1)
 	for _, s := range traj {
 		if s.mean > bestMean {
 			bestMean = s.mean
 		}
 	}
-	cutoff := bestMean - p.SelectTolerance*math.Abs(bestMean)
+	cutoff := bestMean - selectTolerance*math.Abs(bestMean)
 	for _, s := range traj {
 		if s.mean >= cutoff {
 			box = s.box
@@ -216,7 +208,7 @@ func peelPaste(p Params, X [][]float64, y []float64, active []int, dims, minCoun
 	}
 
 	// --- Pasting ---
-	// Try to re-expand each face by PasteAlpha of the current support;
+	// Try to re-expand each face by pasteAlpha of the current support;
 	// accept an expansion if the captured mean improves.
 	for {
 		curMean := meanOf(y, inBox)
@@ -224,7 +216,7 @@ func peelPaste(p Params, X [][]float64, y []float64, active []int, dims, minCoun
 		for j := 0; j < dims; j++ {
 			for side := 0; side < 2; side++ {
 				cand := box.Clone()
-				grown := expandFace(cand, X, y, active, j, side, p.PasteAlpha, len(inBox))
+				grown := expandFace(cand, X, y, active, j, side, len(inBox))
 				if !grown {
 					continue
 				}
@@ -250,7 +242,7 @@ func peelPaste(p Params, X [][]float64, y []float64, active []int, dims, minCoun
 // expandFace moves one face of cand outward until it captures about
 // pasteAlpha·support additional active points on that side. Returns
 // false when no growth is possible.
-func expandFace(cand geom.Rect, X [][]float64, y []float64, active []int, dim, side int, pasteAlpha float64, support int) bool {
+func expandFace(cand geom.Rect, X [][]float64, y []float64, active []int, dim, side, support int) bool {
 	grow := int(math.Max(1, math.Floor(pasteAlpha*float64(support))))
 	// Candidate boundary values: active points just outside the face,
 	// inside the box on all other dimensions.

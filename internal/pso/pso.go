@@ -8,7 +8,6 @@ package pso
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand/v2"
 
@@ -16,54 +15,39 @@ import (
 	"surf/internal/gso"
 )
 
+// The swarm size and the canonical constriction-style constants
+// w = 0.729, c1 = c2 = 1.494.
+const (
+	// particles is the swarm size.
+	particles = 100
+	// inertia is the velocity retention factor w.
+	inertia = 0.729
+	// cognitive is the personal-best attraction c1.
+	cognitive = 1.494
+	// social is the global-best attraction c2.
+	social = 1.494
+	// velClamp caps |velocity| per dimension as a fraction of the
+	// dimension extent.
+	velClamp = 0.2
+)
+
 // Params configure a PSO run.
 type Params struct {
-	// Particles is the swarm size.
-	Particles int
 	// MaxIters is the iteration budget.
 	MaxIters int
-	// Inertia is the velocity retention factor w.
-	Inertia float64
-	// Cognitive is the personal-best attraction c1.
-	Cognitive float64
-	// Social is the global-best attraction c2.
-	Social float64
-	// VelClamp caps |velocity| per dimension as a fraction of the
-	// dimension extent.
-	VelClamp float64
 	// Seed drives initialization and stochastic accelerations.
 	Seed uint64
 }
 
-// DefaultParams returns the canonical constriction-style constants
-// w=0.729, c1=c2=1.494.
+// DefaultParams returns a 100-iteration run from seed 1.
 func DefaultParams() Params {
-	return Params{
-		Particles: 100,
-		MaxIters:  100,
-		Inertia:   0.729,
-		Cognitive: 1.494,
-		Social:    1.494,
-		VelClamp:  0.2,
-		Seed:      1,
-	}
+	return Params{MaxIters: 100, Seed: 1}
 }
 
 // Validate reports the first invalid parameter.
 func (p Params) Validate() error {
-	switch {
-	case p.Particles < 2:
-		return errors.New("pso: need at least 2 particles")
-	case p.MaxIters < 1:
+	if p.MaxIters < 1 {
 		return errors.New("pso: MaxIters must be >= 1")
-	case p.Inertia <= 0 || p.Inertia >= 1:
-		return fmt.Errorf("pso: Inertia %g out of (0,1)", p.Inertia)
-	case p.Cognitive < 0 || p.Social < 0:
-		return errors.New("pso: acceleration constants must be >= 0")
-	case p.Cognitive+p.Social <= 0:
-		return errors.New("pso: at least one acceleration constant must be > 0")
-	case p.VelClamp <= 0:
-		return errors.New("pso: VelClamp must be > 0")
 	}
 	return nil
 }
@@ -101,10 +85,10 @@ func Run(p Params, bounds geom.Rect, obj gso.Objective) (*Result, error) {
 		extent[j] = bounds.Max[j] - bounds.Min[j]
 	}
 
-	pos := make([][]float64, p.Particles)
-	vel := make([][]float64, p.Particles)
-	pBest := make([][]float64, p.Particles)
-	pBestFit := make([]float64, p.Particles)
+	pos := make([][]float64, particles)
+	vel := make([][]float64, particles)
+	pBest := make([][]float64, particles)
+	pBestFit := make([]float64, particles)
 	gBest := make([]float64, n)
 	gBestFit := math.Inf(-1)
 
@@ -123,7 +107,7 @@ func Run(p Params, bounds geom.Rect, obj gso.Objective) (*Result, error) {
 		vel[i] = make([]float64, n)
 		for j := 0; j < n; j++ {
 			pos[i][j] = bounds.Min[j] + rng.Float64()*extent[j]
-			vel[i][j] = (rng.Float64()*2 - 1) * p.VelClamp * extent[j]
+			vel[i][j] = (rng.Float64()*2 - 1) * velClamp * extent[j]
 		}
 		pBest[i] = append([]float64(nil), pos[i]...)
 		pBestFit[i] = evaluate(pos[i])
@@ -137,10 +121,10 @@ func Run(p Params, bounds geom.Rect, obj gso.Objective) (*Result, error) {
 		for i := range pos {
 			for j := 0; j < n; j++ {
 				r1, r2 := rng.Float64(), rng.Float64()
-				vel[i][j] = p.Inertia*vel[i][j] +
-					p.Cognitive*r1*(pBest[i][j]-pos[i][j]) +
-					p.Social*r2*(gBest[j]-pos[i][j])
-				vmax := p.VelClamp * extent[j]
+				vel[i][j] = inertia*vel[i][j] +
+					cognitive*r1*(pBest[i][j]-pos[i][j]) +
+					social*r2*(gBest[j]-pos[i][j])
+				vmax := velClamp * extent[j]
 				if vel[i][j] > vmax {
 					vel[i][j] = vmax
 				}

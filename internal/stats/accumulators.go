@@ -27,8 +27,6 @@ type Accumulator interface {
 	Value() float64
 	// Count returns the number of observations added.
 	Count() int
-	// Reset restores the accumulator to its empty state.
-	Reset()
 }
 
 // CountAcc counts observations. Its Value is the paper's "density"
@@ -38,7 +36,6 @@ type CountAcc struct{ n int }
 func (a *CountAcc) Add(float64)    { a.n++ }
 func (a *CountAcc) Value() float64 { return float64(a.n) }
 func (a *CountAcc) Count() int     { return a.n }
-func (a *CountAcc) Reset()         { a.n = 0 }
 
 // SumAcc sums observations.
 type SumAcc struct {
@@ -49,7 +46,6 @@ type SumAcc struct {
 func (a *SumAcc) Add(v float64)  { a.n++; a.sum += v }
 func (a *SumAcc) Value() float64 { return a.sum }
 func (a *SumAcc) Count() int     { return a.n }
-func (a *SumAcc) Reset()         { *a = SumAcc{} }
 
 // MeanAcc computes the arithmetic mean using Welford's update, which is
 // numerically stable for long streams.
@@ -70,7 +66,6 @@ func (a *MeanAcc) Value() float64 {
 	return a.mean
 }
 func (a *MeanAcc) Count() int { return a.n }
-func (a *MeanAcc) Reset()     { *a = MeanAcc{} }
 
 // VarianceAcc computes the sample variance (n−1 denominator) with
 // Welford's algorithm. With fewer than two observations Value is NaN.
@@ -94,7 +89,6 @@ func (a *VarianceAcc) Value() float64 {
 	return a.m2 / float64(a.n-1)
 }
 func (a *VarianceAcc) Count() int { return a.n }
-func (a *VarianceAcc) Reset()     { *a = VarianceAcc{} }
 
 // Mean returns the running mean seen by the variance accumulator.
 func (a *VarianceAcc) Mean() float64 {
@@ -110,7 +104,6 @@ type StdDevAcc struct{ v VarianceAcc }
 func (a *StdDevAcc) Add(x float64)  { a.v.Add(x) }
 func (a *StdDevAcc) Value() float64 { return math.Sqrt(a.v.Value()) }
 func (a *StdDevAcc) Count() int     { return a.v.Count() }
-func (a *StdDevAcc) Reset()         { a.v.Reset() }
 
 // MinAcc tracks the minimum.
 type MinAcc struct {
@@ -132,7 +125,6 @@ func (a *MinAcc) Value() float64 {
 	return a.min
 }
 func (a *MinAcc) Count() int { return a.n }
-func (a *MinAcc) Reset()     { *a = MinAcc{} }
 
 // MaxAcc tracks the maximum.
 type MaxAcc struct {
@@ -154,7 +146,6 @@ func (a *MaxAcc) Value() float64 {
 	return a.max
 }
 func (a *MaxAcc) Count() int { return a.n }
-func (a *MaxAcc) Reset()     { *a = MaxAcc{} }
 
 // MedianAcc collects observations and reports their exact median. It is
 // the canonical non-decomposable statistic from Definition 3; memory is
@@ -176,7 +167,6 @@ func (a *MedianAcc) Value() float64 {
 	return (tmp[n/2-1] + tmp[n/2]) / 2
 }
 func (a *MedianAcc) Count() int { return len(a.vals) }
-func (a *MedianAcc) Reset()     { a.vals = a.vals[:0] }
 
 // RatioAcc computes the fraction of observations for which a predicate
 // held. Feed it 1 for matches and 0 otherwise (any non-zero value
@@ -201,4 +191,3 @@ func (a *RatioAcc) Value() float64 {
 	return float64(a.matches) / float64(a.n)
 }
 func (a *RatioAcc) Count() int { return a.n }
-func (a *RatioAcc) Reset()     { *a = RatioAcc{} }

@@ -2,7 +2,6 @@ package synth
 
 import (
 	"errors"
-	"fmt"
 	"math/rand/v2"
 
 	"surf/internal/dataset"
@@ -17,15 +16,18 @@ import (
 // Crimes and class-conditional accelerometer readings for HAR — so the
 // qualitative experiments exercise the identical code paths.
 
+// The Crimes simulator places hotspots Gaussian crime hotspots and
+// draws the fraction hotspotFrac of its incidents from them; the rest
+// are uniform background.
+const (
+	hotspots    = 5
+	hotspotFrac = 0.6
+)
+
 // CrimesConfig configures the spatial crime-incident simulator.
 type CrimesConfig struct {
 	// N is the number of incidents.
 	N int
-	// Hotspots is the number of Gaussian crime hotspots.
-	Hotspots int
-	// HotspotFrac is the fraction of incidents drawn from hotspots
-	// (the rest are uniform background).
-	HotspotFrac float64
 	// Seed makes generation deterministic.
 	Seed uint64
 }
@@ -33,7 +35,7 @@ type CrimesConfig struct {
 // DefaultCrimesConfig mirrors the scale of the paper's qualitative
 // study: a city-like map with a handful of dense hotspots.
 func DefaultCrimesConfig() CrimesConfig {
-	return CrimesConfig{N: 50000, Hotspots: 5, HotspotFrac: 0.6, Seed: 7}
+	return CrimesConfig{N: 50000, Seed: 7}
 }
 
 // CrimesDataset is the generated spatial dataset.
@@ -57,16 +59,10 @@ func Crimes(c CrimesConfig) (*CrimesDataset, error) {
 	if c.N < 1 {
 		return nil, errors.New("synth: Crimes N must be >= 1")
 	}
-	if c.Hotspots < 1 {
-		return nil, errors.New("synth: Crimes Hotspots must be >= 1")
-	}
-	if c.HotspotFrac < 0 || c.HotspotFrac > 1 {
-		return nil, fmt.Errorf("synth: HotspotFrac %g out of [0,1]", c.HotspotFrac)
-	}
 	rng := rand.New(rand.NewPCG(c.Seed, 0x9e3779b97f4a7c15))
 
-	centers := make([][]float64, c.Hotspots)
-	sigmas := make([]float64, c.Hotspots)
+	centers := make([][]float64, hotspots)
+	sigmas := make([]float64, hotspots)
 	for h := range centers {
 		centers[h] = []float64{0.15 + rng.Float64()*0.7, 0.15 + rng.Float64()*0.7}
 		sigmas[h] = 0.02 + rng.Float64()*0.04
@@ -75,8 +71,8 @@ func Crimes(c CrimesConfig) (*CrimesDataset, error) {
 	xs := make([]float64, c.N)
 	ys := make([]float64, c.N)
 	for i := 0; i < c.N; i++ {
-		if rng.Float64() < c.HotspotFrac {
-			h := rng.IntN(c.Hotspots)
+		if rng.Float64() < hotspotFrac {
+			h := rng.IntN(hotspots)
 			xs[i] = clamp01(centers[h][0] + rng.NormFloat64()*sigmas[h])
 			ys[i] = clamp01(centers[h][1] + rng.NormFloat64()*sigmas[h])
 		} else {
@@ -112,22 +108,24 @@ var ActivityNames = [...]string{
 	"walking", "walking_up", "walking_down", "sitting", "standing", "laying",
 }
 
+// standFrac is the HAR simulator's global fraction of "standing"
+// samples. The paper's query (ratio ≥ 0.3 inside a box) targets a
+// highly unlikely region, so the fraction is kept low: over random
+// regions P(ratio > 0.3) ≈ 0.0035, as in the paper's setting. It is
+// typed so that 1 − standFrac rounds as a float64 subtraction does.
+const standFrac float64 = 0.08
+
 // HARConfig configures the human-activity simulator.
 type HARConfig struct {
 	// N is the number of accelerometer samples.
 	N int
-	// StandFrac is the global fraction of "standing" samples; the
-	// paper's query (ratio ≥ 0.3 inside a box) targets a highly
-	// unlikely region, so the global fraction is kept low.
-	StandFrac float64
 	// Seed makes generation deterministic.
 	Seed uint64
 }
 
-// DefaultHARConfig mirrors the paper's setting where
-// P(ratio > 0.3) ≈ 0.0035 over random regions.
+// DefaultHARConfig mirrors the scale of the paper's HAR study.
 func DefaultHARConfig() HARConfig {
-	return HARConfig{N: 30000, StandFrac: 0.08, Seed: 11}
+	return HARConfig{N: 30000, Seed: 11}
 }
 
 // HARDataset is the generated activity dataset.
@@ -153,9 +151,6 @@ func HumanActivity(c HARConfig) (*HARDataset, error) {
 	if c.N < 1 {
 		return nil, errors.New("synth: HAR N must be >= 1")
 	}
-	if c.StandFrac <= 0 || c.StandFrac >= 1 {
-		return nil, fmt.Errorf("synth: StandFrac %g out of (0,1)", c.StandFrac)
-	}
 	rng := rand.New(rand.NewPCG(c.Seed, 0x853c49e6748fea9b))
 
 	// Class-conditional means in normalized accelerometer space. The
@@ -176,14 +171,14 @@ func HumanActivity(c HARConfig) (*HARDataset, error) {
 	az := make([]float64, c.N)
 	stand := make([]float64, c.N)
 	// Non-standing activities share the remaining probability mass.
-	otherFrac := (1 - c.StandFrac) / float64(numActivities-1)
+	otherFrac := (1 - standFrac) / float64(numActivities-1)
 	for i := 0; i < c.N; i++ {
 		u := rng.Float64()
 		var act int
-		if u < c.StandFrac {
+		if u < standFrac {
 			act = ActivityStanding
 		} else {
-			act = int((u - c.StandFrac) / otherFrac)
+			act = int((u - standFrac) / otherFrac)
 			if act >= ActivityStanding {
 				act++ // skip the standing slot
 			}

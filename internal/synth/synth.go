@@ -44,6 +44,11 @@ func (s StatType) String() string {
 	return fmt.Sprintf("StatType(%d)", int(s))
 }
 
+// aggMean is the value-dimension mean inside the GT regions of
+// Aggregate datasets: the background is N(0,1), and the paper's
+// yR = 2 lies between the two.
+const aggMean = 3
+
 // Config describes one synthetic dataset.
 type Config struct {
 	// Dims is the data dimensionality d (1..5 in the paper).
@@ -59,10 +64,6 @@ type Config struct {
 	// each GT region for Density datasets. Default 1200 (so the GT
 	// count clears the paper's yR = 1000).
 	BoostPerRegion int
-	// AggMean is the value-dimension mean inside GT regions for
-	// Aggregate datasets. Default 3 (background is N(0,1); paper's
-	// yR = 2).
-	AggMean float64
 	// Seed makes generation deterministic.
 	Seed uint64
 }
@@ -108,9 +109,6 @@ func Generate(c Config) (*Dataset, error) {
 	}
 	if c.BoostPerRegion == 0 {
 		c.BoostPerRegion = 1200
-	}
-	if c.AggMean == 0 {
-		c.AggMean = 3
 	}
 	rng := rand.New(rand.NewPCG(c.Seed, 0x2545f4914f6cdd1d))
 
@@ -229,7 +227,7 @@ func generateAggregate(c Config, rng *rand.Rand, gt []geom.Rect) (*Dataset, erro
 		val := rng.NormFloat64() // background: N(0,1)
 		for _, r := range gt {
 			if r.Contains(point) {
-				val = c.AggMean + rng.NormFloat64()*0.5 // elevated: N(mean, 0.5)
+				val = aggMean + rng.NormFloat64()*0.5 // elevated: N(mean, 0.5)
 				break
 			}
 		}

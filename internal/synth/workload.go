@@ -11,20 +11,22 @@ import (
 	"surf/internal/geom"
 )
 
+// minSideFrac is the smallest workload half-side as a fraction of
+// each dimension's extent (paper Section V-A: sides "cover 1%−15% of
+// the data domain").
+const minSideFrac = 0.01
+
 // WorkloadConfig configures past-query generation (paper Section V-A:
 // "centers x selected uniformly at random and region side lengths l
-// set to cover 1%−15% of the data domain").
+// set to cover 1%−15% of the data domain"). A query whose statistic is
+// undefined (NaN, e.g. the mean of an empty region) is dropped and
+// redrawn, up to 10× oversampling.
 type WorkloadConfig struct {
 	// Queries is the number of past evaluations to produce.
 	Queries int
-	// MinSideFrac and MaxSideFrac bound the half-side lengths as
-	// fractions of each dimension's extent.
-	MinSideFrac float64
+	// MaxSideFrac bounds the half-side lengths, from minSideFrac up,
+	// as a fraction of each dimension's extent.
 	MaxSideFrac float64
-	// SkipUndefined drops queries whose statistic is undefined (NaN,
-	// e.g. the mean of an empty region) and draws replacements, up to
-	// 10× oversampling.
-	SkipUndefined bool
 	// Seed makes generation deterministic.
 	Seed uint64
 }
@@ -32,11 +34,9 @@ type WorkloadConfig struct {
 // DefaultWorkloadConfig mirrors the paper's training workload.
 func DefaultWorkloadConfig(queries int) WorkloadConfig {
 	return WorkloadConfig{
-		Queries:       queries,
-		MinSideFrac:   0.01,
-		MaxSideFrac:   0.15,
-		SkipUndefined: true,
-		Seed:          13,
+		Queries:     queries,
+		MaxSideFrac: 0.15,
+		Seed:        13,
 	}
 }
 
@@ -52,8 +52,8 @@ func GenerateWorkloadContext(ctx context.Context, ev dataset.Evaluator, domain g
 	if c.Queries < 1 {
 		return nil, errors.New("synth: Queries must be >= 1")
 	}
-	if c.MinSideFrac <= 0 || c.MaxSideFrac < c.MinSideFrac {
-		return nil, fmt.Errorf("synth: side fractions [%g, %g] invalid", c.MinSideFrac, c.MaxSideFrac)
+	if c.MaxSideFrac < minSideFrac {
+		return nil, fmt.Errorf("synth: side fractions [%g, %g] invalid", minSideFrac, c.MaxSideFrac)
 	}
 	d := ev.Dims()
 	if domain.Dims() != d {
@@ -62,11 +62,7 @@ func GenerateWorkloadContext(ctx context.Context, ev dataset.Evaluator, domain g
 	rng := rand.New(rand.NewPCG(c.Seed, 0x94d049bb133111eb))
 
 	log := make(dataset.QueryLog, 0, c.Queries)
-	budget := c.Queries
-	if c.SkipUndefined {
-		budget = 10 * c.Queries
-	}
-	for attempt := 0; attempt < budget && len(log) < c.Queries; attempt++ {
+	for attempt := 0; attempt < 10*c.Queries && len(log) < c.Queries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -75,10 +71,10 @@ func GenerateWorkloadContext(ctx context.Context, ev dataset.Evaluator, domain g
 		for j := 0; j < d; j++ {
 			extent := domain.Max[j] - domain.Min[j]
 			x[j] = domain.Min[j] + rng.Float64()*extent
-			l[j] = (c.MinSideFrac + rng.Float64()*(c.MaxSideFrac-c.MinSideFrac)) * extent
+			l[j] = (minSideFrac + rng.Float64()*(c.MaxSideFrac-minSideFrac)) * extent
 		}
 		y, _ := ev.Evaluate(geom.FromCenter(x, l))
-		if c.SkipUndefined && math.IsNaN(y) {
+		if math.IsNaN(y) {
 			continue
 		}
 		log = append(log, dataset.Query{X: x, L: l, Y: y})

@@ -112,27 +112,24 @@ func WithResultCache(entries int) Option {
 	return func(o *engineOptions) { o.cacheSize = entries }
 }
 
-// TrainOptions tune surrogate training.
+// TrainOptions tune surrogate training. The learning rate (0.1) and
+// λ (1) are gbt.DefaultParams' constants, and training always uses one
+// goroutine per available CPU; the trained model is bit-identical for
+// any CPU count.
 type TrainOptions struct {
-	// Trees, LearningRate, MaxDepth, Lambda override the boosted-tree
-	// hyper-parameters (zero keeps the default: 100 trees, 0.1 rate,
-	// depth 6, λ=1).
-	Trees        int
-	LearningRate float64
-	MaxDepth     int
-	Lambda       float64
-	// HyperTune runs the paper's 144-combination grid search with
-	// K-fold CV before the final fit. Slower but more accurate.
+	// Trees and MaxDepth override the boosted-tree hyper-parameters
+	// (zero keeps the default: 100 trees, depth 6).
+	Trees    int
+	MaxDepth int
+	// HyperTune runs the paper's 144-combination grid search, over
+	// learning rate and λ as well, with K-fold CV before the final
+	// fit. Slower but more accurate.
 	HyperTune bool
 	// CVFolds is the fold count for HyperTune (default 3).
 	CVFolds int
 	// Seed drives the CV fold shuffling under HyperTune. Training
 	// itself draws nothing at random.
 	Seed uint64
-	// Workers bounds the goroutines training may use (0 means one per
-	// available CPU). Purely an execution knob: the trained model is
-	// bit-identical for every value.
-	Workers int
 }
 
 func (o TrainOptions) params() gbt.Params {
@@ -140,20 +137,11 @@ func (o TrainOptions) params() gbt.Params {
 	if o.Trees > 0 {
 		p.NumTrees = o.Trees
 	}
-	if o.LearningRate > 0 {
-		p.LearningRate = o.LearningRate
-	}
 	if o.MaxDepth > 0 {
 		p.MaxDepth = o.MaxDepth
 	}
-	if o.Lambda > 0 {
-		p.Lambda = o.Lambda
-	}
 	if o.Seed != 0 {
 		p.Seed = o.Seed
-	}
-	if o.Workers > 0 {
-		p.Workers = o.Workers
 	}
 	return p
 }

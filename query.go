@@ -113,7 +113,7 @@ type Query struct {
 	MaxSideFrac float64 `json:"max_side_frac,omitempty"`
 	// Workers parallelizes the swarm's fitness evaluations and KDE
 	// selection weights across this many goroutines: 0 = one per CPU
-	// (as in TrainOptions), 1 = sequential. Answers are identical for
+	// (as training always uses), 1 = sequential. Answers are identical for
 	// any value. Weights are computed only for the particles some
 	// neighbour roulette can read, those brighter than the dimmest.
 	Workers int `json:"workers,omitempty"`
@@ -148,8 +148,8 @@ type TopKQuery struct {
 	// UseTrueFunction bypasses the surrogate (O(N) per evaluation).
 	UseTrueFunction bool `json:"use_true_function,omitempty"`
 	// Glowworms, Iterations, MinSideFrac, MaxSideFrac, Workers and
-	// Seed behave as in Query: Workers 0 = one per CPU (as in
-	// TrainOptions), 1 = sequential, answers identical for any value.
+	// Seed behave as in Query: Workers 0 = one per CPU (as training
+	// always uses), 1 = sequential, answers identical for any value.
 	Glowworms   int     `json:"glowworms,omitempty"`
 	Iterations  int     `json:"iterations,omitempty"`
 	MinSideFrac float64 `json:"min_side_frac,omitempty"`
@@ -267,7 +267,7 @@ func (q TopKQuery) resolved(dims int) (TopKQuery, error) {
 // override is set: the swarm size is always the paper's L = 50·2d
 // (over the 2d-dimensional [x, l] solution space) unless explicitly
 // overridden, and Workers 0 means one per CPU (GOMAXPROCS), as
-// TrainOptions.Workers does; the optimizer caps the count at what the
+// training always uses; the optimizer caps the count at what the
 // swarm can use.
 func gsoParams(dims, glowworms, iterations, workers int, seed uint64) gso.Params {
 	g := gso.DefaultParams()

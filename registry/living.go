@@ -146,8 +146,8 @@ func (r *Registry) startRetrain(e *entry, set *engineSet) {
 }
 
 // retrain is the drift-triggered incremental retrain: generate a fresh
-// workload against the latest data version, fold the spec's extra
-// boosting rounds into the serving surrogate (all-or-nothing) and
+// workload against the latest data version, fold defaultRetrainTrees
+// extra boosting rounds into the serving surrogate (all-or-nothing) and
 // re-score. The model install is the engine's atomic snapshot swap,
 // so queries keep serving — on the old model, then the new — with
 // nothing dropped in between.
@@ -157,23 +157,15 @@ func (s *engineSet) retrain(ctx context.Context) {
 		msg := err.Error()
 		d.retrainErr.Store(&msg)
 	}
-	queries := s.spec.RetrainQueries
-	if queries <= 0 {
-		queries = defaultRetrainQueries
-	}
-	trees := s.spec.RetrainTrees
-	if trees <= 0 {
-		trees = defaultRetrainTrees
-	}
 	// Vary the seed per round so successive retrains do not replay one
 	// frozen workload against ever-changing data.
 	seed := s.spec.TrainSeed + 31*(d.retrains.Load()+1)
-	wl, err := s.engine.GenerateWorkloadContext(ctx, queries, seed)
+	wl, err := s.engine.GenerateWorkloadContext(ctx, defaultRetrainQueries, seed)
 	if err != nil {
 		fail(err)
 		return
 	}
-	if err := s.engine.ContinueTrainingContext(ctx, trees, wl); err != nil {
+	if err := s.engine.ContinueTrainingContext(ctx, defaultRetrainTrees, wl); err != nil {
 		fail(err)
 		return
 	}

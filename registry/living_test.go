@@ -243,7 +243,6 @@ func TestAppendDriftTriggersRetrain(t *testing.T) {
 		Data: fx.csv, FilterColumns: []string{"x", "y"}, Statistic: "count",
 		Train: 60, TrainSeed: 3,
 		DriftThreshold: 0.05, DriftReservoir: 16,
-		RetrainQueries: 24, RetrainTrees: 3,
 	}
 	if _, err := r.Register("d", spec); err != nil {
 		t.Fatal(err)
@@ -306,8 +305,8 @@ func TestAppendDriftTriggersRetrain(t *testing.T) {
 	if st.Drift.LastError != "" {
 		t.Fatalf("retrain reported error: %s", st.Drift.LastError)
 	}
-	if st.Info == nil || st.Info.Trees != baseTrees+3 {
-		t.Fatalf("trees after retrain = %+v, want %d", st.Info, baseTrees+3)
+	if st.Info == nil || st.Info.Trees != baseTrees+defaultRetrainTrees {
+		t.Fatalf("trees after retrain = %+v, want %d", st.Info, baseTrees+defaultRetrainTrees)
 	}
 	if st.Info.DataVersion != 2 {
 		t.Fatalf("surrogate info data version = %d, want 2", st.Info.DataVersion)

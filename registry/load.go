@@ -9,8 +9,11 @@ import (
 	"surf/drift"
 )
 
-// defaultDriftReservoir, defaultRetrainQueries and defaultRetrainTrees
-// are the drift-monitor defaults a spec's zero values resolve to.
+// defaultDriftReservoir is the replay reservoir a spec's zero
+// DriftReservoir resolves to. defaultRetrainQueries and
+// defaultRetrainTrees size every drift-triggered retrain: a fresh
+// workload of that many region evaluations feeds that many extra
+// boosting rounds.
 const (
 	defaultDriftReservoir = 64
 	defaultRetrainQueries = 256

@@ -55,19 +55,15 @@ type Spec struct {
 	// after every append the surrogate's normalized residual is
 	// re-measured over a reservoir of replayed training queries, and a
 	// score above the threshold kicks an incremental retrain that
-	// hot-swaps the extended model in. 0 disables auto-retrain (drift
-	// is still scored when DriftReservoir > 0).
+	// hot-swaps the extended model in: defaultRetrainTrees (25) extra
+	// boosting rounds fitted to defaultRetrainQueries (256) fresh
+	// region evaluations against the latest data version. 0 disables
+	// auto-retrain (drift is still scored when DriftReservoir > 0).
 	DriftThreshold float64 `json:"drift_threshold,omitempty"`
 	// DriftReservoir sizes the replay reservoir (0 = default 64 when
 	// monitoring is on, -1 = disable drift monitoring entirely).
 	// Monitoring is on when this is positive or DriftThreshold is set.
 	DriftReservoir int `json:"drift_reservoir,omitempty"`
-	// RetrainQueries and RetrainTrees shape the drift-triggered
-	// retrain: a fresh workload of RetrainQueries region evaluations
-	// against the latest data version feeds RetrainTrees extra boosting
-	// rounds (defaults 256 and 25).
-	RetrainQueries int `json:"retrain_queries,omitempty"`
-	RetrainTrees   int `json:"retrain_trees,omitempty"`
 }
 
 // driftEnabled reports whether the spec asks for drift monitoring:
@@ -81,7 +77,9 @@ func (s Spec) driftEnabled() bool {
 // rule: a Register carrying only the changed fields (typically just a
 // new artifact path) keeps the rest of the running spec. Artifact and
 // Train are the one mutually exclusive pair, so setting either one
-// explicitly drops the other's inherited value.
+// explicitly drops the other's inherited value; likewise an explicit
+// DriftReservoir of -1 turns drift monitoring off and so drops the
+// inherited DriftThreshold.
 func (s Spec) merge(prev Spec) Spec {
 	if s.Data == "" {
 		s.Data = prev.Data
@@ -98,17 +96,11 @@ func (s Spec) merge(prev Spec) Spec {
 	if !s.UseGridIndex {
 		s.UseGridIndex = prev.UseGridIndex
 	}
-	if s.DriftThreshold == 0 {
+	if s.DriftThreshold == 0 && s.DriftReservoir != -1 {
 		s.DriftThreshold = prev.DriftThreshold
 	}
 	if s.DriftReservoir == 0 {
 		s.DriftReservoir = prev.DriftReservoir
-	}
-	if s.RetrainQueries == 0 {
-		s.RetrainQueries = prev.RetrainQueries
-	}
-	if s.RetrainTrees == 0 {
-		s.RetrainTrees = prev.RetrainTrees
 	}
 	switch {
 	case s.Artifact != "" || s.Train > 0:
@@ -141,10 +133,6 @@ func (s Spec) validate() error {
 		return fmt.Errorf("%w: drift reservoir %d", ErrBadSpec, s.DriftReservoir)
 	case s.DriftThreshold > 0 && s.DriftReservoir == -1:
 		return fmt.Errorf("%w: drift threshold set with drift monitoring disabled", ErrBadSpec)
-	case s.RetrainQueries < 0:
-		return fmt.Errorf("%w: retrain %d queries", ErrBadSpec, s.RetrainQueries)
-	case s.RetrainTrees < 0:
-		return fmt.Errorf("%w: retrain %d trees", ErrBadSpec, s.RetrainTrees)
 	case s.driftEnabled() && s.Artifact == "" && s.Train == 0:
 		return fmt.Errorf("%w: drift monitoring needs a surrogate (artifact or train)", ErrBadSpec)
 	}

@@ -232,33 +232,50 @@ func TestLazyLoadAndStates(t *testing.T) {
 	}
 }
 
+// TestSpecInheritanceOnSwap applies its rows in order, each a PUT
+// against the spec the rows before it left running.
 func TestSpecInheritanceOnSwap(t *testing.T) {
 	fx := newFixture(t, 300)
 	r := New(0)
 	spec := fx.spec(fx.artifactA)
 	spec.UseGridIndex = true
+	spec.DriftThreshold = 0.05
 	if _, err := r.Register("d", spec); err != nil {
 		t.Fatal(err)
 	}
-	// A PUT carrying only the new artifact inherits everything else.
-	v, err := r.Register("d", Spec{Artifact: fx.artifactB})
-	if err != nil {
-		t.Fatal(err)
+	// version is the entry's version the swap answers; 0 means the
+	// swap is rejected with ErrBadSpec and the running spec stays.
+	steps := []struct {
+		name    string
+		swap    Spec
+		version int
+		want    func(Spec) bool
+	}{
+		{"artifact only inherits the rest", Spec{Artifact: fx.artifactB}, 2, func(s Spec) bool {
+			return s.Data == fx.csv && s.Statistic == "count" && s.Artifact == fx.artifactB && s.UseGridIndex && s.DriftThreshold == 0.05
+		}},
+		{"train drops the inherited artifact", Spec{Train: 50}, 3, func(s Spec) bool {
+			return s.Artifact == "" && s.Train == 50 && s.DriftThreshold == 0.05
+		}},
+		{"threshold with monitoring off stays rejected", Spec{DriftThreshold: 0.1, DriftReservoir: -1}, 0, func(s Spec) bool {
+			return s.DriftThreshold == 0.05 && s.DriftReservoir == 0
+		}},
+		{"reservoir -1 drops the inherited threshold", Spec{DriftReservoir: -1}, 4, func(s Spec) bool {
+			return s.DriftThreshold == 0 && s.DriftReservoir == -1 && s.Train == 50 && !s.driftEnabled()
+		}},
 	}
-	if v != 2 {
-		t.Fatalf("version %d after swap, want 2", v)
-	}
-	st, _ := r.Status("d")
-	if st.Spec.Data != fx.csv || st.Spec.Statistic != "count" || st.Spec.Artifact != fx.artifactB || !st.Spec.UseGridIndex {
-		t.Fatalf("merged spec = %+v", st.Spec)
-	}
-	// Switching to startup training drops the inherited artifact.
-	if _, err := r.Register("d", Spec{Train: 50}); err != nil {
-		t.Fatal(err)
-	}
-	st, _ = r.Status("d")
-	if st.Spec.Artifact != "" || st.Spec.Train != 50 {
-		t.Fatalf("spec after train swap = %+v", st.Spec)
+	for _, st := range steps {
+		v, err := r.Register("d", st.swap)
+		if st.version == 0 && !errors.Is(err, ErrBadSpec) {
+			t.Fatalf("%s: register error = %v, want ErrBadSpec", st.name, err)
+		}
+		if st.version != 0 && (err != nil || v != st.version) {
+			t.Fatalf("%s: register = version %d, %v; want version %d", st.name, v, err, st.version)
+		}
+		status, _ := r.Status("d")
+		if !st.want(status.Spec) {
+			t.Fatalf("%s: spec after swap = %+v", st.name, status.Spec)
+		}
 	}
 }
 

@@ -352,6 +352,8 @@ func TestModelsCRUD(t *testing.T) {
 		{"corrupted artifact", "delta", fx.spec(corrupt), http.StatusUnprocessableEntity, "bad_artifact"},
 		{"unknown field", "beta", map[string]any{"shards": 2}, http.StatusBadRequest, "bad_spec"},
 		{"removed kernel field", "beta", map[string]any{"kernel": "scalar"}, http.StatusBadRequest, "bad_spec"},
+		{"removed retrain field", "beta", map[string]any{"artifact": fx.artifactB, "retrain_queries": 24},
+			http.StatusBadRequest, "bad_spec"},
 		// Valid on its own, so only the trailing value can refuse it.
 		{"trailing JSON value", "beta", []byte(fmt.Sprintf(`{"artifact": %q}{"kernel": "scalar"}`, fx.artifactB)),
 			http.StatusBadRequest, "bad_spec"},
