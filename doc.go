@@ -134,12 +134,15 @@
 // # Query parallelism
 //
 // Query.Workers and TopKQuery.Workers spread each swarm iteration's
-// fitness evaluations and, for UseKDE queries, its Eq. 8 selection
-// weights across goroutines: 0 = one per CPU (as in training), 1
-// = sequential, answers identical for any value. Every particle's
-// fitness and weight depend only on its own position, so the parallel
-// run is the sequential one; the optimizer caps the worker count at
-// GOMAXPROCS and at one worker per two glowworms. After the first
+// fitness evaluations, its neighbour scan and, for UseKDE queries, its
+// Eq. 8 selection weights across goroutines: 0 = one per CPU (as in
+// training), 1 = sequential, answers identical for any value. Every
+// particle's fitness and weight depend only on its own position, and
+// every particle moves from the positions the swarm held when the
+// iteration's movement began, with the random draws made in particle
+// order on one goroutine, so the parallel run is the sequential one;
+// the optimizer caps the worker count at GOMAXPROCS and at one worker
+// per two glowworms. After the first
 // iteration only the particles that moved are scored again; a particle
 // that stayed put keeps its fitness, a function of its position alone.
 // On surrogate finds over the benchmark's density data about 30% of

@@ -1,6 +1,7 @@
 package gso
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -149,6 +150,53 @@ func TestWeightedRunMatchesAcrossWorkers(t *testing.T) {
 			if got.Luciferin[i] != base.Luciferin[i] {
 				t.Fatalf("workers=%d: worm %d luciferin diverged", workers, i)
 			}
+		}
+	}
+}
+
+// TestRunSameForEveryWorkerCount: Workers spreads the fitness
+// evaluations, the selection weights and the movement phase's neighbour
+// scan over goroutines, while the draws stay on the calling goroutine
+// in worm order, so a run returns the same Result, bit for bit, for
+// every worker count. At L = 300 the first phase has L(L−1)/2 pair
+// tests, enough for eight scan shards, and GOMAXPROCS is raised for the
+// test so that 3 and 8 workers are not clamped to the host's CPUs.
+func TestRunSameForEveryWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	const L = 300
+	if L*(L-1)/2 < 8*minShardPairs {
+		t.Fatalf("%d worms are too few for eight scan shards", L)
+	}
+	weight := func(pos []float64) float64 { return math.Exp(-4 * (pos[0] - 0.3) * (pos[0] - 0.3)) }
+	opts := Options{Weight: weight, InvalidWalk: 1, RecordHistory: true}
+	for _, tt := range []struct {
+		name string
+		obj  Objective
+	}{
+		{"scalar", ObjectiveFunc(sphereFn)},
+		{"batch", batchSphere{}},
+	} {
+		p := DefaultParams()
+		p.Glowworms, p.MaxIters, p.Workers = L, 20, 1
+		want, err := Run(p, geom.Unit(4), tt.obj, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 3, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tt.name, workers), func(t *testing.T) {
+				pw := p
+				pw.Workers = workers
+				got, err := Run(pw, geom.Unit(4), tt.obj, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := diffResults(got, want); diff != "" {
+					t.Fatal(diff)
+				}
+				if got.Evaluations != want.Evaluations {
+					t.Errorf("%d evaluations, want %d", got.Evaluations, want.Evaluations)
+				}
+			})
 		}
 	}
 }

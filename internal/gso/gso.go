@@ -27,7 +27,8 @@
 // and its fitness is a function of its position alone, so the first
 // iteration scores every worm and each later one only the worms that
 // moved in the iteration before; the rest keep the values they have.
-// On surrogate-shaped finds about 30% of worm-iterations stay put.
+// On the benchmark's surrogate finds (L = 200, T = 100) about 30% of
+// worm-iterations stay put.
 //
 // An Eq. 8 weight is read only when its worm is a candidate in some
 // roulette, i.e. strictly brighter than another worm, so each movement
@@ -38,14 +39,20 @@
 // up the group, so on a mostly invalid space most moved worms are
 // never weighed.
 //
-// Movement is sequential, since each worm moves in place and later
-// worms see the moves, and its neighbour search is quadratic in L:
-// with luciferin ranked once per iteration, each worm tests only the
-// strictly brighter worms, about half the L(L−1) ordered pairs, and
-// compares squared distances without a square root (see rankedScan).
-// Each ranking repairs the previous iteration's by insertion sort, as
-// luciferin drifts little between iterations. At the surrogate's
-// default L = 200 this search is most of the movement phase's cost.
+// Movement is synchronous, as in Krishnanand & Ghose: every worm
+// picks its neighbour and steps from the positions the swarm held at
+// the start of the phase, never toward a move made earlier in the same
+// phase. Its neighbour search is quadratic in L: with luciferin ranked
+// once per iteration, each worm tests only the strictly brighter worms,
+// about half the L(L−1) ordered pairs, and compares squared distances
+// without a square root (see rankedScan). Each ranking repairs the
+// previous iteration's by insertion sort, as luciferin drifts little
+// between iterations. At the surrogate's default L = 200 this search is
+// most of the movement phase's cost. It reads only the phase's frozen
+// state, so it shards over the workers; the random draws that follow,
+// one per roulette and n per invalid-walk step, are made on the calling
+// goroutine in worm order, so a run's answer depends on its seed alone,
+// not on Params.Workers.
 //
 // Two SuRF-specific extensions are supported:
 //
@@ -146,17 +153,18 @@ type Params struct {
 	// InitRadius is r_0. When 0, the rule of paper Section V-G is
 	// used: r_0 = (1 − (1/2)^(1/L))^(1/n) scaled by the domain extent.
 	InitRadius float64
-	// Workers evaluates the objective for the worms being scored, and
-	// the selection weights for the worms being weighed, with this
-	// many goroutines per iteration (0 or 1 = sequential), capped at
-	// GOMAXPROCS and at one worker per two glowworms. Results are
-	// identical to the sequential run — only
-	// the per-particle evaluations parallelize; the movement phase
-	// keeps its deterministic RNG stream. The objective and
-	// Options.Weight must be safe for concurrent calls (the
-	// boosted-tree surrogate and the KDE box mass are). Objectives
-	// implementing BatchObjective are evaluated shard-at-a-time with
-	// one preallocated evaluator per worker.
+	// Workers evaluates the objective for the worms being scored, the
+	// selection weights for the worms being weighed, and the movement
+	// phase's neighbour scan with this many goroutines per iteration
+	// (0 or 1 = sequential), capped at GOMAXPROCS and at one worker per
+	// two glowworms; a phase with few pair tests scans on fewer.
+	// Results are identical to the sequential run: the parallel work
+	// reads only the iteration's frozen state, and the movement phase
+	// makes its random draws on the calling goroutine in worm order.
+	// The objective and Options.Weight must be safe for concurrent
+	// calls (the boosted-tree surrogate and the KDE box mass are).
+	// Objectives implementing BatchObjective are evaluated
+	// shard-at-a-time with one preallocated evaluator per worker.
 	Workers int
 	// Seed drives initialization and neighbour selection.
 	Seed uint64
@@ -352,9 +360,6 @@ func run(ctx context.Context, p Params, bounds geom.Rect, obj Objective, opts Op
 		res.History = make([][][]float64, L)
 	}
 
-	var neighbors []int
-	var weights []float64
-	var totalW float64
 	// wcache[i] is worm i's selection weight, valid at its current
 	// position unless unweighed[i]; toWeigh lists the worms weighed in
 	// one phase.
@@ -367,7 +372,9 @@ func run(ctx context.Context, p Params, bounds geom.Rect, obj Objective, opts Op
 		toWeigh = make([]int, 0, L)
 	}
 	eval := newSwarmEvaluator(obj, p.Workers, L)
-	scan := newRankedScan(L, n)
+	mv := newMover(eval.workers, L, n)
+	// next holds the movement phase's targets, n coordinates per worm.
+	next := make([]float64, L*n)
 	// stale lists, in ascending order, the worms whose position changed
 	// since they were last scored: every worm at first, then the worms
 	// that moved in the previous movement phase. A worm that stayed put
@@ -399,66 +406,62 @@ func run(ctx context.Context, p Params, bounds geom.Rect, obj Objective, opts Op
 			}
 		}
 
-		// Phase 2: movement. Selection weights (e.g. KDE box masses)
-		// are evaluated against the start-of-phase positions — the
-		// synchronous-update reading of Eq. 8 — rather than per
-		// candidate pair, and only for the worms ranked before the
-		// cut, the only ones a roulette can read this phase. A moved
-		// worm past the cut stays unweighed until a phase ranks it
-		// before the cut; its position cannot change without it being
-		// marked anew, so its weight is then taken at the same position.
-		scan.prepare(luc, pos)
+		// Phase 2: movement. Every worm moves from the start-of-phase
+		// positions, so selection weights (e.g. KDE box masses) are
+		// evaluated against those positions too — the synchronous
+		// reading of Eq. 8 — rather than per candidate pair, and only
+		// for the worms ranked before the cut, the only ones a roulette
+		// can read this phase. A moved worm past the cut stays unweighed
+		// until a phase ranks it before the cut; its position cannot
+		// change without it being marked anew, so its weight is then
+		// taken at the same position.
+		mv.prepare(luc, pos)
 		if opts.Weight != nil {
 			for _, i := range stale {
 				unweighed[i] = true
 			}
 			toWeigh = toWeigh[:0]
 			for i, u := range unweighed {
-				if u && scan.candidate(i) {
+				if u && mv.candidate(i) {
 					toWeigh = append(toWeigh, i)
 					unweighed[i] = false
 				}
 			}
 			eval.weigh(opts.Weight, toWeigh, pos, wcache)
 		}
+		// Every worm's neighbours and adapted radius, on the workers.
+		mv.scanAll(radius, luc, wcache, sensor)
+		// The draws, in worm order on this goroutine, so the answer
+		// does not depend on how the scan was sharded. Moves land in
+		// next and are copied back once every worm has moved.
 		stale = stale[:0]
 		for i := 0; i < L; i++ {
-			neighbors, weights, totalW = scan.neighbors(i, radius[i], luc, wcache, neighbors[:0], weights[:0])
-			// Adaptive radius uses the pre-move neighbourhood size.
-			radius[i] = math.Min(sensor, math.Max(0, radius[i]+beta*(desiredNeighbors-float64(len(neighbors)))))
-			if len(neighbors) == 0 || totalW <= 0 {
+			to := next[i*n : (i+1)*n]
+			totalW := mv.total[i]
+			if totalW <= 0 { // no neighbours
 				if opts.InvalidWalk > 0 && !valid[i] {
 					// Diffuse constraint-violating stragglers.
 					for j := 0; j < n; j++ {
 						delta := (rng.Float64()*2 - 1) * step * opts.InvalidWalk
-						pos[i][j] = clamp(pos[i][j]+delta, bounds.Min[j], bounds.Max[j])
+						to[j] = clamp(pos[i][j]+delta, bounds.Min[j], bounds.Max[j])
 					}
-					scan.moved(i, pos[i])
 					stale = append(stale, i)
 				}
 				continue
 			}
 			// Roulette selection over (ℓ_j − ℓ_i) · weight.
-			pick := rng.Float64() * totalW
-			sel := neighbors[len(neighbors)-1]
-			var cum float64
-			for k, w := range weights {
-				cum += w
-				if pick <= cum {
-					sel = neighbors[k]
-					break
-				}
-			}
+			sel := mv.roulette(i, rng.Float64()*totalW, luc, wcache)
 			d := dist(pos[i], pos[sel])
 			if d == 0 {
 				continue
 			}
 			for j := 0; j < n; j++ {
-				pos[i][j] += step * (pos[sel][j] - pos[i][j]) / d
-				pos[i][j] = clamp(pos[i][j], bounds.Min[j], bounds.Max[j])
+				to[j] = clamp(pos[i][j]+step*(pos[sel][j]-pos[i][j])/d, bounds.Min[j], bounds.Max[j])
 			}
-			scan.moved(i, pos[i])
 			stale = append(stale, i)
+		}
+		for _, i := range stale {
+			copy(pos[i], next[i*n:(i+1)*n])
 		}
 
 		meanFit := math.NaN()
@@ -544,7 +547,7 @@ func newSwarmEvaluator(obj Objective, workers, swarm int) *swarmEvaluator {
 // objective sees the listed positions gathered into one contiguous
 // shard per worker; the results are scattered back by index.
 func (e *swarmEvaluator) run(idx []int, pos [][]float64, fitness []float64, valid []bool) {
-	e.sharded(len(idx), func(w, lo, hi int) {
+	sharded(len(idx), e.workers, func(w, lo, hi int) {
 		if e.batch == nil {
 			for _, i := range idx[lo:hi] {
 				fitness[i], valid[i] = e.obj.Fitness(pos[i])
@@ -565,7 +568,7 @@ func (e *swarmEvaluator) run(idx []int, pos [][]float64, fitness []float64, vali
 // each worm i in idx. Each weight depends only on its own position, so
 // the sharded result is the sequential one.
 func (e *swarmEvaluator) weigh(weight SelectionWeight, idx []int, pos [][]float64, out []float64) {
-	e.sharded(len(idx), func(_, lo, hi int) {
+	sharded(len(idx), e.workers, func(_, lo, hi int) {
 		for _, i := range idx[lo:hi] {
 			out[i] = math.Max(0, weight(pos[i]))
 		}
@@ -577,17 +580,17 @@ func (e *swarmEvaluator) weigh(weight SelectionWeight, idx []int, pos [][]float6
 // worker. Shards are disjoint and each worm is listed once, so writes
 // indexed by worm never race and results match the sequential pass
 // exactly.
-func (e *swarmEvaluator) sharded(n int, fn func(w, lo, hi int)) {
+func sharded(n, workers int, fn func(w, lo, hi int)) {
 	if n == 0 {
 		return
 	}
-	if e.workers == 1 {
+	if workers == 1 {
 		fn(0, 0, n)
 		return
 	}
 	var wg sync.WaitGroup
-	chunk := (n + e.workers - 1) / e.workers
-	for w := 0; w < e.workers; w++ {
+	chunk := (n + workers - 1) / workers
+	for w := 0; w < workers; w++ {
 		lo := w * chunk
 		hi := min(lo+chunk, n)
 		if lo >= hi {

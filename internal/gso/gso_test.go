@@ -381,6 +381,38 @@ func TestParallelWorkersMatchSequential(t *testing.T) {
 	}
 }
 
+// TestMovementIsSynchronous places three worms in the unit square,
+// with fitness x + 2y: B at (0.5, 0.4) is worm 0, A at (0.4, 0.4) worm
+// 1 and C at (0.5, 0.55), the brightest, worm 2. At radius 0.16 each
+// worm but C has one brighter neighbour: B sees C at 0.15, and A sees
+// B at 0.1 but not C at 0.18. B moves first, a step toward C. A then
+// steps toward B's start position, straight along the x axis, not
+// toward where B has just moved.
+func TestMovementIsSynchronous(t *testing.T) {
+	obj := ObjectiveFunc(func(pos []float64) (float64, bool) { return pos[0] + 2*pos[1], true })
+	p := DefaultParams()
+	p.Glowworms, p.MaxIters, p.InitRadius = 3, 1, 0.16
+	b, a, c := []float64{0.5, 0.4}, []float64{0.4, 0.4}, []float64{0.5, 0.55}
+	res, err := run(context.Background(), p, geom.Unit(2), obj, Options{}, [][]float64{b, a, c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := stepSize // the unit square's mean extent is 1
+	toward := func(from, to []float64) []float64 {
+		d := dist(from, to)
+		return []float64{from[0] + step*(to[0]-from[0])/d, from[1] + step*(to[1]-from[1])/d}
+	}
+	movedB := toward(b, c)
+	for k, want := range [][]float64{movedB, toward(a, b), c} {
+		if !sameBits(res.Positions[k], want) {
+			t.Errorf("worm %d at %v, want %v", k, res.Positions[k], want)
+		}
+	}
+	if inPlace := toward(a, movedB); sameBits(res.Positions[1], inPlace) {
+		t.Errorf("worm 1 at %v stepped toward worm 0's moved position", inPlace)
+	}
+}
+
 func TestWorkersValidation(t *testing.T) {
 	p := DefaultParams()
 	p.Workers = -1

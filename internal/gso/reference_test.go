@@ -13,10 +13,13 @@ import (
 // evaluations of worms that stayed put: every iteration it scores and
 // weighs every worm, one Fitness and one Weight call at a time, and
 // its movement phase runs the original all-pairs neighbour loop, where
-// every worm tests every other worm, in index order, with dist. It is
-// the reference RunContext is held to bit for bit in everything but
-// Evaluations, which here is always L per iteration; keep it in step
-// with RunContext everywhere else. start is run's start.
+// every worm tests every other worm, in index order, with dist. Every
+// worm moves synchronously: its neighbours, its roulette and its step
+// read a snapshot of the positions taken at the start of the phase,
+// never a move made earlier in the same phase. It is the reference
+// RunContext is held to bit for bit in everything but Evaluations,
+// which here is always L per iteration; keep it in step with
+// RunContext everywhere else. start is run's start.
 func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective, opts Options, start [][]float64) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -108,10 +111,15 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 			}
 		}
 
-		// Phase 2: movement. Selection weights (e.g. KDE box masses)
-		// are evaluated once per particle per iteration against the
-		// start-of-phase positions — the synchronous-update reading
-		// of Eq. 8 — rather than per candidate pair.
+		// Phase 2: movement, from a snapshot of the start-of-phase
+		// positions. Selection weights (e.g. KDE box masses) are
+		// evaluated once per particle per iteration against the same
+		// positions — the synchronous reading of Eq. 8 — rather than
+		// per candidate pair.
+		from := make([][]float64, L)
+		for i := range pos {
+			from[i] = append([]float64(nil), pos[i]...)
+		}
 		if opts.Weight != nil {
 			for i := range pos {
 				wcache[i] = math.Max(0, opts.Weight(pos[i]))
@@ -120,7 +128,7 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 		moved := 0
 		for i := 0; i < L; i++ {
 			var totalW float64
-			neighbors, weights, totalW = referenceNeighbors(i, pos, luc, wcache, radius[i], neighbors[:0], weights[:0])
+			neighbors, weights, totalW = referenceNeighbors(i, from, luc, wcache, radius[i], neighbors[:0], weights[:0])
 			// Adaptive radius uses the pre-move neighbourhood size.
 			radius[i] = math.Min(sensor, math.Max(0, radius[i]+beta*(desiredNeighbors-float64(len(neighbors)))))
 			if len(neighbors) == 0 || totalW <= 0 {
@@ -128,7 +136,7 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 					// Diffuse constraint-violating stragglers.
 					for j := 0; j < n; j++ {
 						delta := (rng.Float64()*2 - 1) * step * opts.InvalidWalk
-						pos[i][j] = clamp(pos[i][j]+delta, bounds.Min[j], bounds.Max[j])
+						pos[i][j] = clamp(from[i][j]+delta, bounds.Min[j], bounds.Max[j])
 					}
 					moved++
 				}
@@ -145,12 +153,12 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 					break
 				}
 			}
-			d := dist(pos[i], pos[sel])
+			d := dist(from[i], from[sel])
 			if d == 0 {
 				continue
 			}
 			for j := 0; j < n; j++ {
-				pos[i][j] += step * (pos[sel][j] - pos[i][j]) / d
+				pos[i][j] = from[i][j] + step*(from[sel][j]-from[i][j])/d
 				pos[i][j] = clamp(pos[i][j], bounds.Min[j], bounds.Max[j])
 			}
 			moved++
@@ -193,7 +201,7 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 
 // referenceNeighbors is the original all-pairs neighbour loop: worm
 // i's neighbours in ascending index, with roulette weights and their
-// sum, as rankedScan.neighbors must return them.
+// sum, as rankedScan.within and neighbors must find them.
 func referenceNeighbors(i int, pos [][]float64, luc, weight []float64, r float64, nb []int, w []float64) ([]int, []float64, float64) {
 	var total float64
 	for j := range pos {

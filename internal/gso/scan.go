@@ -1,6 +1,7 @@
 package gso
 
 import (
+	"iter"
 	"math"
 	"math/bits"
 )
@@ -9,23 +10,26 @@ import (
 // the worms j ≠ i with !(ℓ_j ≤ ℓ_i) whose distance to i is at most the
 // decision radius r_i.
 //
-// Luciferin is fixed for the whole phase, so the swarm is ranked once
+// Luciferin and positions are fixed for the whole phase: every worm
+// moves from the phase's start positions. So the swarm is ranked once
 // per iteration, brightest first. A worm's candidates are then a prefix
 // of the ranking: every NaN-luciferin worm (ranked first) and every
 // strictly brighter one. A NaN-luciferin worm compares false against
-// everything, so its prefix is the whole swarm. Positions are kept in
-// rank order too, so a scan streams through one flat array; a worm's
-// row is rewritten whenever it moves, so later worms see moved
-// positions exactly as an all-pairs scan over the live positions does.
+// everything, so its prefix is the whole swarm. The start positions
+// are copied into rank order too, so a scan streams through one flat
+// array; the rows are frozen for the phase and rewritten only by the
+// next prepare.
 //
 // Luciferin drifts little from one iteration to the next, so each
 // ranking starts from the previous one and is repaired by an insertion
 // sort on one integer key per worm (see rankKey), which is close to
 // linear on a nearly sorted order.
 //
-// The scan marks neighbours in a bitset over worm indices and the
-// walk of that bitset emits them in ascending index, which is the
-// order the roulette selection and its weight sum depend on.
+// Nothing in a scan writes to the ranked state, so scans of different
+// worms may run concurrently. Each scan marks neighbours in a bitset
+// over worm indices that its caller passes in, and the walk of that
+// bitset emits them in ascending index, which is the order the
+// roulette selection and its weight sum depend on.
 //
 // The union of all candidate prefixes is the rank prefix [0, cut): a
 // worm ranked at or past the cut, in the dimmest tie group, is no
@@ -38,8 +42,8 @@ type rankedScan struct {
 	rank   []int32   // rank[i] is worm i's index in order
 	prefix []int32   // ranks [0, prefix[k]) are the candidates of rank k
 	cut    int32     // the largest prefix: ranks [cut, L) are nobody's candidates
-	rows   []float64 // positions in rank order, n coordinates per row
-	words  []uint64  // neighbour bitset over worm indices
+	pairs  int       // Σ prefix: the pairs the phase's scans test
+	rows   []float64 // start-of-phase positions in rank order, n coordinates per row
 }
 
 func newRankedScan(worms, dims int) *rankedScan {
@@ -50,7 +54,6 @@ func newRankedScan(worms, dims int) *rankedScan {
 		rank:   make([]int32, worms),
 		prefix: make([]int32, worms),
 		rows:   make([]float64, worms*dims),
-		words:  make([]uint64, (worms+63)/64),
 	}
 	for i := range s.order {
 		s.order[i] = int32(i)
@@ -78,12 +81,12 @@ func rankKey(v float64) uint64 {
 	return b
 }
 
-// prepare ranks the swarm by luc, sets the candidate prefixes and the
-// cut, and copies pos into rank order. It must run after the luciferin
-// update and before the first scan of a movement phase. The ranking is
-// (key, worm index) ascending — NaN first, then descending luciferin,
-// ties by index — reached by an insertion sort of the previous
-// ranking. The cut is the first rank of the dimmest tie group, or L
+// prepare ranks the swarm by luc, sets the candidate prefixes, the cut
+// and the pair count, and copies pos into rank order. It must run after
+// the luciferin update and before the first scan of a movement phase.
+// The ranking is (key, worm index) ascending — NaN first, then
+// descending luciferin, ties by index — reached by an insertion sort of
+// the previous ranking. The cut is the first rank of the dimmest tie group, or L
 // when any luciferin is NaN.
 func (s *rankedScan) prepare(luc []float64, pos [][]float64) {
 	order, keys := s.order, s.keys
@@ -99,9 +102,11 @@ func (s *rankedScan) prepare(luc []float64, pos [][]float64) {
 		order[q], keys[q] = i, key
 	}
 	L := int32(len(order))
+	s.pairs = 0
 	for k := int32(0); k < L; {
 		if keys[k] == 0 {
 			s.prefix[k] = L // NaN
+			s.pairs += int(L)
 			k++
 			continue
 		}
@@ -113,6 +118,7 @@ func (s *rankedScan) prepare(luc []float64, pos [][]float64) {
 		for q := k; q < end; q++ {
 			s.prefix[q] = k
 		}
+		s.pairs += int(k) * int(end-k)
 		k = end
 	}
 	// No prefix passes the dimmest group's start, the last rank's
@@ -131,20 +137,15 @@ func (s *rankedScan) prepare(luc []float64, pos [][]float64) {
 // this phase, i.e. ranks before the cut.
 func (s *rankedScan) candidate(i int) bool { return s.rank[i] < s.cut }
 
-// moved records worm i's new position.
-func (s *rankedScan) moved(i int, p []float64) {
-	k := int(s.rank[i])
-	copy(s.rows[k*s.n:(k+1)*s.n], p)
-}
-
-// within returns the bitset of worm i's candidates at distance at
-// most r. The distance is compared as a squared sum, accumulated in
-// dimension order as dist does; only pairs in the narrow band where
-// rounding could flip the comparison, or every pair when r² is not a
-// normal float, take dist's Sqrt. A NaN squared distance compares as
+// within fills words, a bitset over worm indices, with worm i's
+// candidates at distance at most r, and returns it. The distance is
+// compared as a squared sum, accumulated in dimension order as dist
+// does; only pairs in the narrow band where rounding could flip the
+// comparison, or every pair when r² is not a normal float, take dist's
+// Sqrt. A NaN squared distance compares as
 // inside, as Sqrt(NaN) > r is false.
-func (s *rankedScan) within(i int, r float64) []uint64 {
-	clear(s.words)
+func (s *rankedScan) within(i int, r float64, words []uint64) []uint64 {
+	clear(words)
 	k := int(s.rank[i])
 	n := s.n
 	p := s.rows[k*n : (k+1)*n]
@@ -161,7 +162,7 @@ func (s *rankedScan) within(i int, r float64) []uint64 {
 			ss += d1 * d1
 			ss += d2 * d2
 			ss += d3 * d3
-			s.words[j>>6] |= b2u(inside(ss, lo, hi, r)) << (j & 63)
+			words[j>>6] |= b2u(inside(ss, lo, hi, r)) << (j & 63)
 		}
 	} else {
 		rows := s.rows[:n*m]
@@ -172,36 +173,36 @@ func (s *rankedScan) within(i int, r float64) []uint64 {
 				dd := v - row[d]
 				ss += dd * dd
 			}
-			s.words[j>>6] |= b2u(inside(ss, lo, hi, r)) << (j & 63)
+			words[j>>6] |= b2u(inside(ss, lo, hi, r)) << (j & 63)
 		}
 	}
 	// A NaN-luciferin worm's prefix includes itself.
-	s.words[i>>6] &^= 1 << (i & 63)
-	return s.words
+	words[i>>6] &^= 1 << (i & 63)
+	return words
 }
 
-// neighbors returns worm i's neighbours in ascending index with their
-// roulette weights (ℓ_j − ℓ_i)·weight_j and the weights' sum, appending
-// to nb and w; weight nil means unit weights. Pairs whose weight is
-// not positive are dropped.
-func (s *rankedScan) neighbors(i int, r float64, luc, weight []float64, nb []int, w []float64) ([]int, []float64, float64) {
-	var total float64
-	for wi, word := range s.within(i, r) {
-		for ; word != 0; word &= word - 1 {
-			j := wi<<6 | bits.TrailingZeros64(word)
-			wj := luc[j] - luc[i]
-			if weight != nil {
-				wj *= weight[j]
+// neighbors yields worm i's neighbours, the worms set in words, its
+// bitset from within, in ascending index, with their roulette weights
+// (ℓ_j − ℓ_i)·weight_j; weight nil means unit weights. Pairs whose
+// weight is not positive are skipped.
+func neighbors(words []uint64, i int, luc, weight []float64) iter.Seq2[int, float64] {
+	return func(yield func(int, float64) bool) {
+		for wi, word := range words {
+			for ; word != 0; word &= word - 1 {
+				j := wi<<6 | bits.TrailingZeros64(word)
+				wj := luc[j] - luc[i]
+				if weight != nil {
+					wj *= weight[j]
+				}
+				if wj <= 0 {
+					continue
+				}
+				if !yield(j, wj) {
+					return
+				}
 			}
-			if wj <= 0 {
-				continue
-			}
-			nb = append(nb, j)
-			w = append(w, wj)
-			total += wj
 		}
 	}
-	return nb, w, total
 }
 
 // inside reports !(Sqrt(ss) > r) for the squared distance ss, given
@@ -241,4 +242,86 @@ func b2u(b bool) uint64 {
 		u = 1
 	}
 	return u
+}
+
+// minShardPairs is the fewest pair tests a shard of the movement
+// phase's scan takes. Handing a shard to a goroutine on another CPU
+// costs about as much as a few thousand pair tests: on a 2-vCPU x86-64
+// host, sharding a 100-worm swarm's scan (at most 4,950 pairs) made
+// runs slower, and sharding a 200-worm swarm's (at most 19,900) made
+// them faster.
+const minShardPairs = 4096
+
+// mover holds the movement phase's state beside the ranked scan: every
+// worm's neighbour bitset and roulette weight sum, which scanAll fills
+// on the workers.
+//
+// Worm i's bitset is row i of one array, written only by the worker
+// that scans worm i. A worker's worms are contiguous, so two workers
+// can meet on a cache line only at a shard boundary, at opposite ends
+// of their shards. A bitset per worker, reused worm after worm, would
+// need padding to its own cache lines: on a 2-vCPU x86-64 host, two
+// workers' 32-byte bitsets packed back to back shared a line that both
+// wrote at every pair test, and within's self time doubled.
+type mover struct {
+	*rankedScan
+	workers int
+	nw      int       // bitset words per worm
+	words   []uint64  // worm i's neighbours at words[i*nw : (i+1)*nw]
+	total   []float64 // worm i's roulette weight sum, 0 without neighbours
+}
+
+func newMover(workers, worms, dims int) *mover {
+	nw := (worms + 63) / 64
+	return &mover{
+		rankedScan: newRankedScan(worms, dims),
+		workers:    workers,
+		nw:         nw,
+		words:      make([]uint64, worms*nw),
+		total:      make([]float64, worms),
+	}
+}
+
+// row is worm i's neighbour bitset.
+func (m *mover) row(i int) []uint64 { return m.words[i*m.nw : (i+1)*m.nw : (i+1)*m.nw] }
+
+// scanAll finds every worm's neighbours and roulette weight sum from
+// the phase's frozen ranking and start positions, and adapts each
+// radius from the number of neighbours:
+// r_i ← min{r_s, max{0, r_i + β(n_t − |N_i|)}}. The worms are split
+// into contiguous shards, one per worker, but no more shards than the
+// phase has minShardPairs pair tests for. Each worm's scan reads only
+// frozen state and writes only worm i's entries, so the result does
+// not depend on the sharding.
+func (m *mover) scanAll(radius, luc, weight []float64, sensor float64) {
+	workers := max(1, min(m.workers, m.pairs/minShardPairs))
+	sharded(len(m.total), workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			var count int
+			var total float64
+			for _, wj := range neighbors(m.within(i, radius[i], m.row(i)), i, luc, weight) {
+				count++
+				total += wj
+			}
+			m.total[i] = total
+			radius[i] = math.Min(sensor, math.Max(0, radius[i]+beta*(desiredNeighbors-float64(count))))
+		}
+	})
+}
+
+// roulette returns the neighbour of worm i that a roulette over the
+// weights scanAll summed selects for pick, drawn from [0, total): the
+// first whose cumulative weight reaches pick, or the last when pick
+// passes them all.
+func (m *mover) roulette(i int, pick float64, luc, weight []float64) int {
+	sel := -1
+	var cum float64
+	for j, wj := range neighbors(m.row(i), i, luc, weight) {
+		sel = j
+		cum += wj
+		if pick <= cum {
+			break
+		}
+	}
+	return sel
 }

@@ -321,14 +321,16 @@ var (
 	}
 )
 
-// FuzzNeighborScan: rankedScan.neighbors returns exactly what the
-// original all-pairs loop does — the same neighbours in the same
-// order, the same weights and the same sum — for every worm in index
-// order, with each worm moved after its scan as the movement phase
-// moves it, and every worm strictly brighter than another, or NaN,
-// ranks before the cut. A second phase perturbs the luciferin and prepares the
-// same scan again, so the ranking carried over from the first phase
-// is repaired rather than built from scratch.
+// FuzzNeighborScan: rankedScan.within and neighbors find exactly what
+// the original all-pairs loop does over the phase's start positions —
+// the same neighbours in the same order, with the same weights and the
+// same sum — for every worm, with consecutive scans filling one of two
+// bitsets, whose bits a scan must clear before it marks its own, and
+// every worm strictly brighter than another, or NaN, ranks before the
+// cut. After the scans each worm
+// moves, and a second phase perturbs the luciferin and prepares the
+// same scan again, so the ranking carried over from the first phase is
+// repaired rather than built from scratch, and the rows are rewritten.
 func FuzzNeighborScan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		feed := &scanFeed{data: data}
@@ -354,6 +356,7 @@ func FuzzNeighborScan(f *testing.F) {
 			}
 		}
 		scan := newRankedScan(L, n)
+		words := [2][]uint64{make([]uint64, (L+63)/64), make([]uint64, (L+63)/64)}
 		var gotNb, wantNb []int
 		var gotW, wantW []float64
 		for phase := 0; phase < 2; phase++ {
@@ -378,22 +381,28 @@ func FuzzNeighborScan(f *testing.F) {
 					}
 				}
 			}
+			next := make([][]float64, L)
 			for i := range pos {
+				gotNb, gotW = gotNb[:0], gotW[:0]
 				var gotT, wantT float64
-				gotNb, gotW, gotT = scan.neighbors(i, radius[i], luc, weight, gotNb[:0], gotW[:0])
+				for j, wj := range neighbors(scan.within(i, radius[i], words[i%2]), i, luc, weight) {
+					gotNb, gotW = append(gotNb, j), append(gotW, wj)
+					gotT += wj
+				}
 				wantNb, wantW, wantT = referenceNeighbors(i, pos, luc, weight, radius[i], wantNb[:0], wantW[:0])
 				if !slices.Equal(gotNb, wantNb) || !sameBits(gotW, wantW) || !sameBits([]float64{gotT}, []float64{wantT}) {
 					t.Fatalf("phase %d, worm %d: neighbours %v weights %v sum %v, want %v %v %v",
 						phase, i, gotNb, gotW, gotT, wantNb, wantW, wantT)
 				}
 				// Move the worm onto its last neighbour, or a pool value.
+				next[i] = slices.Clone(pos[i])
 				if len(wantNb) > 0 {
-					copy(pos[i], pos[wantNb[len(wantNb)-1]])
+					copy(next[i], pos[wantNb[len(wantNb)-1]])
 				} else {
-					pos[i][0] = feed.value(scanFuzzValues)
+					next[i][0] = feed.value(scanFuzzValues)
 				}
-				scan.moved(i, pos[i])
 			}
+			pos = next
 		}
 	})
 }
@@ -439,7 +448,8 @@ func freshRanking(luc []float64) (order, prefix []int32, cut int32) {
 }
 
 // TestCarriedRanking: preparing a scan ranked on prev with next gives
-// the ranking, candidate prefixes and cut a fresh sort of next does.
+// the ranking, candidate prefixes, cut and pair count a fresh sort of
+// next does.
 func TestCarriedRanking(t *testing.T) {
 	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
 	tests := []struct {
@@ -476,6 +486,13 @@ func TestCarriedRanking(t *testing.T) {
 			if !slices.Equal(s.order, order) || !slices.Equal(s.prefix, prefix) || s.cut != cut {
 				t.Errorf("carried ranking %v prefixes %v cut %d, fresh %v %v %d", s.order, s.prefix, s.cut, order, prefix, cut)
 			}
+			var pairs int
+			for _, m := range prefix {
+				pairs += int(m)
+			}
+			if s.pairs != pairs {
+				t.Errorf("%d pairs, want the prefixes' sum %d", s.pairs, pairs)
+			}
 			for k, i := range order {
 				if s.rank[i] != int32(k) || s.rows[k] != pos[i][0] {
 					t.Errorf("worm %d: rank %d row %v, want %d %v", i, s.rank[i], s.rows[k], k, pos[i][0])
@@ -503,19 +520,29 @@ func (f *scanFeed) next() byte {
 func (f *scanFeed) value(pool []float64) float64 { return pool[int(f.next())%len(pool)] }
 
 // BenchmarkSwarmMove times whole runs at the paper's default budget
-// (L = 200, T = 100) on a cheap analytic objective, so the sequential
-// movement phase dominates; n = 4 is the [x, l] space of a 2-D filter.
+// (L = 200, T = 100) on a cheap analytic objective, so the movement
+// phase dominates; n = 4 is the [x, l] space of a 2-D filter, run on
+// one worker and on two, where the phase's scan shards.
 func BenchmarkSwarmMove(b *testing.B) {
+	bench := func(b *testing.B, n, workers int) {
+		p := DefaultParams()
+		p.Glowworms, p.MaxIters, p.Workers = 200, 100, workers
+		bounds := geom.Unit(n)
+		b.ReportAllocs()
+		for range b.N {
+			if _, err := Run(p, bounds, ObjectiveFunc(sphereFn), Options{InvalidWalk: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	for _, n := range []int{2, 4, 6} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			p := DefaultParams()
-			p.Glowworms, p.MaxIters = 200, 100
-			bounds := geom.Unit(n)
-			b.ReportAllocs()
-			for range b.N {
-				if _, err := Run(p, bounds, ObjectiveFunc(sphereFn), Options{InvalidWalk: 1}); err != nil {
-					b.Fatal(err)
-				}
+			if n != 4 {
+				bench(b, n, 1)
+				return
+			}
+			for _, w := range []int{1, 2} {
+				b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) { bench(b, n, w) })
 			}
 		})
 	}

@@ -111,9 +111,9 @@ type Query struct {
 	// scale the surrogate was trained on.
 	MinSideFrac float64 `json:"min_side_frac,omitempty"`
 	MaxSideFrac float64 `json:"max_side_frac,omitempty"`
-	// Workers parallelizes the swarm's fitness evaluations and KDE
-	// selection weights across this many goroutines: 0 = one per CPU
-	// (as training always uses), 1 = sequential. Answers are identical for
+	// Workers parallelizes the swarm's fitness evaluations, neighbour
+	// scans and KDE selection weights across this many goroutines:
+	// 0 = one per CPU (as training always uses), 1 = sequential. Answers are identical for
 	// any value. Weights are computed only for the particles some
 	// neighbour roulette can read, those brighter than the dimmest.
 	Workers int `json:"workers,omitempty"`

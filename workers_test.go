@@ -7,11 +7,11 @@ import (
 )
 
 // TestWorkersDifferential: Workers only spreads the swarm's fitness
-// evaluations and KDE selection weights over goroutines, so every
-// query kind must answer exactly as the sequential Workers: 1 run for
-// any worker count — the one-per-CPU default (0), counts that do not
-// divide the swarm, and more workers than the swarm or the host can
-// use. The result cache is off: its key drops Workers, so a cached
+// evaluations, KDE selection weights and neighbour scans over
+// goroutines, so every query kind must answer exactly as the sequential
+// Workers: 1 run for any worker count — the one-per-CPU default (0),
+// counts that do not divide the swarm, and more workers than the swarm
+// or the host can use. The result cache is off: its key drops Workers, so a cached
 // engine would answer every row from the first.
 func TestWorkersDifferential(t *testing.T) {
 	eng := trainedEngine(t, WithResultCache(0))
@@ -25,6 +25,12 @@ func TestWorkersDifferential(t *testing.T) {
 		run  func(workers int) (*Result, error)
 	}{
 		{"surrogate", func(w int) (*Result, error) { return eng.Find(query(w)) }},
+		{"surrogate/L=200", func(w int) (*Result, error) {
+			// Enough worms for the movement phase's scan to shard.
+			q := query(w)
+			q.Glowworms = 200
+			return eng.Find(q)
+		}},
 		{"use_kde", func(w int) (*Result, error) {
 			q := query(w)
 			q.UseKDE, q.KDESample = true, 300
