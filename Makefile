@@ -54,11 +54,13 @@ vulncheck:
 	govulncheck ./...
 
 # fuzz-smoke is the randomized pass CI runs over the CSV readers, the
-# surrogate-artifact readers, the evaluator parity differential, the inference-kernel parity
-# differential (scalar vs a reference tree walk), the living-store
-# append parity differential, the swarm's neighbour-scan differential
-# and the KDE sampler's shuffle against rand.Perm; crashers minimize
-# into testdata/fuzz corpus files, which are checked in.
+# surrogate-artifact readers, the evaluator parity differential, the
+# inference-kernel parity differential (the compiled kernel, the
+# ensemble's only predictor, vs a reference walk of its trees), the
+# living-store append parity differential, the swarm's neighbour-scan
+# differential and the KDE sampler's shuffle against rand.Perm;
+# crashers minimize into testdata/fuzz corpus files, which are checked
+# in.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadCSVDataset' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz 'FuzzReadWorkloadCSV' -fuzztime 10s .

@@ -174,9 +174,10 @@
 //
 // # Inference kernel
 //
-// Every surrogate prediction — the swarm's batch objective,
-// PredictStatistic(Batch), FindMany — is served by one compiled
-// inference kernel, built when a surrogate is trained or loaded: the
+// Every surrogate prediction — the swarm's objective,
+// PredictStatistic(Batch), FindMany, continued training's residual
+// start and hyper-parameter cross-validation — is served by one
+// compiled inference kernel, built when a surrogate is trained or loaded: the
 // ensemble flattened into one contiguous array of 16-byte nodes, with
 // children laid out breadth-first so a split's right child sits next
 // to its left, walked with a branch-free child select and, in

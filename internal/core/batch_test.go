@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"surf/internal/dataset"
@@ -55,73 +56,141 @@ func TestSurrogatePredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
-// TestFindBatchMatchesScalar: attaching the compiled batch predictor
-// must not change mining results — same regions, scores and estimates
-// for a fixed seed, sequential or sharded.
+// TestFindBatchMatchesScalar is the differential test of the one
+// prediction path: a finder predicting row by row through the
+// surrogate's StatFn and the same finder with the compiled kernel
+// attached (AttachBatch) give byte-identical answers, for every query
+// kind and worker count, incumbents included.
 func TestFindBatchMatchesScalar(t *testing.T) {
 	s, ds := batchTestSurrogate(t, 6000, 800)
-	cfg := FinderConfig{
-		Threshold: ds.SuggestedYR,
-		Dir:       Above,
-		C:         4,
-		GSO:       gso.Params{MaxIters: 40, Seed: 5},
+	find := func(f *Finder, cfg FinderConfig) (*FindResult, error) { return f.Find(cfg) }
+	extents := func(f *Finder, cfg FinderConfig) (*FindResult, error) {
+		return f.FindExtentsContext(context.Background(), cfg)
 	}
-
-	scalar, err := NewFinder(s.StatFn(), ds.Domain())
-	if err != nil {
-		t.Fatal(err)
+	topK := func(f *Finder, cfg FinderConfig) (*FindResult, error) {
+		return f.FindTopKContext(context.Background(), TopKConfig{K: 3, Largest: cfg.Dir == Above, GSO: cfg.GSO})
 	}
-	base, err := scalar.Find(cfg)
-	if err != nil {
-		t.Fatal(err)
+	tests := []struct {
+		name    string
+		query   func(*Finder, FinderConfig) (*FindResult, error)
+		dir     Direction
+		workers int
+		stream  bool
+	}{
+		{name: "threshold", query: find},
+		{name: "threshold/workers=4", query: find, workers: 4},
+		{name: "cluster_extents", query: extents},
+		{name: "topk/largest", query: topK},
+		{name: "topk/smallest/workers=4", query: topK, dir: Below, workers: 4},
+		{name: "stream", query: find, stream: true},
 	}
-
-	for _, workers := range []int{0, 4} {
-		batched, err := NewSurrogateFinder(s, ds.Domain())
-		if err != nil {
-			t.Fatal(err)
-		}
-		bcfg := cfg
-		bcfg.GSO.Workers = workers
-		got, err := batched.Find(bcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameRegions(t, base.Regions, got.Regions)
-		if base.ValidFrac != got.ValidFrac {
-			t.Errorf("workers=%d: ValidFrac %v != %v", workers, got.ValidFrac, base.ValidFrac)
-		}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			answer := func(attach bool) (*FindResult, []Region) {
+				f, err := NewFinder(s.StatFn(), ds.Domain())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if attach {
+					f.AttachBatch(s.Kernel())
+				}
+				cfg := FinderConfig{
+					Threshold: ds.SuggestedYR, Dir: tt.dir, C: 4,
+					GSO: gso.Params{MaxIters: 40, Seed: 5, Workers: tt.workers},
+				}
+				var incumbents []Region
+				if tt.stream {
+					cfg.OnRegion = func(r Region) { incumbents = append(incumbents, r) }
+				}
+				res, err := tt.query(f, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, incumbents
+			}
+			want, wantInc := answer(false)
+			got, gotInc := answer(true)
+			if len(want.Regions) == 0 {
+				t.Fatal("no regions found")
+			}
+			assertSameRegions(t, want.Regions, got.Regions)
+			if want.ValidFrac != got.ValidFrac || want.Swarm.Evaluations != got.Swarm.Evaluations {
+				t.Errorf("valid fraction/evaluations %v/%d, want %v/%d",
+					got.ValidFrac, got.Swarm.Evaluations, want.ValidFrac, want.Swarm.Evaluations)
+			}
+			if tt.stream && len(wantInc) == 0 {
+				t.Fatal("stream delivered no incumbents")
+			}
+			assertSameRegions(t, wantInc, gotInc)
+		})
 	}
 }
 
-// TestFindRescoresInOneBatch: with a batch predictor attached, the
-// final swarm is re-scored in one batch, so the only scalar statistic
-// calls left are the returned regions' estimates.
+// countingPredictor passes predictions through to pred and counts the
+// calls and the rows predicted.
+type countingPredictor struct {
+	pred        BatchPredictor
+	calls, rows atomic.Int64
+}
+
+func (c *countingPredictor) PredictBatch(rows [][]float64, out []float64) {
+	c.calls.Add(1)
+	c.rows.Add(int64(len(rows)))
+	c.pred.PredictBatch(rows, out)
+}
+
+// afterSwarm returns an OnIteration observer and a function reporting
+// the predictor calls and rows made after the swarm's last iteration.
+func (c *countingPredictor) afterSwarm(iters int) (func(gso.IterStats), func() (calls, rows int64)) {
+	calls, rows := int64(-1), int64(-1)
+	observe := func(it gso.IterStats) {
+		if it.Iteration == iters-1 {
+			calls, rows = c.calls.Load(), c.rows.Load()
+		}
+	}
+	return observe, func() (int64, int64) {
+		if calls < 0 {
+			return -1, -1
+		}
+		return c.calls.Load() - calls, c.rows.Load() - rows
+	}
+}
+
+// TestFindRescoresInOneBatch: after the swarm, a threshold find
+// predicts twice: once over the final valid particles, re-scored in
+// one batch, and once over the returned regions' estimates.
 func TestFindRescoresInOneBatch(t *testing.T) {
 	s, ds := batchTestSurrogate(t, 6000, 800)
-	stat := s.StatFn()
-	scalarCalls := 0
-	f, err := NewFinder(func(x, l []float64) float64 {
-		scalarCalls++
-		return stat(x, l)
-	}, ds.Domain())
+	f, err := NewSurrogateFinder(s, ds.Domain())
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.AttachBatch(s.Kernel())
-	res, err := f.Find(FinderConfig{Threshold: ds.SuggestedYR, Dir: Above, C: 4, GSO: gso.Params{MaxIters: 40, Seed: 5}})
+	pred := &countingPredictor{pred: s.Kernel()}
+	f.AttachBatch(pred)
+	cfg := FinderConfig{Threshold: ds.SuggestedYR, Dir: Above, C: 4, GSO: gso.Params{MaxIters: 40, Seed: 5}}
+	var after func() (int64, int64)
+	cfg.OnIteration, after = pred.afterSwarm(cfg.GSO.MaxIters)
+	res, err := f.Find(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Regions) == 0 || scalarCalls != len(res.Regions) {
-		t.Fatalf("%d scalar statistic calls for %d regions", scalarCalls, len(res.Regions))
+	valid := 0
+	for _, ok := range res.Swarm.Valid {
+		if ok {
+			valid++
+		}
+	}
+	calls, rows := after()
+	if len(res.Regions) == 0 || calls != 2 || rows != int64(valid+len(res.Regions)) {
+		t.Fatalf("%d predictor calls over %d rows after the swarm, want 2 over %d valid particles + %d regions",
+			calls, rows, valid, len(res.Regions))
 	}
 }
 
 // TestFindExtentsEstimatesOnlyExtents: after the swarm, a
-// cluster-extent find calls the statistic once per returned extent,
-// and returns the extents ClusterExtents reports over FindContext's
-// swarm.
+// cluster-extent find predicts the statistic once, over the returned
+// extents only, and returns the extents ClusterExtents reports over
+// FindContext's swarm.
 func TestFindExtentsEstimatesOnlyExtents(t *testing.T) {
 	s, ds := batchTestSurrogate(t, 6000, 800)
 	ev, err := dataset.NewLinearScan(ds.Data, ds.Spec)
@@ -134,30 +203,24 @@ func TestFindExtentsEstimatesOnlyExtents(t *testing.T) {
 	}
 	tests := []struct {
 		name       string
-		stat       StatFn
-		batch      bool
+		pred       BatchPredictor
 		kde        bool
 		maxRegions int
 	}{
-		{name: "true-function", stat: StatFnFromEvaluator(ev)},
-		{name: "surrogate/scalar", stat: s.StatFn()},
-		{name: "surrogate/batch", stat: s.StatFn(), batch: true},
-		{name: "surrogate/batch/kde", stat: s.StatFn(), batch: true, kde: true},
-		{name: "surrogate/batch/max-regions=1", stat: s.StatFn(), batch: true, maxRegions: 1},
+		{name: "true-function", pred: statPredictor(StatFnFromEvaluator(ev))},
+		{name: "surrogate/scalar", pred: statPredictor(s.StatFn())},
+		{name: "surrogate/batch", pred: s.Kernel()},
+		{name: "surrogate/batch/kde", pred: s.Kernel(), kde: true},
+		{name: "surrogate/batch/max-regions=1", pred: s.Kernel(), maxRegions: 1},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			calls := 0
-			f, err := NewFinder(func(x, l []float64) float64 {
-				calls++
-				return tt.stat(x, l)
-			}, ds.Domain())
+			f, err := NewSurrogateFinder(s, ds.Domain())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tt.batch {
-				f.AttachBatch(s.Kernel())
-			}
+			pred := &countingPredictor{pred: tt.pred}
+			f.AttachBatch(pred)
 			if tt.kde {
 				if err := f.AttachDensity(points, 300, 1); err != nil {
 					t.Fatal(err)
@@ -167,12 +230,8 @@ func TestFindExtentsEstimatesOnlyExtents(t *testing.T) {
 				Threshold: ds.SuggestedYR, Dir: Above, UseKDE: tt.kde, MaxRegions: tt.maxRegions,
 				GSO: gso.Params{MaxIters: 30, Seed: 5},
 			}
-			swarmCalls := -1
-			cfg.OnIteration = func(it gso.IterStats) {
-				if it.Iteration == cfg.GSO.MaxIters-1 {
-					swarmCalls = calls
-				}
-			}
+			var after func() (int64, int64)
+			cfg.OnIteration, after = pred.afterSwarm(cfg.GSO.MaxIters)
 			got, err := f.FindExtentsContext(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -180,8 +239,8 @@ func TestFindExtentsEstimatesOnlyExtents(t *testing.T) {
 			if len(got.Regions) == 0 {
 				t.Fatal("no extents found")
 			}
-			if after := calls - swarmCalls; swarmCalls < 0 || after != len(got.Regions) {
-				t.Errorf("%d statistic calls after the swarm for %d extents", after, len(got.Regions))
+			if calls, rows := after(); calls != 1 || rows != int64(len(got.Regions)) {
+				t.Errorf("%d predictor calls over %d rows after the swarm, want 1 over %d extents", calls, rows, len(got.Regions))
 			}
 			cfg.OnIteration = nil
 			res, err := f.FindContext(context.Background(), cfg)
@@ -191,31 +250,6 @@ func TestFindExtentsEstimatesOnlyExtents(t *testing.T) {
 			assertSameRegions(t, f.ClusterExtents(res.Swarm, ExtentClusterEps, cmp.Or(tt.maxRegions, DefaultMaxRegions)), got.Regions)
 		})
 	}
-}
-
-// TestTopKBatchMatchesScalar is the FindTopKContext counterpart.
-func TestTopKBatchMatchesScalar(t *testing.T) {
-	s, ds := batchTestSurrogate(t, 4000, 600)
-	cfg := TopKConfig{K: 3, Largest: true, GSO: gso.Params{MaxIters: 30, Seed: 9}}
-
-	scalar, err := NewFinder(s.StatFn(), ds.Domain())
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := scalar.FindTopKContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	batched, err := NewSurrogateFinder(s, ds.Domain())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := batched.FindTopKContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRegions(t, base.Regions, got.Regions)
 }
 
 func assertSameRegions(t *testing.T, want, got []Region) {
@@ -238,55 +272,51 @@ func assertSameRegions(t *testing.T, want, got []Region) {
 	}
 }
 
+// sameFloat reports bit-identical values, any two NaNs alike.
 func sameFloat(a, b float64) bool {
-	return a == b || (math.IsNaN(a) && math.IsNaN(b))
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// BenchmarkSwarmStepScalar measures surrogate-backed mining through
-// the scalar per-particle objective — the pre-batching hot path.
-func BenchmarkSwarmStepScalar(b *testing.B) {
+// BenchmarkSwarmStep measures surrogate-backed mining through each
+// predictor a finder can hold: the StatFn predicted row by row
+// (statfn) and the compiled kernel, one model pass per swarm shard
+// (kernel). It reports the rows the swarm evaluated per run (rows/op),
+// which the worms that stay put keep below L·T; T = 100 is the
+// engine's default budget, where most of that saving falls.
+func BenchmarkSwarmStep(b *testing.B) {
 	s, ds := batchTestSurrogate(b, 6000, 800)
-	benchSwarmStep(b, s, ds, false, 25)
-}
-
-// BenchmarkSwarmStepBatch measures the same mining run through the
-// compiled batch predictor: one model pass per swarm iteration shard.
-// It reports the rows the swarm evaluated per run (rows/op), which the
-// worms that stay put keep below L·T; T = 100 is the engine's default
-// budget, where most of that saving falls.
-func BenchmarkSwarmStepBatch(b *testing.B) {
-	s, ds := batchTestSurrogate(b, 6000, 800)
-	for _, iters := range []int{25, 100} {
-		b.Run(fmt.Sprintf("T=%d", iters), func(b *testing.B) {
-			benchSwarmStep(b, s, ds, true, iters)
-		})
-	}
-}
-
-func benchSwarmStep(b *testing.B, s *Surrogate, ds *synth.Dataset, batch bool, iters int) {
-	b.Helper()
-	finder, err := NewFinder(s.StatFn(), ds.Domain())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if batch {
-		finder.AttachBatch(s.Kernel())
-	}
-	g := gso.DefaultParams()
-	g.Glowworms = 200
-	g.MaxIters = iters
-	g.Seed = 3
-	cfg := FinderConfig{Threshold: ds.SuggestedYR, Dir: Above, C: 4, GSO: g}
-	rows := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := finder.Find(cfg)
-		if err != nil {
-			b.Fatal(err)
+	for _, p := range []struct {
+		name string
+		pred BatchPredictor
+	}{
+		{"statfn", statPredictor(s.StatFn())},
+		{"kernel", s.Kernel()},
+	} {
+		for _, iters := range []int{25, 100} {
+			b.Run(fmt.Sprintf("%s/T=%d", p.name, iters), func(b *testing.B) {
+				finder, err := NewSurrogateFinder(s, ds.Domain())
+				if err != nil {
+					b.Fatal(err)
+				}
+				finder.AttachBatch(p.pred)
+				g := gso.DefaultParams()
+				g.Glowworms = 200
+				g.MaxIters = iters
+				g.Seed = 3
+				cfg := FinderConfig{Threshold: ds.SuggestedYR, Dir: Above, C: 4, GSO: g}
+				rows := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := finder.Find(cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					rows += res.Swarm.Evaluations
+				}
+				b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+			})
 		}
-		rows += res.Swarm.Evaluations
 	}
-	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
 }
 
 // TestSurrogateContinueTrainingRecompiles: incremental training must
@@ -319,7 +349,7 @@ func TestSurrogateContinueTrainingRecompiles(t *testing.T) {
 	out := make([]float64, len(rows))
 	fresh.PredictBatch(rows, out)
 	for i, r := range rows {
-		if want := fresh.Model().Predict1(r); out[i] != want {
+		if want := fresh.Model().Compile().Predict1(r); out[i] != want {
 			t.Fatalf("row %d: compiled %v != continued model %v (stale snapshot)", i, out[i], want)
 		}
 	}

@@ -116,3 +116,67 @@ func TestClusterRegionsClipsToDomain(t *testing.T) {
 		t.Errorf("cluster %v escapes the domain", regions[0])
 	}
 }
+
+// TestClusterRegionsOrdersTiesByFirstMember: clusters come out largest
+// first, and clusters of equal volume in the order of their first
+// valid particle, on every call. Centers and half-sides are dyadic, so
+// equal sides give exactly equal volumes.
+func TestClusterRegionsOrdersTiesByFirstMember(t *testing.T) {
+	box := func(lo, hi float64) geom.Rect { return geom.Rect{Min: []float64{lo}, Max: []float64{hi}} }
+	var singletons [][2]float64
+	var singletonBoxes []geom.Rect
+	for i := range 40 {
+		x := float64(2*i+1) / 128
+		singletons = append(singletons, [2]float64{x, 1.0 / 512})
+		singletonBoxes = append(singletonBoxes, box(x-1.0/512, x+1.0/512))
+	}
+	tests := []struct {
+		name    string
+		points  [][2]float64
+		invalid map[int]bool
+		eps     float64
+		want    []geom.Rect
+	}{
+		{
+			name:   "equal singletons",
+			points: singletons,
+			eps:    0.01,
+			want:   singletonBoxes,
+		},
+		{
+			name:   "larger first, ties by first member",
+			points: [][2]float64{{0.125, 1.0 / 64}, {0.375, 1.0 / 16}, {0.625, 1.0 / 64}, {0.875, 1.0 / 16}},
+			eps:    0.05,
+			want: []geom.Rect{
+				box(0.375-1.0/16, 0.375+1.0/16), box(0.875-1.0/16, 0.875+1.0/16),
+				box(0.125-1.0/64, 0.125+1.0/64), box(0.625-1.0/64, 0.625+1.0/64),
+			},
+		},
+		{
+			name:    "linked members merge, invalid skipped",
+			points:  [][2]float64{{0.625, 1.0 / 32}, {0.75, 1.0 / 32}, {0.25, 1.0 / 32}, {0.28125, 1.0 / 32}, {0.875, 1.0 / 32}},
+			invalid: map[int]bool{1: true},
+			eps:     0.05,
+			want: []geom.Rect{
+				box(0.21875, 0.3125),
+				box(0.625-1.0/32, 0.625+1.0/32), box(0.875-1.0/32, 0.875+1.0/32),
+			},
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			swarm := swarmAt(tt.points, tt.invalid)
+			for call := range 20 {
+				got := ClusterRegions(swarm, geom.Unit(1), tt.eps)
+				if len(got) != len(tt.want) {
+					t.Fatalf("call %d: %d clusters, want %d", call, len(got), len(tt.want))
+				}
+				for i, w := range tt.want {
+					if got[i].Min[0] != w.Min[0] || got[i].Max[0] != w.Max[0] {
+						t.Fatalf("call %d: cluster %d = %v, want %v", call, i, got[i], w)
+					}
+				}
+			}
+		})
+	}
+}

@@ -59,7 +59,7 @@ func TestLogObjectiveValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	vec := geom.EncodeRegion([]float64{0.5}, []float64{0.1})
-	got, ok := obj.Fitness(vec)
+	got, ok := obj(vec)
 	if !ok {
 		t.Fatal("expected valid")
 	}
@@ -69,24 +69,24 @@ func TestLogObjectiveValues(t *testing.T) {
 	}
 	// Constraint violation: f=5 < yR=2 is false for Below.
 	objB, _ := NewObjective(constStat(5), ObjectiveConfig{YR: 2, Dir: Below, C: 4})
-	if _, ok := objB.Fitness(vec); ok {
+	if _, ok := objB(vec); ok {
 		t.Error("Below with f > yR should be invalid")
 	}
 	// Non-positive side lengths are invalid.
-	if _, ok := obj.Fitness(geom.EncodeRegion([]float64{0.5}, []float64{0})); ok {
+	if _, ok := obj(geom.EncodeRegion([]float64{0.5}, []float64{0})); ok {
 		t.Error("zero side should be invalid")
 	}
 	// NaN statistic is invalid.
 	objNaN, _ := NewObjective(constStat(math.NaN()), ObjectiveConfig{YR: 2, Dir: Above, C: 4})
-	if _, ok := objNaN.Fitness(vec); ok {
+	if _, ok := objNaN(vec); ok {
 		t.Error("NaN statistic should be invalid")
 	}
 }
 
 func TestLogObjectivePenalizesSize(t *testing.T) {
 	obj, _ := NewObjective(constStat(10), ObjectiveConfig{YR: 2, Dir: Above, C: 4})
-	small, _ := obj.Fitness(geom.EncodeRegion([]float64{0.5}, []float64{0.05}))
-	large, _ := obj.Fitness(geom.EncodeRegion([]float64{0.5}, []float64{0.5}))
+	small, _ := obj(geom.EncodeRegion([]float64{0.5}, []float64{0.05}))
+	large, _ := obj(geom.EncodeRegion([]float64{0.5}, []float64{0.5}))
 	if small <= large {
 		t.Errorf("smaller region should score higher: %g vs %g", small, large)
 	}
@@ -97,7 +97,7 @@ func TestRatioObjectiveDefinedOnViolations(t *testing.T) {
 	// the trap Fig. 7 illustrates.
 	obj, _ := NewObjective(constStat(1), ObjectiveConfig{YR: 2, Dir: Above, C: 2, UseRatio: true})
 	vec := geom.EncodeRegion([]float64{0.5}, []float64{0.1})
-	got, ok := obj.Fitness(vec)
+	got, ok := obj(vec)
 	if !ok {
 		t.Fatal("ratio objective should be defined")
 	}

@@ -20,7 +20,7 @@ type Region struct {
 	Rect geom.Rect
 	// Score is the objective value at the representative particle.
 	Score float64
-	// Estimate is the statistic the finder's StatFn predicted.
+	// Estimate is the statistic the finder's predictor predicted.
 	Estimate float64
 	// Worms is the number of converged particles merged into this
 	// region — a rough confidence signal.
@@ -144,51 +144,56 @@ func (c FinderConfig) withDefaults(dims int) FinderConfig {
 	return c
 }
 
-// Finder mines interesting regions from a statistic function over a
+// Finder mines interesting regions from a statistic predictor over a
 // domain. The statistic may be a surrogate (SuRF proper) or the true f
 // (the paper's f+GlowWorm baseline).
 type Finder struct {
-	stat    StatFn
-	batch   BatchPredictor
+	pred    BatchPredictor
 	domain  geom.Rect
 	density *kde.KDE
 }
 
-// NewFinder builds a finder. The domain is the data-space bounding box
-// regions must stay inside.
+// NewFinder builds a finder that predicts through stat, one region at
+// a time. The domain is the data-space bounding box regions must stay
+// inside.
 func NewFinder(stat StatFn, domain geom.Rect) (*Finder, error) {
 	if stat == nil {
 		return nil, errors.New("core: nil statistic function")
 	}
+	return newFinder(statPredictor(stat), domain)
+}
+
+func newFinder(pred BatchPredictor, domain geom.Rect) (*Finder, error) {
 	if domain.Dims() == 0 {
 		return nil, errors.New("core: empty domain")
 	}
-	return &Finder{stat: stat, domain: domain}, nil
+	return &Finder{pred: pred, domain: domain}, nil
 }
 
-// NewSurrogateFinder builds a finder whose statistic function is the
-// surrogate, with its compiled kernel attached as the batch predictor
-// so the swarm evaluates whole particle shards per model pass. The
-// swarm's positions are always well-formed [x, l] rows, so the kernel
-// is attached directly — the surrogate's validating PredictBatch
-// boundary is for caller-supplied batches.
+// NewSurrogateFinder builds a finder that predicts through the
+// surrogate's compiled kernel, so the swarm evaluates whole particle
+// shards per model pass. The swarm's positions are always well-formed
+// [x, l] rows, so the kernel is used directly — the surrogate's
+// validating PredictBatch boundary is for caller-supplied batches.
 func NewSurrogateFinder(s *Surrogate, domain geom.Rect) (*Finder, error) {
 	if s == nil {
 		return nil, errors.New("core: nil surrogate")
 	}
-	f, err := NewFinder(s.StatFn(), domain)
-	if err != nil {
-		return nil, err
-	}
-	f.AttachBatch(s.Kernel())
-	return f, nil
+	return newFinder(s.Kernel(), domain)
 }
 
-// AttachBatch enables batched swarm evaluation through p, which must
-// predict the same statistic as the finder's StatFn bit-for-bit (mined
-// regions and scores are identical with or without it — only the
-// evaluation cost changes). A nil predictor restores the scalar path.
-func (f *Finder) AttachBatch(p BatchPredictor) { f.batch = p }
+// AttachBatch replaces the finder's predictor with p, which must be
+// non-nil and predict the statistic the finder was built with bit for
+// bit: mined regions, scores and estimates are then identical, and
+// only the prediction cost changes.
+func (f *Finder) AttachBatch(p BatchPredictor) { f.pred = p }
+
+// estimates predicts the statistic of each [x, l] row.
+func (f *Finder) estimates(rows [][]float64) []float64 {
+	out := make([]float64, len(rows))
+	f.pred.PredictBatch(rows, out)
+	return out
+}
 
 // FitDensity fits the Eq. 8 KDE prior over column-major data
 // (cols[j][i] is coordinate j of row i, e.g. a dataset's filter
@@ -272,8 +277,8 @@ func thresholdScore(cfg FinderConfig) (regionScore, error) {
 
 // mine is the one swarm runner of both query kinds: it defaults and
 // checks cfg, runs GSO over the [x, l] space on the objective of the
-// kind's per-row score (batched when a predictor is attached), with
-// cfg's observers and KDE prior, and lets the kind extract regions.
+// kind's per-row score over the finder's predictor, with cfg's
+// observers and KDE prior, and lets the kind extract regions.
 func (f *Finder) mine(ctx context.Context, cfg FinderConfig,
 	scoreFor func(FinderConfig) (regionScore, error),
 	extract func(*gso.Result, gso.Objective, FinderConfig) []Region) (*FindResult, error) {
@@ -282,10 +287,7 @@ func (f *Finder) mine(ctx context.Context, cfg FinderConfig,
 	if err != nil {
 		return nil, err
 	}
-	obj := regionObjective(f.stat, score)
-	if f.batch != nil {
-		obj = newBatchObjective(obj, f.batch, score)
-	}
+	obj := regionObjective{pred: f.pred, score: score}
 	if cfg.MinSideFrac <= 0 || cfg.MaxSideFrac < cfg.MinSideFrac {
 		return nil, fmt.Errorf("core: side fractions [%g, %g] invalid", cfg.MinSideFrac, cfg.MaxSideFrac)
 	}
@@ -351,7 +353,7 @@ type swarmCand struct {
 // of a greedy IoU cluster plus how many particles merged into it.
 type clusteredCand struct {
 	rect  geom.Rect
-	x, l  []float64
+	vec   []float64
 	score float64
 	worms int
 }
@@ -367,8 +369,7 @@ func greedyCluster(cands []swarmCand, domain geom.Rect, maxRegions int) []cluste
 	sort.Slice(cands, func(i, j int) bool { return cands[i].fit > cands[j].fit })
 	var out []clusteredCand
 	for _, c := range cands {
-		x, l := geom.DecodeRegion(c.vec)
-		rect := geom.FromCenter(x, l).Clip(domain)
+		rect := geom.RectFromVector(c.vec).Clip(domain)
 		merged := false
 		for ri := range out {
 			if out[ri].rect.IoU(rect) >= dedupeIoU {
@@ -380,7 +381,7 @@ func greedyCluster(cands []swarmCand, domain geom.Rect, maxRegions int) []cluste
 		if merged || len(out) >= maxRegions {
 			continue
 		}
-		out = append(out, clusteredCand{rect: rect, x: x, l: l, score: c.fit, worms: 1})
+		out = append(out, clusteredCand{rect: rect, vec: c.vec, score: c.fit, worms: 1})
 	}
 	return out
 }
@@ -389,8 +390,8 @@ func greedyCluster(cands []swarmCand, domain geom.Rect, maxRegions int) []cluste
 // regions: particles are sorted by fitness and greedily clustered by
 // box overlap; each cluster's best particle becomes the
 // representative. Particles moved after their last evaluation, so
-// they are re-scored: in one batch when obj is a gso.BatchObjective,
-// which scores bit-identically to its Fitness.
+// they are re-scored in one pass, and the representatives' estimates
+// predicted in another.
 func (f *Finder) extractRegions(res *gso.Result, obj gso.Objective, cfg FinderConfig) []Region {
 	var live [][]float64
 	for i, pos := range res.Positions {
@@ -400,27 +401,22 @@ func (f *Finder) extractRegions(res *gso.Result, obj gso.Objective, cfg FinderCo
 	}
 	fit := make([]float64, len(live))
 	ok := make([]bool, len(live))
-	if bo, isBatch := obj.(gso.BatchObjective); isBatch {
-		bo.NewBatchEvaluator().EvaluateBatch(live, fit, ok)
-	} else {
-		for i, pos := range live {
-			fit[i], ok[i] = obj.Fitness(pos)
-		}
-	}
+	obj.Evaluate(live, fit, ok)
 	var cands []swarmCand
 	for i, pos := range live {
 		if ok[i] && !math.IsNaN(fit[i]) {
 			cands = append(cands, swarmCand{vec: pos, fit: fit[i]})
 		}
 	}
+	clustered := greedyCluster(cands, f.domain, cfg.MaxRegions)
+	rows := make([][]float64, len(clustered))
+	for i, c := range clustered {
+		rows[i] = c.vec
+	}
 	var regions []Region
-	for _, c := range greedyCluster(cands, f.domain, cfg.MaxRegions) {
-		regions = append(regions, Region{
-			Rect:     c.rect,
-			Score:    c.score,
-			Estimate: f.stat(c.x, c.l),
-			Worms:    c.worms,
-		})
+	for i, y := range f.estimates(rows) {
+		c := clustered[i]
+		regions = append(regions, Region{Rect: c.rect, Score: c.score, Estimate: y, Worms: c.worms})
 	}
 	return regions
 }
@@ -428,16 +424,21 @@ func (f *Finder) extractRegions(res *gso.Result, obj gso.Objective, cfg FinderCo
 // ClusterExtents reports the swarm's cluster extents (ClusterRegions
 // with linkage threshold eps) as regions: the first limit clusters,
 // largest first (all of them when limit is 0), each carrying the
-// finder's statistic over its extent as Estimate and Worms 1. The
-// statistic is evaluated only on the clusters returned.
+// finder's predicted statistic over its extent as Estimate and Worms
+// 1. The statistic is predicted only for the clusters returned, in
+// one pass.
 func (f *Finder) ClusterExtents(swarm *gso.Result, eps float64, limit int) []Region {
 	clusters := ClusterRegions(swarm, f.domain, eps)
 	if limit > 0 && len(clusters) > limit {
 		clusters = clusters[:limit]
 	}
+	rows := make([][]float64, len(clusters))
+	for i, rect := range clusters {
+		rows[i] = geom.EncodeRegion(rect.Center(), rect.HalfSides())
+	}
 	regions := make([]Region, 0, len(clusters))
-	for _, rect := range clusters {
-		regions = append(regions, Region{Rect: rect, Estimate: f.stat(rect.Center(), rect.HalfSides()), Worms: 1})
+	for i, y := range f.estimates(rows) {
+		regions = append(regions, Region{Rect: clusters[i], Estimate: y, Worms: 1})
 	}
 	return regions
 }
@@ -453,7 +454,8 @@ func (f *Finder) ClusterExtents(swarm *gso.Result, eps float64, limit int) []Reg
 // individual particles shrink toward the smallest acceptable boxes,
 // but collectively they carpet the whole interesting region (visible
 // in the paper's Fig. 1, where the converged particles line the
-// bottom of each peak). Clusters are returned largest-first.
+// bottom of each peak). Clusters are returned largest-first, clusters
+// of equal volume in the order of their first valid particle.
 func ClusterRegions(swarm *gso.Result, domain geom.Rect, eps float64) []geom.Rect {
 	if eps <= 0 {
 		eps = 0.05
@@ -508,24 +510,24 @@ func ClusterRegions(swarm *gso.Result, domain geom.Rect, eps float64) []geom.Rec
 			}
 		}
 	}
-	groups := map[int][]int{}
-	for i := range rects {
-		r := find(i)
-		groups[r] = append(groups[r], i)
-	}
+	// Clusters are laid out in the order of their first member and
+	// sorted stably, so clusters of equal volume keep that order.
 	var out []geom.Rect
-	for _, members := range groups {
-		box := rects[members[0]].Clone()
-		for _, m := range members[1:] {
-			r := rects[m]
-			for j := 0; j < d; j++ {
-				box.Min[j] = math.Min(box.Min[j], r.Min[j])
-				box.Max[j] = math.Max(box.Max[j], r.Max[j])
-			}
+	slot := make([]int, len(rects)) // root → 1 + its cluster's index in out
+	for i, r := range rects {
+		root := find(i)
+		if slot[root] == 0 {
+			out = append(out, r.Clone())
+			slot[root] = len(out)
+			continue
 		}
-		out = append(out, box)
+		box := out[slot[root]-1]
+		for j := 0; j < d; j++ {
+			box.Min[j] = math.Min(box.Min[j], r.Min[j])
+			box.Max[j] = math.Max(box.Max[j], r.Max[j])
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Volume() > out[j].Volume() })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Volume() > out[j].Volume() })
 	return out
 }
 

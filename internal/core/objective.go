@@ -86,8 +86,7 @@ func (c ObjectiveConfig) Satisfies(y float64) bool {
 }
 
 // scoreRegion maps a region's half-sides and predicted statistic to
-// the objective value — the statistic-independent half of the fitness,
-// shared by the scalar and batched evaluation paths.
+// the objective value — the statistic-independent half of the fitness.
 //
 // Log form (Eq. 4):  J = log(diff) − c·Σ log(l_i), undefined (ok =
 // false) when diff ≤ 0 or any l_i ≤ 0 — the implicit constraint
@@ -123,86 +122,65 @@ func (c ObjectiveConfig) scoreRegion(l []float64, y float64) (float64, bool) {
 	return math.Log(d) - c.C*sizePenalty, true
 }
 
-// NewObjective wraps a statistic predictor into the region-space
-// fitness the optimizers maximize (see scoreRegion for the two
-// objective forms). Positions are [x, l] vectors of even dimension.
-func NewObjective(f StatFn, cfg ObjectiveConfig) (gso.Objective, error) {
+// NewObjective wraps a statistic function into the per-position
+// region-space fitness the optimizers maximize (see scoreRegion for
+// the two objective forms). Positions are [x, l] vectors of even
+// dimension.
+func NewObjective(f StatFn, cfg ObjectiveConfig) (gso.ObjectiveFunc, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if f == nil {
 		return nil, errors.New("core: nil statistic function")
 	}
-	return regionObjective(f, cfg.scoreRegion), nil
-}
-
-// regionObjective is the scalar objective of a per-row score: decode
-// the position, predict its statistic, score it.
-func regionObjective(f StatFn, score regionScore) gso.Objective {
-	return gso.ObjectiveFunc(func(vec []float64) (float64, bool) {
+	return func(vec []float64) (float64, bool) {
 		x, l := geom.DecodeRegion(vec)
-		return score(l, f(x, l))
-	})
+		return cfg.scoreRegion(l, f(x, l))
+	}, nil
 }
 
 // BatchPredictor predicts the statistic for many regions at once. Each
 // row is the flat [x, l] solution-space encoding of one region, so the
 // optimizer's particle positions feed the predictor with zero copying;
-// out receives one estimate per row. Surrogate implements it via its
-// compiled ensemble. Implementations must be safe for concurrent calls
-// and must match the scalar statistic function bit-for-bit, so each
-// estimate is a pure function of its row: the swarm keeps the fitness
-// of a worm that did not move (see gso.Objective).
+// out receives one estimate per row. It is a Finder's one prediction
+// path: the swarm's objective, the re-scoring of the converged swarm
+// and every region's Estimate go through it. The compiled surrogate
+// kernel implements it, and NewFinder wraps a StatFn as a row-by-row
+// predictor. Implementations must be safe for concurrent calls, and
+// each estimate must be a pure function of its row: the swarm keeps
+// the fitness of a worm that did not move (see gso.Objective).
 type BatchPredictor interface {
 	PredictBatch(rows [][]float64, out []float64)
+}
+
+// statPredictor predicts row by row through a StatFn.
+type statPredictor StatFn
+
+// PredictBatch calls the statistic function on each decoded row.
+func (f statPredictor) PredictBatch(rows [][]float64, out []float64) {
+	for i, r := range rows {
+		out[i] = f(geom.DecodeRegion(r))
+	}
 }
 
 // regionScore is the statistic-to-fitness half of an objective,
 // applied per row after a batch prediction.
 type regionScore func(l []float64, y float64) (float64, bool)
 
-// batchObjective pairs a scalar objective with a batch predictor so
-// the optimizer evaluates a whole particle shard with one model pass.
-// One-off Fitness calls fall back to the scalar path, which evaluates
-// identically.
-type batchObjective struct {
-	single gso.Objective
-	pred   BatchPredictor
-	score  regionScore
+// regionObjective is the swarm's objective over [x, l] positions: one
+// prediction pass per shard, written straight into fitness, then the
+// per-row score applied in place.
+type regionObjective struct {
+	pred  BatchPredictor
+	score regionScore
 }
 
-func newBatchObjective(single gso.Objective, pred BatchPredictor, score regionScore) gso.Objective {
-	return &batchObjective{single: single, pred: pred, score: score}
-}
-
-// Fitness evaluates one position via the scalar path.
-func (o *batchObjective) Fitness(pos []float64) (float64, bool) { return o.single.Fitness(pos) }
-
-// NewBatchEvaluator returns an evaluator with its own prediction
-// scratch, satisfying gso.BatchObjective.
-func (o *batchObjective) NewBatchEvaluator() gso.BatchEvaluator {
-	return &batchRegionEvaluator{obj: o}
-}
-
-// batchRegionEvaluator is the per-worker shard evaluator: it holds the
-// reused prediction buffer, so steady-state swarm iterations allocate
-// nothing.
-type batchRegionEvaluator struct {
-	obj *batchObjective
-	y   []float64
-}
-
-// EvaluateBatch predicts the whole shard in one call, then applies the
-// scalar score to each row.
-func (e *batchRegionEvaluator) EvaluateBatch(pos [][]float64, fitness []float64, valid []bool) {
-	if cap(e.y) < len(pos) {
-		e.y = make([]float64, len(pos))
-	}
-	y := e.y[:len(pos)]
-	e.obj.pred.PredictBatch(pos, y)
+// Evaluate predicts the whole shard, then scores each row.
+func (o regionObjective) Evaluate(pos [][]float64, fitness []float64, valid []bool) {
+	o.pred.PredictBatch(pos, fitness)
 	for i, p := range pos {
 		_, l := geom.DecodeRegion(p)
-		fitness[i], valid[i] = e.obj.score(l, y[i])
+		fitness[i], valid[i] = o.score(l, fitness[i])
 	}
 }
 

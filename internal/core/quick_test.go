@@ -21,7 +21,7 @@ func TestObjectiveValidityMatchesConstraintQuick(t *testing.T) {
 			return false
 		}
 		l = math.Abs(l)
-		_, ok := obj.Fitness(geom.EncodeRegion([]float64{x}, []float64{l}))
+		_, ok := obj(geom.EncodeRegion([]float64{x}, []float64{l}))
 		want := cfg.Satisfies(y) && l > 0
 		return ok == want
 	}
@@ -40,8 +40,8 @@ func TestObjectiveMonotoneInMarginQuick(t *testing.T) {
 		y2 := y1 + 1e-6 + rng.Float64()*100
 		obj1, _ := NewObjective(constStat(y1), ObjectiveConfig{YR: 10, Dir: Above, C: 3})
 		obj2, _ := NewObjective(constStat(y2), ObjectiveConfig{YR: 10, Dir: Above, C: 3})
-		v1, ok1 := obj1.Fitness(vec)
-		v2, ok2 := obj2.Fitness(vec)
+		v1, ok1 := obj1(vec)
+		v2, ok2 := obj2(vec)
 		if !ok1 || !ok2 {
 			t.Fatalf("both margins positive but objective invalid")
 		}
@@ -59,8 +59,8 @@ func TestObjectiveDirectionSymmetryQuick(t *testing.T) {
 		vec := geom.EncodeRegion([]float64{0}, []float64{l})
 		above, _ := NewObjective(constStat(5+delta), ObjectiveConfig{YR: 5, Dir: Above, C: 1})
 		below, _ := NewObjective(constStat(5-delta), ObjectiveConfig{YR: 5, Dir: Below, C: 1})
-		va, oka := above.Fitness(vec)
-		vb, okb := below.Fitness(vec)
+		va, oka := above(vec)
+		vb, okb := below(vec)
 		if !oka || !okb {
 			return false
 		}

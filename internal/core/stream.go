@@ -68,16 +68,15 @@ func (tr *incumbentTracker) sweep(view gso.SwarmView) {
 			tr.emit(Region{
 				Rect:     c.rect,
 				Score:    c.score,
-				Estimate: tr.finder.stat(c.x, c.l),
+				Estimate: tr.finder.estimates([][]float64{c.vec})[0],
 				Worms:    c.worms,
 			})
 			continue
 		}
-		// x and l alias the optimizer's live position buffers; copy
-		// what outlives the callback. The clipped rect is already a
-		// fresh allocation.
-		c.x = append([]float64(nil), c.x...)
-		c.l = append([]float64(nil), c.l...)
+		// vec aliases the optimizer's live position buffers; copy what
+		// outlives the callback. The clipped rect is already a fresh
+		// allocation.
+		c.vec = append([]float64(nil), c.vec...)
 		kept = append(kept, pendingCand{clusteredCand: c, streak: streak})
 	}
 	tr.pending = kept

@@ -126,7 +126,7 @@ func crossValRMSE(ctx context.Context, p gbt.Params, X [][]float64, y []float64,
 			return 0, err
 		}
 		pred := make([]float64, len(test))
-		model.PredictInto(gatherRows(X, test), pred)
+		model.Compile().PredictBatch(gatherRows(X, test), pred)
 		score, err := stats.RMSE(pred, gatherValues(y, test))
 		if err != nil {
 			return 0, err

@@ -80,7 +80,7 @@ func ablationGradient(rep *Report, scale Scale) error {
 		if err != nil {
 			return err
 		}
-		rmse, err := stats.RMSE(s.Model().Predict(hx), hy)
+		rmse, err := stats.RMSE(predict(s, hx), hy)
 		if err != nil {
 			return err
 		}
@@ -88,7 +88,11 @@ func ablationGradient(rep *Report, scale Scale) error {
 		if err != nil {
 			return err
 		}
-		regions, _, err := mineWithBatch(s.StatFn(), s.Kernel(), ds, Small, uint64(185+si))
+		finder, err := core.NewSurrogateFinder(s, ds.Domain())
+		if err != nil {
+			return err
+		}
+		regions, _, err := mineWith(finder, ds, Small, uint64(185+si))
 		if err != nil {
 			return err
 		}
@@ -160,13 +164,17 @@ func ablationPSO(rep *Report, scale Scale) error {
 	if err != nil {
 		return err
 	}
+	finder, err := core.NewFinder(stat, ds.Domain())
+	if err != nil {
+		return err
+	}
 	space := geom.SolutionSpace(ds.Domain(), 0.01, 0.15)
 
 	// Both optimizers are stochastic; average recall over seeds.
 	const runs = 5
 	var gsoTotal, psoTotal int
 	for seed := uint64(151); seed < 151+runs; seed++ {
-		regions, _, err := mineWith(stat, ds, scale, seed)
+		regions, _, err := mineWith(finder, ds, scale, seed)
 		if err != nil {
 			return err
 		}
@@ -313,7 +321,7 @@ func ablationBins(rep *Report, scale Scale) error {
 			return err
 		}
 		el := time.Since(start)
-		rmse, err := stats.RMSE(s.Model().Predict(testX), testY)
+		rmse, err := stats.RMSE(predict(s, testX), testY)
 		if err != nil {
 			return err
 		}

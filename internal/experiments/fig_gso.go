@@ -238,12 +238,16 @@ func Fig11Surrogate(scale Scale) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred := s.Model().Predict(testX)
+		pred := predict(s, testX)
 		rmse, err := stats.RMSE(pred, testY)
 		if err != nil {
 			return nil, err
 		}
-		regions, _, err := mineWithBatch(s.StatFn(), s.Kernel(), ds, Small, uint64(114+qi))
+		finder, err := core.NewSurrogateFinder(s, ds.Domain())
+		if err != nil {
+			return nil, err
+		}
+		regions, _, err := mineWith(finder, ds, Small, uint64(114+qi))
 		if err != nil {
 			return nil, err
 		}
@@ -293,7 +297,7 @@ func Fig11Surrogate(scale Scale) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			rmse, err := stats.RMSE(s.Model().Predict(hx), hy)
+			rmse, err := stats.RMSE(predict(s, hx), hy)
 			if err != nil {
 				return nil, err
 			}
@@ -346,15 +350,19 @@ func Fig12Complexity(scale Scale) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		trainRMSE, err := stats.RMSE(s.Model().Predict(trainX), trainY)
+		trainRMSE, err := stats.RMSE(predict(s, trainX), trainY)
 		if err != nil {
 			return nil, err
 		}
-		cvRMSE, err := stats.RMSE(s.Model().Predict(cvX), cvY)
+		cvRMSE, err := stats.RMSE(predict(s, cvX), cvY)
 		if err != nil {
 			return nil, err
 		}
-		regions, _, err := mineWithBatch(s.StatFn(), s.Kernel(), ds, Small, uint64(133+depth))
+		finder, err := core.NewSurrogateFinder(s, ds.Domain())
+		if err != nil {
+			return nil, err
+		}
+		regions, _, err := mineWith(finder, ds, Small, uint64(133+depth))
 		if err != nil {
 			return nil, err
 		}

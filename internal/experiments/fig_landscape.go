@@ -77,7 +77,7 @@ func Fig1Convergence(scale Scale) (*Report, error) {
 		x1 := space.Min[0] + (float64(i)+0.5)*(space.Max[0]-space.Min[0])/gridRes
 		for j := 0; j < gridRes; j++ {
 			l1 := space.Min[1] + (float64(j)+0.5)*(space.Max[1]-space.Min[1])/gridRes
-			v, ok := obj.Fitness([]float64{x1, l1})
+			v, ok := obj([]float64{x1, l1})
 			if !ok {
 				v = math.NaN()
 			}
@@ -178,7 +178,7 @@ func Fig7Objectives(scale Scale) (*Report, error) {
 				x1 := space.Min[0] + (float64(i)+0.5)*(space.Max[0]-space.Min[0])/gridRes
 				for j := 0; j < gridRes; j++ {
 					l1 := space.Min[1] + (float64(j)+0.5)*(space.Max[1]-space.Min[1])/gridRes
-					v, ok := obj.Fitness([]float64{x1, l1})
+					v, ok := obj([]float64{x1, l1})
 					if !ok {
 						v = math.NaN()
 						undefinedCells++
@@ -248,7 +248,7 @@ func Fig8Sensitivity(scale Scale) (*Report, error) {
 		vals := make([]float64, len(cands))
 		valid := make([]bool, len(cands))
 		for i, cand := range cands {
-			v, ok := obj.Fitness(cand)
+			v, ok := obj(cand)
 			vals[i], valid[i] = v, ok
 			if ok && v > best {
 				best = v

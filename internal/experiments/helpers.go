@@ -140,13 +140,17 @@ func meanIoUPerGT(proposals, gt []geom.Rect) float64 {
 
 // runSuRF trains a surrogate (time excluded from mining time, matching
 // the paper's train-once deployment) and mines regions with GSO over
-// the compiled batch predictor.
+// the compiled kernel.
 func runSuRF(ds *synth.Dataset, scale Scale, seed uint64) (regions []geom.Rect, mine time.Duration, err error) {
 	s, _, _, err := trainedSurrogate(ds, scale, seed)
 	if err != nil {
 		return nil, 0, err
 	}
-	return mineWithBatch(s.StatFn(), s.Kernel(), ds, scale, seed)
+	finder, err := core.NewSurrogateFinder(s, ds.Domain())
+	if err != nil {
+		return nil, 0, err
+	}
+	return mineWith(finder, ds, scale, seed)
 }
 
 // runFGlowWorm mines with GSO against the true f — the paper's
@@ -156,23 +160,16 @@ func runFGlowWorm(ds *synth.Dataset, scale Scale, seed uint64) ([]geom.Rect, tim
 	if err != nil {
 		return nil, 0, err
 	}
-	return mineWith(core.StatFnFromEvaluator(ev), ds, scale, seed)
-}
-
-func mineWith(stat core.StatFn, ds *synth.Dataset, scale Scale, seed uint64) ([]geom.Rect, time.Duration, error) {
-	return mineWithBatch(stat, nil, ds, scale, seed)
-}
-
-// mineWithBatch is mineWith with an optional batch predictor (the
-// surrogate's compiled ensemble); results are identical either way.
-func mineWithBatch(stat core.StatFn, batch core.BatchPredictor, ds *synth.Dataset, scale Scale, seed uint64) ([]geom.Rect, time.Duration, error) {
-	finder, err := core.NewFinder(stat, ds.Domain())
+	finder, err := core.NewFinder(core.StatFnFromEvaluator(ev), ds.Domain())
 	if err != nil {
 		return nil, 0, err
 	}
-	if batch != nil {
-		finder.AttachBatch(batch)
-	}
+	return mineWith(finder, ds, scale, seed)
+}
+
+// mineWith runs the experiments' threshold find over ds on finder and
+// returns every proposal with the mining time.
+func mineWith(finder *core.Finder, ds *synth.Dataset, scale Scale, seed uint64) ([]geom.Rect, time.Duration, error) {
 	cfg := core.FinderConfig{
 		Threshold: ds.SuggestedYR,
 		Dir:       core.Above,
@@ -189,6 +186,13 @@ func mineWithBatch(stat core.StatFn, batch core.BatchPredictor, ds *synth.Datase
 		return nil, 0, err
 	}
 	return proposed(res, ds.Domain()), res.Elapsed, nil
+}
+
+// predict returns the surrogate's predictions for the feature rows X.
+func predict(s *core.Surrogate, X [][]float64) []float64 {
+	out := make([]float64, len(X))
+	s.Kernel().PredictBatch(X, out)
+	return out
 }
 
 // runNaive enumerates the paper's n = m = 6 grid against the true f

@@ -9,7 +9,7 @@ import (
 )
 
 // Model is a trained gradient-boosted tree ensemble approximating
-// y ≈ f̂(x). It is safe for concurrent prediction after training.
+// y ≈ f̂(x). It predicts through its compiled snapshot (Compile).
 type Model struct {
 	params    Params
 	baseScore float64
@@ -17,7 +17,7 @@ type Model struct {
 	nfeat     int
 }
 
-// ErrNotTrained reports prediction on an unfit model.
+// ErrNotTrained reports continued training of an unfit model.
 var ErrNotTrained = errors.New("gbt: model not trained")
 
 // Train fits an ensemble of Params.NumTrees trees to X (rows ×
@@ -82,47 +82,6 @@ func (m *Model) NumTrees() int { return len(m.trees) }
 
 // Params returns the training parameters.
 func (m *Model) Params() Params { return m.params }
-
-// Predict1 returns the prediction for a single raw feature row.
-func (m *Model) Predict1(row []float64) float64 {
-	if len(row) != m.nfeat {
-		panic(fmt.Sprintf("gbt: Predict1 row of dimension %d, want %d", len(row), m.nfeat))
-	}
-	out := m.baseScore
-	for _, t := range m.trees {
-		out += t.predict(row)
-	}
-	return out
-}
-
-// Predict returns predictions for a matrix of raw feature rows.
-func (m *Model) Predict(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	m.PredictInto(X, out)
-	return out
-}
-
-// PredictInto writes predictions for every row of X into out without
-// allocating. out must have exactly len(X) entries; every row's width
-// is validated up front so a mismatch anywhere in the batch fails
-// before any prediction is written.
-func (m *Model) PredictInto(X [][]float64, out []float64) {
-	if len(out) != len(X) {
-		panic(fmt.Sprintf("gbt: PredictInto output of length %d for %d rows", len(out), len(X)))
-	}
-	for i, row := range X {
-		if len(row) != m.nfeat {
-			panic(fmt.Sprintf("gbt: PredictInto row %d of dimension %d, want %d", i, len(row), m.nfeat))
-		}
-	}
-	for i, row := range X {
-		s := m.baseScore
-		for _, t := range m.trees {
-			s += t.predict(row)
-		}
-		out[i] = s
-	}
-}
 
 func mean(xs []float64) float64 {
 	var s float64

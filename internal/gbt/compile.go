@@ -5,9 +5,11 @@ package gbt
 import "surf/internal/gbt/kernel"
 
 // The compiled inference form lives in the kernel subpackage: a
-// flat-node float64 traversal that produces bit-for-bit the
-// predictions of Model.Predict1. This file is only the bridge from the
-// trained ensemble to it.
+// flat-node float64 traversal that produces bit-for-bit the sum of the
+// base score and each trained tree's leaf, in ensemble order. It is
+// the model's only prediction path; the tests keep a node walk of the
+// trained trees as its reference. This file is only the bridge from
+// the trained ensemble to it.
 
 // Ensemble snapshots the trained ensemble into the kernel's neutral
 // form. The snapshot is independent of the Model: later training
@@ -40,7 +42,7 @@ func (m *Model) Ensemble() kernel.Ensemble {
 
 // Compile builds the kernel's inference snapshot of the ensemble. The
 // result is immutable, safe for concurrent use, and predicts
-// bit-for-bit what Model.Predict1 returns.
+// bit-for-bit what walking the trained trees returns.
 func (m *Model) Compile() *kernel.Model {
 	return kernel.Compile(m.Ensemble())
 }

@@ -57,7 +57,7 @@ func (m *Model) ContinueTrainingContext(ctx context.Context, extra int, X [][]fl
 	}
 	p := m.params
 	tr := newTrainer(p, p.effectiveWorkers(), X, y, m.nfeat)
-	m.PredictInto(X, tr.pred)
+	m.Compile().PredictBatch(X, tr.pred)
 
 	newTrees := make([]*tree, 0, extra)
 	for round := 0; round < extra; round++ {

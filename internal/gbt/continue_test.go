@@ -17,11 +17,11 @@ func TestContinueTrainingImprovesFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _ := stats.RMSE(m.Predict(X), y)
+	before, _ := stats.RMSE(walkAll(m, X), y)
 	if err := m.ContinueTraining(80, X, y); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := stats.RMSE(m.Predict(X), y)
+	after, _ := stats.RMSE(walkAll(m, X), y)
 	if after >= before {
 		t.Errorf("continued RMSE %g did not improve on %g", after, before)
 	}
@@ -46,11 +46,11 @@ func TestContinueTrainingOnNewData(t *testing.T) {
 		X2[i] = []float64{x0, x1}
 		y2[i] = 3*x0 - 2*x1 + x0*x1 + 5 // constant shift
 	}
-	before, _ := stats.RMSE(m.Predict(X2), y2)
+	before, _ := stats.RMSE(walkAll(m, X2), y2)
 	if err := m.ContinueTraining(60, X2, y2); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := stats.RMSE(m.Predict(X2), y2)
+	after, _ := stats.RMSE(walkAll(m, X2), y2)
 	if after >= before/2 {
 		t.Errorf("continuation on shifted data: RMSE %g -> %g, want at least halved", before, after)
 	}
@@ -88,7 +88,7 @@ func TestContinueTrainingSurvivesSaveLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := []float64{0.4, 0.6}
-	want := m.Predict1(probe)
+	want := walk(m, probe)
 	// The combined ensemble round-trips through serialization.
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -98,7 +98,7 @@ func TestContinueTrainingSurvivesSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := back.Predict1(probe); got != want {
+	if got := walk(back, probe); got != want {
 		t.Errorf("prediction after round trip = %g, want %g", got, want)
 	}
 }

@@ -71,7 +71,7 @@ func TestSingleLeafPredictsMean(t *testing.T) {
 	// Depth-0 tree: base score (mean) plus a leaf correcting toward
 	// the residual mean; with lambda=1 the correction is slightly
 	// shrunken, so expect close to mean but regularized.
-	got := m.Predict1([]float64{2.5})
+	got := walk(m, []float64{2.5})
 	if math.Abs(got-25) > 1.0 {
 		t.Errorf("single-leaf prediction = %g, want ≈ 25", got)
 	}
@@ -86,14 +86,14 @@ func TestFitsLinearFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := m.Predict(X)
+	pred := walkAll(m, X)
 	rmse, _ := stats.RMSE(pred, y)
 	if rmse > 0.15 {
 		t.Errorf("training RMSE = %g, want < 0.15", rmse)
 	}
 	// Generalization on fresh data.
 	Xt, yt := synthRegression(rng, 500)
-	rmseT, _ := stats.RMSE(m.Predict(Xt), yt)
+	rmseT, _ := stats.RMSE(walkAll(m, Xt), yt)
 	if rmseT > 0.25 {
 		t.Errorf("test RMSE = %g, want < 0.25", rmseT)
 	}
@@ -110,7 +110,7 @@ func TestMoreTreesReduceTrainingError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rmse, _ := stats.RMSE(m.Predict(X), y)
+		rmse, _ := stats.RMSE(walkAll(m, X), y)
 		if rmse > prev+1e-9 {
 			t.Errorf("RMSE increased from %g to %g at %d trees", prev, rmse, trees)
 		}
@@ -141,7 +141,7 @@ func TestDeeperTreesFitBetter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, _ := stats.RMSE(m.Predict(X), y)
+		r, _ := stats.RMSE(walkAll(m, X), y)
 		return r
 	}
 	shallow := rmseAt(1)
@@ -168,7 +168,7 @@ func TestDeterminismWithSeed(t *testing.T) {
 	}
 	// Save writes Params, so compare the trees through predictions.
 	for _, probe := range [][]float64{{0.3, 0.7}, {0.9, 0.1}, {0.5, 0.5}} {
-		if m1.Predict1(probe) != m3.Predict1(probe) {
+		if walk(m1, probe) != walk(m3, probe) {
 			t.Errorf("Seed changed the prediction at %v", probe)
 		}
 	}
@@ -182,7 +182,7 @@ func TestConstantTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range X {
-		if got := m.Predict1(row); math.Abs(got-7) > 1e-6 {
+		if got := walk(m, row); math.Abs(got-7) > 1e-6 {
 			t.Errorf("constant target prediction = %g, want 7", got)
 		}
 	}
@@ -195,7 +195,7 @@ func TestPredictPanicsOnWrongWidth(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.Predict1([]float64{1})
+	m.Compile().Predict1([]float64{1})
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -218,7 +218,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	for trial := 0; trial < 50; trial++ {
 		row := []float64{rng.Float64(), rng.Float64()}
-		if m.Predict1(row) != back.Predict1(row) {
+		if walk(m, row) != walk(back, row) {
 			t.Fatalf("prediction mismatch after round trip")
 		}
 	}
@@ -290,8 +290,8 @@ func TestTreePredictConsistentWithBins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo := m.Predict1([]float64{2})
-	hi := m.Predict1([]float64{11})
+	lo := walk(m, []float64{2})
+	hi := walk(m, []float64{11})
 	if math.Abs(lo-0) > 1 || math.Abs(hi-100) > 1 {
 		t.Errorf("split predictions = %g, %g; want ≈ 0 and ≈ 100", lo, hi)
 	}

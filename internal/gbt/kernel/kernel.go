@@ -2,9 +2,10 @@
 
 // Package kernel is the compiled inference path of the surrogate.
 // Compile turns a trained ensemble (in the neutral Ensemble form) into
-// an immutable *Model serving Predict1 and PredictBatch; the core
-// batch objective, the GSO batch evaluators and Engine prediction all
-// call that one concrete type.
+// an immutable *Model serving Predict1 and PredictBatch. It is the
+// trained ensemble's only prediction path: the swarm's objective,
+// Engine prediction, continued training's residual start and
+// hyper-parameter cross-validation all call that one concrete type.
 //
 // The model is the flat-node float64 traversal in scalar.go: leaves
 // loop onto themselves, so each tree is a fixed number of steps, its
@@ -14,7 +15,7 @@
 // /metrics exports under kernel="scalar", then run the walks.
 // The contract is strict bit-identity: for any ensemble and any row —
 // including NaN and ±Inf values — Predict1 and PredictBatch return
-// exactly the float64 the trained model's own tree walk returns (same
+// exactly the float64 a walk of the trained trees' nodes returns (same
 // traversal decisions, same summation order). FuzzKernelParity,
 // TestParityHandcrafted and TestParityMixedDepths hold the compiled
 // model to a reference walk of the Ensemble.

@@ -9,10 +9,11 @@ import (
 	"surf/internal/gbt/kernel"
 )
 
-// The inference micro-benchmarks compare the row-at-a-time node-walk
-// baseline (BenchmarkPredict1) with the compiled flat-array batch
-// predictor (BenchmarkPredictBatch) at swarm-sized batches. CI's bench
-// job runs them on every push to main and every pull request:
+// The inference micro-benchmarks compare the compiled model's
+// row-at-a-time Predict1 (BenchmarkPredict1, the path of a single
+// Surrogate.Predict) with its batch predictor (BenchmarkPredictBatch)
+// at swarm-sized batches. CI's bench job runs them on every push to
+// main and every pull request:
 //
 //	go test -bench=Predict -benchtime=200ms -run='^$' ./internal/gbt/
 //
@@ -22,7 +23,6 @@ import (
 // trees-outer/rows-inner batch loop avoids.
 var inferenceBench struct {
 	once sync.Once
-	m    *Model
 	c    *kernel.Model
 	X    [][]float64
 	out  []float64
@@ -64,7 +64,6 @@ func inferenceBenchSetup(b *testing.B) {
 		if err != nil {
 			panic(err)
 		}
-		inferenceBench.m = m
 		inferenceBench.c = m.Compile()
 		inferenceBench.X = probes
 		inferenceBench.out = make([]float64, inferenceBenchRows)
@@ -74,8 +73,8 @@ func inferenceBenchSetup(b *testing.B) {
 
 var benchSink float64
 
-// BenchmarkPredict1 is the row-at-a-time baseline: one pointer-chasing
-// tree walk per tree per row.
+// BenchmarkPredict1 is the row-at-a-time baseline: one walk of every
+// tree per row.
 func BenchmarkPredict1(b *testing.B) {
 	inferenceBenchSetup(b)
 	for _, rows := range []int{1, 64, 256, 1024} {
@@ -85,7 +84,7 @@ func BenchmarkPredict1(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, row := range X {
-					benchSink = inferenceBench.m.Predict1(row)
+					benchSink = inferenceBench.c.Predict1(row)
 				}
 			}
 			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")

@@ -26,7 +26,7 @@ func TestPredictionsFiniteQuick(t *testing.T) {
 	span := hi - lo
 	f := func(a, b float64) bool {
 		// Probe anywhere, including far outside the training domain.
-		pred := m.Predict1([]float64{a, b})
+		pred := walk(m, []float64{a, b})
 		if math.IsNaN(pred) || math.IsInf(pred, 0) {
 			return false
 		}

@@ -47,14 +47,14 @@ func TestLoadValidWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := m.Predict1([]float64{0.2, 0.9})
+	got := walk(m, []float64{0.2, 0.9})
 	// Summed in ensemble order (base, tree 0 leaf, tree 1 leaf) to
 	// match the predictor's float rounding exactly.
 	want := 1.5
 	want += 0.1
 	want += 0.05
 	if got != want {
-		t.Fatalf("Predict1 = %g, want %g", got, want)
+		t.Fatalf("walk = %g, want %g", got, want)
 	}
 	if c := m.Compile(); c.Predict1([]float64{0.2, 0.9}) != want {
 		t.Fatalf("compiled predict = %g, want %g", c.Predict1([]float64{0.2, 0.9}), want)
@@ -172,7 +172,7 @@ func TestLoadAcceptsTrainedBestRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	row := []float64{0.2, 0.9}
-	if got, w := m.Predict1(row), want.Predict1(row); got != w {
+	if got, w := walk(m, row), walk(want, row); got != w {
 		t.Fatalf("older wire form predicts %g, current form %g", got, w)
 	}
 	if p := m.Params(); p.NumTrees != 100 || p.MaxBins != 256 || p.Seed != 1 {

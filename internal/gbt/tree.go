@@ -31,22 +31,6 @@ const (
 	minChildWeight = 1
 )
 
-// predict walks the tree for one raw feature row.
-func (t *tree) predict(row []float64) float64 {
-	idx := int32(0)
-	for {
-		n := &t.Nodes[idx]
-		if n.Feature == leafMarker {
-			return n.Weight
-		}
-		if row[n.Feature] <= n.Threshold {
-			idx = n.Left
-		} else {
-			idx = n.Right
-		}
-	}
-}
-
 // splitCand is one node's best split over one (or all) features.
 type splitCand struct {
 	feat   int // -1 when no split beats minSplitGain and the child-weight floor

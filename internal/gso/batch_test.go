@@ -22,25 +22,9 @@ func sphereFn(pos []float64) (float64, bool) {
 	return s, true
 }
 
-// batchSphere exposes sphereFn through the BatchObjective interface.
-type batchSphere struct{}
-
-func (batchSphere) Fitness(pos []float64) (float64, bool) { return sphereFn(pos) }
-func (batchSphere) NewBatchEvaluator() BatchEvaluator     { return &batchSphereEval{} }
-
-// batchSphereEval counts calls so tests can prove the batch path ran.
-type batchSphereEval struct{ calls int }
-
-func (e *batchSphereEval) EvaluateBatch(pos [][]float64, fitness []float64, valid []bool) {
-	e.calls++
-	for i, p := range pos {
-		fitness[i], valid[i] = sphereFn(p)
-	}
-}
-
-// TestBatchObjectiveMatchesScalar: a batch objective must drive the
-// swarm to exactly the same outcome as the scalar objective, for any
-// worker count.
+// TestBatchObjectiveMatchesScalar: an objective that scores whole
+// shards must drive the swarm to exactly the same outcome as the
+// per-position ObjectiveFunc, for any worker count.
 func TestBatchObjectiveMatchesScalar(t *testing.T) {
 	p := DefaultParams()
 	p.Glowworms = 60
@@ -54,7 +38,7 @@ func TestBatchObjectiveMatchesScalar(t *testing.T) {
 	for _, workers := range []int{0, 1, 4, 7} {
 		pw := p
 		pw.Workers = workers
-		got, err := Run(pw, bounds, batchSphere{}, Options{})
+		got, err := Run(pw, bounds, newCountingObjective(sphereFn), Options{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -80,42 +64,40 @@ func TestBatchObjectiveMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestBatchEvaluatorPerWorker: the run must create one evaluator per
-// worker up front and reuse it every iteration (no per-iteration
-// evaluator churn). The worker count is capped at GOMAXPROCS. Each
-// evaluator runs at most once per iteration: the first iteration
-// scores all 64 worms, so every shard is used, and later ones score
-// only the worms that moved, which may leave a shard empty.
+// TestBatchEvaluatorPerWorker: each iteration hands the objective one
+// contiguous shard per worker, the worker count capped at GOMAXPROCS,
+// so Evaluate runs at most once per worker per iteration. The first
+// iteration scores all 64 worms, so every shard is used; later ones
+// score only the worms that moved, which may leave a shard empty, and
+// an empty shard is not evaluated.
 func TestBatchEvaluatorPerWorker(t *testing.T) {
-	var evals []*batchSphereEval
-	rec := &recordingBatchObj{newEval: func() *batchSphereEval {
-		e := &batchSphereEval{}
-		evals = append(evals, e)
-		return e
-	}}
+	obj := newCountingObjective(sphereFn)
 	p := DefaultParams()
 	p.Glowworms = 64
 	p.MaxIters = 10
 	p.Workers = 4
-	if _, err := Run(p, geom.Unit(2), rec, Options{}); err != nil {
+	shards := int64(min(p.Workers, runtime.GOMAXPROCS(0)))
+	var calls, rows []int64
+	opts := Options{Observer: func(IterStats, SwarmView) {
+		calls = append(calls, obj.calls.Swap(0))
+		rows = append(rows, obj.rows.Swap(0))
+	}}
+	res, err := Run(p, geom.Unit(2), obj, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if want := min(p.Workers, runtime.GOMAXPROCS(0)); len(evals) != want {
-		t.Fatalf("created %d evaluators, want one per worker (%d)", len(evals), want)
+	if calls[0] != shards {
+		t.Errorf("first iteration: %d Evaluate calls, want one per worker (%d)", calls[0], shards)
 	}
-	for i, e := range evals {
-		if e.calls < 1 || e.calls > p.MaxIters {
-			t.Errorf("evaluator %d ran %d times, want between 1 and once per iteration (%d)", i, e.calls, p.MaxIters)
+	for it, c := range calls {
+		if c > shards || (c == 0) != (rows[it] == 0) {
+			t.Errorf("iteration %d: %d Evaluate calls for %d rows over %d workers", it, c, rows[it], shards)
+		}
+		if it > 0 && rows[it] != int64(res.Trace[it-1].Moved) {
+			t.Errorf("iteration %d: %d rows scored, want the %d worms that moved", it, rows[it], res.Trace[it-1].Moved)
 		}
 	}
 }
-
-type recordingBatchObj struct {
-	newEval func() *batchSphereEval
-}
-
-func (*recordingBatchObj) Fitness(pos []float64) (float64, bool) { return sphereFn(pos) }
-func (o *recordingBatchObj) NewBatchEvaluator() BatchEvaluator   { return o.newEval() }
 
 // TestWeightedRunMatchesAcrossWorkers: the Eq. 8 selection weights are
 // computed on the worker shards, and each depends only on its own
@@ -129,14 +111,14 @@ func TestWeightedRunMatchesAcrossWorkers(t *testing.T) {
 	weight := func(pos []float64) float64 { return math.Exp(-4 * (pos[0] - 0.3) * (pos[0] - 0.3)) }
 	opts := Options{Weight: weight, InvalidWalk: 1}
 
-	base, err := Run(p, bounds, batchSphere{}, opts)
+	base, err := Run(p, bounds, newCountingObjective(sphereFn), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 3, 64} {
 		pw := p
 		pw.Workers = workers
-		got, err := Run(pw, bounds, batchSphere{}, opts)
+		got, err := Run(pw, bounds, newCountingObjective(sphereFn), opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -174,7 +156,7 @@ func TestRunSameForEveryWorkerCount(t *testing.T) {
 		obj  Objective
 	}{
 		{"scalar", ObjectiveFunc(sphereFn)},
-		{"batch", batchSphere{}},
+		{"batch", newCountingObjective(sphereFn)},
 	} {
 		p := DefaultParams()
 		p.Glowworms, p.MaxIters, p.Workers = L, 20, 1
@@ -218,10 +200,8 @@ func TestSwarmEvaluatorWorkerClamp(t *testing.T) {
 		{workers: 64, swarm: 1000, want: min(64, procs)},
 	}
 	for _, tt := range tests {
-		e := newSwarmEvaluator(batchSphere{}, tt.workers, tt.swarm)
-		if e.workers != tt.want || len(e.batch) != tt.want {
-			t.Errorf("workers=%d swarm=%d: %d workers, %d evaluators, want %d",
-				tt.workers, tt.swarm, e.workers, len(e.batch), tt.want)
+		if e := newSwarmEvaluator(ObjectiveFunc(sphereFn), tt.workers, tt.swarm); e.workers != tt.want {
+			t.Errorf("workers=%d swarm=%d: %d workers, want %d", tt.workers, tt.swarm, e.workers, tt.want)
 		}
 	}
 }

@@ -10,33 +10,32 @@ import (
 	"surf/internal/geom"
 )
 
-// countingObjective scores fn and counts the positions it scores:
-// one-off Fitness calls in scalar, rows of EvaluateBatch in batch.
+// countingObjective is the tests' one objective type: it scores fn
+// over whole shards and counts the Evaluate calls and the positions
+// scored. Handed to Run as itself it is a shard ("batch") objective;
+// through ObjectiveFunc(o.fitness) it is scored one position per call
+// ("scalar"), each position counted as one call.
 type countingObjective struct {
-	fn            func(pos []float64) (float64, bool)
-	scalar, batch *atomic.Int64
+	fn          func(pos []float64) (float64, bool)
+	calls, rows *atomic.Int64
 }
 
-func (o countingObjective) Fitness(pos []float64) (float64, bool) {
-	o.scalar.Add(1)
-	return o.fn(pos)
+func newCountingObjective(fn func(pos []float64) (float64, bool)) countingObjective {
+	return countingObjective{fn, new(atomic.Int64), new(atomic.Int64)}
 }
 
-// countingBatchObjective is countingObjective through the
-// BatchObjective interface.
-type countingBatchObjective struct{ countingObjective }
-
-func (o countingBatchObjective) NewBatchEvaluator() BatchEvaluator {
-	return countingEval{o.countingObjective}
-}
-
-type countingEval struct{ countingObjective }
-
-func (e countingEval) EvaluateBatch(pos [][]float64, fitness []float64, valid []bool) {
-	e.batch.Add(int64(len(pos)))
+func (o countingObjective) Evaluate(pos [][]float64, fitness []float64, valid []bool) {
+	o.calls.Add(1)
+	o.rows.Add(int64(len(pos)))
 	for i, p := range pos {
-		fitness[i], valid[i] = e.fn(p)
+		fitness[i], valid[i] = o.fn(p)
 	}
+}
+
+func (o countingObjective) fitness(pos []float64) (float64, bool) {
+	o.calls.Add(1)
+	o.rows.Add(1)
+	return o.fn(pos)
 }
 
 // bumpFn thresholds a Gaussian bump at (0.7, 0.7, …): it is defined,
@@ -121,15 +120,15 @@ func TestEvaluationsCountMovedWorms(t *testing.T) {
 			p := DefaultParams()
 			p.Glowworms, p.MaxIters, p.Workers, p.Seed = 50, 30, tt.workers, 5
 			bounds := geom.Unit(2)
-			var scalar, batch, weighed atomic.Int64
+			var weighed atomic.Int64
 			fn := tt.fn
 			if fn == nil {
 				fn = sphereFn
 			}
-			counting := countingObjective{fn, &scalar, &batch}
-			var obj Objective = counting
+			counting := newCountingObjective(fn)
+			var obj Objective = ObjectiveFunc(counting.fitness)
 			if tt.batch {
-				obj = countingBatchObjective{counting}
+				obj = counting
 			}
 			var opts Options
 			if tt.weight {
@@ -150,9 +149,9 @@ func TestEvaluationsCountMovedWorms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows := scalar.Load() + batch.Load()
-			if tt.batch && scalar.Load() != 0 {
-				t.Errorf("batch objective scored %d positions one at a time", scalar.Load())
+			rows := counting.rows.Load()
+			if calls := counting.calls.Load(); tt.batch && calls > int64(p.MaxIters*max(1, p.Workers)) {
+				t.Errorf("batch objective called %d times, more than once per worker per iteration", calls)
 			}
 			if want := evaluationsMade(got); got.Evaluations != want || rows != int64(want) {
 				t.Errorf("%d evaluations and %d rows scored, want L + moved = %d", got.Evaluations, rows, want)

@@ -22,8 +22,10 @@
 // behaviour needed when several regions satisfy the analyst's
 // threshold.
 //
-// Each iteration has two phases. Evaluation scores the worms and can
-// run on several workers. A worm with no brighter neighbour stays put,
+// Each iteration has two phases. Evaluation scores the worms through
+// the one Objective contract: the worms to score, gathered into one
+// contiguous shard per worker, so a model-backed objective predicts a
+// whole shard per pass. A worm with no brighter neighbour stays put,
 // and its fitness is a function of its position alone, so the first
 // iteration scores every worm and each later one only the worms that
 // moved in the iteration before; the rest keep the values they have.
@@ -78,46 +80,28 @@ import (
 	"surf/internal/geom"
 )
 
-// Objective is a fitness function over positions in R^n. ok=false
-// marks the position as outside the objective's domain (e.g. the log
-// objective's argument was non-positive). Fitness must be a pure
-// function of the position: the optimizer keeps the result of a worm
-// that did not move instead of asking again.
+// Objective scores swarm positions in R^n: Evaluate writes fitness[i]
+// and valid[i] for pos[i], valid[i] = false marking a position outside
+// the objective's domain (e.g. the log objective's argument was
+// non-positive). The optimizer hands it the worms it scores as one
+// contiguous shard per worker and, with Params.Workers > 1, calls it
+// concurrently on disjoint shards. A shard holds whichever worms
+// moved, so the same worm lands in different shards and positions from
+// one iteration to the next: each result must be a pure function of
+// its position, and the optimizer keeps the result of a worm that did
+// not move instead of asking again.
 type Objective interface {
-	Fitness(pos []float64) (value float64, ok bool)
+	Evaluate(pos [][]float64, fitness []float64, valid []bool)
 }
 
-// ObjectiveFunc adapts a plain function to Objective.
-type ObjectiveFunc func(pos []float64) (float64, bool)
+// ObjectiveFunc adapts a per-position fitness function to Objective.
+type ObjectiveFunc func(pos []float64) (value float64, ok bool)
 
-// Fitness calls f.
-func (f ObjectiveFunc) Fitness(pos []float64) (float64, bool) { return f(pos) }
-
-// BatchObjective is an Objective that can evaluate many positions with
-// one model pass (e.g. a boosted-tree surrogate compiled by the
-// inference kernel — see internal/gbt/kernel). When the objective
-// passed to Run implements it, each swarm iteration is evaluated as
-// Workers contiguous shards, one BatchEvaluator per worker, instead of
-// position-by-position Fitness calls. Batch results must be
-// bit-for-bit equal to Fitness on each position.
-type BatchObjective interface {
-	Objective
-	// NewBatchEvaluator returns a fresh evaluator owning its own
-	// scratch buffers. The optimizer creates one per worker up front
-	// and reuses it every iteration, so steady-state evaluation is
-	// allocation-free.
-	NewBatchEvaluator() BatchEvaluator
-}
-
-// BatchEvaluator evaluates one shard of positions, writing fitness[i],
-// valid[i] for pos[i]. Each result must be a pure function of its
-// position, as Objective.Fitness is: a shard holds whichever worms
-// moved, so the same worm lands in different shards and positions
-// from one iteration to the next. Implementations may keep internal
-// scratch and therefore must not be shared across goroutines; distinct
-// evaluators must be safe to run concurrently.
-type BatchEvaluator interface {
-	EvaluateBatch(pos [][]float64, fitness []float64, valid []bool)
+// Evaluate calls f on each position in turn.
+func (f ObjectiveFunc) Evaluate(pos [][]float64, fitness []float64, valid []bool) {
+	for i, p := range pos {
+		fitness[i], valid[i] = f(p)
+	}
 }
 
 // SelectionWeight optionally re-weights the probability of selecting a
@@ -161,10 +145,10 @@ type Params struct {
 	// Results are identical to the sequential run: the parallel work
 	// reads only the iteration's frozen state, and the movement phase
 	// makes its random draws on the calling goroutine in worm order.
-	// The objective and Options.Weight must be safe for concurrent
-	// calls (the boosted-tree surrogate and the KDE box mass are).
-	// Objectives implementing BatchObjective are evaluated
-	// shard-at-a-time with one preallocated evaluator per worker.
+	// The objective is handed one contiguous shard of the worms being
+	// scored per worker; it and Options.Weight must be safe for
+	// concurrent calls (the boosted-tree surrogate and the KDE box mass
+	// are).
 	Workers int
 	// Seed drives initialization and neighbour selection.
 	Seed uint64
@@ -511,17 +495,14 @@ func InitialRadius(glowworms, dims int, meanExtent float64) float64 {
 	return math.Pow(frac, 1/float64(dims)) * meanExtent
 }
 
-// swarmEvaluator owns the per-run per-particle evaluation machinery:
-// the worker count and, for batch-capable objectives, one
-// BatchEvaluator per worker plus the gather buffers the evaluated
-// worms are packed into, all created once and reused every iteration
-// so the steady state performs no allocation.
+// swarmEvaluator runs an iteration's per-worm work on the workers:
+// the objective over the worms being scored, gathered into one
+// contiguous shard per worker, and the selection weights.
 type swarmEvaluator struct {
 	obj     Objective
 	workers int
-	batch   []BatchEvaluator // one per worker; nil for scalar objectives
-	pos     [][]float64      // gathered positions, one per evaluated worm
-	fitness []float64        // gathered results, scattered back by index
+	pos     [][]float64 // gathered positions, one per evaluated worm
+	fitness []float64   // gathered results, scattered back by index
 	valid   []bool
 }
 
@@ -529,35 +510,24 @@ type swarmEvaluator struct {
 // size: at most the requested workers, GOMAXPROCS, and one worker per
 // two positions, and at least one.
 func newSwarmEvaluator(obj Objective, workers, swarm int) *swarmEvaluator {
-	workers = max(1, min(workers, runtime.GOMAXPROCS(0), swarm/2))
-	e := &swarmEvaluator{obj: obj, workers: workers}
-	if bo, ok := obj.(BatchObjective); ok {
-		e.batch = make([]BatchEvaluator, workers)
-		for w := range e.batch {
-			e.batch[w] = bo.NewBatchEvaluator()
-		}
-		e.pos = make([][]float64, swarm)
-		e.fitness = make([]float64, swarm)
-		e.valid = make([]bool, swarm)
+	return &swarmEvaluator{
+		obj:     obj,
+		workers: max(1, min(workers, runtime.GOMAXPROCS(0), swarm/2)),
+		pos:     make([][]float64, swarm),
+		fitness: make([]float64, swarm),
+		valid:   make([]bool, swarm),
 	}
-	return e
 }
 
-// run fills fitness[i] and valid[i] for each worm i in idx. A batch
-// objective sees the listed positions gathered into one contiguous
-// shard per worker; the results are scattered back by index.
+// run fills fitness[i] and valid[i] for each worm i in idx. The listed
+// positions are gathered into one contiguous shard per worker and the
+// results scattered back by index.
 func (e *swarmEvaluator) run(idx []int, pos [][]float64, fitness []float64, valid []bool) {
-	sharded(len(idx), e.workers, func(w, lo, hi int) {
-		if e.batch == nil {
-			for _, i := range idx[lo:hi] {
-				fitness[i], valid[i] = e.obj.Fitness(pos[i])
-			}
-			return
-		}
+	sharded(len(idx), e.workers, func(lo, hi int) {
 		for k, i := range idx[lo:hi] {
 			e.pos[lo+k] = pos[i]
 		}
-		e.batch[w].EvaluateBatch(e.pos[lo:hi], e.fitness[lo:hi], e.valid[lo:hi])
+		e.obj.Evaluate(e.pos[lo:hi], e.fitness[lo:hi], e.valid[lo:hi])
 		for k, i := range idx[lo:hi] {
 			fitness[i], valid[i] = e.fitness[lo+k], e.valid[lo+k]
 		}
@@ -568,7 +538,7 @@ func (e *swarmEvaluator) run(idx []int, pos [][]float64, fitness []float64, vali
 // each worm i in idx. Each weight depends only on its own position, so
 // the sharded result is the sequential one.
 func (e *swarmEvaluator) weigh(weight SelectionWeight, idx []int, pos [][]float64, out []float64) {
-	sharded(len(idx), e.workers, func(_, lo, hi int) {
+	sharded(len(idx), e.workers, func(lo, hi int) {
 		for _, i := range idx[lo:hi] {
 			out[i] = math.Max(0, weight(pos[i]))
 		}
@@ -576,31 +546,26 @@ func (e *swarmEvaluator) weigh(weight SelectionWeight, idx []int, pos [][]float6
 }
 
 // sharded splits [0, n) into one contiguous shard per worker and runs
-// fn(w, lo, hi) for each, concurrently when there is more than one
+// fn(lo, hi) for each, concurrently when there is more than one
 // worker. Shards are disjoint and each worm is listed once, so writes
 // indexed by worm never race and results match the sequential pass
 // exactly.
-func sharded(n, workers int, fn func(w, lo, hi int)) {
+func sharded(n, workers int, fn func(lo, hi int)) {
 	if n == 0 {
 		return
 	}
 	if workers == 1 {
-		fn(0, 0, n)
+		fn(0, n)
 		return
 	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < n; lo += chunk {
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
+			fn(lo, hi)
+		}(lo, min(lo+chunk, n))
 	}
 	wg.Wait()
 }

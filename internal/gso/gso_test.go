@@ -16,7 +16,7 @@ type peaksObjective struct {
 	sigma   float64
 }
 
-func (o *peaksObjective) Fitness(pos []float64) (float64, bool) {
+func (o *peaksObjective) fitness(pos []float64) (float64, bool) {
 	var best float64
 	for _, c := range o.centers {
 		var d2 float64
@@ -63,7 +63,7 @@ func TestRunInputValidation(t *testing.T) {
 }
 
 func TestConvergesToSinglePeak(t *testing.T) {
-	obj := &peaksObjective{centers: [][]float64{{0.5, 0.5}}, sigma: 0.15}
+	obj := ObjectiveFunc((&peaksObjective{centers: [][]float64{{0.5, 0.5}}, sigma: 0.15}).fitness)
 	p := DefaultParams()
 	p.MaxIters = 150
 	res, err := Run(p, geom.Unit(2), obj, Options{})
@@ -83,7 +83,7 @@ func TestConvergesToSinglePeak(t *testing.T) {
 
 func TestCapturesMultiplePeaks(t *testing.T) {
 	centers := [][]float64{{0.2, 0.2}, {0.8, 0.8}, {0.2, 0.8}}
-	obj := &peaksObjective{centers: centers, sigma: 0.1}
+	obj := ObjectiveFunc((&peaksObjective{centers: centers, sigma: 0.1}).fitness)
 	p := DefaultParams()
 	p.Glowworms = 150
 	p.MaxIters = 200
@@ -157,7 +157,7 @@ func TestLuciferinDecayWithoutSignal(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	obj := &peaksObjective{centers: [][]float64{{0.3, 0.7}}, sigma: 0.2}
+	obj := ObjectiveFunc((&peaksObjective{centers: [][]float64{{0.3, 0.7}}, sigma: 0.2}).fitness)
 	p := DefaultParams()
 	p.MaxIters = 30
 	r1, _ := Run(p, geom.Unit(2), obj, Options{})
@@ -185,7 +185,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestPositionsStayInBounds(t *testing.T) {
-	obj := &peaksObjective{centers: [][]float64{{0.99, 0.99}}, sigma: 0.3}
+	obj := ObjectiveFunc((&peaksObjective{centers: [][]float64{{0.99, 0.99}}, sigma: 0.3}).fitness)
 	bounds := geom.NewRect([]float64{-1, 0}, []float64{1, 2})
 	p := DefaultParams()
 	p.MaxIters = 80
@@ -225,7 +225,7 @@ func TestSelectionWeightBias(t *testing.T) {
 	// Two identical peaks; weight function suppresses the right one.
 	// Selection re-weighting (Eq. 8) should skew convergence left.
 	centers := [][]float64{{0.2}, {0.8}}
-	obj := &peaksObjective{centers: centers, sigma: 0.08}
+	obj := ObjectiveFunc((&peaksObjective{centers: centers, sigma: 0.08}).fitness)
 	p := DefaultParams()
 	p.Glowworms = 200
 	p.MaxIters = 150
@@ -264,7 +264,7 @@ func TestSelectionWeightBias(t *testing.T) {
 }
 
 func TestHistoryRecording(t *testing.T) {
-	obj := &peaksObjective{centers: [][]float64{{0.5}}, sigma: 0.2}
+	obj := ObjectiveFunc((&peaksObjective{centers: [][]float64{{0.5}}, sigma: 0.2}).fitness)
 	p := DefaultParams()
 	p.Glowworms = 10
 	p.MaxIters = 20
@@ -283,7 +283,7 @@ func TestHistoryRecording(t *testing.T) {
 }
 
 func TestTraceShape(t *testing.T) {
-	obj := &peaksObjective{centers: [][]float64{{0.5, 0.5}}, sigma: 0.2}
+	obj := ObjectiveFunc((&peaksObjective{centers: [][]float64{{0.5, 0.5}}, sigma: 0.2}).fitness)
 	p := DefaultParams()
 	p.MaxIters = 25
 	res, err := Run(p, geom.Unit(2), obj, Options{})
@@ -357,7 +357,7 @@ func distTo(a, b []float64) float64 {
 }
 
 func TestParallelWorkersMatchSequential(t *testing.T) {
-	obj := &peaksObjective{centers: [][]float64{{0.3, 0.3}, {0.7, 0.7}}, sigma: 0.1}
+	obj := ObjectiveFunc((&peaksObjective{centers: [][]float64{{0.3, 0.3}, {0.7, 0.7}}, sigma: 0.1}).fitness)
 	p := DefaultParams()
 	p.MaxIters = 60
 	seq, err := Run(p, geom.Unit(2), obj, Options{})

@@ -94,9 +94,7 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 		// Phase 1: fitness evaluation followed by the luciferin
 		// update. Invalid positions decay only, emulating the
 		// undefined log objective (paper Section V-F).
-		for i := range pos {
-			fitness[i], valid[i] = obj.Fitness(pos[i])
-		}
+		obj.Evaluate(pos, fitness, valid)
 		res.Evaluations += L
 		var sumFit float64
 		var nValid int

@@ -295,7 +295,7 @@ func (m *mover) row(i int) []uint64 { return m.words[i*m.nw : (i+1)*m.nw : (i+1)
 // not depend on the sharding.
 func (m *mover) scanAll(radius, luc, weight []float64, sensor float64) {
 	workers := max(1, min(m.workers, m.pairs/minShardPairs))
-	sharded(len(m.total), workers, func(_, lo, hi int) {
+	sharded(len(m.total), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var count int
 			var total float64

@@ -65,7 +65,7 @@ func (r *Result) ExaminedRatio() float64 {
 // half-sides in the last d) and scores each candidate with the
 // objective, keeping valid ones. The enumeration stops when budget
 // expires (the paper used 3000 s); 0 means no budget.
-func Run(budget time.Duration, space geom.Rect, obj gso.Objective) (*Result, error) {
+func Run(budget time.Duration, space geom.Rect, obj gso.ObjectiveFunc) (*Result, error) {
 	if budget < 0 {
 		return nil, errors.New("naive: budget must be >= 0")
 	}
@@ -116,7 +116,7 @@ func Run(budget time.Duration, space geom.Rect, obj gso.Objective) (*Result, err
 			vec[j] = centers[j][digits[j]]
 			vec[d+j] = lengths[j][digits[d+j]]
 		}
-		if v, ok := obj.Fitness(vec); ok && !math.IsNaN(v) {
+		if v, ok := obj(vec); ok && !math.IsNaN(v) {
 			res.Regions = append(res.Regions, ScoredRegion{
 				Vector:  append([]float64(nil), vec...),
 				Fitness: v,

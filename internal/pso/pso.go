@@ -70,7 +70,7 @@ type Result struct {
 // Run executes PSO over the bounds, maximizing the objective. Invalid
 // positions (ok=false) are treated as fitness −Inf: particles may pass
 // through them but never store them as bests.
-func Run(p Params, bounds geom.Rect, obj gso.Objective) (*Result, error) {
+func Run(p Params, bounds geom.Rect, obj gso.ObjectiveFunc) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -95,7 +95,7 @@ func Run(p Params, bounds geom.Rect, obj gso.Objective) (*Result, error) {
 	res := &Result{}
 	evaluate := func(x []float64) float64 {
 		res.Evaluations++
-		v, ok := obj.Fitness(x)
+		v, ok := obj(x)
 		if !ok {
 			return math.Inf(-1)
 		}
