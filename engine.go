@@ -85,8 +85,8 @@ type Config struct {
 type Engine struct {
 	spec  dataset.Spec
 	names []string // column names, the fixed schema across data versions
-	// useGrid remembers how Open built the evaluator so SetDataset can
-	// rebuild it the same way for a new data version.
+	// useGrid selects the evaluator newView builds for every data
+	// version: a grid index, else a linear scan.
 	useGrid bool
 	// surrogate holds the engine's current snapshot — always non-nil:
 	// Open publishes a model-free snapshot carrying the v1 data view,
@@ -116,9 +116,22 @@ type dataView struct {
 	prior *priorSlot
 }
 
-// newDataView pins one data version with an empty prior slot.
-func newDataView(data *dataset.Dataset, ev dataset.Evaluator, domain geom.Rect, version uint64) *dataView {
-	return &dataView{data: data, evaluator: ev, domain: domain, version: version, prior: new(priorSlot)}
+// newView pins data as data version version, the one way Open and
+// SetDataset build a view: the engine's evaluator kind (grid index or
+// linear scan) over data, the domain of its filter columns and an
+// empty prior slot.
+func (e *Engine) newView(data *dataset.Dataset, version uint64) (*dataView, error) {
+	var ev dataset.Evaluator
+	var err error
+	if e.useGrid {
+		ev, err = dataset.NewGridIndex(data, e.spec, 0)
+	} else {
+		ev, err = dataset.NewLinearScan(data, e.spec)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &dataView{data: data, evaluator: ev, domain: data.Domain(e.spec.FilterCols), version: version, prior: new(priorSlot)}, nil
 }
 
 // priorSlot holds at most one fitted Eq. 8 prior for a data view: the
@@ -237,16 +250,6 @@ func Open(ds *Dataset, cfg Config, opts ...Option) (*Engine, error) {
 	if err := spec.Validate(ds.inner); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	var ev dataset.Evaluator
-	var err error
-	if cfg.UseGridIndex {
-		ev, err = dataset.NewGridIndex(ds.inner, spec, 0)
-	} else {
-		ev, err = dataset.NewLinearScan(ds.inner, spec)
-	}
-	if err != nil {
-		return nil, err
-	}
 	e := &Engine{
 		spec:    spec,
 		names:   ds.inner.Names(),
@@ -257,9 +260,11 @@ func Open(ds *Dataset, cfg Config, opts ...Option) (*Engine, error) {
 	// nobody can observe the engine before Open returns, so the plain
 	// Store (generation 0 = the pre-model state) needs no swap
 	// ceremony.
-	e.surrogate.Store(&snapshot{
-		view: newDataView(ds.inner, ev, ds.inner.Domain(spec.FilterCols), 1),
-	})
+	v, err := e.newView(ds.inner, 1)
+	if err != nil {
+		return nil, err
+	}
+	e.surrogate.Store(&snapshot{view: v})
 	return e, nil
 }
 
@@ -319,11 +324,7 @@ func (e *Engine) TrainSurrogateContext(ctx context.Context, w Workload, opts ...
 	var s *core.Surrogate
 	var err error
 	if o.HyperTune {
-		folds := o.CVFolds
-		if folds == 0 {
-			folds = 3
-		}
-		s, _, err = core.TrainSurrogateCVContext(ctx, w.log, core.PaperGrid(o.params()), folds, o.Seed+1)
+		s, _, err = core.TrainSurrogateCVContext(ctx, w.log, core.PaperGrid(o.params()), cvFolds, o.Seed+1)
 	} else {
 		s, err = core.TrainSurrogateContext(ctx, w.log, o.params())
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -60,8 +61,10 @@ func TestSurrogatePredictBatchMatchesPredict(t *testing.T) {
 // prediction path: a finder predicting row by row through the
 // surrogate's StatFn and the same finder with the compiled kernel
 // attached (AttachBatch) give byte-identical answers, for every query
-// kind and worker count, incumbents included.
+// kind and worker count, incumbents included. GOMAXPROCS is raised to
+// at least 4 so that the workers=4 rows shard four ways on any host.
 func TestFindBatchMatchesScalar(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
 	s, ds := batchTestSurrogate(t, 6000, 800)
 	find := func(f *Finder, cfg FinderConfig) (*FindResult, error) { return f.Find(cfg) }
 	extents := func(f *Finder, cfg FinderConfig) (*FindResult, error) {

@@ -408,24 +408,61 @@ func TestVerifyErrors(t *testing.T) {
 	}
 }
 
+// TestFinderConfigDefaults: withDefaults fills each zero knob on its
+// own, the swarm's through SwarmParams (L = 50·2d, T = 100, seed 1),
+// and keeps every field that was set — Workers and InitRadius
+// included when Glowworms is left to its default.
 func TestFinderConfigDefaults(t *testing.T) {
-	cfg := FinderConfig{}.withDefaults(3)
-	if cfg.C != 4 {
-		t.Errorf("C = %g, want 4", cfg.C)
+	tests := []struct {
+		name string
+		cfg  FinderConfig
+		want FinderConfig
+	}{
+		{
+			name: "zero",
+			want: FinderConfig{C: 4, MinSideFrac: 0.01, MaxSideFrac: 0.15, MaxRegions: 16,
+				GSO: gso.Params{Glowworms: 300, MaxIters: 100, Seed: 1}}, // L = 50·2d, d = 3
+		},
+		{
+			name: "explicit knobs",
+			cfg: FinderConfig{C: 2, MinSideFrac: 0.02, MaxSideFrac: 0.1, MaxRegions: 3,
+				GSO: gso.Params{Glowworms: 42, MaxIters: 7, InitRadius: 0.5, Workers: 4, Seed: 3}},
+			want: FinderConfig{C: 2, MinSideFrac: 0.02, MaxSideFrac: 0.1, MaxRegions: 3,
+				GSO: gso.Params{Glowworms: 42, MaxIters: 7, InitRadius: 0.5, Workers: 4, Seed: 3}},
+		},
+		{
+			name: "workers kept with default glowworms",
+			cfg:  FinderConfig{GSO: gso.Params{MaxIters: 40, Seed: 5, Workers: 4}},
+			want: FinderConfig{C: 4, MinSideFrac: 0.01, MaxSideFrac: 0.15, MaxRegions: 16,
+				GSO: gso.Params{Glowworms: 300, MaxIters: 40, Workers: 4, Seed: 5}},
+		},
+		{
+			name: "init radius kept with default glowworms",
+			cfg:  FinderConfig{GSO: gso.Params{InitRadius: 0.5}},
+			want: FinderConfig{C: 4, MinSideFrac: 0.01, MaxSideFrac: 0.15, MaxRegions: 16,
+				GSO: gso.Params{Glowworms: 300, MaxIters: 100, InitRadius: 0.5, Seed: 1}},
+		},
+		{
+			name: "default iterations and seed with explicit glowworms",
+			cfg:  FinderConfig{GSO: gso.Params{Glowworms: 42}},
+			want: FinderConfig{C: 4, MinSideFrac: 0.01, MaxSideFrac: 0.15, MaxRegions: 16,
+				GSO: gso.Params{Glowworms: 42, MaxIters: 100, Seed: 1}},
+		},
 	}
-	if cfg.GSO.Glowworms != 300 { // 50 * 2d, d=3
-		t.Errorf("Glowworms = %d, want 300", cfg.GSO.Glowworms)
-	}
-	if cfg.MinSideFrac != 0.01 || cfg.MaxSideFrac != 0.15 {
-		t.Errorf("side fracs = [%g, %g]", cfg.MinSideFrac, cfg.MaxSideFrac)
-	}
-	if cfg.MaxRegions != 16 {
-		t.Errorf("max=%d", cfg.MaxRegions)
-	}
-	// Explicit GSO params survive.
-	explicit := FinderConfig{GSO: gso.Params{Glowworms: 42, MaxIters: 7, Seed: 3}}.withDefaults(3)
-	if explicit.GSO.Glowworms != 42 || explicit.GSO.MaxIters != 7 {
-		t.Error("explicit GSO params overridden")
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			got := tt.cfg.withDefaults(3)
+			if got.GSO != tt.want.GSO {
+				t.Errorf("GSO = %+v, want %+v", got.GSO, tt.want.GSO)
+			}
+			if got.C != tt.want.C || got.MaxRegions != tt.want.MaxRegions {
+				t.Errorf("C, MaxRegions = %g, %d, want %g, %d", got.C, got.MaxRegions, tt.want.C, tt.want.MaxRegions)
+			}
+			if got.MinSideFrac != tt.want.MinSideFrac || got.MaxSideFrac != tt.want.MaxSideFrac {
+				t.Errorf("side fracs = [%g, %g], want [%g, %g]",
+					got.MinSideFrac, got.MaxSideFrac, tt.want.MinSideFrac, tt.want.MaxSideFrac)
+			}
+		})
 	}
 }
 

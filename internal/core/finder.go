@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -54,12 +55,14 @@ type FinderConfig struct {
 	Dir Direction
 	// C is the size regularizer (paper default 4).
 	C float64
-	// GSO overrides the optimizer parameters. Zero-value fields of
-	// interest: Glowworms=0 applies the paper's L = 50·d rule;
-	// InitRadius=0 applies the r0 heuristic of Section V-G.
+	// GSO overrides the optimizer parameters. SwarmParams fills each
+	// zero field on its own: Glowworms=0 applies the paper's
+	// L = 50·2d rule, MaxIters=0 and Seed=0 gso.DefaultParams' T = 100
+	// and seed 1; InitRadius=0 applies the r0 heuristic of Section
+	// V-G, and every other field is kept as given.
 	GSO gso.Params
-	// UseKDE enables the Eq. 8 selection prior (requires the finder
-	// to have been given data points).
+	// UseKDE enables the Eq. 8 selection prior (requires a prior
+	// attached with AttachPrior).
 	UseKDE bool
 	// MinSideFrac/MaxSideFrac bound region half-sides as fractions of
 	// the domain extent (defaults 0.01 and 0.15, the training
@@ -103,7 +106,8 @@ const (
 
 // Default query-knob values, exported so the public layer resolves
 // each query's zero knobs to the same values withDefaults applies for
-// the callers that pass zero knobs to core directly.
+// the callers that pass zero knobs to core directly. SwarmParams does
+// the same for the swarm's parameters.
 const (
 	// DefaultC is the region-size regularizer default.
 	DefaultC = 4
@@ -116,22 +120,26 @@ const (
 	DefaultMaxRegions = 16
 )
 
+// SwarmParams is the one swarm-parameter defaulting for runs over dims
+// filter dimensions. It fills each zero field on its own: Glowworms
+// becomes the paper's L = 50·(region dims), where the [x, l] solution
+// space has 2d dimensions, and MaxIters and Seed take
+// gso.DefaultParams' values. Every other field is kept as given.
+func SwarmParams(dims int, g gso.Params) gso.Params {
+	def := gso.DefaultParams()
+	def.Glowworms = 50 * 2 * dims
+	g.Glowworms = cmp.Or(g.Glowworms, def.Glowworms)
+	g.MaxIters = cmp.Or(g.MaxIters, def.MaxIters)
+	g.Seed = cmp.Or(g.Seed, def.Seed)
+	return g
+}
+
 // withDefaults fills unset fields.
 func (c FinderConfig) withDefaults(dims int) FinderConfig {
 	if c.C == 0 {
 		c.C = DefaultC
 	}
-	if c.GSO.Glowworms == 0 {
-		base := gso.DefaultParams()
-		base.Glowworms = 50 * 2 * dims // paper: L = 50·(region dims)
-		if g := c.GSO; g.MaxIters != 0 {
-			base.MaxIters = g.MaxIters
-		}
-		if g := c.GSO; g.Seed != 0 {
-			base.Seed = g.Seed
-		}
-		c.GSO = base
-	}
+	c.GSO = SwarmParams(dims, c.GSO)
 	if c.MinSideFrac == 0 {
 		c.MinSideFrac = DefaultMinSideFrac
 	}

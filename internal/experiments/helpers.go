@@ -57,19 +57,17 @@ func gbtParamsFor(scale Scale) gbt.Params {
 	return p
 }
 
-// gsoParamsFor applies the paper's L = 50·(2d) rule with
-// scale-dependent budgets; every run uses its whole budget.
+// gsoParamsFor resolves the swarm through core.SwarmParams (the
+// paper's L = 50·2d, T = 100) with scale-dependent budgets: Small caps
+// the swarm at 200 worms, Full runs 250 iterations. Every run uses its
+// whole budget.
 func gsoParamsFor(dims int, scale Scale, seed uint64) gso.Params {
-	p := gso.DefaultParams()
-	p.Glowworms = 50 * 2 * dims
-	if scale == Small && p.Glowworms > 200 {
-		p.Glowworms = 200
-	}
-	p.MaxIters = 100
+	p := core.SwarmParams(dims, gso.Params{Seed: seed})
 	if scale == Full {
 		p.MaxIters = 250
+	} else {
+		p.Glowworms = min(p.Glowworms, 200)
 	}
-	p.Seed = seed
 	return p
 }
 

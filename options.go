@@ -112,6 +112,9 @@ func WithResultCache(entries int) Option {
 	return func(o *engineOptions) { o.cacheSize = entries }
 }
 
+// cvFolds is the fold count of HyperTune's cross-validation.
+const cvFolds = 3
+
 // TrainOptions tune surrogate training. The learning rate (0.1) and
 // λ (1) are gbt.DefaultParams' constants, and training always uses one
 // goroutine per available CPU; the trained model is bit-identical for
@@ -122,11 +125,9 @@ type TrainOptions struct {
 	Trees    int
 	MaxDepth int
 	// HyperTune runs the paper's 144-combination grid search, over
-	// learning rate and λ as well, with K-fold CV before the final
+	// learning rate and λ as well, with 3-fold CV before the final
 	// fit. Slower but more accurate.
 	HyperTune bool
-	// CVFolds is the fold count for HyperTune (default 3).
-	CVFolds int
 	// Seed drives the CV fold shuffling under HyperTune. Training
 	// itself draws nothing at random.
 	Seed uint64

@@ -223,20 +223,20 @@ const defaultKDESample = 1000
 
 // resolved validates q and returns it with every zero-means-default
 // knob set to the value execution uses: C, MaxRegions, the side
-// fractions, Glowworms, Iterations and Seed (through gsoParams), and
-// KDESample under UseKDE — zeroed without it, since it then changes
-// nothing. Only the swarm reads Seed (the Eq. 8 prior is drawn from
-// one fixed stream, see core.FitDensity), so Seed 0 resolves to the
-// swarm's default seed and shares its answers. Every query runs the
-// resolved form, and the result cache keys on it, so two queries
-// share a cache entry exactly when they resolve alike. Workers stays
-// raw; cacheKey zeroes it in the key.
+// fractions, the swarm fields Glowworms, Iterations, Seed and Workers
+// (through gsoParams), and KDESample under UseKDE — zeroed without
+// it, since it then changes nothing. Only the swarm reads Seed (the
+// Eq. 8 prior is drawn from one fixed stream, see core.FitDensity), so
+// Seed 0 resolves to the swarm's default seed and shares its answers.
+// Every query runs the resolved form, and the result cache keys on it
+// with Workers zeroed, so two queries share a cache entry exactly when
+// they resolve alike.
 func (q Query) resolved(dims int) (Query, error) {
 	if err := q.validate(); err != nil {
 		return Query{}, err
 	}
 	g := gsoParams(dims, q.Glowworms, q.Iterations, q.Workers, q.Seed)
-	q.Glowworms, q.Iterations, q.Seed = g.Glowworms, g.MaxIters, g.Seed
+	q.Glowworms, q.Iterations, q.Workers, q.Seed = g.Glowworms, g.MaxIters, g.Workers, g.Seed
 	q.C = cmp.Or(q.C, core.DefaultC)
 	q.MaxRegions = cmp.Or(q.MaxRegions, core.DefaultMaxRegions)
 	q.MinSideFrac = cmp.Or(q.MinSideFrac, core.DefaultMinSideFrac)
@@ -255,36 +255,20 @@ func (q TopKQuery) resolved(dims int) (TopKQuery, error) {
 		return TopKQuery{}, err
 	}
 	g := gsoParams(dims, q.Glowworms, q.Iterations, q.Workers, q.Seed)
-	q.Glowworms, q.Iterations, q.Seed = g.Glowworms, g.MaxIters, g.Seed
+	q.Glowworms, q.Iterations, q.Workers, q.Seed = g.Glowworms, g.MaxIters, g.Workers, g.Seed
 	q.C = cmp.Or(q.C, core.DefaultC)
 	q.MinSideFrac = cmp.Or(q.MinSideFrac, core.DefaultMinSideFrac)
 	q.MaxSideFrac = cmp.Or(q.MaxSideFrac, core.DefaultMaxSideFrac)
 	return q, nil
 }
 
-// gsoParams is the single source of optimizer defaulting for Find and
-// FindTopK. The effective parameters are identical whether or not any
-// override is set: the swarm size is always the paper's L = 50·2d
-// (over the 2d-dimensional [x, l] solution space) unless explicitly
-// overridden, and Workers 0 means one per CPU (GOMAXPROCS), as
-// training always uses; the optimizer caps the count at what the
-// swarm can use.
+// gsoParams resolves a query's swarm knobs: core.SwarmParams fills
+// Glowworms, Iterations and Seed, and Workers 0 means one per CPU
+// (GOMAXPROCS), as training always uses; the optimizer caps the count
+// at what the swarm can use.
 func gsoParams(dims, glowworms, iterations, workers int, seed uint64) gso.Params {
-	g := gso.DefaultParams()
-	g.Glowworms = 50 * 2 * dims
-	if glowworms > 0 {
-		g.Glowworms = glowworms
-	}
-	if iterations > 0 {
-		g.MaxIters = iterations
-	}
-	if seed > 0 {
-		g.Seed = seed
-	}
-	g.Workers = workers
-	if workers == 0 {
-		g.Workers = runtime.GOMAXPROCS(0)
-	}
+	g := core.SwarmParams(dims, gso.Params{Glowworms: glowworms, MaxIters: iterations, Workers: workers, Seed: seed})
+	g.Workers = cmp.Or(g.Workers, runtime.GOMAXPROCS(0))
 	return g
 }
 
@@ -321,15 +305,7 @@ func (e *Engine) Find(q Query) (*Result, error) {
 // snapshot is served from the result cache without re-running the
 // swarm (see WithResultCache).
 func (e *Engine) FindContext(ctx context.Context, q Query) (*Result, error) {
-	q, err := q.resolved(e.Dims())
-	if err != nil {
-		return nil, err
-	}
-	snap := e.surrogate.Load()
-	key := cacheKey(snap.gen, q)
-	res, err := drain(e.cachedRun(key, func() (*Stream, error) {
-		return startStream(ctx, e, snap, key, q, false)
-	}))
+	res, err := drain(launch(ctx, e, e.surrogate.Load(), q, false))
 	if err != nil {
 		return nil, err
 	}
@@ -348,36 +324,44 @@ func (e *Engine) FindTopK(q TopKQuery) (*Result, error) {
 // swarm iteration and between mining and verification, and with the
 // same result cache as FindContext.
 func (e *Engine) FindTopKContext(ctx context.Context, q TopKQuery) (*Result, error) {
-	q, err := q.resolved(e.Dims())
-	if err != nil {
-		return nil, err
-	}
-	snap := e.surrogate.Load()
-	key := cacheKey(snap.gen, q)
-	res, err := drain(e.cachedRun(key, func() (*Stream, error) {
-		return startTopKStream(ctx, e, snap, key, q, false)
-	}))
+	res, err := drain(launch(ctx, e, e.surrogate.Load(), q, false))
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// cachedRun is the one result-cache lookup, shared by all five entry
-// points: Find, FindTopK, FindMany, Stream and StreamTopK. On a hit it
-// returns a finished stream whose only event is EventDone carrying a
-// private copy of the cached Result (see doneStream); on a miss it
-// returns the stream start launches, whose run offers its Result to
-// the cache when it succeeds (see newStream and resultCache.put). The batch entry points drain what it
-// returns and the streaming ones hand it to their caller, so a fully
-// drained stream and a batch call produce identical Results; batch
-// runs skip the per-iteration telemetry and incumbent sweeps (nobody
-// consumes them), which are passive either way.
-func (e *Engine) cachedRun(key resultKey, start func() (*Stream, error)) (*Stream, error) {
+// launchable is the constraint of launch: the two query kinds, each
+// able to resolve its knobs and to start its run.
+type launchable[Q any] interface {
+	Query | TopKQuery
+	resolved(dims int) (Q, error)
+	start(ctx context.Context, e *Engine, snap *snapshot, key resultKey, events bool) (*Stream, error)
+}
+
+// launch is the one way a query reaches a run, shared by all five
+// entry points: Find, FindTopK, FindMany, Stream and StreamTopK. It
+// resolves q and keys it under snap, the snapshot the caller pinned.
+// On a result-cache hit it returns a finished stream whose only event
+// is EventDone carrying a private copy of the cached Result (see
+// doneStream); on a miss it returns the stream q.start launches, whose
+// run offers its Result to the cache when it succeeds (see newStream
+// and resultCache.put). The batch entry points drain what it returns
+// and the streaming ones hand it to their caller, so a fully drained
+// stream and a batch call produce identical Results. With events false
+// the run emits only the terminal EventDone — the batch fast path,
+// which skips the per-iteration telemetry and incumbent sweeps
+// (nobody consumes them; they are passive either way).
+func launch[Q launchable[Q]](ctx context.Context, e *Engine, snap *snapshot, q Q, events bool) (*Stream, error) {
+	q, err := q.resolved(e.Dims())
+	if err != nil {
+		return nil, err
+	}
+	key := cacheKey(snap.gen, q)
 	if res, ok := e.cache.get(key); ok {
 		return doneStream(res), nil
 	}
-	return start()
+	return q.start(ctx, e, snap, key, events)
 }
 
 // drain returns a started stream's final Result, or the error that
@@ -390,15 +374,14 @@ func drain(s *Stream, err error) (*Result, error) {
 	return s.Result()
 }
 
-// startStream does everything that can fail synchronously for a
-// resolved query — finder construction, KDE fitting — before spawning
-// the mining goroutine, so Stream reports ErrNoSurrogate and kin as
-// plain return values rather than burying them in the event stream.
-// With events false the run emits only the terminal EventDone — the
-// batch fast path. key is the query's result-cache key; every run,
-// streamed or batch, puts its Result there when it succeeds. Callers
-// reach startStream only through cachedRun, after a cache miss.
-func startStream(ctx context.Context, e *Engine, snap *snapshot, key resultKey, q Query, events bool) (*Stream, error) {
+// start does everything that can fail synchronously for the resolved
+// query — finder construction, KDE fitting — before spawning the
+// mining goroutine, so Stream reports ErrNoSurrogate and kin as plain
+// return values rather than burying them in the event stream. key is
+// the query's result-cache key; every run, streamed or batch, puts its
+// Result there when it succeeds. Only launch calls it, after a cache
+// miss.
+func (q Query) start(ctx context.Context, e *Engine, snap *snapshot, key resultKey, events bool) (*Stream, error) {
 	finder, err := finderFor(snap, q.UseTrueFunction)
 	if err != nil {
 		return nil, err
@@ -414,19 +397,19 @@ func startStream(ctx context.Context, e *Engine, snap *snapshot, key resultKey, 
 		}
 	}
 	return newStream(ctx, e.cache, key, func(ctx context.Context, emit func(Event) bool) (*Result, error) {
-		return runQuery(ctx, e, view, finder, q, emit, events)
+		return runQuery(ctx, view, finder, q, emit, events)
 	}), nil
 }
 
-// startTopKStream is startStream for resolved top-k queries.
-func startTopKStream(ctx context.Context, e *Engine, snap *snapshot, key resultKey, q TopKQuery, events bool) (*Stream, error) {
+// start is Query.start for resolved top-k queries.
+func (q TopKQuery) start(ctx context.Context, e *Engine, snap *snapshot, key resultKey, events bool) (*Stream, error) {
 	finder, err := finderFor(snap, q.UseTrueFunction)
 	if err != nil {
 		return nil, err
 	}
 	view := snap.view
 	return newStream(ctx, e.cache, key, func(ctx context.Context, emit func(Event) bool) (*Result, error) {
-		return runTopK(ctx, e, view, finder, q, emit, events)
+		return runTopK(ctx, view, finder, q, emit, events)
 	}), nil
 }
 
@@ -472,12 +455,12 @@ func iterationEvents(emit func(Event) bool) func(gso.IterStats) {
 	}
 }
 
-// runQuery is the single execution path of threshold queries: swarm
-// mining with progressive event delivery, optional cluster-extent
-// reporting, then verification. With events false the mining runs
-// callback-free (no telemetry, no incumbent sweeps) — the events are
-// passive, so the Result is bit-identical either way.
-func runQuery(ctx context.Context, e *Engine, view *dataView, finder *core.Finder, q Query, emit func(Event) bool, events bool) (*Result, error) {
+// runQuery is the single execution path of resolved threshold
+// queries: swarm mining with progressive event delivery, optional
+// cluster-extent reporting, then verification. With events false the
+// mining runs callback-free (no telemetry, no incumbent sweeps) — the
+// events are passive, so the Result is bit-identical either way.
+func runQuery(ctx context.Context, view *dataView, finder *core.Finder, q Query, emit func(Event) bool, events bool) (*Result, error) {
 	dir := core.Below
 	if q.Above {
 		dir = core.Above
@@ -490,7 +473,7 @@ func runQuery(ctx context.Context, e *Engine, view *dataView, finder *core.Finde
 		UseKDE:      q.UseKDE,
 		MinSideFrac: q.MinSideFrac,
 		MaxSideFrac: q.MaxSideFrac,
-		GSO:         gsoParams(e.Dims(), q.Glowworms, q.Iterations, q.Workers, q.Seed),
+		GSO:         gso.Params{Glowworms: q.Glowworms, MaxIters: q.Iterations, Workers: q.Workers, Seed: q.Seed},
 	}
 	if events {
 		// Callbacks run synchronously on the mining goroutine, so
@@ -525,18 +508,18 @@ func runQuery(ctx context.Context, e *Engine, view *dataView, finder *core.Finde
 	return resultFromCore(res, res.ValidFrac, compliance), nil
 }
 
-// runTopK is the single execution path of top-k queries: swarm mining,
-// then, unless skipped, the true statistic of each region. Top-k has
-// no constraint to satisfy, so its answers carry Satisfies false and
-// a NaN compliance rate.
-func runTopK(ctx context.Context, e *Engine, view *dataView, finder *core.Finder, q TopKQuery, emit func(Event) bool, events bool) (*Result, error) {
+// runTopK is the single execution path of resolved top-k queries:
+// swarm mining, then, unless skipped, the true statistic of each
+// region. Top-k has no constraint to satisfy, so its answers carry
+// Satisfies false and a NaN compliance rate.
+func runTopK(ctx context.Context, view *dataView, finder *core.Finder, q TopKQuery, emit func(Event) bool, events bool) (*Result, error) {
 	cfg := core.TopKConfig{
 		K:           q.K,
 		Largest:     q.Largest,
 		C:           q.C,
 		MinSideFrac: q.MinSideFrac,
 		MaxSideFrac: q.MaxSideFrac,
-		GSO:         gsoParams(e.Dims(), q.Glowworms, q.Iterations, q.Workers, q.Seed),
+		GSO:         gso.Params{Glowworms: q.Glowworms, MaxIters: q.Iterations, Workers: q.Workers, Seed: q.Seed},
 	}
 	if events {
 		cfg.OnIteration = iterationEvents(emit)

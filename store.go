@@ -89,23 +89,12 @@ func (e *Engine) SetDataset(ds *Dataset, version uint64) error {
 	if got := ds.inner.Names(); !slices.Equal(got, e.names) {
 		return fmt.Errorf("%w: dataset columns %v do not match engine schema %v", ErrBadConfig, got, e.names)
 	}
-	var ev dataset.Evaluator
-	var err error
-	if e.useGrid {
-		ev, err = dataset.NewGridIndex(ds.inner, e.spec, 0)
-	} else {
-		ev, err = dataset.NewLinearScan(ds.inner, e.spec)
-	}
+	v, err := e.newView(ds.inner, version)
 	if err != nil {
 		return err
 	}
-	domain := ds.inner.Domain(e.spec.FilterCols)
 	e.swapSnapshot(func(cur *snapshot) *snapshot {
-		return &snapshot{
-			surr: cur.surr,
-			info: cur.info,
-			view: newDataView(ds.inner, ev, domain, version),
-		}
+		return &snapshot{surr: cur.surr, info: cur.info, view: v}
 	})
 	return nil
 }

@@ -47,7 +47,7 @@ const streamBuffer = 16
 // its Result in cache under key before the stream publishes it — the
 // one place the result cache is filled, whichever entry point started
 // the run — so a repeat of the query through any entry point is
-// served from the cache (see Engine.cachedRun).
+// served from the cache (see launch).
 func newStream(ctx context.Context, cache *resultCache, key resultKey, run func(ctx context.Context, emit func(Event) bool) (*Result, error)) *Stream {
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Stream{cancel: cancel, events: make(chan Event, streamBuffer)}
@@ -187,15 +187,7 @@ func (s *Stream) Result() (*Result, error) {
 // offers its Result to the cache, so later finds and streams of the
 // same query can be served from it.
 func (e *Engine) Stream(ctx context.Context, q Query) (*Stream, error) {
-	q, err := q.resolved(e.Dims())
-	if err != nil {
-		return nil, err
-	}
-	snap := e.surrogate.Load()
-	key := cacheKey(snap.gen, q)
-	return e.cachedRun(key, func() (*Stream, error) {
-		return startStream(ctx, e, snap, key, q, true)
-	})
+	return launch(ctx, e, e.surrogate.Load(), q, true)
 }
 
 // StreamTopK starts a top-k query and returns its progressive result
@@ -204,15 +196,7 @@ func (e *Engine) Stream(ctx context.Context, q Query) (*Stream, error) {
 // terminal EventDone but no EventRegion incumbents. As with Stream, a
 // query the result cache answers streams only its EventDone.
 func (e *Engine) StreamTopK(ctx context.Context, q TopKQuery) (*Stream, error) {
-	q, err := q.resolved(e.Dims())
-	if err != nil {
-		return nil, err
-	}
-	snap := e.surrogate.Load()
-	key := cacheKey(snap.gen, q)
-	return e.cachedRun(key, func() (*Stream, error) {
-		return startTopKStream(ctx, e, snap, key, q, true)
-	})
+	return launch(ctx, e, e.surrogate.Load(), q, true)
 }
 
 // MultiResult is one query's outcome in a FindMany run.
@@ -255,19 +239,12 @@ func (e *Engine) FindMany(ctx context.Context, queries []Query) iter.Seq[MultiRe
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					// The same cache lookup as FindContext, but a
-					// miss keeps the stream's partial result, so a
-					// cancelled query still surfaces it alongside the
-					// error. Nobody consumes the events, so the run
-					// skips them.
-					q, err := queries[i].resolved(e.Dims())
-					var res *Result
-					if err == nil {
-						key := cacheKey(snap.gen, q)
-						res, err = drain(e.cachedRun(key, func() (*Stream, error) {
-							return startStream(mctx, e, snap, key, q, false)
-						}))
-					}
+					// The same launch as FindContext under the one
+					// pinned snapshot, but a failed run keeps the
+					// stream's partial result, so a cancelled query
+					// still surfaces it alongside the error. Nobody
+					// consumes the events, so the run skips them.
+					res, err := drain(launch(mctx, e, snap, queries[i], false))
 					// The send is unconditional: every started query
 					// reports in, even after cancellation (the
 					// iterator drains out until it closes, so this

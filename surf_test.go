@@ -292,15 +292,15 @@ func TestTrainSurrogateHyperTune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.TrainSurrogate(wl, TrainOptions{HyperTune: true, CVFolds: 2, Seed: 5}); err != nil {
+	if err := eng.TrainSurrogate(wl, TrainOptions{HyperTune: true, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
 	info, ok := eng.SurrogateInfo()
 	if !ok || !info.HyperTuned {
 		t.Fatalf("info = %+v (ok=%v), want a hyper-tuned surrogate", info, ok)
 	}
-	if info.Trees != 300 || info.MaxDepth != 9 || info.LearningRate != 0.01 || info.Lambda != 0.01 {
-		t.Errorf("tuned to trees=%d depth=%d rate=%g lambda=%g, want 300/9/0.01/0.01",
+	if info.Trees != 100 || info.MaxDepth != 7 || info.LearningRate != 0.001 || info.Lambda != 1 {
+		t.Errorf("tuned to trees=%d depth=%d rate=%g lambda=%g, want 100/7/0.001/1",
 			info.Trees, info.MaxDepth, info.LearningRate, info.Lambda)
 	}
 }
