@@ -54,7 +54,9 @@ vulncheck:
 	govulncheck ./...
 
 # fuzz-smoke is the randomized pass CI runs over the CSV readers, the
-# surrogate-artifact readers, the evaluator parity differential, the
+# surrogate-artifact readers, the answer and event JSON decoders
+# against their reflection-based reference, the evaluator parity
+# differential, the
 # inference-kernel parity differential (the compiled kernel, the
 # ensemble's only predictor, vs a reference walk of its trees), the
 # living-store append parity differential, the swarm's neighbour-scan
@@ -65,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadCSVDataset' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz 'FuzzReadWorkloadCSV' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz 'FuzzLoadSurrogate' -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz 'FuzzAnswerJSON' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz 'FuzzEvaluatorParity' -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelParity' -fuzztime 10s ./internal/gbt/kernel
 	$(GO) test -run '^$$' -fuzz 'FuzzAppendParity' -fuzztime 10s ./internal/dataset

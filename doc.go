@@ -206,8 +206,14 @@
 // and the server can emit one structured log/slog line per request.
 // Query, TopKQuery, Result, Region and the events all have stable
 // snake_case JSON forms; non-finite floats encode as the strings
-// "NaN", "+Inf" and "-Inf". The surf-serve command is its CLI
-// front-end.
+// "NaN", "+Inf" and "-Inf". Results, regions and events use a
+// hand-written codec rather than reflection: append functions
+// (Result.AppendJSON, AppendEvent) that the server writes answers and
+// SSE frames with, and one single-pass decoder behind the
+// UnmarshalJSON methods and UnmarshalEvent. The decoder accepts a
+// subset of what encoding/json accepted for these types (keys match
+// case-sensitively) and decodes every input it accepts to the same
+// bits. The surf-serve command is its CLI front-end.
 //
 // Package surf/registry scales that server to many datasets: a
 // concurrency-safe catalog of named, versioned engine entries that

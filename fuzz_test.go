@@ -113,3 +113,68 @@ func FuzzLoadSurrogate(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAnswerJSON holds the answer and event decoders to the reference
+// codec in json_test.go. Whatever the new decoder accepts, the
+// reference must accept too, with a bit-identical value; re-encoding
+// that value must give the reference encoder's bytes; and decoding
+// those bytes must give the value back exactly, up to the nil lists
+// that encode as []. The decoder may reject what the reference
+// accepted (keys that match only when case is ignored), never the
+// other way round.
+func FuzzAnswerJSON(f *testing.F) {
+	results, events := encodeRows()
+	for _, res := range results[len(results)-6:] {
+		b, _ := res.MarshalJSON()
+		f.Add(b)
+	}
+	for _, ev := range events[:3] {
+		b, _ := MarshalEvent(ev)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var res Result
+		if err := res.UnmarshalJSON(data); err == nil {
+			var ref refResult
+			if err := ref.UnmarshalJSON(data); err != nil {
+				t.Fatalf("decoder accepts what the reference rejects (%v): %q", err, data)
+			}
+			if g, w := dumpResult(&res), dumpResult((*Result)(&ref)); g != w {
+				t.Fatalf("decodes %q as\n%s\nreference\n%s", data, g, w)
+			}
+			enc, _ := res.MarshalJSON()
+			want, err := refResult(res).MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc, want) {
+				t.Fatalf("encodes %s as\n%s\nreference\n%s", dumpResult(&res), enc, want)
+			}
+			var back Result
+			if err := back.UnmarshalJSON(enc); err != nil || dumpResult(&back) != dumpResult(wireResult(&res)) {
+				t.Fatalf("round trip of %s: %s (%v)", enc, dumpResult(&back), err)
+			}
+		}
+		if ev, err := UnmarshalEvent(data); err == nil {
+			ref, err := refUnmarshalEvent(data)
+			if err != nil {
+				t.Fatalf("event decoder accepts what the reference rejects (%v): %q", err, data)
+			}
+			if g, w := dumpEvent(ev), dumpEvent(ref); g != w {
+				t.Fatalf("decodes event %q as\n%s\nreference\n%s", data, g, w)
+			}
+			enc, _ := MarshalEvent(ev)
+			want, err := refMarshalEvent(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc, want) {
+				t.Fatalf("encodes event %s as\n%s\nreference\n%s", dumpEvent(ev), enc, want)
+			}
+			back, err := UnmarshalEvent(enc)
+			if err != nil || dumpEvent(back) != dumpEvent(wireEvent(ev)) {
+				t.Fatalf("event round trip of %s: %v (%v)", enc, back, err)
+			}
+		}
+	})
+}

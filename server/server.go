@@ -109,6 +109,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	surf "surf"
@@ -351,35 +352,67 @@ func writeError(w http.ResponseWriter, err error) {
 	}})
 }
 
-// writeJSON sends v with the given status, splicing the request ID
-// (from the X-Request-Id header the trace middleware set) into the
-// top-level object. Splicing — rather than wrapping v in a struct —
-// keeps the types with custom MarshalJSON (Result, Region) intact:
-// embedding them would promote their marshaler and silently drop the
-// sibling field.
+// bodyBufs recycles response buffers. A buffer that grew past
+// maxPooledBody (a large findmany answer, say) is left to the
+// collector rather than pinned in the pool.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 64 << 10
+
+// writeJSON sends v with the given status, the request ID (from the
+// X-Request-Id header the trace middleware set) as the first field of
+// the top-level object.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	data, err := json.Marshal(v)
+	bp := bodyBufs.Get().(*[]byte)
+	b, err := appendBody((*bp)[:0], w.Header().Get("X-Request-Id"), v)
 	if err != nil {
 		http.Error(w, `{"error":{"code":"internal","message":"response encoding failed"}}`,
 			http.StatusInternalServerError)
 		return
 	}
-	if id := w.Header().Get("X-Request-Id"); id != "" && len(data) >= 2 && data[0] == '{' {
-		patched := make([]byte, 0, len(data)+len(id)+18)
-		patched = append(patched, '{')
-		patched = append(patched, `"request_id":"`...)
-		patched = append(patched, id...) // IDs are validated [A-Za-z0-9._-], JSON-safe
-		patched = append(patched, '"')
-		if data[1] != '}' {
-			patched = append(patched, ',')
-		}
-		patched = append(patched, data[1:]...)
-		data = patched
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(data)
-	_, _ = w.Write([]byte{'\n'})
+	_, _ = w.Write(b)
+	if cap(b) <= maxPooledBody {
+		*bp = b
+		bodyBufs.Put(bp)
+	}
+}
+
+// appendBody appends v's JSON form and a newline to b, with a leading
+// "request_id" field when id is set. An answer (*surf.Result) is
+// appended straight into b; other bodies go through json.Marshal. The
+// ID is written first and v's opening brace then turned into the
+// separator, rather than wrapping v in a struct: embedding a type with
+// a custom MarshalJSON (Result) would promote its marshaler and
+// silently drop the sibling field.
+func appendBody(b []byte, id string, v any) ([]byte, error) {
+	start := len(b)
+	if id != "" {
+		b = append(b, `{"request_id":"`...)
+		b = append(b, id...) // IDs are validated [A-Za-z0-9._-], JSON-safe
+		b = append(b, '"')
+	}
+	at := len(b)
+	if res, ok := v.(*surf.Result); ok {
+		b = res.AppendJSON(b)
+	} else {
+		data, err := json.Marshal(v)
+		if err != nil {
+			return b, err
+		}
+		b = append(b, data...)
+	}
+	switch {
+	case id == "":
+	case b[at] != '{': // not an object: no field to add
+		b = append(b[:start], b[at:]...)
+	case b[at+1] == '}':
+		b = append(b[:at], '}')
+	default:
+		b[at] = ','
+	}
+	return append(b, '\n'), nil
 }
 
 // decodeBody strictly decodes a JSON request body into v, bounding it
@@ -637,18 +670,13 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, req streamR
 	w.WriteHeader(http.StatusOK)
 	_ = rc.Flush()
 
+	var buf []byte // one SSE frame, reused across events
 	for ev, err := range st.Events() {
 		if err != nil {
 			// The run failed or the client disconnected. If the
 			// connection is still up, surface the failure as a
 			// terminal SSE comment; headers are long gone.
 			fmt.Fprintf(w, ": stream error: %v\n\n", err)
-			_ = rc.Flush()
-			return
-		}
-		payload, merr := surf.MarshalEvent(ev)
-		if merr != nil {
-			fmt.Fprintf(w, ": encode error: %v\n\n", merr)
 			_ = rc.Flush()
 			return
 		}
@@ -659,7 +687,17 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, req streamR
 		case surf.EventDone:
 			name = "done"
 		}
-		if _, werr := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, payload); werr != nil {
+		buf = append(buf[:0], "event: "...)
+		buf = append(buf, name...)
+		buf = append(buf, "\ndata: "...)
+		var merr error
+		if buf, merr = surf.AppendEvent(buf, ev); merr != nil {
+			fmt.Fprintf(w, ": encode error: %v\n\n", merr)
+			_ = rc.Flush()
+			return
+		}
+		buf = append(buf, "\n\n"...)
+		if _, werr := w.Write(buf); werr != nil {
 			return // client gone; st.Events' deferred Close stops the swarm
 		}
 		s.metrics.sseEvents.Inc()

@@ -23,7 +23,7 @@ import (
 // testEngine builds a small clustered dataset and trains a quick
 // surrogate; with train=false the engine can still serve
 // use_true_function queries. opts are the engine's options.
-func testEngine(t *testing.T, train bool, opts ...surf.Option) *surf.Engine {
+func testEngine(t testing.TB, train bool, opts ...surf.Option) *surf.Engine {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(17, 3))
 	n := 1500
@@ -736,5 +736,36 @@ func TestStreamShutdownMidFlight(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("Serve did not return; in-flight stream blocked shutdown")
+	}
+}
+
+// BenchmarkFindHit times a served result-cache hit: one POST /v1/find
+// through Server.Handler() on a ResponseRecorder, covering the
+// middleware, the body decode, acquire, the cache hit and the
+// answer's encode.
+func BenchmarkFindHit(b *testing.B) {
+	eng := testEngine(b, true)
+	h := New(eng).Handler()
+	body, err := json.Marshal(smallQuery)
+	if err != nil {
+		b.Fatal(err)
+	}
+	find := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/find", bytes.NewReader(body)))
+		return rec
+	}
+	if rec := find(); rec.Code != http.StatusOK {
+		b.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	hits := eng.CacheStats().Hits
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		find()
+	}
+	b.StopTimer()
+	if n := eng.CacheStats().Hits - hits; n != uint64(b.N) {
+		b.Fatalf("%d of %d finds hit the cache", n, b.N)
 	}
 }
