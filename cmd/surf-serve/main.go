@@ -40,7 +40,9 @@
 // (dataset CSV, filter columns, statistic, artifact or startup
 // training budget), queries route by their "dataset" field, and the
 // /v1/models admin API registers, hot-swaps and removes entries at
-// runtime. The config's JSON form is
+// runtime. A PUT /v1/models/{name} body is the entry's whole spec: a
+// field it leaves out takes its zero value, not the replaced spec's.
+// The config's JSON form is
 //
 //	{
 //	  "capacity": 4,                // loaded-entry LRU bound, 0 = unbounded

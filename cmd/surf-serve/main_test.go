@@ -450,9 +450,13 @@ func TestServeRegistryEndToEnd(t *testing.T) {
 		t.Fatalf("unknown-dataset find: status %d, want 404", got)
 	}
 
-	// Live hot-swap: PUT carrying only the artifact bumps the version.
-	swap, err := http.NewRequest(http.MethodPut, base+"/v1/models/two",
-		bytes.NewReader([]byte(`{"artifact": `+strconv.Quote(model)+`}`)))
+	// Live hot-swap: PUT carrying the entry's whole spec bumps the
+	// version.
+	spec, err := json.Marshal(cfg.Models[1].Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swap, err := http.NewRequest(http.MethodPut, base+"/v1/models/two", bytes.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func Fig1Convergence(scale Scale) (*Report, error) {
 
 	space := geom.SolutionSpace(ds.Domain(), 0.01, 0.2)
 	p := gsoParamsFor(1, scale, 5)
-	res, err := gso.Run(p, space, obj, gso.Options{RecordHistory: true})
+	res, err := gso.Run(p, space, obj, gso.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -150,7 +150,7 @@ func TestRunSameForEveryWorkerCount(t *testing.T) {
 		t.Fatalf("%d worms are too few for eight scan shards", L)
 	}
 	weight := func(pos []float64) float64 { return math.Exp(-4 * (pos[0] - 0.3) * (pos[0] - 0.3)) }
-	opts := Options{Weight: weight, InvalidWalk: 1, RecordHistory: true}
+	opts := Options{Weight: weight, InvalidWalk: 1}
 	for _, tt := range []struct {
 		name string
 		obj  Objective
@@ -160,7 +160,9 @@ func TestRunSameForEveryWorkerCount(t *testing.T) {
 	} {
 		p := DefaultParams()
 		p.Glowworms, p.MaxIters, p.Workers = L, 20, 1
-		want, err := Run(p, geom.Unit(4), tt.obj, opts)
+		wantOpts := opts
+		wantTrail := recordTrail(&wantOpts)
+		want, err := Run(p, geom.Unit(4), tt.obj, wantOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,11 +170,16 @@ func TestRunSameForEveryWorkerCount(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/workers=%d", tt.name, workers), func(t *testing.T) {
 				pw := p
 				pw.Workers = workers
-				got, err := Run(pw, geom.Unit(4), tt.obj, opts)
+				gotOpts := opts
+				gotTrail := recordTrail(&gotOpts)
+				got, err := Run(pw, geom.Unit(4), tt.obj, gotOpts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if diff := diffResults(got, want); diff != "" {
+					t.Fatal(diff)
+				}
+				if diff := diffTrails(*gotTrail, *wantTrail, L); diff != "" {
 					t.Fatal(diff)
 				}
 				if got.Evaluations != want.Evaluations {

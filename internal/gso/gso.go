@@ -217,9 +217,6 @@ type Result struct {
 	Evaluations int
 	// Trace is per-iteration telemetry.
 	Trace []IterStats
-	// History records each particle's positions over time when
-	// Options.RecordHistory was set (paper Fig. 1's trails).
-	History [][][]float64
 }
 
 // SwarmView is a read-only window onto the optimizer's working state,
@@ -255,8 +252,6 @@ type Options struct {
 	// bit-identical with or without one — but it executes on the
 	// optimizer's goroutine: a slow observer stalls the swarm.
 	Observer func(IterStats, SwarmView)
-	// RecordHistory keeps every particle position per iteration.
-	RecordHistory bool
 	// InvalidWalk makes worms sitting on *invalid* positions with no
 	// brighter neighbour take a uniform random step of
 	// InvalidWalk × s instead of staying stationary. Canonical
@@ -340,9 +335,6 @@ func run(ctx context.Context, p Params, bounds geom.Rect, obj Objective, opts Op
 	}
 
 	res := &Result{}
-	if opts.RecordHistory {
-		res.History = make([][][]float64, L)
-	}
 
 	// wcache[i] is worm i's selection weight, valid at its current
 	// position unless unweighed[i]; toWeigh lists the worms weighed in
@@ -467,11 +459,6 @@ func run(ctx context.Context, p Params, bounds geom.Rect, obj Objective, opts Op
 		res.Trace = append(res.Trace, it)
 		if opts.Observer != nil {
 			opts.Observer(it, SwarmView{Positions: pos, Fitness: fitness, Valid: valid, Luciferin: luc})
-		}
-		if opts.RecordHistory {
-			for i := 0; i < L; i++ {
-				res.History[i] = append(res.History[i], append([]float64(nil), pos[i]...))
-			}
 		}
 		res.Iterations = t + 1
 	}

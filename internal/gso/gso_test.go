@@ -263,25 +263,6 @@ func TestSelectionWeightBias(t *testing.T) {
 	}
 }
 
-func TestHistoryRecording(t *testing.T) {
-	obj := ObjectiveFunc((&peaksObjective{centers: [][]float64{{0.5}}, sigma: 0.2}).fitness)
-	p := DefaultParams()
-	p.Glowworms = 10
-	p.MaxIters = 20
-	res, err := Run(p, geom.Unit(1), obj, Options{RecordHistory: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.History) != 10 {
-		t.Fatalf("history for %d worms, want 10", len(res.History))
-	}
-	for i, h := range res.History {
-		if len(h) != res.Iterations {
-			t.Errorf("worm %d history %d entries for %d iterations", i, len(h), res.Iterations)
-		}
-	}
-}
-
 func TestTraceShape(t *testing.T) {
 	obj := ObjectiveFunc((&peaksObjective{centers: [][]float64{{0.5, 0.5}}, sigma: 0.2}).fitness)
 	p := DefaultParams()

@@ -76,9 +76,6 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 	}
 
 	res := &Result{}
-	if opts.RecordHistory {
-		res.History = make([][][]float64, L)
-	}
 
 	var neighbors []int
 	var weights []float64
@@ -181,11 +178,6 @@ func runReference(ctx context.Context, p Params, bounds geom.Rect, obj Objective
 		res.Trace = append(res.Trace, it)
 		if opts.Observer != nil {
 			opts.Observer(it, SwarmView{Positions: pos, Fitness: fitness, Valid: valid, Luciferin: luc})
-		}
-		if opts.RecordHistory {
-			for i := 0; i < L; i++ {
-				res.History[i] = append(res.History[i], append([]float64(nil), pos[i]...))
-			}
 		}
 		res.Iterations = t + 1
 	}

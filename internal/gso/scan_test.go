@@ -142,11 +142,12 @@ var scanCases = []scanCase{
 
 // TestRankedScanMatchesReference: RunContext with the ranked scan
 // returns exactly the Result of the original all-pairs loop — every
-// position, fitness, validity flag, luciferin level, trace entry and
-// history point, bit for bit — across luciferin ties, ±Inf and NaN
-// luciferin, degenerate radii, pairs on the radius, the invalid walk
-// and zero selection weights, for n = 1…6 and swarms on either side
-// of a 64-worm bitset word.
+// position, fitness, validity flag, luciferin level and trace entry,
+// and every position the observer sees at each iteration, bit for
+// bit — across luciferin ties, ±Inf and NaN luciferin, degenerate
+// radii, pairs on the radius, the invalid walk and zero selection
+// weights, for n = 1…6 and swarms on either side of a 64-worm bitset
+// word.
 func TestRankedScanMatchesReference(t *testing.T) {
 	for _, c := range scanCases {
 		for n := 1; n <= 6; n++ {
@@ -165,20 +166,24 @@ func TestRankedScanMatchesReference(t *testing.T) {
 					if c.opts != nil {
 						opts = c.opts(n, L)
 					}
-					opts.RecordHistory = true
 					var start [][]float64
 					if c.start != nil {
 						start = c.start(n, L)
 					}
-					got, err := run(context.Background(), p, bounds, ObjectiveFunc(c.obj), opts, start)
+					gotOpts, wantOpts := opts, opts
+					gotTrail, wantTrail := recordTrail(&gotOpts), recordTrail(&wantOpts)
+					got, err := run(context.Background(), p, bounds, ObjectiveFunc(c.obj), gotOpts, start)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := runReference(context.Background(), p, bounds, ObjectiveFunc(c.obj), opts, start)
+					want, err := runReference(context.Background(), p, bounds, ObjectiveFunc(c.obj), wantOpts, start)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if diff := diffResults(got, want); diff != "" {
+						t.Fatal(diff)
+					}
+					if diff := diffTrails(*gotTrail, *wantTrail, L); diff != "" {
 						t.Fatal(diff)
 					}
 					if diff := diffEvaluations(got, want); diff != "" {
@@ -227,11 +232,31 @@ func diffResults(got, want *Result) string {
 			return fmt.Sprintf("trace %d = %+v, want %+v", k, g, w)
 		}
 	}
-	for i := range want.History {
-		for k := range want.History[i] {
-			if !sameBits(got.History[i][k], want.History[i][k]) {
-				return fmt.Sprintf("history of worm %d at %d = %v, want %v", i, k, got.History[i][k], want.History[i][k])
-			}
+	return ""
+}
+
+// recordTrail makes opts.Observer append a copy of every worm's
+// position at the end of each iteration, in worm order, to the
+// returned trail.
+func recordTrail(opts *Options) *[][]float64 {
+	var trail [][]float64
+	opts.Observer = func(_ IterStats, v SwarmView) {
+		for _, p := range v.Positions {
+			trail = append(trail, slices.Clone(p))
+		}
+	}
+	return &trail
+}
+
+// diffTrails describes the first bit-level difference between two
+// trails of an L-worm swarm, or returns "".
+func diffTrails(got, want [][]float64, L int) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("trail of %d positions, want %d", len(got), len(want))
+	}
+	for k := range want {
+		if !sameBits(got[k], want[k]) {
+			return fmt.Sprintf("worm %d after iteration %d at %v, want %v", k%L, k/L, got[k], want[k])
 		}
 	}
 	return ""

@@ -25,9 +25,11 @@
 // request that acquired a handle before the swap keeps the engine set
 // it pinned until it releases; a request that acquires after sees the
 // new version, lazily loaded. No request ever observes a torn state,
-// and none is dropped. Fields left zero in a Register spec inherit
-// from the replaced spec, so a PUT carrying only a new artifact path
-// swaps the model of an existing dataset.
+// and none is dropped. The new spec replaces the old one whole: the
+// entry runs exactly what Register was given, so a swap that changes
+// only the artifact still carries the data path, columns and every
+// other field it wants kept. A swap that keeps the data path keeps the
+// entry's appended rows; one that changes it starts a fresh store.
 //
 // # Handles
 //

@@ -182,11 +182,16 @@ func TestAppendParity(t *testing.T) {
 }
 
 // TestAppendedRowsSurviveHotSwap: the living store belongs to the
-// entry, not the engine set, so a model hot swap (Register with a new
-// artifact) reloads the entry at the appended store's latest version
-// rather than rewinding to the CSV.
+// entry, not the engine set, so a model hot swap that keeps the data
+// path reloads the entry at the appended store's latest version rather
+// than rewinding to the CSV. A swap to another data path drops the
+// store, and so does a swap away and back again before any load: the
+// entry then starts fresh from the CSV.
 func TestAppendedRowsSurviveHotSwap(t *testing.T) {
 	fx := newFixture(t, 300)
+	names, cols := testCols(100)
+	otherCSV := fx.csv + ".other.csv"
+	writeCSV(t, otherCSV, names, cols)
 	r := New(0)
 	if _, err := r.Register("d", fx.spec(fx.artifactA)); err != nil {
 		t.Fatal(err)
@@ -195,40 +200,38 @@ func TestAppendedRowsSurviveHotSwap(t *testing.T) {
 	if _, err := r.Append(ctx, "d", appendRows(25, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Register("d", Spec{Artifact: fx.artifactB}); err != nil {
-		t.Fatal(err)
+	// Each step registers its data paths in turn, all with its
+	// artifact, and loads the entry only after the last.
+	steps := []struct {
+		name        string
+		data        []string
+		artifact    string
+		dataVersion uint64
+		rows        int
+	}{
+		{"same data path keeps the appended rows", []string{fx.csv}, fx.artifactB, 2, 325},
+		{"A→B→A with no load between starts fresh", []string{otherCSV, fx.csv}, fx.artifactA, 1, 300},
+		{"a new data path starts fresh", []string{otherCSV}, fx.artifactB, 1, 100},
 	}
-	h, err := r.Acquire(ctx, "d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Release()
-	if h.Version() != 2 {
-		t.Fatalf("entry version = %d, want 2", h.Version())
-	}
-	if got := h.DataVersion(); got != 2 {
-		t.Fatalf("data version after hot swap = %d, want 2 (appends kept)", got)
-	}
-	if got := h.Engine().Rows(); got != 325 {
-		t.Fatalf("rows after hot swap = %d, want 325", got)
-	}
-	// A new data path does rebuild the store from its CSV.
-	names, cols := testCols(100)
-	otherCSV := fx.csv + ".other.csv"
-	writeCSV(t, otherCSV, names, cols)
-	if _, err := r.Register("d", Spec{Data: otherCSV}); err != nil {
-		t.Fatal(err)
-	}
-	h2, err := r.Acquire(ctx, "d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h2.Release()
-	if got := h2.DataVersion(); got != 1 {
-		t.Fatalf("data version after data-path change = %d, want fresh 1", got)
-	}
-	if got := h2.Engine().Rows(); got != 100 {
-		t.Fatalf("rows after data-path change = %d, want 100", got)
+	version := 1
+	for _, st := range steps {
+		for _, data := range st.data {
+			spec := fx.spec(st.artifact)
+			spec.Data = data
+			if _, err := r.Register("d", spec); err != nil {
+				t.Fatalf("%s: %v", st.name, err)
+			}
+			version++
+		}
+		h, err := r.Acquire(ctx, "d")
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if h.Version() != version || h.DataVersion() != st.dataVersion || h.Engine().Rows() != st.rows {
+			t.Fatalf("%s: entry version %d, data version %d, %d rows; want %d, %d, %d",
+				st.name, h.Version(), h.DataVersion(), h.Engine().Rows(), version, st.dataVersion, st.rows)
+		}
+		h.Release()
 	}
 }
 

@@ -61,54 +61,16 @@ type Spec struct {
 	// auto-retrain (drift is still scored when DriftReservoir > 0).
 	DriftThreshold float64 `json:"drift_threshold,omitempty"`
 	// DriftReservoir sizes the replay reservoir (0 = default 64 when
-	// monitoring is on, -1 = disable drift monitoring entirely).
-	// Monitoring is on when this is positive or DriftThreshold is set.
+	// monitoring is on). Monitoring is on when this or DriftThreshold
+	// is positive.
 	DriftReservoir int `json:"drift_reservoir,omitempty"`
 }
 
 // driftEnabled reports whether the spec asks for drift monitoring:
 // explicitly via a positive reservoir, or implicitly via a retrain
-// threshold (validate rejects a threshold with monitoring disabled).
+// threshold.
 func (s Spec) driftEnabled() bool {
-	return s.DriftReservoir > 0 || (s.DriftThreshold > 0 && s.DriftReservoir != -1)
-}
-
-// merge fills s's zero fields from prev — the hot-swap inheritance
-// rule: a Register carrying only the changed fields (typically just a
-// new artifact path) keeps the rest of the running spec. Artifact and
-// Train are the one mutually exclusive pair, so setting either one
-// explicitly drops the other's inherited value; likewise an explicit
-// DriftReservoir of -1 turns drift monitoring off and so drops the
-// inherited DriftThreshold.
-func (s Spec) merge(prev Spec) Spec {
-	if s.Data == "" {
-		s.Data = prev.Data
-	}
-	if s.FilterColumns == nil {
-		s.FilterColumns = prev.FilterColumns
-	}
-	if s.Statistic == "" {
-		s.Statistic = prev.Statistic
-	}
-	if s.TargetColumn == "" {
-		s.TargetColumn = prev.TargetColumn
-	}
-	if !s.UseGridIndex {
-		s.UseGridIndex = prev.UseGridIndex
-	}
-	if s.DriftThreshold == 0 && s.DriftReservoir != -1 {
-		s.DriftThreshold = prev.DriftThreshold
-	}
-	if s.DriftReservoir == 0 {
-		s.DriftReservoir = prev.DriftReservoir
-	}
-	switch {
-	case s.Artifact != "" || s.Train > 0:
-		// Explicit model source; inherit neither.
-	default:
-		s.Artifact, s.Train, s.TrainSeed = prev.Artifact, prev.Train, prev.TrainSeed
-	}
-	return s
+	return s.DriftReservoir > 0 || s.DriftThreshold > 0
 }
 
 // validate rejects specs that can never load, checking the cheap
@@ -129,10 +91,8 @@ func (s Spec) validate() error {
 		return fmt.Errorf("%w: artifact and train are mutually exclusive", ErrBadSpec)
 	case math.IsNaN(s.DriftThreshold) || math.IsInf(s.DriftThreshold, 0) || s.DriftThreshold < 0:
 		return fmt.Errorf("%w: drift threshold %g", ErrBadSpec, s.DriftThreshold)
-	case s.DriftReservoir < -1:
+	case s.DriftReservoir < 0:
 		return fmt.Errorf("%w: drift reservoir %d", ErrBadSpec, s.DriftReservoir)
-	case s.DriftThreshold > 0 && s.DriftReservoir == -1:
-		return fmt.Errorf("%w: drift threshold set with drift monitoring disabled", ErrBadSpec)
 	case s.driftEnabled() && s.Artifact == "" && s.Train == 0:
 		return fmt.Errorf("%w: drift monitoring needs a surrogate (artifact or train)", ErrBadSpec)
 	}
@@ -208,13 +168,12 @@ type entry struct {
 	inflight int
 	lruEl    *list.Element
 	// store is the entry's living dataset: it outlives engine-set swaps
-	// and evictions, so appended rows survive a hot swap or a reload,
-	// and is rebuilt only when the spec's data path changes (storeData
-	// remembers the path it was seeded from). Guarded by the registry
-	// mutex like every other entry field; the Store itself is
+	// and evictions, so appended rows survive a hot swap or a reload.
+	// Register drops it when the spec's data path changes, so the next
+	// load seeds a fresh store from the new CSV. Guarded by the
+	// registry mutex like every other entry field; the Store itself is
 	// concurrency-safe.
-	store     *surf.Store
-	storeData string
+	store *surf.Store
 	// appendMu serializes Append's store-commit → engine-swap → drift
 	// sequence per entry, off the registry mutex so appends never block
 	// Acquire. Queries need no lock: engines swap data snapshots
@@ -268,24 +227,22 @@ func New(capacity int) *Registry {
 }
 
 // Register records (or, for an existing name, replaces) the spec for a
-// dataset name and returns the entry's new version, starting at 1.
-// Zero-valued fields of a replacement spec inherit from the replaced
-// one, so a spec carrying only a new artifact path hot-swaps the model
-// of a running entry. The swap is atomic: the loaded engine set (if
-// any) is detached under the registry lock, requests holding a handle
-// finish against the set they pinned, and the next request loads the
-// new spec lazily. Invalid specs — including an artifact whose
-// declared statistic or filter columns contradict the spec — are
-// rejected without touching the entry.
+// dataset name and returns the entry's new version, starting at 1. The
+// entry runs exactly the spec given: a replacement must carry every
+// field it wants, and a field left zero means its zero value, not the
+// replaced spec's. A replacement that reads the same data path keeps
+// the entry's living store, appended rows included; a different path
+// drops it, so the next load starts fresh from that CSV. The swap is
+// atomic: the loaded engine set (if any) is detached under the
+// registry lock, requests holding a handle finish against the set they
+// pinned, and the next request loads the new spec lazily. Invalid
+// specs — including an artifact whose declared statistic or filter
+// columns contradict the spec — are rejected without touching the
+// entry.
 func (r *Registry) Register(name string, spec Spec) (version int, err error) {
 	if name == "" {
 		return 0, fmt.Errorf("%w: empty dataset name", ErrBadSpec)
 	}
-	r.mu.Lock()
-	if prev, ok := r.entries[name]; ok {
-		spec = spec.merge(prev.spec)
-	}
-	r.mu.Unlock()
 	// Validation does file I/O; keep it outside the lock. A concurrent
 	// Register for the same name races benignly: both validate, last
 	// write wins, exactly as two sequential PUTs would.
@@ -298,6 +255,9 @@ func (r *Registry) Register(name string, spec Spec) (version int, err error) {
 	if !ok {
 		e = &entry{name: name}
 		r.entries[name] = e
+	}
+	if e.spec.Data != spec.Data {
+		e.store = nil
 	}
 	e.spec = spec
 	e.version++
@@ -419,25 +379,14 @@ func (r *Registry) Acquire(ctx context.Context, name string) (*Handle, error) {
 // startLoadLocked launches the load of a cold or evicted entry, which
 // Acquire's waiters and Warm share: it marks the entry loading (and
 // training, when the spec trains at startup) and hands the load the
-// current spec, version and reusable store. The load goroutine takes
-// the registry mutex only when it completes.
+// current spec, version and living store (nil until the first load, or
+// after Register changed the data path). The load goroutine takes the
+// registry mutex only when it completes.
 func (r *Registry) startLoadLocked(e *entry) {
 	ch := make(chan struct{})
 	e.loading = ch
 	e.training = e.spec.Train > 0
-	go r.load(e.name, e.spec, e.version, e.reusableStoreLocked(), ch)
-}
-
-// reusableStoreLocked returns the entry's living store when the
-// current spec still reads the same data path — a reload then serves
-// the store's latest version, appended rows included — and nil when
-// the data source changed, so the load seeds a fresh store from the
-// new CSV.
-func (e *entry) reusableStoreLocked() *surf.Store {
-	if e.store != nil && e.storeData == e.spec.Data {
-		return e.store
-	}
-	return nil
+	go r.load(e.name, e.spec, e.version, e.store, ch)
 }
 
 // load materializes an engine set for spec and installs it, unless a
@@ -473,7 +422,6 @@ func (r *Registry) load(name string, spec Spec, version int, store *surf.Store, 
 	// candidate. The first Acquire to pin it evicts on its behalf.
 	e.set = set
 	e.store = set.store
-	e.storeData = spec.Data
 	e.evicted = false
 	e.lruEl = r.lru.PushFront(e)
 }
@@ -541,23 +489,24 @@ type ModelStatus struct {
 }
 
 // DriftStatus is the externally visible state of one entry's drift
-// monitor.
+// monitor. Its JSON form is the "drift" object of the /v1/models and
+// /healthz entries and of the append response.
 type DriftStatus struct {
 	// Score is the surrogate's normalized residual over the replayed
 	// reservoir as of the last check (0 until Checked).
-	Score float64
+	Score float64 `json:"score"`
 	// Threshold is the spec's auto-retrain trigger (0 = score only).
-	Threshold float64
+	Threshold float64 `json:"threshold,omitempty"`
 	// Samples is the reservoir size being replayed.
-	Samples int
+	Samples int `json:"samples"`
 	// Checked reports whether any drift evaluation has run yet.
-	Checked bool
+	Checked bool `json:"checked"`
 	// Retraining is true while a drift-triggered retrain is in flight;
 	// Retrains counts completed ones for this engine set.
-	Retraining bool
-	Retrains   uint64
+	Retraining bool   `json:"retraining,omitempty"`
+	Retrains   uint64 `json:"retrains,omitempty"`
 	// LastError is the most recent retrain failure, if any.
-	LastError string
+	LastError string `json:"last_error,omitempty"`
 }
 
 // List reports every entry's status, sorted by name.

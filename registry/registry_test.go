@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -232,50 +233,81 @@ func TestLazyLoadAndStates(t *testing.T) {
 	}
 }
 
-// TestSpecInheritanceOnSwap applies its rows in order, each a PUT
-// against the spec the rows before it left running.
-func TestSpecInheritanceOnSwap(t *testing.T) {
+// TestSwapReplacesWholeSpec: a Register on a running entry replaces
+// its spec whole. A field the swap leaves zero takes its zero value,
+// not the running spec's; a swap that is not a whole spec is rejected
+// and leaves the entry as it was.
+func TestSwapReplacesWholeSpec(t *testing.T) {
 	fx := newFixture(t, 300)
-	r := New(0)
-	spec := fx.spec(fx.artifactA)
-	spec.UseGridIndex = true
-	spec.DriftThreshold = 0.05
-	if _, err := r.Register("d", spec); err != nil {
-		t.Fatal(err)
-	}
-	// version is the entry's version the swap answers; 0 means the
-	// swap is rejected with ErrBadSpec and the running spec stays.
-	steps := []struct {
-		name    string
-		swap    Spec
-		version int
-		want    func(Spec) bool
+	running := fx.spec(fx.artifactA)
+	running.UseGridIndex = true
+	running.DriftThreshold = 0.05
+	running.DriftReservoir = 16
+	cleared := running
+	cleared.UseGridIndex = false
+	cleared.DriftThreshold = 0
+	tests := []struct {
+		name string
+		// swap builds the swapped-in spec from the registry's status
+		// of the running entry.
+		swap    func(ModelStatus) Spec
+		wantErr bool
+		// drift is the loaded entry's drift status after a swap that
+		// succeeds: nil means monitoring is off.
+		drift *DriftStatus
 	}{
-		{"artifact only inherits the rest", Spec{Artifact: fx.artifactB}, 2, func(s Spec) bool {
-			return s.Data == fx.csv && s.Statistic == "count" && s.Artifact == fx.artifactB && s.UseGridIndex && s.DriftThreshold == 0.05
-		}},
-		{"train drops the inherited artifact", Spec{Train: 50}, 3, func(s Spec) bool {
-			return s.Artifact == "" && s.Train == 50 && s.DriftThreshold == 0.05
-		}},
-		{"threshold with monitoring off stays rejected", Spec{DriftThreshold: 0.1, DriftReservoir: -1}, 0, func(s Spec) bool {
-			return s.DriftThreshold == 0.05 && s.DriftReservoir == 0
-		}},
-		{"reservoir -1 drops the inherited threshold", Spec{DriftReservoir: -1}, 4, func(s Spec) bool {
-			return s.DriftThreshold == 0 && s.DriftReservoir == -1 && s.Train == 50 && !s.driftEnabled()
-		}},
+		{"swap clears the grid index and the threshold",
+			func(ModelStatus) Spec { return cleared }, false,
+			&DriftStatus{Samples: 16}},
+		{"leaving out both drift fields turns monitoring off",
+			func(ModelStatus) Spec { return fx.spec(fx.artifactB) }, false, nil},
+		{"an artifact alone is rejected",
+			func(ModelStatus) Spec { return Spec{Artifact: fx.artifactB} }, true, nil},
+		{"a negative reservoir is rejected",
+			func(ModelStatus) Spec {
+				bad := running
+				bad.DriftReservoir = -1
+				return bad
+			}, true, nil},
+		{"the running spec registers back unchanged",
+			func(st ModelStatus) Spec { return st.Spec }, false,
+			&DriftStatus{Threshold: 0.05, Samples: 16}},
 	}
-	for _, st := range steps {
-		v, err := r.Register("d", st.swap)
-		if st.version == 0 && !errors.Is(err, ErrBadSpec) {
-			t.Fatalf("%s: register error = %v, want ErrBadSpec", st.name, err)
-		}
-		if st.version != 0 && (err != nil || v != st.version) {
-			t.Fatalf("%s: register = version %d, %v; want version %d", st.name, v, err, st.version)
-		}
-		status, _ := r.Status("d")
-		if !st.want(status.Spec) {
-			t.Fatalf("%s: spec after swap = %+v", st.name, status.Spec)
-		}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			r := New(0)
+			if _, err := r.Register("d", running); err != nil {
+				t.Fatal(err)
+			}
+			before, _ := r.Status("d")
+			swap := tt.swap(before)
+			v, err := r.Register("d", swap)
+			after, _ := r.Status("d")
+			if tt.wantErr {
+				if !errors.Is(err, ErrBadSpec) {
+					t.Fatalf("register error = %v, want ErrBadSpec", err)
+				}
+				if after.Version != 1 || !reflect.DeepEqual(after.Spec, running) {
+					t.Fatalf("rejected swap changed the entry: version %d, spec %+v", after.Version, after.Spec)
+				}
+				return
+			}
+			if err != nil || v != 2 {
+				t.Fatalf("register = version %d, %v; want version 2", v, err)
+			}
+			if !reflect.DeepEqual(after.Spec, swap) {
+				t.Fatalf("running spec = %+v, want exactly %+v", after.Spec, swap)
+			}
+			h, err := r.Acquire(context.Background(), "d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Release()
+			loaded, _ := r.Status("d")
+			if !reflect.DeepEqual(loaded.Drift, tt.drift) {
+				t.Fatalf("loaded drift status = %+v, want %+v", loaded.Drift, tt.drift)
+			}
+		})
 	}
 }
 
@@ -425,7 +457,7 @@ func TestHotSwapConsistency(t *testing.T) {
 		}(w)
 	}
 	<-swap
-	if _, err := r.Register("d", Spec{Artifact: fx.artifactB}); err != nil {
+	if _, err := r.Register("d", fx.spec(fx.artifactB)); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

@@ -173,6 +173,37 @@ func TestDatasetAppendDrift(t *testing.T) {
 	}
 }
 
+// TestDriftWireForm pins the "drift" object that /v1/models, /healthz
+// (both through modelBody) and the append response write, byte for
+// byte: keys, their order and which ones are omitted when zero.
+func TestDriftWireForm(t *testing.T) {
+	for _, tc := range []struct {
+		drift registry.DriftStatus
+		want  string
+	}{
+		{registry.DriftStatus{Score: 0.25, Threshold: 0.2, Samples: 64, Checked: true, Retraining: true, Retrains: 3, LastError: "retrain failed"},
+			`{"score":0.25,"threshold":0.2,"samples":64,"checked":true,"retraining":true,"retrains":3,"last_error":"retrain failed"}`},
+		{registry.DriftStatus{Samples: 16}, `{"score":0,"samples":16,"checked":false}`},
+	} {
+		for _, body := range []any{
+			modelBody{Drift: &tc.drift},
+			appendResponse{Drift: &tc.drift},
+		} {
+			data, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(data, &fields); err != nil {
+				t.Fatal(err)
+			}
+			if got := string(fields["drift"]); got != tc.want {
+				t.Errorf("%T drift = %s, want %s", body, got, tc.want)
+			}
+		}
+	}
+}
+
 // lockedBuffer serializes the access logger's writes against the
 // test's reads.
 type lockedBuffer struct {

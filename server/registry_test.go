@@ -299,8 +299,8 @@ func TestModelsCRUD(t *testing.T) {
 	}
 	wantStatus(t, resp, http.StatusNotFound, "unknown_dataset")
 
-	// Register a new entry, then hot-swap beta's artifact: carrying only
-	// the changed field inherits the rest of the running spec.
+	// Register a new entry, then hot-swap beta's artifact: the PUT
+	// carries beta's whole spec with the new artifact path.
 	var putRes struct {
 		Name    string `json:"name"`
 		Version int    `json:"version"`
@@ -310,7 +310,7 @@ func TestModelsCRUD(t *testing.T) {
 	if putRes.Version != 1 {
 		t.Fatalf("new model version %d, want 1", putRes.Version)
 	}
-	resp = putJSON(t, ts.URL+"/v1/models/beta", map[string]any{"artifact": fx.artifactB})
+	resp = putJSON(t, ts.URL+"/v1/models/beta", fx.spec(fx.artifactB))
 	decodeResponse(t, resp, &putRes)
 	if putRes.Version != 2 {
 		t.Fatalf("swapped model version %d, want 2", putRes.Version)
@@ -325,10 +325,14 @@ func TestModelsCRUD(t *testing.T) {
 		t.Fatalf("beta after swap: version %d info %+v", m.Version, m.SurrogateInfo)
 	}
 
-	// Validation failures: an incoherent spec or a field Spec does not
-	// have is a 400, an artifact contradicting the spec's statistic or
-	// failing its checksum a 422, an oversized body a 413, and none
-	// touches the entry.
+	// Validation failures: an incoherent spec, a partial spec or a
+	// field Spec does not have is a 400, an artifact contradicting the
+	// spec's statistic or failing its checksum a 422, an oversized body
+	// a 413, and none touches the entry.
+	whole, err := json.Marshal(fx.spec(fx.artifactB))
+	if err != nil {
+		t.Fatal(err)
+	}
 	art, err := os.ReadFile(fx.artifactA)
 	if err != nil {
 		t.Fatal(err)
@@ -350,12 +354,15 @@ func TestModelsCRUD(t *testing.T) {
 			"statistic": "sum", "target_column": "x", "artifact": fx.artifactA,
 		}, http.StatusUnprocessableEntity, "bad_artifact"},
 		{"corrupted artifact", "delta", fx.spec(corrupt), http.StatusUnprocessableEntity, "bad_artifact"},
+		// A swap is a whole spec: nothing is inherited from the running
+		// one, so an artifact alone names no dataset.
+		{"artifact alone", "beta", map[string]any{"artifact": fx.artifactB}, http.StatusBadRequest, "bad_spec"},
 		{"unknown field", "beta", map[string]any{"shards": 2}, http.StatusBadRequest, "bad_spec"},
 		{"removed kernel field", "beta", map[string]any{"kernel": "scalar"}, http.StatusBadRequest, "bad_spec"},
 		{"removed retrain field", "beta", map[string]any{"artifact": fx.artifactB, "retrain_queries": 24},
 			http.StatusBadRequest, "bad_spec"},
 		// Valid on its own, so only the trailing value can refuse it.
-		{"trailing JSON value", "beta", []byte(fmt.Sprintf(`{"artifact": %q}{"kernel": "scalar"}`, fx.artifactB)),
+		{"trailing JSON value", "beta", append(whole, `{"kernel": "scalar"}`...),
 			http.StatusBadRequest, "bad_spec"},
 		{"oversized body", "beta", map[string]any{"data": strings.Repeat("x", maxBodyBytes)},
 			http.StatusRequestEntityTooLarge, "body_too_large"},
@@ -509,7 +516,7 @@ func TestHotSwapUnderHTTPLoad(t *testing.T) {
 	}
 	close(start)
 	for _, artifact := range []string{fx.artifactB, fx.artifactA} {
-		resp := putJSON(t, ts.URL+"/v1/models/alpha", map[string]any{"artifact": artifact})
+		resp := putJSON(t, ts.URL+"/v1/models/alpha", fx.spec(artifact))
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {

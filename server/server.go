@@ -747,34 +747,7 @@ type modelBody struct {
 	DataVersion uint64 `json:"data_version,omitempty"`
 	// Drift is the entry's drift-monitor status (omitted unless the
 	// spec enables monitoring).
-	Drift *driftBody `json:"drift,omitempty"`
-}
-
-// driftBody is the wire form of a drift monitor's status, shared by
-// the /v1/models bodies and the append response.
-type driftBody struct {
-	// Score is the last replayed drift score (normalized residual
-	// error); meaningful only once Checked is true.
-	Score     float64 `json:"score"`
-	Threshold float64 `json:"threshold,omitempty"`
-	// Samples is the size of the replay reservoir.
-	Samples    int    `json:"samples"`
-	Checked    bool   `json:"checked"`
-	Retraining bool   `json:"retraining,omitempty"`
-	Retrains   uint64 `json:"retrains,omitempty"`
-	LastError  string `json:"last_error,omitempty"`
-}
-
-func driftBodyFor(d *registry.DriftStatus) *driftBody {
-	return &driftBody{
-		Score:      d.Score,
-		Threshold:  d.Threshold,
-		Samples:    d.Samples,
-		Checked:    d.Checked,
-		Retraining: d.Retraining,
-		Retrains:   d.Retrains,
-		LastError:  d.LastError,
-	}
+	Drift *registry.DriftStatus `json:"drift,omitempty"`
 }
 
 // surrogateInfoBody is the surrogate_info object of a /v1/models
@@ -799,14 +772,12 @@ func modelBodyFor(st registry.ModelStatus) modelBody {
 		Error:       st.Err,
 		InFlight:    st.InFlight,
 		LoadSeconds: st.LoadSeconds,
+		DataVersion: st.DataVersion,
+		Drift:       st.Drift,
 	}
 	if st.State == "ready" {
 		cache := st.Cache
 		b.Cache = &cache
-	}
-	b.DataVersion = st.DataVersion
-	if st.Drift != nil {
-		b.Drift = driftBodyFor(st.Drift)
 	}
 	if st.Info != nil {
 		b.SurrogateInfo = &surrogateInfoBody{
@@ -852,10 +823,10 @@ func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleModelPut registers a dataset or hot-swaps an existing one: the
-// body is a registry.Spec, zero-valued fields inherit from the
-// replaced spec, and the swap is atomic — in-flight queries finish
-// against the engine set they pinned while the next request loads the
-// new version.
+// body is the whole registry.Spec the entry will run (a field left out
+// takes its zero value, not the replaced spec's), and the swap is
+// atomic — in-flight queries finish against the engine set they pinned
+// while the next request loads the new version.
 func (s *Server) handleModelPut(w http.ResponseWriter, r *http.Request) {
 	if s.reg == nil {
 		writeError(w, errNoRegistry)
@@ -907,12 +878,12 @@ type appendRequest struct {
 // that monitor drift — the post-append drift status and whether it
 // started a background retrain.
 type appendResponse struct {
-	Name           string     `json:"name"`
-	DataVersion    uint64     `json:"data_version"`
-	Rows           int        `json:"rows"`
-	Appended       int        `json:"appended"`
-	Drift          *driftBody `json:"drift,omitempty"`
-	RetrainStarted bool       `json:"retrain_started,omitempty"`
+	Name           string                `json:"name"`
+	DataVersion    uint64                `json:"data_version"`
+	Rows           int                   `json:"rows"`
+	Appended       int                   `json:"appended"`
+	Drift          *registry.DriftStatus `json:"drift,omitempty"`
+	RetrainStarted bool                  `json:"retrain_started,omitempty"`
 }
 
 // handleDatasetAppend commits rows to a registry entry's living store
@@ -943,11 +914,11 @@ func (s *Server) handleDatasetAppend(w http.ResponseWriter, r *http.Request) {
 		DataVersion:    res.Version,
 		Rows:           res.Rows,
 		Appended:       res.Appended,
+		Drift:          res.Drift,
 		RetrainStarted: res.RetrainStarted,
 	}
 	if res.Drift != nil {
 		noteDriftScore(w, res.Drift.Score)
-		body.Drift = driftBodyFor(res.Drift)
 	}
 	writeJSON(w, http.StatusOK, body)
 }
