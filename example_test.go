@@ -1,49 +1,11 @@
 package surf_test
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	surf "surf"
 )
-
-// ExampleEngine_Stream mines a region query progressively: incumbent
-// regions print the moment their swarm cluster stabilizes, and the
-// final ranked result arrives as EventDone — identical to what the
-// blocking Find call would have returned.
-func ExampleEngine_Stream() {
-	// A tiny dataset with a dense spot around (0.5, 0.5).
-	var xs, ys []float64
-	for i := 0; i < 400; i++ {
-		xs = append(xs, float64(i%20)/20)
-		ys = append(ys, float64(i/20)/20)
-	}
-	for i := 0; i < 200; i++ {
-		xs = append(xs, 0.5+float64(i%5)/100)
-		ys = append(ys, 0.5+float64(i/5)/400)
-	}
-	ds, _ := surf.NewDataset([]string{"x", "y"}, [][]float64{xs, ys})
-	eng, _ := surf.Open(ds, surf.Config{FilterColumns: []string{"x", "y"}, Statistic: surf.Count})
-
-	wl, _ := eng.GenerateWorkload(500, 1)
-	_ = eng.TrainSurrogate(wl)
-
-	st, _ := eng.Stream(context.Background(), surf.Query{Threshold: 40, Above: true, Seed: 1})
-	for ev, err := range st.Events() {
-		if err != nil {
-			fmt.Println("stream failed:", err)
-			return
-		}
-		switch ev := ev.(type) {
-		case surf.EventRegion:
-			fmt.Printf("incumbent at iteration %d: [%.2f %.2f]–[%.2f %.2f]\n",
-				ev.Iteration, ev.Region.Min[0], ev.Region.Min[1], ev.Region.Max[0], ev.Region.Max[1])
-		case surf.EventDone:
-			fmt.Println("final regions:", len(ev.Result.Regions))
-		}
-	}
-}
 
 // ExampleCustomStatistic registers a user-defined statistic — the
 // spread of the third column — and mines with it exactly as with the

@@ -341,7 +341,7 @@ func TestSurrogateContinueTrainingRecompiles(t *testing.T) {
 	before := make([]float64, len(rows))
 	s.PredictBatch(rows, before)
 
-	fresh, err := s.ContinueTraining(20, log)
+	fresh, err := s.ContinueTrainingContext(context.Background(), 20, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestSurrogateContinueTrainingRecompiles(t *testing.T) {
 			t.Fatalf("row %d: original surrogate changed %v -> %v", i, before[i], after[i])
 		}
 	}
-	if _, err := s.ContinueTraining(5, nil); err == nil {
+	if _, err := s.ContinueTrainingContext(context.Background(), 5, nil); err == nil {
 		t.Error("expected error for empty continuation log")
 	}
 }

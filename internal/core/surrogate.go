@@ -77,26 +77,20 @@ func (s *Surrogate) Dims() int { return s.dims }
 
 // Model exposes the underlying ensemble for inspection (importance,
 // eval history, persistence). Mutating it — e.g. calling the model's
-// ContinueTraining directly — does NOT refresh the surrogate's
-// compiled inference snapshot; use Surrogate.ContinueTraining, which
-// returns a fresh surrogate, for incremental training instead.
+// ContinueTrainingContext directly — does NOT refresh the surrogate's
+// compiled inference snapshot; use Surrogate.ContinueTrainingContext,
+// which returns a fresh surrogate, for incremental training instead.
 func (s *Surrogate) Model() *gbt.Model { return s.model }
 
-// ContinueTraining returns a new surrogate whose ensemble has been
-// boosted extra rounds on fresh region evaluations (the paper's
+// ContinueTrainingContext returns a new surrogate whose ensemble has
+// been boosted extra rounds on fresh region evaluations (the paper's
 // Section V-D "keep the model fresh as more queries arrive"
 // deployment), with a freshly compiled inference snapshot. The
 // receiver is left untouched — surrogates stay immutable — so the
 // result can be swapped in atomically (as the engine does) while
-// queries keep running against the old snapshot.
-func (s *Surrogate) ContinueTraining(extra int, log dataset.QueryLog) (*Surrogate, error) {
-	return s.ContinueTrainingContext(context.Background(), extra, log)
-}
-
-// ContinueTrainingContext is ContinueTraining with cancellation,
+// queries keep running against the old snapshot. Cancellation is
 // observed within one extra boosting round; a cancelled call returns
-// ctx.Err() and no new surrogate (the receiver, as ever, is
-// untouched).
+// ctx.Err() and no new surrogate.
 func (s *Surrogate) ContinueTrainingContext(ctx context.Context, extra int, log dataset.QueryLog) (*Surrogate, error) {
 	if len(log) == 0 {
 		return nil, ErrEmptyLog

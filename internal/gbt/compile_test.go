@@ -1,6 +1,7 @@
 package gbt
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -139,11 +140,11 @@ func TestCompileSnapshotIndependence(t *testing.T) {
 	c := m.Compile()
 	probe := []float64{0.4, -0.2}
 	before := c.Predict1(probe)
-	if err := m.ContinueTraining(10, X, y); err != nil {
+	if err := m.ContinueTrainingContext(context.Background(), 10, X, y); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Predict1(probe); got != before {
-		t.Errorf("snapshot changed after ContinueTraining: %v -> %v", before, got)
+		t.Errorf("snapshot changed after ContinueTrainingContext: %v -> %v", before, got)
 	}
 	if walk(m, probe) == before {
 		t.Log("continued model happened to predict the same value; snapshot check still valid")

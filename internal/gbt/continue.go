@@ -20,23 +20,17 @@ func (m *Model) Clone() *Model {
 	}
 }
 
-// ContinueTraining boosts extra rounds on top of an already-trained
-// ensemble using (possibly new) data, supporting the paper's
-// deployment where a surrogate is trained once and then kept fresh as
-// more region evaluations arrive (Section V-D) without a full
+// ContinueTrainingContext boosts extra rounds on top of an
+// already-trained ensemble using (possibly new) data, supporting the
+// paper's deployment where a surrogate is trained once and then kept
+// fresh as more region evaluations arrive (Section V-D) without a full
 // retrain. The new trees fit the residuals of the current ensemble on
-// the provided data; features are re-binned from the new matrix. It is
-// exactly ContinueTrainingContext(context.Background(), ...).
-func (m *Model) ContinueTraining(extra int, X [][]float64, y []float64) error {
-	return m.ContinueTrainingContext(context.Background(), extra, X, y)
-}
-
-// ContinueTrainingContext is ContinueTraining with cancellation and
-// parallelism (see TrainContext): the context is checked before every
-// extra round, and Params.Workers governs the goroutines used. The
-// new trees are committed only when every requested round completes —
-// a cancelled call returns ctx.Err() within one round and leaves the
-// model exactly as it was.
+// the provided data; features are re-binned from the new matrix.
+// Cancellation and parallelism follow TrainContext: the context is
+// checked before every extra round, and Params.Workers governs the
+// goroutines used. The new trees are committed only when every
+// requested round completes — a cancelled call returns ctx.Err()
+// within one round and leaves the model exactly as it was.
 func (m *Model) ContinueTrainingContext(ctx context.Context, extra int, X [][]float64, y []float64) error {
 	if len(m.trees) == 0 && m.nfeat == 0 {
 		return ErrNotTrained

@@ -2,6 +2,7 @@ package gbt
 
 import (
 	"bytes"
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestContinueTrainingImprovesFit(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, _ := stats.RMSE(walkAll(m, X), y)
-	if err := m.ContinueTraining(80, X, y); err != nil {
+	if err := m.ContinueTrainingContext(context.Background(), 80, X, y); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := stats.RMSE(walkAll(m, X), y)
@@ -47,7 +48,7 @@ func TestContinueTrainingOnNewData(t *testing.T) {
 		y2[i] = 3*x0 - 2*x1 + x0*x1 + 5 // constant shift
 	}
 	before, _ := stats.RMSE(walkAll(m, X2), y2)
-	if err := m.ContinueTraining(60, X2, y2); err != nil {
+	if err := m.ContinueTrainingContext(context.Background(), 60, X2, y2); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := stats.RMSE(walkAll(m, X2), y2)
@@ -60,20 +61,20 @@ func TestContinueTrainingValidation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 1))
 	X, y := synthRegression(rng, 200)
 	m, _ := Train(DefaultParams(), X, y)
-	if err := m.ContinueTraining(0, X, y); err == nil {
+	if err := m.ContinueTrainingContext(context.Background(), 0, X, y); err == nil {
 		t.Error("expected error for zero extra rounds")
 	}
-	if err := m.ContinueTraining(5, nil, nil); err == nil {
+	if err := m.ContinueTrainingContext(context.Background(), 5, nil, nil); err == nil {
 		t.Error("expected error for empty continuation set")
 	}
-	if err := m.ContinueTraining(5, X, y[:10]); err == nil {
+	if err := m.ContinueTrainingContext(context.Background(), 5, X, y[:10]); err == nil {
 		t.Error("expected error for label mismatch")
 	}
-	if err := m.ContinueTraining(5, [][]float64{{1}}, []float64{1}); err == nil {
+	if err := m.ContinueTrainingContext(context.Background(), 5, [][]float64{{1}}, []float64{1}); err == nil {
 		t.Error("expected error for feature-width mismatch")
 	}
 	var empty Model
-	if err := empty.ContinueTraining(5, X, y); err != ErrNotTrained {
+	if err := empty.ContinueTrainingContext(context.Background(), 5, X, y); err != ErrNotTrained {
 		t.Errorf("want ErrNotTrained, got %v", err)
 	}
 }
@@ -84,7 +85,7 @@ func TestContinueTrainingSurvivesSaveLoad(t *testing.T) {
 	p := DefaultParams()
 	p.NumTrees = 30
 	m, _ := Train(p, X, y)
-	if err := m.ContinueTraining(30, X, y); err != nil {
+	if err := m.ContinueTrainingContext(context.Background(), 30, X, y); err != nil {
 		t.Fatal(err)
 	}
 	probe := []float64{0.4, 0.6}
