@@ -15,6 +15,8 @@ package surf
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
+	"sync"
 	"testing"
 
 	"surf/internal/core"
@@ -234,21 +236,26 @@ func BenchmarkEndToEndFind(b *testing.B) {
 	}
 }
 
-// BenchmarkFindKDE measures one use_kde find (L = 50, T = 10, verified)
-// on the benchmark's 1.36M-row density dataset, with a surrogate
-// trained as cmd/surf-perf's find-kde workload trains it. "shared"
-// runs on a data version whose prior an earlier query fitted, as every
-// use_kde query after the first does; "fresh-version" swaps in a new
-// data version (untimed) before each find, so each find pays the fit.
-func BenchmarkFindKDE(b *testing.B) {
+// densityData is the benchmark's 1.36M-row density dataset, cmd/surf-perf's:
+// three planted dense regions over 1M uniform rows in 2-D. It is
+// generated once per test binary; datasets are immutable.
+var densityData = sync.OnceValue(func() *Dataset {
 	gen := synth.MustGenerate(synth.Config{
 		Dims: 2, Regions: 3, Stat: synth.Density, N: 1_000_000, BoostPerRegion: 120_000, Seed: 1,
 	})
 	ds, err := NewDataset([]string{"a1", "a2"}, [][]float64{gen.Data.Col(0), gen.Data.Col(1)})
 	if err != nil {
-		b.Fatal(err)
+		panic(err)
 	}
-	eng, err := Open(ds, Config{FilterColumns: []string{"a1", "a2"}, Statistic: Count, UseGridIndex: true}, WithResultCache(0))
+	return ds
+})
+
+// densityEngine opens an engine over densityData with the result
+// cache off and trains its surrogate as cmd/surf-perf's find workloads
+// do: 2,000 generated training queries, seed 7.
+func densityEngine(b *testing.B) *Engine {
+	b.Helper()
+	eng, err := Open(densityData(), Config{FilterColumns: []string{"a1", "a2"}, Statistic: Count, UseGridIndex: true}, WithResultCache(0))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -259,6 +266,114 @@ func BenchmarkFindKDE(b *testing.B) {
 	if err := eng.TrainSurrogate(wl, TrainOptions{Seed: 7}); err != nil {
 		b.Fatal(err)
 	}
+	return eng
+}
+
+// densityThresholds are the yR values cmd/surf-perf's find-surrogate
+// workload cycles through, all Above.
+var densityThresholds = []float64{80_000, 100_000, 120_000}
+
+// BenchmarkFindSurrogate measures one find in the shape of
+// cmd/surf-perf's find-surrogate workload, the paper's main path: a
+// threshold find Above yR = 80k, 100k or 120k in turn at the default
+// swarm (L = 200, T = 100 in 2-D), verified, on densityEngine.
+func BenchmarkFindSurrogate(b *testing.B) {
+	eng := densityEngine(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := Query{Threshold: densityThresholds[i%len(densityThresholds)], Above: true, Seed: uint64(i + 1)}
+		if _, err := eng.Find(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// recordedBatch is one batch a swarm predicted, with its find's yR.
+type recordedBatch struct {
+	rows [][]float64
+	yR   float64
+}
+
+// batchRecorder predicts through pred and keeps a copy of every batch.
+type batchRecorder struct {
+	pred    core.BatchPredictor
+	yR      float64
+	mu      sync.Mutex
+	batches []recordedBatch
+}
+
+func (r *batchRecorder) PredictBatch(rows [][]float64, out []float64) {
+	cp := make([][]float64, len(rows))
+	for i, row := range rows {
+		cp[i] = slices.Clone(row)
+	}
+	r.mu.Lock()
+	r.batches = append(r.batches, recordedBatch{rows: cp, yR: r.yR})
+	r.mu.Unlock()
+	r.pred.PredictBatch(rows, out)
+}
+
+// BenchmarkPredictSide measures the inference kernel on the rows
+// BenchmarkFindSurrogate's swarms predict: one default find per yR,
+// with two workers, is recorded batch by batch, then each op predicts
+// every recorded batch through the full walk (PredictBatch) or the
+// bounded walk at the batch's yR, Above (PredictSide). ns/row is the
+// time per predicted row and trees/row the trees walked per row.
+func BenchmarkPredictSide(b *testing.B) {
+	eng := densityEngine(b)
+	snap := eng.surrogate.Load()
+	kern := snap.surr.Kernel()
+	f, err := core.NewSurrogateFinder(snap.surr, snap.view.domain)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := &batchRecorder{pred: kern}
+	f.AttachBatch(rec)
+	for i, yR := range densityThresholds {
+		rec.yR = yR
+		if _, err := f.Find(core.FinderConfig{Threshold: yR, Dir: core.Above, GSO: gso.Params{Seed: uint64(i + 1), Workers: 2}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var rows int
+	for _, bt := range rec.batches {
+		rows += len(bt.rows)
+	}
+	out := make([]float64, rows)
+	trees := snap.surr.Model().NumTrees()
+	for _, bounded := range []bool{false, true} {
+		name := "full"
+		if bounded {
+			name = "side"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			walked := 0
+			for i := 0; i < b.N; i++ {
+				for _, bt := range rec.batches {
+					o := out[:len(bt.rows)]
+					if bounded {
+						walked += kern.PredictSide(bt.rows, o, bt.yR, false)
+					} else {
+						kern.PredictBatch(bt.rows, o)
+						walked += len(bt.rows) * trees
+					}
+				}
+			}
+			n := float64(b.N) * float64(rows)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/row")
+			b.ReportMetric(float64(walked)/n, "trees/row")
+		})
+	}
+}
+
+// BenchmarkFindKDE measures one use_kde find (L = 50, T = 10, verified)
+// on densityEngine. "shared" runs on a data version whose prior an
+// earlier query fitted, as every use_kde query after the first does;
+// "fresh-version" swaps in a new data version (untimed) before each
+// find, so each find pays the fit.
+func BenchmarkFindKDE(b *testing.B) {
+	eng, ds := densityEngine(b), densityData()
 	find := func(b *testing.B, seed uint64) {
 		q := Query{Threshold: 100_000, Above: true, UseKDE: true, Glowworms: 50, Iterations: 10, Seed: seed}
 		if _, err := eng.Find(q); err != nil {

@@ -186,10 +186,29 @@
 // its tree's depth in steps, with no leaf test. It predicts
 // bit-for-bit what the trained ensemble's own tree walk returns,
 // including on NaN and ±Inf values, and a differential fuzz target
-// holds it to that contract. The compiled model is one concrete type;
-// each of its calls adds its rows, itself and its wall time to three
-// process-wide counters, which /metrics exports as the surf_kernel_*
-// families under the constant label kernel="scalar".
+// holds it to that contract.
+//
+// Threshold finds on a surrogate use the kernel's bounded walk for
+// the swarm's predictions. Under Eq. 4 a region on the wrong side of
+// yR scores the same whatever its estimate, so the walk takes the
+// trees in blocks of eight. Before each block it drops every row whose
+// partial sum plus a bound on the remaining trees cannot reach the
+// valid side. The bound adds up, per remaining tree, the largest leaf
+// (for Below, the smallest) reachable from the row's cell. Cells cut
+// each feature into up to four bins at quantiles of its split
+// thresholds, at most 256 cells in all; a row with a NaN feature uses
+// the global bound. The tables are built once per surrogate. Each
+// check carries a relative rounding margin of 1e-9, far above the
+// rounding error of the sums, so a row is dropped only if its full
+// prediction is on the invalid side. Kept rows are predicted bit for
+// bit as before, so answers do not change. Top-k and ratio
+// objectives, region estimates, PredictStatistic(Batch) and
+// true-function finds walk every tree.
+//
+// The compiled model is one concrete type; each of its calls adds the
+// rows entering it, itself and its wall time to three process-wide
+// counters, which /metrics exports as the surf_kernel_* families under
+// the constant label kernel="scalar".
 //
 // # Serving and caching
 //

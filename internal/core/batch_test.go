@@ -129,6 +129,79 @@ func TestFindBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestFindBoundedMatchesFullWalk is the differential test of the
+// bounded walk: a surrogate finder's threshold find, whose swarm
+// predicts through the kernel's PredictSide, returns the answer of the
+// same find through the full walk (the kernel attached behind a
+// countingPredictor, which hides its type) — same
+// regions, and the same swarm fitness, validity, luciferin and
+// positions bit for bit — in both directions, for one and two workers,
+// and at thresholds no region meets and every region meets.
+func TestFindBoundedMatchesFullWalk(t *testing.T) {
+	s, ds := batchTestSurrogate(t, 6000, 800)
+	thresholds := []struct {
+		name      string
+		above, bl float64 // yR for Above and for Below
+	}{
+		{"suggested", ds.SuggestedYR, ds.SuggestedYR / 4},
+		{"none-meets", 1e12, -1e12},
+		{"all-meet", -1e12, 1e12},
+	}
+	for _, th := range thresholds {
+		for _, dir := range []Direction{Above, Below} {
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/%v/workers=%d", th.name, dir, workers), func(t *testing.T) {
+					cfg := FinderConfig{
+						Threshold: th.above, Dir: dir, C: 4,
+						GSO: gso.Params{MaxIters: 40, Seed: 5, Workers: workers},
+					}
+					if dir == Below {
+						cfg.Threshold = th.bl
+					}
+					answer := func(full bool) *FindResult {
+						f, err := NewSurrogateFinder(s, ds.Domain())
+						if err != nil {
+							t.Fatal(err)
+						}
+						if full {
+							f.AttachBatch(&countingPredictor{pred: s.Kernel()})
+						}
+						obj, err := f.thresholdObjective(cfg.withDefaults(2))
+						if _, bounded := obj.pred.(sidePredictor); err != nil || bounded == full {
+							t.Fatalf("full walk %v: objective predicts through %T (%v)", full, obj.pred, err)
+						}
+						res, err := f.Find(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return res
+					}
+					want, got := answer(true), answer(false)
+					if th.name == "suggested" && len(want.Regions) == 0 {
+						t.Fatal("no regions found")
+					}
+					assertSameRegions(t, want.Regions, got.Regions)
+					w, g := want.Swarm, got.Swarm
+					if w.Evaluations != g.Evaluations || len(w.Fitness) != len(g.Fitness) {
+						t.Fatalf("evaluations %d over %d worms, want %d over %d", g.Evaluations, len(g.Fitness), w.Evaluations, len(w.Fitness))
+					}
+					for i := range w.Fitness {
+						if !sameFloat(g.Fitness[i], w.Fitness[i]) || g.Valid[i] != w.Valid[i] || !sameFloat(g.Luciferin[i], w.Luciferin[i]) {
+							t.Fatalf("worm %d: fitness/valid/luciferin (%v,%v,%v), want (%v,%v,%v)",
+								i, g.Fitness[i], g.Valid[i], g.Luciferin[i], w.Fitness[i], w.Valid[i], w.Luciferin[i])
+						}
+						for j := range w.Positions[i] {
+							if !sameFloat(g.Positions[i][j], w.Positions[i][j]) {
+								t.Fatalf("worm %d coordinate %d: %v, want %v", i, j, g.Positions[i][j], w.Positions[i][j])
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // countingPredictor passes predictions through to pred and counts the
 // calls and the rows predicted.
 type countingPredictor struct {

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"time"
 
+	"surf/internal/gbt/kernel"
 	"surf/internal/geom"
 	"surf/internal/gso"
 	"surf/internal/kde"
@@ -180,9 +181,11 @@ func newFinder(pred BatchPredictor, domain geom.Rect) (*Finder, error) {
 
 // NewSurrogateFinder builds a finder that predicts through the
 // surrogate's compiled kernel, so the swarm evaluates whole particle
-// shards per model pass. The swarm's positions are always well-formed
-// [x, l] rows, so the kernel is used directly — the surrogate's
-// validating PredictBatch boundary is for caller-supplied batches.
+// shards per model pass, and threshold finds' swarms through its
+// bounded walk (see sidePredictor). The swarm's positions are always
+// well-formed [x, l] rows, so the kernel is used directly — the
+// surrogate's validating PredictBatch boundary is for caller-supplied
+// batches.
 func NewSurrogateFinder(s *Surrogate, domain geom.Rect) (*Finder, error) {
 	if s == nil {
 		return nil, errors.New("core: nil surrogate")
@@ -193,7 +196,8 @@ func NewSurrogateFinder(s *Surrogate, domain geom.Rect) (*Finder, error) {
 // AttachBatch replaces the finder's predictor with p, which must be
 // non-nil and predict the statistic the finder was built with bit for
 // bit: mined regions, scores and estimates are then identical, and
-// only the prediction cost changes.
+// only the prediction cost changes. Unless p is itself a compiled
+// kernel, threshold finds' swarms then walk every tree too.
 func (f *Finder) AttachBatch(p BatchPredictor) { f.pred = p }
 
 // estimates predicts the statistic of each [x, l] row.
@@ -263,7 +267,7 @@ func (f *Finder) Find(cfg FinderConfig) (*FindResult, error) {
 // FindContext is Find with cancellation: the context is propagated to
 // the optimizer, which checks it once per swarm iteration.
 func (f *Finder) FindContext(ctx context.Context, cfg FinderConfig) (*FindResult, error) {
-	return f.mine(ctx, cfg, thresholdScore, f.extractRegions)
+	return f.mine(ctx, cfg, f.thresholdObjective, f.extractRegions)
 }
 
 // FindExtentsContext is FindContext reporting the swarm's cluster
@@ -271,31 +275,52 @@ func (f *Finder) FindContext(ctx context.Context, cfg FinderConfig) (*FindResult
 // ExtentClusterEps, capped at cfg.MaxRegions. After the swarm the
 // statistic is evaluated once per returned extent.
 func (f *Finder) FindExtentsContext(ctx context.Context, cfg FinderConfig) (*FindResult, error) {
-	return f.mine(ctx, cfg, thresholdScore, func(res *gso.Result, _ gso.Objective, cfg FinderConfig) []Region {
+	return f.mine(ctx, cfg, f.thresholdObjective, func(res *gso.Result, _ gso.Objective, cfg FinderConfig) []Region {
 		return f.ClusterExtents(res, ExtentClusterEps, cfg.MaxRegions)
 	})
 }
 
-// thresholdScore is the threshold query's per-row score: the Eq. 4
-// objective (scoreRegion) over the defaulted configuration.
-func thresholdScore(cfg FinderConfig) (regionScore, error) {
+// thresholdObjective is the threshold query's objective: the Eq. 4
+// score (scoreRegion) over the defaulted configuration, predicted
+// through the bounded walk when the finder predicts through a
+// compiled kernel.
+func (f *Finder) thresholdObjective(cfg FinderConfig) (regionObjective, error) {
 	ocfg := ObjectiveConfig{YR: cfg.Threshold, Dir: cfg.Dir, C: cfg.C}
-	return ocfg.scoreRegion, ocfg.Validate()
+	obj := regionObjective{pred: f.pred, score: ocfg.scoreRegion}
+	if k, ok := f.pred.(*kernel.Model); ok {
+		obj.pred = sidePredictor{kern: k, yR: cfg.Threshold, below: cfg.Dir == Below}
+	}
+	return obj, ocfg.Validate()
+}
+
+// sidePredictor predicts a threshold find's swarm through the kernel's
+// bounded walk: a row the walk proves to lie on the invalid side of yR
+// reads ∓Inf instead of its estimate, which scoreRegion scores (0,
+// false) exactly as it scores the estimate, so the swarm is the one
+// the full walk gives. Region estimates still use the full walk.
+type sidePredictor struct {
+	kern  *kernel.Model
+	yR    float64
+	below bool
+}
+
+// PredictBatch runs the bounded walk.
+func (p sidePredictor) PredictBatch(rows [][]float64, out []float64) {
+	p.kern.PredictSide(rows, out, p.yR, p.below)
 }
 
 // mine is the one swarm runner of both query kinds: it defaults and
-// checks cfg, runs GSO over the [x, l] space on the objective of the
-// kind's per-row score over the finder's predictor, with cfg's
-// observers and KDE prior, and lets the kind extract regions.
+// checks cfg, runs GSO over the [x, l] space on the kind's objective,
+// with cfg's observers and KDE prior, and lets the kind extract
+// regions.
 func (f *Finder) mine(ctx context.Context, cfg FinderConfig,
-	scoreFor func(FinderConfig) (regionScore, error),
+	objFor func(FinderConfig) (regionObjective, error),
 	extract func(*gso.Result, gso.Objective, FinderConfig) []Region) (*FindResult, error) {
 	cfg = cfg.withDefaults(f.domain.Dims())
-	score, err := scoreFor(cfg)
+	obj, err := objFor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	obj := regionObjective{pred: f.pred, score: score}
 	if cfg.MinSideFrac <= 0 || cfg.MaxSideFrac < cfg.MinSideFrac {
 		return nil, fmt.Errorf("core: side fractions [%g, %g] invalid", cfg.MinSideFrac, cfg.MaxSideFrac)
 	}

@@ -142,11 +142,12 @@ func NewObjective(f StatFn, cfg ObjectiveConfig) (gso.ObjectiveFunc, error) {
 // BatchPredictor predicts the statistic for many regions at once. Each
 // row is the flat [x, l] solution-space encoding of one region, so the
 // optimizer's particle positions feed the predictor with zero copying;
-// out receives one estimate per row. It is a Finder's one prediction
-// path: the swarm's objective, the re-scoring of the converged swarm
-// and every region's Estimate go through it. The compiled surrogate
-// kernel implements it, and NewFinder wraps a StatFn as a row-by-row
-// predictor. Implementations must be safe for concurrent calls, and
+// out receives one estimate per row. It is a Finder's prediction path:
+// the swarm's objective, the re-scoring of the converged swarm and
+// every region's Estimate go through it, except that a surrogate
+// finder's threshold swarms use the kernel's bounded walk
+// (sidePredictor). The compiled surrogate kernel implements it, and
+// NewFinder wraps a StatFn as a row-by-row predictor. Implementations must be safe for concurrent calls, and
 // each estimate must be a pure function of its row: the swarm keeps
 // the fitness of a worm that did not move (see gso.Objective).
 type BatchPredictor interface {
@@ -184,13 +185,15 @@ func (o regionObjective) Evaluate(pos [][]float64, fitness []float64, valid []bo
 	}
 }
 
-// EvaluatorStatFn adapts a region evaluator (the true f over a
-// dataset) to a StatFn, giving the f+GlowWorm baseline.
+// regionEvaluator is the true statistic f over a dataset: Evaluate
+// returns f over the rows inside region and the number of those rows.
+// Dataset evaluators (linear scan and grid index) implement it.
 type regionEvaluator interface {
 	Evaluate(region geom.Rect) (float64, int)
 }
 
-// StatFnFromEvaluator wraps a dataset evaluator as a StatFn.
+// StatFnFromEvaluator wraps a dataset evaluator as a StatFn, giving
+// the f+GlowWorm baseline.
 func StatFnFromEvaluator(ev regionEvaluator) StatFn {
 	return func(x, l []float64) float64 {
 		y, _ := ev.Evaluate(geom.FromCenter(x, l))

@@ -26,10 +26,11 @@ type Surrogate struct {
 }
 
 // newSurrogate wraps a trained ensemble, compiling the inference
-// snapshot. All construction paths (train, CV train, load) go through
-// here so the compiled form can never be stale.
+// snapshot with the bounded walk's tables (kernel.WithSideBounds). All
+// construction paths (train, CV train, load) go through here so the
+// compiled form can never be stale.
 func newSurrogate(model *gbt.Model, dims int) *Surrogate {
-	return &Surrogate{model: model, kern: model.Compile(), dims: dims}
+	return &Surrogate{model: model, kern: model.Compile().WithSideBounds(), dims: dims}
 }
 
 // NewSurrogateFromModel wraps an already-deserialized ensemble as a

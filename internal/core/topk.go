@@ -63,12 +63,12 @@ func (f *Finder) FindTopKContext(ctx context.Context, cfg TopKConfig) (*FindResu
 	if !cfg.Largest {
 		sign = -1
 	}
-	scoreFor := func(fc FinderConfig) (regionScore, error) {
+	objFor := func(fc FinderConfig) (regionObjective, error) {
 		// Softer size pressure than the threshold objective: the raw
 		// statistic is not log-compressed here, so the exponent is
 		// spread over the dimensions to stay comparable.
 		sizeExp := fc.C / float64(f.domain.Dims())
-		return func(l []float64, y float64) (float64, bool) {
+		return regionObjective{pred: f.pred, score: func(l []float64, y float64) (float64, bool) {
 			if math.IsNaN(y) {
 				return 0, false
 			}
@@ -80,7 +80,7 @@ func (f *Finder) FindTopKContext(ctx context.Context, cfg TopKConfig) (*FindResu
 				vol *= li
 			}
 			return sign * y / math.Pow(vol, sizeExp), true
-		}, nil
+		}}, nil
 	}
 	extract := func(res *gso.Result, _ gso.Objective, _ FinderConfig) []Region {
 		regions := slices.DeleteFunc(f.ClusterExtents(res, topKClusterEps, 0), func(r Region) bool {
@@ -95,5 +95,5 @@ func (f *Finder) FindTopKContext(ctx context.Context, cfg TopKConfig) (*FindResu
 		return regions[:min(len(regions), cfg.K)]
 	}
 	fc := FinderConfig{C: cfg.C, GSO: cfg.GSO, MinSideFrac: cfg.MinSideFrac, MaxSideFrac: cfg.MaxSideFrac, OnIteration: cfg.OnIteration}
-	return f.mine(ctx, fc, scoreFor, extract)
+	return f.mine(ctx, fc, objFor, extract)
 }

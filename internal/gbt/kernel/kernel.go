@@ -2,23 +2,39 @@
 
 // Package kernel is the compiled inference path of the surrogate.
 // Compile turns a trained ensemble (in the neutral Ensemble form) into
-// an immutable *Model serving Predict1 and PredictBatch. It is the
-// trained ensemble's only prediction path: the swarm's objective,
-// Engine prediction, continued training's residual start and
-// hyper-parameter cross-validation all call that one concrete type.
+// an immutable *Model serving Predict1, PredictBatch and PredictSide.
+// It is the trained ensemble's only prediction path: the swarm's
+// objective, Engine prediction, continued training's residual start
+// and hyper-parameter cross-validation all call that one concrete
+// type.
 //
 // The model is the flat-node float64 traversal in scalar.go: leaves
 // loop onto themselves, so each tree is a fixed number of steps, its
-// depth, and batches walk eight rows in lockstep. The exported
-// Predict1 and PredictBatch (stats.go) add every call to three
-// process-wide counters — rows, calls and kernel nanoseconds — that
-// /metrics exports under kernel="scalar", then run the walks.
+// depth, and batches walk eight rows in lockstep. PredictSide
+// (side.go) is the same walk for a threshold query. On a model built
+// with WithSideBounds it walks the trees in blocks of eight, and
+// before each block it drops the rows whose partial sum plus a bound
+// on the remaining trees proves the prediction on the invalid side of
+// yR. The bound sums, per tree, the largest (or smallest) leaf
+// reachable from the row's cell: each feature's range is cut into up
+// to four bins at quantiles of its split thresholds, at most 256
+// cells in all, and a row with a NaN feature uses the global bound.
+// Each check carries a relative rounding margin of 1e-9, so a dropped
+// row's prediction is on the invalid side however the sums round.
+// Dropped rows read ∓Inf, and kept rows get PredictBatch's prediction.
+// The exported entry points (stats.go) add every call to three
+// process-wide counters — rows entering the call, calls and kernel
+// nanoseconds — that /metrics exports under kernel="scalar", then run
+// the walks.
+//
 // The contract is strict bit-identity: for any ensemble and any row —
 // including NaN and ±Inf values — Predict1 and PredictBatch return
 // exactly the float64 a walk of the trained trees' nodes returns (same
-// traversal decisions, same summation order). FuzzKernelParity,
+// traversal decisions, same summation order), and so does PredictSide
+// for every row it does not drop. FuzzKernelParity,
 // TestParityHandcrafted and TestParityMixedDepths hold the compiled
-// model to a reference walk of the Ensemble.
+// model to a reference walk of the Ensemble, and FuzzKernelParity
+// holds PredictSide to its contract.
 package kernel
 
 // bfsOrder lays one tree's nodes out breadth-first starting at node 0:

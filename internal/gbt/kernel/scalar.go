@@ -55,6 +55,9 @@ type Model struct {
 	nodes     []cnode
 	// leaf[k] is node k's shrunken leaf weight, 0 for a split.
 	leaf []float64
+	// side holds the bounded walk's tables (nil unless built by
+	// WithSideBounds).
+	side *sideBounds
 }
 
 // Compile flattens e into a Model snapshot, independent of the
@@ -129,6 +132,31 @@ func (c *Model) predict1(row []float64) float64 {
 // predictBatch writes predictions for every row of X into out without
 // allocating: out must have exactly len(X) entries and every row must
 // have the compiled feature count (all rows are validated up front).
+// It is the block walk of predictSide with no bound: every row walks
+// every tree.
+func (c *Model) predictBatch(X [][]float64, out []float64) {
+	c.check("PredictBatch", X, out)
+	for i := range out {
+		out[i] = c.baseScore
+	}
+	c.walk(c.trees, X, out)
+}
+
+// check panics unless out has one entry per row of X and every row
+// has the compiled feature count.
+func (c *Model) check(op string, X [][]float64, out []float64) {
+	if len(out) != len(X) {
+		panic(fmt.Sprintf("kernel: %s output of length %d for %d rows", op, len(out), len(X)))
+	}
+	for i, row := range X {
+		if len(row) != c.nfeat {
+			panic(fmt.Sprintf("kernel: %s row %d of dimension %d, want %d", op, i, len(row), c.nfeat))
+		}
+	}
+}
+
+// walk adds, for every row of X, the leaf weight each of trees reaches
+// to out[i]. It is the kernel's one batch walk.
 //
 // Trees iterate in the outer loop and rows in the inner loop, so each
 // tree's nodes are loaded into cache once per batch rather than once
@@ -137,19 +165,10 @@ func (c *Model) predict1(row []float64) float64 {
 // its final row to fill the eight lanes and adds only its own rows'
 // leaves. The per-row sums still accumulate in ensemble order, keeping
 // results bit-for-bit equal to predict1.
-func (c *Model) predictBatch(X [][]float64, out []float64) {
-	if len(out) != len(X) {
-		panic(fmt.Sprintf("kernel: PredictBatch output of length %d for %d rows", len(out), len(X)))
-	}
-	for i, row := range X {
-		if len(row) != c.nfeat {
-			panic(fmt.Sprintf("kernel: PredictBatch row %d of dimension %d, want %d", i, len(row), c.nfeat))
-		}
-		out[i] = c.baseScore
-	}
+func (c *Model) walk(trees []ctree, X [][]float64, out []float64) {
 	nodes, leaf := c.nodes, c.leaf
 	last := len(X) - 1
-	for _, t := range c.trees {
+	for _, t := range trees {
 		for i := 0; i <= last; i += 8 {
 			r0, r1, r2, r3 := X[i], X[min(i+1, last)], X[min(i+2, last)], X[min(i+3, last)]
 			r4, r5, r6, r7 := X[min(i+4, last)], X[min(i+5, last)], X[min(i+6, last)], X[min(i+7, last)]

@@ -48,3 +48,19 @@ func (c *Model) PredictBatch(X [][]float64, out []float64) {
 	Rows.Add(uint64(len(X)))
 	Calls.Inc()
 }
+
+// PredictSide is PredictBatch for a threshold query: a row whose
+// prediction is proven to be ≤ yR (or, with below, ≥ yR) may stop
+// walking trees and reads −Inf (+Inf) instead, and every other row
+// gets PredictBatch's prediction bit for bit (see side.go). Only a
+// model built by WithSideBounds skips trees. It returns the number of
+// tree walks made, one per row and tree, against len(X) times the tree
+// count of the full walk; the counters count rows as PredictBatch does.
+func (c *Model) PredictSide(X [][]float64, out []float64, yR float64, below bool) int {
+	start := time.Now()
+	walked := c.predictSide(X, out, yR, below)
+	Nanos.Add(uint64(time.Since(start)))
+	Rows.Add(uint64(len(X)))
+	Calls.Inc()
+	return walked
+}
